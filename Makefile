@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet nvmcheck nvmcheck-stats crosscheck test race fuzz-smoke crashmatrix chaos benchscan benchserve
+.PHONY: check fmt vet nvmcheck nvmcheck-stats crosscheck test race benchmark-module fuzz-smoke crashmatrix chaos benchscan benchserve
 
-check: fmt vet nvmcheck race
+check: fmt vet nvmcheck race benchmark-module
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -86,6 +86,14 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# The repo benchmark is a nested module (benchmark/go.mod) that imports
+# internal packages and the DB.Engine / Table.Internal hatches, but
+# `./...` from the root never compiles it — so an internal deletion can
+# break it unnoticed unless it is vetted and tested on its own.
+benchmark-module:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+
 # Crash-point enumeration (see internal/crashtest). Pass 1 cuts power at
 # every persist barrier of the standard workload under four crash
 # behaviors (pure loss + three tear seeds), fscking and verifying each
@@ -129,7 +137,7 @@ benchscan:
 	$(GO) run ./cmd/benchjson -in BENCH_scan.txt -out BENCH_scan.json
 	rm -f BENCH_scan.txt
 
-# Serving benchmarks: 1024-connection write workload, unbatched vs
+# Serving benchmarks: 1024-connection write workload under
 # persist-group commit (the ServeWrite pattern also matches the
 # per-shard-count sweep at Shards=1/4), plus the 2x-saturation overload
 # run with admission control. Fixed op counts keep the runs comparable

@@ -478,8 +478,7 @@ func (c *Client) dial(ctx context.Context) (*wconn, error) {
 		return nil, err
 	}
 	// The server negotiates down to the highest version both sides
-	// speak; anything in [MinVersion, Version] is fine. A v1 server
-	// advertises no pipeline depth, so the conn runs serially (depth 1).
+	// speak; anything in [MinVersion, Version] is fine.
 	if ok.Version < wire.MinVersion || ok.Version > wire.Version {
 		nc.Close()
 		return nil, fmt.Errorf("client: server negotiated unsupported protocol %d", ok.Version)

@@ -169,19 +169,6 @@ type Config struct {
 	// historical behavior). Every read path — embedded Tx methods and
 	// the network server's handlers — shares this executor.
 	Parallelism int
-	// GroupCommit coalesces concurrent commits into persist groups that
-	// share one set of commit fences (NVM mode) — the NVM analog of WAL
-	// group commit. Under concurrent write load this amortizes the
-	// dominant commit-path cost; a lone committer pays one extra
-	// leader/follower handoff but still commits immediately.
-	GroupCommit bool
-	// GroupCommitMaxBatch bounds transactions per persist group
-	// (default 64).
-	GroupCommitMaxBatch int
-	// GroupCommitMaxDelay is how long a group leader waits for more
-	// commits before flushing (default 0: batches form naturally from
-	// commits arriving while the previous group flushes).
-	GroupCommitMaxDelay time.Duration
 }
 
 func (cfg Config) shardConfig() shard.Config {
@@ -198,9 +185,6 @@ func (cfg Config) shardConfig() shard.Config {
 			HashDictIndex:       cfg.HashDictIndex,
 			CompressCheckpoints: cfg.CompressCheckpoints,
 			Parallelism:         cfg.Parallelism,
-			GroupCommit:         cfg.GroupCommit,
-			GroupCommitMaxBatch: cfg.GroupCommitMaxBatch,
-			GroupCommitMaxDelay: cfg.GroupCommitMaxDelay,
 		},
 		Shards:          cfg.Shards,
 		RecoveryWorkers: cfg.RecoveryWorkers,

@@ -1,15 +1,17 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
+	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
 )
 
-func commitCostEngine(t *testing.T) (*Engine, *storage.Table) {
+func commitCostEngine(t *testing.T, lat nvm.LatencyModel) (*Engine, *storage.Table) {
 	t.Helper()
-	e, err := Open(Config{Mode: txn.ModeNVM, Dir: t.TempDir(), NVMHeapSize: 256 << 20})
+	e, err := Open(Config{Mode: txn.ModeNVM, Dir: t.TempDir(), NVMHeapSize: 256 << 20, NVMLatency: lat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,16 +30,49 @@ func commitCostEngine(t *testing.T) (*Engine, *storage.Table) {
 	return e, tbl
 }
 
+// nineWrites begins a transaction with 9 write-set entries.
+func nineWrites(t *testing.T, e *Engine, tbl *storage.Table, base int64) *txn.Txn {
+	t.Helper()
+	tx := e.Manager().Begin()
+	for i := int64(0); i < 9; i++ {
+		if _, err := tx.Insert(tbl, []storage.Value{storage.Int(base + i), storage.Str("z")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return tx
+}
+
 // TestCommitDrainCost pins the durability cost of the NVM commit
-// protocols: a single-transaction commit pays exactly one device drain
-// (the other two commit barriers are ordering fences), and a commit
-// group of any size pays exactly one drain for the whole batch — the
-// amortization persist-group commit exists for. A regression here
-// silently changes the serving benchmarks' economics, so it fails
-// loudly instead.
+// protocol: a commit group of any size — a lone commit being a group of
+// one — pays exactly one device drain (the other two commit barriers
+// are ordering fences shared by every stamp), the amortization
+// persist-group commit exists for. A regression here silently changes
+// the serving benchmarks' economics, so it fails loudly instead.
 func TestCommitDrainCost(t *testing.T) {
-	e, tbl := commitCostEngine(t)
+	e, tbl := commitCostEngine(t, nvm.LatencyModel{})
 	h := e.Heap()
+
+	// A lone commit with 9 write-set entries costs exactly what
+	// CommitGroup of that one transaction costs: Commit is a group of
+	// one, not a second protocol with a fence per stamp.
+	solo := nineWrites(t, e, tbl, 1000)
+	s0 := h.Stats()
+	if err := solo.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	s1 := h.Stats()
+	grouped := nineWrites(t, e, tbl, 2000)
+	g0 := h.Stats()
+	if err := e.Manager().CommitGroup([]*txn.Txn{grouped}); err != nil {
+		t.Fatal(err)
+	}
+	g1 := h.Stats()
+	if sf, gf := s1.Fences-s0.Fences, g1.Fences-g0.Fences; sf != gf {
+		t.Fatalf("lone 9-entry commit issued %d fences, CommitGroup of it %d", sf, gf)
+	}
+	if got := s1.Drains - s0.Drains; got != 1 {
+		t.Fatalf("lone 9-entry commit issued %d drains, want 1", got)
+	}
 
 	// Single commits: one drain each.
 	for i := 0; i < 3; i++ {
@@ -79,7 +114,7 @@ func TestCommitDrainCost(t *testing.T) {
 // internals — but unbounded growth there would erode the benefit of
 // cheap ordering fences and should be noticed in review.
 func TestCommitFenceBudget(t *testing.T) {
-	e, tbl := commitCostEngine(t)
+	e, tbl := commitCostEngine(t, nvm.LatencyModel{})
 	h := e.Heap()
 	tx := e.Manager().Begin()
 	row, err := tx.Insert(tbl, []storage.Value{storage.Int(1), storage.Str("v-0")})
@@ -108,4 +143,41 @@ func TestCommitFenceBudget(t *testing.T) {
 		}
 		row = nr
 	}
+}
+
+// TestDefaultConfigCoalescesCommits pins that group commit is the
+// default: concurrent committers on an engine opened with no
+// commit-related configuration share persist groups. The drain cost
+// keeps each group committing long enough for the others to pile up
+// behind the commit token.
+func TestDefaultConfigCoalescesCommits(t *testing.T) {
+	e, tbl := commitCostEngine(t, nvm.LatencyModel{DrainNS: 200_000})
+	const workers, each = 64, 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				tx := e.Begin()
+				if _, err := tx.Insert(tbl, []storage.Value{storage.Int(int64(w*each + i)), storage.Str("c")}); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	groups, items := e.Manager().GroupCommitStats()
+	if items != workers*each {
+		t.Fatalf("batcher committed %d transactions, want %d", items, workers*each)
+	}
+	if groups >= items {
+		t.Fatalf("%d commits formed %d groups: the default engine does not coalesce", items, groups)
+	}
+	t.Logf("%d commits in %d groups", items, groups)
 }

@@ -76,17 +76,6 @@ type Config struct {
 	// query executor: 0 = one worker per schedulable core (GOMAXPROCS),
 	// 1 = strictly serial scans.
 	Parallelism int
-	// GroupCommit coalesces concurrent commits into persist groups
-	// sharing one set of commit fences (ModeNVM; the WAL already group-
-	// commits in ModeLog). See txn.Manager.CommitGroup.
-	GroupCommit bool
-	// GroupCommitMaxBatch bounds transactions per persist group
-	// (default 64).
-	GroupCommitMaxBatch int
-	// GroupCommitMaxDelay is how long a group leader lingers for
-	// followers before committing (default 0: batching comes only from
-	// commits arriving while the previous group flushes).
-	GroupCommitMaxDelay time.Duration
 	// Clock, when non-nil, attaches a shared commit-ID clock: this engine
 	// is one shard of a sharded database and draws CIDs from the global
 	// clock instead of its private counter. See txn.Clock.
@@ -286,9 +275,6 @@ func (e *Engine) openNVM() error {
 	}
 	e.mgr = mgr
 	e.recovery.NVM = stats
-	if e.cfg.GroupCommit {
-		mgr.EnableGroupCommit(e.cfg.GroupCommitMaxBatch, e.cfg.GroupCommitMaxDelay)
-	}
 	return nil
 }
 
@@ -454,9 +440,7 @@ func (e *Engine) Close() error {
 		// Drain the group-commit batcher before tearing anything down:
 		// in-flight groups finish against a live heap. Must happen
 		// outside e.mu — group leaders may be in commit paths.
-		if e.mgr != nil {
-			e.mgr.DisableGroupCommit()
-		}
+		e.mgr.Close()
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		e.closed.Store(true)

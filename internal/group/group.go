@@ -11,18 +11,16 @@
 //
 // Batching is work-conserving: a leader first waits for the commit token
 // (only one group commits at a time), and followers arriving while the
-// previous group is still committing join the forming group for free. An
-// optional MaxDelay lets the leader linger for followers even when the
-// token is immediately available — the classic group-commit timeout — and
-// MaxBatch bounds group size so one group cannot grow without limit under
-// a backlog.
+// previous group is still committing join the forming group for free.
+// There is no linger: an uncontended caller commits at once as a group of
+// one. maxBatch bounds group size so one group cannot grow without limit
+// under a backlog.
 package group
 
 import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Errors returned by Do.
@@ -34,30 +32,9 @@ var (
 	ErrPanicked = errors.New("group: commit callback panicked")
 )
 
-// Config tunes a Batcher. The zero value picks sensible defaults.
-type Config struct {
-	// MaxBatch bounds the number of items per group (default 64).
-	MaxBatch int
-	// MaxDelay is how long a leader holding the commit token lingers for
-	// followers before committing (default 0: commit immediately).
-	// Batching still happens with zero delay — followers that arrive
-	// while the previous group commits join the forming group — so the
-	// delay only matters at low concurrency, trading latency for batch
-	// size exactly like WAL group-commit timeouts.
-	MaxDelay time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 64
-	}
-	return c
-}
-
 // batch is one forming or committing group.
 type batch[T any] struct {
 	items []T
-	full  chan struct{} // closed when MaxBatch is reached
 	done  chan struct{} // closed after commit; err is valid then
 	err   error
 }
@@ -65,8 +42,8 @@ type batch[T any] struct {
 // Batcher coalesces concurrent Do calls into groups. Safe for concurrent
 // use by any number of goroutines.
 type Batcher[T any] struct {
-	cfg    Config
-	commit func([]T) error
+	maxBatch int
+	commit   func([]T) error
 
 	// token has capacity 1 and holds the right to run commit: at most
 	// one group is committing at any moment, and the wait for the token
@@ -81,12 +58,12 @@ type Batcher[T any] struct {
 	items  atomic.Uint64 // items committed
 }
 
-// New creates a Batcher that commits groups with the given callback. The
-// callback receives every item of the group in arrival order; a nil
-// error means the whole group succeeded, and its error (or panic) is
-// reported to every caller of the group.
-func New[T any](cfg Config, commit func([]T) error) *Batcher[T] {
-	b := &Batcher[T]{cfg: cfg.withDefaults(), commit: commit, token: make(chan struct{}, 1)}
+// New creates a Batcher that commits groups of at most maxBatch items
+// with the given callback. The callback receives every item of the group
+// in arrival order; a nil error means the whole group succeeded, and its
+// error (or panic) is reported to every caller of the group.
+func New[T any](maxBatch int, commit func([]T) error) *Batcher[T] {
+	b := &Batcher[T]{maxBatch: maxBatch, commit: commit, token: make(chan struct{}, 1)}
 	b.token <- struct{}{}
 	return b
 }
@@ -105,14 +82,13 @@ func (b *Batcher[T]) Do(x T) error {
 	cur := b.cur
 	leader := cur == nil
 	if leader {
-		cur = &batch[T]{full: make(chan struct{}), done: make(chan struct{})}
+		cur = &batch[T]{done: make(chan struct{})}
 		b.cur = cur
 	}
 	cur.items = append(cur.items, x)
-	if len(cur.items) >= b.cfg.MaxBatch {
+	if len(cur.items) >= b.maxBatch {
 		// Seal: later arrivals start the next group.
 		b.cur = nil
-		close(cur.full)
 	}
 	b.mu.Unlock()
 
@@ -124,16 +100,8 @@ func (b *Batcher[T]) Do(x T) error {
 	// Leader: wait for the commit token. Followers join while we wait —
 	// this is where batching comes from under load.
 	<-b.token
-	if d := b.cfg.MaxDelay; d > 0 {
-		timer := time.NewTimer(d)
-		select {
-		case <-cur.full:
-		case <-timer.C:
-		}
-		timer.Stop()
-	}
 	b.mu.Lock()
-	if b.cur == cur { // not sealed by a follower hitting MaxBatch
+	if b.cur == cur { // not sealed by a follower hitting maxBatch
 		b.cur = nil
 	}
 	items := cur.items

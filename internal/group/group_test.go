@@ -10,7 +10,7 @@ import (
 
 func TestSingleCallerCommitsAlone(t *testing.T) {
 	var got [][]int
-	b := New[int](Config{}, func(xs []int) error {
+	b := New[int](64, func(xs []int) error {
 		got = append(got, append([]int(nil), xs...))
 		return nil
 	})
@@ -30,7 +30,7 @@ func TestConcurrentCallersCoalesce(t *testing.T) {
 	release := make(chan struct{})
 	first := make(chan struct{})
 	var once sync.Once
-	b := New[int](Config{MaxBatch: n}, func(xs []int) error {
+	b := New[int](n, func(xs []int) error {
 		once.Do(func() { close(first); <-release })
 		return nil
 	})
@@ -72,7 +72,7 @@ func TestMaxBatchSealsGroup(t *testing.T) {
 	var once sync.Once
 	var sizes []int
 	var mu sync.Mutex
-	b := New[int](Config{MaxBatch: 4}, func(xs []int) error {
+	b := New[int](4, func(xs []int) error {
 		once.Do(func() { close(first); <-release })
 		mu.Lock()
 		sizes = append(sizes, len(xs))
@@ -105,7 +105,7 @@ func TestErrorBroadcastToWholeGroup(t *testing.T) {
 	release := make(chan struct{})
 	first := make(chan struct{})
 	var once sync.Once
-	b := New[int](Config{MaxBatch: 16}, func(xs []int) error {
+	b := New[int](16, func(xs []int) error {
 		once.Do(func() { close(first); <-release })
 		if len(xs) > 1 {
 			return boom
@@ -136,7 +136,7 @@ func TestErrorBroadcastToWholeGroup(t *testing.T) {
 }
 
 func TestPanicBroadcastsAndPropagates(t *testing.T) {
-	b := New[int](Config{}, func(xs []int) error { panic("crash") })
+	b := New[int](64, func(xs []int) error { panic("crash") })
 	done := make(chan any, 1)
 	go func() {
 		defer func() { done <- recover() }()
@@ -146,7 +146,7 @@ func TestPanicBroadcastsAndPropagates(t *testing.T) {
 		t.Fatal("panic did not propagate on the leader goroutine")
 	}
 	// The batcher must stay usable: the token was returned during unwind.
-	ok := New[int](Config{}, func(xs []int) error { return nil })
+	ok := New[int](64, func(xs []int) error { return nil })
 	if err := ok.Do(1); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestPanicBroadcastsAndPropagates(t *testing.T) {
 	release := make(chan struct{})
 	first := make(chan struct{})
 	var once sync.Once
-	p := New[int](Config{MaxBatch: 16}, func(xs []int) error {
+	p := New[int](16, func(xs []int) error {
 		once.Do(func() { close(first); <-release })
 		if len(xs) > 1 {
 			panic("group crash")
@@ -197,7 +197,7 @@ func TestPanicBroadcastsAndPropagates(t *testing.T) {
 
 func TestCloseRejectsAndDrains(t *testing.T) {
 	var n atomic.Int32
-	b := New[int](Config{}, func(xs []int) error { n.Add(int32(len(xs))); return nil })
+	b := New[int](64, func(xs []int) error { n.Add(int32(len(xs))); return nil })
 	if err := b.Do(1); err != nil {
 		t.Fatal(err)
 	}
@@ -208,34 +208,5 @@ func TestCloseRejectsAndDrains(t *testing.T) {
 	}
 	if n.Load() != 1 {
 		t.Fatalf("committed %d items, want 1", n.Load())
-	}
-}
-
-func TestMaxDelayLingers(t *testing.T) {
-	var sizes []int
-	var mu sync.Mutex
-	b := New[int](Config{MaxBatch: 2, MaxDelay: time.Second}, func(xs []int) error {
-		mu.Lock()
-		sizes = append(sizes, len(xs))
-		mu.Unlock()
-		return nil
-	})
-	defer b.Close()
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) { defer wg.Done(); b.Do(i) }(i)
-	}
-	wg.Wait()
-	// With MaxBatch 2, the second caller seals the group and cuts the
-	// delay short: both commit together well before the 1 s delay.
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("MaxBatch did not cut MaxDelay short (%v)", elapsed)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(sizes) != 1 || sizes[0] != 2 {
-		t.Fatalf("sizes = %v, want one group of 2", sizes)
 	}
 }

@@ -105,7 +105,6 @@ func TestLoadSmoke(t *testing.T) {
 		Mode:        txn.ModeNVM,
 		Dir:         t.TempDir(),
 		NVMHeapSize: 256 << 20,
-		GroupCommit: true,
 	}})
 	if err != nil {
 		t.Fatal(err)

@@ -28,11 +28,7 @@ var serveLatency = nvm.LatencyModel{WriteNS: 200, FenceNS: 500, DrainNS: 400_000
 // acceptance target is 1000+ concurrent load-driver connections.
 const benchConns = 1024
 
-func startBenchServer(b *testing.B, groupCommit bool, srvCfg server.Config) (*server.Server, func()) {
-	return startShardedBenchServer(b, groupCommit, 1, srvCfg)
-}
-
-func startShardedBenchServer(b *testing.B, groupCommit bool, shards int, srvCfg server.Config) (*server.Server, func()) {
+func startBenchServer(b *testing.B, shards int, srvCfg server.Config) (*server.Server, func()) {
 	b.Helper()
 	eng, err := shard.Open(shard.Config{
 		Config: core.Config{
@@ -40,7 +36,6 @@ func startShardedBenchServer(b *testing.B, groupCommit bool, shards int, srvCfg 
 			Dir:         b.TempDir(),
 			NVMHeapSize: 512 << 20,
 			NVMLatency:  serveLatency,
-			GroupCommit: groupCommit,
 		},
 		Shards: shards,
 	})
@@ -58,10 +53,8 @@ func startShardedBenchServer(b *testing.B, groupCommit bool, shards int, srvCfg 
 	}
 }
 
-func runWriteBench(b *testing.B, groupCommit bool) { runShardedWriteBench(b, groupCommit, 1) }
-
-func runShardedWriteBench(b *testing.B, groupCommit bool, shards int) {
-	srv, stop := startShardedBenchServer(b, groupCommit, shards, server.Config{
+func runWriteBench(b *testing.B, shards int) {
+	srv, stop := startBenchServer(b, shards, server.Config{
 		MaxConns:      benchConns + 8,
 		MaxConcurrent: -1, // measure batching, not admission
 	})
@@ -95,23 +88,23 @@ func runShardedWriteBench(b *testing.B, groupCommit bool, shards int) {
 	b.ReportMetric(float64(tgt.Conns()), "conns")
 }
 
-// BenchmarkServeWriteUnbatched is the baseline: every commit pays its
-// own persist barriers.
-func BenchmarkServeWriteUnbatched(b *testing.B) { runWriteBench(b, false) }
+// BenchmarkServeWriteGrouped is the 1024-connection write workload:
+// concurrent commits coalesce into persist groups sharing one barrier
+// set (internal/group via txn.CommitGroup). BENCH_serve.json's
+// ServeWriteUnbatched entry is the per-transaction-barrier protocol this
+// replaced, measured at commit cc49c64 (EXPERIMENTS.md E10).
+func BenchmarkServeWriteGrouped(b *testing.B) { runWriteBench(b, 1) }
 
-// BenchmarkServeWriteGrouped coalesces concurrent commits into persist
-// groups sharing one barrier set (internal/group via txn.CommitGroup).
-func BenchmarkServeWriteGrouped(b *testing.B) { runWriteBench(b, true) }
-
-// BenchmarkServeWriteSharded runs the grouped write workload against a
-// sharded daemon — the per-shard-count entries in BENCH_serve.json. The
+// BenchmarkServeWriteSharded runs the same write workload against a
+// sharded daemon — the per-shard-count entries in BENCH_serve.json
+// (shards=1 is ServeWriteGrouped's configuration exactly). The
 // load driver's single-key transactions take the single-shard fast
 // path, so sharding mostly spreads the per-shard group-commit batchers
 // and drain queues; throughput should hold or improve with shard count.
 func BenchmarkServeWriteSharded(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			runShardedWriteBench(b, true, shards)
+			runWriteBench(b, shards)
 		})
 	}
 }
@@ -121,7 +114,7 @@ func BenchmarkServeWriteSharded(b *testing.B) {
 // control on. Fast-rejected requests are the mechanism; the reported
 // p99 staying bounded (not collapsing with queue depth) is the result.
 func BenchmarkServeOverload2x(b *testing.B) {
-	srv, stop := startBenchServer(b, true, server.Config{
+	srv, stop := startBenchServer(b, 1, server.Config{
 		MaxConns: benchConns + 8,
 		// Admission is transaction-scoped (a Begin holds its slot to
 		// commit), so MaxConcurrent bounds in-flight transactions. 16

@@ -62,15 +62,23 @@ func (s *Store) EndVec() vec.Vec { return s.end }
 
 // AppendRow adds MVCC state for a freshly inserted row: begin = Inf
 // (invisible), end = Inf, tid = owner. It returns the row index.
+//
+// Concurrent readers bound their row range by Rows() and Visible reads
+// the owner of any row below it, so tid is published before begin/end
+// make the row countable. A failed append is unwound, keeping the three
+// vectors the same length for the next one.
 func (s *Store) AppendRow(owner uint64) (uint64, error) {
-	row, err := s.begin.Append(Inf)
+	row, err := s.tid.Append(owner)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := s.end.Append(Inf); err != nil {
+	if _, err := s.begin.Append(Inf); err != nil {
+		s.tid.Truncate(row)
 		return 0, err
 	}
-	if _, err := s.tid.Append(owner); err != nil {
+	if _, err := s.end.Append(Inf); err != nil {
+		s.begin.Truncate(row)
+		s.tid.Truncate(row)
 		return 0, err
 	}
 	return row, nil
@@ -122,12 +130,12 @@ func (s *Store) ReleaseRow(row, owner uint64) {
 // SetBegin stamps the begin CID of row without persisting (commit batches
 // stamps and persists once).
 //
-//nvm:nopersist commit batches stamps and persists via PersistBegin/PersistEnd
+//nvm:nopersist commit flushes a group's stamps via FlushBegin/FlushEnd under one fence; recovery persists via PersistBegin/PersistEnd
 func (s *Store) SetBegin(row, cid uint64) { s.begin.SetNoPersist(row, cid) }
 
 // SetEnd stamps the end CID of row without persisting.
 //
-//nvm:nopersist commit batches stamps and persists via PersistBegin/PersistEnd
+//nvm:nopersist commit flushes a group's stamps via FlushBegin/FlushEnd under one fence; recovery persists via PersistBegin/PersistEnd
 func (s *Store) SetEnd(row, cid uint64) { s.end.SetNoPersist(row, cid) }
 
 // PersistBegin persists the begin stamp of row.
@@ -136,8 +144,8 @@ func (s *Store) PersistBegin(row uint64) { s.begin.PersistAt(row) }
 // PersistEnd persists the end stamp of row.
 func (s *Store) PersistEnd(row uint64) { s.end.PersistAt(row) }
 
-// FlushBegin flushes the begin stamp of row without fencing; group
-// commit flushes all stamps of a batch and fences once.
+// FlushBegin flushes the begin stamp of row without fencing; commit
+// flushes all stamps of a group and fences once.
 func (s *Store) FlushBegin(row uint64) { s.begin.FlushAt(row) }
 
 // FlushEnd flushes the end stamp of row without fencing.

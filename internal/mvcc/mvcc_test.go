@@ -1,6 +1,8 @@
 package mvcc
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"hyrisenv/internal/vec"
@@ -103,5 +105,89 @@ func TestAppendCommittedRows(t *testing.T) {
 	}
 	if s.TID(row) != 9 {
 		t.Fatal("tid misaligned after bulk append")
+	}
+}
+
+// TestVisibleDuringAppend runs readers that, like a scan inside a writing
+// transaction (selfTID != 0), check every row below Rows() while one
+// writer appends: an uncommitted row (begin = Inf) sends Visible to the
+// tid vector, which must already hold the row. Run under -race.
+func TestVisibleDuringAppend(t *testing.T) {
+	s := volatileStore()
+	const rows = 50000
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("reader panicked: %v", p)
+				}
+			}()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if n := s.Rows(); n > 0 && s.Visible(n-1, 0, 99) {
+					t.Error("another transaction's uncommitted row is visible")
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < rows; i++ {
+		if _, err := s.AppendRow(7); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// failingVec fails its next Append once armed.
+type failingVec struct {
+	vec.Vec
+	fail bool
+}
+
+func (v *failingVec) Append(x uint64) (uint64, error) {
+	if v.fail {
+		v.fail = false
+		return 0, errors.New("out of space")
+	}
+	return v.Vec.Append(x)
+}
+
+// TestAppendRowFailureKeepsAlignment fails the begin and then the end
+// append of a row: the next AppendRow must land all three vectors on the
+// same index.
+func TestAppendRowFailureKeepsAlignment(t *testing.T) {
+	begin := &failingVec{Vec: vec.NewVolatile(4)}
+	end := &failingVec{Vec: vec.NewVolatile(4)}
+	s := NewStore(begin, end)
+	if _, err := s.AppendRow(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []*failingVec{begin, end} {
+		v.fail = true
+		if _, err := s.AppendRow(2); err == nil {
+			t.Fatal("AppendRow succeeded over a failing vector")
+		}
+		if b, e := begin.Len(), end.Len(); b != 1 || e != 1 {
+			t.Fatalf("after failed append: begin has %d rows, end %d, want 1 and 1", b, e)
+		}
+	}
+	row, err := s.AppendRow(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row != 1 || s.Rows() != 2 || s.TID(row) != 3 || s.TID(0) != 1 {
+		t.Fatalf("row %d of %d owned by %d (row 0 by %d), want row 1 of 2 owned by 3 (row 0 by 1)",
+			row, s.Rows(), s.TID(row), s.TID(0))
 	}
 }

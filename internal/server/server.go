@@ -558,8 +558,7 @@ func (c *conn) readRequest() (wire.Frame, error) {
 
 // handshake negotiates the protocol version: the connection speaks
 // min(client, server) provided the client's version is at least
-// wire.MinVersion. The HelloOK payload is version-gated — a v1 client
-// receives the historical 7-byte form without MaxInFlight.
+// wire.MinVersion; an older client is refused with the supported range.
 func (c *conn) handshake() error {
 	f, err := c.readRequest()
 	if err != nil {
@@ -997,7 +996,7 @@ func errCode(err error) uint16 {
 		return wire.CodeNoSuchTable
 	case errors.Is(err, core.ErrTableExists):
 		return wire.CodeTableExists
-	case errors.Is(err, core.ErrClosed):
+	case errors.Is(err, core.ErrClosed), errors.Is(err, txn.ErrClosed):
 		return wire.CodeShuttingDown
 	case errors.Is(err, core.ErrBadTableName):
 		return wire.CodeBadRequest

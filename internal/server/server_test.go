@@ -394,27 +394,30 @@ func TestHandshakeRejections(t *testing.T) {
 	eng := openEngine(t, txn.ModeNone, disk.Model{})
 	srv := startServer(t, eng, server.Config{})
 
-	// A version below MinVersion is refused.
-	nc, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := wire.WriteFrame(nc, wire.Frame{Type: wire.TypeHello, ReqID: 1,
-		Payload: wire.Hello{Version: 0}.Encode()}); err != nil {
-		t.Fatal(err)
-	}
-	f, err := wire.ReadFrame(nc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Type != wire.TypeError {
-		t.Fatalf("version 0: got %s", f.Type)
-	}
-	e, _ := wire.DecodeErrorResp(f.Payload)
-	if e.Code != wire.CodeBadRequest || !strings.Contains(e.Msg, "version") {
-		t.Fatalf("version 0: %+v", e)
+	// A version below MinVersion — the retired version 1 included — is
+	// refused with the range the server does speak.
+	for _, v := range []uint16{0, 1} {
+		nc, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		nc.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := wire.WriteFrame(nc, wire.Frame{Type: wire.TypeHello, ReqID: 1,
+			Payload: wire.Hello{Version: v}.Encode()}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := wire.ReadFrame(nc, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != wire.TypeError {
+			t.Fatalf("version %d: got %s", v, f.Type)
+		}
+		e, _ := wire.DecodeErrorResp(f.Payload)
+		if e.Code != wire.CodeBadRequest || !strings.Contains(e.Msg, "speaks 2 through 2") {
+			t.Fatalf("version %d: %+v", v, e)
+		}
 	}
 
 	// A client claiming a newer version negotiates down to ours.
@@ -428,7 +431,7 @@ func TestHandshakeRejections(t *testing.T) {
 		Payload: wire.Hello{Version: 99}.Encode()}); err != nil {
 		t.Fatal(err)
 	}
-	f, err = wire.ReadFrame(nc99, 0)
+	f, err := wire.ReadFrame(nc99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,44 +447,6 @@ func TestHandshakeRejections(t *testing.T) {
 	}
 	if ok99.MaxInFlight == 0 {
 		t.Fatal("negotiated v2 hello-ok is missing MaxInFlight")
-	}
-
-	// A v1 client is accepted at version 1 and gets the historical
-	// 7-byte hello-ok (no MaxInFlight).
-	nc1, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc1.Close()
-	nc1.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := wire.WriteFrame(nc1, wire.Frame{Type: wire.TypeHello, ReqID: 1,
-		Payload: wire.Hello{Version: 1}.Encode()}); err != nil {
-		t.Fatal(err)
-	}
-	f, err = wire.ReadFrame(nc1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Type != wire.TypeHelloOK {
-		t.Fatalf("version 1: got %s, want hello-ok", f.Type)
-	}
-	if len(f.Payload) != 7 {
-		t.Fatalf("v1 hello-ok payload is %d bytes, want 7", len(f.Payload))
-	}
-	ok1, err := wire.DecodeHelloOK(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok1.Version != 1 || ok1.MaxInFlight != 0 {
-		t.Fatalf("v1 hello-ok = %+v", ok1)
-	}
-	// The v1 connection still serves requests (depth-1 special case).
-	if err := wire.WriteFrame(nc1, wire.Frame{Type: wire.TypePing, ReqID: 2}); err != nil {
-		t.Fatal(err)
-	}
-	f, err = wire.ReadFrame(nc1, 0)
-	if err != nil || f.Type != wire.TypePong {
-		t.Fatalf("v1 ping: %s, %v", f.Type, err)
 	}
 
 	// First frame is not a hello.

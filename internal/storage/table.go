@@ -158,7 +158,7 @@ func CreateNVMTable(h *nvm.Heap, name string, id uint32, schema Schema, indexMas
 	h.PutU64(root.Add(trOffIndexMask), indexMask)
 	h.Persist(root, trRootSize)
 	t.root = root
-	t.parts.Store(t.attachPartitionSet(ps))
+	t.parts.Store(t.attachPartitionSet(ps, false))
 	return t, nil
 }
 
@@ -178,9 +178,7 @@ func OpenNVMTable(h *nvm.Heap, name string, root nvm.PPtr) (*Table, error) {
 		h:         h,
 		root:      root,
 	}
-	ps := t.attachPartitionSet(nvm.PPtr(h.GetU64(root.Add(trOffPS))))
-	alignAfterRestart(ps)
-	t.parts.Store(ps)
+	t.parts.Store(t.attachPartitionSet(nvm.PPtr(h.GetU64(root.Add(trOffPS))), true))
 	return t, nil
 }
 
@@ -266,8 +264,11 @@ func (t *Table) buildNVMPartitionSet(mainCols []*NVMMain, mainBegins []uint64) (
 	return ps, nil
 }
 
-// attachPartitionSet re-hydrates the in-memory handles from ps.
-func (t *Table) attachPartitionSet(psPtr nvm.PPtr) *partitions {
+// attachPartitionSet re-hydrates the in-memory handles from ps. After a
+// restart the delta may carry one torn row append, which is trimmed
+// before the MVCC stores are built — their volatile owner vectors are
+// the one O(rows) structure here, so each is built exactly once.
+func (t *Table) attachPartitionSet(psPtr nvm.PPtr, afterRestart bool) *partitions {
 	h := t.h
 	ncols := t.Schema.NumCols()
 	ps := &partitions{
@@ -285,50 +286,46 @@ func (t *Table) attachPartitionSet(psPtr nvm.PPtr) *partitions {
 			ps.deltaIdx[i] = index.AttachNVMDeltaIndex(h, nvm.PPtr(h.GetU64(base.Add(24))))
 		}
 	}
+	deltaBegin := pstruct.AttachVector(h, nvm.PPtr(h.GetU64(psPtr.Add(psOffDeltaBegin))))
+	deltaEnd := pstruct.AttachVector(h, nvm.PPtr(h.GetU64(psPtr.Add(psOffDeltaEnd))))
+	if afterRestart {
+		alignAfterRestart(ps.delta, deltaBegin, deltaEnd)
+	}
 	ps.mainMVCC = mvcc.NewStore(
 		pstruct.AttachVector(h, nvm.PPtr(h.GetU64(psPtr.Add(psOffMainBegin)))),
 		pstruct.AttachVector(h, nvm.PPtr(h.GetU64(psPtr.Add(psOffMainEnd)))),
 	)
-	ps.deltaMVCC = mvcc.NewStore(
-		pstruct.AttachVector(h, nvm.PPtr(h.GetU64(psPtr.Add(psOffDeltaBegin)))),
-		pstruct.AttachVector(h, nvm.PPtr(h.GetU64(psPtr.Add(psOffDeltaEnd)))),
-	)
+	ps.deltaMVCC = mvcc.NewStore(deltaBegin, deltaEnd)
 	return ps
 }
 
 // alignAfterRestart trims torn multi-structure appends left by a crash:
 // a row append touches every delta column and then the MVCC vectors, so
 // after a crash the prefix lengths can differ by the one in-flight row.
-// Work is O(columns), not O(rows).
-func alignAfterRestart(ps *partitions) {
-	rows := ps.deltaMVCC.Rows()
-	bl, el := ps.deltaMVCC.BeginVec().Len(), ps.deltaMVCC.EndVec().Len()
-	if el < bl {
-		ps.deltaMVCC.BeginVec().Truncate(el)
+// The shortest structure governs — the row was never made visible
+// (begin = Inf) — and the rest are cut back to it. Work is O(columns),
+// not O(rows).
+func alignAfterRestart(delta []DeltaColumn, begin, end *pstruct.Vector) {
+	rows := begin.Len()
+	if el := end.Len(); el < rows {
 		rows = el
 	}
-	for _, d := range ps.delta {
+	for _, d := range delta {
 		if d.Rows() < rows {
-			// A column shorter than the MVCC vectors means the crash hit
-			// between column appends; the row was never made visible
-			// (begin=Inf), but we must drop the MVCC entries to restore
-			// alignment.
 			rows = d.Rows()
 		}
 	}
-	if ps.deltaMVCC.BeginVec().Len() > rows {
-		ps.deltaMVCC.BeginVec().Truncate(rows)
+	if begin.Len() > rows {
+		begin.Truncate(rows)
 	}
-	if ps.deltaMVCC.EndVec().Len() > rows {
-		ps.deltaMVCC.EndVec().Truncate(rows)
+	if end.Len() > rows {
+		end.Truncate(rows)
 	}
-	for _, d := range ps.delta {
+	for _, d := range delta {
 		if d.Rows() > rows {
 			d.Truncate(rows)
 		}
 	}
-	ps.mainMVCC = mvcc.NewStore(ps.mainMVCC.BeginVec(), ps.mainMVCC.EndVec())
-	ps.deltaMVCC = mvcc.NewStore(ps.deltaMVCC.BeginVec(), ps.deltaMVCC.EndVec())
 }
 
 // Root returns the table's persistent root pointer (NVM backend only).

@@ -1,18 +1,13 @@
 package txn
 
-import (
-	"time"
-
-	"hyrisenv/internal/group"
-)
-
-// Persist-group commit (ModeNVM).
+// Persist-group commit: the ModeNVM commit protocol.
 //
-// The single-transaction NVM commit costs three persist barriers: the
-// context CID, the row stamps, and the lastCID advance. All three are
-// ordering points, not per-row work, so N concurrent commits can share
-// them — the NVM analog of WAL group commit. CommitGroup commits a batch
-// of transactions with exactly three fences total:
+// The paper's commit is three ordered persists: the context CID, the row
+// stamps, and the lastCID advance. All three are ordering points, not
+// per-row or per-transaction work, so N concurrent commits share them —
+// the NVM analog of WAL group commit — and a lone commit is simply a
+// group of one. CommitGroup commits a batch of transactions with exactly
+// three barriers total:
 //
 //	fence 1: every context's CID flushed          (commit intents ordered)
 //	fence 2: every begin/end stamp flushed        (effects ordered)
@@ -22,16 +17,16 @@ import (
 // drain — on flash-backed NVDIMMs the expensive device-level flush (see
 // nvm.LatencyModel.DrainNS) — shared by the whole batch.
 //
-// The ordering argument is the single-transaction one, batched. CIDs
-// must be durable before any stamp: a stamp whose context CID was lost
-// would survive a crash with no context claiming it, and once lastCID
-// later advanced past the stamp's CID the row would resurrect as a
-// phantom. Stamps must be durable before lastCID: recovery classifies
-// cid <= lastCID as "committed, stamps all present", so advancing
-// lastCID over partially-durable stamps would break atomicity. The
-// batch's lastCID advance is one 8-byte persist, so the whole group
-// commits or aborts as a unit: a crash anywhere before fence 3 leaves
-// every member's cid > lastCID and recovery undoes them all.
+// The ordering argument is the paper's, batched. CIDs must be durable
+// before any stamp: a stamp whose context CID was lost would survive a
+// crash with no context claiming it, and once lastCID later advanced
+// past the stamp's CID the row would resurrect as a phantom. Stamps must
+// be durable before lastCID: recovery classifies cid <= lastCID as
+// "committed, stamps all present", so advancing lastCID over
+// partially-durable stamps would break atomicity. The batch's lastCID
+// advance is one 8-byte persist, so the whole group commits or aborts as
+// a unit: a crash anywhere before fence 3 leaves every member's
+// cid > lastCID and recovery undoes them all.
 
 // CommitGroup atomically commits txns as one persist group, sharing the
 // three commit fences across the whole batch. On NVM the group is
@@ -47,9 +42,9 @@ import (
 //
 // Every member must be active and owned by this manager; a non-active
 // member fails the whole batch with ErrNotActive before anything
-// commits. CommitGroup is safe to call concurrently with itself and
-// with single Commit calls (they serialize on the commit mutex); the
-// group.Batcher wired in by EnableGroupCommit does exactly that.
+// commits. CommitGroup is safe to call concurrently with itself (calls
+// serialize on the commit mutex); Txn.Commit reaches it through the
+// manager's batcher.
 func (m *Manager) CommitGroup(txns []*Txn) error {
 	for _, t := range txns {
 		if t.status != StatusActive {
@@ -88,14 +83,14 @@ func (m *Manager) CommitGroup(txns []*Txn) error {
 	// under one fence. From here recovery can tell each member was
 	// committing.
 	for i, t := range writers {
-		m.pctxFlushCID(t, first+uint64(i))
+		m.pctxSetCID(t, first+uint64(i))
 	}
 	h.Fence()
 
 	// (2) Stamp and flush every member's begin/end CIDs; one fence makes
 	// all effects durable.
 	for i, t := range writers {
-		t.stampLockedFlush(first + uint64(i))
+		t.stampLocked(first + uint64(i))
 	}
 	h.Fence()
 
@@ -103,7 +98,7 @@ func (m *Manager) CommitGroup(txns []*Txn) error {
 	// batch, and one durability drain — the expensive device-level
 	// barrier on flash-backed NVDIMMs — makes the group's atomic commit
 	// point durable. The drain is the cost being amortized: one per
-	// batch here versus one per transaction in commitNVM.
+	// batch, however many members it has.
 	last := first + uint64(len(writers)) - 1
 	h.SetU64(m.pRoot.Add(crOffLastCID), last)
 	h.Flush(m.pRoot.Add(crOffLastCID), 8)
@@ -119,85 +114,24 @@ func (m *Manager) CommitGroup(txns []*Txn) error {
 	return nil
 }
 
-// stampLockedFlush is stampLocked for group commit: it writes begin/end
-// stamps and flushes their lines without fencing — the caller fences
-// once for the whole batch — then releases the row locks.
-func (t *Txn) stampLockedFlush(cid uint64) {
-	for _, op := range t.writes {
-		s, local := op.table.MVCCFor(op.row)
-		switch op.kind {
-		case writeInsert:
-			s.SetBegin(local, cid)
-			s.FlushBegin(local)
-		case writeInvalidate:
-			s.SetEnd(local, cid)
-			s.FlushEnd(local)
-		}
-	}
-	for _, op := range t.writes {
-		s, local := op.table.MVCCFor(op.row)
-		s.ReleaseRow(local, t.tid)
-	}
-}
+// maxGroup bounds the transactions per persist group, so one group's
+// commit-mutex hold time stays bounded under a backlog.
+const maxGroup = 64
 
-// pctxFlushCID marks the context as committing with cid and flushes the
-// CID line without fencing (the group-commit variant of pctxSetCID).
-func (m *Manager) pctxFlushCID(t *Txn, cid uint64) {
-	if t.pctx.head.IsNil() {
-		return
-	}
-	p := t.pctx.head.Add(pcOffCID)
-	m.h.SetU64(p, cid)
-	m.h.Flush(p, 8)
-}
-
-// EnableGroupCommit routes subsequent Commit calls of writing
-// transactions through a leader/follower batcher that coalesces
-// concurrent commits into CommitGroup batches. maxBatch bounds the group
-// size (<= 0 picks the batcher default) and maxDelay is how long a
-// leader lingers for followers (0 = only natural batching under load).
-// Only meaningful in ModeNVM; other modes ignore it.
-func (m *Manager) EnableGroupCommit(maxBatch int, maxDelay time.Duration) {
-	if m.mode != ModeNVM {
-		return
-	}
-	b := group.New[*Txn](group.Config{MaxBatch: maxBatch, MaxDelay: maxDelay}, m.CommitGroup)
-	m.gcMu.Lock()
-	old := m.gc
-	m.gc = b
-	m.gcMu.Unlock()
-	if old != nil {
-		old.Close()
-	}
-}
-
-// DisableGroupCommit drains the batcher and restores per-transaction
-// commits. Safe to call when group commit was never enabled.
-func (m *Manager) DisableGroupCommit() {
-	m.gcMu.Lock()
-	old := m.gc
-	m.gc = nil
-	m.gcMu.Unlock()
-	if old != nil {
-		old.Close()
+// Close rejects further commits of writing transactions with ErrClosed
+// and waits for the in-flight group, so the caller can release the heap
+// afterwards. Idempotent; a no-op outside ModeNVM.
+func (m *Manager) Close() {
+	if m.gc != nil {
+		m.gc.Close()
 	}
 }
 
 // GroupCommitStats reports (groups, items) committed through the
-// batcher; zero when group commit is disabled.
+// batcher; their ratio is the achieved group size. Zero outside ModeNVM.
 func (m *Manager) GroupCommitStats() (uint64, uint64) {
-	m.gcMu.Lock()
-	b := m.gc
-	m.gcMu.Unlock()
-	if b == nil {
+	if m.gc == nil {
 		return 0, 0
 	}
-	return b.Stats()
-}
-
-func (m *Manager) batcher() *group.Batcher[*Txn] {
-	m.gcMu.Lock()
-	b := m.gc
-	m.gcMu.Unlock()
-	return b
+	return m.gc.Stats()
 }

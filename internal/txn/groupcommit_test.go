@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 
 	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/storage"
@@ -224,13 +223,11 @@ func TestCommitGroupCrashAtomicity(t *testing.T) {
 	}
 }
 
-// TestGroupCommitBatcherEndToEnd exercises the EnableGroupCommit path:
-// concurrent Commit calls coalesce and every transaction's effects are
-// visible afterwards, with fewer fences than individual commits.
+// TestGroupCommitBatcherEndToEnd exercises Commit through the manager's
+// batcher: concurrent Commit calls all land in CommitGroup batches and
+// every transaction's effects are visible afterwards.
 func TestGroupCommitBatcherEndToEnd(t *testing.T) {
 	e := nvmEnv(t)
-	e.mgr.EnableGroupCommit(64, 200*time.Microsecond)
-	defer e.mgr.DisableGroupCommit()
 
 	const workers = 32
 	var wg sync.WaitGroup
@@ -263,4 +260,35 @@ func TestGroupCommitBatcherEndToEnd(t *testing.T) {
 		t.Fatalf("batcher committed %d items, want %d", items, workers)
 	}
 	t.Logf("batcher: %d txns in %d groups", items, groups)
+}
+
+// TestCommitAfterCloseIsRefused pins the shutdown contract: once the
+// manager is closed a writing Commit gets ErrClosed and commits nothing
+// — it must not fall through to stamping a heap the engine is about to
+// unmap. Read-only commits, which touch no heap, still succeed.
+func TestCommitAfterCloseIsRefused(t *testing.T) {
+	e := nvmEnv(t)
+	tx := e.mgr.Begin()
+	row, err := tx.Insert(e.tbl, []storage.Value{storage.Int(1), storage.Str("late")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := e.mgr.LastCID()
+	e.mgr.Close()
+	e.mgr.Close() // idempotent
+	if err := tx.Commit(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Commit after Close = %v, want ErrClosed", err)
+	}
+	if tx.Status() != StatusActive || e.mgr.LastCID() != last {
+		t.Fatalf("refused commit changed state: status %v, lastCID %d→%d", tx.Status(), last, e.mgr.LastCID())
+	}
+	if e.mgr.Begin().Sees(e.tbl, row) {
+		t.Fatal("refused commit's row is visible")
+	}
+	if err := e.mgr.Begin().Commit(); err != nil {
+		t.Fatalf("read-only commit after Close: %v", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
 }

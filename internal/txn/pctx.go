@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"hyrisenv/internal/group"
 	"hyrisenv/internal/mvcc"
 	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/storage"
@@ -119,6 +120,7 @@ func OpenNVMManagerDecider(h *nvm.Heap, resolve TableResolver, decide TwoPCDecid
 	var stats NVMRecoveryStats
 	m := &Manager{mode: ModeNVM, h: h}
 	m.nextTID.Store(1)
+	m.gc = group.New[*Txn](maxGroup, m.CommitGroup)
 
 	root, aux, ok := h.Root(commitRootName)
 	if !ok {
@@ -322,14 +324,16 @@ func (m *Manager) pctxRecord(t *Txn, op writeOp) error {
 	return nil
 }
 
-// pctxSetCID durably marks the context as committing with cid.
+// pctxSetCID marks the context as committing with cid (or, at Prepare,
+// as prepared) and flushes the CID line without fencing: the caller
+// issues the barrier that orders it.
 func (m *Manager) pctxSetCID(t *Txn, cid uint64) {
 	if t.pctx.head.IsNil() {
 		return
 	}
 	p := t.pctx.head.Add(pcOffCID)
 	m.h.SetU64(p, cid)
-	m.h.Persist(p, 8)
+	m.h.Flush(p, 8)
 }
 
 // releasePctx unregisters and recycles t's persistent context.

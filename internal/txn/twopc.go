@@ -62,10 +62,10 @@ func (t *Txn) Prepare(gtid uint64) error {
 		return fmt.Errorf("txn: invalid gtid %#x", gtid)
 	}
 	if t.m.mode == ModeNVM && len(t.writes) > 0 {
-		// The marker write is the same persist pctxSetCID issues at
-		// commit; the drain is the prepare promise — every context entry
-		// (persisted during execution) and the marker itself are on
-		// stable media before the coordinator may decide.
+		// The marker write is the one commit issues; the drain is the
+		// prepare promise — every context entry (persisted during
+		// execution) and the marker itself are on stable media before
+		// the coordinator may decide.
 		t.m.pctxSetCID(t, prepareBit|gtid)
 		t.m.h.Drain()
 	}
@@ -98,8 +98,10 @@ func (t *Txn) CommitPrepared(cid uint64) error {
 		// record that would redo them. The prepared marker is left in
 		// place for the same reason — until the release persists, a crash
 		// must find the context still claiming "prepared, ask the
-		// coordinator".
-		t.stampLocked(cid, true)
+		// coordinator". The fence keeps the rule every commit obeys —
+		// stamps durable before lastCID may cover them.
+		t.stampLocked(cid)
+		m.h.Fence()
 		if cid > m.lastCID.Load() {
 			m.h.SetU64(m.pRoot.Add(crOffLastCID), cid)
 			m.h.Flush(m.pRoot.Add(crOffLastCID), 8)
@@ -107,7 +109,7 @@ func (t *Txn) CommitPrepared(cid uint64) error {
 		}
 		m.h.Drain()
 	default:
-		t.stampLocked(cid, false)
+		t.stampLocked(cid)
 		if cid > m.lastCID.Load() {
 			m.lastCID.Store(cid)
 		}
@@ -164,7 +166,7 @@ func (t *Txn) commitPreparedLog(cid uint64) error {
 		m.commitMu.Unlock()
 		return err
 	}
-	t.stampLocked(cid, false)
+	t.stampLocked(cid)
 	if cid > m.lastCID.Load() {
 		m.lastCID.Store(cid)
 	}

@@ -62,6 +62,9 @@ var (
 	// between this transaction's read and its write; the transaction
 	// must restart (its row IDs are stale).
 	ErrEpochChanged = errors.New("txn: table merged since this transaction read it")
+	// ErrClosed means the manager was closed (engine shutdown) before the
+	// commit could be submitted; nothing of the transaction was committed.
+	ErrClosed = errors.New("txn: manager is closed")
 )
 
 // Manager allocates transaction IDs and commit IDs and runs the commit
@@ -91,11 +94,10 @@ type Manager struct {
 	slots    *slotPool
 	numSlots int // context directory size (concurrent writer cap)
 
-	// Persist-group commit (ModeNVM, optional): Commit calls of writing
-	// transactions are coalesced into CommitGroup batches. See
+	// gc coalesces the Commit calls of writing transactions into
+	// CommitGroup batches; it lives exactly as long as the manager. See
 	// groupcommit.go.
-	gcMu sync.Mutex
-	gc   *group.Batcher[*Txn]
+	gc *group.Batcher[*Txn]
 }
 
 // NewManager creates a manager in ModeNone or ModeLog; for ModeNVM use
@@ -383,38 +385,32 @@ func (t *Txn) Commit() error {
 	case ModeLog:
 		return t.commitLog()
 	case ModeNVM:
-		if b := t.m.batcher(); b != nil {
-			err := b.Do(t)
-			if err == group.ErrClosed {
-				// The batcher was torn down between lookup and submit
-				// (engine shutdown path); the single-commit protocol is
-				// always valid.
-				return t.commitNVM()
-			}
-			return err
+		// A lone commit is a group of one: the leader of an uncontended
+		// batcher runs CommitGroup at once on this goroutine.
+		err := t.m.gc.Do(t)
+		if errors.Is(err, group.ErrClosed) {
+			return ErrClosed
 		}
-		return t.commitNVM()
+		return err
 	default:
 		return fmt.Errorf("txn: unknown mode %d", t.m.mode)
 	}
 }
 
-// stampLocked writes begin/end CIDs for the write set (persist per mode
-// is handled by the vector backends) and releases row locks.
-func (t *Txn) stampLocked(cid uint64, persist bool) {
+// stampLocked writes the begin/end CIDs of the write set and flushes
+// their lines without fencing — the caller issues the one fence that
+// orders all of them (on volatile vectors the flush is a no-op) — then
+// releases the row locks.
+func (t *Txn) stampLocked(cid uint64) {
 	for _, op := range t.writes {
 		s, local := op.table.MVCCFor(op.row)
 		switch op.kind {
 		case writeInsert:
 			s.SetBegin(local, cid)
-			if persist {
-				s.PersistBegin(local)
-			}
+			s.FlushBegin(local)
 		case writeInvalidate:
 			s.SetEnd(local, cid)
-			if persist {
-				s.PersistEnd(local)
-			}
+			s.FlushEnd(local)
 		}
 	}
 	for _, op := range t.writes {
@@ -427,7 +423,7 @@ func (t *Txn) commitVolatile() error {
 	m := t.m
 	m.commitMu.Lock()
 	cid := m.nextCIDLocked(1)
-	t.stampLocked(cid, false)
+	t.stampLocked(cid)
 	m.lastCID.Store(cid)
 	m.commitMu.Unlock()
 	m.cidDone(cid, 1)
@@ -461,7 +457,7 @@ func (t *Txn) commitLog() error {
 		m.cidDone(cid, 1)
 		return err
 	}
-	t.stampLocked(cid, false)
+	t.stampLocked(cid)
 	m.lastCID.Store(cid)
 	m.commitMu.Unlock()
 	m.cidDone(cid, 1)
@@ -472,36 +468,6 @@ func (t *Txn) commitLog() error {
 	if err := w.WaitDurable(lsn); err != nil {
 		return err
 	}
-	t.status = StatusCommitted
-	return nil
-}
-
-func (t *Txn) commitNVM() error {
-	m := t.m
-	m.commitMu.Lock()
-	cid := m.nextCIDLocked(1)
-
-	// (1) Durably record the commit CID in the persistent context. From
-	// this moment recovery can tell this transaction was committing.
-	m.pctxSetCID(t, cid)
-
-	// (2) Stamp and persist the dirty rows' begin/end CIDs.
-	t.stampLocked(cid, true)
-
-	// (3) Durably advance the global commit horizon; the transaction is
-	// committed exactly when this drain completes. Barriers (1) and (2)
-	// are ordering points, but this one is the durability point, so it
-	// pays the device drain (one per transaction — the cost group commit
-	// exists to amortize).
-	m.h.SetU64(m.pRoot.Add(crOffLastCID), cid)
-	m.h.Flush(m.pRoot.Add(crOffLastCID), 8)
-	m.h.Drain()
-	m.lastCID.Store(cid)
-	m.commitMu.Unlock()
-	m.cidDone(cid, 1)
-
-	// The context is no longer needed; recycle it.
-	m.releasePctx(t)
 	t.status = StatusCommitted
 	return nil
 }

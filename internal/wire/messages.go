@@ -165,41 +165,31 @@ func DecodeHello(b []byte) (Hello, error) {
 }
 
 // HelloOK acknowledges the handshake (server → client). Version is the
-// negotiated protocol version — min(client, server) — and gates the
-// encoding: the version-2 fields are appended only when the negotiated
-// version is ≥ 2, so a v1 client sees exactly the 7-byte payload it has
-// always parsed.
+// negotiated protocol version — min(client, server).
 type HelloOK struct {
 	Version    uint16
 	Mode       uint8  // durability mode of the serving engine (txn.Mode)
 	MaxPayload uint32 // server's frame payload limit
 
-	// MaxInFlight (v2+) is the server's per-connection pipeline depth:
+	// MaxInFlight is the server's per-connection pipeline depth:
 	// the most requests a client should have outstanding on one
 	// connection. 0 means the server did not advertise a depth (treat
 	// as 1: strictly request/response).
 	MaxInFlight uint32
 }
 
-// Encode serializes the message, version-gating the v2 fields.
+// Encode serializes the message.
 func (m HelloOK) Encode() []byte {
 	b := binary.LittleEndian.AppendUint16(nil, m.Version)
 	b = append(b, m.Mode)
 	b = binary.LittleEndian.AppendUint32(b, m.MaxPayload)
-	if m.Version >= 2 {
-		b = binary.LittleEndian.AppendUint32(b, m.MaxInFlight)
-	}
-	return b
+	return binary.LittleEndian.AppendUint32(b, m.MaxInFlight)
 }
 
-// DecodeHelloOK parses a HelloOK payload. The negotiated version inside
-// the payload gates which fields follow.
+// DecodeHelloOK parses a HelloOK payload.
 func DecodeHelloOK(b []byte) (HelloOK, error) {
 	r := &reader{b: b}
-	m := HelloOK{Version: r.u16(), Mode: r.u8(), MaxPayload: r.u32()}
-	if m.Version >= 2 {
-		m.MaxInFlight = r.u32()
-	}
+	m := HelloOK{Version: r.u16(), Mode: r.u8(), MaxPayload: r.u32(), MaxInFlight: r.u32()}
 	return m, r.done()
 }
 

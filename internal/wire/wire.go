@@ -4,13 +4,13 @@
 // response the server understands (see README.md in this directory for
 // the framing spec).
 //
-// Since version 2 the protocol is pipelined: a client may have many
-// requests in flight on one connection, each correlated with its
-// response by the echoed request ID. The server decodes ahead into a
-// bounded per-connection queue and answers strictly in request order; a
-// version-1 peer that writes one frame and waits is simply the depth-1
-// special case. All multi-byte integers are little-endian except the
-// magic, which is the literal bytes "HNV1".
+// The protocol is pipelined: a client may have many requests in flight
+// on one connection, each correlated with its response by the echoed
+// request ID. The server decodes ahead into a bounded per-connection
+// queue and answers strictly in request order; a peer that writes one
+// frame and waits is simply the depth-1 special case. All multi-byte
+// integers are little-endian except the magic, which is the literal
+// bytes "HNV1".
 package wire
 
 import (
@@ -29,10 +29,9 @@ const (
 	// handshake, the HelloOK MaxInFlight field, and CodeOverloaded.
 	Version uint16 = 2
 
-	// MinVersion is the oldest version the server still accepts. A v1
-	// peer stays strictly request/response on its connection; the frame
-	// layout is unchanged between 1 and 2.
-	MinVersion uint16 = 1
+	// MinVersion is the oldest version either end still accepts; a
+	// Hello below it is refused with CodeBadRequest.
+	MinVersion uint16 = 2
 
 	// HeaderSize is the fixed frame-header length in bytes.
 	HeaderSize = 26

@@ -110,9 +110,7 @@ func TestMessageRoundTrips(t *testing.T) {
 
 	check("hello", Hello{Version: 3}.Encode(),
 		func(b []byte) (any, error) { return DecodeHello(b) }, Hello{Version: 3})
-	check("hello-ok", HelloOK{Version: 1, Mode: 2, MaxPayload: 1 << 20}.Encode(),
-		func(b []byte) (any, error) { return DecodeHelloOK(b) }, HelloOK{Version: 1, Mode: 2, MaxPayload: 1 << 20})
-	check("hello-ok-v2", HelloOK{Version: 2, Mode: 2, MaxPayload: 1 << 20, MaxInFlight: 32}.Encode(),
+	check("hello-ok", HelloOK{Version: 2, Mode: 2, MaxPayload: 1 << 20, MaxInFlight: 32}.Encode(),
 		func(b []byte) (any, error) { return DecodeHelloOK(b) }, HelloOK{Version: 2, Mode: 2, MaxPayload: 1 << 20, MaxInFlight: 32})
 	check("begin", BeginReq{ReadOnly: true, AtCID: 99}.Encode(),
 		func(b []byte) (any, error) { return DecodeBeginReq(b) }, BeginReq{ReadOnly: true, AtCID: 99})
@@ -208,22 +206,15 @@ func TestMessageDecodersRejectCorruptInput(t *testing.T) {
 	}
 }
 
-// TestHelloOKVersionGating pins the v1 payload to its historical 7 bytes
-// — a v1 client must never see the v2 fields — and the v2 payload to 11.
-func TestHelloOKVersionGating(t *testing.T) {
-	v1 := HelloOK{Version: 1, Mode: 1, MaxPayload: 4096, MaxInFlight: 99}.Encode()
-	if len(v1) != 7 {
-		t.Fatalf("v1 hello-ok payload is %d bytes, want 7", len(v1))
+// TestHelloOKPayloadSize pins the hello-ok payload to its 11 bytes:
+// every field is present whatever version was negotiated, and the 7-byte
+// form of the retired version 1 no longer decodes.
+func TestHelloOKPayloadSize(t *testing.T) {
+	b := HelloOK{Version: 2, Mode: 1, MaxPayload: 4096, MaxInFlight: 99}.Encode()
+	if len(b) != 11 {
+		t.Fatalf("hello-ok payload is %d bytes, want 11", len(b))
 	}
-	got, err := DecodeHelloOK(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.MaxInFlight != 0 {
-		t.Fatalf("v1 decode surfaced MaxInFlight=%d", got.MaxInFlight)
-	}
-	v2 := HelloOK{Version: 2, Mode: 1, MaxPayload: 4096, MaxInFlight: 99}.Encode()
-	if len(v2) != 11 {
-		t.Fatalf("v2 hello-ok payload is %d bytes, want 11", len(v2))
+	if _, err := DecodeHelloOK(b[:7]); err == nil {
+		t.Fatal("7-byte version-1 hello-ok decoded")
 	}
 }
