@@ -150,7 +150,9 @@ benchserve:
 	$(GO) run ./cmd/benchjson -in BENCH_serve.txt -out BENCH_serve.json
 	rm -f BENCH_serve.txt
 
-# Same smoke CI runs: 30s per wire fuzzer.
+# Same smoke CI runs: 30s per fuzzer — the wire codecs, and the bit
+# unpacker every main-partition scan decodes through.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 30s
+	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzUnpackBits' -fuzztime 30s

@@ -7,12 +7,23 @@
 // the main and delta partitions of a table are split into fixed-size
 // runs of rows (morsels) that a pool of workers claims from an atomic
 // cursor, so a fast core simply processes more morsels than a slow one.
-// Each operator captures one partition View at entry and applies MVCC
-// visibility per row inside the morsel, so results are transactionally
-// consistent even while merges publish new generations and concurrent
-// writers commit. Results keyed by morsel index are reassembled in
-// morsel order, which makes row-ID output deterministic and identical
-// to a serial scan.
+// Each operator captures one partition View, the row bound and the
+// snapshot at entry, so results are transactionally consistent even
+// while merges publish new generations and concurrent writers commit.
+// Results keyed by morsel index are reassembled in morsel order, which
+// makes row-ID output deterministic and identical to a serial scan.
+//
+// Inside a morsel the work is done a block of rows at a time (scan.go),
+// never a row at a time. Per block, mvcc.Store turns the begin/end
+// stamps into a visibility bitmap, from which the transaction's own
+// deletes are cleared; every predicate column is decoded in bulk and
+// ANDed into the bitmap — on the main partition as an unsigned compare
+// of bit-unpacked value IDs against the one ID interval the sorted
+// dictionary resolves the predicate to, once per query; on the delta by
+// a per-dictionary-ID memo — and the scan stops at the first predicate
+// that leaves the block empty. Count popcounts the bitmap, Select walks
+// its set bits, and GROUP BY and the hash join walk them over value-ID
+// blocks decoded the same way.
 //
 // An Executor with Parallelism 1 runs every morsel inline on the
 // calling goroutine — exact serial execution — so "serial" is a
@@ -75,7 +86,7 @@ func (e *Executor) Parallelism() int { return e.par }
 // [s*MorselRows, min((s+1)*MorselRows, rows))) — results stored by slot
 // and concatenated in slot order reproduce ascending row order. worker
 // identifies the claiming worker in [0, e.par) so fn can keep
-// worker-local state (matcher memos, partial aggregates).
+// worker-local state (block scratch, partial aggregates).
 //
 // With one worker (or one morsel) everything runs inline on the calling
 // goroutine. Otherwise up to e.par workers claim morsels from an atomic

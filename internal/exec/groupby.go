@@ -21,23 +21,52 @@ type acc struct {
 	sum   float64
 }
 
-// groupState is one worker's partial aggregation: a dense array per
-// main-dictionary ID (grouping on value IDs, the column-store way) and
-// a map keyed by encoded value for delta rows, whose dictionary is
-// unsorted and unbounded.
+func (a *acc) add(v float64) {
+	a.count++
+	a.sum += v
+}
+
+func (a *acc) merge(b acc) {
+	a.count += b.count
+	a.sum += b.sum
+}
+
+// groupState is one worker's partial aggregation: a dense array of
+// accumulators per dictionary ID of the grouping column — grouping on
+// value IDs, the column-store way — for either partition, so a group key
+// is decoded once per distinct value, not per row.
 type groupState struct {
-	mainAccs []acc
-	byKey    map[string]*acc
+	mainAccs, deltaAccs []acc
+	agg                 [blockRows]float64 // the aggregate input of each row of the block
+}
+
+// aggInputs decodes what each dictionary ID of an aggregate column adds
+// to a sum (int columns are widened), a morsel of IDs per worker at a
+// time. A dictionary is no longer than its partition, and is laid out in
+// ID order, so this one sequential pass costs less than decoding IDs as
+// rows turn them up — the rows of a scan visit the dictionary at random.
+func (e *Executor) aggInputs(ctx context.Context, dictLen uint64, value func(id uint64) storage.Value) ([]float64, error) {
+	inputs := make([]float64, dictLen)
+	err := e.forEachMorsel(ctx, dictLen, func(_, _ int, lo, hi uint64) error {
+		for id := lo; id < hi; id++ {
+			if v := value(id); v.T == storage.TypeInt64 {
+				inputs[id] = float64(v.I)
+			} else {
+				inputs[id] = v.F
+			}
+		}
+		return nil
+	})
+	return inputs, err
 }
 
 // GroupBy aggregates all rows visible to tx, grouped by groupCol and
 // summing aggCol (pass aggCol < 0 for count-only). Each worker
-// accumulates partial aggregates over the morsels it claims — grouping
-// on main-partition value IDs so keys are decoded once per group — and
-// the partials are merged and sorted by key, so the result ordering is
-// deterministic. (Float64 sums are merged in worker order; as with any
-// parallel floating-point reduction the low bits can differ from a
-// serial run.)
+// accumulates partial aggregates per value ID over the blocks it
+// filters, and the partials are merged, folded by decoded key and sorted
+// by it, so the result ordering is deterministic. (Float64 sums are
+// merged in worker order; as with any parallel floating-point reduction
+// the low bits can differ from a serial run.)
 func (e *Executor) GroupBy(ctx context.Context, tx *txn.Txn, tbl *storage.Table, groupCol, aggCol int) ([]Group, error) {
 	if err := checkCol(tbl, groupCol); err != nil {
 		return nil, err
@@ -50,95 +79,92 @@ func (e *Executor) GroupBy(ctx context.Context, tx *txn.Txn, tbl *storage.Table,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tx.PinEpoch(tbl)
-	v := tbl.View()
-	mr := v.MainRows()
-	total := mr + v.DeltaRows()
-	mainCol := v.MainColumnAt(groupCol)
-	deltaCol := v.DeltaColumnAt(groupCol)
+	s := newTableScan(tx, tbl, nil)
+	mainCol, deltaCol := s.v.MainColumnAt(groupCol), s.v.DeltaColumnAt(groupCol)
+	// Dictionary sizes are read after the row bound: a scanned row holds
+	// no ID beyond them.
+	mainDict, deltaDict := mainCol.DictLen(), deltaCol.DictLen()
+	var mainAggCol storage.MainColumn
+	var deltaAggCol storage.DeltaColumn
+	var mainInputs, deltaInputs []float64
+	if aggCol >= 0 {
+		mainAggCol, deltaAggCol = s.v.MainColumnAt(aggCol), s.v.DeltaColumnAt(aggCol)
+		var err error
+		if mainInputs, err = e.aggInputs(ctx, mainAggCol.DictLen(), mainAggCol.DictValue); err != nil {
+			return nil, err
+		}
+		if deltaInputs, err = e.aggInputs(ctx, deltaAggCol.DictLen(), deltaAggCol.DictValue); err != nil {
+			return nil, err
+		}
+	}
 
+	workers := make(scanWorkers, e.par)
 	states := make([]*groupState, e.par)
-	err := e.forEachMorsel(ctx, total, func(worker, slot int, lo, hi uint64) error {
-		st := states[worker]
+	err := e.forEachMorsel(ctx, s.rows, func(worker, slot int, lo, hi uint64) error {
+		w, st := workers.get(worker), states[worker]
 		if st == nil {
-			st = &groupState{
-				mainAccs: make([]acc, mainCol.DictLen()),
-				byKey:    map[string]*acc{},
-			}
+			st = &groupState{mainAccs: make([]acc, mainDict), deltaAccs: make([]acc, deltaDict)}
 			states[worker] = st
 		}
-		for r := lo; r < hi; r++ {
-			if !tx.SeesIn(v, tbl, r) {
-				continue
-			}
-			var agg float64
-			if aggCol >= 0 {
-				val := v.Value(aggCol, r)
-				if val.T == storage.TypeInt64 {
-					agg = float64(val.I)
-				} else {
-					agg = val.F
+		s.forEachBlock(w, lo, hi, func(first uint64, n int) {
+			bm := w.bitmap(n)
+			if first < s.mainRows {
+				if aggCol >= 0 {
+					mainAggCol.UnpackIDs(first, first+uint64(n), w.ids[:])
+					for i, id := range w.ids[:n] {
+						st.agg[i] = mainInputs[id]
+					}
 				}
-			}
-			if r < mr {
-				a := &st.mainAccs[mainCol.ValueID(r)]
-				a.count++
-				a.sum += agg
+				mainCol.UnpackIDs(first, first+uint64(n), w.ids[:])
+				forEachRow(bm, func(i int) { st.mainAccs[w.ids[i]].add(st.agg[i]) })
 			} else {
-				k := string(deltaCol.DictKey(deltaCol.ValueID(r - mr)))
-				a := st.byKey[k]
-				if a == nil {
-					a = &acc{}
-					st.byKey[k] = a
+				if aggCol >= 0 {
+					deltaAggCol.LoadIDs(first-s.mainRows, w.wide[:n])
+					for i, id := range w.wide[:n] {
+						st.agg[i] = deltaInputs[id]
+					}
 				}
-				a.count++
-				a.sum += agg
+				deltaCol.LoadIDs(first-s.mainRows, w.wide[:n])
+				forEachRow(bm, func(i int) { st.deltaAccs[w.wide[i]].add(st.agg[i]) })
 			}
-		}
+		})
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Merge worker partials in worker order, then fold the dense
-	// main-partition accumulators in by decoded key.
-	byKey := map[string]*acc{}
-	var mainAccs []acc
-	if mainCol.DictLen() > 0 {
-		mainAccs = make([]acc, mainCol.DictLen())
-	}
+	// Merge the workers' partials per value ID in worker order, then fold
+	// both partitions' accumulators by decoded key.
+	mainAccs, deltaAccs := make([]acc, mainDict), make([]acc, deltaDict)
 	for _, st := range states {
 		if st == nil {
 			continue
 		}
 		for id, a := range st.mainAccs {
-			mainAccs[id].count += a.count
-			mainAccs[id].sum += a.sum
+			mainAccs[id].merge(a)
 		}
-		for k, a := range st.byKey {
+		for id, a := range st.deltaAccs {
+			deltaAccs[id].merge(a)
+		}
+	}
+	byKey := map[string]*acc{}
+	fold := func(accs []acc, dictKey func(id uint64) []byte) {
+		for id, a := range accs {
+			if a.count == 0 {
+				continue
+			}
+			k := string(dictKey(uint64(id)))
 			if ex := byKey[k]; ex != nil {
-				ex.count += a.count
-				ex.sum += a.sum
+				ex.merge(a)
 			} else {
-				cp := *a
+				cp := a
 				byKey[k] = &cp
 			}
 		}
 	}
-	for id, a := range mainAccs {
-		if a.count == 0 {
-			continue
-		}
-		k := string(mainCol.DictKey(uint64(id)))
-		if ex := byKey[k]; ex != nil {
-			ex.count += a.count
-			ex.sum += a.sum
-		} else {
-			cp := a
-			byKey[k] = &cp
-		}
-	}
+	fold(deltaAccs, deltaCol.DictKey)
+	fold(mainAccs, mainCol.DictKey)
 
 	typ := tbl.Schema.Cols[groupCol].Type
 	keys := make([]string, 0, len(byKey))

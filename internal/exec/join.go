@@ -40,31 +40,27 @@ func (e *Executor) HashJoin(ctx context.Context, tx *txn.Txn, left *storage.Tabl
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tx.PinEpoch(left)
-	tx.PinEpoch(right)
-	lv, rv := left.View(), right.View()
+	ls, rs := newTableScan(tx, left, nil), newTableScan(tx, right, nil)
 
 	// Build phase over the (usually smaller) left side: encoded value
 	// key -> row IDs, one partial table per morsel.
-	lmr := lv.MainRows()
-	ltotal := lmr + lv.DeltaRows()
-	parts := make([]map[string][]uint64, (ltotal+MorselRows-1)/MorselRows)
-	err := e.forEachMorsel(ctx, ltotal, func(worker, slot int, lo, hi uint64) error {
+	lmain, ldelta := ls.v.MainColumnAt(leftCol), ls.v.DeltaColumnAt(leftCol)
+	parts := make([]map[string][]uint64, (ls.rows+MorselRows-1)/MorselRows)
+	workers := make(scanWorkers, e.par)
+	err := e.forEachMorsel(ctx, ls.rows, func(worker, slot int, lo, hi uint64) error {
+		w := workers.get(worker)
 		part := map[string][]uint64{}
-		for r := lo; r < hi; r++ {
-			if !tx.SeesIn(lv, left, r) {
-				continue
-			}
-			var key []byte
-			if r < lmr {
-				mc := lv.MainColumnAt(leftCol)
-				key = mc.DictKey(mc.ValueID(r))
+		add := func(key []byte, row uint64) { part[string(key)] = append(part[string(key)], row) }
+		ls.forEachBlock(w, lo, hi, func(first uint64, n int) {
+			bm := w.bitmap(n)
+			if first < ls.mainRows {
+				lmain.UnpackIDs(first, first+uint64(n), w.ids[:])
+				forEachRow(bm, func(i int) { add(lmain.DictKey(uint64(w.ids[i])), first+uint64(i)) })
 			} else {
-				dc := lv.DeltaColumnAt(leftCol)
-				key = dc.DictKey(dc.ValueID(r - lmr))
+				ldelta.LoadIDs(first-ls.mainRows, w.wide[:n])
+				forEachRow(bm, func(i int) { add(ldelta.DictKey(w.wide[i]), first+uint64(i)) })
 			}
-			part[string(key)] = append(part[string(key)], r)
-		}
+		})
 		parts[slot] = part
 		return nil
 	})
@@ -78,47 +74,34 @@ func (e *Executor) HashJoin(ctx context.Context, tx *txn.Txn, left *storage.Tabl
 		}
 	}
 
-	// Probe phase with per-dictionary-ID memoization. The probe emits
-	// pairs in right-row order, so it stays serial to keep the output
-	// deterministic; the memo tables make it one map hit per distinct
-	// value, not per row.
+	// Probe phase. It emits pairs in right-row order, so it stays serial
+	// to keep the output deterministic; the build table is consulted once
+	// per dictionary ID of the probe column, not per row.
 	var out []JoinPair
-	rmr := rv.MainRows()
-	rtotal := rmr + rv.DeltaRows()
-	mainHits := make(map[uint64][]uint64)  // main dict id -> left rows
-	deltaHits := make(map[uint64][]uint64) // delta dict id -> left rows
-	for r := uint64(0); r < rtotal; r++ {
-		if r%MorselRows == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	rmain, rdelta := rs.v.MainColumnAt(rightCol), rs.v.DeltaColumnAt(rightCol)
+	mainHits, deltaHits := newDictMemo[[]uint64](rmain.DictLen()), newDictMemo[[]uint64](rdelta.DictLen())
+	mainLefts := func(id uint64) []uint64 { return build[string(rmain.DictKey(id))] }
+	deltaLefts := func(id uint64) []uint64 { return build[string(rdelta.DictKey(id))] }
+	w := new(scanWorker)
+	for lo := uint64(0); lo < rs.rows; lo += MorselRows {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		rs.forEachBlock(w, lo, min(lo+MorselRows, rs.rows), func(first uint64, n int) {
+			bm := w.bitmap(n)
+			emit := func(i int, lefts []uint64) {
+				for _, l := range lefts {
+					out = append(out, JoinPair{Left: l, Right: first + uint64(i)})
+				}
 			}
-		}
-		if !tx.SeesIn(rv, right, r) {
-			continue
-		}
-		var matches []uint64
-		if r < rmr {
-			mc := rv.MainColumnAt(rightCol)
-			id := mc.ValueID(r)
-			m, ok := mainHits[id]
-			if !ok {
-				m = build[string(mc.DictKey(id))]
-				mainHits[id] = m
+			if first < rs.mainRows {
+				rmain.UnpackIDs(first, first+uint64(n), w.ids[:])
+				forEachRow(bm, func(i int) { emit(i, mainHits.get(uint64(w.ids[i]), mainLefts)) })
+			} else {
+				rdelta.LoadIDs(first-rs.mainRows, w.wide[:n])
+				forEachRow(bm, func(i int) { emit(i, deltaHits.get(w.wide[i], deltaLefts)) })
 			}
-			matches = m
-		} else {
-			dc := rv.DeltaColumnAt(rightCol)
-			id := dc.ValueID(r - rmr)
-			m, ok := deltaHits[id]
-			if !ok {
-				m = build[string(dc.DictKey(id))]
-				deltaHits[id] = m
-			}
-			matches = m
-		}
-		for _, l := range matches {
-			out = append(out, JoinPair{Left: l, Right: r})
-		}
+		})
 	}
 	return out, nil
 }

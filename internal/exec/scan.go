@@ -1,0 +1,251 @@
+package exec
+
+import (
+	"bytes"
+	"math/bits"
+	"slices"
+
+	"hyrisenv/internal/storage"
+	"hyrisenv/internal/txn"
+)
+
+// blockRows is the number of rows the scan kernel filters at a time
+// inside a morsel: small enough that a block's bitmap, decoded IDs and
+// aggregate inputs (20 KiB in all) stay in the L1 cache from one pass to
+// the next, large enough that the per-block calls into mvcc and storage
+// vanish against the rows. It divides MorselRows, so only the last block
+// of a partition is a short one.
+const (
+	blockRows  = 1024
+	blockWords = blockRows / 64
+)
+
+// tableScan is one operator's pass over one table: the partition view,
+// the row bound and the snapshot captured once, and every predicate
+// resolved once. It is immutable while workers scan, and shared by them.
+type tableScan struct {
+	v        storage.View
+	mainRows uint64
+	rows     uint64 // main + delta, the bound every worker scans to
+	snapCID  uint64
+	selfTID  uint64
+	dead     []uint64 // the transaction's own invalidations, ascending
+	preds    []colPred
+}
+
+// colPred is a predicate bound to one column of the view. On the main
+// partition the sorted dictionary turns every operator into one value-ID
+// interval or its complement: ID id matches when id-lo < span, flipped
+// when neg. The delta dictionary is unsorted, so there the key is
+// compared once per dictionary ID; deltaDict sizes that memo, and is read
+// after the row bound, so it covers every ID a scanned row can hold.
+type colPred struct {
+	main      storage.MainColumn
+	delta     storage.DeltaColumn
+	op        Op
+	key       []byte
+	lo, span  uint32
+	neg       bool
+	deltaDict uint64
+}
+
+// newTableScan captures the view of tbl and binds preds to it.
+func newTableScan(tx *txn.Txn, tbl *storage.Table, preds []Pred) *tableScan {
+	tx.PinEpoch(tbl)
+	v := tbl.View()
+	s := &tableScan{
+		v:        v,
+		mainRows: v.MainRows(),
+		snapCID:  tx.SnapshotCID(),
+		selfTID:  tx.TID(),
+		dead:     tx.InvalidatedIn(tbl),
+		preds:    make([]colPred, len(preds)),
+	}
+	s.rows = s.mainRows + v.DeltaRows()
+	for i, p := range preds {
+		s.preds[i] = bindPred(v, p)
+	}
+	return s
+}
+
+func bindPred(v storage.View, p Pred) colPred {
+	b := colPred{main: v.MainColumnAt(p.Col), delta: v.DeltaColumnAt(p.Col), op: p.Op, key: p.Val.EncodeKey(nil)}
+	b.deltaDict = b.delta.DictLen()
+	// [eq, above) are the main IDs whose key equals the predicate's: one
+	// ID or none. IDs below eq hold smaller keys, IDs from above on larger.
+	first, _ := b.main.LookupRange(b.key, b.key)
+	eq, above := uint32(first), uint32(first)
+	if first < b.main.DictLen() && bytes.Equal(b.main.DictKey(first), b.key) {
+		above++
+	}
+	switch p.Op {
+	case Eq:
+		b.lo, b.span = eq, above-eq
+	case Ne:
+		b.lo, b.span, b.neg = eq, above-eq, true
+	case Lt:
+		b.span = eq
+	case Le:
+		b.span = above
+	case Gt:
+		b.span, b.neg = above, true
+	case Ge:
+		b.span, b.neg = eq, true
+	}
+	return b
+}
+
+// scanWorker is the scratch one worker filters the blocks of one
+// tableScan in. After forEachBlock hands a block to its caller, bits is
+// the block's result and ids and wide are free for the caller's own
+// decoding.
+type scanWorker struct {
+	bits [blockWords]uint64 // bit i: row first+i is visible and passes every predicate
+	ids  [blockRows]uint32  // value IDs of a main-partition block
+	wide [blockRows]uint64  // value IDs of a delta block
+	memo []dictMemo[bool]   // per predicate: whether a delta dictionary ID's key matches
+}
+
+// bitmap returns the words of bits that cover a block of n rows.
+func (w *scanWorker) bitmap(n int) []uint64 { return w.bits[:(n+63)/64] }
+
+// dictMemo caches a function of the dictionary IDs of one column, so
+// that it is computed once per distinct value a scan meets, not per row.
+type dictMemo[T any] struct {
+	val   []T
+	known []bool
+}
+
+func newDictMemo[T any](dictLen uint64) dictMemo[T] {
+	return dictMemo[T]{val: make([]T, dictLen), known: make([]bool, dictLen)}
+}
+
+func (m *dictMemo[T]) get(id uint64, compute func(id uint64) T) T {
+	if !m.known[id] {
+		m.known[id] = true
+		m.val[id] = compute(id)
+	}
+	return m.val[id]
+}
+
+// scanWorkers holds the scratch of each worker of one operator, made at
+// first use. Slot i is only ever touched by worker i.
+type scanWorkers []*scanWorker
+
+func (ws scanWorkers) get(worker int) *scanWorker {
+	if ws[worker] == nil {
+		ws[worker] = new(scanWorker)
+	}
+	return ws[worker]
+}
+
+// forEachBlock filters the rows [lo, hi) a block at a time and calls fn
+// for every block in which a row survives: first is the table row ID of
+// bit 0 of w.bits, n the number of rows in the block. No block straddles
+// the main/delta boundary, so first < s.mainRows tells fn which partition
+// it is in.
+func (s *tableScan) forEachBlock(w *scanWorker, lo, hi uint64, fn func(first uint64, n int)) {
+	for lo < hi {
+		end := min(lo+blockRows, hi)
+		if lo < s.mainRows {
+			end = min(end, s.mainRows)
+		}
+		n := int(end - lo)
+		if s.filterBlock(w, lo, n) {
+			fn(lo, n)
+		}
+		lo = end
+	}
+}
+
+// filterBlock computes w.bits for the n rows from first on: MVCC
+// visibility, minus the transaction's own invalidations, ANDed with one
+// predicate after another until none or no row is left. It reports
+// whether a row is left.
+func (s *tableScan) filterBlock(w *scanWorker, first uint64, n int) bool {
+	bm := w.bitmap(n)
+	inMain := first < s.mainRows
+	if inMain {
+		s.v.MainMVCC().VisibleBits(first, first+uint64(n), s.snapCID, s.selfTID, bm)
+	} else {
+		s.v.DeltaMVCC().VisibleBits(first-s.mainRows, first-s.mainRows+uint64(n), s.snapCID, s.selfTID, bm)
+	}
+	if len(s.dead) > 0 {
+		i, _ := slices.BinarySearch(s.dead, first)
+		for ; i < len(s.dead) && s.dead[i] < first+uint64(n); i++ {
+			bit := s.dead[i] - first
+			bm[bit/64] &^= 1 << (bit % 64)
+		}
+	}
+	for pi := range s.preds {
+		if allZero(bm) {
+			return false
+		}
+		p := &s.preds[pi]
+		if inMain {
+			p.main.UnpackIDs(first, first+uint64(n), w.ids[:])
+			p.filterMain(w.ids[:n], bm)
+		} else {
+			p.delta.LoadIDs(first-s.mainRows, w.wide[:n])
+			if w.memo == nil { // the worker's first delta block
+				w.memo = make([]dictMemo[bool], len(s.preds))
+				for i := range w.memo {
+					w.memo[i] = newDictMemo[bool](s.preds[i].deltaDict)
+				}
+			}
+			p.filterDelta(w.wide[:n], &w.memo[pi], bm)
+		}
+	}
+	return !allZero(bm)
+}
+
+func allZero(bm []uint64) bool {
+	var or uint64
+	for _, w := range bm {
+		or |= w
+	}
+	return or == 0
+}
+
+// filterMain clears from bm the rows whose value ID fails the predicate:
+// an unsigned range compare per ID, no branch on the data.
+func (p *colPred) filterMain(ids []uint32, bm []uint64) {
+	var flip uint64
+	if p.neg {
+		flip = ^uint64(0)
+	}
+	for w := range bm {
+		if bm[w] == 0 {
+			continue
+		}
+		var in uint64
+		for i, id := range ids[w*64 : min(w*64+64, len(ids))] {
+			_, below := bits.Sub32(id-p.lo, p.span, 0)
+			in |= uint64(below) << i
+		}
+		bm[w] &= in ^ flip
+	}
+}
+
+// filterDelta clears from bm the rows whose key fails the predicate,
+// comparing keys once per dictionary ID and only for rows still set.
+func (p *colPred) filterDelta(ids []uint64, memo *dictMemo[bool], bm []uint64) {
+	matches := func(id uint64) bool { return p.op.matches(bytes.Compare(p.delta.DictKey(id), p.key)) }
+	for w, word := range bm {
+		for ; word != 0; word &= word - 1 {
+			i := bits.TrailingZeros64(word)
+			if !memo.get(ids[w*64+i], matches) {
+				bm[w] &^= 1 << i
+			}
+		}
+	}
+}
+
+// forEachRow calls fn with the index of every set bit of bm, ascending.
+func forEachRow(bm []uint64, fn func(i int)) {
+	for w, word := range bm {
+		for ; word != 0; word &= word - 1 {
+			fn(w*64 + bits.TrailingZeros64(word))
+		}
+	}
+}

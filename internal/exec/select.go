@@ -1,8 +1,8 @@
 package exec
 
 import (
-	"bytes"
 	"context"
+	"math/bits"
 
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
@@ -49,185 +49,106 @@ func (o Op) matches(cmp int) bool {
 	}
 }
 
-// colMatcher memoizes predicate evaluation per dictionary value ID —
-// the dictionary-encoding fast path: a column predicate is decided once
-// per distinct value, not once per row. The main-partition table is
-// immutable after construction and shared across workers; the delta
-// memo map is written during matching, so every worker clones its own.
-type colMatcher struct {
-	pred    Pred
-	key     []byte
-	v       storage.View
-	mainOK  []bool
-	deltaOK map[uint64]int8 // delta dict id -> -1 false / 1 true
-}
-
-func newColMatcher(v storage.View, p Pred) *colMatcher {
-	m := &colMatcher{pred: p, key: p.Val.EncodeKey(nil), v: v, deltaOK: map[uint64]int8{}}
-	mc := v.MainColumnAt(p.Col)
-	m.mainOK = make([]bool, mc.DictLen())
-	for id := uint64(0); id < mc.DictLen(); id++ {
-		m.mainOK[id] = p.Op.matches(bytes.Compare(mc.DictKey(id), m.key))
-	}
-	return m
-}
-
-// clone shares the immutable main-partition table and gives the worker
-// its own delta memo.
-func (m *colMatcher) clone() *colMatcher {
-	cp := *m
-	cp.deltaOK = map[uint64]int8{}
-	return &cp
-}
-
-// match reports whether table row ID `row` satisfies the predicate.
-func (m *colMatcher) match(row uint64) bool {
-	mr := m.v.MainRows()
-	if row < mr {
-		return m.mainOK[m.v.MainColumnAt(m.pred.Col).ValueID(row)]
-	}
-	d := m.v.DeltaColumnAt(m.pred.Col)
-	id := d.ValueID(row - mr)
-	if v, ok := m.deltaOK[id]; ok {
-		return v > 0
-	}
-	ok := m.pred.Op.matches(bytes.Compare(d.DictKey(id), m.key))
-	if ok {
-		m.deltaOK[id] = 1
-	} else {
-		m.deltaOK[id] = -1
-	}
-	return ok
-}
-
-// matcherPool lazily clones one matcher set per worker.
-type matcherPool struct {
-	base []*colMatcher
-	per  [][]*colMatcher
-}
-
-func newMatcherPool(v storage.View, preds []Pred, workers int) *matcherPool {
-	p := &matcherPool{base: make([]*colMatcher, len(preds)), per: make([][]*colMatcher, workers)}
-	for i, pd := range preds {
-		p.base[i] = newColMatcher(v, pd)
-	}
-	return p
-}
-
-func (p *matcherPool) forWorker(w int) []*colMatcher {
-	if p.per[w] == nil {
-		ms := make([]*colMatcher, len(p.base))
-		for i, m := range p.base {
-			ms[i] = m.clone()
+// checkPreds validates every predicate against the schema.
+func checkPreds(tbl *storage.Table, preds []Pred) error {
+	for _, p := range preds {
+		if err := checkColValue(tbl, p.Col, p.Val); err != nil {
+			return err
 		}
-		p.per[w] = ms
 	}
-	return p.per[w]
+	return nil
+}
+
+// lookupEq answers a single equality predicate on an indexed column from
+// the index — already sub-linear, so it stays serial. ok is false when
+// preds is anything else, or the index cannot answer.
+func lookupEq(tx *txn.Txn, tbl *storage.Table, preds []Pred) (rows []uint64, ok bool) {
+	if len(preds) != 1 || preds[0].Op != Eq || !tbl.Indexed(preds[0].Col) {
+		return nil, false
+	}
+	tx.PinEpoch(tbl)
+	v := tbl.View()
+	ok = v.LookupRows(preds[0].Col, preds[0].Val.EncodeKey(nil), func(row uint64) bool {
+		if tx.SeesIn(v, tbl, row) {
+			rows = append(rows, row)
+		}
+		return true
+	})
+	return rows, ok
 }
 
 // Select returns the row IDs visible to tx that satisfy all preds, in
 // ascending row-ID order. A single equality predicate on an indexed
-// column uses the index; everything else is a morsel-parallel
-// dictionary-accelerated scan.
+// column uses the index; everything else is a morsel-parallel scan.
 func (e *Executor) Select(ctx context.Context, tx *txn.Txn, tbl *storage.Table, preds ...Pred) ([]uint64, error) {
-	for _, p := range preds {
-		if err := checkColValue(tbl, p.Col, p.Val); err != nil {
-			return nil, err
-		}
+	if err := checkPreds(tbl, preds); err != nil {
+		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tx.PinEpoch(tbl)
-	v := tbl.View()
-	if len(preds) == 1 && preds[0].Op == Eq && tbl.Indexed(preds[0].Col) {
-		// Index point lookup: already sub-linear, stays serial.
-		key := preds[0].Val.EncodeKey(nil)
-		var out []uint64
-		if v.LookupRows(preds[0].Col, key, func(row uint64) bool {
-			if tx.SeesIn(v, tbl, row) {
-				out = append(out, row)
-			}
-			return true
-		}) {
-			return out, nil
-		}
+	if rows, ok := lookupEq(tx, tbl, preds); ok {
+		return rows, nil
 	}
-	slots, err := e.selectSlots(ctx, tx, tbl, v, preds)
-	if err != nil {
-		return nil, err
-	}
-	var n int
-	for _, s := range slots {
-		n += len(s)
-	}
-	out := make([]uint64, 0, n)
-	for _, s := range slots {
-		out = append(out, s...)
-	}
-	return out, nil
+	return e.selectScan(ctx, newTableScan(tx, tbl, preds))
 }
 
-// selectSlots runs the parallel filtered scan, returning matching row
-// IDs grouped by morsel slot (ascending within and across slots).
-func (e *Executor) selectSlots(ctx context.Context, tx *txn.Txn, tbl *storage.Table, v storage.View, preds []Pred) ([][]uint64, error) {
-	total := v.MainRows() + v.DeltaRows()
-	slots := make([][]uint64, (total+MorselRows-1)/MorselRows)
-	pool := newMatcherPool(v, preds, e.par)
-	err := e.forEachMorsel(ctx, total, func(worker, slot int, lo, hi uint64) error {
-		ms := pool.forWorker(worker)
+// selectScan returns the rows s leaves, ascending.
+func (e *Executor) selectScan(ctx context.Context, s *tableScan) ([]uint64, error) {
+	// Matching row IDs per morsel slot, ascending within and across slots.
+	slots := make([][]uint64, (s.rows+MorselRows-1)/MorselRows)
+	workers := make(scanWorkers, e.par)
+	err := e.forEachMorsel(ctx, s.rows, func(worker, slot int, lo, hi uint64) error {
+		w := workers.get(worker)
 		var rows []uint64
-	scan:
-		for r := lo; r < hi; r++ {
-			if !tx.SeesIn(v, tbl, r) {
-				continue
-			}
-			for _, m := range ms {
-				if !m.match(r) {
-					continue scan
-				}
-			}
-			rows = append(rows, r)
-		}
+		s.forEachBlock(w, lo, hi, func(first uint64, n int) {
+			forEachRow(w.bitmap(n), func(i int) { rows = append(rows, first+uint64(i)) })
+		})
 		slots[slot] = rows
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return slots, nil
+	var n int
+	for _, rows := range slots {
+		n += len(rows)
+	}
+	out := make([]uint64, 0, n)
+	for _, rows := range slots {
+		out = append(out, rows...)
+	}
+	return out, nil
 }
 
-// Count returns the number of rows visible to tx satisfying preds.
+// Count returns the number of rows visible to tx satisfying preds: the
+// index answers a single equality predicate on an indexed column, a scan
+// that only counts the bits of each block's result everything else.
 func (e *Executor) Count(ctx context.Context, tx *txn.Txn, tbl *storage.Table, preds ...Pred) (int, error) {
-	for _, p := range preds {
-		if err := checkColValue(tbl, p.Col, p.Val); err != nil {
-			return 0, err
-		}
+	if err := checkPreds(tbl, preds); err != nil {
+		return 0, err
 	}
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	tx.PinEpoch(tbl)
-	v := tbl.View()
-	total := v.MainRows() + v.DeltaRows()
-	counts := make([]int, (total+MorselRows-1)/MorselRows)
-	pool := newMatcherPool(v, preds, e.par)
-	err := e.forEachMorsel(ctx, total, func(worker, slot int, lo, hi uint64) error {
-		ms := pool.forWorker(worker)
+	if rows, ok := lookupEq(tx, tbl, preds); ok {
+		return len(rows), nil
+	}
+	return e.countScan(ctx, newTableScan(tx, tbl, preds))
+}
+
+// countScan counts the rows s leaves.
+func (e *Executor) countScan(ctx context.Context, s *tableScan) (int, error) {
+	counts := make([]int, (s.rows+MorselRows-1)/MorselRows)
+	workers := make(scanWorkers, e.par)
+	err := e.forEachMorsel(ctx, s.rows, func(worker, slot int, lo, hi uint64) error {
+		w := workers.get(worker)
 		n := 0
-	scan:
-		for r := lo; r < hi; r++ {
-			if !tx.SeesIn(v, tbl, r) {
-				continue
+		s.forEachBlock(w, lo, hi, func(_ uint64, rows int) {
+			for _, word := range w.bitmap(rows) {
+				n += bits.OnesCount64(word)
 			}
-			for _, m := range ms {
-				if !m.match(r) {
-					continue scan
-				}
-			}
-			n++
-		}
+		})
 		counts[slot] = n
 		return nil
 	})

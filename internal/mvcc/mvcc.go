@@ -18,6 +18,7 @@ package mvcc
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"hyrisenv/internal/vec"
 )
@@ -35,11 +36,12 @@ type Store struct {
 }
 
 // NewStore wraps begin/end vectors (backend-specific) into a Store.
-// Both vectors must have equal lengths.
+// Both vectors must have equal lengths. Every row starts unowned: the
+// owner vector is zero-extended segment by segment, not row by row.
 func NewStore(begin, end vec.Vec) *Store {
 	s := &Store{begin: begin, end: end, tid: vec.NewVolatile(10)}
-	for s.tid.Len() < begin.Len() {
-		s.tid.Append(0)
+	if err := s.tid.Extend(begin.Len()); err != nil {
+		panic(fmt.Sprintf("mvcc: %d rows: %v", begin.Len(), err)) // beyond any vector's capacity
 	}
 	return s
 }
@@ -165,6 +167,42 @@ func (s *Store) Visible(row, snapCID, selfTID uint64) bool {
 	}
 	e := s.End(row)
 	return e == Inf || e > snapCID
+}
+
+// VisibleBits is Visible for the rows [lo, hi) at once: bit i of bits
+// (bit i%64 of word i/64) is set when row lo+i is visible, and the words
+// covering the range are overwritten whole. The stamps are read in place
+// as runs of contiguous words, with the loads Visible makes and a row's
+// begin before its end; only a row with begin = Inf costs a look at its
+// owner.
+func (s *Store) VisibleBits(lo, hi, snapCID, selfTID uint64, bits []uint64) {
+	clear(bits[:(hi-lo+63)/64])
+	for row, bit := lo, uint64(0); row < hi; {
+		begin := s.begin.Span(row, hi)
+		end := s.end.Span(row, row+uint64(len(begin)))
+		begin = begin[:len(end)]
+		// One word of the bitmap at a time, so that a run may start and
+		// end anywhere in a word.
+		for len(begin) > 0 {
+			n := min(64-int(bit%64), len(begin))
+			var word uint64
+			for i := range begin[:n] {
+				b := atomic.LoadUint64(&begin[i])
+				if b == Inf {
+					if selfTID != 0 && s.TID(row+uint64(i)) == selfTID {
+						word |= 1 << i
+					}
+				} else if b <= snapCID {
+					if e := atomic.LoadUint64(&end[i]); e == Inf || e > snapCID {
+						word |= 1 << i
+					}
+				}
+			}
+			bits[bit/64] |= word << (bit % 64)
+			begin, end = begin[n:], end[n:]
+			row, bit = row+uint64(n), bit+uint64(n)
+		}
+	}
 }
 
 // Check verifies the durable MVCC invariants that must hold at every

@@ -191,3 +191,104 @@ func TestAppendRowFailureKeepsAlignment(t *testing.T) {
 			row, s.Rows(), s.TID(row), s.TID(0))
 	}
 }
+
+// mixedStore builds rows in every MVCC state, cycling with the row
+// index: committed at CID 1..9, invalidated at a later CID or not,
+// uncommitted inserts owned by transaction 7, by 8, or by nobody.
+func mixedStore(t testing.TB, rows uint64) *Store {
+	s := volatileStore() // 16-element first segment: ranges cross segments
+	for r := uint64(0); r < rows; r++ {
+		if _, err := s.AppendRow(0); err != nil {
+			t.Fatal(err)
+		}
+		switch r % 7 {
+		case 0, 1, 2:
+			s.SetBegin(r, 1+r%9)
+		case 3:
+			s.SetBegin(r, 1+r%9)
+			s.SetEnd(r, 1+r%9+r%4) // r%4 == 0: inserted and deleted by one commit
+		case 4:
+			s.ClaimRow(r, 7)
+		case 5:
+			s.ClaimRow(r, 8)
+		}
+	}
+	return s
+}
+
+// TestVisibleBitsMatchesVisible compares the bitmap with the per-row
+// check over ranges that start and end off a word boundary, for every
+// snapshot around the stamps and for owners present and absent.
+func TestVisibleBitsMatchesVisible(t *testing.T) {
+	const rows = 300
+	s := mixedStore(t, rows)
+	for _, r := range [][2]uint64{{0, rows}, {0, 0}, {5, 5}, {0, 1}, {0, 63}, {0, 64}, {0, 65}, {1, 64}, {63, 65}, {64, 128}, {13, 291}, {rows - 1, rows}} {
+		lo, hi := r[0], r[1]
+		for snap := uint64(0); snap <= 14; snap++ {
+			for _, self := range []uint64{0, 7, 8, 9} {
+				bits := make([]uint64, (hi-lo+63)/64+1)
+				for i := range bits {
+					bits[i] = ^uint64(0) // stale content must be overwritten
+				}
+				s.VisibleBits(lo, hi, snap, self, bits)
+				for row := lo; row < hi; row++ {
+					i := row - lo
+					got := bits[i/64]>>(i%64)&1 == 1
+					if want := s.Visible(row, snap, self); got != want {
+						t.Fatalf("[%d,%d) snap %d self %d: row %d bit %v, Visible %v", lo, hi, snap, self, row, got, want)
+					}
+				}
+				if n := hi - lo; n%64 != 0 && bits[n/64]>>(n%64) != 0 {
+					t.Fatalf("[%d,%d): bits set beyond the range in the last word", lo, hi)
+				}
+				if bits[len(bits)-1] != ^uint64(0) {
+					t.Fatalf("[%d,%d): wrote a word beyond the range", lo, hi)
+				}
+			}
+		}
+	}
+}
+
+// TestNewStoreOwnsNothing: a store over existing rows starts with every
+// row unowned, and the owner vector accepts the next row.
+func TestNewStoreOwnsNothing(t *testing.T) {
+	const rows = 5000 // several owner-vector segments
+	begin, end := vec.NewVolatile(4), vec.NewVolatile(4)
+	for i := 0; i < rows; i++ {
+		begin.Append(3)
+		end.Append(Inf)
+	}
+	s := NewStore(begin, end)
+	for r := uint64(0); r < rows; r++ {
+		if s.TID(r) != 0 {
+			t.Fatalf("row %d owned by %d after NewStore", r, s.TID(r))
+		}
+	}
+	if row, err := s.AppendRow(9); err != nil || row != rows || s.TID(row) != 9 || !s.ClaimRow(17, 4) {
+		t.Fatalf("AppendRow after NewStore: row %d, err %v", row, err)
+	}
+}
+
+func BenchmarkVisibleBits(b *testing.B) {
+	// A merged partition's shape: every row committed, one in 50 since
+	// invalidated, some of those after the snapshot.
+	const rows = 1 << 18
+	s := volatileStore()
+	if err := s.AppendCommittedRows(rows, 3); err != nil {
+		b.Fatal(err)
+	}
+	for r := uint64(0); r < rows; r += 50 {
+		s.SetEnd(r, 4+r%3)
+	}
+	var bits [1024 / 64]uint64
+	var sink uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for lo := uint64(0); lo < rows; lo += 1024 {
+			s.VisibleBits(lo, lo+1024, 5, 7, bits[:])
+			sink += bits[3]
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+	_ = sink
+}

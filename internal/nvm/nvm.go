@@ -434,6 +434,20 @@ func (h *Heap) Bytes(p PPtr, n uint64) []byte {
 	return h.m().mem[p : uint64(p)+n : uint64(p)+n]
 }
 
+// Words returns the n uint64 words at p (which must be 8-byte aligned)
+// as a slice aliasing the mapping, for bulk reads with sync/atomic loads
+// of its elements. Like Bytes, the slice stays valid until Close.
+func (h *Heap) Words(p PPtr, n uint64) []uint64 {
+	if p%8 != 0 {
+		panic(fmt.Sprintf("nvm: unaligned word access at %d", p))
+	}
+	if n == 0 {
+		return nil
+	}
+	b := h.Bytes(p, n*8)
+	return unsafe.Slice((*uint64)(unsafe.Pointer(&b[0])), n)
+}
+
 // U64 atomically loads the uint64 at p (which must be 8-byte aligned).
 func (h *Heap) U64(p PPtr) uint64 {
 	return atomic.LoadUint64(h.u64ptr(p))

@@ -1,6 +1,7 @@
 package pstruct
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -20,6 +21,10 @@ type BitPacked struct {
 	bits uint64
 	n    uint64
 	data nvm.PPtr
+	// buf is the packed data, aliasing the mapping. It is sliced once
+	// at build/attach and stays valid for the life of the heap:
+	// superseded mappings remain mapped until Close.
+	buf []byte
 }
 
 const bpRootSize = 24
@@ -65,18 +70,26 @@ func BuildBitPacked(h *nvm.Heap, vals []uint64, width uint64) (*BitPacked, error
 	h.PutU64(root.Add(8), n)
 	h.PutU64(root.Add(16), uint64(data))
 	h.Persist(root, bpRootSize)
-	return &BitPacked{h: h, root: root, bits: width, n: n, data: data}, nil
+	return &BitPacked{h: h, root: root, bits: width, n: n, data: data, buf: buf}, nil
 }
 
 // AttachBitPacked re-hydrates a BitPacked vector from its root (O(1)).
 func AttachBitPacked(h *nvm.Heap, root nvm.PPtr) *BitPacked {
-	return &BitPacked{
+	b := &BitPacked{
 		h:    h,
 		root: root,
 		bits: h.GetU64(root),
 		n:    h.GetU64(root.Add(8)),
 		data: nvm.PPtr(h.GetU64(root.Add(16))),
 	}
+	// A corrupt root is Check's to report, not Attach's to panic on: the
+	// data is sliced only when it lies inside the heap.
+	if size := h.Size(); b.bits >= 1 && b.bits <= 64 && b.n <= size*8/b.bits {
+		if n := (b.n*b.bits + 63) / 64 * 8; uint64(b.data) <= size && n <= size-uint64(b.data) {
+			b.buf = h.Bytes(b.data, n)
+		}
+	}
+	return b
 }
 
 // Root returns the persistent root pointer.
@@ -93,86 +106,95 @@ func (b *BitPacked) Get(i uint64) uint64 {
 	if i >= b.n {
 		panic(fmt.Sprintf("pstruct: bitpacked index %d out of range %d", i, b.n))
 	}
-	words := (b.n*b.bits + 63) / 64
-	buf := b.h.Bytes(b.data, words*8)
-	return GetBits(buf, i*b.bits, b.bits)
+	return GetBits(b.buf, i*b.bits, b.bits)
 }
 
-// Scan calls fn for each value; it decodes word-at-a-time.
+// Scan calls fn for each value in index order.
 func (b *BitPacked) Scan(fn func(i uint64, v uint64) bool) {
-	words := (b.n*b.bits + 63) / 64
-	if words == 0 {
-		return
-	}
-	buf := b.h.Bytes(b.data, words*8)
-	if b.h.ReadLatencyEnabled() {
-		b.h.ChargeRead(words * 8)
-	}
+	b.chargeRead(0, b.n)
 	for i := uint64(0); i < b.n; i++ {
-		if !fn(i, GetBits(buf, i*b.bits, b.bits)) {
+		if !fn(i, GetBits(b.buf, i*b.bits, b.bits)) {
 			return
 		}
 	}
 }
 
-// PutBits writes the low `width` bits of v at bit offset off in buf.
-// Exported so the volatile main-partition twin can share the format.
-func PutBits(buf []byte, off, width, v uint64) {
-	word := off / 64
-	shift := off % 64
-	le := func(w uint64) uint64 {
-		var x uint64
-		for i := uint64(0); i < 8; i++ {
-			x |= uint64(buf[w*8+i]) << (8 * i)
-		}
-		return x
+// Unpack decodes values [lo, hi) into dst[:hi-lo] — the block-at-a-time
+// read of the scan kernel. See UnpackBits for the 32-bit destination.
+func (b *BitPacked) Unpack(lo, hi uint64, dst []uint32) {
+	if lo > hi || hi > b.n {
+		panic(fmt.Sprintf("pstruct: bitpacked range [%d, %d) out of range %d", lo, hi, b.n))
 	}
-	store := func(w uint64, x uint64) {
-		for i := uint64(0); i < 8; i++ {
-			buf[w*8+i] = byte(x >> (8 * i))
-		}
-	}
-	var mask uint64
-	if width == 64 {
-		mask = ^uint64(0)
-	} else {
-		mask = (uint64(1) << width) - 1
-	}
-	v &= mask
-	w0 := le(word)
-	w0 = (w0 &^ (mask << shift)) | (v << shift)
-	store(word, w0)
-	if shift+width > 64 {
-		spill := shift + width - 64
-		w1 := le(word + 1)
-		hiMask := (uint64(1) << spill) - 1
-		w1 = (w1 &^ hiMask) | (v >> (width - spill))
-		store(word+1, w1)
+	b.chargeRead(lo, hi)
+	UnpackBits(b.buf, b.bits, lo, hi, dst)
+}
+
+// chargeRead charges the read latency model for a sequential pass over
+// values [lo, hi).
+func (b *BitPacked) chargeRead(lo, hi uint64) {
+	if b.h.ReadLatencyEnabled() {
+		b.h.ChargeRead(((hi-lo)*b.bits + 7) / 8)
 	}
 }
 
-// GetBits reads `width` bits at bit offset off.
-func GetBits(buf []byte, off, width uint64) uint64 {
-	word := off / 64
-	shift := off % 64
-	le := func(w uint64) uint64 {
-		var x uint64
-		for i := uint64(0); i < 8; i++ {
-			x |= uint64(buf[w*8+i]) << (8 * i)
-		}
-		return x
-	}
-	var mask uint64
+func bitMask(width uint64) uint64 {
 	if width == 64 {
-		mask = ^uint64(0)
-	} else {
-		mask = (uint64(1) << width) - 1
+		return ^uint64(0)
 	}
-	v := le(word) >> shift
+	return uint64(1)<<width - 1
+}
+
+// PutBits writes the low `width` bits of v at bit offset off in buf,
+// whose length is a whole number of 64-bit little-endian words.
+// Exported so the volatile main-partition twin can share the format.
+func PutBits(buf []byte, off, width, v uint64) {
+	w, shift := buf[off/64*8:], off%64
+	mask := bitMask(width)
+	v &= mask
+	binary.LittleEndian.PutUint64(w, binary.LittleEndian.Uint64(w)&^(mask<<shift)|v<<shift)
 	if shift+width > 64 {
-		v |= le(word+1) << (64 - shift)
+		// The value spills into the low bits of the next word.
+		binary.LittleEndian.PutUint64(w[8:], binary.LittleEndian.Uint64(w[8:])&^(mask>>(64-shift))|v>>(64-shift))
 	}
-	return v & mask
+}
+
+// GetBits reads `width` bits at bit offset off: one word load, two when
+// the value straddles a word boundary.
+func GetBits(buf []byte, off, width uint64) uint64 {
+	w, shift := buf[off/64*8:], off%64
+	v := binary.LittleEndian.Uint64(w) >> shift
+	if shift+width > 64 {
+		v |= binary.LittleEndian.Uint64(w[8:]) << (64 - shift)
+	}
+	return v & bitMask(width)
+}
+
+// UnpackBits decodes the values at indexes [lo, hi) of a width-bit
+// packed buffer into dst[:hi-lo], keeping the low 32 bits of each: the
+// values are dictionary IDs, and no partition holds 2^32 distinct ones.
+func UnpackBits(buf []byte, width, lo, hi uint64, dst []uint32) {
+	dst = dst[:hi-lo]
+	if len(dst) == 0 {
+		return
+	}
+	mask := bitMask(width)
+	// acc holds the `have` not yet consumed bits of the current word, so
+	// every word is loaded once however many values it holds.
+	w := buf[lo*width/64*8:]
+	skip := lo * width % 64
+	acc, have := binary.LittleEndian.Uint64(w)>>skip, 64-skip
+	for i := range dst {
+		if have >= width {
+			dst[i] = uint32(acc & mask)
+			acc >>= width
+			have -= width
+			continue
+		}
+		w = w[8:]
+		next := binary.LittleEndian.Uint64(w)
+		dst[i] = uint32((acc | next<<have) & mask)
+		acc, have = next>>(width-have), have+64-width
+	}
 }
 
 // Blocks yields the heap blocks owned by the bit-packed vector.

@@ -1,6 +1,7 @@
 package pstruct
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -147,5 +148,153 @@ func TestBlobRoundTrip(t *testing.T) {
 	_, aux, _ := h2.Root("blob")
 	if string(ReadBlob(h2, nvm.PPtr(aux))) != "hello world" {
 		t.Fatal("blob lost across reopen")
+	}
+}
+
+// packRandom packs n pseudo-random width-bit values the slow way and
+// returns the buffer with the values.
+func packRandom(n int, width, seed uint64) ([]byte, []uint64) {
+	buf := make([]byte, (uint64(n)*width+63)/64*8)
+	vals := make([]uint64, n)
+	x := seed | 1
+	for i := range vals {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		vals[i] = x & bitMask(width)
+		PutBits(buf, uint64(i)*width, width, vals[i])
+	}
+	return buf, vals
+}
+
+// slowBits reads width bits at bit offset off one bit at a time — a
+// decode that shares nothing with the word loads under test.
+func slowBits(buf []byte, off, width uint64) uint64 {
+	var v uint64
+	for i := uint64(0); i < width; i++ {
+		bit := off + i
+		v |= uint64(buf[bit/8]>>(bit%8)&1) << i
+	}
+	return v
+}
+
+// TestUnpackBitsMatchesGet holds the block decode to the single-value
+// one at every width, for ranges that start and end off a word
+// boundary, on a value that spills into the next word, and on the
+// final partial word.
+func TestUnpackBitsMatchesGet(t *testing.T) {
+	const n = 197 // not a multiple of 64: the last word is partial for most widths
+	for width := uint64(1); width <= 64; width++ {
+		buf, vals := packRandom(n, width, width*0x9E3779B97F4A7C15)
+		for i, want := range vals {
+			if got := GetBits(buf, uint64(i)*width, width); got != want || slowBits(buf, uint64(i)*width, width) != want {
+				t.Fatalf("width %d: GetBits(%d) = %#x, want %#x", width, i, got, want)
+			}
+		}
+		// The first value that straddles two words, if the width has one.
+		spill := -1
+		for i := 0; i < n; i++ {
+			if uint64(i)*width%64+width > 64 {
+				spill = i
+				break
+			}
+		}
+		ranges := [][2]int{{0, n}, {0, 0}, {n, n}, {n - 1, n}, {1, n - 1}, {63, 65}, {64, 129}, {5, 6}}
+		if spill >= 0 {
+			ranges = append(ranges, [2]int{spill, spill + 1}, [2]int{spill - 1, spill + 2})
+		}
+		for _, r := range ranges {
+			lo, hi := r[0], r[1]
+			dst := make([]uint32, hi-lo+1)
+			dst[hi-lo] = 0xDEADBEEF // must stay untouched
+			UnpackBits(buf, width, uint64(lo), uint64(hi), dst)
+			for i := lo; i < hi; i++ {
+				if dst[i-lo] != uint32(vals[i]) {
+					t.Fatalf("width %d [%d,%d): value %d = %#x, want %#x", width, lo, hi, i, dst[i-lo], uint32(vals[i]))
+				}
+			}
+			if dst[hi-lo] != 0xDEADBEEF {
+				t.Fatalf("width %d [%d,%d): wrote past hi-lo", width, lo, hi)
+			}
+		}
+	}
+}
+
+func TestBitPackedUnpack(t *testing.T) {
+	h, _ := testHeap(t)
+	vals := make([]uint64, 1000)
+	for i := range vals {
+		vals[i] = uint64(i*7919) % (1 << 17)
+	}
+	bp, err := BuildBitPacked(h, vals, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp = AttachBitPacked(h, bp.Root())
+	dst := make([]uint32, 300)
+	bp.Unpack(650, 950, dst)
+	for i, got := range dst {
+		if uint64(got) != vals[650+i] {
+			t.Fatalf("Unpack: value %d = %d, want %d", 650+i, got, vals[650+i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Unpack past Len did not panic")
+		}
+	}()
+	bp.Unpack(900, 1001, make([]uint32, 101))
+}
+
+// FuzzUnpackBits: any (width, range) over any buffer contents decodes,
+// through GetBits and through UnpackBits, to what a bit-by-bit read gives.
+func FuzzUnpackBits(f *testing.F) {
+	f.Add([]byte{0xFF, 0x01, 0x80, 0x7F, 0xAA, 0x55, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(17), uint16(0), uint16(7))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(64), uint16(0), uint16(1))
+	f.Add([]byte{}, uint8(1), uint16(3), uint16(3))
+	f.Fuzz(func(t *testing.T, data []byte, w uint8, lo16, n16 uint16) {
+		width := uint64(w%64) + 1
+		buf := make([]byte, (len(data)+7)/8*8) // whole words, as every packed buffer is
+		copy(buf, data)
+		count := uint64(len(buf)) * 8 / width
+		lo := uint64(lo16)
+		if lo > count {
+			lo = count
+		}
+		hi := lo + uint64(n16)
+		if hi > count {
+			hi = count
+		}
+		dst := make([]uint32, hi-lo)
+		UnpackBits(buf, width, lo, hi, dst)
+		for i := lo; i < hi; i++ {
+			want := slowBits(buf, i*width, width)
+			if got := GetBits(buf, i*width, width); got != want {
+				t.Fatalf("width %d: GetBits(%d) = %#x, want %#x", width, i, got, want)
+			}
+			if dst[i-lo] != uint32(want) {
+				t.Fatalf("width %d [%d,%d): value %d = %#x, want %#x", width, lo, hi, i, dst[i-lo], uint32(want))
+			}
+		}
+	})
+}
+
+func BenchmarkUnpackBits(b *testing.B) {
+	const rows = 1 << 18
+	for _, width := range []uint64{4, 17} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			buf, _ := packRandom(rows, width, 42)
+			var dst [1024]uint32
+			var sink uint32
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for lo := uint64(0); lo < rows; lo += uint64(len(dst)) {
+					UnpackBits(buf, width, lo, lo+uint64(len(dst)), dst[:])
+					sink += dst[0]
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			_ = sink
+		})
 	}
 }

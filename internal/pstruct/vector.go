@@ -10,6 +10,7 @@
 package pstruct
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -42,7 +43,11 @@ type Vector struct {
 	elemSize uint64
 	baseLog  uint64
 	// segs mirrors the persistent segment pointers to avoid re-reading
-	// NVM on every access; it is re-hydrated on Attach.
+	// NVM on every access; it is re-hydrated on Attach. The writer links
+	// a segment before it publishes a length that reaches into it, and
+	// readers index only below a length they have loaded, so the length
+	// word orders the two. (The race detector does not follow
+	// synchronisation through mapped memory and reports them as a race.)
 	segs [vecMaxSegs]nvm.PPtr
 }
 
@@ -224,6 +229,51 @@ func (v *Vector) getNoCheck(i uint64) uint64 {
 		return v.h.U64(p)
 	}
 	return uint64(v.h.GetU32(p))
+}
+
+// run locates the elements from lo up to hi or the end of lo's segment,
+// whichever comes first — one contiguous stretch of NVM — and charges
+// the read model for it. It panics when hi exceeds Len.
+func (v *Vector) run(lo, hi uint64) (start nvm.PPtr, n uint64) {
+	if end := v.Len(); lo > hi || hi > end {
+		panic(fmt.Sprintf("pstruct: vector range [%d, %d) out of range %d", lo, hi, end))
+	}
+	k, off := v.locate(lo)
+	n = min(hi-lo, v.segCap(k)-off)
+	if v.h.ReadLatencyEnabled() {
+		v.h.ChargeRead(n * v.elemSize)
+	}
+	return v.segs[k].Add(off * v.elemSize), n
+}
+
+// Span returns the elements from lo up to hi or the end of lo's
+// segment as a slice aliasing NVM — the bulk form of Get for 8-byte
+// elements, which the caller reads with atomic loads.
+func (v *Vector) Span(lo, hi uint64) []uint64 {
+	if v.elemSize != 8 {
+		panic(fmt.Sprintf("pstruct: span of a vector of %d-byte elements", v.elemSize))
+	}
+	return v.h.Words(v.run(lo, hi))
+}
+
+// Load copies elements [lo, lo+len(dst)) into dst, a run per segment.
+func (v *Vector) Load(lo uint64, dst []uint64) {
+	for len(dst) > 0 {
+		start, n := v.run(lo, lo+uint64(len(dst)))
+		if v.elemSize == 8 {
+			words := v.h.Words(start, n)
+			for i := range words {
+				dst[i] = atomic.LoadUint64(&words[i])
+			}
+		} else {
+			b := v.h.Bytes(start, n*4)
+			for i := range dst[:n] {
+				dst[i] = uint64(binary.LittleEndian.Uint32(b[i*4:]))
+			}
+		}
+		dst = dst[n:]
+		lo += n
+	}
 }
 
 // Set overwrites element i in place and persists it. Used by MVCC commit

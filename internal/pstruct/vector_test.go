@@ -224,3 +224,56 @@ func TestVectorLocateProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVectorSpanLoad: the bulk reads agree with Get across segment
+// boundaries (segments of 4, 8, 16, ... elements), for both element
+// sizes; Span is for 8-byte elements only.
+func TestVectorSpanLoad(t *testing.T) {
+	h, _ := testHeap(t)
+	const n = 200
+	for _, elemSize := range []uint64{8, 4} {
+		v, err := NewVector(h, elemSize, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < n; i++ {
+			if _, err := v.Append(i*3 + 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range [][2]uint64{{0, 0}, {0, 1}, {0, 4}, {3, 5}, {4, 12}, {11, 13}, {0, n}, {59, 61}, {n, n}} {
+			lo, hi := r[0], r[1]
+			dst := make([]uint64, hi-lo)
+			v.Load(lo, dst)
+			for i := range dst {
+				if want := v.Get(lo + uint64(i)); dst[i] != want {
+					t.Fatalf("size %d [%d,%d): Load element %d = %d, want %d", elemSize, lo, hi, lo+uint64(i), dst[i], want)
+				}
+			}
+			if elemSize != 8 {
+				continue
+			}
+			at := lo
+			for at < hi {
+				run := v.Span(at, hi)
+				if len(run) == 0 {
+					t.Fatalf("Span(%d, %d) is empty", at, hi)
+				}
+				for i, got := range run {
+					if want := v.Get(at + uint64(i)); got != want {
+						t.Fatalf("[%d,%d): Span element %d = %d, want %d", lo, hi, at+uint64(i), got, want)
+					}
+				}
+				at += uint64(len(run))
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("size %d: Load past Len did not panic", elemSize)
+				}
+			}()
+			v.Load(n-1, make([]uint64, 2))
+		}()
+	}
+}

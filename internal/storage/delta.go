@@ -21,6 +21,9 @@ type DeltaColumn interface {
 	Append(v Value) (uint64, error)
 	// ValueID returns the dictionary ID at row.
 	ValueID(row uint64) uint64
+	// LoadIDs copies the dictionary IDs of rows [lo, lo+len(dst)) into
+	// dst — ValueID for a block of rows.
+	LoadIDs(lo uint64, dst []uint64)
 	// Value returns the decoded value at row.
 	Value(row uint64) Value
 	// DictLen returns the dictionary size.
@@ -87,6 +90,9 @@ func (d *VolatileDelta) Append(v Value) (uint64, error) {
 
 // ValueID implements DeltaColumn.
 func (d *VolatileDelta) ValueID(row uint64) uint64 { return d.av.Get(row) }
+
+// LoadIDs implements DeltaColumn.
+func (d *VolatileDelta) LoadIDs(lo uint64, dst []uint64) { d.av.Load(lo, dst) }
 
 // Value implements DeltaColumn.
 func (d *VolatileDelta) Value(row uint64) Value { return d.DictValue(d.av.Get(row)) }
@@ -284,6 +290,9 @@ func (d *NVMDelta) Append(v Value) (uint64, error) {
 
 // ValueID implements DeltaColumn.
 func (d *NVMDelta) ValueID(row uint64) uint64 { return d.av.Get(row) }
+
+// LoadIDs implements DeltaColumn.
+func (d *NVMDelta) LoadIDs(lo uint64, dst []uint64) { d.av.Load(lo, dst) }
 
 // Value implements DeltaColumn.
 func (d *NVMDelta) Value(row uint64) Value { return d.DictValue(d.av.Get(row)) }

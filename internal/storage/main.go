@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
 	"sort"
 
 	"hyrisenv/internal/nvm"
@@ -17,6 +18,9 @@ type MainColumn interface {
 	Type() ColType
 	Rows() uint64
 	ValueID(row uint64) uint64
+	// UnpackIDs decodes the value IDs of rows [lo, hi) into
+	// dst[:hi-lo] — ValueID for a block of rows.
+	UnpackIDs(lo, hi uint64, dst []uint32)
 	Value(row uint64) Value
 	DictLen() uint64
 	DictKey(id uint64) []byte
@@ -67,6 +71,14 @@ func (m *VolatileMain) Rows() uint64 { return m.rows }
 // ValueID implements MainColumn.
 func (m *VolatileMain) ValueID(row uint64) uint64 {
 	return pstruct.GetBits(m.packed, row*m.bits, m.bits)
+}
+
+// UnpackIDs implements MainColumn.
+func (m *VolatileMain) UnpackIDs(lo, hi uint64, dst []uint32) {
+	if lo > hi || hi > m.rows {
+		panic(fmt.Sprintf("storage: main column rows [%d, %d) out of range %d", lo, hi, m.rows))
+	}
+	pstruct.UnpackBits(m.packed, m.bits, lo, hi, dst)
 }
 
 // Value implements MainColumn.
@@ -187,6 +199,9 @@ func (m *NVMMain) Rows() uint64 { return m.bp.Len() }
 
 // ValueID implements MainColumn.
 func (m *NVMMain) ValueID(row uint64) uint64 { return m.bp.Get(row) }
+
+// UnpackIDs implements MainColumn.
+func (m *NVMMain) UnpackIDs(lo, hi uint64, dst []uint32) { m.bp.Unpack(lo, hi, dst) }
 
 // Value implements MainColumn.
 func (m *NVMMain) Value(row uint64) Value { return m.DictValue(m.ValueID(row)) }

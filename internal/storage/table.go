@@ -266,8 +266,10 @@ func (t *Table) buildNVMPartitionSet(mainCols []*NVMMain, mainBegins []uint64) (
 
 // attachPartitionSet re-hydrates the in-memory handles from ps. After a
 // restart the delta may carry one torn row append, which is trimmed
-// before the MVCC stores are built — their volatile owner vectors are
-// the one O(rows) structure here, so each is built exactly once.
+// before the MVCC stores are built, so that each is built exactly once.
+// Their volatile owner vectors are the one structure here whose size
+// follows the row count; they are allocated zeroed, a segment at a time,
+// never filled row by row.
 func (t *Table) attachPartitionSet(psPtr nvm.PPtr, afterRestart bool) *partitions {
 	h := t.h
 	ncols := t.Schema.NumCols()

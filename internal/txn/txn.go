@@ -18,6 +18,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -288,6 +289,20 @@ func (t *Txn) SeesIn(v storage.View, tbl *storage.Table, row uint64) bool {
 		return false
 	}
 	return v.Visible(row, t.snapCID, t.tid)
+}
+
+// InvalidatedIn returns, in ascending order, the rows of tbl this
+// transaction has invalidated and not yet committed: what a block scan
+// clears from a visibility bitmap, where SeesIn asks row by row.
+func (t *Txn) InvalidatedIn(tbl *storage.Table) []uint64 {
+	var rows []uint64
+	for ref := range t.invalidated {
+		if ref.t == tbl {
+			rows = append(rows, ref.row)
+		}
+	}
+	slices.Sort(rows)
+	return rows
 }
 
 // Insert appends a new row. The row is invisible to other transactions

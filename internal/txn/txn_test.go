@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -157,6 +158,46 @@ func TestDeleteAndUpdateAllModes(t *testing.T) {
 				t.Fatal("deleted row visible")
 			}
 		})
+	}
+}
+
+// TestInvalidatedIn: a transaction lists its own pending deletes of one
+// table in row order, and only those.
+func TestInvalidatedIn(t *testing.T) {
+	e := envs(t)["none"]
+	other := storage.NewVolatileTable("other", 2, testSchema(t), 0)
+	load := e.mgr.Begin()
+	var rows []uint64
+	for i := 0; i < 6; i++ {
+		row, err := load.Insert(e.tbl, []storage.Value{storage.Int(int64(i)), storage.Str("a")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row)
+		if _, err := load.Insert(other, []storage.Value{storage.Int(int64(i)), storage.Str("b")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := load.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx := e.mgr.Begin()
+	if got := tx.InvalidatedIn(e.tbl); len(got) != 0 {
+		t.Fatalf("fresh transaction lists %v", got)
+	}
+	for _, row := range []uint64{rows[4], rows[1], rows[3]} {
+		if err := tx.Delete(e.tbl, row); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Delete(other, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tx.InvalidatedIn(e.tbl), []uint64{rows[1], rows[3], rows[4]}; !slices.Equal(got, want) {
+		t.Fatalf("InvalidatedIn = %v, want %v", got, want)
+	}
+	if got := tx.InvalidatedIn(other); !slices.Equal(got, []uint64{0}) {
+		t.Fatalf("InvalidatedIn(other) = %v, want [0]", got)
 	}
 }
 

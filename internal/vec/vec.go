@@ -22,6 +22,12 @@ type Vec interface {
 	Append(v uint64) (uint64, error)
 	AppendN(vs []uint64) (uint64, error)
 	Get(i uint64) uint64
+	// Span returns the elements from lo up to hi or the end of lo's
+	// segment, whichever comes first, as a slice aliasing the vector:
+	// the bulk form of Get. A caller covers [lo, hi) run by run and
+	// reads each element with an atomic load, as Get does. It panics
+	// when hi exceeds Len.
+	Span(lo, hi uint64) []uint64
 	Set(i uint64, v uint64)
 	SetNoPersist(i uint64, v uint64)
 	PersistAt(i uint64)
@@ -113,6 +119,55 @@ func (v *Volatile) AppendN(vals []uint64) (uint64, error) {
 	}
 	v.length.Store(i)
 	return first, nil
+}
+
+// Extend appends zero elements until the vector holds n. A fresh segment
+// is zero as allocated, so a vector that starts empty is extended at a
+// cost per segment, not per element.
+func (v *Volatile) Extend(n uint64) error {
+	i := v.length.Load()
+	if n <= i {
+		return nil
+	}
+	for i < n {
+		k, off := v.locate(i)
+		reused := v.segs[k].Load() != nil
+		if err := v.ensureSeg(k); err != nil {
+			return err
+		}
+		run := min(v.segCap(k)-off, n-i)
+		if reused {
+			// Elements beyond a Truncate keep their old values.
+			clear((*v.segs[k].Load())[off : off+run])
+		}
+		i += run
+	}
+	v.length.Store(n)
+	return nil
+}
+
+// Span implements Vec.
+func (v *Volatile) Span(lo, hi uint64) []uint64 {
+	if n := v.Len(); lo > hi || hi > n {
+		panic(fmt.Sprintf("vec: range [%d, %d) out of range %d", lo, hi, n))
+	}
+	if lo == hi {
+		return nil
+	}
+	k, off := v.locate(lo)
+	return (*v.segs[k].Load())[off:min(off+hi-lo, v.segCap(k))]
+}
+
+// Load copies elements [lo, lo+len(dst)) into dst, a run per segment.
+func (v *Volatile) Load(lo uint64, dst []uint64) {
+	for hi := lo + uint64(len(dst)); lo < hi; {
+		run := v.Span(lo, hi)
+		for i := range run {
+			dst[i] = atomic.LoadUint64(&run[i])
+		}
+		dst = dst[len(run):]
+		lo += uint64(len(run))
+	}
 }
 
 // Get returns element i; it panics when i is out of range.

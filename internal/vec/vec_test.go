@@ -126,3 +126,78 @@ func TestVolatileMatchesSliceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVolatileSpanLoad covers [lo, hi) with runs and copies it out, over
+// ranges that start and end inside, on and across segment boundaries
+// (segments of 4, 8, 16, ... elements).
+func TestVolatileSpanLoad(t *testing.T) {
+	v := NewVolatile(2)
+	const n = 200
+	for i := uint64(0); i < n; i++ {
+		v.Append(i * 3)
+	}
+	for _, r := range [][2]uint64{{0, 0}, {0, 1}, {0, 4}, {3, 5}, {4, 12}, {11, 13}, {0, n}, {59, 61}, {n, n}} {
+		lo, hi := r[0], r[1]
+		var got []uint64
+		for at := lo; at < hi; {
+			run := v.Span(at, hi)
+			if len(run) == 0 {
+				t.Fatalf("Span(%d, %d) is empty", at, hi)
+			}
+			got = append(got, run...)
+			at += uint64(len(run))
+		}
+		dst := make([]uint64, hi-lo)
+		v.Load(lo, dst)
+		for i := range dst {
+			if want := (lo + uint64(i)) * 3; dst[i] != want || got[i] != want {
+				t.Fatalf("[%d,%d): element %d: Load %d, Span %d, want %d", lo, hi, lo+uint64(i), dst[i], got[i], want)
+			}
+		}
+		if uint64(len(got)) != hi-lo {
+			t.Fatalf("[%d,%d): runs cover %d elements", lo, hi, len(got))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Span past Len did not panic")
+		}
+	}()
+	v.Span(n-1, n+1)
+}
+
+// TestVolatileExtend: extension appends zeros, from empty and over
+// elements a Truncate left behind, and Append carries on after it.
+func TestVolatileExtend(t *testing.T) {
+	v := NewVolatile(2)
+	if err := v.Extend(1000); err != nil || v.Len() != 1000 {
+		t.Fatalf("Extend(1000): len %d, err %v", v.Len(), err)
+	}
+	for i := uint64(0); i < 1000; i++ {
+		if v.Get(i) != 0 {
+			t.Fatalf("element %d = %d after Extend", i, v.Get(i))
+		}
+	}
+	for i := uint64(0); i < 1000; i++ {
+		v.Set(i, 7)
+	}
+	v.Truncate(10)
+	if err := v.Extend(5); err != nil || v.Len() != 10 {
+		t.Fatalf("Extend below Len: len %d, err %v", v.Len(), err)
+	}
+	if err := v.Extend(600); err != nil || v.Len() != 600 {
+		t.Fatalf("Extend(600): len %d, err %v", v.Len(), err)
+	}
+	for i := uint64(0); i < 600; i++ {
+		want := uint64(0)
+		if i < 10 {
+			want = 7 // kept by the Truncate
+		}
+		if v.Get(i) != want {
+			t.Fatalf("element %d = %d after Truncate and Extend, want %d", i, v.Get(i), want)
+		}
+	}
+	if i, err := v.Append(9); err != nil || i != 600 || v.Get(600) != 9 {
+		t.Fatalf("Append after Extend: index %d, err %v", i, err)
+	}
+}
