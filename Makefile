@@ -38,35 +38,36 @@ nvmcheck-stats:
 	$(GO) run ./cmd/nvmcheck -wholeprogram -stats ./...
 
 # Cross-validation: static and dynamic analysis must agree on the same
-# injected bug. Removes the element persist from Vector.Append (the
-# tagged line), then asserts both that publishcheck flags the resulting
-# publish-before-persist ordering and that the pessimistic shadow crash
-# sweep fails on the corrupted recoveries — dynamic confirms static.
-# The file is restored afterwards even on failure.
+# injected bug. Five seeded protocol bugs, each gated behind a build tag
+# that swaps one file of the engine for a broken variant, each proven
+# twice per tag (see internal/crashtest/seeded_*.go for the tag ->
+# package -> finding map):
+#
+#   - two single-engine persist-protocol bugs — the stage half of
+#     Vector.Append never flushes its element
+#     (pstruct/vector_stage_seeded.go), and Table.AppendRow publishes a
+#     row before its stage fence (storage/table_append_seeded.go):
+#     TestCrashMatrixSeeded asserts that publishcheck flags the seeded
+#     package and that the shadow crash sweep of the standard workload
+#     fails on the corrupted recoveries;
+#   - three 2PC protocol bugs (internal/shard/*_seeded.go):
+#     TestCrashMatrix2PCSeeded asserts that the whole-program analyzers
+#     flag them and that the sharded crash sweep corrupts a real
+#     database.
 crosscheck:
-	@cp internal/pstruct/vector.go internal/pstruct/vector.go.crossorig
 	@status=0; \
-	sed -i '/elem persist (crosscheck removes this line)/d' internal/pstruct/vector.go; \
-	if $(GO) run ./cmd/nvmcheck ./internal/pstruct/ >/dev/null 2>&1; then \
-		echo "crosscheck: nvmcheck MISSED the removed element persist" >&2; status=1; \
-	else \
-		echo "crosscheck: publishcheck flags the removed element persist"; \
-	fi; \
-	if $(GO) test ./internal/crashtest -run 'TestCrashMatrix$$' -count=1 >/dev/null 2>&1; then \
-		echo "crosscheck: shadow crash sweep MISSED the removed element persist" >&2; status=1; \
-	else \
-		echo "crosscheck: shadow crash sweep fails on the corrupted recoveries"; \
-	fi; \
-	mv internal/pstruct/vector.go.crossorig internal/pstruct/vector.go; \
+	for tag in crosscheck_noelemflush crosscheck_earlypublish; do \
+		echo "crosscheck: seeding $$tag"; \
+		if out="$$($(GO) test -tags $$tag ./internal/crashtest -run 'TestCrashMatrixSeeded' -count=1 -v 2>&1)"; then \
+			echo "$$out" | grep -E 'static:|dynamic:'; \
+		else \
+			echo "$$out" >&2; \
+			echo "crosscheck: $$tag NOT caught both statically and dynamically" >&2; status=1; \
+		fi; \
+	done; \
 	exit $$status
 	$(MAKE) crosscheck-2pc
 
-# 2PC cross-validation: three seeded protocol bugs, each gated behind a
-# build tag that swaps one shard-package file for a broken variant
-# (internal/shard/*_seeded.go), each proven twice per tag by
-# TestCrashMatrix2PCSeeded — the whole-program analyzers flag it
-# statically AND the sharded crash sweep corrupts a real database with
-# it (see internal/crashtest/seeded_*.go for the tag -> finding map).
 crosscheck-2pc:
 	@status=0; \
 	for tag in crosscheck_nodecidepersist crosscheck_swap crosscheck_deadfield; do \
@@ -95,14 +96,16 @@ benchmark-module:
 	$(GO) -C benchmark test ./...
 
 # Crash-point enumeration (see internal/crashtest). Pass 1 cuts power at
-# every persist barrier of the standard workload under four crash
-# behaviors (pure loss + three tear seeds), fscking and verifying each
-# recovered heap in-process. Pass 2 keeps a bounded sweep's directories
-# on disk and re-checks every surviving heap with the external
-# `hyrise-nv fsck`.
+# every persist barrier of the standard workload and of eight seeded
+# generative workloads (random inserts, updates, deletes, aborts, group
+# commits, merges, scavenges and heap growth against an in-memory
+# model) under four crash behaviors (pure loss + three tear seeds),
+# fscking and verifying each recovered heap in-process. Pass 2 keeps a
+# bounded sweep's directories on disk and re-checks every surviving
+# heap with the external `hyrise-nv fsck`.
 CRASHMATRIX_DIR ?= $(CURDIR)/.crashmatrix
 crashmatrix:
-	CRASHMATRIX_FULL=1 $(GO) test ./internal/crashtest -run 'TestCrashMatrix$$' -v -timeout 30m
+	CRASHMATRIX_FULL=1 $(GO) test ./internal/crashtest -run 'TestCrashMatrix(Generative)?$$' -v -timeout 30m
 	rm -rf $(CRASHMATRIX_DIR)
 	CRASHMATRIX_KEEP=$(CRASHMATRIX_DIR) $(GO) test ./internal/crashtest -run 'TestCrashMatrix$$' -v
 	$(GO) build -o bin/hyrise-nv ./cmd/hyrise-nv
@@ -150,9 +153,11 @@ benchserve:
 	$(GO) run ./cmd/benchjson -in BENCH_serve.txt -out BENCH_serve.json
 	rm -f BENCH_serve.txt
 
-# Same smoke CI runs: 30s per fuzzer — the wire codecs, and the bit
-# unpacker every main-partition scan decodes through.
+# Same smoke CI runs: 30s per fuzzer — the wire codecs, the bit
+# unpacker every main-partition scan decodes through, and the append
+# arena under random sizes and reopen points.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 30s
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzUnpackBits' -fuzztime 30s
+	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzArena' -fuzztime 30s

@@ -30,7 +30,25 @@
 //     pointee becomes reachable from the persisted root through the
 //     target;
 //   - a call of an in-package function that publishes (summaries carry
-//     the published object set to the caller).
+//     the published object set to the caller);
+//   - a call, across a package boundary, of a publish half of the
+//     engine's two-half mutation protocol (see below).
+//
+// The storage layers mutate NVM in two halves (package pstruct): a
+// Stage* half writes and flushes bytes nothing reaches yet, a Publish*
+// half stores and flushes the word that makes them reachable, neither
+// fences, and the caller fences between and after them. Inside the
+// package that implements a half the analysis sees its real stores and
+// flushes. From another package — summaries do not cross packages — the
+// halves are recognized by name, like the Persist* and Flush* families,
+// and modeled on two pseudo-objects: a Stage* call (or Arena.Alloc,
+// which flushes its cursor) leaves "lines staged for publication"
+// flushed and unfenced; a Publish* call publishes them, which is a
+// finding while they are pending, and leaves "publish words" flushed and
+// unfenced on state recovery can reach. One Heap.Fence settles both.
+// That is enough to approve stage, fence, publish, fence across any
+// number of structures and to flag a publish that runs ahead of the
+// stage fence, without knowing which structure is which.
 //
 // At each publication every reachable object with a pending (dirty or
 // flushed-but-unfenced) write is reported, naming both the publication
@@ -86,6 +104,56 @@ var flushAtNames = map[string]bool{
 
 var sliceMutators = map[string]bool{
 	"PutBits": true, "SetBits": true,
+}
+
+// protocolPkgs are the packages (by name, as everywhere in this suite)
+// whose Stage*/Publish* functions and methods are the two halves of the
+// mutation protocol.
+var protocolPkgs = map[string]bool{
+	"pstruct": true, "vec": true, "mvcc": true, "index": true, "storage": true,
+}
+
+// The pseudo-objects of the two-half protocol. Their IDs are negative so
+// that they can share the fact maps with the points-to graph's objects.
+var (
+	stagedObj    = &ptr.Obj{ID: -1, Label: "lines staged for publication"}
+	publishWords = &ptr.Obj{ID: -2, Label: "publish words", Published: true}
+)
+
+// objOf resolves an object ID of a fact map: a pseudo-object or one of
+// g's.
+func objOf(g *ptr.Graph, id int) *ptr.Obj {
+	switch id {
+	case stagedObj.ID:
+		return stagedObj
+	case publishWords.ID:
+		return publishWords
+	}
+	return g.Obj(id)
+}
+
+// halfOf classifies a call that resolved to no in-package callee as a
+// half of the two-half protocol, by the name and declaring package of
+// what it calls.
+func halfOf(pass *analysis.Pass, call *ast.CallExpr) (stage, publish bool) {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return false, false
+	}
+	fn, ok := pass.Info.Uses[id].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg() == pass.Pkg || !protocolPkgs[fn.Pkg().Name()] {
+		return false, false
+	}
+	name := fn.Name()
+	if recv := analysis.ReceiverType(pass.Info, call); name == "Alloc" && recv != nil && analysis.NamedFrom(recv, "pstruct", "Arena") {
+		return true, false
+	}
+	return strings.HasPrefix(name, "Stage"), strings.HasPrefix(name, "Publish")
 }
 
 // ---------------------------------------------------------------------------
@@ -342,7 +410,26 @@ func eventsOf(pass *analysis.Pass, g *ptr.Graph, call *ast.CallExpr, sums map[*t
 			evs = append(evs, event{kind: evCall, what: "call of " + callee.Name(), sum: s, pos: call.Pos()})
 		}
 	}
-	return evs
+	if len(evs) > 0 {
+		return evs
+	}
+	what := "call of " + name
+	switch stage, publish := halfOf(pass, call); {
+	case stage:
+		staged := []*ptr.Obj{stagedObj}
+		return []event{
+			{kind: evWrite, what: what, objs: staged, pos: call.Pos()},
+			{kind: evFlush, what: what, objs: staged, pos: call.Pos()},
+		}
+	case publish:
+		words := []*ptr.Obj{publishWords}
+		return []event{
+			{kind: evPublish, what: what, objs: []*ptr.Obj{stagedObj}, pos: call.Pos()},
+			{kind: evWrite, what: what, objs: words, pos: call.Pos()},
+			{kind: evFlush, what: what, objs: words, pos: call.Pos()},
+		}
+	}
+	return nil
 }
 
 func anyPublished(objs []*ptr.Obj) bool {
@@ -457,7 +544,7 @@ func apply(g *ptr.Graph, imp map[int]bool, f *ofact, ev event) *ofact {
 			delete(out.flushed, id)
 		}
 		importable := func(id int) bool {
-			o := g.Obj(id)
+			o := objOf(g, id)
 			return o == nil || o.Kind != ptr.Extern || imp[id]
 		}
 		for id := range s.dirty {
@@ -773,7 +860,7 @@ func checkFunc(pass *analysis.Pass, g *ptr.Graph, obj *types.Func, info *funcInf
 						if w, verb, ok := pendingOf(f, id); ok {
 							pass.Reportf(ev.pos,
 								"%s publishes %s while its %s at %s is %s",
-								ev.what, g.Label(id), w.what, pass.Fset.Position(w.pos), verb)
+								ev.what, objOf(g, id).Label, w.what, pass.Fset.Position(w.pos), verb)
 						}
 					}
 				}
@@ -800,7 +887,7 @@ func checkFunc(pass *analysis.Pass, g *ptr.Graph, obj *types.Func, info *funcInf
 		}
 		pass.Reportf(ret.Pos(),
 			"function %s returns with %s write to published %s (%s at %s); persist it or annotate the function with //nvm:nopersist <reason>",
-			fn.Name.Name, state, g.Label(id), w.what, pass.Fset.Position(w.pos))
+			fn.Name.Name, state, objOf(g, id).Label, w.what, pass.Fset.Position(w.pos))
 	})
 }
 
@@ -815,7 +902,7 @@ func reportPublication(pass *analysis.Pass, g *ptr.Graph, f *ofact, ev event) {
 		if w, verb, ok := pendingOf(f, id); ok {
 			pass.Reportf(ev.pos,
 				"%s publishes %s while its %s at %s is %s",
-				ev.what, g.Label(id), w.what, pass.Fset.Position(w.pos), verb)
+				ev.what, objOf(g, id).Label, w.what, pass.Fset.Position(w.pos), verb)
 			return // one report per publication, like persistcheck
 		}
 	}
@@ -839,7 +926,7 @@ func pendingOf(f *ofact, id int) (write, string, bool) {
 func firstPublishedPending(g *ptr.Graph, f *ofact) (int, write, string, bool) {
 	bestID, bestW, bestVerb, found := 0, write{}, "", false
 	consider := func(id int, w write, verb string) {
-		if !g.Published(id) {
+		if !objOf(g, id).Published {
 			return
 		}
 		if !found || w.pos < bestW.pos {

@@ -6,7 +6,10 @@
 // publishcheck unit test asserts.
 package publish
 
-import "fix/nvm"
+import (
+	"fix/nvm"
+	"fix/pstruct"
+)
 
 var src = make([]byte, 16)
 
@@ -245,3 +248,93 @@ var errAbort = errorString("abort")
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
+
+// ---------------------------------------------------------------------------
+// The two-half mutation protocol across a package boundary: Stage*
+// leaves staged lines flushed and unfenced, Publish* publishes them and
+// leaves the publish words flushed and unfenced, one fence settles
+// either.
+
+type column struct {
+	h     *nvm.Heap
+	av    *pstruct.Vector
+	dict  *pstruct.Vector
+	arena *pstruct.Arena
+}
+
+// appendTwoFences is the correct schedule over several structures:
+// stage all, fence, publish all, fence.
+func appendTwoFences(c *column, v uint64) error {
+	if _, err := c.arena.Alloc(16); err != nil {
+		return err
+	}
+	if _, err := c.dict.StageAppend(v); err != nil {
+		return err
+	}
+	if _, err := c.av.StageAppend(v); err != nil {
+		return err
+	}
+	c.h.Fence()
+	c.dict.Publish()
+	c.av.Publish()
+	c.h.Fence()
+	return nil
+}
+
+// publishBeforeStageFence makes the staged element reachable before the
+// fence that makes it durable.
+func publishBeforeStageFence(c *column, v uint64) {
+	c.av.StageAppend(v)
+	c.av.Publish() // want `call of Publish publishes lines staged for publication while its call of StageAppend at .* is flushed but not fenced`
+	c.h.Fence()
+	c.h.Fence()
+}
+
+// publishOverArenaBytes links into arena space whose cursor is still in
+// the write queue.
+func publishOverArenaBytes(c *column) {
+	c.arena.Alloc(32)
+	c.av.Publish() // want `call of Publish publishes lines staged for publication while its call of Alloc at .* is flushed but not fenced`
+	c.h.Fence()
+}
+
+// stageOnly leaves staged lines unfenced at return: nothing reaches
+// them, so that is not a finding.
+func stageOnly(c *column, v uint64) {
+	c.av.StageAppend(v)
+	_ = c.av.Len()
+}
+
+// PublishNoFence returns with the publish word still in the write
+// queue and no contract saying who fences it.
+func PublishNoFence(c *column) {
+	c.av.Publish()
+} // want `function PublishNoFence returns with flushed-but-unfenced write to published publish words`
+
+// PublishHalf is a publish half of a higher layer: the contract is in
+// its annotation.
+//
+//nvm:nopersist publish half: the caller's second fence covers the length word
+func PublishHalf(c *column) {
+	c.av.Publish()
+}
+
+// stageHelper and publishHelper compose through summaries: the caller
+// fences between them.
+func stageHelper(c *column, v uint64) { c.av.StageAppend(v) }
+
+func publishHelper(c *column) { c.av.Publish() }
+
+func appendThroughHelpers(c *column, v uint64) {
+	stageHelper(c, v)
+	c.h.Fence()
+	publishHelper(c)
+	c.h.Fence()
+}
+
+func appendThroughHelpersEarly(c *column, v uint64) {
+	stageHelper(c, v)
+	publishHelper(c) // want `call of publishHelper publishes lines staged for publication while its call of stageHelper at .* is flushed but not fenced`
+	c.h.Fence()
+	c.h.Fence()
+}

@@ -57,6 +57,37 @@ func TestCrashMatrix(t *testing.T) {
 	reportFailures(t, res)
 }
 
+// TestCrashMatrixGenerative sweeps seeded random workloads (see
+// Generative) the way TestCrashMatrix sweeps the fixed one: a few seeds
+// at sampled barriers by default, more seeds at every barrier under four
+// tear behaviors with CRASHMATRIX_FULL=1. Odd seeds run on the hash-map
+// dictionary index. The heap starts at 128 KiB, less than the tables
+// take, so every run also grows it online — while creating them, and the
+// longer ones again in the middle of their transactions.
+func TestCrashMatrixGenerative(t *testing.T) {
+	seeds, steps := []int64{1, 2, 3}, 60
+	if os.Getenv("CRASHMATRIX_FULL") != "" {
+		seeds, steps = []int64{1, 2, 3, 4, 5, 6, 7, 8}, 90
+	}
+	for _, seed := range seeds {
+		cfg := sweepConfig(t)
+		cfg.Dir = t.TempDir()
+		cfg.Keep = false
+		cfg.HeapSize, cfg.HeapMaxSize = 128<<10, 64<<20
+		cfg.HashDictIndex = seed%2 == 1
+		cfg.Workload = Generative(seed, steps)
+		if cfg.MaxBarriers > 0 {
+			cfg.MaxBarriers = 48
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		t.Logf("seed %d:", seed)
+		reportFailures(t, res)
+	}
+}
+
 // sweep2PCConfig mirrors sweepConfig for the sharded sweep: bounded per
 // heap by default, exhaustive with CRASHMATRIX_FULL=1. A separate
 // CRASHMATRIX_2PC_HEAP selects one target heap slice (`shard-0`,

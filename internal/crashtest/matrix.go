@@ -18,6 +18,13 @@ type Config struct {
 	Dir string
 	// HeapSize is the NVM heap size per point (default 64 MiB).
 	HeapSize uint64
+	// HeapMaxSize, when non-zero, lets each point's heap grow online from
+	// HeapSize up to this bound, so that a workload that outgrows a small
+	// HeapSize sweeps the growth barriers too.
+	HeapMaxSize uint64
+	// HashDictIndex runs the points on the hash-map delta dictionary
+	// index instead of the skip list.
+	HashDictIndex bool
 	// Shadow selects the pessimistic crash model. With it off the sweep
 	// runs under the optimistic model — useful only as a baseline to
 	// demonstrate what optimism cannot catch.
@@ -28,7 +35,8 @@ type Config struct {
 	MaxBarriers int
 	// TearSeeds lists the crash behaviors tried at each barrier: seed 0 is
 	// pure loss (every dirty line reverts whole), non-zero seeds tear
-	// dirty lines at 8-byte granularity deterministically. Default {0}.
+	// dirty lines — those flushed for the barrier the cut falls on
+	// included — at 8-byte granularity deterministically. Default {0}.
 	TearSeeds []int64
 	// Keep leaves each point's directory (with its post-crash, recovered
 	// heap) on disk instead of deleting it, so external tools — e.g.
@@ -64,18 +72,30 @@ func (r *Result) failf(format string, args ...any) {
 	r.Failures = append(r.Failures, fmt.Sprintf(format, args...))
 }
 
-// CountBarriers runs the workload once, without crashing, and returns the
+// open opens (or reopens) one point's engine.
+func (c Config) open(dir string, shadow bool) (*core.Engine, error) {
+	return core.Open(core.Config{
+		Mode:           txn.ModeNVM,
+		Dir:            dir,
+		NVMHeapSize:    c.HeapSize,
+		NVMHeapMaxSize: c.HeapMaxSize,
+		NVMShadow:      shadow,
+		HashDictIndex:  c.HashDictIndex,
+	})
+}
+
+// countBarriers runs the workload once, without crashing, and returns the
 // number of persist barriers it issues between engine open and the end of
 // the workload. The workload must be deterministic for the count to be
 // meaningful.
-func CountBarriers(dir string, heapSize uint64, workload func(*core.Engine, *Recorder) error) (int64, error) {
-	e, err := core.Open(core.Config{Mode: txn.ModeNVM, Dir: dir, NVMHeapSize: heapSize})
+func (c Config) countBarriers(dir string) (int64, error) {
+	e, err := c.open(dir, false)
 	if err != nil {
 		return 0, err
 	}
 	defer e.Close()
 	before := e.Heap().Stats().Fences
-	if err := workload(e, NewRecorder()); err != nil {
+	if err := c.Workload(e, NewRecorder()); err != nil {
 		return 0, err
 	}
 	return int64(e.Heap().Stats().Fences - before), nil
@@ -91,7 +111,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("crashtest: Config.Dir is required")
 	}
-	n, err := CountBarriers(filepath.Join(cfg.Dir, "count"), cfg.HeapSize, cfg.Workload)
+	n, err := cfg.countBarriers(filepath.Join(cfg.Dir, "count"))
 	if err != nil {
 		return nil, fmt.Errorf("crashtest: counting pass: %w", err)
 	}
@@ -137,17 +157,13 @@ func Run(cfg Config) (*Result, error) {
 // barrier with the given tear seed, then reopens, fscks and verifies.
 // Returns "" on success, a description on failure.
 func runPoint(cfg Config, dir string, barrier int64, seed int64) (fail string) {
-	e, err := core.Open(core.Config{
-		Mode:        txn.ModeNVM,
-		Dir:         dir,
-		NVMHeapSize: cfg.HeapSize,
-		NVMShadow:   cfg.Shadow,
-	})
+	e, err := cfg.open(dir, cfg.Shadow)
 	if err != nil {
 		return fmt.Sprintf("open: %v", err)
 	}
 	h := e.Heap()
 	h.SetTearSeed(seed)
+	h.SetTearFlushed(true)
 	rec := NewRecorder()
 	crashed := false
 	func() {
@@ -179,7 +195,7 @@ func runPoint(cfg Config, dir string, barrier int64, seed int64) (fail string) {
 
 	// Recovery + verification run under the optimistic model: the crash
 	// already happened, the on-disk image is the truth being examined.
-	re, err := core.Open(core.Config{Mode: txn.ModeNVM, Dir: dir, NVMHeapSize: cfg.HeapSize})
+	re, err := cfg.open(dir, false)
 	if err != nil {
 		return fmt.Sprintf("reopen after crash: %v", err)
 	}

@@ -6,5 +6,6 @@ package crashtest
 // so every recovered decision carries cid 0 (coord_recover_seeded.go).
 const (
 	seededBug  = "crosscheck_deadfield"
+	seededPkg  = "./internal/shard"
 	seededWant = `durable field keyed by coSlotCID is written on the commit path`
 )

@@ -6,5 +6,6 @@ package crashtest
 // participant prepared (tx_2pc_seeded.go).
 const (
 	seededBug  = "crosscheck_swap"
+	seededPkg  = "./internal/shard"
 	seededWant = `commit decision recorded before any participant prepared`
 )

@@ -337,6 +337,7 @@ func runPoint2PC(cfg Config2PC, dir string, heapIdx int, barrier, seed int64) (f
 	hs := heaps2PC(e)
 	target := hs[heapIdx]
 	target.SetTearSeed(seed)
+	target.SetTearFlushed(true)
 	rec := NewRecorder()
 	crashed := false
 	func() {

@@ -39,6 +39,10 @@ type Recorder struct {
 	aborted []int64
 	// inflight is the transaction cut by the crash, if any.
 	inflight *intent
+	// Verify, when a workload sets it, replaces the id-set comparison of
+	// VerifyRecovered: the workload keeps its own model of what it asked
+	// for (see Generative) and checks the recovered engine against it.
+	Verify func(*core.Engine) error
 }
 
 // NewRecorder returns an empty recorder.
@@ -216,6 +220,9 @@ func groupTxn(e *core.Engine, tbl *storage.Table, rec *Recorder, members [][]int
 // transaction — if any — was applied atomically: all of its effects or
 // none of them.
 func VerifyRecovered(e *core.Engine, rec *Recorder) error {
+	if rec.Verify != nil {
+		return rec.Verify(e)
+	}
 	tbl, err := e.Table("orders")
 	if err != nil {
 		return rec.tableLost()

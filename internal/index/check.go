@@ -59,15 +59,15 @@ func (g *NVMGroupKey) Check(rows, dictLen uint64) error {
 }
 
 // Check verifies the persistent delta index: the skip list is sound and
-// every posting list hanging off a value slot is acyclic with valid
-// nodes.
+// every posting list hanging off a value slot is acyclic with its nodes
+// inside the index's arena.
 func (i *NVMDeltaIndex) Check() error {
 	if err := i.skip.Check(); err != nil {
 		return fmt.Errorf("deltaindex: %w", err)
 	}
 	var errs []error
 	i.skip.ValueSlots(func(slot nvm.PPtr) bool {
-		if err := pstruct.ListCheck(i.h, slot); err != nil {
+		if err := pstruct.ListCheck(i.h, slot, i.skip.Arena().Contains); err != nil {
 			errs = append(errs, fmt.Errorf("deltaindex: %w", err))
 		}
 		return true

@@ -199,8 +199,9 @@ func (i *VolatileDeltaIndex) Lookup(encKey []byte, fn func(row uint64) bool) {
 }
 
 // NVMDeltaIndex is the persistent delta index: a skip list from encoded
-// value to the head of a persistent posting list of rows. It is valid
-// immediately after restart.
+// value to the head of a persistent posting list of rows, with the
+// posting nodes bumped from the skip list's arena beside its nodes. It
+// is valid immediately after restart.
 type NVMDeltaIndex struct {
 	h    *nvm.Heap
 	skip *pstruct.SkipList
@@ -224,20 +225,56 @@ func AttachNVMDeltaIndex(h *nvm.Heap, root nvm.PPtr) *NVMDeltaIndex {
 // Root returns the persistent root pointer.
 func (i *NVMDeltaIndex) Root() nvm.PPtr { return i.skip.Root() }
 
-// Insert records that delta row `row` carries encKey. Crash-safe: the
-// posting node is persisted before the list head moves; a skip-list
-// entry without postings (crash in between) is benign.
+// StageInsert is the stage half of Insert (see package pstruct): it
+// writes, for a value the index has not seen, a skip-list node with an
+// empty posting list, and in every case the posting node for row,
+// pointing at the list's current head. Nothing reachable changes until
+// Publish, which links the node and moves the head; the caller fences in
+// between.
+func (i *NVMDeltaIndex) StageInsert(encKey []byte, row uint64) error {
+	slot, _, err := i.skip.StageInsert(encKey, 0)
+	if err != nil {
+		return err
+	}
+	posting, err := pstruct.ListStage(i.skip.Arena(), row, nvm.PPtr(i.h.U64(slot)))
+	if err != nil {
+		return err
+	}
+	i.skip.StageSet(slot, uint64(posting))
+	return nil
+}
+
+// Publish is the publish half of Insert: the skip-list link and the
+// posting-list head.
+//
+//nvm:nopersist publish half: the link and the head are flushed, not fenced; the caller's second fence covers them
+func (i *NVMDeltaIndex) Publish() { i.skip.Publish() }
+
+// Settle finishes a published insert after the caller's second fence
+// (see pstruct.SkipList.Settle).
+func (i *NVMDeltaIndex) Settle() bool { return i.skip.Settle() }
+
+// Unstage forgets a staged insert that will not be published.
+func (i *NVMDeltaIndex) Unstage() { i.skip.Unstage() }
+
+// Insert records that delta row `row` carries encKey: stage, fence,
+// publish, fence. A crash in between leaves at most arena bytes nothing
+// names, or an entry for a row its table never published, which lookups
+// filter.
 func (i *NVMDeltaIndex) Insert(encKey []byte, row uint64) error {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	slot, ok := i.skip.ValueSlot(encKey)
-	if !ok {
-		if _, err := i.skip.Insert(encKey, 0); err != nil {
-			return err
-		}
-		slot, _ = i.skip.ValueSlot(encKey)
+	if err := i.StageInsert(encKey, row); err != nil {
+		i.Unstage()
+		return err
 	}
-	return pstruct.ListPush(i.h, slot, row)
+	i.h.Fence()
+	i.Publish()
+	i.h.Fence()
+	if i.Settle() {
+		i.h.Fence()
+	}
+	return nil
 }
 
 // Lookup yields the delta rows carrying encKey (most recent first).
@@ -256,12 +293,6 @@ func (g *NVMGroupKey) Blocks(yield func(nvm.PPtr)) {
 	g.positions.Blocks(yield)
 }
 
-// Blocks yields the heap blocks owned by the delta index, including
-// every posting-list node.
-func (i *NVMDeltaIndex) Blocks(yield func(nvm.PPtr)) {
-	i.skip.Blocks(yield)
-	i.skip.ValueSlots(func(slot nvm.PPtr) bool {
-		pstruct.ListBlocks(i.h, slot, yield)
-		return true
-	})
-}
+// Blocks yields the heap blocks owned by the delta index: the skip list
+// and its arena, which also holds every posting node.
+func (i *NVMDeltaIndex) Blocks(yield func(nvm.PPtr)) { i.skip.Blocks(yield) }

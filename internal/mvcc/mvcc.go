@@ -86,6 +86,44 @@ func (s *Store) AppendRow(owner uint64) (uint64, error) {
 	return row, nil
 }
 
+// StageRow is the stage half of AppendRow for a caller that appends a
+// row across several structures under two fences of its own (see
+// storage.Table.AppendRow): it writes begin = end = Inf past the
+// vectors' published lengths and records the owner. The row does not
+// count until PublishRow. tid runs ahead of begin and end, which is the
+// order readers need.
+func (s *Store) StageRow(owner uint64) (uint64, error) {
+	row, err := s.tid.Append(owner)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := s.begin.StageAppend(Inf); err != nil {
+		s.UnstageRow()
+		return 0, err
+	}
+	if _, err := s.end.StageAppend(Inf); err != nil {
+		s.UnstageRow()
+		return 0, err
+	}
+	return row, nil
+}
+
+// PublishRow is the publish half of AppendRow: the begin and end lengths
+// advance over the staged row.
+//
+//nvm:nopersist publish half: the lengths are flushed, not fenced; the caller's second fence covers them
+func (s *Store) PublishRow() {
+	s.begin.Publish()
+	s.end.Publish()
+}
+
+// UnstageRow forgets a staged row that will not be published.
+func (s *Store) UnstageRow() {
+	s.begin.Unstage()
+	s.end.Unstage()
+	s.tid.Truncate(s.Rows())
+}
+
 // AppendCommittedRows bulk-adds n rows that are visible from beginCID on —
 // the bulk-load / merge path.
 func (s *Store) AppendCommittedRows(n uint64, beginCID uint64) error {

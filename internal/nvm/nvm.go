@@ -26,8 +26,9 @@
 // mapping is shared with the backing file. The *pessimistic* model
 // (WithShadow) additionally tracks which cache lines have actually been
 // covered by a persist barrier and, on a simulated crash, discards — or
-// adversarially tears — everything that has not, so recovery sees exactly
-// what real hardware would guarantee. The pessimistic model is strictly
+// adversarially tears, down to the lines flushed for the barrier the
+// crash falls on (SetTearFlushed) — everything that has not, so recovery
+// sees what real hardware could leave. The pessimistic model is strictly
 // for crash testing; it doubles memory use and adds a copy per barrier,
 // so the optimistic model remains the default for benchmarks.
 package nvm
@@ -57,7 +58,7 @@ func (p PPtr) Add(n uint64) PPtr { return p + PPtr(n) }
 
 const (
 	magic         = 0x485952_4953454e56 // "HYRISENV"-ish tag
-	formatVersion = 3
+	formatVersion = 4
 
 	headerSize  = 4096
 	rootDirOff  = headerSize
@@ -244,7 +245,9 @@ type Heap struct {
 	shadow   []byte
 	pending  []flushRange // flushed but not yet fenced line ranges
 	tearRnd  *rand.Rand
-	crashed  bool
+	// tearFlushed lets a tearing crash tear the pending lines too.
+	tearFlushed bool
+	crashed     bool
 }
 
 // Option configures a Heap at Create/Open time.

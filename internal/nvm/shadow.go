@@ -33,10 +33,15 @@ func (h *Heap) ShadowEnabled() bool { return h.shadow != nil }
 
 // SetTearSeed selects the crash behavior for dirty cache lines. Seed 0
 // (the default) reverts whole lines — the pure-loss model. A non-zero
-// seed seeds a deterministic RNG that tears each dirty line at aligned
+// seed seeds a deterministic RNG that tears dirty lines at aligned
 // 8-byte word granularity: every word independently keeps the new value
 // or reverts to the durable one, enumerating the partial-writeback
 // states real hardware can expose.
+//
+// Which lines tear is SetTearFlushed's choice. By default only lines
+// that were never flushed do — the cache evicting part of a dirty line
+// on its own — and lines flushed since the last fence are lost whole,
+// the reading in which a flush no fence has ordered never started.
 func (h *Heap) SetTearSeed(seed int64) {
 	h.shadowMu.Lock()
 	defer h.shadowMu.Unlock()
@@ -45,6 +50,18 @@ func (h *Heap) SetTearSeed(seed int64) {
 	} else {
 		h.tearRnd = rand.New(rand.NewSource(seed))
 	}
+}
+
+// SetTearFlushed makes a tearing crash (see SetTearSeed) also tear the
+// lines flushed since the last fence: each 8-byte word of a flush in
+// flight independently reached NVM or did not. That is what hardware
+// permits between fences, and what a protocol that puts several words
+// under one fence must survive — any subset of them may be what
+// recovery finds. The crash matrix runs with it on.
+func (h *Heap) SetTearFlushed(on bool) {
+	h.shadowMu.Lock()
+	h.tearFlushed = on
+	h.shadowMu.Unlock()
 }
 
 // Crashed reports whether a simulated crash has been applied to this
@@ -133,7 +150,16 @@ func (h *Heap) applyCrash() {
 		return
 	}
 	h.crashed = true
-	// Flushes never covered by a fence die with the caches.
+	// Flushes never covered by a fence die with the caches — whole, unless
+	// SetTearFlushed lets their lines tear like the unflushed ones.
+	flushed := map[uint64]bool{}
+	if h.tearRnd != nil && !h.tearFlushed {
+		for _, r := range h.pending {
+			for off := r.first; off < r.end; off += CacheLineSize {
+				flushed[off] = true
+			}
+		}
+	}
 	h.pending = nil
 	mem := h.m().mem
 	bound := h.scanBound()
@@ -143,7 +169,7 @@ func (h *Heap) applyCrash() {
 		if bytes.Equal(m, s) {
 			continue
 		}
-		if h.tearRnd == nil {
+		if h.tearRnd == nil || flushed[off] {
 			copy(m, s) // pure loss: the whole line never left the cache
 			continue
 		}
@@ -154,6 +180,9 @@ func (h *Heap) applyCrash() {
 				copy(m[w:w+8], s[w:w+8])
 			}
 		}
+		// The torn line is what the device now holds: freeze it in the
+		// durable image too, or restoreCrashImage would undo the tear.
+		copy(s, m)
 	}
 }
 

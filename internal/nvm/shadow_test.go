@@ -280,3 +280,76 @@ func TestShadowFenceDoesNotPublishLaterStores(t *testing.T) {
 		t.Fatalf("store issued after the publishing fence became durable: %#x", got)
 	}
 }
+
+// TestShadowTearSurvivesReopen: the torn image is what the device holds,
+// so it is what the next Open must see. Words the tear kept must not be
+// reverted on the way out (Close once restored the pre-crash durable
+// image over them, which turned every tear seed into pure loss).
+func TestShadowTearSurvivesReopen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "heap.nvm")
+	h, err := Create(path, 1<<20, WithShadow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := h.Alloc(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 32; i++ {
+		h.SetU64(p.Add(i*8), 0xdead0000+i)
+	}
+	h.SetTearSeed(42)
+	crashAtNextBarrier(t, h, 1, func() { h.Fence() })
+	atCrash := append([]byte(nil), h.Bytes(p, 256)...)
+	h.SetU64(p, 0xbad) // a straggler after the power cut must still not reach the file
+	h.Close()
+
+	h2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Close()
+	if got := h2.Bytes(p, 256); !bytes.Equal(got, atCrash) {
+		t.Fatalf("reopened heap differs from the crash image:\n got  %x\n want %x", got, atCrash)
+	}
+}
+
+// TestShadowTearFlushed: lines flushed since the last fence are lost
+// whole by a tearing crash unless SetTearFlushed lets them tear, in which
+// case some of their words survive and some do not; unflushed dirty lines
+// tear either way.
+func TestShadowTearFlushed(t *testing.T) {
+	run := func(tearFlushed bool) (flushedKept, unflushedKept int) {
+		path := filepath.Join(t.TempDir(), "heap.nvm")
+		h, err := Create(path, 1<<20, WithShadow())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		a, _ := h.Alloc(256)
+		b, _ := h.Alloc(256)
+		for i := uint64(0); i < 32; i++ {
+			h.SetU64(a.Add(i*8), 1+i)
+			h.SetU64(b.Add(i*8), 1+i)
+		}
+		h.Flush(a, 256) // a is flushed and awaits the fence; b was never flushed
+		h.SetTearSeed(7)
+		h.SetTearFlushed(tearFlushed)
+		crashAtNextBarrier(t, h, 1, func() { h.Fence() })
+		for i := uint64(0); i < 32; i++ {
+			if h.U64(a.Add(i*8)) != 0 {
+				flushedKept++
+			}
+			if h.U64(b.Add(i*8)) != 0 {
+				unflushedKept++
+			}
+		}
+		return flushedKept, unflushedKept
+	}
+	if f, u := run(false); f != 0 || u == 0 || u == 32 {
+		t.Fatalf("default tear: %d flushed and %d unflushed words of 32 survived, want none and some", f, u)
+	}
+	if f, u := run(true); f == 0 || f == 32 || u == 0 || u == 32 {
+		t.Fatalf("tear with SetTearFlushed: %d flushed and %d unflushed words of 32 survived, want some of each", f, u)
+	}
+}

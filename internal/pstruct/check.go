@@ -20,66 +20,31 @@ import (
 // and base, every segment the length implies is durably linked, and each
 // segment block is large enough for its capacity.
 func (v *Vector) Check() error {
-	var errs []error
 	if v.elemSize != 4 && v.elemSize != 8 {
-		errs = append(errs, fmt.Errorf("vector %d: invalid element size %d", v.root, v.elemSize))
+		return fmt.Errorf("vector %d: invalid element size %d", v.root, v.elemSize)
 	}
-	if v.baseLog == 0 || v.baseLog > 30 {
-		errs = append(errs, fmt.Errorf("vector %d: invalid baseLog %d", v.root, v.baseLog))
-	}
-	if err := v.h.CheckBlock(v.root, vecRootSize); err != nil {
-		errs = append(errs, fmt.Errorf("vector %d: root: %w", v.root, err))
-		return errors.Join(errs...)
-	}
-	if len(errs) > 0 {
-		return errors.Join(errs...)
-	}
-	n := v.Len()
 	lastSeg := -1
-	if n > 0 {
+	if n := v.Len(); n > 0 && v.baseLog > 0 {
 		lastSeg, _ = v.locate(n - 1)
 	}
-	for k := 0; k < vecMaxSegs; k++ {
-		seg := nvm.PPtr(v.h.GetU64(v.root.Add(vecOffSegs + uint64(k)*8)))
-		if seg.IsNil() {
-			if k <= lastSeg {
-				errs = append(errs, fmt.Errorf("vector %d: length %d needs segment %d, which is nil", v.root, n, k))
-			}
-			continue
-		}
-		if err := v.h.CheckBlock(seg, v.segCap(k)*v.elemSize); err != nil {
-			errs = append(errs, fmt.Errorf("vector %d: segment %d: %w", v.root, k, err))
-		}
-	}
-	return errors.Join(errs...)
+	return v.checkSegs("vector", func(k int) bool { return k <= lastSeg })
 }
 
-// checkBlob verifies that p points at a complete, in-bounds blob.
-func checkBlob(h *nvm.Heap, p nvm.PPtr) error {
-	if p.IsNil() {
-		return errors.New("nil blob pointer")
-	}
-	if err := h.CheckBlock(p, 4); err != nil {
-		return err
-	}
-	return h.CheckBlock(p, 4+uint64(h.GetU32(p)))
-}
-
-// Check verifies the skip list's persistent invariants: the level-0
-// chain is acyclic and strictly sorted, node heights are in range, every
-// upper level is a sorted subsequence of level 0, and every node and key
-// blob is a valid Reserved block.
+// Check verifies the skip list's persistent invariants: a sound arena,
+// the level-0 chain acyclic and strictly sorted, node heights in range,
+// every upper level a sorted subsequence of level 0, and every node,
+// with its key and its next pointers, inside the arena below the cursor.
 func (s *SkipList) Check() error {
 	var errs []error
 	fail := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf("skiplist %d: "+format, append([]any{s.root}, args...)...))
 	}
-	if err := s.h.CheckBlock(s.root, 8); err != nil {
+	if err := s.h.CheckBlock(s.root, slRootSize); err != nil {
 		fail("root: %w", err)
 		return errors.Join(errs...)
 	}
-	if err := s.h.CheckBlock(s.head, slOffNext+8*slMaxHeight); err != nil {
-		fail("head: %w", err)
+	if err := s.arena.Check(); err != nil {
+		fail("%w", err)
 		return errors.Join(errs...)
 	}
 	// Level 0: the durable ground truth.
@@ -92,25 +57,20 @@ func (s *SkipList) Check() error {
 			return errors.Join(errs...)
 		}
 		level0[cur] = true
-		if err := s.h.CheckBlock(cur, slOffNext+8); err != nil {
+		if err := s.arena.Contains(cur, slOffBytes); err != nil {
 			fail("node %d: %w", cur, err)
 			return errors.Join(errs...) // cannot trust its next pointers
 		}
-		hgt := s.h.GetU64(cur.Add(slOffHeight))
+		hgt := s.height(cur)
 		if hgt < 1 || hgt > slMaxHeight {
 			fail("node %d: height %d outside [1, %d]", cur, hgt, slMaxHeight)
 			return errors.Join(errs...)
 		}
-		if err := s.h.CheckBlock(cur, slOffNext+8*hgt); err != nil {
-			fail("node %d: block smaller than height %d: %w", cur, hgt, err)
+		if err := s.arena.Contains(cur, slNodeSize(BlobLen(s.h, cur.Add(slOffKey)), hgt)); err != nil {
+			fail("node %d of height %d: %w", cur, hgt, err)
 			return errors.Join(errs...)
 		}
-		kb := nvm.PPtr(s.h.GetU64(cur.Add(slOffKey)))
-		if err := checkBlob(s.h, kb); err != nil {
-			fail("node %d: key blob: %w", cur, err)
-			continue
-		}
-		key := ReadBlob(s.h, kb)
+		key := s.key(cur)
 		if havePrev && bytes.Compare(prevKey, key) >= 0 {
 			fail("level 0 not strictly sorted at node %d (%q after %q)", cur, key, prevKey)
 		}
@@ -131,7 +91,7 @@ func (s *SkipList) Check() error {
 				fail("level %d links node %d that is not on level 0", level, cur)
 				break
 			}
-			if hgt := s.h.GetU64(cur.Add(slOffHeight)); hgt <= uint64(level) {
+			if hgt := s.height(cur); hgt <= level {
 				fail("level %d links node %d of height %d", level, cur, hgt)
 				break
 			}
@@ -146,9 +106,9 @@ func (s *SkipList) Check() error {
 	return errors.Join(errs...)
 }
 
-// Check verifies the hash map's persistent invariants: every chain is
-// acyclic, every node and key blob is a valid Reserved block, and every
-// key hashes to the bucket holding it.
+// Check verifies the hash map's persistent invariants: a sound arena,
+// every chain acyclic, every node and its key inside the arena below the
+// cursor, and every key hashing to the bucket that holds it.
 func (p *PHash) Check() error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -162,6 +122,10 @@ func (p *PHash) Check() error {
 		fail("bucket count %d disagrees with root %d", p.buckets, got)
 		return errors.Join(errs...)
 	}
+	if err := p.arena.Check(); err != nil {
+		fail("%w", err)
+		return errors.Join(errs...)
+	}
 	for b := uint64(0); b < p.buckets; b++ {
 		seen := make(map[nvm.PPtr]bool)
 		for cur := nvm.PPtr(p.h.U64(p.root.Add(phOffHeads + b*8))); !cur.IsNil(); cur = nvm.PPtr(p.h.U64(cur.Add(phnOffNext))) {
@@ -170,16 +134,15 @@ func (p *PHash) Check() error {
 				break
 			}
 			seen[cur] = true
-			if err := p.h.CheckBlock(cur, phnSize); err != nil {
+			if err := p.arena.Contains(cur, phnOffKey); err != nil {
 				fail("bucket %d: node %d: %w", b, cur, err)
 				break
 			}
-			kb := nvm.PPtr(p.h.GetU64(cur.Add(phnOffKey)))
-			if err := checkBlob(p.h, kb); err != nil {
-				fail("bucket %d: node %d: key blob: %w", b, cur, err)
+			if err := p.arena.ContainsBlob(cur.Add(phnOffKey)); err != nil {
+				fail("bucket %d: node %d: key: %w", b, cur, err)
 				break
 			}
-			if got := p.bucketSlot(ReadBlob(p.h, kb)); got != p.root.Add(phOffHeads+b*8) {
+			if got := p.bucketSlot(ReadBlob(p.h, cur.Add(phnOffKey))); got != p.root.Add(phOffHeads+b*8) {
 				fail("bucket %d: node %d: key hashes to a different bucket", b, cur)
 			}
 		}
@@ -188,15 +151,16 @@ func (p *PHash) Check() error {
 }
 
 // ListCheck verifies the posting list anchored at slot: acyclic, every
-// node a valid Reserved block.
-func ListCheck(h *nvm.Heap, slot nvm.PPtr) error {
+// node valid — inside its arena (Arena.Contains) or a Reserved block of
+// its own (Heap.CheckBlock), whichever the list's nodes are.
+func ListCheck(h *nvm.Heap, slot nvm.PPtr, valid func(node nvm.PPtr, n uint64) error) error {
 	seen := make(map[nvm.PPtr]bool)
 	for cur := nvm.PPtr(h.U64(slot)); !cur.IsNil(); cur = nvm.PPtr(h.U64(cur.Add(plOffNext))) {
 		if seen[cur] {
 			return fmt.Errorf("posting list at slot %d contains a cycle at node %d", slot, cur)
 		}
 		seen[cur] = true
-		if err := h.CheckBlock(cur, plNodeLen); err != nil {
+		if err := valid(cur, plNodeLen); err != nil {
 			return fmt.Errorf("posting list at slot %d: node: %w", slot, err)
 		}
 	}

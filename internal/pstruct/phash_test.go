@@ -117,7 +117,7 @@ func TestPHashScanAndBlocks(t *testing.T) {
 	}
 	var blocks int
 	p.Blocks(func(nvm.PPtr) { blocks++ })
-	if blocks < 1+30*2 { // root + 30 nodes + 30 key blobs
+	if blocks != 3 { // root + arena root + the one arena segment that holds all 30 nodes
 		t.Fatalf("Blocks yielded %d", blocks)
 	}
 }

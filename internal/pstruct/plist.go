@@ -9,8 +9,9 @@ import (
 // example the value word of a skip-list node). Secondary indexes map a
 // column value to the posting list of row IDs carrying that value.
 //
-// Push is crash-atomic: the node is persisted before the head slot is
-// atomically redirected to it.
+// Push is crash-atomic in the two halves of the package comment: the
+// node is written and flushed before the caller's fence, the head slot
+// is redirected to it after.
 
 const (
 	plOffVal  = 0
@@ -18,17 +19,42 @@ const (
 	plNodeLen = 16
 )
 
-// ListPush prepends val to the list anchored at slot.
+// listWrite writes a posting node {val, next} at node and flushes it.
+func listWrite(h *nvm.Heap, node nvm.PPtr, val uint64, next nvm.PPtr) {
+	h.PutU64(node.Add(plOffVal), val)
+	h.PutU64(node.Add(plOffNext), uint64(next))
+	h.Flush(node, plNodeLen)
+}
+
+// ListStage is the stage half of a push onto a list whose nodes are
+// bumped from the arena a: it writes and flushes a node {val, next},
+// where next is the list's current head. Nothing links the node until
+// the caller, after its fence, stores the node's address in the head
+// slot — one 8-byte store, the publish half (SkipList.StageSet, when the
+// slot is a skip-list value).
+//
+//nvm:nopersist stage half: the node is flushed, not fenced; the caller fences before it moves the head
+func ListStage(a *Arena, val uint64, next nvm.PPtr) (nvm.PPtr, error) {
+	node, err := a.Alloc(plNodeLen)
+	if err != nil {
+		return 0, err
+	}
+	listWrite(a.h, node, val, next)
+	return node, nil
+}
+
+// ListPush prepends val to the list anchored at slot, in a node block of
+// its own: stage, fence, publish, fence.
 func ListPush(h *nvm.Heap, slot nvm.PPtr, val uint64) error {
 	node, err := h.Alloc(plNodeLen)
 	if err != nil {
 		return err
 	}
-	h.PutU64(node.Add(plOffVal), val)
-	h.PutU64(node.Add(plOffNext), h.U64(slot))
-	h.Persist(node, plNodeLen)
+	listWrite(h, node, val, nvm.PPtr(h.U64(slot)))
+	h.Fence()
 	h.SetU64(slot, uint64(node))
-	h.Persist(slot, 8)
+	h.Flush(slot, 8)
+	h.Fence()
 	return nil
 }
 
@@ -52,11 +78,4 @@ func ListLen(h *nvm.Heap, slot nvm.PPtr) uint64 {
 	var n uint64
 	ListScan(h, slot, func(uint64) bool { n++; return true })
 	return n
-}
-
-// ListBlocks yields every node block of the list anchored at slot.
-func ListBlocks(h *nvm.Heap, slot nvm.PPtr, yield func(nvm.PPtr)) {
-	for cur := nvm.PPtr(h.U64(slot)); !cur.IsNil(); cur = nvm.PPtr(h.U64(cur.Add(plOffNext))) {
-		yield(cur)
-	}
 }

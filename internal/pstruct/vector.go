@@ -1,32 +1,41 @@
 // Package pstruct provides the persistent (NVM-resident) container types
 // the Hyrise-NV storage engine is built from: a segmented append-only
-// vector, length-prefixed blobs, a bit-packed read-optimized vector, a
-// multi-version skip list and persistent posting lists.
+// vector, an append arena over the same segment directory, length-prefixed
+// blobs, a bit-packed read-optimized vector, a multi-version skip list, a
+// hash map and persistent posting lists.
 //
-// All containers follow the same crash-consistency discipline: newly
-// allocated memory is fully initialized and persisted *before* the single
-// pointer (or length word) that makes it reachable is persisted. A crash
-// therefore either exposes the old state or the complete new state.
+// Every mutation is split in two halves, and neither half fences:
+//
+//   - the stage half writes the new bytes where nothing can reach them —
+//     past a vector's published length, in arena space past every link —
+//     and flushes their lines;
+//   - the publish half is the one 8-byte store that makes them reachable
+//     (a vector's length word, a skip list's bottom link, a hash bucket
+//     head, a posting-list head) plus the flush of that word.
+//
+// The caller fences between the two, so that what a publish word names is
+// durable before the word can be, and once after, so that the publication
+// is durable when it returns. A caller that stages several structures —
+// a table row spans columns, dictionaries, indexes and MVCC vectors —
+// pays those two fences once for all of them (storage.Table.AppendRow).
+// The standalone Vector.Append, SkipList.Insert, PHash.Insert and
+// ListPush are that same composition over one structure: stage, fence,
+// publish, fence.
+//
+// A crash before the first fence leaves staged bytes that nothing names; a
+// crash between the fences may keep any subset of the publish words, each
+// naming complete data; both leave every structure valid on its own, and
+// the layer above reconciles structures that moved apart (storage's
+// restart alignment). Setting up a structure or a segment persists for
+// itself, outside the two-fence schedule.
 package pstruct
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 
 	"hyrisenv/internal/nvm"
-)
-
-const (
-	vecMaxSegs = 56
-	// vecRootSize: elemSize, length, baseLog, reserved + seg pointers.
-	vecRootSize = 8 * (8 + vecMaxSegs)
-
-	vecOffElemSize = 0
-	vecOffLength   = 8
-	vecOffBaseLog  = 16
-	vecOffSegs     = 64
 )
 
 // Vector is a persistent, append-only vector of fixed-size elements
@@ -38,17 +47,11 @@ const (
 // The length word is only advanced after the new elements are persisted,
 // so a crash can never expose uninitialized data.
 type Vector struct {
-	h        *nvm.Heap
-	root     nvm.PPtr
-	elemSize uint64
-	baseLog  uint64
-	// segs mirrors the persistent segment pointers to avoid re-reading
-	// NVM on every access; it is re-hydrated on Attach. The writer links
-	// a segment before it publishes a length that reaches into it, and
-	// readers index only below a length they have loaded, so the length
-	// word orders the two. (The race detector does not follow
-	// synchronisation through mapped memory and reports them as a race.)
-	segs [vecMaxSegs]nvm.PPtr
+	segDir
+	// staged counts the elements written so far, published or not: the
+	// stage half appends at it, the publish half stores it in the length
+	// word. Only the writer touches it.
+	staged uint64
 }
 
 // NewVector allocates a persistent vector with the given element size
@@ -59,148 +62,113 @@ func NewVector(h *nvm.Heap, elemSize uint64, baseLog uint64) (*Vector, error) {
 	if elemSize != 4 && elemSize != 8 {
 		return nil, fmt.Errorf("pstruct: unsupported element size %d", elemSize)
 	}
-	if baseLog == 0 || baseLog > 30 {
-		return nil, fmt.Errorf("pstruct: bad baseLog %d", baseLog)
-	}
-	root, err := h.Alloc(vecRootSize)
+	d, err := newSegDir(h, elemSize, baseLog)
 	if err != nil {
 		return nil, err
 	}
-	h.PutU64(root.Add(vecOffElemSize), elemSize)
-	h.PutU64(root.Add(vecOffLength), 0)
-	h.PutU64(root.Add(vecOffBaseLog), baseLog)
-	for i := 0; i < vecMaxSegs; i++ {
-		h.PutU64(root.Add(vecOffSegs+uint64(i)*8), 0)
-	}
-	h.Persist(root, vecRootSize)
-	return &Vector{h: h, root: root, elemSize: elemSize, baseLog: baseLog}, nil
+	return &Vector{segDir: d}, nil
 }
 
 // AttachVector re-hydrates a Vector from its persistent root after a
 // restart. It performs O(#segments) = O(log capacity) work.
 func AttachVector(h *nvm.Heap, root nvm.PPtr) *Vector {
-	v := &Vector{
-		h:        h,
-		root:     root,
-		elemSize: h.GetU64(root.Add(vecOffElemSize)),
-		baseLog:  h.GetU64(root.Add(vecOffBaseLog)),
-	}
-	for i := 0; i < vecMaxSegs; i++ {
-		v.segs[i] = nvm.PPtr(h.GetU64(root.Add(vecOffSegs + uint64(i)*8)))
-	}
+	v := &Vector{segDir: attachSegDir(h, root)}
+	v.staged = v.Len()
 	return v
 }
 
-// Root returns the persistent root pointer of the vector.
-func (v *Vector) Root() nvm.PPtr { return v.root }
-
 // Len returns the number of committed (persisted) elements.
-func (v *Vector) Len() uint64 { return v.h.U64(v.root.Add(vecOffLength)) }
+func (v *Vector) Len() uint64 { return v.h.U64(v.lenPtr()) }
 
-// locate maps a logical index to (segment, offset-within-segment).
-// Segment k holds base<<k elements; cumulative capacity before segment k
-// is base*(2^k - 1).
-func (v *Vector) locate(i uint64) (seg int, off uint64) {
-	base := uint64(1) << v.baseLog
-	k := bits.Len64(i/base+1) - 1
-	before := base * ((uint64(1) << k) - 1)
-	return k, i - before
-}
-
-func (v *Vector) segCap(k int) uint64 { return (uint64(1) << v.baseLog) << k }
-
-// ensureSeg makes segment k exist, allocating and durably linking it.
-func (v *Vector) ensureSeg(k int) error {
-	if v.segs[k] != 0 {
-		return nil
-	}
-	if k >= vecMaxSegs {
-		return fmt.Errorf("pstruct: vector exceeds max capacity")
-	}
-	seg, err := v.h.Alloc(v.segCap(k) * v.elemSize)
-	if err != nil {
-		return err
-	}
-	slot := v.root.Add(vecOffSegs + uint64(k)*8)
-	v.h.SetU64(slot, uint64(seg))
-	v.h.Persist(slot, 8)
-	v.segs[k] = seg
-	return nil
-}
-
-func (v *Vector) elemPtr(i uint64) nvm.PPtr {
-	k, off := v.locate(i)
-	return v.segs[k].Add(off * v.elemSize)
-}
-
-// Append appends one element (value truncated to the element size) and
-// persists it, then durably advances the length. Returns the index.
-func (v *Vector) Append(val uint64) (uint64, error) {
-	i := v.Len()
+// StageAppend is the stage half of Append: it writes val (truncated to
+// the element size) past the published length and flushes its line.
+// Nothing reachable changes until Publish. It returns the index the
+// element will have.
+//
+//nvm:nopersist stage half: the element is flushed, not fenced; the caller fences before Publish
+func (v *Vector) StageAppend(val uint64) (uint64, error) {
+	i := v.staged
 	k, off := v.locate(i)
 	if err := v.ensureSeg(k); err != nil {
 		return 0, err
 	}
-	p := v.segs[k].Add(off * v.elemSize)
-	v.writeElem(p, val)
-	if brokenSkipElemPersist.Load() {
-		// Advancing the length publishes the element region to
-		// recovery with the element still dirty — exactly the ordering
-		// bug publishcheck exists to flag, kept on purpose as the
-		// detection-power hook for the pessimistic crash model.
-		//nvmcheck:ignore publishcheck deliberately broken protocol, see brokenSkipElemPersist
-		v.setLen(i + 1)
-		return i, nil
-	}
-	v.h.Persist(p, v.elemSize) // elem persist (crosscheck removes this line)
-	v.setLen(i + 1)
+	v.putElems(v.segs[k].Add(off*v.elemSize), val)
+	v.staged = i + 1
 	return i, nil
 }
 
-// brokenSkipElemPersist, when set, makes Append skip the element persist
-// before advancing the length — a deliberately broken protocol. Crash
-// tests use it to demonstrate detection power: the optimistic crash
-// model cannot tell the difference (every store survives anyway), while
-// the pessimistic shadow model loses the unpersisted element and the
-// fsck/verification pass catches the corruption. Never set outside
-// tests.
+// Publish is the publish half of Append: one store of the length word
+// makes every staged element reachable, and its line is flushed. The
+// caller has fenced since the last StageAppend, and fences again before
+// it reports the append done.
+//
+//nvm:nopersist publish half: the length word is flushed, not fenced; the caller's second fence covers it
+func (v *Vector) Publish() {
+	if v.staged == v.Len() {
+		return
+	}
+	v.h.SetU64(v.lenPtr(), v.staged)
+	v.h.Flush(v.lenPtr(), 8)
+}
+
+// Unstage forgets the elements staged since the last Publish; the next
+// StageAppend overwrites them.
+func (v *Vector) Unstage() { v.staged = v.Len() }
+
+// Append appends one element and returns its index: stage, fence,
+// publish, fence.
+func (v *Vector) Append(val uint64) (uint64, error) {
+	i, err := v.StageAppend(val)
+	if err != nil {
+		return 0, err
+	}
+	v.h.Fence()
+	v.Publish()
+	v.h.Fence()
+	return i, nil
+}
+
+// brokenSkipElemPersist, when set, makes the stage half flush nothing
+// (see putElems), so that Publish advances the length over an element
+// that is still dirty — a deliberately broken protocol. Crash tests use it to
+// demonstrate detection power: the optimistic crash model cannot tell the
+// difference (every store survives anyway), while the pessimistic shadow
+// model loses the unpersisted element and the fsck/verification pass
+// catches the corruption. Never set outside tests.
 var brokenSkipElemPersist atomic.Bool
 
 // SetBrokenSkipElemPersist toggles the deliberately broken append
 // protocol. Test hook only.
 func SetBrokenSkipElemPersist(on bool) { brokenSkipElemPersist.Store(on) }
 
-// AppendN appends vals with one persist per touched region and a single
-// length advance — the bulk-load fast path.
+// AppendN appends vals — staged with one flush per touched segment,
+// published with a single length advance — the bulk-load fast path.
 func (v *Vector) AppendN(vals []uint64) (first uint64, err error) {
-	first = v.Len()
-	i := first
-	rem := vals
-	for len(rem) > 0 {
-		k, off := v.locate(i)
+	first = v.staged
+	if len(vals) == 0 {
+		return first, nil
+	}
+	// Every segment is linked before the first element is written.
+	lastSeg, _ := v.locate(first + uint64(len(vals)) - 1)
+	for k, _ := v.locate(first); k <= lastSeg; k++ {
 		if err := v.ensureSeg(k); err != nil {
 			return 0, err
 		}
-		n := v.segCap(k) - off
-		if n > uint64(len(rem)) {
-			n = uint64(len(rem))
-		}
-		start := v.segs[k].Add(off * v.elemSize)
-		for j := uint64(0); j < n; j++ {
-			v.writeElem(start.Add(j*v.elemSize), rem[j])
-		}
-		v.h.Persist(start, n*v.elemSize)
-		rem = rem[n:]
-		i += n
 	}
-	v.setLen(i)
+	for i := first; len(vals) > 0; {
+		k, off := v.locate(i)
+		n := min(v.segCap(k)-off, uint64(len(vals)))
+		v.putElems(v.segs[k].Add(off*v.elemSize), vals[:n]...)
+		vals = vals[n:]
+		i += n
+		v.staged = i
+	}
+	v.h.Fence()
+	v.Publish()
+	v.h.Fence()
 	return first, nil
 }
 
-// writeElem stores one element at p without a barrier; Append/AppendN
-// persist the written span once per segment before advancing the
-// length, which persistcheck v2 verifies through the callgraph — no
-// annotation needed.
 func (v *Vector) writeElem(p nvm.PPtr, val uint64) {
 	if v.elemSize == 8 {
 		v.h.SetU64(p, val)
@@ -209,18 +177,23 @@ func (v *Vector) writeElem(p nvm.PPtr, val uint64) {
 	}
 }
 
-func (v *Vector) setLen(n uint64) {
-	lp := v.root.Add(vecOffLength)
-	v.h.SetU64(lp, n)
-	v.h.Persist(lp, 8)
-}
-
 // Get returns the element at index i. It panics when i is out of range.
 func (v *Vector) Get(i uint64) uint64 {
 	if i >= v.Len() {
 		panic(fmt.Sprintf("pstruct: vector index %d out of range %d", i, v.Len()))
 	}
 	return v.getNoCheck(i)
+}
+
+// Staged returns the element stored at index i whether or not the length
+// covers it — what a stage half wrote before a crash cut it off from its
+// publish half, for recovery to inspect. ok is false when i's segment was
+// never linked; a slot never written reads zero.
+func (v *Vector) Staged(i uint64) (val uint64, ok bool) {
+	if k, _ := v.locate(i); k >= vecMaxSegs || v.segs[k].IsNil() {
+		return 0, false
+	}
+	return v.getNoCheck(i), true
 }
 
 func (v *Vector) getNoCheck(i uint64) uint64 {
@@ -319,7 +292,9 @@ func (v *Vector) Truncate(n uint64) {
 	if n > v.Len() {
 		panic(fmt.Sprintf("pstruct: truncate %d beyond length %d", n, v.Len()))
 	}
-	v.setLen(n)
+	v.h.SetU64(v.lenPtr(), n)
+	v.h.Persist(v.lenPtr(), 8)
+	v.staged = n
 }
 
 // Scan calls fn for each element in [0, Len()). Iteration is segment-wise
@@ -347,19 +322,6 @@ func (v *Vector) Scan(fn func(i uint64, val uint64) bool) {
 				return
 			}
 			i++
-		}
-	}
-}
-
-// Blocks yields the heap blocks owned by the vector (its root and every
-// segment), for reachability-based scavenging. It reads the persistent
-// segment pointers directly so stale in-memory mirrors cannot hide a
-// block.
-func (v *Vector) Blocks(yield func(nvm.PPtr)) {
-	yield(v.root)
-	for i := 0; i < vecMaxSegs; i++ {
-		if s := nvm.PPtr(v.h.GetU64(v.root.Add(vecOffSegs + uint64(i)*8))); !s.IsNil() {
-			yield(s)
 		}
 	}
 }

@@ -536,8 +536,11 @@ func (e *Engine) NVMStats() nvm.Stats {
 		s := h.Stats()
 		total.Flushes += s.Flushes
 		total.Fences += s.Fences
-		total.BytesUsed += s.BytesUsed
+		total.Drains += s.Drains
+		total.Allocs += s.Allocs
+		total.Frees += s.Frees
 		total.Grows += s.Grows
+		total.BytesUsed += s.BytesUsed
 	}
 	return total
 }

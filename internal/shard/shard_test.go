@@ -3,11 +3,13 @@ package shard
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sort"
 	"testing"
 
 	"hyrisenv/internal/core"
 	"hyrisenv/internal/exec"
+	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
 )
@@ -511,5 +513,48 @@ func TestSnapshotIsolationAcrossShards(t *testing.T) {
 	}
 	if n2 != 2 {
 		t.Fatalf("new snapshot sees %d rows, want 2", n2)
+	}
+}
+
+// TestNVMStatsSumsEveryField pins that the engine-wide counters are the
+// field-by-field sum over the shard heaps: a field missing from the sum
+// (Allocs, Frees and Drains once were) reads zero to every consumer.
+func TestNVMStatsSumsEveryField(t *testing.T) {
+	// Heaps that start too small for one table, so that every shard
+	// also grows.
+	e, err := Open(Config{
+		Config: core.Config{Mode: txn.ModeNVM, Dir: t.TempDir(), NVMHeapSize: 16 << 10, NVMHeapMaxSize: 8 << 20},
+		Shards: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	tbl, err := e.CreateTable("t", testSchema(t), "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadRows(t, e, tbl, 16) // hash-routed: both shards allocate, fence and drain
+	if _, err := e.Merge("t"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Scavenge(); err != nil { // frees the superseded partitions
+		t.Fatal(err)
+	}
+	var want nvm.Stats
+	wantV := reflect.ValueOf(&want).Elem()
+	for _, h := range e.Heaps() {
+		s := reflect.ValueOf(h.Stats())
+		for i := 0; i < s.NumField(); i++ {
+			wantV.Field(i).SetUint(wantV.Field(i).Uint() + s.Field(i).Uint())
+		}
+	}
+	for i := 0; i < wantV.NumField(); i++ {
+		if wantV.Field(i).Uint() == 0 {
+			t.Fatalf("workload left nvm.Stats.%s at zero on every shard; the test proves nothing for it", wantV.Type().Field(i).Name)
+		}
+	}
+	if got := e.NVMStats(); got != want {
+		t.Fatalf("NVMStats() = %+v, want the per-field sum %+v", got, want)
 	}
 }

@@ -147,12 +147,20 @@ const (
 	DictIndexHash DictIndexKind = 1
 )
 
-// dictIndex is the common surface of the two structures.
+// dictIndex is the common surface of the two structures: lookups, the
+// two halves of an insert (see package pstruct) and the walkers.
 type dictIndex interface {
 	Get(key []byte) (uint64, bool)
-	Insert(key []byte, value uint64) (bool, error)
+	Scan(fn func(key []byte, value uint64) bool)
+	StageInsert(key []byte, value uint64) (slot nvm.PPtr, existed bool, err error)
+	KeyRef(slot nvm.PPtr) nvm.PPtr
+	Publish()
+	Settle() bool
+	Unstage()
 	Root() nvm.PPtr
+	Arena() *pstruct.Arena
 	Blocks(yield func(nvm.PPtr))
+	Check() error
 }
 
 // NVM delta column root block layout.
@@ -170,15 +178,18 @@ const (
 )
 
 // NVMDelta is the persistent delta column of Hyrise-NV. The dictionary
-// storage (blob pointers), the dictionary index (skip list or hash map)
-// and the attribute vector all live on NVM, so the column is fully
-// usable immediately after Attach — no rebuild.
+// index (skip list or hash map) holds every value's key bytes inside its
+// nodes; the dictionary vector holds blob references to those keys, by
+// value ID; the attribute vector holds a value ID per row. All three
+// live on NVM, so the column is fully usable immediately after Attach —
+// no rebuild.
 type NVMDelta struct {
 	h    *nvm.Heap
 	root nvm.PPtr
 	typ  ColType
 
-	mu      sync.RWMutex // serializes writers; readers of idx/vec are lock-free
+	// One writer at a time (the table's write lock): the structures hold
+	// staged state between the halves of an append. Readers are lock-free.
 	dictVec *pstruct.Vector
 	idx     dictIndex
 	av      *pstruct.Vector
@@ -257,35 +268,102 @@ func (d *NVMDelta) Type() ColType { return d.typ }
 // Rows returns the attribute-vector length.
 func (d *NVMDelta) Rows() uint64 { return d.av.Len() }
 
-// Append implements DeltaColumn. A crash between the dictionary insert
-// and the index insert can orphan a dictionary entry; the entry is then
-// re-added under a fresh ID on the next append of the same value, which
-// is benign (dictionary IDs need not be unique per value, only stable).
-func (d *NVMDelta) Append(v Value) (uint64, error) {
-	key := v.EncodeKey(nil)
-	d.mu.Lock()
-	id, ok := d.idx.Get(key)
-	if !ok {
-		blob, err := pstruct.WriteBlob(d.h, key)
-		if err != nil {
-			d.mu.Unlock()
-			return 0, err
-		}
-		id, err = d.dictVec.Append(uint64(blob))
-		if err != nil {
-			d.mu.Unlock()
-			return 0, err
-		}
-		if _, err := d.idx.Insert(key, id); err != nil {
-			d.mu.Unlock()
-			return 0, err
-		}
+// StageAppend is the stage half of Append (see package pstruct): it
+// writes v's value ID past the attribute vector's length and, for a value
+// the dictionary has not seen, an index node carrying the key and the
+// next value ID plus the dictionary slot that refers to the node's key.
+// Nothing reachable changes until Publish; the caller fences in between.
+func (d *NVMDelta) StageAppend(v Value) (uint64, error) {
+	next := d.dictVec.Len()
+	slot, existed, err := d.idx.StageInsert(v.EncodeKey(nil), next)
+	if err != nil {
+		return 0, err
 	}
-	d.mu.Unlock()
-	if _, err := d.av.Append(id); err != nil {
+	id := next
+	if existed {
+		id = d.h.U64(slot)
+	} else if _, err := d.dictVec.StageAppend(uint64(d.idx.KeyRef(slot))); err != nil {
+		return 0, err
+	}
+	if _, err := d.av.StageAppend(id); err != nil {
 		return 0, err
 	}
 	return id, nil
+}
+
+// Publish is the publish half of Append, in the order readers need: the
+// dictionary length before the index link that hands out its last ID,
+// and both before the attribute-vector length that lets a row use it.
+// Durability has no such order — a crash between the caller's fences may
+// keep any of the three — so restart reconciles them (repairTornAppend,
+// alignAfterRestart).
+//
+//nvm:nopersist publish half: the lengths and the link are flushed, not fenced; the caller's second fence covers them
+func (d *NVMDelta) Publish() {
+	d.dictVec.Publish()
+	d.idx.Publish()
+	d.av.Publish()
+}
+
+// Settle finishes a published append after the caller's second fence
+// (see pstruct.SkipList.Settle).
+func (d *NVMDelta) Settle() bool { return d.idx.Settle() }
+
+// Unstage forgets a staged append that will not be published.
+func (d *NVMDelta) Unstage() {
+	d.dictVec.Unstage()
+	d.idx.Unstage()
+	d.av.Unstage()
+}
+
+// Append implements DeltaColumn: stage, fence, publish, fence.
+func (d *NVMDelta) Append(v Value) (uint64, error) {
+	id, err := d.StageAppend(v)
+	if err != nil {
+		d.Unstage()
+		return 0, err
+	}
+	d.h.Fence()
+	d.Publish()
+	d.h.Fence()
+	if d.Settle() {
+		d.h.Fence()
+	}
+	return id, nil
+}
+
+// repairTornAppend completes the dictionary half of an append a crash
+// cut between its two fences. The dictionary length, the index link and
+// the attribute-vector length are published together, so value ID n may
+// already be handed out — by a durable index link, or by the last
+// attribute-vector entry — while the dictionary length is still n. Either
+// is proof that the first fence completed, which made the slot the stage
+// half wrote at n and the key it refers to durable: the entry is
+// complete, and the length is rolled forward over it. Left alone, the
+// next new value would take ID n while a row or the index still used it
+// for the old one. O(1) lookups, at most one entry: appends do not
+// overlap.
+func (d *NVMDelta) repairTornAppend() error {
+	n := d.dictVec.Len()
+	ref, ok := d.dictVec.Staged(n)
+	if !ok || ref == 0 {
+		return nil
+	}
+	handedOut := false
+	if rows := d.av.Len(); rows > 0 && d.av.Get(rows-1) == n {
+		handedOut = true
+	} else if p := nvm.PPtr(ref); d.idx.Arena().ContainsBlob(p) == nil {
+		// Without the row's word for it the slot may be a leftover no
+		// fence ever covered; only a key that lies in the arena can be
+		// looked up.
+		id, found := d.idx.Get(pstruct.ReadBlob(d.h, p))
+		handedOut = found && id == n
+	}
+	if !handedOut {
+		return nil
+	}
+	_, err := d.dictVec.Append(ref)
+	return err
 }
 
 // ValueID implements DeltaColumn.
@@ -322,17 +400,11 @@ func (d *NVMDelta) ScanIDs(fn func(row, id uint64) bool) { d.av.Scan(fn) }
 func (d *NVMDelta) Truncate(n uint64) { d.av.Truncate(n) }
 
 // Blocks yields the heap blocks owned by the delta column: its root, the
-// dictionary vector and every dictionary blob, the dictionary index and
-// the attribute vector.
+// dictionary vector, the dictionary index (whose arena holds the keys)
+// and the attribute vector.
 func (d *NVMDelta) Blocks(yield func(nvm.PPtr)) {
 	yield(d.root)
 	d.dictVec.Blocks(yield)
-	d.dictVec.Scan(func(_, blob uint64) bool {
-		if blob != 0 {
-			yield(nvm.PPtr(blob))
-		}
-		return true
-	})
 	d.idx.Blocks(yield)
 	d.av.Blocks(yield)
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -57,26 +58,43 @@ func (d *NVMDelta) Check() error {
 	if err := d.h.CheckBlock(d.root, ndRootSize); err != nil {
 		return fmt.Errorf("delta column %d: root: %w", d.root, err)
 	}
-	if err := d.dictVec.Check(); err != nil {
-		errs = append(errs, fmt.Errorf("delta column %d: dictionary vector: %w", d.root, err))
-	} else {
-		d.dictVec.Scan(func(id, blob uint64) bool {
-			if err := checkBlobPtr(d.h, nvm.PPtr(blob)); err != nil {
-				errs = append(errs, fmt.Errorf("delta column %d: dictionary blob %d: %w", d.root, id, err))
-				return false
-			}
-			return true
-		})
-	}
 	if err := d.av.Check(); err != nil {
 		errs = append(errs, fmt.Errorf("delta column %d: attribute vector: %w", d.root, err))
 	}
-	type structural interface{ Check() error }
-	if c, ok := d.idx.(structural); ok {
-		if err := c.Check(); err != nil {
-			errs = append(errs, fmt.Errorf("delta column %d: dictionary index: %w", d.root, err))
-		}
+	if err := d.idx.Check(); err != nil {
+		// The dictionary's keys lie in the index's arena; without a sound
+		// arena they cannot be bounds-checked.
+		errs = append(errs, fmt.Errorf("delta column %d: dictionary index: %w", d.root, err))
+		return errors.Join(errs...)
 	}
+	if err := d.dictVec.Check(); err != nil {
+		errs = append(errs, fmt.Errorf("delta column %d: dictionary vector: %w", d.root, err))
+		return errors.Join(errs...)
+	}
+	// Every dictionary entry is a complete key inside the index's arena;
+	// every entry of the index names a dictionary entry that holds its
+	// key. A dictionary entry no index entry names is the benign leftover
+	// of a crash between the publish words; an index entry whose ID the
+	// dictionary does not (yet) have would hand that ID to two values.
+	arena := d.idx.Arena()
+	d.dictVec.Scan(func(id, ref uint64) bool {
+		err := arena.ContainsBlob(nvm.PPtr(ref))
+		if err != nil {
+			errs = append(errs, fmt.Errorf("delta column %d: dictionary key %d: %w", d.root, id, err))
+		}
+		return err == nil
+	})
+	if len(errs) > 0 {
+		return errors.Join(errs...)
+	}
+	d.idx.Scan(func(key []byte, id uint64) bool {
+		if id >= d.dictVec.Len() {
+			errs = append(errs, fmt.Errorf("delta column %d: index maps %q to value ID %d, beyond the dictionary's %d", d.root, key, id, d.dictVec.Len()))
+		} else if !bytes.Equal(d.DictKey(id), key) {
+			errs = append(errs, fmt.Errorf("delta column %d: index maps %q to value ID %d, which holds %q", d.root, key, id, d.DictKey(id)))
+		}
+		return true
+	})
 	return errors.Join(errs...)
 }
 

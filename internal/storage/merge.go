@@ -154,7 +154,7 @@ func (t *Table) mergeNVM(colKeys [][][]byte, begins []uint64, stats *MergeStats)
 	slot := t.root.Add(trOffPS)
 	h.SetU64(slot, uint64(psPtr))
 	h.Persist(slot, 8)
-	return t.attachPartitionSet(psPtr, false), nil
+	return t.attachPartitionSet(psPtr, false)
 }
 
 func newVolatileStore() *mvcc.Store {

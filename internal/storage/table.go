@@ -56,6 +56,12 @@ type partitions struct {
 	deltaIdx  []deltaIndex
 	mainMVCC  *mvcc.Store
 	deltaMVCC *mvcc.Store
+
+	// The NVM backend's delta structures under their own types, for the
+	// staged row append (an unindexed column's index is nil); both nil on
+	// the DRAM backend.
+	nvmDelta    []*NVMDelta
+	nvmDeltaIdx []*index.NVMDeltaIndex
 }
 
 // View is a consistent snapshot of one partition generation. All reads
@@ -158,7 +164,11 @@ func CreateNVMTable(h *nvm.Heap, name string, id uint32, schema Schema, indexMas
 	h.PutU64(root.Add(trOffIndexMask), indexMask)
 	h.Persist(root, trRootSize)
 	t.root = root
-	t.parts.Store(t.attachPartitionSet(ps, false))
+	parts, err := t.attachPartitionSet(ps, false)
+	if err != nil {
+		return nil, err
+	}
+	t.parts.Store(parts)
 	return t, nil
 }
 
@@ -178,7 +188,11 @@ func OpenNVMTable(h *nvm.Heap, name string, root nvm.PPtr) (*Table, error) {
 		h:         h,
 		root:      root,
 	}
-	t.parts.Store(t.attachPartitionSet(nvm.PPtr(h.GetU64(root.Add(trOffPS))), true))
+	parts, err := t.attachPartitionSet(nvm.PPtr(h.GetU64(root.Add(trOffPS))), true)
+	if err != nil {
+		return nil, fmt.Errorf("storage: table %s: %w", name, err)
+	}
+	t.parts.Store(parts)
 	return t, nil
 }
 
@@ -270,49 +284,59 @@ func (t *Table) buildNVMPartitionSet(mainCols []*NVMMain, mainBegins []uint64) (
 // Their volatile owner vectors are the one structure here whose size
 // follows the row count; they are allocated zeroed, a segment at a time,
 // never filled row by row.
-func (t *Table) attachPartitionSet(psPtr nvm.PPtr, afterRestart bool) *partitions {
+func (t *Table) attachPartitionSet(psPtr nvm.PPtr, afterRestart bool) (*partitions, error) {
 	h := t.h
 	ncols := t.Schema.NumCols()
 	ps := &partitions{
-		main:     make([]MainColumn, ncols),
-		delta:    make([]DeltaColumn, ncols),
-		mainIdx:  make([]mainIndex, ncols),
-		deltaIdx: make([]deltaIndex, ncols),
+		main:        make([]MainColumn, ncols),
+		delta:       make([]DeltaColumn, ncols),
+		mainIdx:     make([]mainIndex, ncols),
+		deltaIdx:    make([]deltaIndex, ncols),
+		nvmDelta:    make([]*NVMDelta, ncols),
+		nvmDeltaIdx: make([]*index.NVMDeltaIndex, ncols),
 	}
 	for i := 0; i < ncols; i++ {
 		base := psPtr.Add(psOffCols + uint64(i)*32)
 		ps.main[i] = AttachNVMMain(h, nvm.PPtr(h.GetU64(base)))
-		ps.delta[i] = AttachNVMDelta(h, nvm.PPtr(h.GetU64(base.Add(8))))
+		ps.nvmDelta[i] = AttachNVMDelta(h, nvm.PPtr(h.GetU64(base.Add(8))))
+		ps.delta[i] = ps.nvmDelta[i]
 		if t.Indexed(i) {
 			ps.mainIdx[i] = index.AttachNVMGroupKey(h, nvm.PPtr(h.GetU64(base.Add(16))))
-			ps.deltaIdx[i] = index.AttachNVMDeltaIndex(h, nvm.PPtr(h.GetU64(base.Add(24))))
+			ps.nvmDeltaIdx[i] = index.AttachNVMDeltaIndex(h, nvm.PPtr(h.GetU64(base.Add(24))))
+			ps.deltaIdx[i] = ps.nvmDeltaIdx[i]
 		}
 	}
 	deltaBegin := pstruct.AttachVector(h, nvm.PPtr(h.GetU64(psPtr.Add(psOffDeltaBegin))))
 	deltaEnd := pstruct.AttachVector(h, nvm.PPtr(h.GetU64(psPtr.Add(psOffDeltaEnd))))
 	if afterRestart {
-		alignAfterRestart(ps.delta, deltaBegin, deltaEnd)
+		if err := alignAfterRestart(ps.nvmDelta, deltaBegin, deltaEnd); err != nil {
+			return nil, err
+		}
 	}
 	ps.mainMVCC = mvcc.NewStore(
 		pstruct.AttachVector(h, nvm.PPtr(h.GetU64(psPtr.Add(psOffMainBegin)))),
 		pstruct.AttachVector(h, nvm.PPtr(h.GetU64(psPtr.Add(psOffMainEnd)))),
 	)
 	ps.deltaMVCC = mvcc.NewStore(deltaBegin, deltaEnd)
-	return ps
+	return ps, nil
 }
 
-// alignAfterRestart trims torn multi-structure appends left by a crash:
-// a row append touches every delta column and then the MVCC vectors, so
-// after a crash the prefix lengths can differ by the one in-flight row.
-// The shortest structure governs — the row was never made visible
-// (begin = Inf) — and the rest are cut back to it. Work is O(columns),
-// not O(rows).
-func alignAfterRestart(delta []DeltaColumn, begin, end *pstruct.Vector) {
+// alignAfterRestart reconciles the delta's structures after a crash cut
+// a row append between its two fences, where any subset of the publish
+// words may have become durable. Each column first completes a
+// dictionary entry whose index link survived without its length
+// (repairTornAppend); then, as the row was never made visible (begin =
+// Inf), the shortest structure governs and the rest are cut back to it.
+// Work is O(columns), not O(rows).
+func alignAfterRestart(delta []*NVMDelta, begin, end *pstruct.Vector) error {
 	rows := begin.Len()
 	if el := end.Len(); el < rows {
 		rows = el
 	}
 	for _, d := range delta {
+		if err := d.repairTornAppend(); err != nil {
+			return err
+		}
 		if d.Rows() < rows {
 			rows = d.Rows()
 		}
@@ -328,6 +352,7 @@ func alignAfterRestart(delta []DeltaColumn, begin, end *pstruct.Vector) {
 			d.Truncate(rows)
 		}
 	}
+	return nil
 }
 
 // Root returns the table's persistent root pointer (NVM backend only).
@@ -441,11 +466,42 @@ func (t *Table) ScanVisible(snapCID, selfTID uint64, fn func(row uint64) bool) {
 
 // --- Writes ---------------------------------------------------------------------
 
+// RowLog is the transaction layer's part of a row append: its undo
+// record for the row is staged and published with the row's own
+// structures, under the same two fences. StageRow writes the record for
+// table row ID row where nothing reaches it yet, PublishRow makes it
+// count, UnstageRow forgets a staged record that will not be published.
+type RowLog interface {
+	StageRow(t *Table, row uint64) error
+	PublishRow()
+	UnstageRow()
+}
+
 // AppendRow appends vals as a new delta row owned by transaction owner.
 // The row starts invisible (begin = Inf); the commit protocol stamps it.
 // Indexed columns get their delta-index entries here. It returns the
 // table row ID (relative to the current epoch).
 func (t *Table) AppendRow(vals []Value, owner uint64) (uint64, error) {
+	return t.AppendRowLogged(vals, owner, nil)
+}
+
+// AppendRowLogged is AppendRow with the caller's undo record for the row
+// (nil for none) riding the append.
+//
+// On the NVM backend the append costs two fences whatever the schema.
+// The stage half writes every line the row needs — per column the
+// attribute-vector slot and, for a new value, the dictionary slot and the
+// index node with the key; the delta-index node and posting of indexed
+// columns; the MVCC begin and end slots; the undo record — where nothing
+// reaches them, and flushes them. One fence makes all of it durable. The
+// publish half then stores the words that make it reachable, in the
+// order concurrent readers need (index links and dictionary lengths,
+// attribute-vector lengths, MVCC lengths last), and a second fence makes
+// those durable before the row ID is returned, long before commit
+// stamps it. A stage that fails publishes nothing. A crash between the
+// fences may keep any subset of the publish words; restart cuts every
+// structure back to the shortest (alignAfterRestart).
+func (t *Table) AppendRowLogged(vals []Value, owner uint64, log RowLog) (uint64, error) {
 	if err := t.Schema.Validate(vals); err != nil {
 		return 0, err
 	}
@@ -453,37 +509,104 @@ func (t *Table) AppendRow(vals []Value, owner uint64) (uint64, error) {
 	defer t.writeMu.Unlock()
 	ps := t.parts.Load()
 	localRow := ps.deltaMVCC.Rows()
-	// On a mid-row failure (e.g. the NVM heap filling up) the columns
-	// appended so far must be truncated back, or every later row would
-	// be misaligned across columns.
-	rollback := func(upto int) {
-		for c := 0; c < upto; c++ {
-			if ps.delta[c].Rows() > localRow {
-				ps.delta[c].Truncate(localRow)
-			}
-		}
+	row := ps.mainMVCC.Rows() + localRow
+	if t.h == nil {
+		return row, t.appendRowDRAM(ps, vals, owner, localRow)
 	}
+	return row, t.appendRowNVM(ps, vals, owner, localRow, row, log)
+}
+
+// appendRowDRAM appends a row on the DRAM backend, which has no persist
+// order to keep: each structure's halves run back to back. Its appends
+// fail only at a vector's capacity, beyond any table.
+func (t *Table) appendRowDRAM(ps *partitions, vals []Value, owner, localRow uint64) error {
 	for i, v := range vals {
 		if _, err := ps.delta[i].Append(v); err != nil {
-			rollback(i)
-			return 0, err
+			return err
 		}
 		// deltaIdx[i] is nil on a checkpoint-loaded table until
 		// RebuildIndexes runs (log replay happens in between and the
-		// rebuild re-inserts everything); a stale index entry left by a
-		// failed insert is filtered by value verification at lookup.
+		// rebuild re-inserts everything).
 		if t.Indexed(i) && ps.deltaIdx[i] != nil {
 			if err := ps.deltaIdx[i].Insert(v.EncodeKey(nil), localRow); err != nil {
-				rollback(i + 1)
-				return 0, err
+				return err
 			}
 		}
 	}
-	if _, err := ps.deltaMVCC.AppendRow(owner); err != nil {
-		rollback(len(vals))
-		return 0, err
+	_, err := ps.deltaMVCC.AppendRow(owner)
+	return err
+}
+
+// stageRow is the stage half of a row append on the NVM backend.
+func (t *Table) stageRow(ps *partitions, vals []Value, owner, localRow, row uint64, log RowLog) error {
+	for i, v := range vals {
+		if _, err := ps.nvmDelta[i].StageAppend(v); err != nil {
+			return err
+		}
+		if di := ps.nvmDeltaIdx[i]; di != nil {
+			if err := di.StageInsert(v.EncodeKey(nil), localRow); err != nil {
+				return err
+			}
+		}
 	}
-	return ps.mainMVCC.Rows() + localRow, nil
+	if _, err := ps.deltaMVCC.StageRow(owner); err != nil {
+		return err
+	}
+	if log != nil {
+		return log.StageRow(t, row)
+	}
+	return nil
+}
+
+// publishRow is the publish half of a row append on the NVM backend:
+// links and dictionary lengths, then attribute-vector lengths (both per
+// column, in NVMDelta.Publish), then the MVCC lengths that let a reader
+// count the row.
+func publishRow(ps *partitions, log RowLog) {
+	for _, di := range ps.nvmDeltaIdx {
+		if di != nil {
+			di.Publish()
+		}
+	}
+	for _, d := range ps.nvmDelta {
+		d.Publish()
+	}
+	ps.deltaMVCC.PublishRow()
+	if log != nil {
+		log.PublishRow()
+	}
+}
+
+// settleRow finishes a published row after the second fence (see
+// pstruct.SkipList.Settle); what it flushes rides the next fence.
+func settleRow(ps *partitions) {
+	for _, d := range ps.nvmDelta {
+		d.Settle()
+	}
+	for _, di := range ps.nvmDeltaIdx {
+		if di != nil {
+			di.Settle()
+		}
+	}
+}
+
+// unstageRow forgets a row whose stage half failed. Nothing of it was
+// published, so there is nothing to cut back; what it wrote is
+// overwritten by the next row or stays behind as arena bytes nothing
+// names.
+func unstageRow(ps *partitions, log RowLog) {
+	for _, d := range ps.nvmDelta {
+		d.Unstage()
+	}
+	for _, di := range ps.nvmDeltaIdx {
+		if di != nil {
+			di.Unstage()
+		}
+	}
+	ps.deltaMVCC.UnstageRow()
+	if log != nil {
+		log.UnstageRow()
+	}
 }
 
 // StampBegin durably sets the begin CID of table row ID row.

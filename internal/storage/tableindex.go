@@ -146,10 +146,14 @@ func (t *Table) RebuildIndexes() error {
 	ps := &partitions{
 		main:      old.main,
 		delta:     old.delta,
+		nvmDelta:  old.nvmDelta,
 		mainMVCC:  old.mainMVCC,
 		deltaMVCC: old.deltaMVCC,
 		mainIdx:   make([]mainIndex, ncols),
 		deltaIdx:  make([]deltaIndex, ncols),
+	}
+	if t.h != nil {
+		ps.nvmDeltaIdx = make([]*index.NVMDeltaIndex, ncols)
 	}
 	for c := 0; c < ncols; c++ {
 		if !t.Indexed(c) {
@@ -165,7 +169,7 @@ func (t *Table) RebuildIndexes() error {
 			if err != nil {
 				return err
 			}
-			ps.deltaIdx[c] = di
+			ps.deltaIdx[c], ps.nvmDeltaIdx[c] = di, di
 			// Publish the rebuilt roots in the persistent partition set.
 			pp := t.psPtr()
 			t.h.SetU64(pp.Add(psOffCols+uint64(c)*32+16), uint64(gk.Root()))

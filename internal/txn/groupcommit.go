@@ -13,6 +13,10 @@ package txn
 //	fence 2: every begin/end stamp flushed        (effects ordered)
 //	drain 3: lastCID advanced by the batch size   (the atomic commit point)
 //
+// The drain is the last barrier of a commit: the contexts are parked, not
+// retired (see pctx.go), so nothing separates the commit point from the
+// acknowledgement.
+//
 // The first two are cheap ordering fences; the third is the durability
 // drain — on flash-backed NVDIMMs the expensive device-level flush (see
 // nvm.LatencyModel.DrainNS) — shared by the whole batch.
@@ -108,7 +112,7 @@ func (m *Manager) CommitGroup(txns []*Txn) error {
 	m.cidDone(first, len(writers))
 
 	for _, t := range writers {
-		m.releasePctx(t)
+		m.parkPctx(t)
 		t.status = StatusCommitted
 	}
 	return nil

@@ -14,10 +14,13 @@ import (
 // Persistent transaction contexts (ModeNVM).
 //
 // During execution every write appends a {kind, table, row} entry to the
-// transaction's NVM-resident context, a chain of fixed-size blocks
-// registered in a persistent directory. At commit the context receives
-// the CID before any row stamp is persisted; the global lastCID is
-// persisted after all stamps. Restart therefore classifies every context
+// transaction's NVM-resident context: a fixed-size block that belongs to
+// one slot of a persistent directory and stays there from transaction to
+// transaction, plus overflow blocks chained behind it while one
+// transaction needs more entries than it holds. A context with a count
+// of zero is idle. At commit the context receives the CID before any row
+// stamp is persisted; the global lastCID is persisted after all stamps.
+// Restart therefore classifies every context that counts entries
 // unambiguously:
 //
 //	cid == 0            — never reached commit; nothing stamped.
@@ -29,6 +32,25 @@ import (
 // Undo touches only the rows listed in live contexts, so restart cost is
 // proportional to in-flight writes — the size-independence the paper
 // demonstrates.
+//
+// An entry is written in the two halves of package pstruct: staged past
+// the count and flushed, then, after a fence, counted. An insert's entry
+// rides the two fences of its row append (storage.Table.AppendRowLogged);
+// an invalidation's entry is fenced here and its count rides the next
+// fence — the next write's or commit's first — which is early enough,
+// since the stamp the entry would undo is written after that fence.
+// Retiring a context zeroes the count under one fence and leaves the
+// CID behind: an idle context's CID means nothing. The next transaction
+// to take the context zeroes the CID in the stage half of its first
+// entry, before the fence that precedes the count — a count that met a
+// stale prepared marker would make restart ask the coordinator about the
+// wrong transaction. A committed transaction does not retire its own
+// context: its commit point — the lastCID drain — is the last barrier of
+// Commit, so an acknowledgement follows it without another fence in
+// between, and restart classifies what it leaves (count > 0, cid <=
+// lastCID) as done. The next transaction to take the slot retires the
+// context before its first entry; aborts and two-phase finishes, which
+// leave states restart would act on, retire at once.
 
 const (
 	// defaultTxnSlots sizes the persistent context directory of a fresh
@@ -62,6 +84,8 @@ var ErrTooManyTxns = errors.New("txn: too many concurrent writing transactions")
 // commitRootName is the heap root anchoring the commit state.
 const commitRootName = "txn:commitroot"
 
+// pctxHandle is a transaction's hold on its context: head is nil until
+// the first write. The next entry goes to tail at index tailCount.
 type pctxHandle struct {
 	head      nvm.PPtr
 	tail      nvm.PPtr
@@ -96,8 +120,8 @@ type TableResolver func(tableID uint32) *storage.Table
 
 // NVMRecoveryStats reports the (tiny) amount of restart work performed.
 type NVMRecoveryStats struct {
-	LiveContexts  int // contexts found in the directory
-	CommittedDone int // contexts that were already durably committed
+	LiveContexts  int // contexts of transactions the crash cut: undone, or decided by 2PC
+	CommittedDone int // contexts a committed transaction left for its slot's next holder to retire
 	RolledBack    int // in-flight transactions undone
 	EntriesUndone int // row stamps reset
 	Committed2PC  int // prepared contexts redone from a commit decision
@@ -156,13 +180,16 @@ func OpenNVMManagerDecider(h *nvm.Heap, resolve TableResolver, decide TwoPCDecid
 	m.slots = &slotPool{}
 	maxRedone := uint64(0)
 	for i := 0; i < m.numSlots; i++ {
-		slotP := root.Add(crOffSlots + uint64(i)*8)
-		head := nvm.PPtr(h.U64(slotP))
-		if !head.IsNil() {
-			stats.LiveContexts++
+		m.slots.free = append(m.slots.free, i)
+		head := nvm.PPtr(h.U64(root.Add(crOffSlots + uint64(i)*8)))
+		if head.IsNil() {
+			continue
+		}
+		if h.U64(head.Add(pcOffCount)) > 0 {
 			cid := h.U64(head.Add(pcOffCID))
 			switch {
 			case cid&prepareBit != 0:
+				stats.LiveContexts++
 				gtid := cid &^ prepareBit
 				var dcid uint64
 				var commit bool
@@ -191,6 +218,7 @@ func OpenNVMManagerDecider(h *nvm.Heap, resolve TableResolver, decide TwoPCDecid
 			case cid != 0 && cid <= lastCID:
 				stats.CommittedDone++
 			default:
+				stats.LiveContexts++
 				stats.RolledBack++
 				n, err := m.undoContext(head, resolve)
 				if err != nil {
@@ -198,11 +226,10 @@ func OpenNVMManagerDecider(h *nvm.Heap, resolve TableResolver, decide TwoPCDecid
 				}
 				stats.EntriesUndone += n
 			}
-			h.SetU64(slotP, 0)
-			h.Persist(slotP, 8)
-			m.freeChain(head)
 		}
-		m.slots.free = append(m.slots.free, i)
+		// An idle context, too, may carry the overflow chain of a
+		// retirement the crash cut short.
+		m.retireContext(head)
 	}
 	if maxRedone > lastCID {
 		// Redone commits must sit at or below the shard's horizon, both
@@ -276,24 +303,47 @@ func (m *Manager) newPctxBlock() (nvm.PPtr, error) {
 	return blk, nil
 }
 
-// pctxRecord appends op to t's persistent context, creating and
-// registering the context on the first write.
-func (m *Manager) pctxRecord(t *Txn, op writeOp) error {
-	h := m.h
-	if t.pctx.head.IsNil() {
-		blk, err := m.newPctxBlock()
-		if err != nil {
+// pctxAcquire gives t a context on its first write: a free slot and the
+// block that lives in it, allocated and linked the first time the slot
+// is used and kept from then on.
+func (m *Manager) pctxAcquire(t *Txn) error {
+	slot, ok := m.slots.get()
+	if !ok {
+		return ErrTooManyTxns
+	}
+	slotP := m.pRoot.Add(crOffSlots + uint64(slot)*8)
+	blk := nvm.PPtr(m.h.U64(slotP))
+	if blk.IsNil() {
+		var err error
+		if blk, err = m.newPctxBlock(); err != nil {
+			m.slots.put(slot)
 			return err
 		}
-		slot, ok := m.slots.get()
-		if !ok {
-			h.Free(blk)
-			return ErrTooManyTxns
+		m.h.SetU64(slotP, uint64(blk))
+		m.h.Persist(slotP, 8)
+	}
+	// The previous holder, if it committed, left its entries counted.
+	m.retireContext(blk)
+	if m.h.U64(blk.Add(pcOffCID)) != 0 {
+		// And its CID; flushed here, fenced with the entry that follows,
+		// so durably zero before the context counts again.
+		m.h.SetU64(blk.Add(pcOffCID), 0)
+		m.h.Flush(blk.Add(pcOffCID), 8)
+	}
+	t.pctx = pctxHandle{head: blk, tail: blk, slot: slot}
+	return nil
+}
+
+// pctxStage is the stage half of recording a write: it writes the entry
+// past the context's count and flushes it. The entry counts — restart
+// acts on it — only after pctxPublish, which the caller separates from
+// this by a fence.
+func (m *Manager) pctxStage(t *Txn, kind writeKind, tableID uint32, row uint64) error {
+	h := m.h
+	if t.pctx.head.IsNil() {
+		if err := m.pctxAcquire(t); err != nil {
+			return err
 		}
-		slotP := m.pRoot.Add(crOffSlots + uint64(slot)*8)
-		h.SetU64(slotP, uint64(blk))
-		h.Persist(slotP, 8)
-		t.pctx = pctxHandle{head: blk, tail: blk, tailCount: 0, slot: slot}
 	}
 	if t.pctx.tailCount == pcEntriesMax {
 		blk, err := m.newPctxBlock()
@@ -306,21 +356,57 @@ func (m *Manager) pctxRecord(t *Txn, op writeOp) error {
 		t.pctx.tail = blk
 		t.pctx.tailCount = 0
 	}
-	var kind uint64
-	switch op.kind {
+	var k uint64
+	switch kind {
 	case writeInsert:
-		kind = kindInsertEntry
+		k = kindInsertEntry
 	case writeInvalidate:
-		kind = kindInvalidateEntry
+		k = kindInvalidateEntry
 	}
 	e := t.pctx.tail.Add(pcOffEntries + t.pctx.tailCount*16)
-	h.PutU64(e, kind<<32|uint64(op.table.ID))
-	h.PutU64(e.Add(8), op.row)
-	h.Persist(e, 16)
+	h.PutU64(e, k<<32|uint64(tableID))
+	h.PutU64(e.Add(8), row)
+	h.Flush(e, 16)
+	return nil
+}
+
+// pctxPublish is the publish half of recording a write: the count covers
+// the staged entry, and its line is flushed for the caller's next fence.
+func (m *Manager) pctxPublish(t *Txn) {
 	t.pctx.tailCount++
 	cp := t.pctx.tail.Add(pcOffCount)
-	h.SetU64(cp, t.pctx.tailCount)
-	h.Persist(cp, 8)
+	m.h.SetU64(cp, t.pctx.tailCount)
+	m.h.Flush(cp, 8)
+}
+
+// rowLog rides a row append with the inserting transaction's undo record
+// (see storage.RowLog): one entry staged and published under the row's
+// two fences.
+type rowLog struct{ t *Txn }
+
+// StageRow implements storage.RowLog.
+func (l rowLog) StageRow(tbl *storage.Table, row uint64) error {
+	return l.t.m.pctxStage(l.t, writeInsert, tbl.ID, row)
+}
+
+// PublishRow implements storage.RowLog.
+//
+//nvm:nopersist publish half: the count is flushed, not fenced; the row append's second fence covers it
+func (l rowLog) PublishRow() { l.t.m.pctxPublish(l.t) }
+
+// UnstageRow has nothing to take back: an entry past the count is not
+// part of the context.
+func (l rowLog) UnstageRow() {}
+
+// pctxInvalidate records that t invalidates row of tbl: the entry under a
+// fence of its own, the count riding the next one (see the comment at the
+// top of the file).
+func (m *Manager) pctxInvalidate(t *Txn, tbl *storage.Table, row uint64) error {
+	if err := m.pctxStage(t, writeInvalidate, tbl.ID, row); err != nil {
+		return err
+	}
+	m.h.Fence()
+	m.pctxPublish(t)
 	return nil
 }
 
@@ -336,21 +422,43 @@ func (m *Manager) pctxSetCID(t *Txn, cid uint64) {
 	m.h.Flush(p, 8)
 }
 
-// releasePctx unregisters and recycles t's persistent context.
+// retireContext makes the context at head idle — a count of zero, under
+// one fence — and frees its overflow blocks, which the same fence cut
+// off first.
+func (m *Manager) retireContext(head nvm.PPtr) {
+	h := m.h
+	over := nvm.PPtr(h.U64(head.Add(pcOffNext)))
+	if h.U64(head.Add(pcOffCount)) != 0 || !over.IsNil() {
+		h.SetU64(head.Add(pcOffCount), 0)
+		h.SetU64(head.Add(pcOffNext), 0)
+		h.Persist(head.Add(pcOffCount), 16)
+	}
+	m.freeChain(over)
+}
+
+// releasePctx retires t's persistent context and returns its slot.
 func (m *Manager) releasePctx(t *Txn) {
 	if m.mode != ModeNVM || t.pctx.head.IsNil() {
 		return
 	}
-	slotP := m.pRoot.Add(crOffSlots + uint64(t.pctx.slot)*8)
-	m.h.SetU64(slotP, 0)
-	m.h.Persist(slotP, 8)
-	m.freeChain(t.pctx.head)
+	m.retireContext(t.pctx.head)
+	m.parkPctx(t)
+}
+
+// parkPctx returns the slot of t's context without retiring it, after a
+// commit whose CID lastCID durably covers: restart takes the context for
+// done, and the slot's next holder retires it (pctxAcquire).
+func (m *Manager) parkPctx(t *Txn) {
+	if t.pctx.head.IsNil() {
+		return
+	}
 	m.slots.put(t.pctx.slot)
 	t.pctx = pctxHandle{}
 }
 
 // Blocks yields the heap blocks owned by the transaction manager: the
-// commit root and every live context chain (ModeNVM).
+// commit root and every slot's context block, with its overflow chain
+// while a transaction has one (ModeNVM).
 func (m *Manager) Blocks(yield func(nvm.PPtr)) {
 	if m.mode != ModeNVM {
 		return

@@ -317,19 +317,24 @@ func (t *Txn) Insert(tbl *storage.Table, vals []storage.Value) (uint64, error) {
 	if err := t.checkEpoch(tbl); err != nil {
 		return 0, err
 	}
-	row, err := tbl.AppendRow(vals, t.tid)
+	// In ModeNVM the undo record rides the row append's two fences.
+	var log storage.RowLog
+	if t.m.mode == ModeNVM {
+		log = rowLog{t}
+	}
+	row, err := tbl.AppendRowLogged(vals, t.tid, log)
 	if err != nil {
 		return 0, err
 	}
-	if err := t.record(writeOp{kind: writeInsert, table: tbl, row: row, vals: vals}); err != nil {
-		return 0, err
-	}
+	t.writes = append(t.writes, writeOp{kind: writeInsert, table: tbl, row: row, vals: vals})
 	return row, nil
 }
 
 // Delete invalidates a visible row. It fails with ErrConflict when
 // another live transaction owns the row, and ErrRowNotFound when the row
-// is not visible to this transaction.
+// is not visible to this transaction. In ModeNVM the count of its undo
+// record is flushed, not fenced: it rides the fence of the transaction's
+// next write or of its commit, which precedes the stamp the record undoes.
 func (t *Txn) Delete(tbl *storage.Table, row uint64) error {
 	if t.status != StatusActive {
 		return ErrNotActive
@@ -360,7 +365,11 @@ func (t *Txn) Delete(tbl *storage.Table, row uint64) error {
 		t.invalidated = make(map[rowRef]bool)
 	}
 	t.invalidated[rowRef{tbl, row}] = true
-	return t.record(writeOp{kind: writeInvalidate, table: tbl, row: row})
+	t.writes = append(t.writes, writeOp{kind: writeInvalidate, table: tbl, row: row})
+	if t.m.mode == ModeNVM {
+		return t.m.pctxInvalidate(t, tbl, row)
+	}
+	return nil
 }
 
 // Update replaces a visible row with new values: it invalidates the old
@@ -370,16 +379,6 @@ func (t *Txn) Update(tbl *storage.Table, row uint64, vals []storage.Value) (uint
 		return 0, err
 	}
 	return t.Insert(tbl, vals)
-}
-
-// record adds op to the write set and, in ModeNVM, to the persistent
-// transaction context.
-func (t *Txn) record(op writeOp) error {
-	t.writes = append(t.writes, op)
-	if t.m.mode == ModeNVM {
-		return t.m.pctxRecord(t, op)
-	}
-	return nil
 }
 
 // Commit makes the transaction's effects visible and durable (per mode).

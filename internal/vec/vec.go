@@ -20,6 +20,14 @@ import (
 type Vec interface {
 	Len() uint64
 	Append(v uint64) (uint64, error)
+	// StageAppend and Publish are the two halves of Append: the first
+	// writes an element past the published length, the second makes every
+	// staged element reachable. On NVM the caller fences between and
+	// after them, once for all the vectors of a batch (see package
+	// pstruct). Unstage forgets what was staged and not published.
+	StageAppend(v uint64) (uint64, error)
+	Publish()
+	Unstage()
 	AppendN(vs []uint64) (uint64, error)
 	Get(i uint64) uint64
 	// Span returns the elements from lo up to hi or the end of lo's
@@ -49,6 +57,7 @@ const volMaxSegs = 56
 type Volatile struct {
 	baseLog uint64
 	length  atomic.Uint64
+	staged  uint64 // elements written, published or not; the writer's
 	segs    [volMaxSegs]atomic.Pointer[[]uint64]
 }
 
@@ -87,16 +96,31 @@ func (v *Volatile) ensureSeg(k int) error {
 // Len returns the number of published elements.
 func (v *Volatile) Len() uint64 { return v.length.Load() }
 
-// Append appends one element and returns its index.
-func (v *Volatile) Append(val uint64) (uint64, error) {
-	i := v.length.Load()
+// StageAppend implements Vec.
+func (v *Volatile) StageAppend(val uint64) (uint64, error) {
+	i := v.staged
 	k, off := v.locate(i)
 	if err := v.ensureSeg(k); err != nil {
 		return 0, err
 	}
 	(*v.segs[k].Load())[off] = val
-	v.length.Store(i + 1)
+	v.staged = i + 1
 	return i, nil
+}
+
+// Publish implements Vec.
+func (v *Volatile) Publish() { v.length.Store(v.staged) }
+
+// Unstage implements Vec.
+func (v *Volatile) Unstage() { v.staged = v.length.Load() }
+
+// Append appends one element and returns its index.
+func (v *Volatile) Append(val uint64) (uint64, error) {
+	i, err := v.StageAppend(val)
+	if err == nil {
+		v.Publish()
+	}
+	return i, err
 }
 
 // AppendN appends vals and returns the index of the first.
@@ -117,7 +141,8 @@ func (v *Volatile) AppendN(vals []uint64) (uint64, error) {
 		rem = rem[n:]
 		i += n
 	}
-	v.length.Store(i)
+	v.staged = i
+	v.Publish()
 	return first, nil
 }
 
@@ -142,7 +167,8 @@ func (v *Volatile) Extend(n uint64) error {
 		}
 		i += run
 	}
-	v.length.Store(n)
+	v.staged = n
+	v.Publish()
 	return nil
 }
 
@@ -212,7 +238,8 @@ func (v *Volatile) Truncate(n uint64) {
 	if n > v.Len() {
 		panic(fmt.Sprintf("vec: truncate %d beyond length %d", n, v.Len()))
 	}
-	v.length.Store(n)
+	v.staged = n
+	v.Publish()
 }
 
 // Scan calls fn for each element in [0, Len()).
