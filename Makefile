@@ -154,10 +154,12 @@ benchserve:
 	rm -f BENCH_serve.txt
 
 # Same smoke CI runs: 30s per fuzzer — the wire codecs, the bit
-# unpacker every main-partition scan decodes through, and the append
-# arena under random sizes and reopen points.
+# unpacker GROUP BY and the join decode main-partition blocks through,
+# the packed-word predicate every main-partition scan filters through,
+# and the append arena under random sizes and reopen points.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 30s
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzUnpackBits' -fuzztime 30s
+	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzFilterBits' -fuzztime 30s
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzArena' -fuzztime 30s

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -63,25 +64,51 @@ func parseDur(t *testing.T, cell string) time.Duration {
 	return d
 }
 
+// TestE1ShapeHolds asserts the headline shape on what cannot flake. That
+// the log-based restart grows with the data is read off the work it does
+// — log records replayed — which is a count. That the NVM restart beats
+// it is a comparison of timings, each a millisecond or less at this scale
+// and so at the mercy of one preemption: it is made on the best of up to
+// five runs per size.
 func TestE1ShapeHolds(t *testing.T) {
-	r, err := E1Recovery(t.TempDir(), tinyScale.E1Sizes, disk.Model{})
-	if err != nil {
-		t.Fatal(err)
+	const colLog, colNVM, colReplayed = 2, 6, 8
+	sizes := tinyScale.E1Sizes
+	bestLog, bestNVM := make([]time.Duration, len(sizes)), make([]time.Duration, len(sizes))
+	for i := range sizes {
+		bestLog[i], bestNVM[i] = math.MaxInt64, math.MaxInt64
 	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
+	beats := func() bool {
+		for i := range sizes {
+			if bestNVM[i] >= bestLog[i] {
+				return false
+			}
+		}
+		return true
 	}
-	// The NVM restart must beat the log restart at every size.
-	for _, row := range r.Rows {
-		logT := parseDur(t, row[2])
-		nvmT := parseDur(t, row[6])
-		if nvmT >= logT {
-			t.Fatalf("shape violated: nvm %v >= log %v (row %v)", nvmT, logT, row)
+	for run := 0; run < 5 && !beats(); run++ {
+		r, err := E1Recovery(t.TempDir(), sizes, disk.Model{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Rows) != len(sizes) {
+			t.Fatalf("rows = %d", len(r.Rows))
+		}
+		var prev uint64
+		for i, row := range r.Rows {
+			replayed, err := strconv.ParseUint(row[colReplayed], 10, 64)
+			if err != nil {
+				t.Fatalf("row %v: %v", row, err)
+			}
+			if replayed <= prev {
+				t.Fatalf("log restart did not grow with size: %d records replayed after %d (row %v)", replayed, prev, row)
+			}
+			prev = replayed
+			bestLog[i] = min(bestLog[i], parseDur(t, row[colLog]))
+			bestNVM[i] = min(bestNVM[i], parseDur(t, row[colNVM]))
 		}
 	}
-	// The log restart must grow with size.
-	if parseDur(t, r.Rows[1][2]) <= parseDur(t, r.Rows[0][2]) {
-		t.Fatalf("log restart did not grow: %v then %v", r.Rows[0][2], r.Rows[1][2])
+	if !beats() {
+		t.Fatalf("shape violated: best NVM restarts %v do not beat best log restarts %v", bestNVM, bestLog)
 	}
 }
 

@@ -81,7 +81,7 @@ func E1Recovery(workDir string, sizes []int, model disk.Model) (*Report, error) 
 		ID:    "E1",
 		Title: "recovery time vs dataset size (log-based vs Hyrise-NV)",
 		Headers: []string{"rows", "ckpt size", "log total", "ckpt load", "replay", "idx rebuild",
-			"nvm total", "speedup"},
+			"nvm total", "speedup", "replayed"},
 	}
 	for _, n := range sizes {
 		spec := workload.DefaultSpec(n)
@@ -153,10 +153,12 @@ func E1Recovery(workDir string, sizes []int, model disk.Model) (*Report, error) 
 			fmtDur(logStats.IndexRebuild),
 			fmtDur(nvmStats.Total),
 			fmt.Sprintf("%.0fx", speedup),
+			fmt.Sprintf("%d", logStats.ReplayRecords),
 		)
 	}
 	r.AddNote("paper: 92.2GB dataset recovers in ~53s log-based vs <1s on NVM (>=53x); " +
 		"expected shape: log total linear in rows, nvm total flat")
+	r.AddNote("replayed: log records the log-based restart replayed — a count, not a timing")
 	return r, nil
 }
 

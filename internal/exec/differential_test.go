@@ -231,7 +231,28 @@ func openDiffEngine(t testing.TB, mode txn.Mode) (*core.Engine, *storage.Table) 
 	return e, tbl
 }
 
-func buildDiffFixture(t *testing.T, mode txn.Mode, mainRows, deltaRows int, seed int64) *diffFixture {
+// churn is how a fixture's committed writers treat existing rows.
+type churn int
+
+const (
+	// churnRandom: a third of the delta rows are updates, and each half
+	// of the writes deletes a twentieth of the main — dead versions in
+	// every block.
+	churnRandom churn = iota
+	// churnNone: inserts only. Every full block is settled: each begin a
+	// real CID, each end Inf, so once a scan has looked the kernel takes
+	// the block's visibility from its summary.
+	churnNone
+	// churnOne: inserts only, and one committed delete in the first
+	// block, which is then the one block that is not settled.
+	churnOne
+)
+
+// suffix names a calm fixture's subtest; the churned ones keep the names
+// they always had.
+func (c churn) suffix() string { return [...]string{"", "/settled", "/one-dead"}[c] }
+
+func buildDiffFixture(t *testing.T, mode txn.Mode, mainRows, deltaRows int, ch churn, seed int64) *diffFixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	e, tbl := openDiffEngine(t, mode)
@@ -261,12 +282,18 @@ func buildDiffFixture(t *testing.T, mode txn.Mode, mainRows, deltaRows int, seed
 	}
 
 	// The main partition: mainRows rows, every one visible at the merge.
+	// The merge keeps their begins, so a snapshot between the loading
+	// commits reads blocks from below their largest begin.
+	var firstLoad uint64
 	for done := 0; done < mainRows; {
 		tx := e.Begin()
 		for n := 0; n < 1500 && done < mainRows; n, done = n+1, done+1 {
 			insert(tx, mainK)
 		}
 		must(tx.Commit())
+		if firstLoad == 0 {
+			firstLoad = e.Manager().LastCID()
+		}
 	}
 	_, err := e.Merge("diff")
 	must(err)
@@ -285,7 +312,7 @@ func buildDiffFixture(t *testing.T, mode txn.Mode, mainRows, deltaRows int, seed
 		for i := 0; i < n; i++ {
 			// A third of the delta rows are new versions of a visible
 			// row, which leaves the old version dead in its partition.
-			if rng.Intn(3) == 0 {
+			if ch == churnRandom && rng.Intn(3) == 0 {
 				if row, ok := victim(tx); ok {
 					_, err := tx.Update(tbl, row, diffRow(nextU, deltaK[rng.Intn(len(deltaK))]))
 					must(err)
@@ -297,7 +324,7 @@ func buildDiffFixture(t *testing.T, mode txn.Mode, mainRows, deltaRows int, seed
 		}
 		// Deletes add no row: dead versions in the main even when the
 		// delta stays empty.
-		for i := 0; i < 1+mainRows/20; i++ {
+		for i := 0; ch == churnRandom && i < 1+mainRows/20; i++ {
 			if row, ok := victim(tx); ok {
 				must(tx.Delete(tbl, row))
 			}
@@ -307,6 +334,11 @@ func buildDiffFixture(t *testing.T, mode txn.Mode, mainRows, deltaRows int, seed
 	writeHalf(committed / 2)
 	old := reader{name: "old", tx: e.Begin()} // must not see the second half
 	writeHalf(committed - committed/2)
+	if ch == churnOne && tbl.Rows() > 7 {
+		tx := e.Begin()
+		must(tx.Delete(tbl, 7))
+		must(tx.Commit())
+	}
 
 	// A bystander holds uncommitted inserts and deletes open.
 	other := e.Begin()
@@ -346,6 +378,13 @@ func buildDiffFixture(t *testing.T, mode txn.Mode, mainRows, deltaRows int, seed
 	t.Cleanup(func() { self.tx.Abort() })
 
 	f.readers = []reader{old, self, {name: "fresh", tx: e.Begin()}}
+	if firstLoad != 0 {
+		// Time travel to the first loading commit: the rest of the main
+		// partition is not there yet.
+		early := reader{name: "early", tx: e.Manager().BeginAt(firstLoad)}
+		t.Cleanup(func() { early.tx.Abort() })
+		f.readers = append(f.readers, early)
+	}
 	if got, want := tbl.MainRows(), uint64(mainRows); got != want {
 		t.Fatalf("fixture has %d main rows, want %d", got, want)
 	}
@@ -451,17 +490,29 @@ func head(rows []uint64) []uint64 { return rows[:min(len(rows), 8)] }
 
 // TestKernelMatchesOracle runs the comparison over tables whose
 // partitions are empty, end just before, on and after a bitmap word, a
-// block and a morsel, on both backends, serial and parallel.
+// block and a morsel, on both backends, serial and parallel — the second
+// executor over blocks whose summaries the first one's scans left behind.
+// The churned shapes have dead versions in every block. The calm ones are
+// the four a visibility summary meets: blocks all settled; one dead row,
+// in the first block; the reader's own uncommitted deletes inside settled
+// blocks (reader "self", in each of them); and settled blocks of a delta,
+// behind a main that ends on a block boundary and behind one that does
+// not. Reader "old" sees only the first half of such a delta and reader
+// "early" only the first 1500 main rows: settled blocks read from below
+// their largest begin.
 func TestKernelMatchesOracle(t *testing.T) {
 	const b, m = exec.BlockRows, exec.MorselRows
 	shapes := []struct {
 		main, delta int
+		churn       churn
 		nvm         bool // also on the NVM backend
 	}{
-		{0, 0, true}, {0, 1, true}, {1, 0, true},
-		{63, 65, true}, {64, 64, false}, {65, 63, true},
-		{b - 1, 1, false}, {b, b + 1, true}, {b + 1, b - 1, false}, {0, b, false},
-		{m - 1, 2, false}, {m, 0, false}, {m + 1, 65, true}, {100, m + 1, false},
+		{0, 0, churnRandom, true}, {0, 1, churnRandom, true}, {1, 0, churnRandom, true},
+		{63, 65, churnRandom, true}, {64, 64, churnRandom, false}, {65, 63, churnRandom, true},
+		{b - 1, 1, churnRandom, false}, {b, b + 1, churnRandom, true}, {b + 1, b - 1, churnRandom, false}, {0, b, churnRandom, false},
+		{m - 1, 2, churnRandom, false}, {m, 0, churnRandom, false}, {m + 1, 65, churnRandom, true}, {100, m + 1, churnRandom, false},
+		{3 * b, 0, churnNone, true}, {3*b + 9, 0, churnOne, true},
+		{b, 2*b + 8, churnNone, true}, {100, 3*b + 8, churnNone, false},
 	}
 	for i, sh := range shapes {
 		modes := []txn.Mode{txn.ModeNone}
@@ -469,8 +520,8 @@ func TestKernelMatchesOracle(t *testing.T) {
 			modes = append(modes, txn.ModeNVM)
 		}
 		for _, mode := range modes {
-			t.Run(fmt.Sprintf("%s/main=%d/delta=%d", mode, sh.main, sh.delta), func(t *testing.T) {
-				f := buildDiffFixture(t, mode, sh.main, sh.delta, int64(1000+i))
+			t.Run(fmt.Sprintf("%s/main=%d/delta=%d%s", mode, sh.main, sh.delta, sh.churn.suffix()), func(t *testing.T) {
+				f := buildDiffFixture(t, mode, sh.main, sh.delta, sh.churn, int64(1000+i))
 				for _, par := range []int{1, 3} {
 					f.check(t, exec.New(par))
 				}

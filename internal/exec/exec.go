@@ -14,16 +14,22 @@
 // makes row-ID output deterministic and identical to a serial scan.
 //
 // Inside a morsel the work is done a block of rows at a time (scan.go),
-// never a row at a time. Per block, mvcc.Store turns the begin/end
-// stamps into a visibility bitmap, from which the transaction's own
-// deletes are cleared; every predicate column is decoded in bulk and
-// ANDed into the bitmap — on the main partition as an unsigned compare
-// of bit-unpacked value IDs against the one ID interval the sorted
-// dictionary resolves the predicate to, once per query; on the delta by
-// a per-dictionary-ID memo — and the scan stops at the first predicate
-// that leaves the block empty. Count popcounts the bitmap, Select walks
-// its set bits, and GROUP BY and the hash join walk them over value-ID
-// blocks decoded the same way.
+// never a row at a time, and a block costs what it has to touch. Per
+// block, mvcc.Store yields a visibility bitmap — from the block's
+// summary, without reading a stamp, when the block is settled (every
+// begin a real commit ID the snapshot covers, every end Inf), and from
+// the begin/end stamps otherwise — from which the transaction's own
+// deletes are cleared. Every predicate is then ANDed into the bitmap: on
+// the main partition the sorted dictionary resolves it, once per query,
+// to one value-ID interval, and the column tests its packed words
+// against that interval in place (pstruct.FilterBits), decoding nothing;
+// on the delta the block's value IDs are loaded and each surviving row's
+// ID is looked up in a memo of one verdict per dictionary ID that the
+// workers of the scan share. The scan stops at the first predicate that
+// leaves the block empty. Count popcounts the bitmap, Select walks its
+// set bits, and GROUP BY and the hash join walk them over value-ID
+// blocks they decode in bulk (pstruct.UnpackBits), since they need the
+// IDs themselves.
 //
 // An Executor with Parallelism 1 runs every morsel inline on the
 // calling goroutine — exact serial execution — so "serial" is a
@@ -89,15 +95,15 @@ func (e *Executor) Parallelism() int { return e.par }
 // worker-local state (block scratch, partial aggregates).
 //
 // With one worker (or one morsel) everything runs inline on the calling
-// goroutine. Otherwise up to e.par workers claim morsels from an atomic
-// cursor until the table is drained, fn fails, or ctx is cancelled;
-// the first error wins and is returned after all workers have stopped.
+// goroutine. Otherwise the workers — e.par of them, but no more than
+// there are morsels, or threads to run them on: a worker beyond
+// GOMAXPROCS adds scratch and switches, not speed — claim morsels from an
+// atomic cursor until the table is drained, fn fails, or ctx is
+// cancelled; the first error wins and is returned after all workers have
+// stopped.
 func (e *Executor) forEachMorsel(ctx context.Context, rows uint64, fn func(worker, slot int, lo, hi uint64) error) error {
 	nm := int((rows + MorselRows - 1) / MorselRows)
-	workers := e.par
-	if workers > nm {
-		workers = nm
-	}
+	workers := min(e.par, runtime.GOMAXPROCS(0), nm)
 	if workers <= 1 {
 		for s := 0; s < nm; s++ {
 			if err := ctx.Err(); err != nil {

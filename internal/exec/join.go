@@ -105,3 +105,22 @@ func (e *Executor) HashJoin(ctx context.Context, tx *txn.Txn, left *storage.Tabl
 	}
 	return out, nil
 }
+
+// dictMemo caches a function of the dictionary IDs of one column, so
+// that it is computed once per distinct value a scan meets, not per row.
+type dictMemo[T any] struct {
+	val   []T
+	known []bool
+}
+
+func newDictMemo[T any](dictLen uint64) dictMemo[T] {
+	return dictMemo[T]{val: make([]T, dictLen), known: make([]bool, dictLen)}
+}
+
+func (m *dictMemo[T]) get(id uint64, compute func(id uint64) T) T {
+	if !m.known[id] {
+		m.known[id] = true
+		m.val[id] = compute(id)
+	}
+	return m.val[id]
+}

@@ -4,19 +4,22 @@ import (
 	"bytes"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
+	"hyrisenv/internal/mvcc"
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
 )
 
 // blockRows is the number of rows the scan kernel filters at a time
-// inside a morsel: small enough that a block's bitmap, decoded IDs and
-// aggregate inputs (20 KiB in all) stay in the L1 cache from one pass to
-// the next, large enough that the per-block calls into mvcc and storage
-// vanish against the rows. It divides MorselRows, so only the last block
-// of a partition is a short one.
+// inside a morsel: small enough that a block's bitmap and the value IDs
+// and aggregate inputs an operator decodes for it (20 KiB in all) stay in
+// the L1 cache from one pass to the next, large enough that the per-block
+// calls into mvcc and storage vanish against the rows. It is the block
+// mvcc.Store keeps a visibility summary for, and it divides MorselRows, so
+// every block of the main partition but the last is a whole, aligned one.
 const (
-	blockRows  = 1024
+	blockRows  = mvcc.SummaryRows
 	blockWords = blockRows / 64
 )
 
@@ -36,9 +39,12 @@ type tableScan struct {
 // colPred is a predicate bound to one column of the view. On the main
 // partition the sorted dictionary turns every operator into one value-ID
 // interval or its complement: ID id matches when id-lo < span, flipped
-// when neg. The delta dictionary is unsorted, so there the key is
-// compared once per dictionary ID; deltaDict sizes that memo, and is read
-// after the row bound, so it covers every ID a scanned row can hold.
+// when neg — a test the column runs on its packed words. The delta
+// dictionary is unsorted, so there the key is compared once per
+// dictionary ID and the verdict kept in deltaMemo, one entry per ID below
+// the dictionary length read after the row bound, which covers every ID a
+// scanned row can hold. The memo is shared by the scan's workers: an
+// entry goes from unknown to the one verdict every worker would reach.
 type colPred struct {
 	main      storage.MainColumn
 	delta     storage.DeltaColumn
@@ -46,8 +52,14 @@ type colPred struct {
 	key       []byte
 	lo, span  uint32
 	neg       bool
-	deltaDict uint64
+	deltaMemo []atomic.Uint32 // memoUnknown, memoFails or memoMatches
 }
+
+const (
+	memoUnknown = iota
+	memoFails
+	memoMatches
+)
 
 // newTableScan captures the view of tbl and binds preds to it.
 func newTableScan(tx *txn.Txn, tbl *storage.Table, preds []Pred) *tableScan {
@@ -64,13 +76,15 @@ func newTableScan(tx *txn.Txn, tbl *storage.Table, preds []Pred) *tableScan {
 	s.rows = s.mainRows + v.DeltaRows()
 	for i, p := range preds {
 		s.preds[i] = bindPred(v, p)
+		if s.rows > s.mainRows {
+			s.preds[i].deltaMemo = make([]atomic.Uint32, s.preds[i].delta.DictLen())
+		}
 	}
 	return s
 }
 
 func bindPred(v storage.View, p Pred) colPred {
 	b := colPred{main: v.MainColumnAt(p.Col), delta: v.DeltaColumnAt(p.Col), op: p.Op, key: p.Val.EncodeKey(nil)}
-	b.deltaDict = b.delta.DictLen()
 	// [eq, above) are the main IDs whose key equals the predicate's: one
 	// ID or none. IDs below eq hold smaller keys, IDs from above on larger.
 	first, _ := b.main.LookupRange(b.key, b.key)
@@ -97,36 +111,17 @@ func bindPred(v storage.View, p Pred) colPred {
 
 // scanWorker is the scratch one worker filters the blocks of one
 // tableScan in. After forEachBlock hands a block to its caller, bits is
-// the block's result and ids and wide are free for the caller's own
-// decoding.
+// the block's result; ids is the caller's, for the value IDs of a main
+// block it decodes, and wide, which filtered a delta block's predicates,
+// is free for the value IDs of a delta block.
 type scanWorker struct {
 	bits [blockWords]uint64 // bit i: row first+i is visible and passes every predicate
-	ids  [blockRows]uint32  // value IDs of a main-partition block
-	wide [blockRows]uint64  // value IDs of a delta block
-	memo []dictMemo[bool]   // per predicate: whether a delta dictionary ID's key matches
+	ids  [blockRows]uint32
+	wide [blockRows]uint64
 }
 
 // bitmap returns the words of bits that cover a block of n rows.
 func (w *scanWorker) bitmap(n int) []uint64 { return w.bits[:(n+63)/64] }
-
-// dictMemo caches a function of the dictionary IDs of one column, so
-// that it is computed once per distinct value a scan meets, not per row.
-type dictMemo[T any] struct {
-	val   []T
-	known []bool
-}
-
-func newDictMemo[T any](dictLen uint64) dictMemo[T] {
-	return dictMemo[T]{val: make([]T, dictLen), known: make([]bool, dictLen)}
-}
-
-func (m *dictMemo[T]) get(id uint64, compute func(id uint64) T) T {
-	if !m.known[id] {
-		m.known[id] = true
-		m.val[id] = compute(id)
-	}
-	return m.val[id]
-}
 
 // scanWorkers holds the scratch of each worker of one operator, made at
 // first use. Slot i is only ever touched by worker i.
@@ -143,13 +138,16 @@ func (ws scanWorkers) get(worker int) *scanWorker {
 // for every block in which a row survives: first is the table row ID of
 // bit 0 of w.bits, n the number of rows in the block. No block straddles
 // the main/delta boundary, so first < s.mainRows tells fn which partition
-// it is in.
+// it is in, and blocks end on multiples of blockRows of their partition's
+// own row numbers — where its visibility summaries lie — so only the
+// blocks at the ends of [lo, hi) and of a partition can be short.
 func (s *tableScan) forEachBlock(w *scanWorker, lo, hi uint64, fn func(first uint64, n int)) {
 	for lo < hi {
-		end := min(lo+blockRows, hi)
-		if lo < s.mainRows {
-			end = min(end, s.mainRows)
+		base, bound := uint64(0), min(hi, s.mainRows)
+		if lo >= s.mainRows {
+			base, bound = s.mainRows, hi
 		}
+		end := min(lo+blockRows-(lo-base)%blockRows, bound)
 		n := int(end - lo)
 		if s.filterBlock(w, lo, n) {
 			fn(lo, n)
@@ -183,17 +181,10 @@ func (s *tableScan) filterBlock(w *scanWorker, first uint64, n int) bool {
 		}
 		p := &s.preds[pi]
 		if inMain {
-			p.main.UnpackIDs(first, first+uint64(n), w.ids[:])
-			p.filterMain(w.ids[:n], bm)
+			p.main.FilterIDs(first, first+uint64(n), p.lo, p.span, p.neg, bm)
 		} else {
 			p.delta.LoadIDs(first-s.mainRows, w.wide[:n])
-			if w.memo == nil { // the worker's first delta block
-				w.memo = make([]dictMemo[bool], len(s.preds))
-				for i := range w.memo {
-					w.memo[i] = newDictMemo[bool](s.preds[i].deltaDict)
-				}
-			}
-			p.filterDelta(w.wide[:n], &w.memo[pi], bm)
+			p.filterDelta(w.wide[:n], bm)
 		}
 	}
 	return !allZero(bm)
@@ -207,34 +198,23 @@ func allZero(bm []uint64) bool {
 	return or == 0
 }
 
-// filterMain clears from bm the rows whose value ID fails the predicate:
-// an unsigned range compare per ID, no branch on the data.
-func (p *colPred) filterMain(ids []uint32, bm []uint64) {
-	var flip uint64
-	if p.neg {
-		flip = ^uint64(0)
-	}
-	for w := range bm {
-		if bm[w] == 0 {
-			continue
-		}
-		var in uint64
-		for i, id := range ids[w*64 : min(w*64+64, len(ids))] {
-			_, below := bits.Sub32(id-p.lo, p.span, 0)
-			in |= uint64(below) << i
-		}
-		bm[w] &= in ^ flip
-	}
-}
-
 // filterDelta clears from bm the rows whose key fails the predicate,
 // comparing keys once per dictionary ID and only for rows still set.
-func (p *colPred) filterDelta(ids []uint64, memo *dictMemo[bool], bm []uint64) {
-	matches := func(id uint64) bool { return p.op.matches(bytes.Compare(p.delta.DictKey(id), p.key)) }
+func (p *colPred) filterDelta(ids []uint64, bm []uint64) {
 	for w, word := range bm {
 		for ; word != 0; word &= word - 1 {
 			i := bits.TrailingZeros64(word)
-			if !memo.get(ids[w*64+i], matches) {
+			id := ids[w*64+i]
+			memo := &p.deltaMemo[id]
+			verdict := memo.Load()
+			if verdict == memoUnknown {
+				verdict = memoFails
+				if p.op.matches(bytes.Compare(p.delta.DictKey(id), p.key)) {
+					verdict = memoMatches
+				}
+				memo.Store(verdict)
+			}
+			if verdict == memoFails {
 				bm[w] &^= 1 << i
 			}
 		}

@@ -13,11 +13,24 @@
 // global last-committed CID has been advanced past its CID (see package
 // txn for the commit protocol). The TID vector is always volatile — after
 // a restart no transaction owns any row, which is precisely correct.
+//
+// Visibility is asked in two shapes. Visible answers for one row: index
+// lookups, row fetches and the write path. VisibleBits answers for a
+// block of rows as a bitmap: every scan. A block in which nothing is in
+// flight and nothing has died — the normal state of a merged partition —
+// is 16 KiB of stamps that all say the same thing, so the store keeps,
+// per aligned block of SummaryRows rows, a volatile summary that says so
+// and lets VisibleBits answer without reading them. Scans learn the
+// summaries as a side effect of reading the stamps; SetEnd takes a
+// block's summary back; nothing is persisted and a restart starts with
+// none. The invariant and its memory-ordering argument are at
+// VisibleBits.
 package mvcc
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"hyrisenv/internal/vec"
@@ -33,6 +46,7 @@ type Store struct {
 	begin vec.Vec       // persistent on NVM backend
 	end   vec.Vec       // persistent on NVM backend
 	tid   *vec.Volatile // always volatile (row write locks)
+	sum   summaries     // always volatile (what scans learned, see VisibleBits)
 }
 
 // NewStore wraps begin/end vectors (backend-specific) into a Store.
@@ -173,10 +187,17 @@ func (s *Store) ReleaseRow(row, owner uint64) {
 //nvm:nopersist commit flushes a group's stamps via FlushBegin/FlushEnd under one fence; recovery persists via PersistBegin/PersistEnd
 func (s *Store) SetBegin(row, cid uint64) { s.begin.SetNoPersist(row, cid) }
 
-// SetEnd stamps the end CID of row without persisting.
+// SetEnd stamps the end CID of row without persisting, and then takes
+// back whatever a scan had learned about the row's block (see
+// VisibleBits): the caller publishes cid as a snapshot only afterwards.
 //
 //nvm:nopersist commit flushes a group's stamps via FlushBegin/FlushEnd under one fence; recovery persists via PersistBegin/PersistEnd
-func (s *Store) SetEnd(row, cid uint64) { s.end.SetNoPersist(row, cid) }
+func (s *Store) SetEnd(row, cid uint64) {
+	s.end.SetNoPersist(row, cid)
+	if sum := s.sum.at(row/SummaryRows, false); sum != nil {
+		sum.unsettle()
+	}
+}
 
 // PersistBegin persists the begin stamp of row.
 func (s *Store) PersistBegin(row uint64) { s.begin.PersistAt(row) }
@@ -207,14 +228,64 @@ func (s *Store) Visible(row, snapCID, selfTID uint64) bool {
 	return e == Inf || e > snapCID
 }
 
-// VisibleBits is Visible for the rows [lo, hi) at once: bit i of bits
+// VisibleBits is Visible for the rows [lo, hi) at once: bit i of bm
 // (bit i%64 of word i/64) is set when row lo+i is visible, and the words
 // covering the range are overwritten whole. The stamps are read in place
-// as runs of contiguous words, with the loads Visible makes and a row's
-// begin before its end; only a row with begin = Inf costs a look at its
-// owner.
-func (s *Store) VisibleBits(lo, hi, snapCID, selfTID uint64, bits []uint64) {
-	clear(bits[:(hi-lo+63)/64])
+// as runs of contiguous words, with atomic loads and a row's begin before
+// its end; only a row with begin = Inf costs a look at its owner.
+//
+// A range that is one whole summary block — SummaryRows rows starting at
+// a multiple of SummaryRows, which is how the scan kernel asks — need not
+// read a stamp at all. The block's summary says "settled" when a scan
+// has seen every begin in it a real CID and every end Inf, and keeps the
+// largest of those begins; a settled block with maxBegin <= snapCID is
+// visible whole. Summaries are volatile, allocated at a scan's first
+// look and learned by the scans themselves: nothing is persisted, and
+// nothing is built when a store is opened.
+//
+// Why a reader may trust the bit. All summary accesses are atomic, so
+// they are totally ordered with the atomic accesses around them.
+//
+//   - Begins. A settled block has no begin = Inf, and a begin that is a
+//     real CID is never stamped again, so maxBegin is a constant of the
+//     block from the first time anyone computes it: whichever scan's
+//     store a reader observes, the value is the same.
+//   - Ends. SetEnd stores the end stamp, then advances the summary's
+//     version, which clears the bit; only then does the commit publish
+//     its CID as a snapshot (txn's lastCID, the shared clock's
+//     watermark). A reader that still finds the bit set therefore took
+//     its snapshot below that CID, and sees the row either way; a reader
+//     whose snapshot covers the CID loaded it after the version moved,
+//     and finds the bit clear.
+//   - Publishing. A scan reads the summary's state before the block's
+//     stamps and sets the bit with a compare-and-swap on that state. A
+//     SetEnd whose store the scan missed moved the version after the
+//     scan read it, and the swap fails; a SetEnd that moved the version
+//     before the scan read it had already stored its stamp, and the scan
+//     saw an unsettled block. An undone stamp (end back to Inf, as
+//     recovery writes it) moves the version once more, and the next scan
+//     learns the block again.
+//
+// The transaction's own uncommitted deletes are not MVCC state; callers
+// clear them from the bitmap afterwards, settled block or not.
+func (s *Store) VisibleBits(lo, hi, snapCID, selfTID uint64, bm []uint64) {
+	var sum *blockSummary
+	var seen uint64
+	if lo%SummaryRows == 0 && hi-lo == SummaryRows {
+		if sum = s.sum.at(lo/SummaryRows, true); sum != nil {
+			seen = sum.state.Load()
+			if seen&settledBit != 0 && sum.maxBegin.Load() <= snapCID {
+				for i := range bm[:SummaryRows/64] {
+					bm[i] = ^uint64(0)
+				}
+				return
+			}
+		}
+	}
+	clear(bm[:(hi-lo+63)/64])
+	// ends is the AND of every end stamp the loop looks at: Inf (all
+	// ones) to the last only if each of them is. A begin of Inf zeroes it.
+	ends := Inf
 	for row, bit := lo, uint64(0); row < hi; {
 		begin := s.begin.Span(row, hi)
 		end := s.end.Span(row, row+uint64(len(begin)))
@@ -227,20 +298,108 @@ func (s *Store) VisibleBits(lo, hi, snapCID, selfTID uint64, bits []uint64) {
 			for i := range begin[:n] {
 				b := atomic.LoadUint64(&begin[i])
 				if b == Inf {
+					ends = 0
 					if selfTID != 0 && s.TID(row+uint64(i)) == selfTID {
 						word |= 1 << i
 					}
 				} else if b <= snapCID {
-					if e := atomic.LoadUint64(&end[i]); e == Inf || e > snapCID {
+					e := atomic.LoadUint64(&end[i])
+					ends &= e
+					if e == Inf || e > snapCID {
 						word |= 1 << i
 					}
 				}
 			}
-			bits[bit/64] |= word << (bit % 64)
+			bm[bit/64] |= word << (bit % 64)
 			begin, end = begin[n:], end[n:]
 			row, bit = row+uint64(n), bit+uint64(n)
 		}
 	}
+	// Settled: every row visible, none as an uncommitted insert, and every
+	// end looked at — every row's, then — Inf.
+	if sum != nil && seen&settledBit == 0 && ends == Inf && allOnes(bm[:SummaryRows/64]) {
+		sum.maxBegin.Store(s.maxBegin(lo, hi))
+		sum.state.CompareAndSwap(seen, seen|settledBit)
+	}
+}
+
+func allOnes(bm []uint64) bool {
+	and := ^uint64(0)
+	for _, w := range bm {
+		and &= w
+	}
+	return and == ^uint64(0)
+}
+
+// maxBegin returns the largest begin stamp of rows [lo, hi).
+func (s *Store) maxBegin(lo, hi uint64) uint64 {
+	var m uint64
+	for lo < hi {
+		run := s.begin.Span(lo, hi)
+		for i := range run {
+			m = max(m, atomic.LoadUint64(&run[i]))
+		}
+		lo += uint64(len(run))
+	}
+	return m
+}
+
+// SummaryRows is the number of rows one visibility summary covers: the
+// scan kernel's block.
+const SummaryRows = 1024
+
+// settledBit is the low bit of blockSummary.state; the bits above it are
+// a version that every SetEnd in the block advances.
+const settledBit = 1
+
+// blockSummary is what scans have learned about one aligned block of
+// SummaryRows rows. See VisibleBits for the protocol.
+type blockSummary struct {
+	state    atomic.Uint64
+	maxBegin atomic.Uint64 // meaningful while state has settledBit
+}
+
+// unsettle advances the version and clears the settled bit.
+func (b *blockSummary) unsettle() {
+	for {
+		st := b.state.Load()
+		if b.state.CompareAndSwap(st, st&^settledBit+2) {
+			return
+		}
+	}
+}
+
+// summaries holds a store's block summaries in segments that double in
+// size, each allocated when a scan first looks at one of its blocks, so
+// that a summary never moves and a store that is never scanned, or has
+// just been opened, holds none. The first segment covers 64 blocks.
+type summaries struct {
+	seg [32]atomic.Pointer[[]blockSummary]
+}
+
+const summaryBaseLog = 6
+
+// at returns the summary of block, or nil when its segment does not exist
+// and alloc is false — or lies beyond the directory, which no vector's
+// capacity reaches.
+func (s *summaries) at(block uint64, alloc bool) *blockSummary {
+	k := bits.Len64(block>>summaryBaseLog+1) - 1
+	if k >= len(s.seg) {
+		return nil
+	}
+	seg := s.seg[k].Load()
+	if seg == nil {
+		if !alloc {
+			return nil
+		}
+		fresh := make([]blockSummary, uint64(1)<<(summaryBaseLog+k))
+		if s.seg[k].CompareAndSwap(nil, &fresh) {
+			seg = &fresh
+		} else {
+			seg = s.seg[k].Load()
+		}
+	}
+	return &(*seg)[block-(uint64(1)<<k-1)<<summaryBaseLog]
 }
 
 // Check verifies the durable MVCC invariants that must hold at every

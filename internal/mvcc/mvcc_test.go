@@ -2,7 +2,9 @@ package mvcc
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hyrisenv/internal/vec"
@@ -269,26 +271,323 @@ func TestNewStoreOwnsNothing(t *testing.T) {
 	}
 }
 
-func BenchmarkVisibleBits(b *testing.B) {
-	// A merged partition's shape: every row committed, one in 50 since
-	// invalidated, some of those after the snapshot.
-	const rows = 1 << 18
-	s := volatileStore()
-	if err := s.AppendCommittedRows(rows, 3); err != nil {
-		b.Fatal(err)
+// settled reports whether the summary of block says so; a block no scan
+// has looked at has none.
+func (s *Store) settled(block uint64) bool {
+	sum := s.sum.at(block, false)
+	return sum != nil && sum.state.Load()&settledBit != 0
+}
+
+// checkBitsMatchVisible compares VisibleBits with the per-row check over
+// every whole block of s, the ragged tail and two ranges off the block
+// grid, for every snapshot from 0 to maxSnap and for owners present and
+// absent.
+func checkBitsMatchVisible(t *testing.T, s *Store, maxSnap uint64) {
+	t.Helper()
+	rows := s.Rows()
+	ranges := [][2]uint64{{3, rows - 1}, {SummaryRows / 2, SummaryRows/2 + SummaryRows}}
+	for lo := uint64(0); lo < rows; lo += SummaryRows {
+		ranges = append(ranges, [2]uint64{lo, min(lo+SummaryRows, rows)})
 	}
-	for r := uint64(0); r < rows; r += 50 {
-		s.SetEnd(r, 4+r%3)
-	}
-	var bits [1024 / 64]uint64
-	var sink uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for lo := uint64(0); lo < rows; lo += 1024 {
-			s.VisibleBits(lo, lo+1024, 5, 7, bits[:])
-			sink += bits[3]
+	bm := make([]uint64, (rows+63)/64)
+	for _, r := range ranges {
+		lo, hi := r[0], r[1]
+		for snap := uint64(0); snap <= maxSnap; snap++ {
+			for _, self := range []uint64{0, 7, 8} {
+				s.VisibleBits(lo, hi, snap, self, bm)
+				for row := lo; row < hi; row++ {
+					i := row - lo
+					got := bm[i/64]>>(i%64)&1 == 1
+					if want := s.Visible(row, snap, self); got != want {
+						t.Fatalf("[%d,%d) snap %d self %d: row %d bit %v, Visible %v", lo, hi, snap, self, row, got, want)
+					}
+				}
+			}
 		}
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
-	_ = sink
+}
+
+// TestVisibleBitsSummaries walks blocks through every state a summary
+// can be in — settled, never settled for a dead row, invalidated after a
+// scan learned it, settled again once the stamp is undone, settled late
+// when an insert commits — and holds VisibleBits to Visible at each step,
+// twice: the pass that learns and the pass that uses what was learned.
+// Snapshots run from 0, so every block is also read from below its
+// largest begin, where a settled block must not be taken whole.
+func TestVisibleBitsSummaries(t *testing.T) {
+	const blocks = 4
+	s := volatileStore()
+	for r := uint64(0); r < blocks*SummaryRows+100; r++ { // a ragged tail no summary covers
+		if _, err := s.AppendRow(0); err != nil {
+			t.Fatal(err)
+		}
+		s.SetBegin(r, 1+r%9)
+	}
+	const (
+		deadRow     = 1*SummaryRows + 17 // block 1: dead before any scan
+		pendingRow  = 2*SummaryRows + 500
+		stampedRow  = 3*SummaryRows + 1023
+		lastCID     = 13
+		wantSettled = "block %d settled = %v, want %v"
+	)
+	s.SetEnd(deadRow, 5)
+	s.SetBegin(pendingRow, Inf) // block 2: an uncommitted insert of transaction 7
+	s.ClaimRow(pendingRow, 7)
+	expect := func(step string, want [blocks]bool) {
+		t.Helper()
+		checkBitsMatchVisible(t, s, lastCID+1) // learns
+		checkBitsMatchVisible(t, s, lastCID+1) // uses
+		for b, w := range want {
+			if got := s.settled(uint64(b)); got != w {
+				t.Fatalf("%s: "+wantSettled, step, b, got, w)
+			}
+		}
+		if s.settled(blocks) {
+			t.Fatalf("%s: the ragged tail has a settled summary", step)
+		}
+	}
+	expect("fresh", [blocks]bool{true, false, false, true})
+
+	s.SetEnd(stampedRow, 12)
+	if s.settled(3) {
+		t.Fatal("SetEnd left the block settled")
+	}
+	expect("invalidated", [blocks]bool{true, false, false, false})
+
+	s.SetEnd(stampedRow, Inf) // recovery undoing an in-flight commit
+	expect("undone", [blocks]bool{true, false, false, true})
+
+	s.SetBegin(pendingRow, lastCID) // the insert commits
+	s.ReleaseRow(pendingRow, 7)
+	expect("committed", [blocks]bool{true, false, true, true})
+	if got := s.sum.at(2, false).maxBegin.Load(); got != lastCID {
+		t.Fatalf("block 2 maxBegin = %d, want %d", got, lastCID)
+	}
+}
+
+// TestNewStoreHasNoSummaries: summaries are volatile and learned, so a
+// store over existing rows — what a restart builds — starts with none,
+// and building it costs the same however many rows it covers.
+func TestNewStoreHasNoSummaries(t *testing.T) {
+	build := func(rows int) (begin, end *vec.Volatile) {
+		begin, end = vec.NewVolatile(10), vec.NewVolatile(10)
+		stamps := make([]uint64, rows)
+		for i := range stamps {
+			stamps[i] = 3
+		}
+		begin.AppendN(stamps)
+		for i := range stamps {
+			stamps[i] = Inf
+		}
+		end.AppendN(stamps)
+		return begin, end
+	}
+	begin, end := build(64 * SummaryRows)
+	s := NewStore(begin, end)
+	var bm [SummaryRows / 64]uint64
+	for lo := uint64(0); lo < s.Rows(); lo += SummaryRows {
+		s.VisibleBits(lo, lo+SummaryRows, 5, 0, bm[:])
+	}
+	if !s.settled(0) || !s.settled(63) {
+		t.Fatal("a scan of settled blocks learned nothing")
+	}
+	s = NewStore(begin, end) // the restart
+	for k := range s.sum.seg {
+		if s.sum.seg[k].Load() != nil {
+			t.Fatalf("summary segment %d exists in a new store", k)
+		}
+	}
+	s.SetEnd(5, 4) // no summary to take back, and none made
+	if s.sum.seg[0].Load() != nil {
+		t.Fatal("SetEnd allocated a summary segment")
+	}
+	smallBegin, smallEnd := build(SummaryRows)
+	small := testing.AllocsPerRun(10, func() { NewStore(smallBegin, smallEnd) })
+	// 64 times the rows: the owner vector's doubling segments add six
+	// allocations, summaries none.
+	if large := testing.AllocsPerRun(10, func() { NewStore(begin, end) }); large > small+2*6 {
+		t.Fatalf("NewStore allocates %v times over %d rows, %v over %d", large, 64*SummaryRows, small, SummaryRows)
+	}
+}
+
+// stampHookVec runs a hook just before an end stamp is stored.
+type stampHookVec struct {
+	*vec.Volatile
+	beforeSet func()
+}
+
+func (v *stampHookVec) SetNoPersist(i, x uint64) {
+	if v.beforeSet != nil {
+		v.beforeSet()
+	}
+	v.Volatile.SetNoPersist(i, x)
+}
+
+// TestSetEndStampsBeforeItUnsettles pins the order inside SetEnd that
+// the stress test is too coarse to hit: the stamp is stored before the
+// summary's version moves. A scan that runs in between the two — here,
+// from a hook on the store — must not be able to leave the block settled
+// over the stamp: were the version moved first, the scan would publish
+// against the new version with the old stamps in hand.
+func TestSetEndStampsBeforeItUnsettles(t *testing.T) {
+	end := &stampHookVec{Volatile: vec.NewVolatile(10)}
+	s := NewStore(vec.NewVolatile(10), end)
+	if err := s.AppendCommittedRows(SummaryRows, 1); err != nil {
+		t.Fatal(err)
+	}
+	var bm [SummaryRows / 64]uint64
+	scan := func() { s.VisibleBits(0, SummaryRows, 5, 0, bm[:]) }
+	scan()
+	if !s.settled(0) {
+		t.Fatal("a scan of a settled block learned nothing")
+	}
+	end.beforeSet = scan
+	s.SetEnd(17, 3)
+	if s.settled(0) {
+		t.Fatal("a scan inside SetEnd left the block settled over the new stamp")
+	}
+	if scan(); bm[0]>>17&1 != 0 {
+		t.Fatal("the invalidated row is visible to a snapshot above its end")
+	}
+}
+
+// TestSummariesUnderCommits races scanners against a committer. Commit
+// k appends rows, so that new blocks keep filling up and being learned,
+// and invalidates a row in one of the last few full blocks, so that
+// blocks the scans have just learned keep being taken back; it stamps
+// all of that and only then publishes k as the snapshot, as txn does.
+// Which rows a snapshot sees is a function of the snapshot alone, so
+// every scan — of the last few blocks, where the commits land — is
+// checked, at its own snapshot, against that function.
+func TestSummariesUnderCommits(t *testing.T) {
+	const (
+		initial   = 8 * SummaryRows // committed at CID 1
+		perCommit = 128             // rows a commit appends: a new block every eight commits
+		commits   = 800
+		firstCID  = 2
+		window    = 6 // full blocks back from the end that commits hit and scans read
+		writerTID = 99
+		scanners  = 3
+	)
+	// The plan: the row commit k invalidates, and so the CID at which
+	// each row dies (0: never). Commit k picks its block among the last
+	// `window` full ones, and row k mod SummaryRows in it, which no other
+	// commit to that block picks.
+	victims := make([]uint64, firstCID+commits)
+	death := make([]uint64, initial+commits*perCommit)
+	for k := uint64(firstCID); k < firstCID+commits; k++ {
+		full := (initial + (k-firstCID)*perCommit) / SummaryRows
+		victims[k] = (full-1-k%window)*SummaryRows + k%SummaryRows
+		if death[victims[k]] != 0 {
+			t.Fatal("the plan invalidates a row twice")
+		}
+		death[victims[k]] = k
+	}
+	visibleAt := func(row, snap uint64) bool {
+		born := uint64(1)
+		if row >= initial {
+			born = firstCID + (row-initial)/perCommit
+		}
+		return born <= snap && (death[row] == 0 || death[row] > snap)
+	}
+
+	s := NewStore(vec.NewVolatile(10), vec.NewVolatile(10))
+	if err := s.AppendCommittedRows(initial, 1); err != nil {
+		t.Fatal(err)
+	}
+	var lastCID, passes atomic.Uint64
+	lastCID.Store(1)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < scanners; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var bm [SummaryRows / 64]uint64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := lastCID.Load()
+				rows := s.Rows() // after the snapshot, as a scan binds them
+				for lo := (rows/SummaryRows - window) * SummaryRows; lo < rows; lo += SummaryRows {
+					hi := min(lo+SummaryRows, rows)
+					s.VisibleBits(lo, hi, snap, 0, bm[:])
+					for row := lo; row < hi; row++ {
+						if got, want := bm[(row-lo)/64]>>((row-lo)%64)&1 == 1, visibleAt(row, snap); got != want {
+							t.Errorf("snapshot %d: row %d bit %v, want %v (block settled: %v)", snap, row, got, want, s.settled(lo/SummaryRows))
+							return
+						}
+					}
+				}
+				passes.Add(1)
+			}
+		}()
+	}
+	takenBack := 0 // commits that hit a block a scan had learned
+	for k := uint64(firstCID); k < firstCID+commits && !t.Failed(); k++ {
+		var inserted [perCommit]uint64
+		for i := range inserted {
+			row, err := s.AppendRow(writerTID)
+			if err != nil {
+				t.Error(err)
+				break
+			}
+			inserted[i] = row
+		}
+		for _, row := range inserted {
+			s.SetBegin(row, k)
+			s.ReleaseRow(row, writerTID)
+		}
+		if s.settled(victims[k] / SummaryRows) {
+			takenBack++
+		}
+		s.SetEnd(victims[k], k)
+		lastCID.Store(k)
+		if k%16 == 0 { // the scanners keep up
+			for target := passes.Load() + 1; passes.Load() < target && !t.Failed(); {
+				runtime.Gosched()
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	t.Logf("%d scans; %d of %d commits hit a block a scan had learned", passes.Load(), takenBack, commits)
+}
+
+// BenchmarkVisibleBits scans a merged partition's stamps a block at a
+// time. settled: every row committed and none invalidated, so after the
+// first pass every block is answered from its summary. unsettled: one row
+// in 50 invalidated, some of those after the snapshot, so every block
+// takes the stamp loop — the cost before summaries, and still the cost of
+// a block with a dead version in it.
+func BenchmarkVisibleBits(b *testing.B) {
+	const rows = 1 << 18
+	for _, shape := range []struct {
+		name  string
+		every uint64 // one row in `every` is invalidated; 0: none
+	}{{"settled", 0}, {"unsettled", 50}} {
+		b.Run(shape.name, func(b *testing.B) {
+			s := volatileStore()
+			if err := s.AppendCommittedRows(rows, 3); err != nil {
+				b.Fatal(err)
+			}
+			for r := uint64(0); shape.every > 0 && r < rows; r += shape.every {
+				s.SetEnd(r, 4+r%3)
+			}
+			var bits [SummaryRows / 64]uint64
+			var sink uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for lo := uint64(0); lo < rows; lo += SummaryRows {
+					s.VisibleBits(lo, lo+SummaryRows, 5, 7, bits[:])
+					sink += bits[3]
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			_ = sink
+		})
+	}
 }

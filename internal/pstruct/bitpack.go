@@ -129,6 +129,17 @@ func (b *BitPacked) Unpack(lo, hi uint64, dst []uint32) {
 	UnpackBits(b.buf, b.bits, lo, hi, dst)
 }
 
+// Filter clears from bm, whose bit i stands for value lo+i, the values of
+// [lo, hi) that fail the ID range test — see FilterBits. The packed words
+// are read in place; nothing is decoded.
+func (b *BitPacked) Filter(lo, hi uint64, idLo, span uint32, neg bool, bm []uint64) {
+	if lo > hi || hi > b.n {
+		panic(fmt.Sprintf("pstruct: bitpacked range [%d, %d) out of range %d", lo, hi, b.n))
+	}
+	b.chargeRead(lo, hi)
+	FilterBits(b.buf, b.bits, lo, int(hi-lo), idLo, span, neg, bm)
+}
+
 // chargeRead charges the read latency model for a sequential pass over
 // values [lo, hi).
 func (b *BitPacked) chargeRead(lo, hi uint64) {
@@ -194,6 +205,64 @@ func UnpackBits(buf []byte, width, lo, hi uint64, dst []uint32) {
 		next := binary.LittleEndian.Uint64(w)
 		dst[i] = uint32((acc | next<<have) & mask)
 		acc, have = next>>(width-have), have+64-width
+	}
+}
+
+// maxGroupWidth is the widest value an unaligned 8-byte load still holds
+// whole wherever it starts in its first byte: 7 bits of shift plus 57.
+const maxGroupWidth = 57
+
+// FilterBits evaluates a value-ID range predicate on the packed words
+// themselves. Bit i of bm stands for the value at index lo+i, i < n; the
+// bit is cleared unless the low 32 bits of that value lie in
+// [idLo, idLo+span) — one unsigned compare, id-idLo < span — or, with
+// neg, unless they lie outside it. Words of bm that are already zero are
+// skipped.
+//
+// Eight packed values are exactly `width` bytes, so when lo is a
+// multiple of 8 value k of every group of eight starts at a byte offset
+// and a shift that depend on the width alone: a 64-row word of bm is, for
+// each k, eight independent loads a group apart, each shifted, masked,
+// tested and ORed into the word, with no decoded copy in between. A
+// ragged last word, an lo off the group grid, a width no 8-byte load
+// covers and the word whose loads would run past len(buf) go through
+// GetBits instead.
+func FilterBits(buf []byte, width, lo uint64, n int, idLo, span uint32, neg bool, bm []uint64) {
+	var flip uint64
+	if neg {
+		flip = ^uint64(0)
+	}
+	mask := uint32(bitMask(width))
+	// A word's loads end 8 bytes after the first byte of its last value.
+	reach := 7*width + 7*width/8 + 8
+	grouped := width <= maxGroupWidth && lo%8 == 0
+	in := func(id uint32) uint64 { return (uint64(id-idLo) - uint64(span)) >> 63 }
+	for w := range bm[:(n+63)/64] {
+		if bm[w] == 0 {
+			continue
+		}
+		first := lo + uint64(w)*64
+		rows := min(64, n-w*64)
+		var pass uint64
+		if base := first / 8 * width; grouped && rows == 64 && base+reach <= uint64(len(buf)) {
+			p := buf[base : base+reach]
+			for k := uint64(0); k < 8; k++ {
+				q, sh := p[k*width/8:], k*width%8
+				pass |= (in(uint32(binary.LittleEndian.Uint64(q)>>sh)&mask) |
+					in(uint32(binary.LittleEndian.Uint64(q[width:])>>sh)&mask)<<8 |
+					in(uint32(binary.LittleEndian.Uint64(q[2*width:])>>sh)&mask)<<16 |
+					in(uint32(binary.LittleEndian.Uint64(q[3*width:])>>sh)&mask)<<24 |
+					in(uint32(binary.LittleEndian.Uint64(q[4*width:])>>sh)&mask)<<32 |
+					in(uint32(binary.LittleEndian.Uint64(q[5*width:])>>sh)&mask)<<40 |
+					in(uint32(binary.LittleEndian.Uint64(q[6*width:])>>sh)&mask)<<48 |
+					in(uint32(binary.LittleEndian.Uint64(q[7*width:])>>sh)&mask)<<56) << k
+			}
+		} else {
+			for i := 0; i < rows; i++ {
+				pass |= in(uint32(GetBits(buf, (first+uint64(i))*width, width))) << i
+			}
+		}
+		bm[w] &= pass ^ flip
 	}
 }
 

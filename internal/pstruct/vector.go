@@ -28,6 +28,13 @@
 // the layer above reconciles structures that moved apart (storage's
 // restart alignment). Setting up a structure or a segment persists for
 // itself, outside the two-fence schedule.
+//
+// The read side is in place too. The bit-packed vector of a main column
+// is never decoded as a whole: a scan asks it for one value (GetBits),
+// for a block of value IDs (UnpackBits — GROUP BY and the join need the
+// IDs), or to run a value-ID range predicate on the packed words and AND
+// the verdicts into a bitmap (FilterBits), which touches width/8 bytes
+// per row and writes 1/8 of a byte.
 package pstruct
 
 import (

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"hyrisenv/internal/mvcc"
-	"hyrisenv/internal/pstruct"
 	"hyrisenv/internal/vec"
 )
 
@@ -196,8 +195,9 @@ func ReadCheckpoint(br io.Reader) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			d.dictKeys = append(d.dictKeys, string(k))
-			d.dictIdx[string(k)] = i
+			if id := d.dictID(k); id != i {
+				return nil, fmt.Errorf("storage: checkpoint delta dictionary of column %d repeats key %q (IDs %d and %d)", c, k, id, i)
+			}
 		}
 		for r := uint64(0); r < dr; r++ {
 			v, err := u32()
@@ -252,25 +252,6 @@ func ReadCheckpoint(br io.Reader) (*Table, error) {
 	ps.deltaMVCC = newStoreFrom(db, de)
 	t.parts.Store(ps)
 	return t, nil
-}
-
-// volatileMainFromParts builds a VolatileMain directly from a sorted
-// dictionary and row IDs (checkpoint load path — no re-deduplication).
-func volatileMainFromParts(typ ColType, dict []string, ids []uint64) *VolatileMain {
-	var maxV uint64
-	if len(dict) > 0 {
-		maxV = uint64(len(dict) - 1)
-	}
-	bits := pstruct.BitsFor(maxV)
-	words := (uint64(len(ids))*bits + 63) / 64
-	if words == 0 {
-		words = 1
-	}
-	packed := make([]byte, words*8)
-	for i, id := range ids {
-		pstruct.PutBits(packed, uint64(i)*bits, bits, id)
-	}
-	return &VolatileMain{typ: typ, dictKeys: dict, packed: packed, bits: bits, rows: uint64(len(ids))}
 }
 
 func newStoreFrom(begin, end *vec.Volatile) *mvcc.Store {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/pstruct"
@@ -47,20 +48,28 @@ type DeltaColumn interface {
 type VolatileDelta struct {
 	typ ColType
 
-	mu       sync.RWMutex
-	dictKeys []string // encoded keys; index = value ID
-	dictIdx  map[string]uint64
+	// dictKeys is the dictionary, index = value ID, republished by the
+	// writer after every new key. Readers load it without a lock: an
+	// entry never changes once published, so whatever slice a reader
+	// loads holds every ID below a DictLen it read earlier, and DictKey
+	// hands out the dictionary's own read-only copy of the key.
+	dictKeys atomic.Pointer[[][]byte]
+
+	mu      sync.RWMutex // guards dictIdx and orders the writers of dictKeys
+	dictIdx map[string]uint64
 
 	av *vec.Volatile
 }
 
 // NewVolatileDelta returns an empty DRAM delta column.
 func NewVolatileDelta(typ ColType) *VolatileDelta {
-	return &VolatileDelta{
+	d := &VolatileDelta{
 		typ:     typ,
 		dictIdx: make(map[string]uint64),
 		av:      vec.NewVolatile(10),
 	}
+	d.dictKeys.Store(new([][]byte))
+	return d
 }
 
 var _ DeltaColumn = (*VolatileDelta)(nil)
@@ -73,19 +82,28 @@ func (d *VolatileDelta) Rows() uint64 { return d.av.Len() }
 
 // Append implements DeltaColumn.
 func (d *VolatileDelta) Append(v Value) (uint64, error) {
-	key := string(v.EncodeKey(nil))
-	d.mu.Lock()
-	id, ok := d.dictIdx[key]
-	if !ok {
-		id = uint64(len(d.dictKeys))
-		d.dictKeys = append(d.dictKeys, key)
-		d.dictIdx[key] = id
-	}
-	d.mu.Unlock()
+	id := d.dictID(v.EncodeKey(nil))
 	if _, err := d.av.Append(id); err != nil {
 		return 0, err
 	}
 	return id, nil
+}
+
+// dictID returns the value ID of key, adding it to the dictionary when it
+// is new. The key is kept, not copied.
+func (d *VolatileDelta) dictID(key []byte) uint64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	id, ok := d.dictIdx[string(key)]
+	if !ok {
+		// The append may write into the old slice's spare capacity, which
+		// lies beyond the length of every slice a reader holds.
+		keys := append(*d.dictKeys.Load(), key)
+		id = uint64(len(keys) - 1)
+		d.dictIdx[string(key)] = id
+		d.dictKeys.Store(&keys)
+	}
+	return id
 }
 
 // ValueID implements DeltaColumn.
@@ -98,26 +116,13 @@ func (d *VolatileDelta) LoadIDs(lo uint64, dst []uint64) { d.av.Load(lo, dst) }
 func (d *VolatileDelta) Value(row uint64) Value { return d.DictValue(d.av.Get(row)) }
 
 // DictLen implements DeltaColumn.
-func (d *VolatileDelta) DictLen() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return uint64(len(d.dictKeys))
-}
+func (d *VolatileDelta) DictLen() uint64 { return uint64(len(*d.dictKeys.Load())) }
 
 // DictKey implements DeltaColumn.
-func (d *VolatileDelta) DictKey(id uint64) []byte {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return []byte(d.dictKeys[id])
-}
+func (d *VolatileDelta) DictKey(id uint64) []byte { return (*d.dictKeys.Load())[id] }
 
 // DictValue implements DeltaColumn.
-func (d *VolatileDelta) DictValue(id uint64) Value {
-	d.mu.RLock()
-	k := d.dictKeys[id]
-	d.mu.RUnlock()
-	return DecodeValue(d.typ, []byte(k))
-}
+func (d *VolatileDelta) DictValue(id uint64) Value { return DecodeValue(d.typ, d.DictKey(id)) }
 
 // LookupValueID implements DeltaColumn.
 func (d *VolatileDelta) LookupValueID(encKey []byte) (uint64, bool) {

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 
 	"hyrisenv/internal/nvm"
@@ -21,6 +22,10 @@ type MainColumn interface {
 	// UnpackIDs decodes the value IDs of rows [lo, hi) into
 	// dst[:hi-lo] — ValueID for a block of rows.
 	UnpackIDs(lo, hi uint64, dst []uint32)
+	// FilterIDs clears from bm, whose bit i stands for row lo+i, the rows
+	// of [lo, hi) whose value ID lies outside [idLo, idLo+span) — inside
+	// it when neg — without decoding the block (pstruct.FilterBits).
+	FilterIDs(lo, hi uint64, idLo, span uint32, neg bool, bm []uint64)
 	Value(row uint64) Value
 	DictLen() uint64
 	DictKey(id uint64) []byte
@@ -39,7 +44,7 @@ type MainColumn interface {
 // VolatileMain is the DRAM main column of the log-based baseline.
 type VolatileMain struct {
 	typ      ColType
-	dictKeys []string // sorted encoded keys
+	dictKeys [][]byte // sorted encoded keys, handed out as they are: read-only
 	packed   []byte
 	bits     uint64
 	rows     uint64
@@ -48,6 +53,16 @@ type VolatileMain struct {
 // BuildVolatileMain constructs a main column from per-row encoded keys.
 func BuildVolatileMain(typ ColType, rowKeys [][]byte) *VolatileMain {
 	dict, ids := buildDict(rowKeys)
+	return volatileMainFromParts(typ, dict, ids)
+}
+
+// volatileMainFromParts builds a VolatileMain directly from a sorted
+// dictionary and row IDs (checkpoint load path — no re-deduplication).
+func volatileMainFromParts(typ ColType, dict []string, ids []uint64) *VolatileMain {
+	keys := make([][]byte, len(dict))
+	for i, k := range dict {
+		keys[i] = []byte(k)
+	}
 	bits := pstruct.BitsFor(maxID(dict))
 	words := (uint64(len(ids))*bits + 63) / 64
 	if words == 0 {
@@ -57,7 +72,7 @@ func BuildVolatileMain(typ ColType, rowKeys [][]byte) *VolatileMain {
 	for i, id := range ids {
 		pstruct.PutBits(packed, uint64(i)*bits, bits, id)
 	}
-	return &VolatileMain{typ: typ, dictKeys: dict, packed: packed, bits: bits, rows: uint64(len(ids))}
+	return &VolatileMain{typ: typ, dictKeys: keys, packed: packed, bits: bits, rows: uint64(len(ids))}
 }
 
 var _ MainColumn = (*VolatileMain)(nil)
@@ -81,24 +96,29 @@ func (m *VolatileMain) UnpackIDs(lo, hi uint64, dst []uint32) {
 	pstruct.UnpackBits(m.packed, m.bits, lo, hi, dst)
 }
 
+// FilterIDs implements MainColumn.
+func (m *VolatileMain) FilterIDs(lo, hi uint64, idLo, span uint32, neg bool, bm []uint64) {
+	if lo > hi || hi > m.rows {
+		panic(fmt.Sprintf("storage: main column rows [%d, %d) out of range %d", lo, hi, m.rows))
+	}
+	pstruct.FilterBits(m.packed, m.bits, lo, int(hi-lo), idLo, span, neg, bm)
+}
+
 // Value implements MainColumn.
 func (m *VolatileMain) Value(row uint64) Value { return m.DictValue(m.ValueID(row)) }
 
 // DictLen implements MainColumn.
 func (m *VolatileMain) DictLen() uint64 { return uint64(len(m.dictKeys)) }
 
-// DictKey implements MainColumn.
-func (m *VolatileMain) DictKey(id uint64) []byte { return []byte(m.dictKeys[id]) }
+// DictKey implements MainColumn. The key is the dictionary's own copy.
+func (m *VolatileMain) DictKey(id uint64) []byte { return m.dictKeys[id] }
 
 // DictValue implements MainColumn.
-func (m *VolatileMain) DictValue(id uint64) Value {
-	return DecodeValue(m.typ, []byte(m.dictKeys[id]))
-}
+func (m *VolatileMain) DictValue(id uint64) Value { return DecodeValue(m.typ, m.dictKeys[id]) }
 
 // LookupValueID implements MainColumn.
 func (m *VolatileMain) LookupValueID(encKey []byte) (uint64, bool) {
-	i := sort.SearchStrings(m.dictKeys, string(encKey))
-	if i < len(m.dictKeys) && m.dictKeys[i] == string(encKey) {
+	if i, found := slices.BinarySearchFunc(m.dictKeys, encKey, bytes.Compare); found {
 		return uint64(i), true
 	}
 	return 0, false
@@ -106,8 +126,8 @@ func (m *VolatileMain) LookupValueID(encKey []byte) (uint64, bool) {
 
 // LookupRange implements MainColumn.
 func (m *VolatileMain) LookupRange(loKey, hiKey []byte) (uint64, uint64) {
-	lo := sort.SearchStrings(m.dictKeys, string(loKey))
-	hi := sort.SearchStrings(m.dictKeys, string(hiKey))
+	lo, _ := slices.BinarySearchFunc(m.dictKeys, loKey, bytes.Compare)
+	hi, _ := slices.BinarySearchFunc(m.dictKeys, hiKey, bytes.Compare)
 	return uint64(lo), uint64(hi)
 }
 
@@ -202,6 +222,11 @@ func (m *NVMMain) ValueID(row uint64) uint64 { return m.bp.Get(row) }
 
 // UnpackIDs implements MainColumn.
 func (m *NVMMain) UnpackIDs(lo, hi uint64, dst []uint32) { m.bp.Unpack(lo, hi, dst) }
+
+// FilterIDs implements MainColumn.
+func (m *NVMMain) FilterIDs(lo, hi uint64, idLo, span uint32, neg bool, bm []uint64) {
+	m.bp.Filter(lo, hi, idLo, span, neg, bm)
+}
 
 // Value implements MainColumn.
 func (m *NVMMain) Value(row uint64) Value { return m.DictValue(m.ValueID(row)) }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"math/bits"
 	"testing"
 
 	"hyrisenv/internal/mvcc"
@@ -370,3 +371,75 @@ func TestMVCCForAddressing(t *testing.T) {
 }
 
 var _ = nvm.PPtr(0) // keep import when tests are pruned
+
+// TestOpenNVMTableAfterScansLearned: what scans learn about a table's
+// blocks (mvcc's visibility summaries) lives in DRAM. A restart opens the
+// table without it — for the same number of allocations whatever the row
+// count, give or take the vectors' doubling segments — and the first scan
+// afterwards reads the stamps, including one persisted into a block that
+// had been learned settled before the restart.
+func TestOpenNVMTableAfterScansLearned(t *testing.T) {
+	const block = mvcc.SummaryRows
+	var bm [block / 64]uint64
+	visible := func(tbl *Table, snap uint64) int {
+		n := 0
+		v := tbl.View()
+		for lo := uint64(0); lo < v.MainRows(); lo += block {
+			hi := min(lo+block, v.MainRows())
+			v.MainMVCC().VisibleBits(lo, hi, snap, 0, bm[:])
+			for _, w := range bm[:(hi-lo+63)/64] {
+				n += bits.OnesCount64(w)
+			}
+		}
+		return n
+	}
+	openAllocs := func(rows int) float64 {
+		h, path := testNVMHeap(t)
+		tbl, err := CreateNVMTable(h, "orders", 3, ordersSchema(t), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.SetRoot("tbl:orders", tbl.Root(), 0)
+		for i := 0; i < rows; i++ {
+			row, err := tbl.AppendRow([]Value{Int(int64(i)), Str("cust"), Float(float64(i % 97))}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			commitRow(tbl, row, 2)
+		}
+		if _, err := tbl.Merge(3); err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ { // learn, then answer from what was learned
+			if got := visible(tbl, 3); got != rows {
+				t.Fatalf("%d rows: pass %d sees %d", rows, pass, got)
+			}
+		}
+		tbl.StampEnd(block+5, 4) // into a block the scans had learned settled
+		if got := visible(tbl, 4); got != rows-1 {
+			t.Fatalf("%d rows: %d visible after an invalidation, want %d", rows, got, rows-1)
+		}
+		h2 := reopenHeap(t, h, path)
+		root, _, _ := h2.Root("tbl:orders")
+		var tbl2 *Table
+		allocs := testing.AllocsPerRun(3, func() {
+			if tbl2, err = OpenNVMTable(h2, "orders", root); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got := visible(tbl2, 4); got != rows-1 {
+			t.Fatalf("%d rows: %d visible after reopen, want %d", rows, got, rows-1)
+		}
+		if got := visible(tbl2, 3); got != rows {
+			t.Fatalf("%d rows: %d visible below the invalidation after reopen, want %d", rows, got, rows)
+		}
+		return allocs
+	}
+	small, large := openAllocs(2*block+100), openAllocs(16*block+100)
+	// Eight times the rows is three more doubling segments in each of the
+	// few vectors that grow with them; a per-block cost would be 14 more
+	// blocks' worth.
+	if large > small+12 {
+		t.Fatalf("OpenNVMTable allocates %v times over %d rows, %v over %d", large, 16*block+100, small, 2*block+100)
+	}
+}
