@@ -83,7 +83,6 @@ func main() {
 		{"a2", func() (*bench.Report, error) { return bench.A2GroupCommit(workDir, 4000) }},
 		{"a3", func() (*bench.Report, error) { return bench.A3Compression(workDir, scale.E8Rows) }},
 		{"a4", func() (*bench.Report, error) { return bench.A4CommitBatching(workDir) }},
-		{"a5", func() (*bench.Report, error) { return bench.A5DictIndex(workDir, scale.E3Rows) }},
 		{"a6", func() (*bench.Report, error) { return bench.A6CheckpointCompression(workDir, scale.E2Rows) }},
 		{"m1", func() (*bench.Report, error) { return bench.M1RecoveryModel(workDir, scale.E1Sizes, model) }},
 		{"net", func() (*bench.Report, error) { return bench.NetRestart(workDir, scale.E1Sizes, model) }},

@@ -123,8 +123,9 @@ type DiskModel = disk.Model
 type NVMLatency = nvm.LatencyModel
 
 // Config configures Open. It is the single configuration surface of the
-// module: the daemon's flags (cmd/hyrise-nv serve) and the network
-// server map onto it one-to-one — see the README's configuration table.
+// module. The daemon (cmd/hyrise-nvd) sets five of its fields from flags
+// and leaves the rest at their defaults; the README's configuration
+// table is the mapping.
 type Config struct {
 	// Mode selects the durability architecture.
 	Mode Mode
@@ -136,9 +137,6 @@ type Config struct {
 	// cross-shard transactions commit with two-phase commit. The shard
 	// count is fixed at creation and recorded in the data directory.
 	Shards int
-	// RecoveryWorkers bounds how many shards recover concurrently at
-	// Open (default: min(Shards, GOMAXPROCS)).
-	RecoveryWorkers int
 	// NVMHeapSize sizes the simulated NVM device on first creation —
 	// per shard, when partitioned (NVM mode; default 1 GiB).
 	NVMHeapSize uint64
@@ -157,9 +155,6 @@ type Config struct {
 	// CheckpointLogBytes, when non-zero, lets Maintain rotate the log
 	// once the segment exceeds this size (LogBased mode).
 	CheckpointLogBytes uint64
-	// HashDictIndex uses an O(1) persistent hash map instead of the
-	// ordered skip list for NVM delta dictionary indexes (NVM mode).
-	HashDictIndex bool
 	// CompressCheckpoints flate-compresses binary checkpoints (LogBased
 	// mode) — smaller checkpoint I/O at some CPU cost.
 	CompressCheckpoints bool
@@ -182,12 +177,10 @@ func (cfg Config) shardConfig() shard.Config {
 			DiskModel:           cfg.DiskModel,
 			MergeThresholdRows:  cfg.MergeThresholdRows,
 			CheckpointLogBytes:  cfg.CheckpointLogBytes,
-			HashDictIndex:       cfg.HashDictIndex,
 			CompressCheckpoints: cfg.CompressCheckpoints,
 			Parallelism:         cfg.Parallelism,
 		},
-		Shards:          cfg.Shards,
-		RecoveryWorkers: cfg.RecoveryWorkers,
+		Shards: cfg.Shards,
 	}
 }
 

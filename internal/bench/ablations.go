@@ -208,51 +208,6 @@ func A4CommitBatching(workDir string) (*Report, error) {
 	return r, nil
 }
 
-// A5DictIndex compares the two persistent delta dictionary index
-// structures (ordered skip list vs O(1) hash map) on the write path.
-func A5DictIndex(workDir string, rows int) (*Report, error) {
-	r := &Report{
-		ID:      "A5",
-		Title:   "ablation: delta dictionary index structure (NVM write path)",
-		Headers: []string{"index", "load ops/s", "point lookup", "write-heavy ops/s"},
-	}
-	for _, hash := range []bool{false, true} {
-		name := "skip list"
-		if hash {
-			name = "hash map"
-		}
-		dir := filepath.Join(workDir, fmt.Sprintf("a5-%v", hash))
-		e, err := core.Open(core.Config{
-			Mode: txn.ModeNVM, Dir: dir, NVMHeapSize: heapFor(rows * 3),
-			HashDictIndex: hash,
-		})
-		if err != nil {
-			return nil, err
-		}
-		spec := workload.DefaultSpec(rows)
-		start := time.Now()
-		tbl, err := workload.Load(e, "orders", spec)
-		if err != nil {
-			return nil, err
-		}
-		loadRate := float64(rows) / time.Since(start).Seconds()
-
-		rng := rand.New(rand.NewSource(2))
-		tx := e.Begin()
-		lookupT := timeIt(1000, func(i int) {
-			selectEq(tx, tbl, workload.ColID, storage.Int(int64(rng.Intn(rows))))
-		})
-		stats := workload.RunMixed(e, tbl, spec, workload.WriteHeavy, rows/2, 4)
-		e.Close()
-		os.RemoveAll(dir)
-		r.AddRow(name, fmtF(loadRate), fmtDur(lookupT), fmtF(stats.OpsPerSec()))
-	}
-	r.AddNote("expected shape: hash map wins while its fixed directory keeps chains " +
-		"short (small deltas) and degrades past it — size Config.HashDictIndex by the " +
-		"merge threshold; the skip list stays O(log n) regardless and remains the default")
-	return r, nil
-}
-
 // A6CheckpointCompression measures flate-compressed checkpoints under a
 // bandwidth-limited disk: smaller checkpoint I/O vs decompression CPU.
 func A6CheckpointCompression(workDir string, rows int) (*Report, error) {

@@ -66,9 +66,6 @@ type Config struct {
 	// with a fresh checkpoint once the segment exceeds this size
 	// (ModeLog).
 	CheckpointLogBytes uint64
-	// HashDictIndex selects the O(1) persistent hash map instead of the
-	// ordered skip list for NVM delta dictionary indexes.
-	HashDictIndex bool
 	// CompressCheckpoints flate-compresses binary checkpoints (ModeLog);
 	// worthwhile when the disk, not the CPU, bounds recovery.
 	CompressCheckpoints bool
@@ -324,11 +321,7 @@ func (e *Engine) CreateTable(name string, schema storage.Schema, indexedCols ...
 	var t *storage.Table
 	var err error
 	if e.cfg.Mode == txn.ModeNVM {
-		var opts []storage.TableOption
-		if e.cfg.HashDictIndex {
-			opts = append(opts, storage.WithHashDictIndex())
-		}
-		t, err = storage.CreateNVMTable(e.h, name, id, schema, mask, opts...)
+		t, err = storage.CreateNVMTable(e.h, name, id, schema, mask)
 		if err != nil {
 			return nil, err
 		}
@@ -518,11 +511,10 @@ type FsckReport struct {
 // Fsck runs the full consistency suite over the NVM database: the heap
 // allocator walk (with reachability from every table and transaction
 // context), the deep structural walk of every table's persistent
-// representation (vectors, blobs, skip lists, hash chains, posting
-// lists, MVCC stamps), and the logical Table.Check. It is the
-// everything-must-hold predicate the crash matrix asserts after every
-// enumerated crash point. ModeNVM only; offline (no concurrent
-// transactions).
+// representation (vectors, blobs, skip lists, posting lists, MVCC
+// stamps), and the logical Table.Check. It is the everything-must-hold
+// predicate the crash matrix asserts after every enumerated crash
+// point. ModeNVM only; offline (no concurrent transactions).
 func (e *Engine) Fsck() (*FsckReport, error) {
 	if e.cfg.Mode != txn.ModeNVM {
 		return nil, ErrWrongMode

@@ -60,10 +60,10 @@ func TestCrashMatrix(t *testing.T) {
 // TestCrashMatrixGenerative sweeps seeded random workloads (see
 // Generative) the way TestCrashMatrix sweeps the fixed one: a few seeds
 // at sampled barriers by default, more seeds at every barrier under four
-// tear behaviors with CRASHMATRIX_FULL=1. Odd seeds run on the hash-map
-// dictionary index. The heap starts at 128 KiB, less than the tables
-// take, so every run also grows it online — while creating them, and the
-// longer ones again in the middle of their transactions.
+// tear behaviors with CRASHMATRIX_FULL=1. The heap starts at 128 KiB,
+// less than the tables take, so every run also grows it online — while
+// creating them, and the longer ones again in the middle of their
+// transactions.
 func TestCrashMatrixGenerative(t *testing.T) {
 	seeds, steps := []int64{1, 2, 3}, 60
 	if os.Getenv("CRASHMATRIX_FULL") != "" {
@@ -74,7 +74,6 @@ func TestCrashMatrixGenerative(t *testing.T) {
 		cfg.Dir = t.TempDir()
 		cfg.Keep = false
 		cfg.HeapSize, cfg.HeapMaxSize = 128<<10, 64<<20
-		cfg.HashDictIndex = seed%2 == 1
 		cfg.Workload = Generative(seed, steps)
 		if cfg.MaxBarriers > 0 {
 			cfg.MaxBarriers = 48

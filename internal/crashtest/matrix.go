@@ -22,9 +22,6 @@ type Config struct {
 	// HeapSize up to this bound, so that a workload that outgrows a small
 	// HeapSize sweeps the growth barriers too.
 	HeapMaxSize uint64
-	// HashDictIndex runs the points on the hash-map delta dictionary
-	// index instead of the skip list.
-	HashDictIndex bool
 	// Shadow selects the pessimistic crash model. With it off the sweep
 	// runs under the optimistic model — useful only as a baseline to
 	// demonstrate what optimism cannot catch.
@@ -80,7 +77,6 @@ func (c Config) open(dir string, shadow bool) (*core.Engine, error) {
 		NVMHeapSize:    c.HeapSize,
 		NVMHeapMaxSize: c.HeapMaxSize,
 		NVMShadow:      shadow,
-		HashDictIndex:  c.HashDictIndex,
 	})
 }
 

@@ -90,9 +90,7 @@ func runWriteBench(b *testing.B, shards int) {
 
 // BenchmarkServeWriteGrouped is the 1024-connection write workload:
 // concurrent commits coalesce into persist groups sharing one barrier
-// set (internal/group via txn.CommitGroup). BENCH_serve.json's
-// ServeWriteUnbatched entry is the per-transaction-barrier protocol this
-// replaced, measured at commit cc49c64 (EXPERIMENTS.md E10).
+// set (internal/group via txn.CommitGroup).
 func BenchmarkServeWriteGrouped(b *testing.B) { runWriteBench(b, 1) }
 
 // BenchmarkServeWriteSharded runs the same write workload against a

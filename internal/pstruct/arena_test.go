@@ -135,96 +135,75 @@ func shadowHeap(t *testing.T, tear int64) (*nvm.Heap, string) {
 
 // TestArenaCursorCoversEveryLink is the arena invariant under the
 // pessimistic crash model: power is cut at every barrier of an insert
-// into each arena-backed structure, with whole-line loss and with
+// into the arena-backed skip list, with whole-line loss and with
 // tearing, and after reopening, every node the structure reaches must
-// lie below the durable cursor (the structures' Check walks them with
+// lie below the durable cursor (SkipList.Check walks them with
 // Arena.Contains), every earlier entry must still be there, and the
 // interrupted one all there or not at all.
 func TestArenaCursorCoversEveryLink(t *testing.T) {
-	type kv interface {
-		Insert(key []byte, value uint64) (bool, error)
-		Get(key []byte) (uint64, bool)
-		Root() nvm.PPtr
-		Check() error
-	}
-	kinds := map[string]struct {
-		make   func(h *nvm.Heap) (kv, error)
-		attach func(h *nvm.Heap, root nvm.PPtr) kv
-	}{
-		"skiplist": {
-			func(h *nvm.Heap) (kv, error) { return NewSkipList(h) },
-			func(h *nvm.Heap, root nvm.PPtr) kv { return AttachSkipList(h, root) },
-		},
-		"phash": {
-			func(h *nvm.Heap) (kv, error) { return NewPHash(h, 2) },
-			func(h *nvm.Heap, root nvm.PPtr) kv { return AttachPHash(h, root) },
-		},
-	}
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d-%s", i, bytes.Repeat([]byte{'x'}, i%90))) }
-	for name, kind := range kinds {
-		for _, tear := range []int64{0, 1, 2, 3} {
-			for barrier := int64(1); ; barrier++ {
-				h, path := shadowHeap(t, tear)
-				s, err := kind.make(h)
-				if err != nil {
-					t.Fatal(err)
-				}
-				h.SetRoot("s", s.Root(), 0)
-				// Enough entries to cross the arena's first segment, so
-				// that some cuts fall where a segment is being linked.
-				const pre = 60
-				for i := 0; i < pre; i++ {
-					if _, err := s.Insert(key(i), uint64(i)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				crashed := crashAt(h, barrier, func() {
-					for i := pre; i < pre+4; i++ {
-						s.Insert(key(i), uint64(i))
-					}
-				})
-				h.Close()
-				if !crashed {
-					break // the inserts have fewer barriers than this
-				}
-				h2, err := nvm.Open(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				root, _, _ := h2.Root("s")
-				s2 := kind.attach(h2, root)
-				if err := s2.Check(); err != nil {
-					t.Fatalf("%s tear %d barrier %d: %v", name, tear, barrier, err)
-				}
-				for i := 0; i < pre; i++ {
-					if v, ok := s2.Get(key(i)); !ok || v != uint64(i) {
-						t.Fatalf("%s tear %d barrier %d: entry %d lost (%d, %v)", name, tear, barrier, i, v, ok)
-					}
-				}
-				for i := pre; i < pre+4; i++ {
-					if v, ok := s2.Get(key(i)); ok && v != uint64(i) {
-						t.Fatalf("%s tear %d barrier %d: interrupted entry %d reads %d", name, tear, barrier, i, v)
-					}
-				}
-				// The structure takes the same keys again.
-				for i := pre; i < pre+4; i++ {
-					if _, err := s2.Insert(key(i), uint64(i)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := s2.Check(); err != nil {
-					t.Fatalf("%s tear %d barrier %d, after re-insert: %v", name, tear, barrier, err)
-				}
-				h2.Close()
+	for _, tear := range []int64{0, 1, 2, 3} {
+		for barrier := int64(1); ; barrier++ {
+			h, path := shadowHeap(t, tear)
+			s, err := NewSkipList(h)
+			if err != nil {
+				t.Fatal(err)
 			}
+			h.SetRoot("s", s.Root(), 0)
+			// Enough entries to cross the arena's first segment, so
+			// that some cuts fall where a segment is being linked.
+			const pre = 60
+			for i := 0; i < pre; i++ {
+				if _, err := s.Insert(key(i), uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			crashed := crashAt(h, barrier, func() {
+				for i := pre; i < pre+4; i++ {
+					s.Insert(key(i), uint64(i))
+				}
+			})
+			h.Close()
+			if !crashed {
+				break // the inserts have fewer barriers than this
+			}
+			h2, err := nvm.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			root, _, _ := h2.Root("s")
+			s2 := AttachSkipList(h2, root)
+			if err := s2.Check(); err != nil {
+				t.Fatalf("tear %d barrier %d: %v", tear, barrier, err)
+			}
+			for i := 0; i < pre; i++ {
+				if v, ok := s2.Get(key(i)); !ok || v != uint64(i) {
+					t.Fatalf("tear %d barrier %d: entry %d lost (%d, %v)", tear, barrier, i, v, ok)
+				}
+			}
+			for i := pre; i < pre+4; i++ {
+				if v, ok := s2.Get(key(i)); ok && v != uint64(i) {
+					t.Fatalf("tear %d barrier %d: interrupted entry %d reads %d", tear, barrier, i, v)
+				}
+			}
+			// The structure takes the same keys again.
+			for i := pre; i < pre+4; i++ {
+				if _, err := s2.Insert(key(i), uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s2.Check(); err != nil {
+				t.Fatalf("tear %d barrier %d, after re-insert: %v", tear, barrier, err)
+			}
+			h2.Close()
 		}
 	}
 }
 
 // TestStagedUnpublishedInvisibleAfterReopen: a stage half followed by a
 // fence and no publish half leaves nothing behind that a reopened
-// structure can reach — for the vector, the skip list, the hash map and a
-// posting list — and the structure stays sound and takes the same insert
+// structure can reach — for the vector, the skip list and a posting
+// list — and the structure stays sound and takes the same insert
 // afterwards.
 func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "heap.nvm")
@@ -234,14 +213,11 @@ func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 	}
 	v, _ := NewVector(h, 8, 4)
 	s, _ := NewSkipList(h)
-	p, _ := NewPHash(h, 3)
 	h.SetRoot("v", v.Root(), 0)
 	h.SetRoot("s", s.Root(), 0)
-	h.SetRoot("p", p.Root(), 0)
 	for i := uint64(0); i < 5; i++ {
 		v.Append(i)
 		s.Insert([]byte{'k', byte('0' + i)}, i)
-		p.Insert([]byte{'k', byte('0' + i)}, i)
 	}
 	listSlot, _ := s.ValueSlot([]byte("k0"))
 	ListPush(h, listSlot, 100)
@@ -251,9 +227,6 @@ func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, existed, err := s.StageInsert([]byte("staged"), 99); err != nil || existed {
-		t.Fatal(existed, err)
-	}
-	if _, existed, err := p.StageInsert([]byte("staged"), 99); err != nil || existed {
 		t.Fatal(existed, err)
 	}
 	node, err := ListStage(s.Arena(), 101, nvm.PPtr(h.U64(listSlot)))
@@ -276,24 +249,21 @@ func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 	}
 	defer h2.Close()
 	root := func(name string) nvm.PPtr { r, _, _ := h2.Root(name); return r }
-	v2, s2, p2 := AttachVector(h2, root("v")), AttachSkipList(h2, root("s")), AttachPHash(h2, root("p"))
+	v2, s2 := AttachVector(h2, root("v")), AttachSkipList(h2, root("s"))
 	if v2.Len() != 5 {
 		t.Fatalf("vector Len after reopen = %d, want 5", v2.Len())
 	}
 	if _, ok := s2.Get([]byte("staged")); ok {
 		t.Fatal("skip list reaches the staged node after reopen")
 	}
-	if s2.Len() != 5 || p2.Len() != 5 {
-		t.Fatalf("entries after reopen: skip list %d, hash map %d, want 5 and 5", s2.Len(), p2.Len())
-	}
-	if _, ok := p2.Get([]byte("staged")); ok {
-		t.Fatal("hash map reaches the staged node after reopen")
+	if s2.Len() != 5 {
+		t.Fatalf("skip list holds %d entries after reopen, want 5", s2.Len())
 	}
 	slot2, _ := s2.ValueSlot([]byte("k0"))
 	if n := ListLen(h2, slot2); n != 1 {
 		t.Fatalf("posting list holds %d entries after reopen, want 1", n)
 	}
-	for _, c := range []interface{ Check() error }{v2, s2, p2} {
+	for _, c := range []interface{ Check() error }{v2, s2} {
 		if err := c.Check(); err != nil {
 			t.Fatal(err)
 		}
@@ -307,9 +277,6 @@ func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 		t.Fatalf("append after reopen: index %d, %v", i, err)
 	}
 	if existed, err := s2.Insert([]byte("staged"), 7); err != nil || existed {
-		t.Fatal(existed, err)
-	}
-	if existed, err := p2.Insert([]byte("staged"), 7); err != nil || existed {
 		t.Fatal(existed, err)
 	}
 }

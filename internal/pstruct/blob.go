@@ -8,7 +8,7 @@ import (
 // values. A blob is written and persisted in full before its pointer is
 // published, so a reachable blob is always complete. A blob is either a
 // heap block of its own (WriteBlob: schemas, main dictionaries) or lies
-// inside an index node in an arena (SkipList.KeyRef, PHash.KeyRef: delta
+// inside an index node in an arena (SkipList.KeyRef: delta
 // dictionaries); readers cannot tell and need not.
 //
 // Layout: length uint32 | bytes.

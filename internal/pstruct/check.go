@@ -106,50 +106,6 @@ func (s *SkipList) Check() error {
 	return errors.Join(errs...)
 }
 
-// Check verifies the hash map's persistent invariants: a sound arena,
-// every chain acyclic, every node and its key inside the arena below the
-// cursor, and every key hashing to the bucket that holds it.
-func (p *PHash) Check() error {
-	var errs []error
-	fail := func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf("phash %d: "+format, append([]any{p.root}, args...)...))
-	}
-	if err := p.h.CheckBlock(p.root, phOffHeads+p.buckets*8); err != nil {
-		fail("root: %w", err)
-		return errors.Join(errs...)
-	}
-	if got := uint64(1) << p.h.GetU64(p.root.Add(phOffBucketsLog)); got != p.buckets {
-		fail("bucket count %d disagrees with root %d", p.buckets, got)
-		return errors.Join(errs...)
-	}
-	if err := p.arena.Check(); err != nil {
-		fail("%w", err)
-		return errors.Join(errs...)
-	}
-	for b := uint64(0); b < p.buckets; b++ {
-		seen := make(map[nvm.PPtr]bool)
-		for cur := nvm.PPtr(p.h.U64(p.root.Add(phOffHeads + b*8))); !cur.IsNil(); cur = nvm.PPtr(p.h.U64(cur.Add(phnOffNext))) {
-			if seen[cur] {
-				fail("bucket %d contains a cycle at node %d", b, cur)
-				break
-			}
-			seen[cur] = true
-			if err := p.arena.Contains(cur, phnOffKey); err != nil {
-				fail("bucket %d: node %d: %w", b, cur, err)
-				break
-			}
-			if err := p.arena.ContainsBlob(cur.Add(phnOffKey)); err != nil {
-				fail("bucket %d: node %d: key: %w", b, cur, err)
-				break
-			}
-			if got := p.bucketSlot(ReadBlob(p.h, cur.Add(phnOffKey))); got != p.root.Add(phOffHeads+b*8) {
-				fail("bucket %d: node %d: key hashes to a different bucket", b, cur)
-			}
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // ListCheck verifies the posting list anchored at slot: acyclic, every
 // node valid — inside its arena (Arena.Contains) or a Reserved block of
 // its own (Heap.CheckBlock), whichever the list's nodes are.

@@ -1,8 +1,8 @@
 // Package pstruct provides the persistent (NVM-resident) container types
 // the Hyrise-NV storage engine is built from: a segmented append-only
 // vector, an append arena over the same segment directory, length-prefixed
-// blobs, a bit-packed read-optimized vector, a multi-version skip list, a
-// hash map and persistent posting lists.
+// blobs, a bit-packed read-optimized vector, a multi-version skip list
+// and persistent posting lists.
 //
 // Every mutation is split in two halves, and neither half fences:
 //
@@ -10,17 +10,16 @@
 //     past a vector's published length, in arena space past every link —
 //     and flushes their lines;
 //   - the publish half is the one 8-byte store that makes them reachable
-//     (a vector's length word, a skip list's bottom link, a hash bucket
-//     head, a posting-list head) plus the flush of that word.
+//     (a vector's length word, a skip list's bottom link, a posting-list
+//     head) plus the flush of that word.
 //
 // The caller fences between the two, so that what a publish word names is
 // durable before the word can be, and once after, so that the publication
 // is durable when it returns. A caller that stages several structures —
 // a table row spans columns, dictionaries, indexes and MVCC vectors —
 // pays those two fences once for all of them (storage.Table.AppendRow).
-// The standalone Vector.Append, SkipList.Insert, PHash.Insert and
-// ListPush are that same composition over one structure: stage, fence,
-// publish, fence.
+// The standalone Vector.Append, SkipList.Insert and ListPush are that
+// same composition over one structure: stage, fence, publish, fence.
 //
 // A crash before the first fence leaves staged bytes that nothing names; a
 // crash between the fences may keep any subset of the publish words, each

@@ -28,10 +28,6 @@ type Config struct {
 	// databases created before sharding existed, on the untouched
 	// single-shard commit fast path. At most MaxShards.
 	Shards int
-
-	// RecoveryWorkers bounds how many shards recover concurrently at
-	// Open. 0 = min(Shards, GOMAXPROCS).
-	RecoveryWorkers int
 }
 
 // MaxShards bounds the shard count: shard indexes must fit the row-ID
@@ -185,16 +181,10 @@ func Open(cfg Config) (*Engine, error) {
 		decide = coord.Lookup
 	}
 
-	workers := cfg.RecoveryWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.Shards {
-		workers = cfg.Shards
-	}
+	// Shards recover concurrently, one per core at a time.
 	e.shards = make([]*core.Engine, cfg.Shards)
 	errs := make([]error, cfg.Shards)
-	sem := make(chan struct{}, workers)
+	sem := make(chan struct{}, min(cfg.Shards, runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
 	for i := range e.shards {
 		wg.Add(1)

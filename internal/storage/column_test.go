@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hyrisenv/internal/nvm"
@@ -269,67 +270,48 @@ func TestNVMMainSurvivesReopen(t *testing.T) {
 	}
 }
 
-func TestNVMDeltaHashDictIndex(t *testing.T) {
+// TestNVMTableRejectsSetIdxKindWord: the delta-column root word that
+// once selected the dictionary index structure is reserved. A column
+// that carries 1 there was written with the removed hash index, whose
+// root must not be read as a skip list's: fsck reports the column, and
+// the table does not open.
+func TestNVMTableRejectsSetIdxKindWord(t *testing.T) {
 	h, path := testNVMHeap(t)
-	d, err := NewNVMDeltaWith(h, TypeString, DictIndexHash)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		if _, err := d.Append(Str(fmt.Sprintf("v%03d", i%31))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d.DictLen() != 31 {
-		t.Fatalf("DictLen = %d", d.DictLen())
-	}
-	id, ok := d.LookupValueID(Str("v007").EncodeKey(nil))
-	if !ok || d.DictValue(id).S != "v007" {
-		t.Fatal("hash dict lookup")
-	}
-	h.SetRoot("col", d.Root(), 0)
-	h2 := reopenHeap(t, h, path)
-	root, _, _ := h2.Root("col")
-	d2 := AttachNVMDelta(h2, root)
-	// Kind is self-describing: lookups and dedup work after reopen.
-	if d2.Rows() != 200 || d2.DictLen() != 31 {
-		t.Fatalf("after reopen: rows=%d dict=%d", d2.Rows(), d2.DictLen())
-	}
-	id0 := d2.ValueID(0)
-	id2, err := d2.Append(Str("v000"))
-	if err != nil || id2 != id0 {
-		t.Fatalf("post-restart dedup: id=%d want %d err=%v", id2, id0, err)
-	}
-}
-
-func TestNVMTableWithHashDictIndexRestart(t *testing.T) {
-	h, path := testNVMHeap(t)
-	tbl, err := CreateNVMTable(h, "orders", 1, ordersSchema(t), 0b001, WithHashDictIndex())
+	tbl, err := CreateNVMTable(h, "orders", 1, ordersSchema(t), 0b001)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.SetRoot("tbl:orders", tbl.Root(), 0)
-	for i := int64(0); i < 40; i++ {
-		row, _ := tbl.AppendRow([]Value{Int(i % 7), Str("c"), Float(0)}, 1)
+	for i := int64(0); i < 10; i++ {
+		row, _ := tbl.AppendRow([]Value{Int(i), Str("c"), Float(0)}, 1)
 		commitRow(tbl, row, 2)
 	}
-	if _, err := tbl.Merge(3); err != nil {
+	if err := tbl.FsckNVM(2); err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(40); i < 50; i++ {
-		row, _ := tbl.AppendRow([]Value{Int(i % 7), Str("c"), Float(0)}, 1)
-		commitRow(tbl, row, 4)
-	}
-	h2 := reopenHeap(t, h, path)
-	root, _, _ := h2.Root("tbl:orders")
-	tbl2, err := OpenNVMTable(h2, "orders", root)
+	// What the removed option left behind: kind 1, and an index root that
+	// is not a skip list's — attaching it as one reads garbage pointers.
+	root := tbl.parts.Load().nvmDelta[1].Root()
+	notASkipList, err := h.Alloc(64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(lookupVisible(tbl2, 0, Int(3), 10)); got != 7 {
-		t.Fatalf("lookup after restart = %d", got)
+	for off := uint64(0); off < 64; off += 8 {
+		h.PutU64(notASkipList.Add(off), 0x0101010101010101)
 	}
-	if _, err := tbl2.Check(); err != nil {
-		t.Fatal(err)
+	h.Persist(notASkipList, 64)
+	h.PutU64(root.Add(ndOffIdx), uint64(notASkipList))
+	h.PutU64(root.Add(ndOffIdxKind), 1)
+	h.Persist(root, ndRootSize)
+	if err := tbl.FsckNVM(2); err == nil || !strings.Contains(err.Error(), "column 1") ||
+		!strings.Contains(err.Error(), "dictionary index kind 1") {
+		t.Fatalf("fsck of a set index-kind word = %v, want a finding naming column 1", err)
+	}
+	h2 := reopenHeap(t, h, path)
+	tblRoot, _, _ := h2.Root("tbl:orders")
+	_, err = OpenNVMTable(h2, "orders", tblRoot)
+	if err == nil || !strings.Contains(err.Error(), "column 1 (customer)") ||
+		!strings.Contains(err.Error(), "dictionary index kind 1") {
+		t.Fatalf("OpenNVMTable with a set index-kind word = %v, want an error naming column 1 (customer)", err)
 	}
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -140,35 +141,10 @@ func (d *VolatileDelta) Truncate(n uint64) { d.av.Truncate(n) }
 
 // --- NVM backend -------------------------------------------------------------
 
-// DictIndexKind selects the persistent structure indexing the delta
-// dictionary (value → ID).
-type DictIndexKind uint64
-
-// Dictionary index kinds.
-const (
-	// DictIndexSkipList is the default: ordered, O(log n) lookups.
-	DictIndexSkipList DictIndexKind = 0
-	// DictIndexHash trades ordering away for O(1) point lookups.
-	DictIndexHash DictIndexKind = 1
-)
-
-// dictIndex is the common surface of the two structures: lookups, the
-// two halves of an insert (see package pstruct) and the walkers.
-type dictIndex interface {
-	Get(key []byte) (uint64, bool)
-	Scan(fn func(key []byte, value uint64) bool)
-	StageInsert(key []byte, value uint64) (slot nvm.PPtr, existed bool, err error)
-	KeyRef(slot nvm.PPtr) nvm.PPtr
-	Publish()
-	Settle() bool
-	Unstage()
-	Root() nvm.PPtr
-	Arena() *pstruct.Arena
-	Blocks(yield func(nvm.PPtr))
-	Check() error
-}
-
-// NVM delta column root block layout.
+// NVM delta column root block layout. The word at ndOffIdxKind is
+// reserved, written 0: heaps of format 4 may carry a 1 there, for an
+// index structure that no longer exists, and such a column is refused
+// (checkIdxKind).
 const (
 	ndOffDictVec = 0
 	ndOffIdx     = 8
@@ -176,18 +152,14 @@ const (
 	ndOffType    = 24
 	ndOffIdxKind = 32
 	ndRootSize   = 40
-
-	// hashDictBucketsLog sizes the hash dictionary index; the delta is
-	// bounded by the merge threshold, so a fixed directory suffices.
-	hashDictBucketsLog = 12
 )
 
 // NVMDelta is the persistent delta column of Hyrise-NV. The dictionary
-// index (skip list or hash map) holds every value's key bytes inside its
-// nodes; the dictionary vector holds blob references to those keys, by
-// value ID; the attribute vector holds a value ID per row. All three
-// live on NVM, so the column is fully usable immediately after Attach —
-// no rebuild.
+// index (a skip list) holds every value's key bytes inside its nodes;
+// the dictionary vector holds blob references to those keys, by value
+// ID; the attribute vector holds a value ID per row. All three live on
+// NVM, so the column is fully usable immediately after Attach — no
+// rebuild.
 type NVMDelta struct {
 	h    *nvm.Heap
 	root nvm.PPtr
@@ -196,31 +168,17 @@ type NVMDelta struct {
 	// One writer at a time (the table's write lock): the structures hold
 	// staged state between the halves of an append. Readers are lock-free.
 	dictVec *pstruct.Vector
-	idx     dictIndex
+	idx     *pstruct.SkipList
 	av      *pstruct.Vector
 }
 
-// NewNVMDelta allocates an empty persistent delta column with the
-// default (skip list) dictionary index.
+// NewNVMDelta allocates an empty persistent delta column.
 func NewNVMDelta(h *nvm.Heap, typ ColType) (*NVMDelta, error) {
-	return NewNVMDeltaWith(h, typ, DictIndexSkipList)
-}
-
-// NewNVMDeltaWith allocates an empty persistent delta column with the
-// given dictionary index kind.
-func NewNVMDeltaWith(h *nvm.Heap, typ ColType, kind DictIndexKind) (*NVMDelta, error) {
 	dictVec, err := pstruct.NewVector(h, 8, 8)
 	if err != nil {
 		return nil, err
 	}
-	var idx dictIndex
-	switch kind {
-	case DictIndexHash:
-		idx, err = pstruct.NewPHash(h, hashDictBucketsLog)
-	default:
-		kind = DictIndexSkipList
-		idx, err = pstruct.NewSkipList(h)
-	}
+	idx, err := pstruct.NewSkipList(h)
 	if err != nil {
 		return nil, err
 	}
@@ -236,30 +194,31 @@ func NewNVMDeltaWith(h *nvm.Heap, typ ColType, kind DictIndexKind) (*NVMDelta, e
 	h.PutU64(root.Add(ndOffIdx), uint64(idx.Root()))
 	h.PutU64(root.Add(ndOffAV), uint64(av.Root()))
 	h.PutU64(root.Add(ndOffType), uint64(typ))
-	h.PutU64(root.Add(ndOffIdxKind), uint64(kind))
+	h.PutU64(root.Add(ndOffIdxKind), 0)
 	h.Persist(root, ndRootSize)
 	return &NVMDelta{h: h, root: root, typ: typ, dictVec: dictVec, idx: idx, av: av}, nil
 }
 
-// AttachNVMDelta re-hydrates a persistent delta column in O(1); the
-// dictionary index kind is self-describing.
+// AttachNVMDelta re-hydrates a persistent delta column in O(1). The
+// caller has checked the root with checkIdxKind.
 func AttachNVMDelta(h *nvm.Heap, root nvm.PPtr) *NVMDelta {
-	var idx dictIndex
-	idxRoot := nvm.PPtr(h.GetU64(root.Add(ndOffIdx)))
-	switch DictIndexKind(h.GetU64(root.Add(ndOffIdxKind))) {
-	case DictIndexHash:
-		idx = pstruct.AttachPHash(h, idxRoot)
-	default:
-		idx = pstruct.AttachSkipList(h, idxRoot)
-	}
 	return &NVMDelta{
 		h:       h,
 		root:    root,
 		typ:     ColType(h.GetU64(root.Add(ndOffType))),
 		dictVec: pstruct.AttachVector(h, nvm.PPtr(h.GetU64(root.Add(ndOffDictVec)))),
-		idx:     idx,
+		idx:     pstruct.AttachSkipList(h, nvm.PPtr(h.GetU64(root.Add(ndOffIdx)))),
 		av:      pstruct.AttachVector(h, nvm.PPtr(h.GetU64(root.Add(ndOffAV)))),
 	}
+}
+
+// checkIdxKind refuses a delta column root whose reserved word is set:
+// its index root is not a skip list's and must not be attached as one.
+func checkIdxKind(h *nvm.Heap, root nvm.PPtr) error {
+	if w := h.GetU64(root.Add(ndOffIdxKind)); w != 0 {
+		return fmt.Errorf("delta column %d: dictionary index kind %d (written with the removed hash dictionary index), only the skip list (0) is supported", root, w)
+	}
+	return nil
 }
 
 var _ DeltaColumn = (*NVMDelta)(nil)

@@ -14,10 +14,10 @@ import (
 // logical consistency (row counts, dictionary order, stamp sanity,
 // visibility census, index agreement) through the normal read paths,
 // FsckNVM walks the *persistent representation* — root blocks, partition
-// set, every vector segment, dictionary blob, skip-list node, hash
-// chain, posting list and bit-packed payload — and verifies that each
-// pointer lands on a Reserved heap block of sufficient size and that
-// each structure's own invariants hold. Together with nvm.Heap.Fsck and
+// set, every vector segment, dictionary blob, skip-list node, posting
+// list and bit-packed payload — and verifies that each pointer lands on
+// a Reserved heap block of sufficient size and that each structure's
+// own invariants hold. Together with nvm.Heap.Fsck and
 // mvcc.Store.Check this is the full "fsck" the crash matrix runs after
 // every enumerated crash point.
 
@@ -57,6 +57,9 @@ func (d *NVMDelta) Check() error {
 	var errs []error
 	if err := d.h.CheckBlock(d.root, ndRootSize); err != nil {
 		return fmt.Errorf("delta column %d: root: %w", d.root, err)
+	}
+	if err := checkIdxKind(d.h, d.root); err != nil {
+		return err // the index root is not a skip list's: nothing below can be walked
 	}
 	if err := d.av.Check(); err != nil {
 		errs = append(errs, fmt.Errorf("delta column %d: attribute vector: %w", d.root, err))

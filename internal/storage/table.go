@@ -34,7 +34,6 @@ type Table struct {
 	Schema Schema
 
 	indexMask uint64
-	dictKind  DictIndexKind // NVM delta dictionary index structure
 
 	h    *nvm.Heap // nil on the DRAM backend
 	root nvm.PPtr
@@ -130,22 +129,10 @@ func NewVolatileTable(name string, id uint32, schema Schema, indexMask uint64) *
 	return t
 }
 
-// TableOption customizes table creation.
-type TableOption func(*Table)
-
-// WithHashDictIndex selects the O(1) persistent hash map instead of the
-// skip list for the NVM delta dictionary index.
-func WithHashDictIndex() TableOption {
-	return func(t *Table) { t.dictKind = DictIndexHash }
-}
-
 // CreateNVMTable allocates a persistent table. The caller must link
 // t.Root() into the catalog to make the table durable.
-func CreateNVMTable(h *nvm.Heap, name string, id uint32, schema Schema, indexMask uint64, opts ...TableOption) (*Table, error) {
+func CreateNVMTable(h *nvm.Heap, name string, id uint32, schema Schema, indexMask uint64) (*Table, error) {
 	t := &Table{Name: name, ID: id, Schema: schema, indexMask: indexMask, h: h}
-	for _, o := range opts {
-		o(t)
-	}
 	schemaBlob, err := pstruct.WriteBlob(h, schema.Marshal())
 	if err != nil {
 		return nil, err
@@ -251,7 +238,7 @@ func (t *Table) buildNVMPartitionSet(mainCols []*NVMMain, mainBegins []uint64) (
 	h.PutU64(ps.Add(psOffDeltaBegin), uint64(deltaBegin.Root()))
 	h.PutU64(ps.Add(psOffDeltaEnd), uint64(deltaEnd.Root()))
 	for i := 0; i < ncols; i++ {
-		dc, err := NewNVMDeltaWith(h, t.Schema.Cols[i].Type, t.dictKind)
+		dc, err := NewNVMDelta(h, t.Schema.Cols[i].Type)
 		if err != nil {
 			return 0, err
 		}
@@ -298,7 +285,11 @@ func (t *Table) attachPartitionSet(psPtr nvm.PPtr, afterRestart bool) (*partitio
 	for i := 0; i < ncols; i++ {
 		base := psPtr.Add(psOffCols + uint64(i)*32)
 		ps.main[i] = AttachNVMMain(h, nvm.PPtr(h.GetU64(base)))
-		ps.nvmDelta[i] = AttachNVMDelta(h, nvm.PPtr(h.GetU64(base.Add(8))))
+		deltaRoot := nvm.PPtr(h.GetU64(base.Add(8)))
+		if err := checkIdxKind(h, deltaRoot); err != nil {
+			return nil, fmt.Errorf("column %d (%s): %w", i, t.Schema.Cols[i].Name, err)
+		}
+		ps.nvmDelta[i] = AttachNVMDelta(h, deltaRoot)
 		ps.delta[i] = ps.nvmDelta[i]
 		if t.Indexed(i) {
 			ps.mainIdx[i] = index.AttachNVMGroupKey(h, nvm.PPtr(h.GetU64(base.Add(16))))

@@ -204,45 +204,6 @@ func TestRebuildIndexes(t *testing.T) {
 	}
 }
 
-func TestHashDictTableCrashRepair(t *testing.T) {
-	// The torn-row-append repair must hold with the hash dictionary
-	// index as well.
-	h, path := testNVMHeap(t)
-	tbl, err := CreateNVMTable(h, "orders", 1, ordersSchema(t), 0b001, WithHashDictIndex())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.SetRoot("tbl:orders", tbl.Root(), 0)
-	for i := int64(0); i < 5; i++ {
-		row, _ := tbl.AppendRow([]Value{Int(i), Str("x"), Float(0)}, 1)
-		commitRow(tbl, row, 2)
-	}
-	for fail := int64(1); fail <= 8; fail++ {
-		func() {
-			defer func() { recover() }()
-			h.FailAfter(fail)
-			tbl.AppendRow([]Value{Int(99), Str("torn"), Float(9)}, 7)
-			h.FailAfter(0)
-		}()
-		h.FailAfter(0)
-		h2 := reopenHeap(t, h, path)
-		root, _, _ := h2.Root("tbl:orders")
-		tbl2, err := OpenNVMTable(h2, "orders", root)
-		if err != nil {
-			t.Fatalf("fail=%d: %v", fail, err)
-		}
-		var n int
-		tbl2.ScanVisible(100, 0, func(uint64) bool { n++; return true })
-		if n != 5 {
-			t.Fatalf("fail=%d: visible=%d", fail, n)
-		}
-		if _, err := tbl2.Check(); err != nil {
-			t.Fatalf("fail=%d: %v", fail, err)
-		}
-		h, tbl = h2, tbl2
-	}
-}
-
 // TestLookupRowsDuplicateStaleEntry pins the crash-window hazard found
 // by the sharded chaos harness: a power loss between the (immediately
 // persisted) delta-index insert and the transaction context's undo

@@ -23,15 +23,26 @@ import (
 // batches span shards, so cross-shard 2PC commits run under the parity
 // load too). All paths read the same BeginAt snapshot, so any
 // divergence is an executor or router bug, not timing.
+//
+// Under the race detector (raceEnabled) the table, the number of query
+// rounds and the shard counts shrink: the writers outrun the slowed-down
+// queries, the table every round scans grows with the time the rounds
+// take, and at full size one shard count alone runs past ten minutes.
 func TestQueryParity(t *testing.T) {
-	for _, shards := range []int{1, 2, 8} {
+	shardCounts, seedRows, iters := []int{1, 2, 8}, int64(6000), 40
+	if raceEnabled {
+		shardCounts, seedRows, iters = []int{1, 8}, 2000, 12
+	}
+	for _, shards := range shardCounts {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			runQueryParity(t, shards)
+			runQueryParity(t, shards, seedRows, iters)
 		})
 	}
 }
 
-func runQueryParity(t *testing.T, shards int) {
+// runQueryParity seeds seedRows rows (a multiple of 1000, so that the
+// merge falls on a batch boundary) and runs iters rounds of queries.
+func runQueryParity(t *testing.T, shards int, seedRows int64, iters int) {
 	rng := rand.New(rand.NewSource(20260806))
 
 	db, err := hyrisenv.Open(hyrisenv.Config{Mode: hyrisenv.Volatile, Parallelism: 4, Shards: shards})
@@ -52,7 +63,6 @@ func runQueryParity(t *testing.T, shards int) {
 
 	// Randomized load: inserts with occasional updates and deletes, a
 	// merge partway through so rows span main and delta.
-	const seedRows = 6000
 	nextID := int64(0)
 	insertBatch := func(tx *hyrisenv.Tx, n int) {
 		for i := 0; i < n; i++ {
@@ -66,7 +76,7 @@ func runQueryParity(t *testing.T, shards int) {
 			nextID++
 		}
 	}
-	for done := 0; done < seedRows; done += 500 {
+	for done := int64(0); done < seedRows; done += 500 {
 		tx := db.Begin()
 		insertBatch(tx, 500)
 		if err := tx.Commit(); err != nil {
@@ -253,7 +263,7 @@ func runQueryParity(t *testing.T, shards int) {
 		}
 	}
 
-	for iter := 0; iter < 40; iter++ {
+	for iter := 0; iter < iters; iter++ {
 		// All three paths pin the same commit horizon.
 		cid := db.LastCommitID()
 		local := db.BeginAt(cid)      // parallel: the db's par=4 executor
