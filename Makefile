@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet nvmcheck nvmcheck-stats crosscheck test race benchmark-module fuzz-smoke crashmatrix chaos benchscan benchserve
+.PHONY: check fmt vet nvmcheck nvmcheck-stats analyzer-mutants crosscheck test race benchmark-module fuzz-smoke crashmatrix chaos benchscan benchserve
 
 check: fmt vet nvmcheck race benchmark-module
 
@@ -36,6 +36,15 @@ nvmcheck:
 # analysis-time budget visible.
 nvmcheck-stats:
 	$(GO) run ./cmd/nvmcheck -wholeprogram -stats ./...
+
+# Does each persist analyzer earn its keep? Blanks one standalone persist
+# barrier of the engine at a time (pstruct, storage, txn, index, shard),
+# runs the suite over each mutant and tallies which of persistcheck and
+# publishcheck notices; DESIGN.md row 18 records the last table. Edits
+# sources in place (restored after every mutant) — run on a clean tree.
+# Not part of `make check`.
+analyzer-mutants:
+	sh internal/analysis/mutants.sh
 
 # Cross-validation: static and dynamic analysis must agree on the same
 # injected bug. Five seeded protocol bugs, each gated behind a build tag

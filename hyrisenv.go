@@ -19,8 +19,11 @@
 // shard owns its own NVM heap, MVCC store and commit path, restart
 // recovery fans out across shards in parallel, and transactions whose
 // writes span shards commit with two-phase commit through a persistent
-// coordinator. Single-shard transactions keep the unpartitioned fast
-// path.
+// coordinator. Shards: 1 (the default) is a fleet of one — same
+// commit-ID clock, same Open, same Begin as any other shard count; only
+// the directory layout is special-cased. A transaction writing one
+// shard, in any fleet, commits on that shard's ordinary group-commit
+// path without 2PC.
 //
 // Quickstart:
 //
@@ -131,9 +134,10 @@ type Config struct {
 	Mode Mode
 	// Dir is the data directory (required except in Volatile mode).
 	Dir string
-	// Shards hash-partitions the database N ways (default 1,
-	// unpartitioned). Each shard owns its own NVM heap, MVCC store and
-	// commit path; restart recovery runs across shards in parallel, and
+	// Shards hash-partitions the database N ways (default 1: a fleet of
+	// one, running the same code with its single shard rooted at Dir
+	// itself). Each shard owns its own NVM heap, MVCC store and commit
+	// path; restart recovery runs across shards in parallel, and
 	// cross-shard transactions commit with two-phase commit. The shard
 	// count is fixed at creation and recorded in the data directory.
 	Shards int
@@ -259,7 +263,7 @@ func (db *DB) Close() error { return db.eng.Close() }
 // Mode returns the durability mode.
 func (db *DB) Mode() Mode { return db.mode }
 
-// Shards returns the partition count (1 = unpartitioned).
+// Shards returns the partition count.
 func (db *DB) Shards() int { return db.eng.Shards() }
 
 // CreateTable creates a table. indexed names columns to maintain
@@ -315,39 +319,28 @@ func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 // work ran in parallel; Total is wall clock for the whole fleet.
 func (db *DB) RecoveryStats() RecoveryStats {
 	rs := db.eng.RecoveryStats()
-	out := RecoveryStats{
-		Mode:         db.mode,
-		Total:        rs.Total,
-		Shards:       db.eng.Shards(),
-		Decisions2PC: rs.Decisions2PC,
+	sum := rs.Sum()
+	return RecoveryStats{
+		Mode:               db.mode,
+		Total:              rs.Total,
+		Shards:             db.eng.Shards(),
+		TablesOpened:       sum.TablesOpened,
+		CheckpointLoad:     sum.CheckpointLoad,
+		LogReplay:          sum.LogReplay,
+		IndexRebuild:       sum.IndexRebuild,
+		ReplayRecords:      sum.ReplayRecords,
+		InFlightRolledBack: sum.NVM.RolledBack,
+		EntriesUndone:      sum.NVM.EntriesUndone,
+		Decisions2PC:       rs.Decisions2PC,
 	}
-	for _, s := range rs.PerShard {
-		out.TablesOpened += s.TablesOpened
-		out.CheckpointLoad += s.CheckpointLoad
-		out.LogReplay += s.LogReplay
-		out.IndexRebuild += s.IndexRebuild
-		out.ReplayRecords += s.ReplayRecords
-		out.InFlightRolledBack += s.NVM.RolledBack
-		out.EntriesUndone += s.NVM.EntriesUndone
-	}
-	return out
 }
 
 // NVMStats reports persistence-primitive counters of the simulated NVM
-// device — summed across shards when partitioned (NVM mode; zero value
-// otherwise).
-type NVMStats struct {
-	Flushes   uint64
-	Fences    uint64
-	BytesUsed uint64
-	Grows     uint64
-}
+// device — summed across shards (NVM mode; zero value otherwise).
+type NVMStats = nvm.Stats
 
 // NVMStats returns the NVM device counters.
-func (db *DB) NVMStats() NVMStats {
-	s := db.eng.NVMStats()
-	return NVMStats{Flushes: s.Flushes, Fences: s.Fences, BytesUsed: s.BytesUsed, Grows: s.Grows}
-}
+func (db *DB) NVMStats() NVMStats { return db.eng.NVMStats() }
 
 // ResetNVMStats zeroes the NVM counters (for measurement windows).
 func (db *DB) ResetNVMStats() { db.eng.ResetNVMStats() }

@@ -3,7 +3,10 @@ package hyrisenv
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
+
+	"hyrisenv/internal/nvm"
 )
 
 // Read helpers over the context-aware Tx methods; an executor error in
@@ -195,6 +198,11 @@ func TestPublicAPINVMStats(t *testing.T) {
 	s := db.NVMStats()
 	if s.Flushes == 0 || s.Fences == 0 || s.BytesUsed == 0 {
 		t.Fatalf("NVMStats = %+v", s)
+	}
+	// The public type is the heap's own: a counter added to nvm.Stats
+	// cannot be dropped on the way out (Drains, Allocs and Frees once were).
+	if reflect.TypeOf(s) != reflect.TypeOf(nvm.Stats{}) || s != db.Sharded().NVMStats() || s.Drains == 0 {
+		t.Fatalf("NVMStats = %+v (%T), engine counts %+v", s, s, db.Sharded().NVMStats())
 	}
 	// Volatile DB reports zeros.
 	vdb, _ := Open(Config{Mode: Volatile})

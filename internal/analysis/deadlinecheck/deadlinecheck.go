@@ -146,7 +146,7 @@ func checkBody(pass *analysis.Pass, fnName string, body *ast.BlockStmt) {
 
 	transfer := func(n ast.Node, in *bool) *bool {
 		out := in
-		forEachCall(n, func(call *ast.CallExpr) {
+		analysis.ForEachCall(n, func(call *ast.CallExpr) {
 			name, _ := analysis.CalleeName(pass.Info, call)
 			if deadlineSetters[name] {
 				t := true
@@ -160,7 +160,7 @@ func checkBody(pass *analysis.Pass, fnName string, body *ast.BlockStmt) {
 
 	res.NodeFacts(g, func(n ast.Node, before *bool) {
 		covered := before != nil && *before
-		forEachCall(n, func(call *ast.CallExpr) {
+		analysis.ForEachCall(n, func(call *ast.CallExpr) {
 			name, _ := analysis.CalleeName(pass.Info, call)
 			if deadlineSetters[name] {
 				covered = true
@@ -172,19 +172,5 @@ func checkBody(pass *analysis.Pass, fnName string, body *ast.BlockStmt) {
 					what, fnName)
 			}
 		})
-	})
-}
-
-// forEachCall visits CallExprs in source order, skipping closures —
-// they are analyzed as separate functions.
-func forEachCall(n ast.Node, visit func(*ast.CallExpr)) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := m.(*ast.CallExpr); ok {
-			visit(call)
-		}
-		return true
 	})
 }

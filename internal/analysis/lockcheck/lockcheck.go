@@ -187,14 +187,14 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (bool, string) {
 	return false, ""
 }
 
-var persistNames = map[string]bool{
-	"Persist": true, "PersistBytes": true, "PersistAt": true,
-	"PersistRange": true, "PersistBegin": true, "PersistEnd": true,
-	// The split-barrier halves: Fence publishes flushed lines, and Drain
-	// is a fence plus the device-level durability wait (group commit's
-	// shared barrier). Under a read lock both carry Persist's hazard,
-	// and a drain stalls every reader for the device latency on top.
-	"Fence": true, "Drain": true,
+// persistBarrier reports whether name is a persist barrier: the suite's
+// shared table plus the split-barrier halves. Fence publishes flushed
+// lines, and Drain is a fence plus the device-level durability wait
+// (group commit's shared barrier); under a read lock both carry
+// Persist's hazard, and a drain stalls every reader for the device
+// latency on top.
+func persistBarrier(name string) bool {
+	return analysis.PersistNames[name] || name == "Fence" || name == "Drain"
 }
 
 // ---------------------------------------------------------------------------
@@ -355,7 +355,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) []orderEdge {
 			return in
 		}
 		f := in
-		forEachCall(n, func(call *ast.CallExpr) {
+		analysis.ForEachCall(n, func(call *ast.CallExpr) {
 			f = applyCall(pass, call, f)
 		})
 		return f
@@ -368,7 +368,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) []orderEdge {
 			return
 		}
 		f := before
-		forEachCall(n, func(call *ast.CallExpr) {
+		analysis.ForEachCall(n, func(call *ast.CallExpr) {
 			op, key, typeKey := mutexOp(pass.Info, call)
 			switch op {
 			case opLock, opRLock:
@@ -389,7 +389,7 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) []orderEdge {
 							what, f.held[0].key, pass.Fset.Position(f.held[0].pos))
 					}
 					name, _ := analysis.CalleeName(pass.Info, call)
-					if persistNames[name] {
+					if persistBarrier(name) {
 						for _, h := range f.held {
 							if h.rlock {
 								pass.Reportf(call.Pos(), "persist barrier %s under read lock %s (acquired at %s): flushing writes is a mutation, take the write lock",
@@ -438,18 +438,4 @@ func applyCall(pass *analysis.Pass, call *ast.CallExpr, f *lockFact) *lockFact {
 		return f.release(key, true)
 	}
 	return f
-}
-
-// forEachCall visits CallExprs in source order, skipping closures —
-// they run at an unknown time with their own lockset.
-func forEachCall(n ast.Node, visit func(*ast.CallExpr)) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := m.(*ast.CallExpr); ok {
-			visit(call)
-		}
-		return true
-	})
 }

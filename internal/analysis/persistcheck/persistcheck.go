@@ -72,7 +72,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"hyrisenv/internal/analysis"
 	"hyrisenv/internal/analysis/cfg"
@@ -87,32 +86,6 @@ var Analyzer = &analysis.Analyzer{
 	Name: "persistcheck",
 	Doc:  "NVM writes must be persisted before a publish point (SetRoot, CasU64, return) on every path",
 	Run:  run,
-}
-
-// nopersistPrefix is the function-level suppression marker.
-const nopersistPrefix = "//nvm:nopersist"
-
-var persistNames = map[string]bool{
-	"Persist": true, "PersistBytes": true, "PersistAt": true,
-	"PersistRange": true, "PersistBegin": true, "PersistEnd": true,
-}
-
-var heapWriteNames = map[string]bool{
-	"SetU64": true, "PutU64": true, "PutU32": true,
-}
-
-// flushAtNames are the per-element flush methods (pstruct vectors, MVCC
-// stamp stores). Unlike "Flush" the names are unambiguous, so they are
-// matched on any receiver; plain Flush/FlushBytes require a Heap
-// receiver to avoid classifying bufio.Writer.Flush as an NVM event.
-var flushAtNames = map[string]bool{
-	"FlushAt": true, "FlushBegin": true, "FlushEnd": true,
-}
-
-// sliceMutators are package-level functions known to write through a
-// []byte argument (bit-packing helpers).
-var sliceMutators = map[string]bool{
-	"PutBits": true, "SetBits": true,
 }
 
 // ---------------------------------------------------------------------------
@@ -296,15 +269,15 @@ func classify(pass *analysis.Pass, call *ast.CallExpr, tainted map[types.Object]
 	onHeap := recv != nil && analysis.NamedFrom(recv, "nvm", "Heap")
 
 	switch {
-	case persistNames[name]:
+	case analysis.PersistNames[name]:
 		return opBarrier, name
-	case onHeap && heapWriteNames[name]:
+	case onHeap && analysis.HeapWriteNames[name]:
 		return opWrite, "Heap." + name
 	case name == "SetNoPersist":
 		return opWrite, "SetNoPersist"
 	case onHeap && (name == "Flush" || name == "FlushBytes"):
 		return opFlush, "Heap." + name
-	case flushAtNames[name]:
+	case analysis.FlushAtNames[name]:
 		return opFlush, name
 	case onHeap && (name == "Fence" || name == "Drain"):
 		return opFence, "Heap." + name
@@ -314,7 +287,7 @@ func classify(pass *analysis.Pass, call *ast.CallExpr, tainted map[types.Object]
 		if isNVMSlice(pass, call.Args[0], tainted) {
 			return opWrite, name + " into Heap.Bytes"
 		}
-	case sliceMutators[name]:
+	case analysis.SliceMutators[name]:
 		for _, a := range call.Args {
 			if isNVMSlice(pass, a, tainted) {
 				return opWrite, name + " into Heap.Bytes"
@@ -378,13 +351,13 @@ func run(pass *analysis.Pass) error {
 			}
 			if len(f.dirty) > 0 {
 				s.barrier = false
-				if !isErrorReturn(pass, ret) {
+				if !analysis.IsErrorReturn(pass.Info, ret) {
 					s.dirty = true
 				}
 			}
 			if len(f.flushed) > 0 {
 				s.barrier = false
-				if !isErrorReturn(pass, ret) {
+				if !analysis.IsErrorReturn(pass.Info, ret) {
 					s.flushed = true
 				}
 			}
@@ -420,7 +393,7 @@ func analyze(pass *analysis.Pass, info *funcInfo, sums map[*types.Func]psum) *da
 			return in // runs at return, not here
 		}
 		f := in
-		forEachCall(n, func(call *ast.CallExpr) {
+		analysis.ForEachCall(n, func(call *ast.CallExpr) {
 			switch op, what := classify(pass, call, info.tainted, sums); op {
 			case opWrite:
 				f = f.withWrite(write{pos: call.Pos(), what: what})
@@ -439,21 +412,6 @@ func analyze(pass *analysis.Pass, info *funcInfo, sums map[*types.Func]psum) *da
 		return f
 	}
 	return dataflow.Forward(info.graph, lattice, &fact{}, transfer)
-}
-
-// forEachCall visits the CallExprs of n in source order, skipping
-// closure bodies (a closure is a separate function with its own
-// contract).
-func forEachCall(n ast.Node, visit func(*ast.CallExpr)) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := m.(*ast.CallExpr); ok {
-			visit(call)
-		}
-		return true
-	})
 }
 
 // applyDefers folds the function's deferred calls (LIFO) into f — the
@@ -493,47 +451,9 @@ func forEachReturn(pass *analysis.Pass, info *funcInfo, sums map[*types.Func]psu
 	})
 }
 
-// nopersist reports whether fn carries a //nvm:nopersist annotation and
-// whether it has the mandatory reason.
-func nopersist(fn *ast.FuncDecl) (annotated, reasoned bool) {
-	if fn.Doc == nil {
-		return false, false
-	}
-	for _, c := range fn.Doc.List {
-		if rest, ok := strings.CutPrefix(c.Text, nopersistPrefix); ok {
-			return true, strings.TrimSpace(rest) != ""
-		}
-	}
-	return false, false
-}
-
-// pkgPrivate reports whether fn is invisible outside its package: an
-// unexported function, or a method whose receiver type is unexported.
-func pkgPrivate(obj *types.Func, fn *ast.FuncDecl) bool {
-	if !fn.Name.IsExported() {
-		return true
-	}
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	for {
-		p, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return !n.Obj().Exported()
-	}
-	return false
-}
-
 func checkFunc(pass *analysis.Pass, obj *types.Func, info *funcInfo, sums map[*types.Func]psum, nCallers int, aliasLoadBearing bool) {
 	fn := info.decl
-	annotated, reasoned := nopersist(fn)
+	annotated, reasoned := analysis.Nopersist(fn)
 	if annotated && !reasoned {
 		pass.Reportf(fn.Pos(), "//nvm:nopersist on %s must carry a reason", fn.Name.Name)
 	}
@@ -546,7 +466,7 @@ func checkFunc(pass *analysis.Pass, obj *types.Func, info *funcInfo, sums map[*t
 			return
 		}
 		f := before
-		forEachCall(n, func(call *ast.CallExpr) {
+		analysis.ForEachCall(n, func(call *ast.CallExpr) {
 			op, what := classify(pass, call, info.tainted, sums)
 			switch op {
 			case opPublish:
@@ -573,12 +493,12 @@ func checkFunc(pass *analysis.Pass, obj *types.Func, info *funcInfo, sums map[*t
 	// Returns: the obligation is waived by the annotation, or
 	// discharged interprocedurally when package-private with visible
 	// callers (their summaries inherit the dirt).
-	waived := annotated || (pkgPrivate(obj, fn) && nCallers > 0)
+	waived := annotated || (analysis.PkgPrivate(obj, fn) && nCallers > 0)
 	dirtyReturn := false
 	reported := false
 	forEachReturn(pass, info, sums, res, func(ret *ast.ReturnStmt, f *fact) {
 		d, verb, ok := f.pending()
-		if !ok || isErrorReturn(pass, ret) {
+		if !ok || analysis.IsErrorReturn(pass.Info, ret) {
 			return
 		}
 		dirtyReturn = true
@@ -600,30 +520,11 @@ func checkFunc(pass *analysis.Pass, obj *types.Func, info *funcInfo, sums map[*t
 	// in-package callers. Both engines must agree before ordering a
 	// deletion — the points-to layer sees aliased writes this flow
 	// analysis cannot.
-	if annotated && reasoned && !aliasLoadBearing && (!dirtyReturn || pkgPrivate(obj, fn) && nCallers > 0) {
+	if annotated && reasoned && !aliasLoadBearing && (!dirtyReturn || analysis.PkgPrivate(obj, fn) && nCallers > 0) {
 		pass.Reportf(fn.Pos(),
 			"//nvm:nopersist on %s is unnecessary: both the v2 flow analysis and the alias-aware points-to engine prove every publish and non-error return clean (or the obligation falls on its in-package callers); delete the annotation",
 			fn.Name.Name)
 	}
-}
-
-var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-// isErrorReturn reports whether ret propagates a (possibly) non-nil
-// error — an abort path on which nothing written becomes reachable.
-// `return nil` / `return x, nil` do not qualify: they are the success
-// path and keep the return-obligation.
-func isErrorReturn(pass *analysis.Pass, ret *ast.ReturnStmt) bool {
-	for _, res := range ret.Results {
-		if id, ok := res.(*ast.Ident); ok && id.Name == "nil" {
-			continue
-		}
-		t := pass.Info.TypeOf(res)
-		if t != nil && types.Implements(t, errorIface) {
-			return true
-		}
-	}
-	return false
 }
 
 // nvmSlices returns the objects of variables in fn that alias the NVM
@@ -642,7 +543,7 @@ func nvmSlices(pass *analysis.Pass, g *ptr.Graph, fn *ast.FuncDecl) map[types.Ob
 				return true
 			}
 			for i, rhs := range n.Rhs {
-				if !isBytesCall(pass, rhs) {
+				if !analysis.IsBytesCall(pass.Info, rhs) {
 					continue
 				}
 				if id, ok := n.Lhs[i].(*ast.Ident); ok {
@@ -677,25 +578,11 @@ func nvmSlices(pass *analysis.Pass, g *ptr.Graph, fn *ast.FuncDecl) map[types.Ob
 	return tainted
 }
 
-// isBytesCall reports whether e is a direct Heap.Bytes(...) call (or a
-// slice expression of one).
-func isBytesCall(pass *analysis.Pass, e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.SliceExpr:
-		return isBytesCall(pass, e.X)
-	case *ast.CallExpr:
-		name, _ := analysis.CalleeName(pass.Info, e)
-		recv := analysis.ReceiverType(pass.Info, e)
-		return name == "Bytes" && recv != nil && analysis.NamedFrom(recv, "nvm", "Heap")
-	}
-	return false
-}
-
 // isNVMSlice reports whether e denotes bytes of the NVM mapping: a
 // direct Heap.Bytes call, a slice of one, or a variable assigned from
 // one in this function.
 func isNVMSlice(pass *analysis.Pass, e ast.Expr, tainted map[types.Object]bool) bool {
-	if isBytesCall(pass, e) {
+	if analysis.IsBytesCall(pass.Info, e) {
 		return true
 	}
 	switch e := e.(type) {

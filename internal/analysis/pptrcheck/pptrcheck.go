@@ -57,11 +57,6 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isPPtr reports whether t is (or points to) nvm.PPtr.
-func isPPtr(t types.Type) bool {
-	return t != nil && analysis.NamedFrom(t, "nvm", "PPtr")
-}
-
 // containsPPtr reports whether t embeds nvm.PPtr anywhere in its
 // structure (fields, elements, map keys/values).
 func containsPPtr(t types.Type, seen map[types.Type]bool) bool {
@@ -69,7 +64,7 @@ func containsPPtr(t types.Type, seen map[types.Type]bool) bool {
 		return false
 	}
 	seen[t] = true
-	if isPPtr(t) {
+	if analysis.IsPPtr(t) {
 		return true
 	}
 	switch t := t.Underlying().(type) {
@@ -104,7 +99,7 @@ func checkConversion(pass *analysis.Pass, call *ast.CallExpr) {
 	}
 	dst := tv.Type
 	src := pass.Info.TypeOf(call.Args[0])
-	if !isPPtr(src) {
+	if !analysis.IsPPtr(src) {
 		return
 	}
 	basic, isBasic := dst.Underlying().(*types.Basic)
@@ -270,7 +265,7 @@ func checkRemapAliasing(pass *analysis.Pass, fn *ast.FuncDecl) {
 						continue
 					}
 					o := obj
-					fresh := isBytesCall(pass, rhs)
+					fresh := analysis.IsBytesCall(pass.Info, rhs)
 					root := rootAliasObj(pass, rhs)
 					events = append(events, func(f *remapFact) *remapFact {
 						out := &remapFact{stale: map[types.Object]token.Pos{}}
@@ -383,24 +378,12 @@ func checkRemapAliasing(pass *analysis.Pass, fn *ast.FuncDecl) {
 	})
 }
 
-func isBytesCall(pass *analysis.Pass, e ast.Expr) bool {
-	switch e := e.(type) {
-	case *ast.SliceExpr:
-		return isBytesCall(pass, e.X)
-	case *ast.CallExpr:
-		name, _ := analysis.CalleeName(pass.Info, e)
-		recv := analysis.ReceiverType(pass.Info, e)
-		return name == "Bytes" && recv != nil && analysis.NamedFrom(recv, "nvm", "Heap")
-	}
-	return false
-}
-
 // seedsAlias reports whether rhs produces a slice aliasing the NVM
 // mapping: a direct Heap.Bytes call (or reslice of one), or — through
 // the points-to graph — any slice-typed expression whose points-to set
 // contains an NVM block, which catches derived aliases like c := b.
 func seedsAlias(pass *analysis.Pass, pg *ptr.Graph, rhs ast.Expr) bool {
-	if isBytesCall(pass, rhs) {
+	if analysis.IsBytesCall(pass.Info, rhs) {
 		return true
 	}
 	t := pass.Info.TypeOf(rhs)

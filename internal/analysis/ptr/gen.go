@@ -839,7 +839,7 @@ func (g *Graph) heapIntrinsic(call *ast.CallExpr, name string, recv int, args, r
 		// root; identified by type so the real (name string, p, aux)
 		// and fixture (slot uint32, p) signatures both match.
 		for i, a := range call.Args {
-			if isPPtr(g.info.TypeOf(a)) && arg(i) >= 0 {
+			if analysis.IsPPtr(g.info.TypeOf(a)) && arg(i) >= 0 {
 				rn := g.newNode()
 				g.addTo(rn, g.rootObj)
 				g.stores = append(g.stores, storec{dst: rn, field: "*", src: arg(i)})
@@ -849,7 +849,7 @@ func (g *Graph) heapIntrinsic(call *ast.CallExpr, name string, recv int, args, r
 		rn := g.newNode()
 		g.addTo(rn, g.rootObj)
 		for i := range res {
-			if isPPtr(g.info.TypeOf(call)) || i == 0 {
+			if analysis.IsPPtr(g.info.TypeOf(call)) || i == 0 {
 				g.loads = append(g.loads, loadc{dst: res[i], src: rn, field: "*", typ: g.info.TypeOf(call)})
 				break
 			}

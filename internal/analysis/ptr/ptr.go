@@ -368,10 +368,6 @@ func carriesPPtr(t types.Type) bool {
 	return walk(t)
 }
 
-func isPPtr(t types.Type) bool {
-	return t != nil && analysis.NamedFrom(t, "nvm", "PPtr")
-}
-
 // ---------------------------------------------------------------------------
 // Solver: iterate copy propagation, loads, stores and dynamic-call
 // binding to a fixpoint. Package-sized inputs converge in a handful of
@@ -449,7 +445,7 @@ func (g *Graph) solve() {
 // isBasicNonPPtr reports whether t is a plain scalar that cannot carry
 // provenance — extern fields of such types stay empty.
 func isBasicNonPPtr(t types.Type) bool {
-	if isPPtr(t) {
+	if analysis.IsPPtr(t) {
 		return false
 	}
 	_, ok := t.Underlying().(*types.Basic)

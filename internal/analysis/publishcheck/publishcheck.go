@@ -87,25 +87,6 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-const nopersistPrefix = "//nvm:nopersist"
-
-var persistNames = map[string]bool{
-	"Persist": true, "PersistBytes": true, "PersistAt": true,
-	"PersistRange": true, "PersistBegin": true, "PersistEnd": true,
-}
-
-var heapWriteNames = map[string]bool{
-	"SetU64": true, "PutU64": true, "PutU32": true,
-}
-
-var flushAtNames = map[string]bool{
-	"FlushAt": true, "FlushBegin": true, "FlushEnd": true,
-}
-
-var sliceMutators = map[string]bool{
-	"PutBits": true, "SetBits": true,
-}
-
 // protocolPkgs are the packages (by name, as everywhere in this suite)
 // whose Stage*/Publish* functions and methods are the two halves of the
 // mutation protocol.
@@ -351,7 +332,7 @@ func eventsOf(pass *analysis.Pass, g *ptr.Graph, call *ast.CallExpr, sums map[*t
 		}
 		evs = append(evs, event{kind: evWrite, what: "Heap.CasU64", objs: targets, pos: call.Pos()})
 		return evs
-	case onHeap && heapWriteNames[name]:
+	case onHeap && analysis.HeapWriteNames[name]:
 		evs := []event{}
 		// A store of a pointer-carrying value into an already-published
 		// block is a publication of everything the value reaches — except
@@ -366,7 +347,7 @@ func eventsOf(pass *analysis.Pass, g *ptr.Graph, call *ast.CallExpr, sums map[*t
 		}
 		evs = append(evs, event{kind: evWrite, what: "Heap." + name, objs: g.PointsTo(arg(0)), pos: call.Pos()})
 		return evs
-	case persistNames[name]:
+	case analysis.PersistNames[name]:
 		var objs []*ptr.Obj
 		switch name {
 		case "Persist", "PersistBytes":
@@ -383,7 +364,7 @@ func eventsOf(pass *analysis.Pass, g *ptr.Graph, call *ast.CallExpr, sums map[*t
 		return []event{{kind: evWrite, what: "SetNoPersist", objs: g.PointsTo(recvExpr()), pos: call.Pos()}}
 	case onHeap && (name == "Flush" || name == "FlushBytes"):
 		return []event{{kind: evFlush, what: "Heap." + name, objs: g.PointsTo(arg(0)), pos: call.Pos()}}
-	case flushAtNames[name]:
+	case analysis.FlushAtNames[name]:
 		return []event{{kind: evFlush, what: name, objs: g.PointsTo(recvExpr()), pos: call.Pos()}}
 	case onHeap && (name == "Fence" || name == "Drain"):
 		return []event{{kind: evFence, what: "Heap." + name, pos: call.Pos()}}
@@ -392,7 +373,7 @@ func eventsOf(pass *analysis.Pass, g *ptr.Graph, call *ast.CallExpr, sums map[*t
 			return []event{{kind: evWrite, what: name + " into Heap.Bytes", objs: nvmOnly(g.PointsTo(call.Args[0])), pos: call.Pos()}}
 		}
 		return nil
-	case sliceMutators[name]:
+	case analysis.SliceMutators[name]:
 		for _, a := range call.Args {
 			if g.NVMSlice(a) {
 				return []event{{kind: evWrite, what: name + " into Heap.Bytes", objs: nvmOnly(g.PointsTo(a)), pos: call.Pos()}}
@@ -654,7 +635,7 @@ func computeFacts(pass *analysis.Pass) *pkgFacts {
 	// transfers its obligation instead of being reported at its return.
 	callers := summary.Callers(pass, fns)
 	for caller, info := range infos {
-		forEachCall(info.decl.Body, func(call *ast.CallExpr) {
+		analysis.ForEachCall(info.decl.Body, func(call *ast.CallExpr) {
 			for _, callee := range g.Callees(call) {
 				if callee == caller {
 					continue
@@ -695,16 +676,16 @@ func AnnotationLoadBearing(pass *analysis.Pass) map[*types.Func]bool {
 	}
 	fx := factsOf(pass)
 	for obj, info := range fx.infos {
-		if annotated, _ := nopersist(info.decl); !annotated {
+		if annotated, _ := analysis.Nopersist(info.decl); !annotated {
 			continue
 		}
-		if pkgPrivate(obj, info.decl) && fx.callers[obj] > 0 {
+		if analysis.PkgPrivate(obj, info.decl) && fx.callers[obj] > 0 {
 			continue
 		}
 		res := analyze(pass, fx.g, info, fx.sums)
 		needed := false
 		forEachReturn(pass, fx.g, info, fx.sums, res, func(ret *ast.ReturnStmt, f *ofact) {
-			if needed || f == nil || isErrorReturn(pass, ret) {
+			if needed || f == nil || analysis.IsErrorReturn(pass.Info, ret) {
 				return
 			}
 			if _, _, _, ok := firstPublishedPending(fx.g, f); ok {
@@ -724,7 +705,7 @@ func analyze(pass *analysis.Pass, g *ptr.Graph, info *funcInfo, sums map[*types.
 			return in
 		}
 		f := in
-		forEachCall(n, func(call *ast.CallExpr) {
+		analysis.ForEachCall(n, func(call *ast.CallExpr) {
 			for _, ev := range eventsOf(pass, g, call, sums) {
 				f = apply(g, info.imp, f, ev)
 			}
@@ -732,18 +713,6 @@ func analyze(pass *analysis.Pass, g *ptr.Graph, info *funcInfo, sums map[*types.
 		return f
 	}
 	return dataflow.Forward(info.graph, lattice, (&ofact{}).clone(), transfer)
-}
-
-func forEachCall(n ast.Node, visit func(*ast.CallExpr)) {
-	ast.Inspect(n, func(m ast.Node) bool {
-		if _, ok := m.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := m.(*ast.CallExpr); ok {
-			visit(call)
-		}
-		return true
-	})
 }
 
 // applyDefers folds deferred calls (LIFO) into the return fact.
@@ -784,7 +753,7 @@ func summarize(pass *analysis.Pass, g *ptr.Graph, info *funcInfo, sums map[*type
 		if f == nil {
 			f = (&ofact{}).clone()
 		}
-		if !isErrorReturn(pass, ret) {
+		if !analysis.IsErrorReturn(pass.Info, ret) {
 			for id := range f.dirty {
 				s.dirty[id] = true
 			}
@@ -815,7 +784,7 @@ func summarize(pass *analysis.Pass, g *ptr.Graph, info *funcInfo, sums map[*type
 	// caller's pending object published deep in a callee still reports
 	// at the caller's call site.
 	for _, fi := range []*funcInfo{info} {
-		forEachCall(fi.decl.Body, func(call *ast.CallExpr) {
+		analysis.ForEachCall(fi.decl.Body, func(call *ast.CallExpr) {
 			for _, ev := range eventsOf(pass, g, call, sums) {
 				switch ev.kind {
 				case evPublish:
@@ -840,7 +809,7 @@ func checkFunc(pass *analysis.Pass, g *ptr.Graph, obj *types.Func, info *funcInf
 	fn := info.decl
 	// The reason check on //nvm:nopersist is persistcheck's; here the
 	// annotation only waives the return obligation.
-	annotated, _ := nopersist(fn)
+	annotated, _ := analysis.Nopersist(fn)
 	res := analyze(pass, g, info, sums)
 
 	// Publications: always an error while a reachable object is
@@ -850,7 +819,7 @@ func checkFunc(pass *analysis.Pass, g *ptr.Graph, obj *types.Func, info *funcInf
 			return
 		}
 		f := before
-		forEachCall(n, func(call *ast.CallExpr) {
+		analysis.ForEachCall(n, func(call *ast.CallExpr) {
 			for _, ev := range eventsOf(pass, g, call, sums) {
 				switch ev.kind {
 				case evPublish:
@@ -870,10 +839,10 @@ func checkFunc(pass *analysis.Pass, g *ptr.Graph, obj *types.Func, info *funcInf
 	})
 
 	// Returns: pending writes on objects recovery can already reach.
-	waived := annotated || (pkgPrivate(obj, fn) && nCallers > 0)
+	waived := annotated || (analysis.PkgPrivate(obj, fn) && nCallers > 0)
 	reported := false
 	forEachReturn(pass, g, info, sums, res, func(ret *ast.ReturnStmt, f *ofact) {
-		if f == nil || isErrorReturn(pass, ret) || waived || reported {
+		if f == nil || analysis.IsErrorReturn(pass.Info, ret) || waived || reported {
 			return
 		}
 		id, w, verb, ok := firstPublishedPending(g, f)
@@ -940,56 +909,4 @@ func firstPublishedPending(g *ptr.Graph, f *ofact) (int, write, string, bool) {
 		consider(id, w, "flushed but not fenced")
 	}
 	return bestID, bestW, bestVerb, found
-}
-
-// ---------------------------------------------------------------------------
-// Waiver helpers, shared in shape with persistcheck.
-
-func nopersist(fn *ast.FuncDecl) (annotated, reasoned bool) {
-	if fn.Doc == nil {
-		return false, false
-	}
-	for _, c := range fn.Doc.List {
-		if rest, ok := strings.CutPrefix(c.Text, nopersistPrefix); ok {
-			return true, strings.TrimSpace(rest) != ""
-		}
-	}
-	return false, false
-}
-
-func pkgPrivate(obj *types.Func, fn *ast.FuncDecl) bool {
-	if !fn.Name.IsExported() {
-		return true
-	}
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return false
-	}
-	t := sig.Recv().Type()
-	for {
-		p, ok := t.(*types.Pointer)
-		if !ok {
-			break
-		}
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		return !n.Obj().Exported()
-	}
-	return false
-}
-
-var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-func isErrorReturn(pass *analysis.Pass, ret *ast.ReturnStmt) bool {
-	for _, res := range ret.Results {
-		if id, ok := res.(*ast.Ident); ok && id.Name == "nil" {
-			continue
-		}
-		t := pass.Info.TypeOf(res)
-		if t != nil && types.Implements(t, errorIface) {
-			return true
-		}
-	}
-	return false
 }

@@ -87,12 +87,9 @@ func NetRestart(workDir string, sizes []int, model disk.Model) (*Report, error) 
 			downtime := time.Since(crash)
 
 			rs := eng2.RecoveryStats()
-			var replayed, rolled int
-			for _, ps := range rs.PerShard {
-				replayed, rolled = replayed+ps.ReplayRecords, rolled+ps.NVM.RolledBack
-			}
+			sum := rs.Sum()
 			r.AddRow(fmt.Sprintf("%d", n), mode.String(), fmtDur(downtime), fmtDur(rs.Total),
-				fmt.Sprintf("%d", replayed), fmt.Sprintf("%d", rolled))
+				fmt.Sprintf("%d", sum.ReplayRecords), fmt.Sprintf("%d", sum.NVM.RolledBack))
 
 			c.Close()
 			srv2.Close()

@@ -476,12 +476,8 @@ func offlineFsck(cfg Config, logf func(string, ...any)) error {
 	}
 	defer eng.Close() //nolint:errcheck — read-only visit
 	rs := eng.RecoveryStats()
-	rolled := 0
-	for _, ps := range rs.PerShard {
-		rolled += ps.NVM.RolledBack
-	}
 	logf("offline: opened in %v, rolled back %d in-flight, %d 2pc decisions",
-		rs.Total.Round(time.Microsecond), rolled, rs.Decisions2PC)
+		rs.Total.Round(time.Microsecond), rs.Sum().NVM.RolledBack, rs.Decisions2PC)
 	if err := eng.Fsck(); err != nil {
 		return fmt.Errorf("fsck: %w", err)
 	}

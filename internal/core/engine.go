@@ -73,10 +73,6 @@ type Config struct {
 	// query executor: 0 = one worker per schedulable core (GOMAXPROCS),
 	// 1 = strictly serial scans.
 	Parallelism int
-	// Clock, when non-nil, attaches a shared commit-ID clock: this engine
-	// is one shard of a sharded database and draws CIDs from the global
-	// clock instead of its private counter. See txn.Clock.
-	Clock *txn.Clock
 	// Decide2PC, when non-nil, resolves prepared two-phase-commit
 	// contexts found during NVM recovery against the shard coordinator's
 	// durable decision records. Nil presumes abort.
@@ -160,9 +156,6 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Clock != nil {
-		e.mgr.SetClock(cfg.Clock)
 	}
 	e.recovery.Mode = cfg.Mode
 	e.recovery.Total = time.Since(start)

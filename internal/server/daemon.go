@@ -83,13 +83,10 @@ func RunDaemon(cfg DaemonConfig) error {
 		return fmt.Errorf("open engine: %w", err)
 	}
 	rs := eng.RecoveryStats()
-	var tables, replay, rolled int
-	for _, ps := range rs.PerShard {
-		tables, replay, rolled = tables+ps.TablesOpened, replay+ps.ReplayRecords, rolled+ps.NVM.RolledBack
-	}
+	sum := rs.Sum()
 	logf("engine open in %s (mode=%s, shards=%d, %d tables, replay=%d records, rolled back=%d in-flight, 2pc decisions=%d)",
-		time.Since(start).Round(time.Microsecond), cfg.Mode, eng.Shards(), tables,
-		replay, rolled, rs.Decisions2PC)
+		time.Since(start).Round(time.Microsecond), cfg.Mode, eng.Shards(), sum.TablesOpened,
+		sum.ReplayRecords, sum.NVM.RolledBack, rs.Decisions2PC)
 
 	if cfg.FaultSpec != "" {
 		fcfg, err := fault.ParseSpec(cfg.FaultSpec)

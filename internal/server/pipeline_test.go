@@ -2,10 +2,13 @@ package server_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
+	"hyrisenv"
+	"hyrisenv/client"
 	"hyrisenv/internal/disk"
 	"hyrisenv/internal/server"
 	"hyrisenv/internal/storage"
@@ -321,5 +324,48 @@ func TestOverloadFastReject(t *testing.T) {
 	}
 	if got := srv.Rejected(); got < uint64(rejected) {
 		t.Fatalf("server counted %d rejections, clients saw %d", got, rejected)
+	}
+}
+
+// TestRangeInsideTxnRidesItsSlot pins the one admission rule: a request
+// naming a transaction rides the slot Begin charged for it, whatever its
+// opcode. SelectRange once paid a second, request-scoped slot — and with
+// one slot in the house a transaction was rejected by its own admission.
+func TestRangeInsideTxnRidesItsSlot(t *testing.T) {
+	eng := openEngine(t, txn.ModeNone, disk.Model{})
+	srv := startServer(t, eng, server.Config{MaxConcurrent: 1, AdmissionWait: 5 * time.Millisecond})
+	c := dialClient(t, srv.Addr(), client.Options{})
+	if err := c.CreateTable("users", testCols, "id"); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := c.Begin() // holds the only slot until commit
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := tx.Insert("users", hyrisenv.Int(1), hyrisenv.Str("alice"), hyrisenv.Float(9.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := tx.Select("users"); err != nil || len(rows) != 1 {
+		t.Fatalf("Select inside the transaction: %v, %v", rows, err)
+	}
+	if n, err := tx.Count("users"); err != nil || n != 1 {
+		t.Fatalf("Count inside the transaction: %d, %v", n, err)
+	}
+	if _, err := tx.Row("users", row); err != nil {
+		t.Fatalf("Row inside the transaction: %v", err)
+	}
+	if rows, err := tx.SelectRange("users", "id", hyrisenv.Int(0), hyrisenv.Int(10)); err != nil || len(rows) != 1 {
+		t.Fatalf("SelectRange inside the transaction: %v, %v", rows, err)
+	}
+	// A one-shot read of any opcode still has to pay, and cannot.
+	if _, err := c.SelectRange("users", "id", hyrisenv.Int(0), hyrisenv.Int(10)); !errors.Is(err, client.ErrOverloaded) {
+		t.Fatalf("one-shot SelectRange beside a full house: %v, want ErrOverloaded", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := c.SelectRange("users", "id", hyrisenv.Int(0), hyrisenv.Int(10)); err != nil || len(rows) != 1 {
+		t.Fatalf("one-shot SelectRange after the commit freed the slot: %v, %v", rows, err)
 	}
 }

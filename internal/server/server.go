@@ -225,7 +225,7 @@ func (s *Server) Serve(ln net.Listener) error {
 			continue
 		}
 		c := &conn{srv: s, nc: nc, bw: bufio.NewWriterSize(nc, 16<<10),
-			txns: map[uint64]*shard.Tx{}, txnRel: map[uint64]func(){}}
+			txns: map[uint64]openTxn{}}
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
@@ -290,6 +290,16 @@ func (s *Server) admitOne() (release func(), ok bool) {
 }
 
 func (s *Server) releaseOne() { <-s.admit }
+
+const overloadedMsg = "admission queue full; back off and retry"
+
+// admit is admitOne with a release that is never nil.
+func (c *conn) admit() (release func(), ok bool) {
+	if release, ok = c.srv.admitOne(); release == nil {
+		release = func() {}
+	}
+	return release, ok
+}
 
 // Shutdown drains the server: it stops accepting, lets every request
 // already queued on a connection finish until ctx expires, then
@@ -384,6 +394,14 @@ type queued struct {
 	reject bool
 }
 
+// openTxn is one registry entry: a transaction and the release of the
+// admission slot Begin charged for it, so a slot can neither outlive nor
+// predate its transaction.
+type openTxn struct {
+	tx      *shard.Tx
+	release func()
+}
+
 type conn struct {
 	srv     *Server
 	nc      net.Conn
@@ -397,10 +415,8 @@ type conn struct {
 
 	// txns is the connection-scoped transaction registry; it is only
 	// touched by the connection's worker goroutine, except at teardown
-	// (after the worker has exited). txnRel holds the admission-slot
-	// release for each transaction that was charged one at Begin.
-	txns    map[uint64]*shard.Tx
-	txnRel  map[uint64]func()
+	// (after the worker has exited).
+	txns    map[uint64]openTxn
 	nextTxn uint64
 
 	mu       sync.Mutex
@@ -444,14 +460,11 @@ func (c *conn) serve() {
 		// Abort whatever the client left open so row locks are released.
 		// The worker has exited by now, so the registry is quiescent.
 		for id, t := range c.txns {
-			if t.Active() {
-				t.Abort() //nolint:errcheck — already tearing down
+			if t.tx.Active() {
+				t.tx.Abort() //nolint:errcheck — already tearing down
 			}
 			delete(c.txns, id)
-			if rel, ok := c.txnRel[id]; ok {
-				delete(c.txnRel, id)
-				rel()
-			}
+			t.release()
 		}
 		c.srv.dropConn(c)
 	}()
@@ -629,28 +642,25 @@ func (c *conn) replyErr(reqID uint64, code uint16, msg string) error {
 // failures become TypeError frames.
 func (c *conn) handle(f wire.Frame) error {
 	// Admission control guards the execution stage and is
-	// transaction-scoped: Begin charges a slot the transaction holds
-	// until commit or abort (handled in dispatch), requests riding an
-	// admitted transaction — including the commit that releases its row
-	// locks — are covered by that slot, and one-shot reads charge a
-	// request-scoped slot once dispatch has decoded whether they carry
-	// a transaction. Ping stays exempt so health checks measure
-	// liveness, not load. Everything else (DDL and other standalone
-	// work) is gated here for its own execution.
+	// transaction-scoped. Ping stays exempt so health checks measure
+	// liveness, not load. Begin charges a slot its transaction holds until
+	// commit or abort (see dispatch). A request naming a transaction —
+	// every write, the commit that releases its row locks, a read inside
+	// it — rides that slot; a read naming none pays a request-scoped one
+	// (readTxnTable decides, once dispatch has decoded the request).
+	// Everything else (DDL and other standalone work) is gated here for
+	// its own execution.
 	//nvmcheck:ignore wirecodecheck the default arm is the point: anything not explicitly exempted — including new request types and response codes arriving as requests — pays admission first and then fails in dispatch
 	switch f.Type {
 	case wire.TypePing, wire.TypeBegin, wire.TypeCommit, wire.TypeAbort,
 		wire.TypeInsert, wire.TypeUpdate, wire.TypeDelete,
-		wire.TypeGetRow, wire.TypeSelect, wire.TypeCount:
+		wire.TypeGetRow, wire.TypeSelect, wire.TypeCount, wire.TypeRange:
 	default:
-		release, ok := c.srv.admitOne()
+		release, ok := c.admit()
 		if !ok {
-			return c.replyErr(f.ReqID, wire.CodeOverloaded,
-				"admission queue full; back off and retry")
+			return c.replyErr(f.ReqID, wire.CodeOverloaded, overloadedMsg)
 		}
-		if release != nil {
-			defer release()
-		}
+		defer release()
 	}
 
 	// Per-request deadline: the client stamps its timeout into the frame
@@ -694,9 +704,9 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 		// is held until commit/abort (or connection teardown), so under
 		// overload whole transactions are shed at Begin instead of
 		// letting admitted ones starve mid-flight.
-		release, ok := c.srv.admitOne()
+		release, ok := c.admit()
 		if !ok {
-			return 0, nil, wire.CodeOverloaded, "admission queue full; back off and retry"
+			return 0, nil, wire.CodeOverloaded, overloadedMsg
 		}
 		var tx *shard.Tx
 		if req.ReadOnly {
@@ -706,10 +716,7 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 		}
 		c.nextTxn++
 		id := c.nextTxn
-		c.txns[id] = tx
-		if release != nil {
-			c.txnRel[id] = release
-		}
+		c.txns[id] = openTxn{tx, release}
 		return wire.TypeBeginOK, wire.BeginOK{Txn: id, SnapshotCID: tx.SnapshotCID()}.Encode(), 0, ""
 
 	case wire.TypeCommit, wire.TypeAbort:
@@ -717,22 +724,19 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 		if err != nil {
 			return 0, nil, wire.CodeBadRequest, err.Error()
 		}
-		tx, ok := c.txns[req.Txn]
+		open, ok := c.txns[req.Txn]
 		if !ok {
 			return 0, nil, wire.CodeNoSuchTxn, fmt.Sprintf("no transaction %d on this connection", req.Txn)
 		}
 		delete(c.txns, req.Txn)
 		if f.Type == wire.TypeCommit {
-			err = tx.Commit()
+			err = open.tx.Commit()
 		} else {
-			err = tx.Abort()
+			err = open.tx.Abort()
 		}
 		// The admission slot covers the commit work itself; release it
 		// only once the transaction is fully over.
-		if rel, ok := c.txnRel[req.Txn]; ok {
-			delete(c.txnRel, req.Txn)
-			rel()
-		}
+		open.release()
 		if err != nil {
 			return 0, nil, errCode(err), err.Error()
 		}
@@ -787,21 +791,11 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 		if err != nil {
 			return 0, nil, wire.CodeBadRequest, err.Error()
 		}
-		if req.Txn == 0 {
-			// One-shot read: no transaction slot covers it, so it pays
-			// request-scoped admission.
-			release, ok := c.srv.admitOne()
-			if !ok {
-				return 0, nil, wire.CodeOverloaded, "admission queue full; back off and retry"
-			}
-			if release != nil {
-				defer release()
-			}
-		}
-		tx, tbl, code, msg := c.readTxnTable(req.Txn, req.Table)
+		tx, tbl, release, code, msg := c.readTxnTable(req.Txn, req.Table)
 		if code != 0 {
 			return 0, nil, code, msg
 		}
+		defer release()
 		if !tx.Sees(tbl, req.Row) {
 			return 0, nil, wire.CodeRowNotFound, fmt.Sprintf("row %d not visible", req.Row)
 		}
@@ -816,21 +810,11 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 		if err != nil {
 			return 0, nil, wire.CodeBadRequest, err.Error()
 		}
-		if req.Txn == 0 {
-			// One-shot read: no transaction slot covers it, so it pays
-			// request-scoped admission.
-			release, ok := c.srv.admitOne()
-			if !ok {
-				return 0, nil, wire.CodeOverloaded, "admission queue full; back off and retry"
-			}
-			if release != nil {
-				defer release()
-			}
-		}
-		tx, tbl, code, msg := c.readTxnTable(req.Txn, req.Table)
+		tx, tbl, release, code, msg := c.readTxnTable(req.Txn, req.Table)
 		if code != 0 {
 			return 0, nil, code, msg
 		}
+		defer release()
 		preds := make([]exec.Pred, len(req.Preds))
 		for i, p := range req.Preds {
 			ci := tbl.Schema.ColIndex(p.Col)
@@ -857,10 +841,11 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 		if err != nil {
 			return 0, nil, wire.CodeBadRequest, err.Error()
 		}
-		tx, tbl, code, msg := c.readTxnTable(req.Txn, req.Table)
+		tx, tbl, release, code, msg := c.readTxnTable(req.Txn, req.Table)
 		if code != 0 {
 			return 0, nil, code, msg
 		}
+		defer release()
 		ci := tbl.Schema.ColIndex(req.Col)
 		if ci < 0 {
 			return 0, nil, wire.CodeBadColumn, fmt.Sprintf("no column %q in table %q", req.Col, req.Table)
@@ -901,19 +886,18 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 
 	case wire.TypeStats:
 		rs := c.srv.eng.RecoveryStats()
+		sum := rs.Sum()
 		resp := wire.StatsResp{
-			Mode:     uint8(c.srv.eng.Mode()),
-			Uptime:   time.Since(c.srv.start),
-			Recovery: rs.Total,
-		}
-		for _, ps := range rs.PerShard {
-			resp.TablesOpened += uint32(ps.TablesOpened)
-			resp.CheckpointLoad += ps.CheckpointLoad
-			resp.LogReplay += ps.LogReplay
-			resp.IndexRebuild += ps.IndexRebuild
-			resp.ReplayRecords += uint32(ps.ReplayRecords)
-			resp.RolledBack += uint32(ps.NVM.RolledBack)
-			resp.EntriesUndone += uint32(ps.NVM.EntriesUndone)
+			Mode:           uint8(c.srv.eng.Mode()),
+			Uptime:         time.Since(c.srv.start),
+			Recovery:       rs.Total,
+			TablesOpened:   uint32(sum.TablesOpened),
+			CheckpointLoad: sum.CheckpointLoad,
+			LogReplay:      sum.LogReplay,
+			IndexRebuild:   sum.IndexRebuild,
+			ReplayRecords:  uint32(sum.ReplayRecords),
+			RolledBack:     uint32(sum.NVM.RolledBack),
+			EntriesUndone:  uint32(sum.NVM.EntriesUndone),
 		}
 		if c.srv.eng.Mode() == txn.ModeNVM {
 			hs := c.srv.eng.NVMStats()
@@ -941,7 +925,7 @@ func (c *conn) writeTxnTable(txid uint64, table string) (*shard.Tx, *shard.Table
 	if txid == 0 {
 		return nil, nil, wire.CodeBadRequest, "writes require an explicit transaction (Begin first)"
 	}
-	tx, ok := c.txns[txid]
+	t, ok := c.txns[txid]
 	if !ok {
 		return nil, nil, wire.CodeNoSuchTxn, fmt.Sprintf("no transaction %d on this connection", txid)
 	}
@@ -949,28 +933,36 @@ func (c *conn) writeTxnTable(txid uint64, table string) (*shard.Tx, *shard.Table
 	if err != nil {
 		return nil, nil, wire.CodeNoSuchTable, err.Error()
 	}
-	return tx, tbl, 0, ""
+	return t.tx, tbl, 0, ""
 }
 
-// readTxnTable resolves the transaction for a read. Txn 0 gets a fresh
-// read-only snapshot at the current horizon — the auto-commit read path
-// that makes the request idempotent for client-side retries.
-func (c *conn) readTxnTable(txid uint64, table string) (*shard.Tx, *shard.Table, uint16, string) {
-	var tx *shard.Tx
-	if txid == 0 {
-		tx = c.srv.eng.BeginAt(c.srv.eng.LastCID())
+// readTxnTable resolves the transaction for a read and applies the
+// admission rule to it: a read naming a transaction rides the slot Begin
+// charged; Txn 0 gets a fresh read-only snapshot at the current horizon —
+// the auto-commit read path that makes the request idempotent for
+// client-side retries — and pays a request-scoped slot. The caller runs
+// release once the read is done.
+func (c *conn) readTxnTable(txid uint64, table string) (tx *shard.Tx, tbl *shard.Table, release func(), code uint16, msg string) {
+	release = func() {}
+	if txid != 0 {
+		t, ok := c.txns[txid]
+		if !ok {
+			return nil, nil, nil, wire.CodeNoSuchTxn, fmt.Sprintf("no transaction %d on this connection", txid)
+		}
+		tx = t.tx
 	} else {
 		var ok bool
-		tx, ok = c.txns[txid]
-		if !ok {
-			return nil, nil, wire.CodeNoSuchTxn, fmt.Sprintf("no transaction %d on this connection", txid)
+		if release, ok = c.admit(); !ok {
+			return nil, nil, nil, wire.CodeOverloaded, overloadedMsg
 		}
+		tx = c.srv.eng.BeginAt(c.srv.eng.LastCID())
 	}
 	tbl, err := c.srv.eng.Table(table)
 	if err != nil {
-		return nil, nil, wire.CodeNoSuchTable, err.Error()
+		release()
+		return nil, nil, nil, wire.CodeNoSuchTable, err.Error()
 	}
-	return tx, tbl, 0, ""
+	return tx, tbl, release, 0, ""
 }
 
 // errCode maps engine errors to protocol error codes.

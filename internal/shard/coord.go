@@ -1,10 +1,11 @@
 // Package shard implements the N-way hash-partitioned engine: a router
 // over N independent core.Engines (one NVM heap, MVCC store, WAL and
 // group-commit batcher each) sharing one global commit-ID clock. Rows
-// route to a shard by hash of their first column; transactions touching
-// one shard commit on that shard's unmodified fast path, transactions
-// touching several commit with two-phase commit against a coordinator
-// NVM region. Restart fans shard recovery out across a worker pool, so
+// route to a shard by hash of their first column; transactions writing
+// one shard commit on that shard's ordinary group-commit path without
+// 2PC, transactions writing several commit with two-phase commit against
+// a coordinator NVM region. N = 1 is a fleet of one: same clock, same
+// Open, same Begin; only the directory layout is special-cased. Restart fans shard recovery out across a worker pool, so
 // restart-to-serve stays flat as shards are added — each shard's
 // recovery is O(its in-flight writes), and they run concurrently.
 package shard

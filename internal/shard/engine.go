@@ -23,10 +23,11 @@ import (
 type Config struct {
 	core.Config
 
-	// Shards is the number of hash partitions. 0 or 1 runs unsharded:
-	// one core engine rooted directly at Dir, byte-compatible with
-	// databases created before sharding existed, on the untouched
-	// single-shard commit fast path. At most MaxShards.
+	// Shards is the number of hash partitions. 0 or 1 is a fleet of one —
+	// same clock, same Open, same Begin; only the directory layout is
+	// special-cased: the one core engine is rooted directly at Dir with no
+	// SHARDS marker and no coordinator heap, byte-compatible with
+	// databases created before sharding existed. At most MaxShards.
 	Shards int
 }
 
@@ -66,11 +67,37 @@ type RecoveryStats struct {
 	Decisions2PC int
 }
 
+// Sum adds the per-shard recoveries field by field, the nested NVM fixup
+// counters included, so a consumer cannot read a subset by accident. Its
+// Total is shard time — recoveries overlap, so the fleet's wall clock is
+// s.Total — and Mode, which cannot add, is the fleet's.
+func (s RecoveryStats) Sum() core.RecoveryStats {
+	var sum core.RecoveryStats
+	for _, ps := range s.PerShard {
+		sum.Mode = ps.Mode
+		sum.Total += ps.Total
+		sum.TablesOpened += ps.TablesOpened
+		sum.CheckpointLoad += ps.CheckpointLoad
+		sum.LogReplay += ps.LogReplay
+		sum.IndexRebuild += ps.IndexRebuild
+		sum.ReplayRecords += ps.ReplayRecords
+		sum.CheckpointBytes += ps.CheckpointBytes
+		sum.NVM.LiveContexts += ps.NVM.LiveContexts
+		sum.NVM.CommittedDone += ps.NVM.CommittedDone
+		sum.NVM.RolledBack += ps.NVM.RolledBack
+		sum.NVM.EntriesUndone += ps.NVM.EntriesUndone
+		sum.NVM.Committed2PC += ps.NVM.Committed2PC
+		sum.NVM.Aborted2PC += ps.NVM.Aborted2PC
+		sum.NVM.EntriesRedone += ps.NVM.EntriesRedone
+	}
+	return sum
+}
+
 // Engine is a sharded database: a router over N core engines.
 type Engine struct {
 	cfg      Config
 	shards   []*core.Engine
-	clock    *txn.Clock   // nil when unsharded
+	clock    *txn.Clock   // shared by every shard's Manager
 	coord    *Coordinator // ModeNVM multi-shard only
 	recovery RecoveryStats
 
@@ -122,10 +149,12 @@ func (t *Table) Value(col int, row uint64) storage.Value {
 // routing and row-ID tags would address the wrong shards).
 const shardMetaFile = "SHARDS"
 
-// Open creates or re-opens a sharded engine. Recovery fans out across a
-// worker pool: the coordinator region is scanned first (constant size),
-// then every shard recovers concurrently, resolving prepared 2PC
-// contexts against the coordinator's decision records.
+// Open creates or re-opens a sharded engine, by one path for every shard
+// count. Recovery fans out across a worker pool: the coordinator region
+// is scanned first (constant size), then every shard recovers
+// concurrently, resolving prepared 2PC contexts against the
+// coordinator's decision records; then the shards' managers are put on
+// one CID clock seeded at the fleet's highest recovered lastCID.
 func Open(cfg Config) (*Engine, error) {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -142,32 +171,14 @@ func Open(cfg Config) (*Engine, error) {
 		}
 	}
 
-	if cfg.Shards == 1 {
-		// Unsharded: the underlying engine at Dir, fast path untouched.
-		eng, err := core.Open(cfg.Config)
-		if err != nil {
-			return nil, err
-		}
-		e.shards = []*core.Engine{eng}
-		e.recovery.PerShard = []core.RecoveryStats{eng.RecoveryStats()}
-		e.recovery.Total = time.Since(start)
-		if err := e.loadTables(); err != nil {
-			e.closePartial()
-			return nil, err
-		}
-		return e, nil
-	}
-
-	if cfg.Dir != "" {
+	// The coordinator opens before any shard: its decision records are
+	// what shard recovery resolves prepared contexts against. A fleet of
+	// one never runs two-phase commit and has none.
+	var decide txn.TwoPCDecider
+	if cfg.Mode == txn.ModeNVM && cfg.Shards > 1 {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, err
 		}
-	}
-
-	// The coordinator opens before any shard: its decision records are
-	// what shard recovery resolves prepared contexts against.
-	var decide txn.TwoPCDecider
-	if cfg.Mode == txn.ModeNVM {
 		var copts []nvm.Option
 		if cfg.NVMShadow {
 			copts = append(copts, nvm.WithShadow())
@@ -193,7 +204,7 @@ func Open(cfg Config) (*Engine, error) {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			scfg := cfg.Config
-			if scfg.Dir != "" {
+			if scfg.Dir != "" && cfg.Shards > 1 {
 				scfg.Dir = filepath.Join(cfg.Dir, "shard-"+strconv.Itoa(i))
 			}
 			scfg.Decide2PC = decide
@@ -202,7 +213,7 @@ func Open(cfg Config) (*Engine, error) {
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
-		e.closePartial()
+		e.Close() //nolint:errcheck — already failing
 		return nil, err
 	}
 
@@ -228,12 +239,12 @@ func Open(cfg Config) (*Engine, error) {
 
 	if cfg.Dir != "" && cfg.Mode != txn.ModeNone {
 		if err := writeShardMeta(cfg.Dir, cfg.Shards); err != nil {
-			e.closePartial()
+			e.Close() //nolint:errcheck — already failing
 			return nil, err
 		}
 	}
 	if err := e.loadTables(); err != nil {
-		e.closePartial()
+		e.Close() //nolint:errcheck — already failing
 		return nil, err
 	}
 	e.recovery.Total = time.Since(start)
@@ -241,7 +252,7 @@ func Open(cfg Config) (*Engine, error) {
 }
 
 // checkShardMeta verifies Dir's recorded partition count against the
-// configured one. A directory with existing unsharded data (heap or log
+// configured one. A directory holding a fleet of one (heap or log
 // files at the top level) cannot be re-opened sharded.
 func checkShardMeta(dir string, shards int) error {
 	b, err := os.ReadFile(filepath.Join(dir, shardMetaFile))
@@ -273,60 +284,26 @@ func writeShardMeta(dir string, shards int) error {
 		return nil
 	}
 	if shards == 1 {
-		return nil // unsharded layout needs no marker (and predates it)
+		return nil // a fleet of one needs no marker (its layout predates it)
 	}
 	return os.WriteFile(path, []byte(strconv.Itoa(shards)+"\n"), 0o644)
 }
 
 // loadTables builds the logical catalog from the shards' own catalogs.
 // DDL runs in lockstep, but a crash can cut it mid-fleet, leaving the
-// table on some shards only; reconciliation redoes the creation forward
-// on the shards that lack it (safe because CreateTable returns to the
-// caller only after every shard has the table — a partially created
-// table can hold no committed rows on the missing shards).
+// table on some shards only; Table's adoption redoes the creation
+// forward on the shards that lack it (safe because CreateTable returns
+// to the caller only after every shard has the table — a partially
+// created table can hold no committed rows on the missing shards).
 func (e *Engine) loadTables() error {
-	protos := map[string]*storage.Table{}
-	var order []string
 	for _, s := range e.shards {
 		for _, t := range s.Tables() {
-			if _, ok := protos[t.Name]; !ok {
-				protos[t.Name] = t
-				order = append(order, t.Name)
+			if _, err := e.Table(t.Name); err != nil {
+				return err
 			}
 		}
-	}
-	for _, name := range order {
-		proto := protos[name]
-		var indexed []string
-		for i, c := range proto.Schema.Cols {
-			if proto.Indexed(i) {
-				indexed = append(indexed, c.Name)
-			}
-		}
-		t := &Table{Name: name, Schema: proto.Schema, parts: make([]*storage.Table, len(e.shards))}
-		for i, s := range e.shards {
-			p, err := s.Table(name)
-			if err != nil {
-				if p, err = s.CreateTable(name, proto.Schema, indexed...); err != nil {
-					return fmt.Errorf("shard %d: redo create %s: %w", i, name, err)
-				}
-			}
-			t.parts[i] = p
-		}
-		e.tables[name] = t
 	}
 	return nil
-}
-
-func (e *Engine) closePartial() {
-	for _, s := range e.shards {
-		if s != nil {
-			s.Close()
-		}
-	}
-	if e.coord != nil {
-		e.coord.Close()
-	}
 }
 
 // Shards returns the partition count.
@@ -339,7 +316,7 @@ func (e *Engine) Shard(i int) *core.Engine { return e.shards[i] }
 // than one shard).
 func (e *Engine) Coordinator() *Coordinator { return e.coord }
 
-// Clock exposes the shared CID clock (nil when unsharded).
+// Clock exposes the CID clock every shard's Manager shares.
 func (e *Engine) Clock() *txn.Clock { return e.clock }
 
 // Mode returns the durability mode.
@@ -353,14 +330,9 @@ func (e *Engine) RecoveryStats() RecoveryStats { return e.recovery }
 func (e *Engine) Exec() *exec.Executor { return e.shards[0].Exec() }
 
 // LastCID returns the snapshot horizon: the newest commit ID a fresh
-// transaction will read. Sharded, that is the clock's visibility
-// watermark — the largest CID below which every shard has published.
-func (e *Engine) LastCID() uint64 {
-	if e.clock != nil {
-		return e.clock.Visible()
-	}
-	return e.shards[0].Manager().LastCID()
-}
+// transaction will read — the clock's visibility watermark, the largest
+// CID at or below which every shard has published.
+func (e *Engine) LastCID() uint64 { return e.clock.Visible() }
 
 // CreateTable creates the table on every shard in lockstep.
 func (e *Engine) CreateTable(name string, schema storage.Schema, indexedCols ...string) (*Table, error) {
@@ -381,9 +353,11 @@ func (e *Engine) CreateTable(name string, schema storage.Schema, indexedCols ...
 	return t, nil
 }
 
-// Table returns the named table. A table created directly on an
+// Table returns the named table. A table some shard has that the
+// catalog does not — left by a restart, or created directly on an
 // underlying core engine (single-shard embedding through Shard, bulk
-// loaders) is adopted into the catalog on first lookup.
+// loaders) — is adopted on first lookup, and created on the shards that
+// lack it.
 func (e *Engine) Table(name string) (*Table, error) {
 	e.mu.RLock()
 	t, ok := e.tables[name]
@@ -546,11 +520,14 @@ func (e *Engine) ResetNVMStats() {
 // shards close together).
 func (e *Engine) Closed() bool { return e.shards[0].Closed() }
 
-// Close shuts every shard and the coordinator down. Idempotent per
-// underlying engine.
+// Close shuts every shard and the coordinator down — every shard that
+// opened, when Open itself is failing. Idempotent per underlying engine.
 func (e *Engine) Close() error {
 	var errs []error
 	for _, s := range e.shards {
+		if s == nil {
+			continue
+		}
 		if err := s.Close(); err != nil {
 			errs = append(errs, err)
 		}

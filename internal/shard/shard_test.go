@@ -2,7 +2,9 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"sort"
 	"testing"
@@ -477,42 +479,249 @@ func TestUpdateMovesShard(t *testing.T) {
 }
 
 func TestSnapshotIsolationAcrossShards(t *testing.T) {
-	e := openShards(t, t.TempDir(), 2, txn.ModeNVM)
-	defer e.Close()
-	tbl, err := e.CreateTable("t", testSchema(t))
-	if err != nil {
-		t.Fatal(err)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			e := openShards(t, t.TempDir(), shards, txn.ModeNVM)
+			defer e.Close()
+			tbl, err := e.CreateTable("t", testSchema(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			k0 := keyOnShard(t, e, 0, 0)
+			k1 := keyOnShard(t, e, shards-1, k0+1)
+
+			rd := e.Begin() // snapshot before the (cross-shard, when there are shards to cross) commit
+
+			tx := e.Begin()
+			for _, k := range []int64{k0, k1} {
+				if _, err := tx.Insert(tbl, []storage.Value{storage.Int(k), storage.Str("x"), storage.Float(1)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+
+			// The old snapshot sees neither row; a fresh one sees both.
+			n, err := rd.Count(context.Background(), tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 0 {
+				t.Fatalf("old snapshot sees %d rows, want 0", n)
+			}
+			rd2 := e.Begin()
+			n2, err := rd2.Count(context.Background(), tbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n2 != 2 {
+				t.Fatalf("new snapshot sees %d rows, want 2", n2)
+			}
+		})
 	}
-	k0 := keyOnShard(t, e, 0, 0)
-	k1 := keyOnShard(t, e, 1, 0)
+}
 
-	rd := e.Begin() // snapshot before the cross-shard commit
-
-	tx := e.Begin()
-	for _, k := range []int64{k0, k1} {
-		if _, err := tx.Insert(tbl, []storage.Value{storage.Int(k), storage.Str("x"), storage.Float(1)}); err != nil {
+// TestFleetOfOne pins that Shards: 1 runs the code every other shard
+// count runs: CIDs and snapshot horizons come from the engine's clock.
+func TestFleetOfOne(t *testing.T) {
+	ctx := context.Background()
+	count := func(t *testing.T, tx *Tx, tbl *Table) int {
+		t.Helper()
+		n, err := tx.Count(ctx, tbl)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return n
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
+	horizon := func(t *testing.T, e *Engine) uint64 {
+		t.Helper()
+		if e.Clock() == nil {
+			t.Fatal("a fleet of one has no clock")
+		}
+		if e.Shard(0).Manager().Clock() != e.Clock() {
+			t.Fatal("the shard's manager does not draw CIDs from the engine's clock")
+		}
+		if e.LastCID() != e.Clock().Visible() {
+			t.Fatalf("LastCID() = %d, clock horizon = %d", e.LastCID(), e.Clock().Visible())
+		}
+		return e.LastCID()
 	}
 
-	// The old snapshot sees neither row; a fresh one sees both.
-	n, err := rd.Count(context.Background(), tbl)
-	if err != nil {
-		t.Fatal(err)
+	t.Run("nvm", func(t *testing.T) {
+		dir := t.TempDir()
+		e := openShards(t, dir, 1, txn.ModeNVM)
+		tbl, err := e.CreateTable("t", testSchema(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h0 := horizon(t, e)
+		loadRows(t, e, tbl, 3)
+		h := horizon(t, e)
+		if h != h0+3 {
+			t.Fatalf("horizon %d after 3 commits from %d", h, h0)
+		}
+		// A Begin issued after Commit returned sees that commit.
+		if n := count(t, e.Begin(), tbl); n != 3 {
+			t.Fatalf("fresh snapshot sees %d rows, want 3", n)
+		}
+		// Time travel clamps to the horizon, and reads below it.
+		if at := e.BeginAt(h + 100); at.SnapshotCID() != h {
+			t.Fatalf("BeginAt(future) reads at %d, want the horizon %d", at.SnapshotCID(), h)
+		}
+		if n := count(t, e.BeginAt(h-1), tbl); n != 2 {
+			t.Fatalf("snapshot at %d sees %d rows, want 2", h-1, n)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Reopen: the clock is seeded at the recovered lastCID.
+		e = openShards(t, dir, 1, txn.ModeNVM)
+		defer e.Close()
+		if got := horizon(t, e); got != h {
+			t.Fatalf("horizon %d after reopen, want %d", got, h)
+		}
+		tbl, err = e.Table("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadRows(t, e, tbl, 1)
+		if got := horizon(t, e); got != h+1 {
+			t.Fatalf("horizon %d after one more commit, want %d", got, h+1)
+		}
+		// A closed manager refuses the commit before it draws a CID.
+		e.Shard(0).Manager().Close()
+		tx := e.Begin()
+		if _, err := tx.Insert(tbl, []storage.Value{storage.Int(9), storage.Str("x"), storage.Float(9)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); !errors.Is(err, txn.ErrClosed) {
+			t.Fatalf("commit on a closed manager: %v, want ErrClosed", err)
+		}
+		if got := horizon(t, e); got != h+1 {
+			t.Fatalf("refused commit moved the horizon to %d", got)
+		}
+	})
+
+	// A commit that fails after it drew its CID retires the CID: the
+	// horizon skips the gap instead of waiting on it forever.
+	t.Run("log append error", func(t *testing.T) {
+		e := openShards(t, t.TempDir(), 1, txn.ModeLog)
+		defer e.Close()
+		tbl, err := e.CreateTable("t", testSchema(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		loadRows(t, e, tbl, 1)
+		h := horizon(t, e)
+		e.Shard(0).Manager().LogWriter().Close()
+		tx := e.Begin()
+		if _, err := tx.Insert(tbl, []storage.Value{storage.Int(7), storage.Str("x"), storage.Float(7)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err == nil {
+			t.Fatal("commit appended to a closed log")
+		}
+		if n := count(t, e.Begin(), tbl); n != 1 { // the horizon may cross the gap; nothing is stamped in it
+			t.Fatalf("fresh snapshot sees %d rows after a failed commit, want 1", n)
+		}
+		if err := e.Checkpoint(); err != nil { // rotates in a working log writer
+			t.Fatal(err)
+		}
+		loadRows(t, e, tbl, 1)
+		if got := horizon(t, e); got != h+2 {
+			t.Fatalf("horizon %d, want %d: past the failed commit's CID and the next one", got, h+2)
+		}
+		if n := count(t, e.Begin(), tbl); n != 2 {
+			t.Fatalf("fresh snapshot sees %d rows, want 2", n)
+		}
+	})
+
+	// A directory in the layout Shards: 1 has always had — what core.Open
+	// writes: the heap at Dir itself, no SHARDS marker, no coordinator
+	// heap — opens as a fleet of one and stays in that layout.
+	t.Run("plain directory", func(t *testing.T) {
+		dir := t.TempDir()
+		ce, err := core.Open(core.Config{Mode: txn.ModeNVM, Dir: dir, NVMHeapSize: 8 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := ce.CreateTable("t", testSchema(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5; i++ {
+			tx := ce.Begin()
+			if _, err := tx.Insert(ct, []storage.Value{storage.Int(int64(i)), storage.Str("x"), storage.Float(1)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last := ce.Manager().LastCID()
+		if err := ce.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		e := openShards(t, dir, 1, txn.ModeNVM)
+		defer e.Close()
+		if got := horizon(t, e); got != last {
+			t.Fatalf("LastCID() = %d, the directory was written up to %d", got, last)
+		}
+		if err := e.Fsck(); err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := e.Table("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := count(t, e.Begin(), tbl); n != 5 {
+			t.Fatalf("%d rows, want 5", n)
+		}
+		if e.Coordinator() != nil {
+			t.Fatal("a fleet of one opened a coordinator")
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "heap.nvm" {
+			t.Fatalf("directory holds %v, want heap.nvm alone", entries)
+		}
+	})
+}
+
+// TestRecoveryStatsSumEveryField pins that Sum adds every counter of
+// every shard, nested structs included: a field missing from it reads
+// zero to every consumer of the recovery summary.
+func TestRecoveryStatsSumEveryField(t *testing.T) {
+	// fill sets every integer leaf of v to k times its 1-based position.
+	var fill func(v reflect.Value, k int64, pos *int64)
+	fill = func(v reflect.Value, k int64, pos *int64) {
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Struct:
+				fill(f, k, pos)
+			case reflect.Int, reflect.Int64:
+				*pos++
+				f.SetInt(k * *pos)
+			case reflect.Uint64:
+				*pos++
+				f.SetUint(uint64(k * *pos))
+			default:
+				t.Fatalf("core.RecoveryStats has a %s field; teach Sum and this test about it", f.Kind())
+			}
+		}
 	}
-	if n != 0 {
-		t.Fatalf("old snapshot sees %d rows, want 0", n)
+	var a, b, want core.RecoveryStats
+	for k, s := range map[int64]*core.RecoveryStats{1: &a, 10: &b, 11: &want} {
+		fill(reflect.ValueOf(s).Elem(), k, new(int64))
 	}
-	rd2 := e.Begin()
-	n2, err := rd2.Count(context.Background(), tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n2 != 2 {
-		t.Fatalf("new snapshot sees %d rows, want 2", n2)
+	a.Mode, b.Mode, want.Mode = txn.ModeNVM, txn.ModeNVM, txn.ModeNVM // a label, not a counter
+	if got := (RecoveryStats{PerShard: []core.RecoveryStats{a, b}}).Sum(); got != want {
+		t.Fatalf("Sum() = %+v\nwant the per-field sum %+v", got, want)
 	}
 }
 

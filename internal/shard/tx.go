@@ -16,10 +16,11 @@ var ErrNoSuchRow = errors.New("shard: no such row")
 
 // Tx is a transaction over the sharded engine. It pins one global
 // snapshot CID and lazily opens a part transaction on each shard it
-// touches. A transaction whose writes land on a single shard commits on
-// that shard's unmodified fast path; writes spanning shards commit with
-// two-phase commit through the coordinator. A Tx is not safe for
-// concurrent use.
+// touches — in a fleet of one exactly as in a fleet of many. A
+// transaction whose writes land on a single shard commits on that
+// shard's ordinary group-commit path without 2PC; writes spanning shards
+// commit with two-phase commit through the coordinator. A Tx is not safe
+// for concurrent use.
 type Tx struct {
 	e        *Engine
 	snapCID  uint64
@@ -35,28 +36,13 @@ var gtidSrc atomic.Uint64
 
 // Begin starts a transaction at the current global snapshot horizon.
 func (e *Engine) Begin() *Tx {
-	if e.clock == nil {
-		t := &Tx{e: e, parts: make([]*txn.Txn, 1)}
-		t.parts[0] = e.shards[0].Begin()
-		t.snapCID = t.parts[0].SnapshotCID()
-		return t
-	}
 	return &Tx{e: e, snapCID: e.clock.Visible(), parts: make([]*txn.Txn, len(e.shards))}
 }
 
 // BeginAt starts a read-only transaction at a historical snapshot,
 // clamped to the current horizon.
 func (e *Engine) BeginAt(cid uint64) *Tx {
-	if e.clock == nil {
-		t := &Tx{e: e, readOnly: true, parts: make([]*txn.Txn, 1)}
-		t.parts[0] = e.shards[0].Manager().BeginAt(cid)
-		t.snapCID = t.parts[0].SnapshotCID()
-		return t
-	}
-	if horizon := e.clock.Visible(); cid > horizon {
-		cid = horizon
-	}
-	return &Tx{e: e, snapCID: cid, readOnly: true, parts: make([]*txn.Txn, len(e.shards))}
+	return &Tx{e: e, snapCID: min(cid, e.clock.Visible()), readOnly: true, parts: make([]*txn.Txn, len(e.shards))}
 }
 
 // SnapshotCID returns the global CID this transaction reads at.
@@ -212,8 +198,8 @@ func (t *Tx) Commit() error {
 		}
 	}
 
-	// Zero or one writing part: the single-shard fast path — exactly the
-	// unsharded commit protocol on the owning shard.
+	// Zero or one writing part: no 2PC — the owning shard's ordinary
+	// commit protocol.
 	if len(writers) <= 1 {
 		var errs []error
 		for _, p := range t.parts {

@@ -5,17 +5,18 @@ import (
 	"sync/atomic"
 )
 
-// Clock is the shared commit-ID clock of a sharded engine: one global
-// CID space across every shard's Manager, so a single snapshot CID
-// denotes one consistent cut through all shards.
+// Clock is the commit-ID clock: one CID space across every Manager that
+// shares it, so a single snapshot CID denotes one consistent cut through
+// all of them. Every Manager owns a private one from construction; a
+// shard fleet — of one or of many — swaps in a shared one (SetClock).
 //
 // Correctness rests on two invariants:
 //
-//   - Per-shard monotonicity. A Manager with a clock attached assigns
-//     CIDs (Next/NextN) while holding its own commitMu, so the CIDs any
-//     one shard publishes are strictly increasing in its commit order
-//     and the shard's persisted lastCID remains the "everything at or
-//     below is durably stamped" bound its recovery relies on. (The one
+//   - Per-shard monotonicity. A Manager assigns CIDs (Next/NextN) while
+//     holding its own commitMu, so the CIDs any one shard publishes are
+//     strictly increasing in its commit order and the shard's persisted
+//     lastCID remains the "everything at or below is durably stamped"
+//     bound its recovery relies on. (The one
 //     exception — cross-shard CIDs applied after later single-shard
 //     commits — is covered by the 2PC prepared marker, which recovery
 //     classifies before the lastCID rule; see twopc.go.)
@@ -78,37 +79,21 @@ func (c *Clock) Done(first uint64, n int) {
 // every commit with CID <= v, on every shard, has published its stamps.
 func (c *Clock) Visible() uint64 { return c.visible.Load() }
 
-// SetClock attaches the shared CID clock; nil detaches it. Attach before
-// the manager commits anything — switching clocks mid-stream would break
-// per-shard CID monotonicity.
+// SetClock replaces the manager's private clock with a shared one, seeded
+// at or above this manager's lastCID. Attach before the manager commits
+// anything — switching clocks mid-stream would break per-shard CID
+// monotonicity.
 func (m *Manager) SetClock(c *Clock) { m.clock = c }
 
-// Clock returns the attached shared CID clock, or nil.
+// Clock returns the manager's CID clock.
 func (m *Manager) Clock() *Clock { return m.clock }
 
-// nextCIDLocked assigns the commit's CID: from the shared clock when one
-// is attached (sharded engine), else the next local CID. Caller holds
-// commitMu.
-func (m *Manager) nextCIDLocked(n int) uint64 {
-	if m.clock != nil {
-		return m.clock.NextN(n)
-	}
-	return m.lastCID.Load() + 1
-}
-
-// cidDone retires a clock assignment (no-op without a clock).
-func (m *Manager) cidDone(first uint64, n int) {
-	if m.clock != nil {
-		m.clock.Done(first, n)
-	}
-}
-
 // BeginSnapshot starts a transaction reading at exactly cid, without
-// clamping to this shard's commit horizon. Sharded engines use it to pin
-// every shard of one transaction to the same global snapshot: the clock
-// watermark guarantees all stamps at or below cid are published on every
-// shard, even where the local lastCID lags the global clock. writable
-// parts participate in cross-shard commit; read-only parts never write.
+// clamping to the horizon. A shard fleet uses it to pin every shard of
+// one transaction to the same global snapshot: the clock watermark
+// guarantees all stamps at or below cid are published on every shard,
+// even where the local lastCID lags the global clock. writable parts
+// participate in cross-shard commit; read-only parts never write.
 func (m *Manager) BeginSnapshot(cid uint64, readOnly bool) *Txn {
 	return &Txn{
 		m:        m,

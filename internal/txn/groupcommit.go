@@ -81,7 +81,7 @@ func (m *Manager) CommitGroup(txns []*Txn) error {
 
 	h := m.h
 	m.commitMu.Lock()
-	first := m.nextCIDLocked(len(writers))
+	first := m.clock.NextN(len(writers))
 
 	// (1) Assign consecutive CIDs and durably record every commit intent
 	// under one fence. From here recovery can tell each member was
@@ -109,7 +109,7 @@ func (m *Manager) CommitGroup(txns []*Txn) error {
 	h.Drain()
 	m.lastCID.Store(last)
 	m.commitMu.Unlock()
-	m.cidDone(first, len(writers))
+	m.clock.Done(first, len(writers))
 
 	for _, t := range writers {
 		m.parkPctx(t)

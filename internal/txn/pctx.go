@@ -241,6 +241,7 @@ func OpenNVMManagerDecider(h *nvm.Heap, resolve TableResolver, decide TwoPCDecid
 		h.Drain()
 		m.lastCID.Store(maxRedone)
 	}
+	m.clock = NewClock(m.lastCID.Load())
 	return m, stats, nil
 }
 

@@ -76,9 +76,9 @@ type Manager struct {
 	lastCID atomic.Uint64
 	nextTID atomic.Uint64
 
-	// clock, when non-nil, is the shared CID clock of a sharded engine:
-	// CIDs come from it instead of lastCID+1, and snapshot visibility is
-	// governed by its watermark. See clock.go.
+	// clock hands out CIDs and governs snapshot visibility by its
+	// watermark: private from construction, shared once the manager is
+	// one of a shard fleet. See clock.go.
 	clock *Clock
 
 	// commitMu serializes CID assignment, stamp publication and the
@@ -105,7 +105,7 @@ type Manager struct {
 // NewNVMManager. In ModeLog the WAL writer may be attached later with
 // SetLogWriter (the engine rotates writers at checkpoints).
 func NewManager(mode Mode, lastCID uint64) *Manager {
-	m := &Manager{mode: mode}
+	m := &Manager{mode: mode, clock: NewClock(lastCID)}
 	m.lastCID.Store(lastCID)
 	m.nextTID.Store(1)
 	return m
@@ -114,7 +114,8 @@ func NewManager(mode Mode, lastCID uint64) *Manager {
 // Mode returns the durability mode.
 func (m *Manager) Mode() Mode { return m.mode }
 
-// LastCID returns the latest committed CID (the snapshot horizon).
+// LastCID returns the latest CID this manager committed; the snapshot
+// horizon is Clock().Visible().
 func (m *Manager) LastCID() uint64 { return m.lastCID.Load() }
 
 // BlockCommits runs fn with the commit protocol blocked: no transaction
@@ -209,30 +210,14 @@ type rowRef struct {
 
 // Begin starts a transaction with a snapshot at the current commit
 // horizon.
-func (m *Manager) Begin() *Txn {
-	return &Txn{
-		m:       m,
-		tid:     m.nextTID.Add(1),
-		snapCID: m.lastCID.Load(),
-		status:  StatusActive,
-	}
-}
+func (m *Manager) Begin() *Txn { return m.BeginSnapshot(m.clock.Visible(), false) }
 
 // BeginAt starts a read-only transaction at a historical snapshot —
 // time travel, which the insert-only MVCC supports for free as long as
 // the versions have not been merged away. cid is clamped to the current
 // commit horizon.
 func (m *Manager) BeginAt(cid uint64) *Txn {
-	if last := m.lastCID.Load(); cid > last {
-		cid = last
-	}
-	return &Txn{
-		m:        m,
-		tid:      m.nextTID.Add(1),
-		snapCID:  cid,
-		status:   StatusActive,
-		readOnly: true,
-	}
+	return m.BeginSnapshot(min(cid, m.clock.Visible()), true)
 }
 
 // TID returns the transient transaction ID.
@@ -436,11 +421,11 @@ func (t *Txn) stampLocked(cid uint64) {
 func (t *Txn) commitVolatile() error {
 	m := t.m
 	m.commitMu.Lock()
-	cid := m.nextCIDLocked(1)
+	cid := m.clock.Next()
 	t.stampLocked(cid)
 	m.lastCID.Store(cid)
 	m.commitMu.Unlock()
-	m.cidDone(cid, 1)
+	m.clock.Done(cid, 1)
 	t.status = StatusCommitted
 	return nil
 }
@@ -463,18 +448,18 @@ func (t *Txn) commitLog() error {
 	}
 
 	m.commitMu.Lock()
-	cid := m.nextCIDLocked(1)
+	cid := m.clock.Next()
 	recs = append(recs, wal.EncodeCommit(t.tid, cid)...)
 	lsn, err := w.Append(recs)
 	if err != nil {
 		m.commitMu.Unlock()
-		m.cidDone(cid, 1)
+		m.clock.Done(cid, 1)
 		return err
 	}
 	t.stampLocked(cid)
 	m.lastCID.Store(cid)
 	m.commitMu.Unlock()
-	m.cidDone(cid, 1)
+	m.clock.Done(cid, 1)
 
 	// Group commit: block until the batch containing our records is
 	// synced. Effects are already visible to other transactions (early

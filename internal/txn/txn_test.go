@@ -722,3 +722,55 @@ func TestTimeTravelQueries(t *testing.T) {
 		})
 	}
 }
+
+// TestStandaloneManagerOwnsItsClock pins that a manager nobody called
+// SetClock on — what crashtest, internal/bench and the benchmark's trace
+// construct — draws CIDs and snapshot horizons from a clock of its own,
+// seeded at the lastCID it was built or recovered with.
+func TestStandaloneManagerOwnsItsClock(t *testing.T) {
+	for name, e := range envs(t) {
+		t.Run(name, func(t *testing.T) {
+			m := e.mgr
+			if m.Clock() == nil || m.Clock().Visible() != m.LastCID() {
+				t.Fatalf("clock %v, lastCID %d", m.Clock(), m.LastCID())
+			}
+			for i := int64(0); i < 3; i++ {
+				tx := m.Begin()
+				if _, err := tx.Insert(e.tbl, []storage.Value{storage.Int(i), storage.Str("a")}); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			last := m.LastCID()
+			if last != 3 || m.Clock().Visible() != last {
+				t.Fatalf("after 3 commits: lastCID %d, horizon %d", last, m.Clock().Visible())
+			}
+			if got := m.Begin().SnapshotCID(); got != last {
+				t.Fatalf("Begin reads at %d, want %d", got, last)
+			}
+			if got := m.BeginAt(last + 10).SnapshotCID(); got != last {
+				t.Fatalf("BeginAt(future) reads at %d, want the horizon %d", got, last)
+			}
+			if at := m.BeginAt(1); at.Sees(e.tbl, 1) || !at.Sees(e.tbl, 0) {
+				t.Fatal("BeginAt(1) does not read the first commit alone")
+			}
+			if e.mode != ModeNVM {
+				return
+			}
+			// Re-attach: the clock restarts at the recovered lastCID.
+			m.Close()
+			m2, _, err := OpenNVMManagerDecider(e.h, func(uint32) *storage.Table { return e.tbl }, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m2.Clock().Visible() != last || m2.Begin().SnapshotCID() != last {
+				t.Fatalf("re-attached horizon %d, want %d", m2.Clock().Visible(), last)
+			}
+		})
+	}
+	if m := NewManager(ModeNone, 41); m.Begin().SnapshotCID() != 41 {
+		t.Fatalf("NewManager(…, 41) begins at %d", m.Begin().SnapshotCID())
+	}
+}

@@ -20,11 +20,11 @@ var ErrNoSuchRow = errors.New("hyrisenv: no such row")
 
 // Tx is a transaction. It reads a consistent snapshot taken at Begin and
 // buffers writes that become atomically visible — and durable, per the
-// database's mode — at Commit. On a partitioned database the snapshot
-// spans every shard; a transaction whose writes all land on one shard
-// commits on that shard's fast path, and one that spans shards commits
-// with two-phase commit through the persistent coordinator. A Tx is not
-// safe for concurrent use.
+// database's mode — at Commit. The snapshot spans every shard; a
+// transaction whose writes all land on one shard commits on that shard's
+// ordinary group-commit path without 2PC, and one that spans shards
+// commits with two-phase commit through the persistent coordinator. A Tx
+// is not safe for concurrent use.
 //
 // Read methods are context-aware, return (result, error), and cancel
 // in-flight parallel scans when the context is cancelled. The surface
