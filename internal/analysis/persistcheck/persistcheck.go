@@ -18,8 +18,9 @@
 // Events are classified per call:
 //
 //   - writes: Heap.SetU64 / Heap.PutU64 / Heap.PutU32, any SetNoPersist
-//     call, builtin copy/clear into a []byte obtained from Heap.Bytes,
-//     and known byte-slice mutators (PutBits) applied to such a slice;
+//     call, builtin copy/clear into a slice obtained from Heap.Bytes or
+//     Heap.Words, and known slice mutators (PackBits) applied to such a
+//     slice;
 //   - persist barriers: Persist, PersistBytes, PersistAt, PersistRange,
 //     PersistBegin, PersistEnd;
 //   - flushes without a fence: Heap.Flush / Heap.FlushBytes, and the

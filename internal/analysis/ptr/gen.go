@@ -818,7 +818,7 @@ func (g *Graph) heapIntrinsic(call *ast.CallExpr, name string, recv int, args, r
 		if len(res) > 0 {
 			g.addTo(res[0], o.ID)
 		}
-	case "Bytes":
+	case "Bytes", "Words":
 		if len(res) > 0 {
 			g.addCopy(arg(0), res[0])
 		}

@@ -31,9 +31,9 @@ var FlushAtNames = map[string]bool{
 }
 
 // SliceMutators are package-level functions known to write through a
-// []byte argument (bit-packing helpers).
+// slice argument (pstruct.PackBits, the writer of the bit-sliced format).
 var SliceMutators = map[string]bool{
-	"PutBits": true, "SetBits": true,
+	"PackBits": true,
 }
 
 // ForEachCall visits the CallExprs of n in source order, skipping
@@ -111,8 +111,9 @@ func IsErrorReturn(info *types.Info, ret *ast.ReturnStmt) bool {
 	return false
 }
 
-// IsBytesCall reports whether e is a direct Heap.Bytes(...) call (or a
-// slice expression of one).
+// IsBytesCall reports whether e is a direct Heap.Bytes(...) or
+// Heap.Words(...) call (or a slice expression of one): a slice that
+// aliases the mapping.
 func IsBytesCall(info *types.Info, e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.SliceExpr:
@@ -120,7 +121,7 @@ func IsBytesCall(info *types.Info, e ast.Expr) bool {
 	case *ast.CallExpr:
 		name, _ := CalleeName(info, e)
 		recv := ReceiverType(info, e)
-		return name == "Bytes" && recv != nil && NamedFrom(recv, "nvm", "Heap")
+		return (name == "Bytes" || name == "Words") && recv != nil && NamedFrom(recv, "nvm", "Heap")
 	}
 	return false
 }

@@ -21,8 +21,9 @@
 // the begin/end stamps otherwise — from which the transaction's own
 // deletes are cleared. Every predicate is then ANDed into the bitmap: on
 // the main partition the sorted dictionary resolves it, once per query,
-// to one value-ID interval, and the column tests its packed words
-// against that interval in place (pstruct.FilterBits), decoding nothing;
+// to one value-ID interval, and the column tests its bit planes against
+// that interval in place, 64 rows per word (pstruct.FilterBits), decoding
+// nothing;
 // on the delta the block's value IDs are loaded and each surviving row's
 // ID is looked up in a memo of one verdict per dictionary ID that the
 // workers of the scan share. The scan stops at the first predicate that

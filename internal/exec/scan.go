@@ -39,7 +39,7 @@ type tableScan struct {
 // colPred is a predicate bound to one column of the view. On the main
 // partition the sorted dictionary turns every operator into one value-ID
 // interval or its complement: ID id matches when id-lo < span, flipped
-// when neg — a test the column runs on its packed words. The delta
+// when neg — a test the column runs on its bit planes. The delta
 // dictionary is unsorted, so there the key is compared once per
 // dictionary ID and the verdict kept in deltaMemo, one entry per ID below
 // the dictionary length read after the row bound, which covers every ID a

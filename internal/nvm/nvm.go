@@ -57,8 +57,12 @@ func (p PPtr) IsNil() bool { return p == 0 }
 func (p PPtr) Add(n uint64) PPtr { return p + PPtr(n) }
 
 const (
-	magic         = 0x485952_4953454e56 // "HYRISENV"-ish tag
-	formatVersion = 4
+	magic = 0x485952_4953454e56 // "HYRISENV"-ish tag
+	// formatVersion covers everything stored in the heap, the structures
+	// of the layers above included; Open refuses any other version.
+	// 3 → 4: append arenas (skip-list node and column root layouts).
+	// 4 → 5: main attribute vectors bit-sliced (pstruct.PackBits).
+	formatVersion = 5
 
 	headerSize  = 4096
 	rootDirOff  = headerSize

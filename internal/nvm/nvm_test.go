@@ -63,16 +63,21 @@ func TestOpenRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsBadVersion: a heap of another format version is refused
+// — a later one, and format 4, whose main attribute vectors are packed
+// value by value where this version reads bit planes.
 func TestOpenRejectsBadVersion(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ver")
-	h, err := Create(path, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.putU64(hdrVersion, formatVersion+100)
-	h.Close()
-	if _, err := Open(path); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("err = %v, want ErrBadVersion", err)
+	for _, version := range []uint64{formatVersion + 100, 4} {
+		path := filepath.Join(t.TempDir(), "ver") // a TempDir per call
+		h, err := Create(path, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.putU64(hdrVersion, version)
+		h.Close()
+		if _, err := Open(path); !errors.Is(err, ErrBadVersion) {
+			t.Fatalf("version %d: err = %v, want ErrBadVersion", version, err)
+		}
 	}
 }
 

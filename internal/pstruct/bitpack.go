@@ -1,20 +1,20 @@
 package pstruct
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 
 	"hyrisenv/internal/nvm"
 )
 
-// BitPacked is a fixed-width bit-packed vector of value IDs — the
+// BitPacked is a fixed-width bit-sliced vector of value IDs — the
 // attribute-vector format of the read-optimized main partition. It is
 // built once (at merge time) and never mutated, so crash consistency is
 // trivial: the data block is persisted in full before the root pointer is
 // published.
 //
-// Layout of the root block: bits u64 | n u64 | dataPtr u64.
+// Layout of the root block: bits u64 | n u64 | dataPtr u64. The data
+// block is PackedWords(n, bits) words in the layout PackBits writes.
 type BitPacked struct {
 	h    *nvm.Heap
 	root nvm.PPtr
@@ -23,8 +23,9 @@ type BitPacked struct {
 	data nvm.PPtr
 	// buf is the packed data, aliasing the mapping. It is sliced once
 	// at build/attach and stays valid for the life of the heap:
-	// superseded mappings remain mapped until Close.
-	buf []byte
+	// superseded mappings remain mapped until Close. It is nil when the
+	// root describes no vector that fits the heap, which Check reports.
+	buf []uint64
 }
 
 const bpRootSize = 24
@@ -41,24 +42,18 @@ func BitsFor(maxVal uint64) uint64 {
 
 // BuildBitPacked packs vals with the given width and persists the result.
 func BuildBitPacked(h *nvm.Heap, vals []uint64, width uint64) (*BitPacked, error) {
-	if width == 0 || width > 64 {
-		return nil, fmt.Errorf("pstruct: bad bit width %d", width)
-	}
 	n := uint64(len(vals))
-	words := (n*width + 63) / 64
-	if words == 0 {
-		words = 1
+	words, ok := PackedWords(n, width)
+	if !ok {
+		return nil, fmt.Errorf("pstruct: bad bit width %d", width)
 	}
 	data, err := h.Alloc(words * 8)
 	if err != nil {
 		return nil, err
 	}
-	buf := h.Bytes(data, words*8)
-	for i, v := range vals {
-		if width < 64 && v >= (uint64(1)<<width) {
-			return nil, fmt.Errorf("pstruct: value %d exceeds %d bits", v, width)
-		}
-		PutBits(buf, uint64(i)*width, width, v)
+	buf := h.Words(data, words)
+	if err := PackBits(buf, width, vals); err != nil {
+		return nil, err
 	}
 	h.Persist(data, words*8)
 
@@ -83,11 +78,9 @@ func AttachBitPacked(h *nvm.Heap, root nvm.PPtr) *BitPacked {
 		data: nvm.PPtr(h.GetU64(root.Add(16))),
 	}
 	// A corrupt root is Check's to report, not Attach's to panic on: the
-	// data is sliced only when it lies inside the heap.
-	if size := h.Size(); b.bits >= 1 && b.bits <= 64 && b.n <= size*8/b.bits {
-		if n := (b.n*b.bits + 63) / 64 * 8; uint64(b.data) <= size && n <= size-uint64(b.data) {
-			b.buf = h.Bytes(b.data, n)
-		}
+	// data is sliced only when it is a vector's and lies inside the heap.
+	if words, ok := PackedWords(b.n, b.bits); ok && b.data%8 == 0 && uint64(b.data) <= h.Size() && words*8 <= h.Size()-uint64(b.data) {
+		b.buf = h.Words(b.data, words)
 	}
 	return b
 }
@@ -106,21 +99,17 @@ func (b *BitPacked) Get(i uint64) uint64 {
 	if i >= b.n {
 		panic(fmt.Sprintf("pstruct: bitpacked index %d out of range %d", i, b.n))
 	}
-	return GetBits(b.buf, i*b.bits, b.bits)
+	return GetBits(b.buf, b.bits, i)
 }
 
 // Scan calls fn for each value in index order.
 func (b *BitPacked) Scan(fn func(i uint64, v uint64) bool) {
 	b.chargeRead(0, b.n)
-	for i := uint64(0); i < b.n; i++ {
-		if !fn(i, GetBits(b.buf, i*b.bits, b.bits)) {
-			return
-		}
-	}
+	ScanBits(b.buf, b.bits, b.n, fn)
 }
 
 // Unpack decodes values [lo, hi) into dst[:hi-lo] — the block-at-a-time
-// read of the scan kernel. See UnpackBits for the 32-bit destination.
+// read of the scan kernel. See UnpackBits.
 func (b *BitPacked) Unpack(lo, hi uint64, dst []uint32) {
 	if lo > hi || hi > b.n {
 		panic(fmt.Sprintf("pstruct: bitpacked range [%d, %d) out of range %d", lo, hi, b.n))
@@ -148,128 +137,323 @@ func (b *BitPacked) chargeRead(lo, hi uint64) {
 	}
 }
 
-func bitMask(width uint64) uint64 {
-	if width == 64 {
-		return ^uint64(0)
-	}
-	return uint64(1)<<width - 1
-}
-
-// PutBits writes the low `width` bits of v at bit offset off in buf,
-// whose length is a whole number of 64-bit little-endian words.
-// Exported so the volatile main-partition twin can share the format.
-func PutBits(buf []byte, off, width, v uint64) {
-	w, shift := buf[off/64*8:], off%64
-	mask := bitMask(width)
-	v &= mask
-	binary.LittleEndian.PutUint64(w, binary.LittleEndian.Uint64(w)&^(mask<<shift)|v<<shift)
-	if shift+width > 64 {
-		// The value spills into the low bits of the next word.
-		binary.LittleEndian.PutUint64(w[8:], binary.LittleEndian.Uint64(w[8:])&^(mask>>(64-shift))|v>>(64-shift))
-	}
-}
-
-// GetBits reads `width` bits at bit offset off: one word load, two when
-// the value straddles a word boundary.
-func GetBits(buf []byte, off, width uint64) uint64 {
-	w, shift := buf[off/64*8:], off%64
-	v := binary.LittleEndian.Uint64(w) >> shift
-	if shift+width > 64 {
-		v |= binary.LittleEndian.Uint64(w[8:]) << (64 - shift)
-	}
-	return v & bitMask(width)
-}
-
-// UnpackBits decodes the values at indexes [lo, hi) of a width-bit
-// packed buffer into dst[:hi-lo], keeping the low 32 bits of each: the
-// values are dictionary IDs, and no partition holds 2^32 distinct ones.
-func UnpackBits(buf []byte, width, lo, hi uint64, dst []uint32) {
-	dst = dst[:hi-lo]
-	if len(dst) == 0 {
-		return
-	}
-	mask := bitMask(width)
-	// acc holds the `have` not yet consumed bits of the current word, so
-	// every word is loaded once however many values it holds.
-	w := buf[lo*width/64*8:]
-	skip := lo * width % 64
-	acc, have := binary.LittleEndian.Uint64(w)>>skip, 64-skip
-	for i := range dst {
-		if have >= width {
-			dst[i] = uint32(acc & mask)
-			acc >>= width
-			have -= width
-			continue
-		}
-		w = w[8:]
-		next := binary.LittleEndian.Uint64(w)
-		dst[i] = uint32((acc | next<<have) & mask)
-		acc, have = next>>(width-have), have+64-width
-	}
-}
-
-// maxGroupWidth is the widest value an unaligned 8-byte load still holds
-// whole wherever it starts in its first byte: 7 bits of shift plus 57.
-const maxGroupWidth = 57
-
-// FilterBits evaluates a value-ID range predicate on the packed words
-// themselves. Bit i of bm stands for the value at index lo+i, i < n; the
-// bit is cleared unless the low 32 bits of that value lie in
-// [idLo, idLo+span) — one unsigned compare, id-idLo < span — or, with
-// neg, unless they lie outside it. Words of bm that are already zero are
-// skipped.
-//
-// Eight packed values are exactly `width` bytes, so when lo is a
-// multiple of 8 value k of every group of eight starts at a byte offset
-// and a shift that depend on the width alone: a 64-row word of bm is, for
-// each k, eight independent loads a group apart, each shifted, masked,
-// tested and ORed into the word, with no decoded copy in between. A
-// ragged last word, an lo off the group grid, a width no 8-byte load
-// covers and the word whose loads would run past len(buf) go through
-// GetBits instead.
-func FilterBits(buf []byte, width, lo uint64, n int, idLo, span uint32, neg bool, bm []uint64) {
-	var flip uint64
-	if neg {
-		flip = ^uint64(0)
-	}
-	mask := uint32(bitMask(width))
-	// A word's loads end 8 bytes after the first byte of its last value.
-	reach := 7*width + 7*width/8 + 8
-	grouped := width <= maxGroupWidth && lo%8 == 0
-	in := func(id uint32) uint64 { return (uint64(id-idLo) - uint64(span)) >> 63 }
-	for w := range bm[:(n+63)/64] {
-		if bm[w] == 0 {
-			continue
-		}
-		first := lo + uint64(w)*64
-		rows := min(64, n-w*64)
-		var pass uint64
-		if base := first / 8 * width; grouped && rows == 64 && base+reach <= uint64(len(buf)) {
-			p := buf[base : base+reach]
-			for k := uint64(0); k < 8; k++ {
-				q, sh := p[k*width/8:], k*width%8
-				pass |= (in(uint32(binary.LittleEndian.Uint64(q)>>sh)&mask) |
-					in(uint32(binary.LittleEndian.Uint64(q[width:])>>sh)&mask)<<8 |
-					in(uint32(binary.LittleEndian.Uint64(q[2*width:])>>sh)&mask)<<16 |
-					in(uint32(binary.LittleEndian.Uint64(q[3*width:])>>sh)&mask)<<24 |
-					in(uint32(binary.LittleEndian.Uint64(q[4*width:])>>sh)&mask)<<32 |
-					in(uint32(binary.LittleEndian.Uint64(q[5*width:])>>sh)&mask)<<40 |
-					in(uint32(binary.LittleEndian.Uint64(q[6*width:])>>sh)&mask)<<48 |
-					in(uint32(binary.LittleEndian.Uint64(q[7*width:])>>sh)&mask)<<56) << k
-			}
-		} else {
-			for i := 0; i < rows; i++ {
-				pass |= in(uint32(GetBits(buf, (first+uint64(i))*width, width))) << i
-			}
-		}
-		bm[w] &= pass ^ flip
-	}
-}
-
 // Blocks yields the heap blocks owned by the bit-packed vector.
 func (b *BitPacked) Blocks(yield func(nvm.PPtr)) {
 	yield(b.root)
 	if !b.data.IsNil() {
 		yield(b.data)
+	}
+}
+
+// The packed format, shared with the volatile main-partition twin, is
+// bit-sliced (BitWeaving/V): the values are cut into segments of 64, and
+// a segment is `width` 64-bit words of which word j holds, at bit i, bit
+// width-1-j of the segment's value i — the most significant plane first.
+// The last segment is padded with zero values. A value is a dictionary
+// ID, a uint32: widths run from 1 to maxBits.
+//
+// A comparison against a constant then runs plane by plane on 64 values
+// at once, and its verdict is a bitmap word as it stands (FilterBits);
+// the price is on the decode side, where one value is `width` loads
+// (GetBits) and a block is a bit-matrix transpose per segment
+// (UnpackBits).
+
+// maxBits is the widest value the packed format holds.
+const maxBits = 32
+
+// maxPackedLen bounds the value count PackedWords takes, so that no size
+// derived from what it returns overflows.
+const maxPackedLen = 1 << 48
+
+// PackedWords returns the length in words of n packed values of the
+// given width: one segment of `width` words per 64 values, and at least
+// one. It is the one place the data block is sized — by build, by attach,
+// by the volatile twin and by the checkers — and reports false for a
+// width or a count the format does not hold.
+func PackedWords(n, width uint64) (uint64, bool) {
+	if width == 0 || width > maxBits || n > maxPackedLen {
+		return 0, false
+	}
+	return max((n+63)/64, 1) * width, true
+}
+
+// PackBits writes vals, each below 1<<width, into buf in the packed
+// format; buf is PackedWords(len(vals), width) long and is overwritten
+// whole, the padding of the last segment with zeros.
+func PackBits(buf []uint64, width uint64, vals []uint64) error {
+	if words, ok := PackedWords(uint64(len(vals)), width); !ok || words != uint64(len(buf)) {
+		return fmt.Errorf("pstruct: %d words cannot hold %d values of %d bits", len(buf), len(vals), width)
+	}
+	side := blockSide(width)
+	for ; len(buf) > 0; buf, vals = buf[width:], vals[min(64, len(vals)):] {
+		var w [maxBits]uint64
+		for i, v := range vals[:min(64, len(vals))] {
+			if v>>width != 0 {
+				return fmt.Errorf("pstruct: value %d exceeds %d bits", v, width)
+			}
+			w[i%side] |= v << (i / side * side)
+		}
+		transpose(&w, side)
+		for j := range buf[:width] {
+			buf[j] = w[int(width)-1-j]
+		}
+	}
+	return nil
+}
+
+// blockSide returns the side of the square bit matrices a segment of the
+// given width is transposed in: the planes, padded to 8, 16 or 32.
+func blockSide(width uint64) int {
+	side := 8
+	for uint64(side) < width {
+		side *= 2
+	}
+	return side
+}
+
+// transpose transposes in place the 64/side square bit matrices of the
+// given side — 8, 16 or 32 — that lie next to each other in w[:side]: row
+// p of matrix k is bits [k·side, (k+1)·side) of w[p]. With the plane of
+// value bit p in w[p], it leaves in w[c] the values of rows c, side+c,
+// 2·side+c, … of the segment, side bits each; and back. Pass s swaps the
+// off-diagonal s×s quadrants of every 2s×2s submatrix; the passes are
+// written out so that each shifts by a constant.
+func transpose(w *[maxBits]uint64, side int) {
+	for i := 0; i < side; i += 2 {
+		swapBits(&w[i%maxBits], &w[(i+1)%maxBits], 1, 0x5555555555555555)
+	}
+	for i := 0; i < side; i += 4 {
+		swapBits(&w[i%maxBits], &w[(i+2)%maxBits], 2, 0x3333333333333333)
+		swapBits(&w[(i+1)%maxBits], &w[(i+3)%maxBits], 2, 0x3333333333333333)
+	}
+	for i := 0; i < side; i += 8 {
+		for j := i; j < i+4; j++ {
+			swapBits(&w[j%maxBits], &w[(j+4)%maxBits], 4, 0x0F0F0F0F0F0F0F0F)
+		}
+	}
+	for i := 0; i+16 <= side; i += 16 {
+		for j := i; j < i+8; j++ {
+			swapBits(&w[j%maxBits], &w[(j+8)%maxBits], 8, 0x00FF00FF00FF00FF)
+		}
+	}
+	for j := 0; j < 16 && side == 32; j++ {
+		swapBits(&w[j], &w[j+16], 16, 0x0000FFFF0000FFFF)
+	}
+}
+
+// swapBits exchanges the bits of a that mask<<s selects with the bits of
+// b that mask selects.
+func swapBits(a, b *uint64, s uint, mask uint64) {
+	t := (*a>>s ^ *b) & mask
+	*a ^= t << s
+	*b ^= t
+}
+
+// GetBits returns value i of a packed buffer: one bit from each of the
+// `width` words of its segment.
+func GetBits(buf []uint64, width, i uint64) uint64 {
+	var v uint64
+	for _, plane := range buf[i/64*width:][:width] {
+		v = 2*v + plane>>(i%64)&1
+	}
+	return v
+}
+
+// unpackSegment decodes the 64 values of one segment.
+func unpackSegment(seg []uint64, out *[64]uint32) {
+	side := blockSide(uint64(len(seg)))
+	var w [maxBits]uint64
+	for j, plane := range seg {
+		w[len(seg)-1-j] = plane
+	}
+	transpose(&w, side)
+	mask := uint64(1)<<side - 1
+	for c, x := range w[:side] {
+		for row := c; row < 64; row += side {
+			out[row] = uint32(x & mask)
+			x >>= side & 63
+		}
+	}
+}
+
+// UnpackBits decodes the values at indexes [lo, hi) of a packed buffer
+// into dst[:hi-lo]: a segment the range covers is transposed straight
+// into dst, one it covers in part through a scratch.
+func UnpackBits(buf []uint64, width, lo, hi uint64, dst []uint32) {
+	dst = dst[:hi-lo]
+	for first := lo / 64 * 64; first < hi; first += 64 {
+		seg := buf[first/64*width:][:width]
+		if first >= lo && first+64 <= hi {
+			unpackSegment(seg, (*[64]uint32)(dst[first-lo:]))
+			continue
+		}
+		var part [64]uint32
+		unpackSegment(seg, &part)
+		from, to := max(first, lo), min(first+64, hi)
+		copy(dst[from-lo:], part[from-first:to-first])
+	}
+}
+
+// ScanBits calls fn with each of the first n values of a packed buffer,
+// in index order, until fn returns false.
+func ScanBits(buf []uint64, width, n uint64, fn func(i, v uint64) bool) {
+	var ids [64]uint32
+	for first := uint64(0); first < n; first += 64 {
+		unpackSegment(buf[first/64*width:][:width], &ids)
+		for i, id := range ids[:min(64, n-first)] {
+			if !fn(first+uint64(i), uint64(id)) {
+				return
+			}
+		}
+	}
+}
+
+// CheckBits verifies what every reader of a packed buffer relies on: buf
+// has the length of n values, every value is below limit, and the padding
+// of the last segment is zero.
+func CheckBits(buf []uint64, width, n, limit uint64) error {
+	if words, ok := PackedWords(n, width); !ok || words != uint64(len(buf)) {
+		return fmt.Errorf("%d values of %d bits in %d words", n, width, len(buf))
+	}
+	var err error
+	ScanBits(buf, width, n, func(i, v uint64) bool {
+		if v >= limit {
+			err = fmt.Errorf("value %d is %d, beyond the limit of %d", i, v, limit)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return err
+	}
+	last := buf[uint64(len(buf))-width:]
+	rows := uint64(1)<<(n-(uint64(len(buf))/width-1)*64) - 1 // all ones when the segment is full
+	for _, plane := range last {
+		if plane&^rows != 0 {
+			return fmt.Errorf("padding past value %d is not zero", n)
+		}
+	}
+	return nil
+}
+
+// idFilter is a value-ID range predicate compiled for a width: how the
+// rows inside the interval are found, whether they or the others are
+// kept, and the interval's bounds a plane at a time — lo[j] and hi[j] are
+// all ones when bit width-1-j of the bound is set, zero otherwise.
+type idFilter struct {
+	kind   filterKind
+	invert bool
+	lo, hi [maxBits]uint64
+}
+
+type filterKind uint8
+
+const (
+	filterNone  filterKind = iota // no value is inside
+	filterEq                      // inside: id == lo
+	filterLess                    // inside: id < lo
+	filterRange                   // inside: lo <= id < hi
+)
+
+func (f *idFilter) init(width uint64, idLo, span uint32, neg bool) {
+	lo, hi, top := uint64(idLo), uint64(idLo)+uint64(span), uint64(1)<<width
+	f.kind, f.invert = filterNone, neg
+	switch {
+	case span == 0 || lo >= top:
+	case lo == 0 && hi >= top: // everything is inside: nothing is outside
+		f.invert = !neg
+	case span == 1:
+		f.kind = filterEq
+	case lo == 0:
+		f.kind, lo = filterLess, hi
+	case hi >= top: // id >= lo is what id < lo leaves
+		f.kind, f.invert = filterLess, !neg
+	default:
+		f.kind = filterRange
+	}
+	for j := uint64(0); j < width; j++ {
+		f.lo[j] = -(lo >> (width - 1 - j) & 1)
+		f.hi[j] = -(hi >> (width - 1 - j) & 1)
+	}
+}
+
+// segment returns the rows of live that the filter keeps in one segment.
+// A comparison walks the planes from the most significant down, carrying
+// the rows still equal to the bound so far (eq) and the rows already
+// below it: where a row has a zero and the bound a one, the row falls
+// below; where they differ either way it leaves eq. It stops at the
+// plane that leaves no live row undecided.
+func (f *idFilter) segment(seg []uint64, live uint64) uint64 {
+	var in uint64
+	los := f.lo[:len(seg)]
+	switch f.kind {
+	case filterEq:
+		in = live
+		for j, x := range seg {
+			if in == 0 {
+				break
+			}
+			in &^= x ^ los[j]
+		}
+	case filterLess:
+		eq := live
+		for j, x := range seg {
+			if eq == 0 {
+				break
+			}
+			k := los[j]
+			in |= eq &^ x & k
+			eq &^= x ^ k
+		}
+	case filterRange:
+		var below uint64
+		eqLo, eqHi := live, live
+		his := f.hi[:len(seg)]
+		for j, x := range seg {
+			if eqLo|eqHi == 0 {
+				break
+			}
+			lo, hi := los[j], his[j]
+			below |= eqLo &^ x & lo
+			eqLo &^= x ^ lo
+			in |= eqHi &^ x & hi
+			eqHi &^= x ^ hi
+		}
+		in &^= below
+	}
+	if f.invert {
+		return live &^ in
+	}
+	return in
+}
+
+// FilterBits evaluates a value-ID range predicate on a packed buffer.
+// Bit i of bm stands for the value at index lo+i, i < n; the bit is
+// cleared unless that value lies in [idLo, idLo+span) — or, with neg,
+// unless it lies outside it. Bits of bm from n on are left as they are.
+//
+// When lo is a multiple of 64 — every block of a scan but, at most, its
+// first — a word of bm is a segment, and the word itself seeds the
+// comparison: a zero word is skipped, and a sparse one is decided in few
+// planes. Any other lo is answered a value at a time.
+func FilterBits(buf []uint64, width, lo uint64, n int, idLo, span uint32, neg bool, bm []uint64) {
+	if lo%64 != 0 {
+		for i := 0; i < n; i++ {
+			if in := GetBits(buf, width, lo+uint64(i))-uint64(idLo) < uint64(span); in == neg {
+				bm[i/64] &^= 1 << (i % 64)
+			}
+		}
+		return
+	}
+	var f idFilter
+	f.init(width, idLo, span, neg)
+	buf = buf[lo/64*width:]
+	for w := 0; w*64 < n; w++ {
+		rows := ^uint64(0)
+		if n-w*64 < 64 {
+			rows = 1<<(n-w*64) - 1
+		}
+		if live := bm[w] & rows; live != 0 {
+			bm[w] = bm[w]&^rows | f.segment(buf[uint64(w)*width:][:width], live)
+		}
 	}
 }

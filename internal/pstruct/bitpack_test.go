@@ -1,8 +1,10 @@
 package pstruct
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math/bits"
+	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -11,17 +13,11 @@ import (
 
 func TestBitPackedRoundTrip(t *testing.T) {
 	h, _ := testHeap(t)
-	for _, width := range []uint64{1, 3, 7, 8, 13, 16, 31, 32, 33, 63, 64} {
+	for _, width := range []uint64{1, 3, 7, 8, 9, 13, 16, 17, 24, 25, 31, 32} {
 		n := 257
 		vals := make([]uint64, n)
-		var mask uint64
-		if width == 64 {
-			mask = ^uint64(0)
-		} else {
-			mask = (uint64(1) << width) - 1
-		}
 		for i := range vals {
-			vals[i] = (uint64(i)*2654435761 + 17) & mask
+			vals[i] = (uint64(i)*2654435761 + 17) & (1<<width - 1)
 		}
 		bp, err := BuildBitPacked(h, vals, width)
 		if err != nil {
@@ -57,8 +53,9 @@ func TestBitPackedRejectsOversizedValue(t *testing.T) {
 	if _, err := BuildBitPacked(h, []uint64{1}, 0); err == nil {
 		t.Fatal("width 0 accepted")
 	}
-	if _, err := BuildBitPacked(h, []uint64{1}, 65); err == nil {
-		t.Fatal("width 65 accepted")
+	// A value ID is a uint32: no vector is wider.
+	if _, err := BuildBitPacked(h, []uint64{1}, 33); err == nil {
+		t.Fatal("width 33 accepted")
 	}
 }
 
@@ -100,22 +97,141 @@ func TestBitsFor(t *testing.T) {
 	}
 }
 
-func TestPutGetBitsProperty(t *testing.T) {
-	buf := make([]byte, 64)
-	f := func(off uint8, widthIn uint8, v uint64) bool {
-		width := uint64(widthIn%64) + 1
-		o := uint64(off) % 300
-		var mask uint64
-		if width == 64 {
-			mask = ^uint64(0)
-		} else {
-			mask = (uint64(1) << width) - 1
-		}
-		PutBits(buf, o, width, v&mask)
-		return GetBits(buf, o, width) == v&mask
+// The codec tests hold the packed format to an oracle written without it:
+// the values are a plain []uint64, a predicate is id-idLo < span on them,
+// and slowBits reads a buffer one bit at a time from the layout's
+// definition alone.
+
+// randomVals returns n pseudo-random width-bit values.
+func randomVals(n int, width, seed uint64) []uint64 {
+	vals := make([]uint64, n)
+	x := seed | 1
+	for i := range vals {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		vals[i] = x & (1<<width - 1)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	return vals
+}
+
+// pack is PackBits into a buffer that held garbage.
+func pack(tb testing.TB, vals []uint64, width uint64) []uint64 {
+	words, ok := PackedWords(uint64(len(vals)), width)
+	if !ok {
+		tb.Fatalf("PackedWords(%d, %d) refused", len(vals), width)
+	}
+	buf := make([]uint64, words)
+	for i := range buf {
+		buf[i] = 0xA5A5A5A5A5A5A5A5
+	}
+	if err := PackBits(buf, width, vals); err != nil {
+		tb.Fatal(err)
+	}
+	return buf
+}
+
+// slowBits reads value i of a packed buffer from the definition of the
+// format: bit width-1-j of the value is bit i%64 of word j of segment
+// i/64.
+func slowBits(buf []uint64, width, i uint64) uint64 {
+	var v uint64
+	for j := uint64(0); j < width; j++ {
+		if buf[i/64*width+j]&(1<<(i%64)) != 0 {
+			v |= 1 << (width - 1 - j)
+		}
+	}
+	return v
+}
+
+// segments reads arbitrary bytes as little-endian words, pads them with
+// zeros to whole segments of the width, as every packed buffer is, and
+// returns how many values that holds.
+func segments(data []byte, width uint64) ([]uint64, uint64) {
+	seg := int(width * 8)
+	padded := make([]byte, max((len(data)+seg-1)/seg, 1)*seg)
+	copy(padded, data)
+	buf := make([]uint64, len(padded)/8)
+	for i := range buf {
+		buf[i] = binary.LittleEndian.Uint64(padded[i*8:])
+	}
+	return buf, uint64(len(buf)) / width * 64
+}
+
+// TestPutGetBitsProperty: whatever is packed reads back, value by value,
+// through GetBits and through the definition of the format; the buffer is
+// overwritten whole, its padding with zeros; a value the width does not
+// hold is refused.
+func TestPutGetBitsProperty(t *testing.T) {
+	f := func(nIn uint16, widthIn uint8, seed uint64) bool {
+		width, n := uint64(widthIn%maxBits)+1, int(nIn%300)
+		vals := randomVals(n, width, seed)
+		buf := pack(t, vals, width)
+		for i, want := range vals {
+			if GetBits(buf, width, uint64(i)) != want || slowBits(buf, width, uint64(i)) != want {
+				return false
+			}
+		}
+		for i := uint64(n); i < uint64(len(buf))/width*64; i++ {
+			if slowBits(buf, width, i) != 0 {
+				return false
+			}
+		}
+		if n > 0 {
+			vals[int(seed%uint64(n))] = 1 << width
+			return PackBits(buf, width, vals) != nil
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestPackedWords(t *testing.T) {
+	for _, c := range []struct {
+		n, width, want uint64
+		ok             bool
+	}{
+		{0, 1, 1, true}, {1, 1, 1, true}, {64, 1, 1, true}, {65, 1, 2, true},
+		{200, 17, 4 * 17, true}, {64, 32, 32, true},
+		{1, 0, 0, false}, {1, 33, 0, false}, {1, 64, 0, false}, {1 << 60, 1, 0, false}, {^uint64(0), 32, 0, false},
+	} {
+		if got, ok := PackedWords(c.n, c.width); got != c.want || ok != c.ok {
+			t.Errorf("PackedWords(%d, %d) = %d, %v; want %d, %v", c.n, c.width, got, ok, c.want, c.ok)
+		}
+	}
+}
+
+// TestCheckBits: the checker passes what PackBits wrote and reports a
+// value at or past the limit, a set bit in the padding of the last
+// segment, and a buffer of another size than the count implies.
+func TestCheckBits(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+		const width = 9
+		vals := randomVals(n, width, uint64(n)+7)
+		buf := pack(t, vals, width)
+		if err := CheckBits(buf, width, uint64(n), 1<<width); err != nil {
+			t.Fatalf("n %d: %v", n, err)
+		}
+		if n > 0 {
+			if err := CheckBits(buf, width, uint64(n), slices.Max(vals)); err == nil {
+				t.Fatalf("n %d: value at the limit not reported", n)
+			}
+		}
+		if err := CheckBits(append(buf, make([]uint64, width)...), width, uint64(n), 1<<width); err == nil {
+			t.Fatalf("n %d: a segment too many not reported", n)
+		}
+		if n%64 == 0 && n > 0 {
+			continue // no padding
+		}
+		for _, plane := range []int{0, width - 1} {
+			buf[len(buf)-width+plane] |= 1 << 63
+			if err := CheckBits(buf, width, uint64(n), 1<<width); err == nil {
+				t.Fatalf("n %d: set padding bit in plane %d not reported", n, plane)
+			}
+			buf[len(buf)-width+plane] &^= 1 << 63
+		}
 	}
 }
 
@@ -152,71 +268,39 @@ func TestBlobRoundTrip(t *testing.T) {
 	}
 }
 
-// packRandom packs n pseudo-random width-bit values the slow way and
-// returns the buffer with the values.
-func packRandom(n int, width, seed uint64) ([]byte, []uint64) {
-	buf := make([]byte, (uint64(n)*width+63)/64*8)
-	vals := make([]uint64, n)
-	x := seed | 1
-	for i := range vals {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		vals[i] = x & bitMask(width)
-		PutBits(buf, uint64(i)*width, width, vals[i])
-	}
-	return buf, vals
-}
-
-// slowBits reads width bits at bit offset off one bit at a time — a
-// decode that shares nothing with the word loads under test.
-func slowBits(buf []byte, off, width uint64) uint64 {
-	var v uint64
-	for i := uint64(0); i < width; i++ {
-		bit := off + i
-		v |= uint64(buf[bit/8]>>(bit%8)&1) << i
-	}
-	return v
-}
-
-// TestUnpackBitsMatchesGet holds the block decode to the single-value
-// one at every width, for ranges that start and end off a word
-// boundary, on a value that spills into the next word, and on the
-// final partial word.
+// TestUnpackBitsMatchesGet holds the block decode to the values that
+// were packed, at every width, for ranges that start and end on and off
+// the segment grid, inside one segment and across several, up to the
+// ragged last one — and writes nothing past hi-lo.
 func TestUnpackBitsMatchesGet(t *testing.T) {
-	const n = 197 // not a multiple of 64: the last word is partial for most widths
-	for width := uint64(1); width <= 64; width++ {
-		buf, vals := packRandom(n, width, width*0x9E3779B97F4A7C15)
-		for i, want := range vals {
-			if got := GetBits(buf, uint64(i)*width, width); got != want || slowBits(buf, uint64(i)*width, width) != want {
-				t.Fatalf("width %d: GetBits(%d) = %#x, want %#x", width, i, got, want)
-			}
-		}
-		// The first value that straddles two words, if the width has one.
-		spill := -1
-		for i := 0; i < n; i++ {
-			if uint64(i)*width%64+width > 64 {
-				spill = i
-				break
-			}
-		}
-		ranges := [][2]int{{0, n}, {0, 0}, {n, n}, {n - 1, n}, {1, n - 1}, {63, 65}, {64, 129}, {5, 6}}
-		if spill >= 0 {
-			ranges = append(ranges, [2]int{spill, spill + 1}, [2]int{spill - 1, spill + 2})
-		}
-		for _, r := range ranges {
+	const n = 197 // not a multiple of 64: the last segment is padded
+	for width := uint64(1); width <= maxBits; width++ {
+		vals := randomVals(n, width, width*0x9E3779B97F4A7C15)
+		buf := pack(t, vals, width)
+		for _, r := range [][2]int{{0, n}, {0, 0}, {n, n}, {n - 1, n}, {1, n - 1}, {63, 65}, {64, 129}, {64, 128}, {5, 6}, {70, 90}, {128, n}} {
 			lo, hi := r[0], r[1]
 			dst := make([]uint32, hi-lo+1)
 			dst[hi-lo] = 0xDEADBEEF // must stay untouched
 			UnpackBits(buf, width, uint64(lo), uint64(hi), dst)
 			for i := lo; i < hi; i++ {
-				if dst[i-lo] != uint32(vals[i]) {
-					t.Fatalf("width %d [%d,%d): value %d = %#x, want %#x", width, lo, hi, i, dst[i-lo], uint32(vals[i]))
+				if uint64(dst[i-lo]) != vals[i] {
+					t.Fatalf("width %d [%d,%d): value %d = %#x, want %#x", width, lo, hi, i, dst[i-lo], vals[i])
 				}
 			}
 			if dst[hi-lo] != 0xDEADBEEF {
 				t.Fatalf("width %d [%d,%d): wrote past hi-lo", width, lo, hi)
 			}
+		}
+		var seen int
+		ScanBits(buf, width, n, func(i, v uint64) bool {
+			if int(i) != seen || v != vals[i] {
+				t.Fatalf("width %d: ScanBits gave value %d = %#x at step %d, want %#x", width, i, v, seen, vals[i])
+			}
+			seen++
+			return seen < 100
+		})
+		if seen != 100 {
+			t.Fatalf("width %d: ScanBits made %d calls, want it to stop after 100", width, seen)
 		}
 	}
 }
@@ -251,131 +335,130 @@ func TestBitPackedUnpack(t *testing.T) {
 // through GetBits and through UnpackBits, to what a bit-by-bit read gives.
 func FuzzUnpackBits(f *testing.F) {
 	f.Add([]byte{0xFF, 0x01, 0x80, 0x7F, 0xAA, 0x55, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(17), uint16(0), uint16(7))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(64), uint16(0), uint16(1))
+	f.Add(make([]byte, 2*32*8+1), uint8(32), uint16(60), uint16(70))
 	f.Add([]byte{}, uint8(1), uint16(3), uint16(3))
 	f.Fuzz(func(t *testing.T, data []byte, w uint8, lo16, n16 uint16) {
-		width := uint64(w%64) + 1
-		buf := make([]byte, (len(data)+7)/8*8) // whole words, as every packed buffer is
-		copy(buf, data)
-		count := uint64(len(buf)) * 8 / width
-		lo := uint64(lo16)
-		if lo > count {
-			lo = count
-		}
-		hi := lo + uint64(n16)
-		if hi > count {
-			hi = count
-		}
+		width := uint64(w%maxBits) + 1
+		buf, count := segments(data, width)
+		lo := min(uint64(lo16), count)
+		hi := min(lo+uint64(n16), count)
 		dst := make([]uint32, hi-lo)
 		UnpackBits(buf, width, lo, hi, dst)
 		for i := lo; i < hi; i++ {
-			want := slowBits(buf, i*width, width)
-			if got := GetBits(buf, i*width, width); got != want {
+			want := slowBits(buf, width, i)
+			if got := GetBits(buf, width, i); got != want {
 				t.Fatalf("width %d: GetBits(%d) = %#x, want %#x", width, i, got, want)
 			}
-			if dst[i-lo] != uint32(want) {
-				t.Fatalf("width %d [%d,%d): value %d = %#x, want %#x", width, lo, hi, i, dst[i-lo], uint32(want))
+			if uint64(dst[i-lo]) != want {
+				t.Fatalf("width %d [%d,%d): value %d = %#x, want %#x", width, lo, hi, i, dst[i-lo], want)
 			}
 		}
 	})
 }
 
-func BenchmarkUnpackBits(b *testing.B) {
-	const rows = 1 << 18
-	for _, width := range []uint64{4, 17} {
-		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
-			buf, _ := packRandom(rows, width, 42)
-			var dst [1024]uint32
-			var sink uint32
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for lo := uint64(0); lo < rows; lo += uint64(len(dst)) {
-					UnpackBits(buf, width, lo, lo+uint64(len(dst)), dst[:])
-					sink += dst[0]
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
-			_ = sink
-		})
-	}
-}
-
-// filterSlow is FilterBits a bit at a time: what the predicate means,
-// sharing no load, shift or compare with the code under test.
-func filterSlow(buf []byte, width, lo uint64, n int, idLo, span uint32, neg bool, bm []uint64) []uint64 {
-	out := append([]uint64(nil), bm...)
+// filterSlow is what FilterBits means: bit i of bm, i < n, is cleared
+// unless ids[i]-idLo < span, or with neg unless not.
+func filterSlow(ids []uint64, n int, idLo, span uint32, neg bool, bm []uint64) []uint64 {
+	out := slices.Clone(bm)
 	for i := 0; i < n; i++ {
-		id := uint32(slowBits(buf, (lo+uint64(i))*width, width))
-		if in := id >= idLo && uint64(id) < uint64(idLo)+uint64(span); in == neg {
+		if in := ids[i]-uint64(idLo) < uint64(span); in == neg {
 			out[i/64] &^= 1 << (i % 64)
 		}
 	}
 	return out
 }
 
-// filterIntervals are the value-ID intervals the six operators resolve
-// to around a key with ID eq, in a dictionary of dictLen IDs: [lo,
-// lo+span), complemented when neg. They include the empty and the full
-// span.
-func filterIntervals(eq, dictLen uint32) []struct {
+type idInterval struct {
 	lo, span uint32
 	neg      bool
-} {
-	return []struct {
-		lo, span uint32
-		neg      bool
-	}{
-		{eq, 1, false},      // Eq
-		{eq, 1, true},       // Ne
-		{0, eq, false},      // Lt
-		{0, eq + 1, false},  // Le
-		{0, eq + 1, true},   // Gt
-		{0, eq, true},       // Ge
-		{eq, 0, false},      // Eq of a key the dictionary lacks: nothing
-		{eq, 0, true},       // Ne of such a key: everything
-		{0, dictLen, false}, // the full span
-		{0, dictLen, true},
-	}
 }
 
-// TestFilterBitsMatchesGetBits holds the predicate on the packed words
-// to the bit-at-a-time one: every width, every operator's interval, a
-// start on and off the group grid, lengths from one row to a block with
-// ragged last words, full and sparse input bitmaps — and buffers that end
-// with their last value, so that the last word's loads have no slack to
-// run into.
-func TestFilterBitsMatchesGetBits(t *testing.T) {
-	widths := []uint64{33, 40, 56, 57, 58, 63, 64} // wider than an ID, and than a group load
-	for w := uint64(1); w <= 32; w++ {
-		widths = append(widths, w)
+// filterIntervals are the shapes an interval [lo, lo+span) can take
+// against a width, each plain and complemented: around a value eq that
+// occurs, the equality, the two one-sided and the two-sided forms; the
+// empty span; the span that reaches or passes the top of the width; and
+// a start at or past it.
+func filterIntervals(eq uint32, width uint64) []idInterval {
+	top := uint32(1<<width - 1) // the widest ID; 1<<width itself does not fit at width 32
+	var out []idInterval
+	for _, iv := range []idInterval{
+		{lo: eq, span: 1},              // Eq
+		{lo: 0, span: eq},              // Lt
+		{lo: 0, span: eq + 1},          // Le
+		{lo: eq / 2, span: eq/2 + 1},   // two-sided, ends at eq
+		{lo: eq, span: (top - eq) / 2}, // two-sided, starts at eq
+		{lo: eq, span: 0},              // a key the dictionary lacks: nothing
+		{lo: 0, span: 1},               // the first ID alone
+		{lo: top, span: 1},             // the last ID alone
+		{lo: eq, span: top - eq + 1},   // idLo+span == 1<<width
+		{lo: eq, span: ^uint32(0)},     // idLo+span far past it
+		{lo: 0, span: ^uint32(0)},      // everything
+		{lo: top, span: 0},
+	} {
+		out = append(out, iv, idInterval{iv.lo, iv.span, true})
 	}
-	for _, width := range widths {
-		dictLen := uint32(bitMask(min(width, 32)))
-		for _, lo := range []uint64{0, 64, 8, 3, 61} {
+	if width < 32 {
+		out = append(out, idInterval{lo: top + 1, span: 5}, idInterval{top + 1, 5, true}, // idLo == 1<<width
+			idInterval{lo: ^uint32(0), span: 1}, idInterval{^uint32(0), ^uint32(0), true})
+	}
+	return out
+}
+
+// TestFilterBitsMatchesGetBits holds the predicate on the planes to its
+// definition on the plain values: every width, every shape of interval, a
+// start on and off the 64-row grid, lengths from one row to a block with
+// ragged last words, and full, half-live, sparse and empty input bitmaps
+// whose bits past n must come back as they went in.
+func TestFilterBitsMatchesGetBits(t *testing.T) {
+	for width := uint64(1); width <= maxBits; width++ {
+		for _, lo := range []uint64{0, 64, 128, 8, 3, 61} {
 			for _, n := range []int{1, 7, 63, 64, 65, 128, 200, 1000, 1024} {
-				// The buffer holds exactly lo+n values, rounded up to whole
-				// words as every packed buffer is: for n a multiple of 64
-				// and lo one of 8 it ends on the last value's last bit.
-				buf, vals := packRandom(int(lo)+n, width, width*0x9E3779B97F4A7C15+lo)
+				vals := randomVals(int(lo)+n, width, width*0x9E3779B97F4A7C15+lo)
+				buf := pack(t, vals, width)
 				eq := uint32(vals[int(lo)+n/2])
-				for _, iv := range filterIntervals(eq, dictLen) {
-					for _, fill := range []uint64{^uint64(0), 0xF0F0_0000_FFFF_0001, 0} {
+				for _, iv := range filterIntervals(eq, width) {
+					for _, fill := range []uint64{^uint64(0), 0xFFFFFFFF, 0xF0F0_0000_FFFF_0001, 0} {
 						bm := make([]uint64, (n+63)/64+1)
 						for i := range bm {
 							bm[i] = fill
 						}
-						if n%64 != 0 {
-							bm[n/64] &= 1<<(n%64) - 1 // as VisibleBits leaves the last word
+						if len(bm) > 2 {
+							bm[1] = 0 // a zero word between live ones
 						}
-						bm[len(bm)-1] = 0xDEADBEEF // must stay untouched
-						want := filterSlow(buf, width, lo, n, iv.lo, iv.span, iv.neg, bm)
+						want := filterSlow(vals[lo:], n, iv.lo, iv.span, iv.neg, bm)
 						FilterBits(buf, width, lo, n, iv.lo, iv.span, iv.neg, bm)
-						for i := range bm {
-							if bm[i] != want[i] {
-								t.Fatalf("width %d lo %d n %d interval %+v fill %#x: word %d = %#x, want %#x",
-									width, lo, n, iv, fill, i, bm[i], want[i])
-							}
+						if !slices.Equal(bm, want) {
+							t.Fatalf("width %d lo %d n %d interval %+v fill %#x:\n got %#x\nwant %#x", width, lo, n, iv, fill, bm, want)
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFilterBitsEarlyExit: a comparison stops at the plane that leaves no
+// live row undecided. A column of one repeated value keeps every row
+// undecided against that value to the last plane; the same column with
+// one row in 64 live, or compared against a value that differs in the top
+// bit, is decided early. All give the words the definition gives.
+func TestFilterBitsEarlyExit(t *testing.T) {
+	for width := uint64(1); width <= maxBits; width++ {
+		const n = 256
+		same := uint64(0x5555555555555555) & (1<<width - 1)
+		vals := make([]uint64, n)
+		for i := range vals {
+			vals[i] = same
+		}
+		buf := pack(t, vals, width)
+		for _, id := range []uint32{uint32(same), uint32(same) ^ 1<<(width-1), uint32(same) ^ 1} {
+			for _, iv := range filterIntervals(id, width) {
+				for _, fill := range []uint64{^uint64(0), 1 << 17} {
+					bm := []uint64{fill, fill, fill, fill}
+					want := filterSlow(vals, n, iv.lo, iv.span, iv.neg, bm)
+					FilterBits(buf, width, 0, n, iv.lo, iv.span, iv.neg, bm)
+					if !slices.Equal(bm, want) {
+						t.Fatalf("width %d id %#x interval %+v fill %#x:\n got %#x\nwant %#x", width, id, iv, fill, bm, want)
 					}
 				}
 			}
@@ -419,85 +502,122 @@ func TestBitPackedFilter(t *testing.T) {
 }
 
 // FuzzFilterBits: any interval over any (width, start, length) of any
-// buffer contents keeps the rows a bit-by-bit read keeps, and reads
-// nothing past the buffer.
+// buffer contents keeps the rows its definition keeps on the values a
+// bit-by-bit read gives, and touches no bit from n on.
 func FuzzFilterBits(f *testing.F) {
 	f.Add([]byte{0xFF, 0x01, 0x80, 0x7F, 0xAA, 0x55, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(4), uint16(0), uint16(30), uint32(3), uint32(5), false, uint64(1)<<63|1)
-	f.Add(make([]byte, 17*8*3), uint8(16), uint16(8), uint16(64), uint32(0), uint32(1), true, ^uint64(0))
-	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(63), uint16(0), uint16(1), uint32(1), uint32(0), false, ^uint64(0))
+	f.Add(make([]byte, 17*8*3), uint8(16), uint16(64), uint16(100), uint32(0), uint32(1), true, ^uint64(0))
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(31), uint16(5), uint16(1), uint32(1), uint32(0), false, ^uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, w uint8, lo16, n16 uint16, idLo, span uint32, neg bool, fill uint64) {
-		width := uint64(w%64) + 1
-		buf := make([]byte, (len(data)+7)/8*8) // whole words, as every packed buffer is
-		copy(buf, data)
-		count := uint64(len(buf)) * 8 / width
+		width := uint64(w%maxBits) + 1
+		buf, count := segments(data, width)
 		lo := min(uint64(lo16), count)
 		n := int(min(uint64(n16), count-lo))
+		ids := make([]uint64, n)
+		for i := range ids {
+			ids[i] = slowBits(buf, width, lo+uint64(i))
+		}
 		bm := make([]uint64, (n+63)/64+1)
 		for i := range bm {
 			bm[i] = fill
 		}
-		want := filterSlow(buf, width, lo, n, idLo, span, neg, bm)
+		want := filterSlow(ids, n, idLo, span, neg, bm)
 		FilterBits(buf, width, lo, n, idLo, span, neg, bm)
-		for i := range bm[:(n+63)/64] {
-			// Bits past n in the last word are the caller's to keep zero;
-			// what FilterBits leaves there is not part of the contract.
-			mask := ^uint64(0)
-			if i == n/64 {
-				mask = 1<<(n%64) - 1
-			}
-			if bm[i]&mask != want[i]&mask {
-				t.Fatalf("width %d lo %d n %d [%d,+%d) neg %v: word %d = %#x, want %#x", width, lo, n, idLo, span, neg, i, bm[i]&mask, want[i]&mask)
-			}
-		}
-		if bm[len(bm)-1] != fill {
-			t.Fatalf("width %d lo %d n %d: wrote a word beyond the range", width, lo, n)
+		if !slices.Equal(bm, want) {
+			t.Fatalf("width %d lo %d n %d [%d,+%d) neg %v:\n got %#x\nwant %#x", width, lo, n, idLo, span, neg, bm, want)
 		}
 	})
 }
 
-// BenchmarkFilterBits is a range predicate over a packed column a block
-// at a time, on the packed words (FilterBits) and the way the scan kernel
-// did it before: unpack the block, then compare the IDs.
+var benchWidths = []uint64{1, 4, 8, 15, 17, 24, 32}
+
+// BenchmarkFilterBits is a value-ID predicate over a packed column a
+// block at a time, as the scan kernel runs it: every shape of interval,
+// over a bitmap with every row live and with one in ten.
 func BenchmarkFilterBits(b *testing.B) {
 	const rows, block = 1 << 18, 1024
-	for _, width := range []uint64{4, 15, 17} {
-		buf, _ := packRandom(rows, width, 42)
-		idLo, span := uint32(1), uint32(bitMask(width)/2)
-		var bm [block / 64]uint64
-		var sink uint64
-		report := func(b *testing.B) {
+	for _, width := range benchWidths {
+		buf := pack(b, randomVals(rows, width, 42), width)
+		mid := uint32(1) << (width - 1)
+		for _, iv := range []struct {
+			name string
+			idInterval
+		}{
+			{"eq", idInterval{lo: mid, span: 1}},
+			{"one-sided", idInterval{lo: 0, span: mid + mid/3}},
+			{"two-sided", idInterval{lo: mid / 3, span: mid}},
+			{"neg", idInterval{lo: mid / 3, span: mid, neg: true}},
+		} {
+			for _, live := range []struct {
+				name string
+				bm   [block / 64]uint64
+			}{{"all", liveWords(1)}, {"tenth", liveWords(10)}} {
+				b.Run(fmt.Sprintf("width=%d/%s/live=%s", width, iv.name, live.name), func(b *testing.B) {
+					var sink uint64
+					for i := 0; i < b.N; i++ {
+						for lo := uint64(0); lo < rows; lo += block {
+							bm := live.bm
+							FilterBits(buf, width, lo, block, iv.lo, iv.span, iv.neg, bm[:])
+							sink += bm[0]
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+					_ = sink
+				})
+			}
+		}
+	}
+}
+
+// liveWords is a block's bitmap with one row in every `every` set.
+func liveWords(every int) (bm [16]uint64) {
+	for i := 0; i < len(bm)*64; i += every {
+		bm[i/64] |= 1 << (i % 64)
+	}
+	return bm
+}
+
+func BenchmarkUnpackBits(b *testing.B) {
+	const rows = 1 << 18
+	for _, width := range benchWidths {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			buf := pack(b, randomVals(rows, width, 42), width)
+			var dst [1024]uint32
+			var sink uint32
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for lo := uint64(0); lo < rows; lo += uint64(len(dst)) {
+					UnpackBits(buf, width, lo, lo+uint64(len(dst)), dst[:])
+					sink += dst[0]
+				}
+			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
 			_ = sink
-		}
-		b.Run(fmt.Sprintf("width=%d/packed", width), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for lo := uint64(0); lo < rows; lo += block {
-					for w := range bm {
-						bm[w] = ^uint64(0)
-					}
-					FilterBits(buf, width, lo, block, idLo, span, false, bm[:])
-					sink += bm[0]
-				}
-			}
-			report(b)
 		})
-		b.Run(fmt.Sprintf("width=%d/unpack-compare", width), func(b *testing.B) {
-			var ids [block]uint32
-			for i := 0; i < b.N; i++ {
-				for lo := uint64(0); lo < rows; lo += block {
-					UnpackBits(buf, width, lo, lo+block, ids[:])
-					for w := range bm {
-						var in uint64
-						for i, id := range ids[w*64 : w*64+64] {
-							_, below := bits.Sub32(id-idLo, span, 0)
-							in |= uint64(below) << i
-						}
-						bm[w] = in
-					}
-					sink += bm[0]
-				}
+	}
+}
+
+// BenchmarkBitPackedGet is the point read of a row fetch: values at
+// scattered indexes of an attached vector.
+func BenchmarkBitPackedGet(b *testing.B) {
+	const rows = 1 << 18
+	for _, width := range benchWidths {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			h, err := nvm.Create(filepath.Join(b.TempDir(), "heap.nvm"), 64<<20)
+			if err != nil {
+				b.Fatal(err)
 			}
-			report(b)
+			defer h.Close()
+			bp, err := BuildBitPacked(h, randomVals(rows, width, 42), width)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var sink uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink += bp.Get(uint64(i) * 2654435761 % rows)
+			}
+			_ = sink
 		})
 	}
 }

@@ -125,20 +125,25 @@ func ListCheck(h *nvm.Heap, slot nvm.PPtr, valid func(node nvm.PPtr, n uint64) e
 
 // Check verifies the bit-packed vector's persistent invariants.
 func (b *BitPacked) Check() error {
-	var errs []error
 	if err := b.h.CheckBlock(b.root, bpRootSize); err != nil {
 		return fmt.Errorf("bitpacked %d: root: %w", b.root, err)
 	}
-	if b.bits == 0 || b.bits > 64 {
-		errs = append(errs, fmt.Errorf("bitpacked %d: invalid width %d", b.root, b.bits))
-	} else {
-		words := (b.n*b.bits + 63) / 64
-		if words == 0 {
-			words = 1
-		}
-		if err := b.h.CheckBlock(b.data, words*8); err != nil {
-			errs = append(errs, fmt.Errorf("bitpacked %d: data: %w", b.root, err))
-		}
+	words, ok := PackedWords(b.n, b.bits)
+	if !ok {
+		return fmt.Errorf("bitpacked %d: %d values of width %d: no vector is wider than %d bits or that long", b.root, b.n, b.bits, maxBits)
 	}
-	return errors.Join(errs...)
+	if err := b.h.CheckBlock(b.data, words*8); err != nil {
+		return fmt.Errorf("bitpacked %d: data: %w", b.root, err)
+	}
+	return nil
+}
+
+// CheckValues verifies the packed data itself — see CheckBits. A root
+// that describes no vector inside the heap has no data to verify, which
+// is the error.
+func (b *BitPacked) CheckValues(limit uint64) error {
+	if b.buf == nil {
+		return fmt.Errorf("bitpacked %d: %d values of width %d at %d lie in no vector inside the heap", b.root, b.n, b.bits, b.data)
+	}
+	return CheckBits(b.buf, b.bits, b.n, limit)
 }

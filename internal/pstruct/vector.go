@@ -29,11 +29,14 @@
 // itself, outside the two-fence schedule.
 //
 // The read side is in place too. The bit-packed vector of a main column
-// is never decoded as a whole: a scan asks it for one value (GetBits),
-// for a block of value IDs (UnpackBits — GROUP BY and the join need the
-// IDs), or to run a value-ID range predicate on the packed words and AND
-// the verdicts into a bitmap (FilterBits), which touches width/8 bytes
-// per row and writes 1/8 of a byte.
+// is bit-sliced — word j of a 64-value segment holds bit width-1-j of
+// each of its values (PackBits) — and is never decoded as a whole: a
+// scan runs a value-ID range predicate on the planes, 64 values per word
+// operation, and ANDs the verdicts into a bitmap (FilterBits), which
+// touches at most width/8 bytes per row and writes 1/8 of a byte; asks
+// for a block of value IDs, a bit-matrix transpose per segment
+// (UnpackBits — GROUP BY and the join need the IDs); or for one value,
+// a bit from each of its segment's `width` words (GetBits).
 package pstruct
 
 import (

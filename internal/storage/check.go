@@ -23,7 +23,9 @@ type CheckReport struct {
 // integrity checker behind `hyrise-nv verify`:
 //
 //   - all column and MVCC vectors have equal lengths per partition;
-//   - every attribute-vector entry references an existing dictionary ID;
+//   - every attribute-vector entry references an existing dictionary ID,
+//     and a main attribute vector has the size its row count implies and
+//     zero padding rows;
 //   - main dictionaries are strictly sorted;
 //   - MVCC stamps are sane (begin <= end unless unset);
 //   - every visible row is reachable through its column indexes, and no
@@ -55,16 +57,8 @@ func (t *Table) Check() (CheckReport, error) {
 			prev = append(prev[:0], k...)
 		}
 		rep.DictEntries += m.DictLen() + d.DictLen()
-		bad := -1
-		m.ScanIDs(func(row, id uint64) bool {
-			if id >= m.DictLen() {
-				bad = int(row)
-				return false
-			}
-			return true
-		})
-		if bad >= 0 {
-			return rep, fmt.Errorf("storage: column %d main row %d has out-of-range value ID", c, bad)
+		if err := m.CheckIDs(); err != nil {
+			return rep, fmt.Errorf("storage: column %d main attribute vector: %w", c, err)
 		}
 		for row := uint64(0); row < dr; row++ {
 			if d.ValueID(row) >= d.DictLen() {

@@ -182,7 +182,11 @@ func ReadCheckpoint(br io.Reader) (*Table, error) {
 			}
 			ids[i] = uint64(v)
 		}
-		ps.main = append(ps.main, volatileMainFromParts(schema.Cols[c].Type, dict, ids))
+		m, err := volatileMainFromParts(schema.Cols[c].Type, dict, ids)
+		if err != nil {
+			return nil, fmt.Errorf("storage: checkpoint main column %d: %w", c, err)
+		}
+		ps.main = append(ps.main, m)
 
 		// Delta partition: rebuild the hash index while loading.
 		dDictN, err := u64()

@@ -11,7 +11,7 @@ import (
 )
 
 // MainColumn is the read-optimized column format: a *sorted* dictionary
-// and a bit-packed attribute vector of value IDs. Main columns are
+// and a bit-sliced attribute vector of value IDs. Main columns are
 // immutable — they are produced wholesale by the delta→main merge — which
 // makes their NVM crash consistency trivial (build, persist, swap one
 // pointer).
@@ -37,6 +37,10 @@ type MainColumn interface {
 	// dictionary: a value-range predicate becomes an ID-range check.
 	LookupRange(loKey, hiKey []byte) (lo, hi uint64)
 	ScanIDs(fn func(row, id uint64) bool)
+	// CheckIDs verifies the attribute vector: it has the size Rows
+	// implies, every value ID is below DictLen, and the padding rows of
+	// its last segment are zero (pstruct.CheckBits).
+	CheckIDs() error
 }
 
 // --- DRAM backend -----------------------------------------------------------
@@ -45,7 +49,7 @@ type MainColumn interface {
 type VolatileMain struct {
 	typ      ColType
 	dictKeys [][]byte // sorted encoded keys, handed out as they are: read-only
-	packed   []byte
+	packed   []uint64
 	bits     uint64
 	rows     uint64
 }
@@ -53,26 +57,31 @@ type VolatileMain struct {
 // BuildVolatileMain constructs a main column from per-row encoded keys.
 func BuildVolatileMain(typ ColType, rowKeys [][]byte) *VolatileMain {
 	dict, ids := buildDict(rowKeys)
-	return volatileMainFromParts(typ, dict, ids)
+	m, err := volatileMainFromParts(typ, dict, ids)
+	if err != nil {
+		panic(err) // buildDict numbers the keys it returns: every ID fits
+	}
+	return m
 }
 
 // volatileMainFromParts builds a VolatileMain directly from a sorted
-// dictionary and row IDs (checkpoint load path — no re-deduplication).
-func volatileMainFromParts(typ ColType, dict []string, ids []uint64) *VolatileMain {
+// dictionary and row IDs (checkpoint load path — no re-deduplication). It
+// fails on an ID the dictionary's width does not hold.
+func volatileMainFromParts(typ ColType, dict []string, ids []uint64) (*VolatileMain, error) {
 	keys := make([][]byte, len(dict))
 	for i, k := range dict {
 		keys[i] = []byte(k)
 	}
 	bits := pstruct.BitsFor(maxID(dict))
-	words := (uint64(len(ids))*bits + 63) / 64
-	if words == 0 {
-		words = 1
+	words, ok := pstruct.PackedWords(uint64(len(ids)), bits)
+	if !ok {
+		return nil, fmt.Errorf("storage: a main column cannot hold %d rows of %d-bit value IDs", len(ids), bits)
 	}
-	packed := make([]byte, words*8)
-	for i, id := range ids {
-		pstruct.PutBits(packed, uint64(i)*bits, bits, id)
+	packed := make([]uint64, words)
+	if err := pstruct.PackBits(packed, bits, ids); err != nil {
+		return nil, err
 	}
-	return &VolatileMain{typ: typ, dictKeys: keys, packed: packed, bits: bits, rows: uint64(len(ids))}
+	return &VolatileMain{typ: typ, dictKeys: keys, packed: packed, bits: bits, rows: uint64(len(ids))}, nil
 }
 
 var _ MainColumn = (*VolatileMain)(nil)
@@ -85,7 +94,7 @@ func (m *VolatileMain) Rows() uint64 { return m.rows }
 
 // ValueID implements MainColumn.
 func (m *VolatileMain) ValueID(row uint64) uint64 {
-	return pstruct.GetBits(m.packed, row*m.bits, m.bits)
+	return pstruct.GetBits(m.packed, m.bits, row)
 }
 
 // UnpackIDs implements MainColumn.
@@ -133,11 +142,12 @@ func (m *VolatileMain) LookupRange(loKey, hiKey []byte) (uint64, uint64) {
 
 // ScanIDs implements MainColumn.
 func (m *VolatileMain) ScanIDs(fn func(row, id uint64) bool) {
-	for r := uint64(0); r < m.rows; r++ {
-		if !fn(r, pstruct.GetBits(m.packed, r*m.bits, m.bits)) {
-			return
-		}
-	}
+	pstruct.ScanBits(m.packed, m.bits, m.rows, fn)
+}
+
+// CheckIDs implements MainColumn.
+func (m *VolatileMain) CheckIDs() error {
+	return pstruct.CheckBits(m.packed, m.bits, m.rows, m.DictLen())
 }
 
 // --- NVM backend -------------------------------------------------------------
@@ -151,7 +161,7 @@ const (
 )
 
 // NVMMain is the persistent main column of Hyrise-NV: a vector of sorted
-// dictionary blob pointers plus a bit-packed attribute vector, both on
+// dictionary blob pointers plus a bit-sliced attribute vector, both on
 // NVM. Attach is O(1), so restarting does not touch column data.
 type NVMMain struct {
 	h       *nvm.Heap
@@ -270,6 +280,9 @@ func (m *NVMMain) LookupRange(loKey, hiKey []byte) (uint64, uint64) {
 
 // ScanIDs implements MainColumn.
 func (m *NVMMain) ScanIDs(fn func(row, id uint64) bool) { m.bp.Scan(fn) }
+
+// CheckIDs implements MainColumn.
+func (m *NVMMain) CheckIDs() error { return m.bp.CheckValues(m.DictLen()) }
 
 // --- shared helpers -----------------------------------------------------------
 

@@ -4,8 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"hyrisenv/internal/nvm"
 )
 
 // visibleMultiset captures the visible row contents at a snapshot,
@@ -138,5 +141,72 @@ func TestCheckDetectsCorruption(t *testing.T) {
 	tbl.StampEnd(row, 5)
 	if _, err := tbl.Check(); err == nil {
 		t.Fatal("end<begin not detected")
+	}
+}
+
+// TestCheckReportsBadAttributeVector: a main attribute vector with a set
+// bit in the padding rows of its last segment, or under a root that claims
+// a width no value ID has, is Check's and FsckNVM's to report — attach
+// slices nothing it cannot, and nothing panics.
+func TestCheckReportsBadAttributeVector(t *testing.T) {
+	h, path := testNVMHeap(t)
+	tbl, err := CreateNVMTable(h, "orders", 3, ordersSchema(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.SetRoot("tbl:orders", tbl.Root(), 0)
+	for i := int64(0); i < 50; i++ {
+		row, _ := tbl.AppendRow([]Value{Int(i), Str("cust"), Float(float64(i) / 2)}, 1)
+		commitRow(tbl, row, 2)
+	}
+	if _, err := tbl.Merge(3); err != nil {
+		t.Fatal(err)
+	}
+	bpRoot := tbl.parts.Load().main[0].(*NVMMain).bp.Root()
+	data := nvm.PPtr(h.GetU64(bpRoot.Add(16)))
+	reopened := func() *Table {
+		t.Helper()
+		h = reopenHeap(t, h, path)
+		root, _, _ := h.Root("tbl:orders")
+		tbl, err := OpenNVMTable(h, "orders", root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tbl
+	}
+	set := func(p nvm.PPtr, v uint64) {
+		h.PutU64(p, v)
+		h.Persist(p, 8)
+	}
+
+	// 50 rows are one segment: bit 63 of its first plane is a padding row.
+	plane := h.GetU64(data)
+	set(data, plane|1<<63)
+	if _, err := reopened().Check(); err == nil || !strings.Contains(err.Error(), "padding") {
+		t.Fatalf("set padding bit: Check = %v", err)
+	}
+	set(data, plane)
+	if _, err := reopened().Check(); err != nil {
+		t.Fatalf("restored vector flagged: %v", err)
+	}
+
+	set(bpRoot, 33)
+	tbl = reopened()
+	if _, err := tbl.Check(); err == nil {
+		t.Fatal("width 33: Check passed")
+	}
+	if err := tbl.FsckNVM(10); err == nil || !strings.Contains(err.Error(), "width 33") {
+		t.Fatalf("width 33: FsckNVM = %v", err)
+	}
+}
+
+// TestVolatileMainRejectsWideID: the checkpoint load path refuses a value
+// ID its dictionary's width does not hold.
+func TestVolatileMainRejectsWideID(t *testing.T) {
+	if _, err := volatileMainFromParts(TypeString, []string{"a", "b"}, []uint64{0, 1, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := volatileMainFromParts(TypeString, []string{"a", "b"}, []uint64{0, 2, 1}); err == nil {
+		t.Fatal("ID 2 accepted at width 1")
 	}
 }
