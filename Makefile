@@ -165,10 +165,12 @@ benchserve:
 # Same smoke CI runs: 30s per fuzzer — the wire codecs, the bit
 # unpacker GROUP BY and the join decode main-partition blocks through,
 # the packed-word predicate every main-partition scan filters through,
+# the value-ID and key-word predicate every delta scan filters through,
 # and the append arena under random sizes and reopen points.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 30s
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzUnpackBits' -fuzztime 30s
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzFilterBits' -fuzztime 30s
+	$(GO) test ./internal/exec -run '^$$' -fuzz 'FuzzDeltaFilter' -fuzztime 30s
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzArena' -fuzztime 30s

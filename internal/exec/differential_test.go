@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -32,6 +33,7 @@ const (
 	dK        // int64 from a small domain with gaps
 	dS        // string: the decimal form of K, so its order is not K's
 	dF        // float64: (K-50)/4, negative and positive, whole quarters sum exactly
+	dT        // string: tieKey(K), keys whose first 8 bytes tie
 	dCols
 )
 
@@ -47,8 +49,27 @@ var (
 
 var allOps = []exec.Op{exec.Eq, exec.Ne, exec.Lt, exec.Le, exec.Gt, exec.Ge, exec.Op(99)}
 
+// tieKeys are column dT's keys for the values of K that have one; every
+// other K gets "region-%02d" of K mod 16. The delta compares the first 8
+// bytes of a key as one word, and these keys tie there: "region-NN"
+// longer than 8 bytes sharing "region-0" or "region-1" — with
+// "region-1" itself and "region-1\x00" — and "ab" with keys that only
+// add zero bytes to it, shorter and longer than 8.
+var tieKeys = map[int64]string{
+	10: "region-00", 20: "ab", 30: "region-15", 40: "ab\x00", 50: "region-07",
+	60: "region-1", 70: "ab\x00\x00\x00\x00\x00\x00", 80: "region-08",
+	90: "ab\x00\x00\x00\x00\x00\x00\x00\x00", 100: "region-1\x00",
+}
+
+func tieKey(k int64) string {
+	if s, ok := tieKeys[k]; ok {
+		return s
+	}
+	return fmt.Sprintf("region-%02d", k%16)
+}
+
 func diffRow(u, k int64) []storage.Value {
-	return []storage.Value{storage.Int(u), storage.Int(k), storage.Str(strconv.FormatInt(k, 10)), storage.Float(float64(k-50) / 4)}
+	return []storage.Value{storage.Int(u), storage.Int(k), storage.Str(strconv.FormatInt(k, 10)), storage.Float(float64(k-50) / 4), storage.Str(tieKey(k))}
 }
 
 // probes returns the predicate values for column col.
@@ -58,10 +79,17 @@ func probes(col int) []storage.Value {
 		out = append(out, diffRow(0, k)[col])
 	}
 	switch col {
+	case dK: // the smallest and the largest word, where Le's and Gt's +1 wraps
+		out = append(out, storage.Int(math.MinInt64), storage.Int(math.MaxInt64))
 	case dS:
 		out = append(out, storage.Str(""), storage.Str("zzz"))
 	case dF:
-		out = append(out, storage.Float(-1000), storage.Float(1000))
+		out = append(out, storage.Float(-1000), storage.Float(1000), storage.Float(math.Copysign(0, -1)), storage.Float(0),
+			storage.Float(math.Inf(-1)), storage.Float(math.Inf(1)))
+	case dT:
+		for _, s := range []string{"", "a", "ab", "ab\x00\x00\x00\x00\x00\x00\x00", "region-", "region-0", "region-1", "region-10", "region-99", "regioo", "\xff"} {
+			out = append(out, storage.Str(s))
+		}
 	}
 	return out
 }
@@ -220,6 +248,7 @@ func openDiffEngine(t testing.TB, mode txn.Mode) (*core.Engine, *storage.Table) 
 		storage.ColumnDef{Name: "k", Type: storage.TypeInt64},
 		storage.ColumnDef{Name: "s", Type: storage.TypeString},
 		storage.ColumnDef{Name: "f", Type: storage.TypeFloat64},
+		storage.ColumnDef{Name: "t", Type: storage.TypeString},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -241,10 +270,10 @@ const (
 	churnRandom churn = iota
 	// churnNone: inserts only. Every full block is settled: each begin a
 	// real CID, each end Inf, so once a scan has looked the kernel takes
-	// the block's visibility from its summary.
+	// the block's visibility from its frozen record, all ones.
 	churnNone
 	// churnOne: inserts only, and one committed delete in the first
-	// block, which is then the one block that is not settled.
+	// block, which is then the one frozen block with a dead row.
 	churnOne
 )
 
@@ -435,7 +464,7 @@ func (f *diffFixture) check(t *testing.T, ex *exec.Executor) {
 			stride = 6
 		}
 		var all []exec.Pred
-		for _, col := range []int{dK, dS, dF} {
+		for _, col := range []int{dK, dS, dF, dT} {
 			for _, val := range probes(col) {
 				for _, op := range allOps {
 					p := exec.Pred{Col: col, Op: op, Val: val}
@@ -458,7 +487,7 @@ func (f *diffFixture) check(t *testing.T, ex *exec.Executor) {
 			one(all[rng.Intn(len(all))], all[rng.Intn(len(all))], all[rng.Intn(len(all))])
 		}
 
-		for _, cols := range [][2]int{{dK, dF}, {dS, dU}, {dF, -1}} {
+		for _, cols := range [][2]int{{dK, dF}, {dS, dU}, {dF, -1}, {dT, dK}} {
 			want := o.groupBy(f.tbl, visible, cols[0], cols[1])
 			got, err := ex.GroupBy(ctx, r.tx, f.tbl, cols[0], cols[1])
 			if err != nil {
@@ -491,15 +520,18 @@ func head(rows []uint64) []uint64 { return rows[:min(len(rows), 8)] }
 // TestKernelMatchesOracle runs the comparison over tables whose
 // partitions are empty, end just before, on and after a bitmap word, a
 // block and a morsel, on both backends, serial and parallel — the second
-// executor over blocks whose summaries the first one's scans left behind.
-// The churned shapes have dead versions in every block. The calm ones are
-// the four a visibility summary meets: blocks all settled; one dead row,
-// in the first block; the reader's own uncommitted deletes inside settled
-// blocks (reader "self", in each of them); and settled blocks of a delta,
-// behind a main that ends on a block boundary and behind one that does
-// not. Reader "old" sees only the first half of such a delta and reader
-// "early" only the first 1500 main rows: settled blocks read from below
-// their largest begin.
+// executor over blocks whose frozen records the first one's scans left
+// behind. The churned shapes have dead versions in every block. The calm
+// ones are the four a frozen record meets: blocks all settled; one dead
+// row, in the first block; the reader's own uncommitted deletes inside
+// settled blocks (reader "self", in each of them); and settled blocks of
+// a delta, behind a main that ends on a block boundary and behind one
+// that does not. Reader "old" sees only the first half of such a delta
+// and reader "early" only the first 1500 main rows: frozen blocks read
+// from below their maxStamp. Column t's keys tie in their first 8 bytes,
+// which the delta's order predicates settle on whole keys, and the
+// probes include the extreme Int64s and Float64's signed zeros and
+// infinities.
 func TestKernelMatchesOracle(t *testing.T) {
 	const b, m = exec.BlockRows, exec.MorselRows
 	shapes := []struct {
@@ -622,7 +654,7 @@ func TestKernelMatchesOracleUnderWrites(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			for i := 0; (i < 150 || commits.Load() < 50 || merges.Load() < 5) && !t.Failed(); i++ {
 				r := reader{name: "snapshot", tx: e.Begin()}
-				col := []int{dK, dS, dF}[rng.Intn(3)]
+				col := []int{dK, dS, dF, dT}[rng.Intn(4)]
 				vals := probes(col)
 				preds := []exec.Pred{{Col: col, Op: allOps[rng.Intn(len(allOps))], Val: vals[rng.Intn(len(vals))]}}
 				if i%3 == 0 {

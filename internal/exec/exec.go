@@ -15,22 +15,23 @@
 //
 // Inside a morsel the work is done a block of rows at a time (scan.go),
 // never a row at a time, and a block costs what it has to touch. Per
-// block, mvcc.Store yields a visibility bitmap — from the block's
-// summary, without reading a stamp, when the block is settled (every
-// begin a real commit ID the snapshot covers, every end Inf), and from
-// the begin/end stamps otherwise — from which the transaction's own
-// deletes are cleared. Every predicate is then ANDed into the bitmap: on
-// the main partition the sorted dictionary resolves it, once per query,
-// to one value-ID interval, and the column tests its bit planes against
-// that interval in place, 64 rows per word (pstruct.FilterBits), decoding
-// nothing;
-// on the delta the block's value IDs are loaded and each surviving row's
-// ID is looked up in a memo of one verdict per dictionary ID that the
-// workers of the scan share. The scan stops at the first predicate that
-// leaves the block empty. Count popcounts the bitmap, Select walks its
-// set bits, and GROUP BY and the hash join walk them over value-ID
-// blocks they decode in bulk (pstruct.UnpackBits), since they need the
-// IDs themselves.
+// block, mvcc.Store yields a visibility bitmap — copied from the block's
+// frozen record, without reading a stamp, when no insert in the block is
+// in flight and the snapshot covers every stamp in it, and from the
+// begin/end stamps otherwise — from which the transaction's own deletes
+// are cleared. Every predicate is then ANDed into the bitmap as one
+// interval test, 64 rows per word: on the main partition the sorted
+// dictionary resolves it, once per query, to one value-ID interval, and
+// the column tests its bit planes against that interval in place
+// (pstruct.FilterBits), decoding nothing; on the delta the block's value
+// IDs are loaded and tested without a branch, for equality against the
+// one ID the dictionary index holds for the key, for order on the IDs'
+// key words (a String row whose word ties with the key's compares its
+// whole key). The scan stops at the first predicate that leaves the
+// block empty. Count popcounts the bitmap, Select walks its set bits,
+// and GROUP BY and the hash join walk them over value-ID blocks they
+// decode in bulk (pstruct.UnpackBits), since they need the IDs
+// themselves.
 //
 // An Executor with Parallelism 1 runs every morsel inline on the
 // calling goroutine — exact serial execution — so "serial" is a

@@ -3,6 +3,8 @@ package exec_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"hyrisenv/internal/core"
@@ -337,5 +339,71 @@ func TestNewParallelismDefaults(t *testing.T) {
 	}
 	if got := exec.New(6).Parallelism(); got != 6 {
 		t.Fatalf("New(6) = %d workers", got)
+	}
+}
+
+// TestCountBytesFlatInDeltaDictionary: what one Count allocates does not
+// grow with the number of keys in the delta's dictionary. Equality binds
+// to one value ID and the order operators compare key words the column
+// builds once, at the first scan — nothing is made per dictionary ID per
+// query. Two deltas of the same rows, one with 64 distinct keys per column
+// and one with a key per row, are counted with every operator on an Int64
+// and a String column.
+func TestCountBytesFlatInDeltaDictionary(t *testing.T) {
+	const rows = 8192
+	perCount := func(distinct int) float64 {
+		e, err := core.Open(core.Config{Mode: txn.ModeNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		sch, _ := storage.NewSchema(
+			storage.ColumnDef{Name: "k", Type: storage.TypeInt64},
+			storage.ColumnDef{Name: "s", Type: storage.TypeString},
+		)
+		tbl, err := e.CreateTable("dict", sch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tx := e.Begin()
+		for i := 0; i < rows; i++ {
+			k := int64(i % distinct)
+			if _, err := tx.Insert(tbl, []storage.Value{storage.Int(k), storage.Str(fmt.Sprintf("key-%08d", k))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		var preds [][]exec.Pred
+		for _, op := range []exec.Op{exec.Eq, exec.Ne, exec.Lt, exec.Le, exec.Gt, exec.Ge} {
+			preds = append(preds,
+				[]exec.Pred{{Col: 0, Op: op, Val: storage.Int(int64(distinct / 2))}},
+				[]exec.Pred{{Col: 1, Op: op, Val: storage.Str(fmt.Sprintf("key-%08d", distinct/2))}})
+		}
+		ctx := context.Background()
+		reader := e.Begin()
+		defer reader.Abort()
+		count := func() {
+			for _, p := range preds {
+				if _, err := exec.Serial.Count(ctx, reader, tbl, p...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		count() // the first scan builds the key words
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			count()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs*len(preds))
+	}
+	small, large := perCount(64), perCount(rows)
+	t.Logf("bytes per Count: %.0f with 64 keys per column, %.0f with %d", small, large, rows)
+	if large > small+512 {
+		t.Fatalf("a Count allocates %.0f bytes over a delta of %d keys per column, %.0f over one of 64", large, rows, small)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 
 	"hyrisenv/internal/mvcc"
 	"hyrisenv/internal/storage"
@@ -36,30 +35,34 @@ type tableScan struct {
 	preds    []colPred
 }
 
-// colPred is a predicate bound to one column of the view. On the main
-// partition the sorted dictionary turns every operator into one value-ID
-// interval or its complement: ID id matches when id-lo < span, flipped
-// when neg — a test the column runs on its bit planes. The delta
-// dictionary is unsorted, so there the key is compared once per
-// dictionary ID and the verdict kept in deltaMemo, one entry per ID below
-// the dictionary length read after the row bound, which covers every ID a
-// scanned row can hold. The memo is shared by the scan's workers: an
-// entry goes from unknown to the one verdict every worker would reach.
+// colPred is a predicate bound to one column of the view, as the test
+// both partitions run 64 rows at a time: x-lo < span, flipped when neg.
+// On the main partition the sorted dictionary turns every operator into
+// one value-ID interval or its complement, and x is the value ID — a test
+// the column runs on its bit planes. The delta dictionary is unsorted.
+// There Eq and Ne take x to be the value ID and the interval to be the
+// one ID the dictionary index returns for the key, or none; the order
+// operators take x to be the value ID's word (storage.KeyWord, from the
+// column's KeyWords) and the interval to be the words below, or up to,
+// the key's. For Int64 and Float64 a word is the key. For String a row
+// whose word ties with the key's compares its whole key instead. The
+// delta half is bound after the row bound, so it covers every value ID a
+// scanned row can hold: the dictionary index and length both grow before
+// the attribute vector publishes a row that uses a new ID.
 type colPred struct {
-	main      storage.MainColumn
-	delta     storage.DeltaColumn
-	op        Op
-	key       []byte
-	lo, span  uint32
-	neg       bool
-	deltaMemo []atomic.Uint32 // memoUnknown, memoFails or memoMatches
-}
+	main     storage.MainColumn
+	delta    storage.DeltaColumn
+	op       Op
+	key      []byte
+	lo, span uint32 // the main partition's interval
+	neg      bool
 
-const (
-	memoUnknown = iota
-	memoFails
-	memoMatches
-)
+	dlo, dspan uint64 // the delta's interval
+	dneg       bool
+	words      []uint64 // x = words[value ID]; nil: x = value ID
+	ties       bool     // a row whose word is keyWord compares its whole key
+	keyWord    uint64
+}
 
 // newTableScan captures the view of tbl and binds preds to it.
 func newTableScan(tx *txn.Txn, tbl *storage.Table, preds []Pred) *tableScan {
@@ -77,7 +80,7 @@ func newTableScan(tx *txn.Txn, tbl *storage.Table, preds []Pred) *tableScan {
 	for i, p := range preds {
 		s.preds[i] = bindPred(v, p)
 		if s.rows > s.mainRows {
-			s.preds[i].deltaMemo = make([]atomic.Uint32, s.preds[i].delta.DictLen())
+			s.preds[i].bindDelta()
 		}
 	}
 	return s
@@ -107,6 +110,30 @@ func bindPred(v storage.View, p Pred) colPred {
 		b.span, b.neg = eq, true
 	}
 	return b
+}
+
+// bindDelta binds the predicate to the delta column; see colPred.
+func (p *colPred) bindDelta() {
+	switch p.op {
+	case Eq, Ne:
+		if id, ok := p.delta.LookupValueID(p.key); ok {
+			p.dlo, p.dspan = id, 1
+		}
+		p.dneg = p.op == Ne
+	case Lt, Le, Gt, Ge:
+		p.words = p.delta.KeyWords(p.delta.DictLen())
+		p.keyWord = storage.KeyWord(p.key)
+		p.ties = p.delta.Type() == storage.TypeString
+		// Lt and Ge test the words below the key's, Le and Gt the words
+		// up to it.
+		p.dspan, p.dneg = p.keyWord, p.op == Gt || p.op == Ge
+		if p.op == Le || p.op == Gt {
+			if p.dspan++; p.dspan == 0 { // the largest word: every word is up to it
+				p.dneg = !p.dneg
+			}
+		}
+	}
+	// Any other operator keeps the empty interval, which matches nothing.
 }
 
 // scanWorker is the scratch one worker filters the blocks of one
@@ -198,26 +225,51 @@ func allZero(bm []uint64) bool {
 	return or == 0
 }
 
-// filterDelta clears from bm the rows whose key fails the predicate,
-// comparing keys once per dictionary ID and only for rows still set.
+// filterDelta ANDs the predicate into bm for the delta rows whose value
+// IDs are ids: 64 interval tests without a branch for every word of bm
+// that still holds a row, then a whole-key comparison for each String
+// row left in it whose word ties with the key's.
 func (p *colPred) filterDelta(ids []uint64, bm []uint64) {
-	for w, word := range bm {
-		for ; word != 0; word &= word - 1 {
-			i := bits.TrailingZeros64(word)
-			id := ids[w*64+i]
-			memo := &p.deltaMemo[id]
-			verdict := memo.Load()
-			if verdict == memoUnknown {
-				verdict = memoFails
-				if p.op.matches(bytes.Compare(p.delta.DictKey(id), p.key)) {
-					verdict = memoMatches
-				}
-				memo.Store(verdict)
+	lo, span, kw := p.dlo, p.dspan, p.keyWord
+	var flip uint64
+	if p.dneg {
+		flip = ^uint64(0)
+	}
+	for w, live := range bm {
+		if live == 0 {
+			continue
+		}
+		blk := ids[w*64 : min(w*64+64, len(ids))]
+		var in, tie uint64
+		switch {
+		case p.words == nil:
+			for i, x := range blk {
+				_, b := bits.Sub64(x-lo, span, 0) // b = 1 when x-lo < span
+				in |= b << i
 			}
-			if verdict == memoFails {
-				bm[w] &^= 1 << i
+		case !p.ties:
+			for i, id := range blk {
+				_, b := bits.Sub64(p.words[id]-lo, span, 0)
+				in |= b << i
+			}
+		default:
+			for i, id := range blk {
+				x := p.words[id]
+				_, b := bits.Sub64(x-lo, span, 0)
+				_, t := bits.Sub64(x^kw, 1, 0) // t = 1 when x == kw
+				in |= b << i
+				tie |= t << i
 			}
 		}
+		keep := in ^ flip
+		for t := tie & live; t != 0; t &= t - 1 {
+			i := bits.TrailingZeros64(t)
+			keep &^= 1 << i
+			if p.op.matches(bytes.Compare(p.delta.DictKey(blk[i]), p.key)) {
+				keep |= 1 << i
+			}
+		}
+		bm[w] = live & keep
 	}
 }
 

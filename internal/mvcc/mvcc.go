@@ -16,15 +16,16 @@
 //
 // Visibility is asked in two shapes. Visible answers for one row: index
 // lookups, row fetches and the write path. VisibleBits answers for a
-// block of rows as a bitmap: every scan. A block in which nothing is in
-// flight and nothing has died — the normal state of a merged partition —
-// is 16 KiB of stamps that all say the same thing, so the store keeps,
-// per aligned block of SummaryRows rows, a volatile summary that says so
-// and lets VisibleBits answer without reading them. Scans learn the
-// summaries as a side effect of reading the stamps; SetEnd takes a
-// block's summary back; nothing is persisted and a restart starts with
-// none. The invariant and its memory-ordering argument are at
-// VisibleBits.
+// block of rows as a bitmap: every scan. A block in which no insert is in
+// flight — the normal state of a merged partition, dead versions and all
+// — is 16 KiB of stamps that say the same thing to every snapshot above
+// the largest of them, so the store keeps, per aligned block of
+// SummaryRows rows, a volatile record of that stamp and of which rows are
+// live, and VisibleBits answers such a snapshot from the record without
+// reading a stamp. Scans learn the records in a pass of their own; every
+// SetEnd makes its block's record stale; nothing is persisted and a
+// restart starts with none. The invariant and its memory-ordering
+// argument are at VisibleBits.
 package mvcc
 
 import (
@@ -187,15 +188,16 @@ func (s *Store) ReleaseRow(row, owner uint64) {
 //nvm:nopersist commit flushes a group's stamps via FlushBegin/FlushEnd under one fence; recovery persists via PersistBegin/PersistEnd
 func (s *Store) SetBegin(row, cid uint64) { s.begin.SetNoPersist(row, cid) }
 
-// SetEnd stamps the end CID of row without persisting, and then takes
-// back whatever a scan had learned about the row's block (see
-// VisibleBits): the caller publishes cid as a snapshot only afterwards.
+// SetEnd stamps the end CID of row without persisting, and then advances
+// the version of the row's block, which makes whatever a scan had learned
+// about the block stale (see VisibleBits): the caller publishes cid as a
+// snapshot only afterwards.
 //
 //nvm:nopersist commit flushes a group's stamps via FlushBegin/FlushEnd under one fence; recovery persists via PersistBegin/PersistEnd
 func (s *Store) SetEnd(row, cid uint64) {
 	s.end.SetNoPersist(row, cid)
 	if sum := s.sum.at(row/SummaryRows, false); sum != nil {
-		sum.unsettle()
+		sum.version.Add(1)
 	}
 }
 
@@ -236,56 +238,63 @@ func (s *Store) Visible(row, snapCID, selfTID uint64) bool {
 //
 // A range that is one whole summary block — SummaryRows rows starting at
 // a multiple of SummaryRows, which is how the scan kernel asks — need not
-// read a stamp at all. The block's summary says "settled" when a scan
-// has seen every begin in it a real CID and every end Inf, and keeps the
-// largest of those begins; a settled block with maxBegin <= snapCID is
-// visible whole. Summaries are volatile, allocated at a scan's first
-// look and learned by the scans themselves: nothing is persisted, and
-// nothing is built when a store is opened.
+// read a stamp at all. A block is frozen when none of its begins is Inf:
+// no insert in it is in flight, so only an end can still change. For a
+// frozen block a scan learns a record: the largest of its begins and of
+// its finite ends (maxStamp), and a bitmap of the rows whose end is Inf.
+// To a snapshot at or above maxStamp every row is visible exactly when
+// its end is Inf, so VisibleBits copies that bitmap; a block whose every
+// row is live is simply the case of a bitmap of ones. A snapshot below
+// maxStamp, a block that is not frozen and a partition's ragged last
+// block are answered from the stamps. Records are volatile, learned in a
+// pass of their own by a scan that found the block frozen and no record
+// for its current version: nothing is persisted, and nothing is built
+// when a store is opened.
 //
-// Why a reader may trust the bit. All summary accesses are atomic, so
-// they are totally ordered with the atomic accesses around them.
+// Why a reader may trust a record. All summary accesses are atomic, so
+// they are totally ordered with the atomic accesses around them. A record
+// is immutable, carries the block version its stamps were read at, and is
+// published by one pointer swap; a reader loads the version, then the
+// record, and takes the record only when the two versions agree.
 //
-//   - Begins. A settled block has no begin = Inf, and a begin that is a
-//     real CID is never stamped again, so maxBegin is a constant of the
-//     block from the first time anyone computes it: whichever scan's
-//     store a reader observes, the value is the same.
-//   - Ends. SetEnd stores the end stamp, then advances the summary's
-//     version, which clears the bit; only then does the commit publish
-//     its CID as a snapshot (txn's lastCID, the shared clock's
-//     watermark). A reader that still finds the bit set therefore took
-//     its snapshot below that CID, and sees the row either way; a reader
-//     whose snapshot covers the CID loaded it after the version moved,
-//     and finds the bit clear.
-//   - Publishing. A scan reads the summary's state before the block's
-//     stamps and sets the bit with a compare-and-swap on that state. A
-//     SetEnd whose store the scan missed moved the version after the
-//     scan read it, and the swap fails; a SetEnd that moved the version
-//     before the scan read it had already stored its stamp, and the scan
-//     saw an unsettled block. An undone stamp (end back to Inf, as
-//     recovery writes it) moves the version once more, and the next scan
-//     learns the block again.
+//   - Begins. A frozen block has no begin = Inf, and a begin that is a
+//     real CID is never stamped again, so every begin the record covers
+//     is a constant of the block.
+//   - Ends. SetEnd stores the end stamp, then advances the block's
+//     version; only then does the commit publish its CID as a snapshot
+//     (txn's lastCID, the shared clock's watermark). A reader whose
+//     snapshot covers the CID loaded the version after it moved, so a
+//     record it takes was read at that version or later — from stamps
+//     loaded after the store. A reader that takes a record from before
+//     the store took its snapshot below the CID: it sees the row either
+//     way, and should the learner have seen the new stamp after all,
+//     maxStamp is at least the CID and the record is not used.
+//   - Publishing. A scan reads the version before the block's stamps and
+//     publishes its record with a compare-and-swap on the record it
+//     found before reading them, never over one learned at its version
+//     or a later one; a record that loses to a later SetEnd is merely
+//     stale and is learned again. An undone stamp (end back to Inf, as
+//     recovery writes it) advances the version like any other.
 //
 // The transaction's own uncommitted deletes are not MVCC state; callers
-// clear them from the bitmap afterwards, settled block or not.
+// clear them from the bitmap afterwards, whatever answered the block.
 func (s *Store) VisibleBits(lo, hi, snapCID, selfTID uint64, bm []uint64) {
 	var sum *blockSummary
 	var seen uint64
 	if lo%SummaryRows == 0 && hi-lo == SummaryRows {
 		if sum = s.sum.at(lo/SummaryRows, true); sum != nil {
-			seen = sum.state.Load()
-			if seen&settledBit != 0 && sum.maxBegin.Load() <= snapCID {
-				for i := range bm[:SummaryRows/64] {
-					bm[i] = ^uint64(0)
+			seen = sum.version.Load()
+			if rec := sum.rec.Load(); rec != nil && rec.version == seen {
+				if rec.maxStamp <= snapCID {
+					copy(bm, rec.live[:])
+					return
 				}
-				return
+				sum = nil // learned at this version: nothing left to learn
 			}
 		}
 	}
 	clear(bm[:(hi-lo+63)/64])
-	// ends is the AND of every end stamp the loop looks at: Inf (all
-	// ones) to the last only if each of them is. A begin of Inf zeroes it.
-	ends := Inf
+	pending := false // a begin of Inf: an insert in flight
 	for row, bit := lo, uint64(0); row < hi; {
 		begin := s.begin.Span(row, hi)
 		end := s.end.Span(row, row+uint64(len(begin)))
@@ -298,13 +307,12 @@ func (s *Store) VisibleBits(lo, hi, snapCID, selfTID uint64, bm []uint64) {
 			for i := range begin[:n] {
 				b := atomic.LoadUint64(&begin[i])
 				if b == Inf {
-					ends = 0
+					pending = true
 					if selfTID != 0 && s.TID(row+uint64(i)) == selfTID {
 						word |= 1 << i
 					}
 				} else if b <= snapCID {
 					e := atomic.LoadUint64(&end[i])
-					ends &= e
 					if e == Inf || e > snapCID {
 						word |= 1 << i
 					}
@@ -315,58 +323,59 @@ func (s *Store) VisibleBits(lo, hi, snapCID, selfTID uint64, bm []uint64) {
 			row, bit = row+uint64(n), bit+uint64(n)
 		}
 	}
-	// Settled: every row visible, none as an uncommitted insert, and every
-	// end looked at — every row's, then — Inf.
-	if sum != nil && seen&settledBit == 0 && ends == Inf && allOnes(bm[:SummaryRows/64]) {
-		sum.maxBegin.Store(s.maxBegin(lo, hi))
-		sum.state.CompareAndSwap(seen, seen|settledBit)
+	if sum != nil && !pending {
+		s.learn(sum, seen, lo)
 	}
 }
 
-func allOnes(bm []uint64) bool {
-	and := ^uint64(0)
-	for _, w := range bm {
-		and &= w
+// learn reads every stamp of the whole block from lo and, if the block
+// is frozen, publishes its record for version seen — unless a record
+// learned at that version or a later one is there already.
+func (s *Store) learn(sum *blockSummary, seen, lo uint64) {
+	old := sum.rec.Load()
+	if old != nil && old.version >= seen {
+		return
 	}
-	return and == ^uint64(0)
-}
-
-// maxBegin returns the largest begin stamp of rows [lo, hi).
-func (s *Store) maxBegin(lo, hi uint64) uint64 {
-	var m uint64
-	for lo < hi {
-		run := s.begin.Span(lo, hi)
-		for i := range run {
-			m = max(m, atomic.LoadUint64(&run[i]))
+	rec := &frozen{version: seen}
+	for row, hi := lo, lo+SummaryRows; row < hi; {
+		begin := s.begin.Span(row, hi)
+		end := s.end.Span(row, row+uint64(len(begin)))
+		begin = begin[:len(end)]
+		for i := range begin {
+			b := atomic.LoadUint64(&begin[i])
+			if b == Inf {
+				return
+			}
+			rec.maxStamp = max(rec.maxStamp, b)
+			if e := atomic.LoadUint64(&end[i]); e == Inf {
+				bit := row - lo + uint64(i)
+				rec.live[bit/64] |= 1 << (bit % 64)
+			} else {
+				rec.maxStamp = max(rec.maxStamp, e)
+			}
 		}
-		lo += uint64(len(run))
+		row += uint64(len(begin))
 	}
-	return m
+	sum.rec.CompareAndSwap(old, rec)
 }
 
 // SummaryRows is the number of rows one visibility summary covers: the
 // scan kernel's block.
 const SummaryRows = 1024
 
-// settledBit is the low bit of blockSummary.state; the bits above it are
-// a version that every SetEnd in the block advances.
-const settledBit = 1
-
-// blockSummary is what scans have learned about one aligned block of
-// SummaryRows rows. See VisibleBits for the protocol.
-type blockSummary struct {
-	state    atomic.Uint64
-	maxBegin atomic.Uint64 // meaningful while state has settledBit
+// frozen is what a scan learned about one frozen block (see VisibleBits).
+// It is never written after it is published.
+type frozen struct {
+	version  uint64                   // of the block, loaded before its stamps were read
+	maxStamp uint64                   // the largest begin and the largest finite end
+	live     [SummaryRows / 64]uint64 // bit i: the end of row i of the block is Inf
 }
 
-// unsettle advances the version and clears the settled bit.
-func (b *blockSummary) unsettle() {
-	for {
-		st := b.state.Load()
-		if b.state.CompareAndSwap(st, st&^settledBit+2) {
-			return
-		}
-	}
+// blockSummary is what scans have learned about one aligned block of
+// SummaryRows rows.
+type blockSummary struct {
+	version atomic.Uint64 // advanced by every SetEnd in the block
+	rec     atomic.Pointer[frozen]
 }
 
 // summaries holds a store's block summaries in segments that double in

@@ -271,11 +271,17 @@ func TestNewStoreOwnsNothing(t *testing.T) {
 	}
 }
 
-// settled reports whether the summary of block says so; a block no scan
-// has looked at has none.
-func (s *Store) settled(block uint64) bool {
+// learned returns the record of block that is current — learned at the
+// block's present version — or nil; a block no scan has looked at has none.
+func (s *Store) learned(block uint64) *frozen {
 	sum := s.sum.at(block, false)
-	return sum != nil && sum.state.Load()&settledBit != 0
+	if sum == nil {
+		return nil
+	}
+	if rec := sum.rec.Load(); rec != nil && rec.version == sum.version.Load() {
+		return rec
+	}
+	return nil
 }
 
 // checkBitsMatchVisible compares VisibleBits with the per-row check over
@@ -307,62 +313,78 @@ func checkBitsMatchVisible(t *testing.T, s *Store, maxSnap uint64) {
 	}
 }
 
-// TestVisibleBitsSummaries walks blocks through every state a summary
-// can be in — settled, never settled for a dead row, invalidated after a
-// scan learned it, settled again once the stamp is undone, settled late
-// when an insert commits — and holds VisibleBits to Visible at each step,
-// twice: the pass that learns and the pass that uses what was learned.
-// Snapshots run from 0, so every block is also read from below its
-// largest begin, where a settled block must not be taken whole.
+// TestVisibleBitsSummaries walks blocks through every state a record can
+// be in — learned for a block of live rows and for a block with a dead
+// row, stale after a SetEnd into a learned block, learned again once the
+// stamp is undone, never learned while an insert is in flight and learned
+// once it commits — and holds VisibleBits to Visible at each step, twice:
+// the pass that learns and the pass that uses what was learned. Snapshots
+// run from 0, so every learned block is also read from below its
+// maxStamp, where the stamps answer; and each record is held to the
+// stamps it summarises.
 func TestVisibleBitsSummaries(t *testing.T) {
 	const blocks = 4
 	s := volatileStore()
-	for r := uint64(0); r < blocks*SummaryRows+100; r++ { // a ragged tail no summary covers
+	for r := uint64(0); r < blocks*SummaryRows+100; r++ { // a ragged tail no record covers
 		if _, err := s.AppendRow(0); err != nil {
 			t.Fatal(err)
 		}
 		s.SetBegin(r, 1+r%9)
 	}
 	const (
-		deadRow     = 1*SummaryRows + 17 // block 1: dead before any scan
-		pendingRow  = 2*SummaryRows + 500
-		stampedRow  = 3*SummaryRows + 1023
-		lastCID     = 13
-		wantSettled = "block %d settled = %v, want %v"
+		deadRow    = 1*SummaryRows + 17 // block 1: dead before any scan, above every begin
+		pendingRow = 2*SummaryRows + 500
+		stampedRow = 3*SummaryRows + 1023
+		lastCID    = 13
 	)
-	s.SetEnd(deadRow, 5)
+	s.SetEnd(deadRow, 11)
 	s.SetBegin(pendingRow, Inf) // block 2: an uncommitted insert of transaction 7
 	s.ClaimRow(pendingRow, 7)
-	expect := func(step string, want [blocks]bool) {
+	// expect checks the records against want, the maxStamp of each block
+	// (0: no current record).
+	expect := func(step string, want [blocks]uint64) {
 		t.Helper()
 		checkBitsMatchVisible(t, s, lastCID+1) // learns
 		checkBitsMatchVisible(t, s, lastCID+1) // uses
 		for b, w := range want {
-			if got := s.settled(uint64(b)); got != w {
-				t.Fatalf("%s: "+wantSettled, step, b, got, w)
+			rec := s.learned(uint64(b))
+			if rec == nil || w == 0 {
+				if (rec == nil) != (w == 0) {
+					t.Fatalf("%s: block %d has record %v, want maxStamp %d", step, b, rec, w)
+				}
+				continue
+			}
+			if rec.maxStamp != w {
+				t.Fatalf("%s: block %d maxStamp = %d, want %d", step, b, rec.maxStamp, w)
+			}
+			for i := uint64(0); i < SummaryRows; i++ {
+				if live := rec.live[i/64]>>(i%64)&1 == 1; live != (s.End(uint64(b)*SummaryRows+i) == Inf) {
+					t.Fatalf("%s: block %d row %d live = %v, end %d", step, b, i, live, s.End(uint64(b)*SummaryRows+i))
+				}
 			}
 		}
-		if s.settled(blocks) {
-			t.Fatalf("%s: the ragged tail has a settled summary", step)
+		if s.learned(blocks) != nil {
+			t.Fatalf("%s: the ragged tail has a record", step)
 		}
 	}
-	expect("fresh", [blocks]bool{true, false, false, true})
+	expect("fresh", [blocks]uint64{9, 11, 0, 9})
 
 	s.SetEnd(stampedRow, 12)
-	if s.settled(3) {
-		t.Fatal("SetEnd left the block settled")
+	if s.learned(3) != nil {
+		t.Fatal("SetEnd into a learned block left its record current")
 	}
-	expect("invalidated", [blocks]bool{true, false, false, false})
+	var bm [SummaryRows / 64]uint64
+	if s.VisibleBits(3*SummaryRows, 4*SummaryRows, 12, 0, bm[:]); bm[15]>>63 != 0 {
+		t.Fatal("a snapshot at the new end still sees the row")
+	}
+	expect("invalidated", [blocks]uint64{9, 11, 0, 12})
 
 	s.SetEnd(stampedRow, Inf) // recovery undoing an in-flight commit
-	expect("undone", [blocks]bool{true, false, false, true})
+	expect("undone", [blocks]uint64{9, 11, 0, 9})
 
 	s.SetBegin(pendingRow, lastCID) // the insert commits
 	s.ReleaseRow(pendingRow, 7)
-	expect("committed", [blocks]bool{true, false, true, true})
-	if got := s.sum.at(2, false).maxBegin.Load(); got != lastCID {
-		t.Fatalf("block 2 maxBegin = %d, want %d", got, lastCID)
-	}
+	expect("committed", [blocks]uint64{9, 11, lastCID, 9})
 }
 
 // TestNewStoreHasNoSummaries: summaries are volatile and learned, so a
@@ -388,8 +410,8 @@ func TestNewStoreHasNoSummaries(t *testing.T) {
 	for lo := uint64(0); lo < s.Rows(); lo += SummaryRows {
 		s.VisibleBits(lo, lo+SummaryRows, 5, 0, bm[:])
 	}
-	if !s.settled(0) || !s.settled(63) {
-		t.Fatal("a scan of settled blocks learned nothing")
+	if s.learned(0) == nil || s.learned(63) == nil {
+		t.Fatal("a scan of frozen blocks learned nothing")
 	}
 	s = NewStore(begin, end) // the restart
 	for k := range s.sum.seg {
@@ -397,7 +419,7 @@ func TestNewStoreHasNoSummaries(t *testing.T) {
 			t.Fatalf("summary segment %d exists in a new store", k)
 		}
 	}
-	s.SetEnd(5, 4) // no summary to take back, and none made
+	s.SetEnd(5, 4) // no record to make stale, and no summary made
 	if s.sum.seg[0].Load() != nil {
 		t.Fatal("SetEnd allocated a summary segment")
 	}
@@ -425,10 +447,10 @@ func (v *stampHookVec) SetNoPersist(i, x uint64) {
 
 // TestSetEndStampsBeforeItUnsettles pins the order inside SetEnd that
 // the stress test is too coarse to hit: the stamp is stored before the
-// summary's version moves. A scan that runs in between the two — here,
-// from a hook on the store — must not be able to leave the block settled
-// over the stamp: were the version moved first, the scan would publish
-// against the new version with the old stamps in hand.
+// block's version moves. A scan that runs in between the two — here,
+// from a hook on the store — must not be able to leave a current record
+// over the stamp: were the version moved first, the scan would learn at
+// the new version with the old stamps in hand.
 func TestSetEndStampsBeforeItUnsettles(t *testing.T) {
 	end := &stampHookVec{Volatile: vec.NewVolatile(10)}
 	s := NewStore(vec.NewVolatile(10), end)
@@ -438,27 +460,36 @@ func TestSetEndStampsBeforeItUnsettles(t *testing.T) {
 	var bm [SummaryRows / 64]uint64
 	scan := func() { s.VisibleBits(0, SummaryRows, 5, 0, bm[:]) }
 	scan()
-	if !s.settled(0) {
-		t.Fatal("a scan of a settled block learned nothing")
+	if s.learned(0) == nil {
+		t.Fatal("a scan of a frozen block learned nothing")
 	}
-	end.beforeSet = scan
+	end.beforeSet = func() {
+		s.sum.at(0, false).rec.Store(nil) // so that the scan learns
+		scan()
+	}
 	s.SetEnd(17, 3)
-	if s.settled(0) {
-		t.Fatal("a scan inside SetEnd left the block settled over the new stamp")
+	if rec := s.learned(0); rec != nil {
+		t.Fatalf("a scan inside SetEnd left a current record over the new stamp (maxStamp %d, row 17 live %v)", rec.maxStamp, rec.live[0]>>17&1 == 1)
 	}
 	if scan(); bm[0]>>17&1 != 0 {
 		t.Fatal("the invalidated row is visible to a snapshot above its end")
 	}
+	if rec := s.learned(0); rec == nil || rec.maxStamp != 3 || rec.live[0]>>17&1 != 0 {
+		t.Fatalf("the scan after SetEnd learned %+v, want maxStamp 3 and row 17 dead", rec)
+	}
 }
 
 // TestSummariesUnderCommits races scanners against a committer. Commit
-// k appends rows, so that new blocks keep filling up and being learned,
-// and invalidates a row in one of the last few full blocks, so that
-// blocks the scans have just learned keep being taken back; it stamps
-// all of that and only then publishes k as the snapshot, as txn does.
-// Which rows a snapshot sees is a function of the snapshot alone, so
-// every scan — of the last few blocks, where the commits land — is
-// checked, at its own snapshot, against that function.
+// k appends rows, so that new blocks keep filling up and being learned;
+// invalidates a row in one of the last few full blocks, so that records
+// the scans have just learned keep going stale; and invalidates a row in
+// one of the two oldest blocks, which hold more dead rows with every
+// commit. It stamps all of that and only then publishes k as the
+// snapshot, as txn does. Which rows a snapshot sees is a function of the
+// snapshot alone, so every scan — of the blocks the commits land in — is
+// checked, at its own snapshot, against that function. Half the scans
+// read an older snapshot than the last, and so from below the maxStamp
+// of the blocks the latest commits hit.
 func TestSummariesUnderCommits(t *testing.T) {
 	const (
 		initial   = 8 * SummaryRows // committed at CID 1
@@ -466,22 +497,25 @@ func TestSummariesUnderCommits(t *testing.T) {
 		commits   = 800
 		firstCID  = 2
 		window    = 6 // full blocks back from the end that commits hit and scans read
+		old       = 2 // blocks from the start that commits hit and scans read
 		writerTID = 99
 		scanners  = 3
 	)
-	// The plan: the row commit k invalidates, and so the CID at which
-	// each row dies (0: never). Commit k picks its block among the last
+	// The plan: the rows commit k invalidates, and so the CID at which
+	// each row dies (0: never). Commit k picks one block among the last
 	// `window` full ones, and row k mod SummaryRows in it, which no other
-	// commit to that block picks.
-	victims := make([]uint64, firstCID+commits)
+	// commit to that block picks; and row k/old of old block k mod old.
+	victims := make([][2]uint64, firstCID+commits)
 	death := make([]uint64, initial+commits*perCommit)
 	for k := uint64(firstCID); k < firstCID+commits; k++ {
 		full := (initial + (k-firstCID)*perCommit) / SummaryRows
-		victims[k] = (full-1-k%window)*SummaryRows + k%SummaryRows
-		if death[victims[k]] != 0 {
-			t.Fatal("the plan invalidates a row twice")
+		victims[k] = [2]uint64{(full-1-k%window)*SummaryRows + k%SummaryRows, k%old*SummaryRows + k/old}
+		for _, v := range victims[k] {
+			if death[v] != 0 {
+				t.Fatal("the plan invalidates a row twice")
+			}
+			death[v] = k
 		}
-		death[victims[k]] = k
 	}
 	visibleAt := func(row, snap uint64) bool {
 		born := uint64(1)
@@ -504,29 +538,42 @@ func TestSummariesUnderCommits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var bm [SummaryRows / 64]uint64
-			for {
+			scan := func(lo, hi, snap uint64) bool {
+				s.VisibleBits(lo, hi, snap, 0, bm[:])
+				for row := lo; row < hi; row++ {
+					if got, want := bm[(row-lo)/64]>>((row-lo)%64)&1 == 1, visibleAt(row, snap); got != want {
+						t.Errorf("snapshot %d: row %d bit %v, want %v (block has a current record: %v)", snap, row, got, want, s.learned(lo/SummaryRows) != nil)
+						return false
+					}
+				}
+				return true
+			}
+			for pass := uint64(0); ; pass++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
 				snap := lastCID.Load()
+				if pass%2 == 1 {
+					snap -= min(snap, pass%5)
+				}
 				rows := s.Rows() // after the snapshot, as a scan binds them
+				for lo := uint64(0); lo < old*SummaryRows; lo += SummaryRows {
+					if !scan(lo, lo+SummaryRows, snap) {
+						return
+					}
+				}
 				for lo := (rows/SummaryRows - window) * SummaryRows; lo < rows; lo += SummaryRows {
-					hi := min(lo+SummaryRows, rows)
-					s.VisibleBits(lo, hi, snap, 0, bm[:])
-					for row := lo; row < hi; row++ {
-						if got, want := bm[(row-lo)/64]>>((row-lo)%64)&1 == 1, visibleAt(row, snap); got != want {
-							t.Errorf("snapshot %d: row %d bit %v, want %v (block settled: %v)", snap, row, got, want, s.settled(lo/SummaryRows))
-							return
-						}
+					if !scan(lo, min(lo+SummaryRows, rows), snap) {
+						return
 					}
 				}
 				passes.Add(1)
 			}
 		}()
 	}
-	takenBack := 0 // commits that hit a block a scan had learned
+	madeStale := 0 // invalidations that hit a block with a current record
 	for k := uint64(firstCID); k < firstCID+commits && !t.Failed(); k++ {
 		var inserted [perCommit]uint64
 		for i := range inserted {
@@ -541,10 +588,12 @@ func TestSummariesUnderCommits(t *testing.T) {
 			s.SetBegin(row, k)
 			s.ReleaseRow(row, writerTID)
 		}
-		if s.settled(victims[k] / SummaryRows) {
-			takenBack++
+		for _, v := range victims[k] {
+			if s.learned(v/SummaryRows) != nil {
+				madeStale++
+			}
+			s.SetEnd(v, k)
 		}
-		s.SetEnd(victims[k], k)
 		lastCID.Store(k)
 		if k%16 == 0 { // the scanners keep up
 			for target := passes.Load() + 1; passes.Load() < target && !t.Failed(); {
@@ -554,21 +603,25 @@ func TestSummariesUnderCommits(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	t.Logf("%d scans; %d of %d commits hit a block a scan had learned", passes.Load(), takenBack, commits)
+	t.Logf("%d scans; %d of %d invalidations hit a block with a current record", passes.Load(), madeStale, 2*commits)
 }
 
 // BenchmarkVisibleBits scans a merged partition's stamps a block at a
 // time. settled: every row committed and none invalidated, so after the
-// first pass every block is answered from its summary. unsettled: one row
-// in 50 invalidated, some of those after the snapshot, so every block
-// takes the stamp loop — the cost before summaries, and still the cost of
-// a block with a dead version in it.
+// first pass every block is answered from its record, all ones. dead: one
+// row in 50 invalidated, all before the snapshot, so after the first pass
+// every block is answered from its record too. unsettled: the same dead
+// rows, some of them invalidated after the snapshot, which is below the
+// records' maxStamp, so every block takes the stamp loop — the cost before
+// records, and still the cost of a snapshot older than a block's last
+// stamp.
 func BenchmarkVisibleBits(b *testing.B) {
 	const rows = 1 << 18
 	for _, shape := range []struct {
 		name  string
-		every uint64 // one row in `every` is invalidated; 0: none
-	}{{"settled", 0}, {"unsettled", 50}} {
+		every uint64 // one row in `every` is invalidated, at CID 4, 5 or 6; 0: none
+		snap  uint64
+	}{{"settled", 0, 5}, {"dead", 50, 7}, {"unsettled", 50, 5}} {
 		b.Run(shape.name, func(b *testing.B) {
 			s := volatileStore()
 			if err := s.AppendCommittedRows(rows, 3); err != nil {
@@ -582,7 +635,7 @@ func BenchmarkVisibleBits(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for lo := uint64(0); lo < rows; lo += SummaryRows {
-					s.VisibleBits(lo, lo+SummaryRows, 5, 7, bits[:])
+					s.VisibleBits(lo, lo+SummaryRows, shape.snap, 7, bits[:])
 					sink += bits[3]
 				}
 			}

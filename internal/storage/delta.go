@@ -14,7 +14,11 @@ import (
 // attribute vector of value IDs over an unsorted, append-only dictionary.
 // New values get the next dictionary ID; the dictionary is indexed for
 // value→ID lookups (a hash map on the DRAM backend, a persistent skip
-// list on NVM so it is valid immediately after restart).
+// list on NVM so it is valid immediately after restart). A scan resolves
+// an equality to the one value ID the index returns, and compares ranges
+// on KeyWords, a volatile word per dictionary ID that it builds on
+// demand, so that it reads a key only for a String row whose word ties
+// with the bound's.
 type DeltaColumn interface {
 	Type() ColType
 	// Rows returns the number of appended attribute-vector entries.
@@ -32,6 +36,12 @@ type DeltaColumn interface {
 	DictLen() uint64
 	// DictKey returns the order-preserving encoded key of dictionary id.
 	DictKey(id uint64) []byte
+	// KeyWords returns KeyWord(DictKey(id)) for every id below n, which
+	// must not exceed DictLen, indexed by id: what a scan compares
+	// instead of the keys. The words are a volatile cache of the column,
+	// built by the first readers that ask, never at attach, and never
+	// persisted. The slice is shared and must not be written.
+	KeyWords(n uint64) []uint64
 	// DictValue decodes dictionary id.
 	DictValue(id uint64) Value
 	// LookupValueID finds the ID of an encoded key, if present.
@@ -59,7 +69,8 @@ type VolatileDelta struct {
 	mu      sync.RWMutex // guards dictIdx and orders the writers of dictKeys
 	dictIdx map[string]uint64
 
-	av *vec.Volatile
+	av    *vec.Volatile
+	words keyWords
 }
 
 // NewVolatileDelta returns an empty DRAM delta column.
@@ -122,6 +133,9 @@ func (d *VolatileDelta) DictLen() uint64 { return uint64(len(*d.dictKeys.Load())
 // DictKey implements DeltaColumn.
 func (d *VolatileDelta) DictKey(id uint64) []byte { return (*d.dictKeys.Load())[id] }
 
+// KeyWords implements DeltaColumn.
+func (d *VolatileDelta) KeyWords(n uint64) []uint64 { return d.words.get(n, d.DictKey) }
+
 // DictValue implements DeltaColumn.
 func (d *VolatileDelta) DictValue(id uint64) Value { return DecodeValue(d.typ, d.DictKey(id)) }
 
@@ -138,6 +152,40 @@ func (d *VolatileDelta) ScanIDs(fn func(row, id uint64) bool) { d.av.Scan(fn) }
 
 // Truncate implements DeltaColumn.
 func (d *VolatileDelta) Truncate(n uint64) { d.av.Truncate(n) }
+
+// keyWords is a delta column's cache of KeyWords, extended by the
+// readers that ask for more of it under mu and published, like
+// VolatileDelta.dictKeys, through an atomic pointer: a dictionary ID's
+// key never changes once the ID is handed out, so neither does its word,
+// and whatever slice a reader loads holds every ID below the length it
+// asked for.
+type keyWords struct {
+	mu    sync.Mutex
+	words atomic.Pointer[[]uint64]
+}
+
+// get returns the words of the IDs below n, computing the missing ones
+// from key.
+func (c *keyWords) get(n uint64, key func(id uint64) []byte) []uint64 {
+	if w := c.words.Load(); w != nil && uint64(len(*w)) >= n {
+		return (*w)[:n]
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var w []uint64
+	if p := c.words.Load(); p != nil {
+		w = *p
+	}
+	if uint64(len(w)) < n {
+		// As in dictID, the append may write into spare capacity beyond
+		// the length of every slice a reader holds.
+		for id := uint64(len(w)); id < n; id++ {
+			w = append(w, KeyWord(key(id)))
+		}
+		c.words.Store(&w)
+	}
+	return w[:n]
+}
 
 // --- NVM backend -------------------------------------------------------------
 
@@ -170,6 +218,8 @@ type NVMDelta struct {
 	dictVec *pstruct.Vector
 	idx     *pstruct.SkipList
 	av      *pstruct.Vector
+
+	words keyWords // volatile, learned by scans
 }
 
 // NewNVMDelta allocates an empty persistent delta column.
@@ -346,6 +396,9 @@ func (d *NVMDelta) DictLen() uint64 { return d.dictVec.Len() }
 func (d *NVMDelta) DictKey(id uint64) []byte {
 	return pstruct.ReadBlob(d.h, nvm.PPtr(d.dictVec.Get(id)))
 }
+
+// KeyWords implements DeltaColumn.
+func (d *NVMDelta) KeyWords(n uint64) []uint64 { return d.words.get(n, d.DictKey) }
 
 // DictValue implements DeltaColumn.
 func (d *NVMDelta) DictValue(id uint64) Value {

@@ -373,11 +373,11 @@ func TestMVCCForAddressing(t *testing.T) {
 var _ = nvm.PPtr(0) // keep import when tests are pruned
 
 // TestOpenNVMTableAfterScansLearned: what scans learn about a table's
-// blocks (mvcc's visibility summaries) lives in DRAM. A restart opens the
+// blocks (mvcc's frozen-block records) lives in DRAM. A restart opens the
 // table without it — for the same number of allocations whatever the row
 // count, give or take the vectors' doubling segments — and the first scan
-// afterwards reads the stamps, including one persisted into a block that
-// had been learned settled before the restart.
+// afterwards reads the stamps, including one persisted into a block whose
+// record the scans had learned before the restart.
 func TestOpenNVMTableAfterScansLearned(t *testing.T) {
 	const block = mvcc.SummaryRows
 	var bm [block / 64]uint64
@@ -415,7 +415,7 @@ func TestOpenNVMTableAfterScansLearned(t *testing.T) {
 				t.Fatalf("%d rows: pass %d sees %d", rows, pass, got)
 			}
 		}
-		tbl.StampEnd(block+5, 4) // into a block the scans had learned settled
+		tbl.StampEnd(block+5, 4) // into a block whose record the scans had learned
 		if got := visible(tbl, 4); got != rows-1 {
 			t.Fatalf("%d rows: %d visible after an invalidation, want %d", rows, got, rows-1)
 		}
