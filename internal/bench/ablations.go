@@ -21,11 +21,11 @@ import (
 // architecture (DESIGN.md "ablation benches").
 
 // A1GroupKeyIndex compares indexed point lookups against full scans —
-// the case for maintaining group-key + delta indexes at all.
+// the case for maintaining group-key indexes and delta postings at all.
 func A1GroupKeyIndex(workDir string, rows int) (*Report, error) {
 	r := &Report{
 		ID:      "A1",
-		Title:   "ablation: group-key/delta index vs full scan (point lookup)",
+		Title:   "ablation: group-key index + delta postings vs full scan (point lookup)",
 		Headers: []string{"rows", "indexed lookup", "scan lookup", "speedup"},
 	}
 	for _, n := range []int{rows / 10, rows} {

@@ -11,7 +11,6 @@ import (
 	"hyrisenv/internal/core"
 	"hyrisenv/internal/disk"
 	"hyrisenv/internal/exec"
-	"hyrisenv/internal/index"
 	"hyrisenv/internal/mvcc"
 	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/pstruct"
@@ -280,8 +279,9 @@ func E3LatencySweep(workDir string, s Scale) (*Report, error) {
 
 // E4InsertBreakdown times the components of a single-row insert on both
 // backends: column append (dictionary + attribute vector), MVCC append,
-// delta-index insert, and the full transaction including the commit
-// protocol.
+// index insert — what an indexed column's append costs over an
+// unindexed one's, the posting of the row under its value ID — and the
+// full transaction including the commit protocol.
 func E4InsertBreakdown(workDir string, iters int) (*Report, error) {
 	r := &Report{
 		ID:      "E4",
@@ -302,38 +302,33 @@ func E4InsertBreakdown(workDir string, iters int) (*Report, error) {
 	}()
 
 	for _, backend := range []string{"dram", "nvm"} {
-		var dc storage.DeltaColumn
+		var plain, indexed storage.DeltaColumn
 		var st *mvcc.Store
-		var di interface {
-			Insert([]byte, uint64) error
-		}
 		if backend == "nvm" {
-			dc, err = storage.NewNVMDelta(h, storage.TypeInt64)
-			if err != nil {
+			if plain, err = storage.NewNVMDelta(h, storage.TypeInt64, false); err != nil {
+				return nil, err
+			}
+			if indexed, err = storage.NewNVMDelta(h, storage.TypeInt64, true); err != nil {
 				return nil, err
 			}
 			b, _ := newNVMVec(h)
 			e2, _ := newNVMVec(h)
 			st = mvcc.NewStore(b, e2)
-			di, err = index.NewNVMDeltaIndex(h)
-			if err != nil {
-				return nil, err
-			}
 		} else {
-			dc = storage.NewVolatileDelta(storage.TypeInt64)
+			plain = storage.NewVolatileDelta(storage.TypeInt64, false)
+			indexed = storage.NewVolatileDelta(storage.TypeInt64, true)
 			st = mvcc.NewStore(vec.NewVolatile(10), vec.NewVolatile(10))
-			di = index.NewVolatileDeltaIndex()
 		}
 
 		colT := timeIt(iters, func(i int) {
-			dc.Append(storage.Int(int64(i % 1024)))
+			plain.Append(storage.Int(int64(i % 1024)))
 		})
 		mvccT := timeIt(iters, func(i int) {
 			st.AppendRow(1)
 		})
 		idxT := timeIt(iters, func(i int) {
-			di.Insert(storage.Int(int64(i%1024)).EncodeKey(nil), uint64(i))
-		})
+			indexed.Append(storage.Int(int64(i % 1024)))
+		}) - colT
 
 		// Full transaction path through an engine.
 		dir := filepath.Join(workDir, "e4-"+backend)

@@ -187,9 +187,7 @@ func (e *Engine) openLog() error {
 	// data-size-proportional part of a conventional restart.
 	idxStart := time.Now()
 	for id, t := range res.Tables {
-		if err := t.RebuildIndexes(); err != nil {
-			return err
-		}
+		t.RebuildIndexes()
 		e.byID[id] = t
 		e.tables[t.Name] = t
 	}

@@ -16,7 +16,7 @@ var deltaTypes = []storage.ColType{storage.TypeInt64, storage.TypeFloat64, stora
 // length byte (mod 12) and that many bytes, zeros and shared prefixes
 // included.
 func fuzzDelta(t *testing.T, typ storage.ColType, data []byte) *storage.VolatileDelta {
-	d := storage.NewVolatileDelta(typ)
+	d := storage.NewVolatileDelta(typ, false)
 	for len(data) > 0 {
 		var key []byte
 		if typ == storage.TypeString {
@@ -109,7 +109,7 @@ func BenchmarkDeltaFilter(b *testing.B) {
 	for _, typ := range deltaTypes {
 		for _, dict := range []int{4 << 10, 100 << 10} {
 			rng := rand.New(rand.NewSource(int64(dict)))
-			d := storage.NewVolatileDelta(typ)
+			d := storage.NewVolatileDelta(typ, false)
 			for d.DictLen() < uint64(dict) {
 				x := rng.Int63()
 				v := storage.Int(x)

@@ -3,13 +3,10 @@ package index
 import (
 	"errors"
 	"fmt"
-
-	"hyrisenv/internal/nvm"
-	"hyrisenv/internal/pstruct"
 )
 
-// Structural checkers for the persistent index forms, used by the NVM
-// fsck. Both walk the structure read-only and report every violation.
+// Structural checker for the persistent group-key index, used by the NVM
+// fsck. It walks the structure read-only and reports every violation.
 
 // Check verifies the persistent group-key index against the main
 // partition it covers: the CSR offsets are monotone over exactly dictLen
@@ -52,23 +49,6 @@ func (g *NVMGroupKey) Check(rows, dictLen uint64) error {
 		if pos >= rows {
 			errs = append(errs, fmt.Errorf("groupkey %d: position %d at %d beyond %d rows", g.root, pos, i, rows))
 			return false
-		}
-		return true
-	})
-	return errors.Join(errs...)
-}
-
-// Check verifies the persistent delta index: the skip list is sound and
-// every posting list hanging off a value slot is acyclic with its nodes
-// inside the index's arena.
-func (i *NVMDeltaIndex) Check() error {
-	if err := i.skip.Check(); err != nil {
-		return fmt.Errorf("deltaindex: %w", err)
-	}
-	var errs []error
-	i.skip.ValueSlots(func(slot nvm.PPtr) bool {
-		if err := pstruct.ListCheck(i.h, slot, i.skip.Arena().Contains); err != nil {
-			errs = append(errs, fmt.Errorf("deltaindex: %w", err))
 		}
 		return true
 	})

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -128,92 +127,5 @@ func TestNVMGroupKeySurvivesReopen(t *testing.T) {
 	g2 := AttachNVMGroupKey(h2, root)
 	if got := collect(g2, 2); len(got) != 3 || got[0] != 0 {
 		t.Fatalf("after reopen Rows(2) = %v", got)
-	}
-}
-
-type di interface {
-	Insert(encKey []byte, row uint64) error
-	Lookup(encKey []byte, fn func(row uint64) bool)
-}
-
-func deltaIndexes(t *testing.T) map[string]di {
-	t.Helper()
-	h, _ := testHeap(t)
-	nd, err := NewNVMDeltaIndex(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]di{
-		"dram": NewVolatileDeltaIndex(),
-		"nvm":  nd,
-	}
-}
-
-func TestDeltaIndexInsertLookup(t *testing.T) {
-	for name, d := range deltaIndexes(t) {
-		t.Run(name, func(t *testing.T) {
-			for i := 0; i < 50; i++ {
-				key := fmt.Sprintf("k%d", i%5)
-				if err := d.Insert([]byte(key), uint64(i)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			seen := map[uint64]bool{}
-			d.Lookup([]byte("k3"), func(r uint64) bool { seen[r] = true; return true })
-			if len(seen) != 10 {
-				t.Fatalf("lookup(k3) found %d rows", len(seen))
-			}
-			for r := range seen {
-				if r%5 != 3 {
-					t.Fatalf("row %d should not carry k3", r)
-				}
-			}
-			// Missing key.
-			var n int
-			d.Lookup([]byte("absent"), func(uint64) bool { n++; return true })
-			if n != 0 {
-				t.Fatal("lookup of absent key yielded rows")
-			}
-			// Early stop.
-			n = 0
-			d.Lookup([]byte("k3"), func(uint64) bool { n++; return false })
-			if n != 1 {
-				t.Fatalf("early stop visited %d", n)
-			}
-		})
-	}
-}
-
-func TestNVMDeltaIndexSurvivesReopen(t *testing.T) {
-	h, path := testHeap(t)
-	d, err := NewNVMDeltaIndex(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := uint64(0); i < 30; i++ {
-		d.Insert([]byte("x"), i)
-	}
-	h.SetRoot("di", d.Root(), 0)
-	h.Close()
-	h2, err := nvm.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h2.Close()
-	root, _, _ := h2.Root("di")
-	d2 := AttachNVMDeltaIndex(h2, root)
-	var n int
-	d2.Lookup([]byte("x"), func(uint64) bool { n++; return true })
-	if n != 30 {
-		t.Fatalf("after reopen lookup found %d", n)
-	}
-	// Writable after restart.
-	if err := d2.Insert([]byte("x"), 99); err != nil {
-		t.Fatal(err)
-	}
-	n = 0
-	d2.Lookup([]byte("x"), func(uint64) bool { n++; return true })
-	if n != 31 {
-		t.Fatalf("post-restart insert lost: %d", n)
 	}
 }

@@ -62,7 +62,10 @@ const (
 	// of the layers above included; Open refuses any other version.
 	// 3 → 4: append arenas (skip-list node and column root layouts).
 	// 4 → 5: main attribute vectors bit-sliced (pstruct.PackBits).
-	formatVersion = 5
+	// 5 → 6: delta-index skip lists gone; an indexed delta column keeps
+	// its posting-list heads by value ID (storage.NVMDelta), and the
+	// partition set three words per column.
+	formatVersion = 6
 
 	headerSize  = 4096
 	rootDirOff  = headerSize

@@ -64,10 +64,12 @@ func TestOpenRejectsGarbage(t *testing.T) {
 }
 
 // TestOpenRejectsBadVersion: a heap of another format version is refused
-// — a later one, and format 4, whose main attribute vectors are packed
-// value by value where this version reads bit planes.
+// — a later one; format 4, whose main attribute vectors are packed value
+// by value where this version reads bit planes; and format 5, whose
+// indexed columns keep a second skip list where this version reads a
+// partition set of three words per column.
 func TestOpenRejectsBadVersion(t *testing.T) {
-	for _, version := range []uint64{formatVersion + 100, 4} {
+	for _, version := range []uint64{formatVersion + 100, 4, 5} {
 		path := filepath.Join(t.TempDir(), "ver") // a TempDir per call
 		h, err := Create(path, 1<<20)
 		if err != nil {

@@ -203,8 +203,8 @@ func TestArenaCursorCoversEveryLink(t *testing.T) {
 // TestStagedUnpublishedInvisibleAfterReopen: a stage half followed by a
 // fence and no publish half leaves nothing behind that a reopened
 // structure can reach — for the vector, the skip list and a posting
-// list — and the structure stays sound and takes the same insert
-// afterwards.
+// list whose head is a vector element — and the structure stays sound
+// and takes the same insert afterwards.
 func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "heap.nvm")
 	h, err := nvm.Create(path, 8<<20, nvm.WithShadow())
@@ -213,14 +213,15 @@ func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 	}
 	v, _ := NewVector(h, 8, 4)
 	s, _ := NewSkipList(h)
+	heads, _ := NewVector(h, 8, 4)
 	h.SetRoot("v", v.Root(), 0)
 	h.SetRoot("s", s.Root(), 0)
+	h.SetRoot("heads", heads.Root(), 0)
 	for i := uint64(0); i < 5; i++ {
 		v.Append(i)
 		s.Insert([]byte{'k', byte('0' + i)}, i)
 	}
-	listSlot, _ := s.ValueSlot([]byte("k0"))
-	ListPush(h, listSlot, 100)
+	heads.Append(ListEnd(100))
 
 	// Stage everywhere, fence, and stop: the publish halves never run.
 	if _, err := v.StageAppend(99); err != nil {
@@ -229,11 +230,11 @@ func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 	if _, existed, err := s.StageInsert([]byte("staged"), 99); err != nil || existed {
 		t.Fatal(existed, err)
 	}
-	node, err := ListStage(s.Arena(), 101, nvm.PPtr(h.U64(listSlot)))
+	node, err := ListStage(s.Arena(), 101, heads.Get(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.StageSet(listSlot, uint64(node))
+	heads.StageSet(0, uint64(node))
 	h.Fence()
 	if v.Len() != 5 {
 		t.Fatalf("staged element already counted: Len = %d", v.Len())
@@ -259,8 +260,9 @@ func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 	if s2.Len() != 5 {
 		t.Fatalf("skip list holds %d entries after reopen, want 5", s2.Len())
 	}
-	slot2, _ := s2.ValueSlot([]byte("k0"))
-	if n := ListLen(h2, slot2); n != 1 {
+	var n int
+	ListScan(h2, AttachVector(h2, root("heads")).Get(0), func(uint64) bool { n++; return true })
+	if n != 1 {
 		t.Fatalf("posting list holds %d entries after reopen, want 1", n)
 	}
 	for _, c := range []interface{ Check() error }{v2, s2} {

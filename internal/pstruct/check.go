@@ -106,19 +106,20 @@ func (s *SkipList) Check() error {
 	return errors.Join(errs...)
 }
 
-// ListCheck verifies the posting list anchored at slot: acyclic, every
-// node valid — inside its arena (Arena.Contains) or a Reserved block of
-// its own (Heap.CheckBlock), whichever the list's nodes are.
-func ListCheck(h *nvm.Heap, slot nvm.PPtr, valid func(node nvm.PPtr, n uint64) error) error {
+// ListCheck verifies the posting list whose head word is head: acyclic,
+// and every node valid — inside the list's arena (Arena.Contains).
+func ListCheck(h *nvm.Heap, head uint64, valid func(node nvm.PPtr, n uint64) error) error {
 	seen := make(map[nvm.PPtr]bool)
-	for cur := nvm.PPtr(h.U64(slot)); !cur.IsNil(); cur = nvm.PPtr(h.U64(cur.Add(plOffNext))) {
-		if seen[cur] {
-			return fmt.Errorf("posting list at slot %d contains a cycle at node %d", slot, cur)
+	for w := head; w != 0 && w&1 == 0; {
+		node := nvm.PPtr(w)
+		if seen[node] {
+			return fmt.Errorf("posting list %d contains a cycle at node %d", head, node)
 		}
-		seen[cur] = true
-		if err := valid(cur, plNodeLen); err != nil {
-			return fmt.Errorf("posting list at slot %d: node: %w", slot, err)
+		seen[node] = true
+		if err := valid(node, plNodeLen); err != nil {
+			return fmt.Errorf("posting list %d: node: %w", head, err)
 		}
+		w = h.U64(node.Add(plOffNext))
 	}
 	return nil
 }

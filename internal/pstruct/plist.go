@@ -4,14 +4,21 @@ import (
 	"hyrisenv/internal/nvm"
 )
 
-// Persistent posting lists: singly-linked lists of uint64 payloads whose
-// head pointer lives in an arbitrary caller-owned persistent slot (for
-// example the value word of a skip-list node). Secondary indexes map a
-// column value to the posting list of row IDs carrying that value.
+// Persistent posting lists: singly-linked lists of uint64 payloads below
+// 2^63, most recently pushed first, whose nodes are bumped from an arena
+// and whose head is a word the caller keeps (a delta column keeps one per
+// dictionary value ID). Secondary indexes map a column value to the
+// posting list of rows carrying it.
 //
-// Push is crash-atomic in the two halves of the package comment: the
-// node is written and flushed before the caller's fence, the head slot
-// is redirected to it after.
+// A list word — a head, or a node's next — is 0 for the empty list, a
+// node's address (8-aligned, so even) for a list that goes on in that
+// node, or ListEnd(val) (odd) for a list whose last value is val: the
+// last value of a list is kept in the word that would point at its node,
+// so a list of one value costs no node at all.
+//
+// A push is the two halves of the package comment: ListStage writes and
+// flushes a node that nothing links; after the caller's fence one 8-byte
+// store of the node's address into the head publishes it.
 
 const (
 	plOffVal  = 0
@@ -19,63 +26,41 @@ const (
 	plNodeLen = 16
 )
 
-// listWrite writes a posting node {val, next} at node and flushes it.
-func listWrite(h *nvm.Heap, node nvm.PPtr, val uint64, next nvm.PPtr) {
-	h.PutU64(node.Add(plOffVal), val)
-	h.PutU64(node.Add(plOffNext), uint64(next))
-	h.Flush(node, plNodeLen)
-}
+// ListEnd is the list word of a list holding val alone.
+func ListEnd(val uint64) uint64 { return val<<1 | 1 }
 
-// ListStage is the stage half of a push onto a list whose nodes are
-// bumped from the arena a: it writes and flushes a node {val, next},
-// where next is the list's current head. Nothing links the node until
-// the caller, after its fence, stores the node's address in the head
-// slot — one 8-byte store, the publish half (SkipList.StageSet, when the
-// slot is a skip-list value).
+// ListStage is the stage half of pushing val onto the list whose head
+// word is head: it bumps a node {val, head} from the arena a and flushes
+// it, and returns its address — the new head, for the caller to store
+// after its fence.
 //
 //nvm:nopersist stage half: the node is flushed, not fenced; the caller fences before it moves the head
-func ListStage(a *Arena, val uint64, next nvm.PPtr) (nvm.PPtr, error) {
+func ListStage(a *Arena, val, head uint64) (nvm.PPtr, error) {
 	node, err := a.Alloc(plNodeLen)
 	if err != nil {
 		return 0, err
 	}
-	listWrite(a.h, node, val, next)
+	a.h.PutU64(node.Add(plOffVal), val)
+	a.h.PutU64(node.Add(plOffNext), head)
+	a.h.Flush(node, plNodeLen)
 	return node, nil
 }
 
-// ListPush prepends val to the list anchored at slot, in a node block of
-// its own: stage, fence, publish, fence.
-func ListPush(h *nvm.Heap, slot nvm.PPtr, val uint64) error {
-	node, err := h.Alloc(plNodeLen)
-	if err != nil {
-		return err
-	}
-	listWrite(h, node, val, nvm.PPtr(h.U64(slot)))
-	h.Fence()
-	h.SetU64(slot, uint64(node))
-	h.Flush(slot, 8)
-	h.Fence()
-	return nil
-}
-
-// ListScan calls fn for every value in the list anchored at slot, in
-// most-recently-pushed-first order. fn returning false stops the scan.
-func ListScan(h *nvm.Heap, slot nvm.PPtr, fn func(val uint64) bool) {
-	cur := nvm.PPtr(h.U64(slot))
-	for !cur.IsNil() {
+// ListScan calls fn for every value in the list whose head word is head,
+// most recently pushed first. fn returning false stops the scan.
+func ListScan(h *nvm.Heap, head uint64, fn func(val uint64) bool) {
+	for w := head; w != 0; {
+		if w&1 != 0 {
+			fn(w >> 1)
+			return
+		}
 		if h.ReadLatencyEnabled() {
 			h.ChargeRead(plNodeLen)
 		}
-		if !fn(h.U64(cur.Add(plOffVal))) {
+		node := nvm.PPtr(w)
+		if !fn(h.U64(node.Add(plOffVal))) {
 			return
 		}
-		cur = nvm.PPtr(h.U64(cur.Add(plOffNext)))
+		w = h.U64(node.Add(plOffNext))
 	}
-}
-
-// ListLen counts the list entries.
-func ListLen(h *nvm.Heap, slot nvm.PPtr) uint64 {
-	var n uint64
-	ListScan(h, slot, func(uint64) bool { n++; return true })
-	return n
 }

@@ -8,13 +8,13 @@ import (
 )
 
 // SkipList is a persistent, ordered map from byte-string keys to uint64
-// values, used as the NVM-resident index structure for the delta
-// partition (dictionary lookup and secondary indexes). The list keeps
-// keys in lexicographic order, so both point lookups and range scans
-// work. Nodes, each with its key inside it, are bumped from the list's
-// arena; KeyRef hands out a blob reference to a node's key, so a caller
-// that also needs the key bytes (a dictionary) stores the reference, not
-// a copy.
+// values: the NVM-resident dictionary index of a delta column, which
+// maps each key to its value ID. It is the column's only search
+// structure — an indexed column hangs its posting lists off the value
+// IDs and bumps their nodes from this list's arena (Arena). Nodes, each
+// with its key inside it, are bumped from the same arena; KeyRef hands
+// out a blob reference to a node's key, so a caller that also needs the
+// key bytes (a dictionary) stores the reference, not a copy.
 //
 // Crash consistency: the stage half writes and flushes a complete node
 // that nothing links; after the caller's fence the publish half links it
@@ -152,23 +152,12 @@ func (s *SkipList) findPreds(key []byte, preds *[slMaxHeight]nvm.PPtr) nvm.PPtr 
 
 // Get returns the value stored under key.
 func (s *SkipList) Get(key []byte) (val uint64, ok bool) {
-	slot, ok := s.ValueSlot(key)
-	if !ok {
-		return 0, false
-	}
-	return s.h.U64(slot), true
-}
-
-// ValueSlot returns a handle to the value word of key, for callers that
-// maintain a persistent sub-structure (e.g. a posting list head) inside
-// the slot. ok is false when the key is absent.
-func (s *SkipList) ValueSlot(key []byte) (slot nvm.PPtr, ok bool) {
 	var preds [slMaxHeight]nvm.PPtr
 	n := s.findPreds(key, &preds)
 	if n.IsNil() || !bytes.Equal(s.key(n), key) {
 		return 0, false
 	}
-	return n.Add(slOffValue), true
+	return s.h.U64(n.Add(slOffValue)), true
 }
 
 // StageInsert is the stage half of Insert. For an absent key it writes a
@@ -306,13 +295,6 @@ type Iterator struct {
 	cur nvm.PPtr
 }
 
-// Seek positions the iterator at the first key >= key.
-func (s *SkipList) Seek(key []byte) *Iterator {
-	var preds [slMaxHeight]nvm.PPtr
-	n := s.findPreds(key, &preds)
-	return &Iterator{s: s, cur: n}
-}
-
 // First positions the iterator at the smallest key.
 func (s *SkipList) First() *Iterator {
 	return &Iterator{s: s, cur: s.next(s.head, 0)}
@@ -327,9 +309,6 @@ func (it *Iterator) Key() []byte { return it.s.key(it.cur) }
 // Value returns the current value.
 func (it *Iterator) Value() uint64 { return it.s.h.U64(it.cur.Add(slOffValue)) }
 
-// ValueSlot returns the persistent slot holding the current value.
-func (it *Iterator) ValueSlot() nvm.PPtr { return it.cur.Add(slOffValue) }
-
 // Next advances the iterator.
 func (it *Iterator) Next() { it.cur = it.s.next(it.cur, 0) }
 
@@ -338,15 +317,4 @@ func (it *Iterator) Next() { it.cur = it.s.next(it.cur, 0) }
 func (s *SkipList) Blocks(yield func(nvm.PPtr)) {
 	yield(s.root)
 	s.arena.Blocks(yield)
-}
-
-// ValueSlots yields the value-slot pointer of every entry, letting
-// callers that store sub-structures in the slot (posting lists)
-// enumerate them.
-func (s *SkipList) ValueSlots(yield func(slot nvm.PPtr) bool) {
-	for cur := s.next(s.head, 0); !cur.IsNil(); cur = s.next(cur, 0) {
-		if !yield(cur.Add(slOffValue)) {
-			return
-		}
-	}
 }

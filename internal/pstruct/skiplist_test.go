@@ -79,26 +79,6 @@ func TestSkipListOrderedIteration(t *testing.T) {
 	}
 }
 
-func TestSkipListSeek(t *testing.T) {
-	h, _ := testHeap(t)
-	s, _ := NewSkipList(h)
-	for _, k := range []string{"b", "d", "f"} {
-		s.Insert([]byte(k), 0)
-	}
-	cases := []struct{ seek, want string }{
-		{"a", "b"}, {"b", "b"}, {"c", "d"}, {"f", "f"},
-	}
-	for _, c := range cases {
-		it := s.Seek([]byte(c.seek))
-		if !it.Valid() || string(it.Key()) != c.want {
-			t.Fatalf("Seek(%q) landed on %q", c.seek, string(it.Key()))
-		}
-	}
-	if it := s.Seek([]byte("g")); it.Valid() {
-		t.Fatal("Seek past end should be invalid")
-	}
-}
-
 func TestSkipListSurvivesReopen(t *testing.T) {
 	h, path := testHeap(t)
 	s, _ := NewSkipList(h)
@@ -124,41 +104,6 @@ func TestSkipListSurvivesReopen(t *testing.T) {
 	}
 	if v, ok := s2.Get([]byte("post-restart")); !ok || v != 7 {
 		t.Fatal("post-restart insert lost")
-	}
-}
-
-func TestSkipListValueSlotAndPostingList(t *testing.T) {
-	h, _ := testHeap(t)
-	s, _ := NewSkipList(h)
-	s.Insert([]byte("color=red"), 0)
-	slot, ok := s.ValueSlot([]byte("color=red"))
-	if !ok {
-		t.Fatal("ValueSlot missing")
-	}
-	for _, row := range []uint64{5, 9, 13} {
-		if err := ListPush(h, slot, row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := ListLen(h, slot); n != 3 {
-		t.Fatalf("posting list len = %d", n)
-	}
-	var rows []uint64
-	ListScan(h, slot, func(v uint64) bool { rows = append(rows, v); return true })
-	want := []uint64{13, 9, 5} // LIFO
-	for i := range want {
-		if rows[i] != want[i] {
-			t.Fatalf("rows = %v, want %v", rows, want)
-		}
-	}
-	// Early termination.
-	var seen int
-	ListScan(h, slot, func(uint64) bool { seen++; return false })
-	if seen != 1 {
-		t.Fatalf("scan did not stop: %d", seen)
-	}
-	if _, ok := s.ValueSlot([]byte("nope")); ok {
-		t.Fatal("ValueSlot for missing key")
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package pstruct provides the persistent (NVM-resident) container types
 // the Hyrise-NV storage engine is built from: a segmented append-only
 // vector, an append arena over the same segment directory, length-prefixed
-// blobs, a bit-packed read-optimized vector, a multi-version skip list
-// and persistent posting lists.
+// blobs, a bit-packed read-optimized vector, a skip list and persistent
+// posting lists.
 //
 // Every mutation is split in two halves, and neither half fences:
 //
@@ -11,15 +11,15 @@
 //     and flushes their lines;
 //   - the publish half is the one 8-byte store that makes them reachable
 //     (a vector's length word, a skip list's bottom link, a posting-list
-//     head) plus the flush of that word.
+//     head in a vector element) plus the flush of that word.
 //
 // The caller fences between the two, so that what a publish word names is
 // durable before the word can be, and once after, so that the publication
 // is durable when it returns. A caller that stages several structures —
-// a table row spans columns, dictionaries, indexes and MVCC vectors —
-// pays those two fences once for all of them (storage.Table.AppendRow).
-// The standalone Vector.Append, SkipList.Insert and ListPush are that
-// same composition over one structure: stage, fence, publish, fence.
+// a table row spans columns, dictionaries, posting lists and MVCC vectors
+// — pays those two fences once for all of them (storage.Table.AppendRow).
+// The standalone Vector.Append and SkipList.Insert are that same
+// composition over one structure: stage, fence, publish, fence.
 //
 // A crash before the first fence leaves staged bytes that nothing names; a
 // crash between the fences may keep any subset of the publish words, each
@@ -61,6 +61,12 @@ type Vector struct {
 	// stage half appends at it, the publish half stores it in the length
 	// word. Only the writer touches it.
 	staged uint64
+	// set is an overwrite of a published element staged by StageSet, for
+	// the publish half to store.
+	set struct {
+		i, val uint64
+		ok     bool
+	}
 }
 
 // NewVector allocates a persistent vector with the given element size
@@ -106,23 +112,39 @@ func (v *Vector) StageAppend(val uint64) (uint64, error) {
 	return i, nil
 }
 
-// Publish is the publish half of Append: one store of the length word
-// makes every staged element reachable, and its line is flushed. The
-// caller has fenced since the last StageAppend, and fences again before
-// it reports the append done.
-//
-//nvm:nopersist publish half: the length word is flushed, not fenced; the caller's second fence covers it
-func (v *Vector) Publish() {
-	if v.staged == v.Len() {
-		return
-	}
-	v.h.SetU64(v.lenPtr(), v.staged)
-	v.h.Flush(v.lenPtr(), 8)
+// StageSet stages an overwrite of published element i with val, for a
+// word whose new value names what the caller staged elsewhere (a
+// posting-list head). The store itself is the publish half.
+func (v *Vector) StageSet(i, val uint64) {
+	v.set.i, v.set.val, v.set.ok = i, val, true
 }
 
-// Unstage forgets the elements staged since the last Publish; the next
-// StageAppend overwrites them.
-func (v *Vector) Unstage() { v.staged = v.Len() }
+// Publish is the publish half of Append and StageSet: one store of the
+// length word makes every staged element reachable, one store overwrites
+// the element StageSet named, and each line is flushed. The caller has
+// fenced since the stage half, and fences again before it reports the
+// mutation done.
+//
+//nvm:nopersist publish half: the words are flushed, not fenced; the caller's second fence covers them
+func (v *Vector) Publish() {
+	if v.staged != v.Len() {
+		v.h.SetU64(v.lenPtr(), v.staged)
+		v.h.Flush(v.lenPtr(), 8)
+	}
+	if v.set.ok {
+		p := v.elemPtr(v.set.i)
+		v.writeElem(p, v.set.val)
+		v.h.Flush(p, v.elemSize)
+		v.set.ok = false
+	}
+}
+
+// Unstage forgets what was staged since the last Publish; the next
+// StageAppend overwrites the elements.
+func (v *Vector) Unstage() {
+	v.staged = v.Len()
+	v.set.ok = false
+}
 
 // Append appends one element and returns its index: stage, fence,
 // publish, fence.

@@ -102,7 +102,7 @@ func (t *Table) Check() (CheckReport, error) {
 	// Index agreement: every visible row must be found via each indexed
 	// column, with the right value.
 	for c := 0; c < t.Schema.NumCols(); c++ {
-		if !t.Indexed(c) || v.ps.deltaIdx[c] == nil {
+		if !t.Indexed(c) || v.ps.mainIdx[c] == nil {
 			continue
 		}
 		rep.IndexedCols++

@@ -156,10 +156,7 @@ func ReadCheckpoint(br io.Reader) (*Table, error) {
 
 	t := &Table{Name: string(nameB), ID: id, Schema: schema, indexMask: mask}
 	ncols := schema.NumCols()
-	ps := &partitions{
-		mainIdx:  make([]mainIndex, ncols),
-		deltaIdx: make([]deltaIndex, ncols),
-	}
+	ps := &partitions{mainIdx: make([]mainIndex, ncols)}
 	for c := 0; c < ncols; c++ {
 		// Main partition.
 		dictN, err := u64()
@@ -188,12 +185,13 @@ func ReadCheckpoint(br io.Reader) (*Table, error) {
 		}
 		ps.main = append(ps.main, m)
 
-		// Delta partition: rebuild the hash index while loading.
+		// Delta partition: rebuild the hash index while loading; the rows
+		// of each value ID wait for RebuildIndexes.
 		dDictN, err := u64()
 		if err != nil {
 			return nil, err
 		}
-		d := NewVolatileDelta(schema.Cols[c].Type)
+		d := NewVolatileDelta(schema.Cols[c].Type, false)
 		for i := uint64(0); i < dDictN; i++ {
 			k, err := blob()
 			if err != nil {

@@ -3,7 +3,7 @@ package storage
 import (
 	"fmt"
 	"path/filepath"
-	"strings"
+	"slices"
 	"testing"
 
 	"hyrisenv/internal/nvm"
@@ -34,21 +34,21 @@ func reopenHeap(t *testing.T, h *nvm.Heap, path string) *nvm.Heap {
 }
 
 // deltaColumns builds one column per backend so every test runs on both.
-func deltaColumns(t *testing.T, typ ColType) map[string]DeltaColumn {
+func deltaColumns(t *testing.T, typ ColType, indexed bool) map[string]DeltaColumn {
 	t.Helper()
 	h, _ := testNVMHeap(t)
-	nd, err := NewNVMDelta(h, typ)
+	nd, err := NewNVMDelta(h, typ, indexed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return map[string]DeltaColumn{
-		"dram": NewVolatileDelta(typ),
+		"dram": NewVolatileDelta(typ, indexed),
 		"nvm":  nd,
 	}
 }
 
 func TestDeltaColumnAppendLookup(t *testing.T) {
-	for name, d := range deltaColumns(t, TypeString) {
+	for name, d := range deltaColumns(t, TypeString, false) {
 		t.Run(name, func(t *testing.T) {
 			vals := []string{"red", "green", "red", "blue", "green", "red"}
 			for i, s := range vals {
@@ -92,7 +92,7 @@ func TestDeltaColumnAppendLookup(t *testing.T) {
 }
 
 func TestDeltaColumnIntFloat(t *testing.T) {
-	for name, d := range deltaColumns(t, TypeInt64) {
+	for name, d := range deltaColumns(t, TypeInt64, false) {
 		t.Run(name+"/int", func(t *testing.T) {
 			for _, v := range []int64{5, -3, 5, 0} {
 				if _, err := d.Append(Int(v)); err != nil {
@@ -107,7 +107,7 @@ func TestDeltaColumnIntFloat(t *testing.T) {
 			}
 		})
 	}
-	for name, d := range deltaColumns(t, TypeFloat64) {
+	for name, d := range deltaColumns(t, TypeFloat64, false) {
 		t.Run(name+"/float", func(t *testing.T) {
 			d.Append(Float(3.5))
 			if got := d.Value(0); got.F != 3.5 {
@@ -117,8 +117,54 @@ func TestDeltaColumnIntFloat(t *testing.T) {
 	}
 }
 
+// postings collects the rows Postings yields for the dictionary ID of v.
+func postings(d DeltaColumn, v Value) []uint64 {
+	id, ok := d.LookupValueID(v.EncodeKey(nil))
+	if !ok {
+		return nil
+	}
+	var rows []uint64
+	d.Postings(id, func(r uint64) bool { rows = append(rows, r); return true })
+	slices.Sort(rows)
+	return rows
+}
+
+// TestDeltaColumnPostings: an indexed column is its own delta index —
+// the rows of a value are its value ID's posting list — and an
+// unindexed one posts nothing.
+func TestDeltaColumnPostings(t *testing.T) {
+	for name, d := range deltaColumns(t, TypeString, true) {
+		t.Run(name, func(t *testing.T) {
+			for i := 0; i < 50; i++ {
+				if _, err := d.Append(Str(fmt.Sprintf("k%d", i%5))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := []uint64{3, 8, 13, 18, 23, 28, 33, 38, 43, 48}
+			if got := postings(d, Str("k3")); !slices.Equal(got, want) {
+				t.Fatalf("postings(k3) = %v, want %v", got, want)
+			}
+			if got := postings(d, Str("absent")); got != nil {
+				t.Fatalf("postings(absent) = %v", got)
+			}
+			id, _ := d.LookupValueID(Str("k3").EncodeKey(nil))
+			var n int
+			d.Postings(id, func(uint64) bool { n++; return false })
+			if n != 1 {
+				t.Fatalf("early stop visited %d", n)
+			}
+		})
+	}
+	for name, d := range deltaColumns(t, TypeString, false) {
+		t.Run(name+"/unindexed", func(t *testing.T) {
+			d.Append(Str("k"))
+			d.Postings(0, func(uint64) bool { t.Fatal("an unindexed column posted a row"); return false })
+		})
+	}
+}
+
 func TestDeltaColumnTruncate(t *testing.T) {
-	for name, d := range deltaColumns(t, TypeInt64) {
+	for name, d := range deltaColumns(t, TypeInt64, false) {
 		t.Run(name, func(t *testing.T) {
 			for i := int64(0); i < 10; i++ {
 				d.Append(Int(i))
@@ -138,7 +184,7 @@ func TestDeltaColumnTruncate(t *testing.T) {
 
 func TestNVMDeltaSurvivesReopen(t *testing.T) {
 	h, path := testNVMHeap(t)
-	d, err := NewNVMDelta(h, TypeString)
+	d, err := NewNVMDelta(h, TypeString, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +218,37 @@ func TestNVMDeltaSurvivesReopen(t *testing.T) {
 	}
 	if id != id0 {
 		t.Fatalf("post-restart append of existing value: id %d, want %d", id, id0)
+	}
+}
+
+// TestNVMDeltaPostingsSurviveReopen: an indexed NVM delta column's
+// posting lists are found again after a restart, without a rebuild, and
+// take appends afterwards.
+func TestNVMDeltaPostingsSurviveReopen(t *testing.T) {
+	h, path := testNVMHeap(t)
+	d, err := NewNVMDelta(h, TypeString, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := d.Append(Str(fmt.Sprintf("v%03d", i%17))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.SetRoot("col", d.Root(), 0)
+	h2 := reopenHeap(t, h, path)
+	root, _, _ := h2.Root("col")
+	d2 := AttachNVMDelta(h2, root)
+	want := []uint64{0, 17, 34, 51, 68, 85}
+	if got := postings(d2, Str("v000")); !slices.Equal(got, want) {
+		t.Fatalf("after reopen postings(v000) = %v, want %v", got, want)
+	}
+	if _, err := d2.Append(Str("v000")); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, 100)
+	if got := postings(d2, Str("v000")); !slices.Equal(got, want) {
+		t.Fatalf("post-restart postings(v000) = %v, want %v", got, want)
 	}
 }
 
@@ -267,51 +344,5 @@ func TestNVMMainSurvivesReopen(t *testing.T) {
 	}
 	if m2.Type() != TypeInt64 {
 		t.Fatal("type lost")
-	}
-}
-
-// TestNVMTableRejectsSetIdxKindWord: the delta-column root word that
-// once selected the dictionary index structure is reserved. A column
-// that carries 1 there was written with the removed hash index, whose
-// root must not be read as a skip list's: fsck reports the column, and
-// the table does not open.
-func TestNVMTableRejectsSetIdxKindWord(t *testing.T) {
-	h, path := testNVMHeap(t)
-	tbl, err := CreateNVMTable(h, "orders", 1, ordersSchema(t), 0b001)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.SetRoot("tbl:orders", tbl.Root(), 0)
-	for i := int64(0); i < 10; i++ {
-		row, _ := tbl.AppendRow([]Value{Int(i), Str("c"), Float(0)}, 1)
-		commitRow(tbl, row, 2)
-	}
-	if err := tbl.FsckNVM(2); err != nil {
-		t.Fatal(err)
-	}
-	// What the removed option left behind: kind 1, and an index root that
-	// is not a skip list's — attaching it as one reads garbage pointers.
-	root := tbl.parts.Load().nvmDelta[1].Root()
-	notASkipList, err := h.Alloc(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := uint64(0); off < 64; off += 8 {
-		h.PutU64(notASkipList.Add(off), 0x0101010101010101)
-	}
-	h.Persist(notASkipList, 64)
-	h.PutU64(root.Add(ndOffIdx), uint64(notASkipList))
-	h.PutU64(root.Add(ndOffIdxKind), 1)
-	h.Persist(root, ndRootSize)
-	if err := tbl.FsckNVM(2); err == nil || !strings.Contains(err.Error(), "column 1") ||
-		!strings.Contains(err.Error(), "dictionary index kind 1") {
-		t.Fatalf("fsck of a set index-kind word = %v, want a finding naming column 1", err)
-	}
-	h2 := reopenHeap(t, h, path)
-	tblRoot, _, _ := h2.Root("tbl:orders")
-	_, err = OpenNVMTable(h2, "orders", tblRoot)
-	if err == nil || !strings.Contains(err.Error(), "column 1 (customer)") ||
-		!strings.Contains(err.Error(), "dictionary index kind 1") {
-		t.Fatalf("OpenNVMTable with a set index-kind word = %v, want an error naming column 1 (customer)", err)
 	}
 }

@@ -19,6 +19,11 @@ import (
 // on KeyWords, a volatile word per dictionary ID that it builds on
 // demand, so that it reads a key only for a String row whose word ties
 // with the bound's.
+//
+// The column of an indexed table column is its own delta index: it keeps
+// a posting list of rows per dictionary ID, so a point lookup is the
+// dictionary search followed by that ID's list, and an append searches
+// and stores its key once.
 type DeltaColumn interface {
 	Type() ColType
 	// Rows returns the number of appended attribute-vector entries.
@@ -46,6 +51,11 @@ type DeltaColumn interface {
 	DictValue(id uint64) Value
 	// LookupValueID finds the ID of an encoded key, if present.
 	LookupValueID(encKey []byte) (uint64, bool)
+	// Postings calls fn for the rows of dictionary id, on an indexed
+	// column (on an unindexed one, for none). After a crash it may also
+	// name rows at or beyond Rows, rows that carry another ID since, and
+	// a row twice: callers filter them (View.LookupRows).
+	Postings(id uint64, fn func(row uint64) bool)
 	// ScanIDs iterates (row, valueID) pairs.
 	ScanIDs(fn func(row, id uint64) bool)
 	// Truncate discards attribute-vector entries at index >= n. Used by
@@ -66,19 +76,26 @@ type VolatileDelta struct {
 	// hands out the dictionary's own read-only copy of the key.
 	dictKeys atomic.Pointer[[][]byte]
 
-	mu      sync.RWMutex // guards dictIdx and orders the writers of dictKeys
+	mu      sync.RWMutex // guards dictIdx and rows, and orders the writers of dictKeys
 	dictIdx map[string]uint64
+	// rows holds the rows of each value ID in append order; nil while the
+	// column is unindexed.
+	rows [][]uint64
 
 	av    *vec.Volatile
 	words keyWords
 }
 
-// NewVolatileDelta returns an empty DRAM delta column.
-func NewVolatileDelta(typ ColType) *VolatileDelta {
+// NewVolatileDelta returns an empty DRAM delta column, which keeps the
+// rows of each value ID if indexed.
+func NewVolatileDelta(typ ColType, indexed bool) *VolatileDelta {
 	d := &VolatileDelta{
 		typ:     typ,
 		dictIdx: make(map[string]uint64),
 		av:      vec.NewVolatile(10),
+	}
+	if indexed {
+		d.rows = [][]uint64{}
 	}
 	d.dictKeys.Store(new([][]byte))
 	return d
@@ -95,8 +112,14 @@ func (d *VolatileDelta) Rows() uint64 { return d.av.Len() }
 // Append implements DeltaColumn.
 func (d *VolatileDelta) Append(v Value) (uint64, error) {
 	id := d.dictID(v.EncodeKey(nil))
-	if _, err := d.av.Append(id); err != nil {
+	row, err := d.av.Append(id)
+	if err != nil {
 		return 0, err
+	}
+	if d.rows != nil {
+		d.mu.Lock()
+		d.rows[id] = append(d.rows[id], row)
+		d.mu.Unlock()
 	}
 	return id, nil
 }
@@ -114,8 +137,25 @@ func (d *VolatileDelta) dictID(key []byte) uint64 {
 		id = uint64(len(keys) - 1)
 		d.dictIdx[string(key)] = id
 		d.dictKeys.Store(&keys)
+		if d.rows != nil {
+			d.rows = append(d.rows, nil)
+		}
 	}
 	return id
+}
+
+// indexRows builds the rows of every value ID from the attribute vector
+// and makes the column indexed — the log-based baseline's delta-index
+// rebuild, O(rows). The caller holds off appends.
+func (d *VolatileDelta) indexRows() {
+	rows := make([][]uint64, d.DictLen())
+	d.av.Scan(func(row, id uint64) bool {
+		rows[id] = append(rows[id], row)
+		return true
+	})
+	d.mu.Lock()
+	d.rows = rows
+	d.mu.Unlock()
 }
 
 // ValueID implements DeltaColumn.
@@ -145,6 +185,21 @@ func (d *VolatileDelta) LookupValueID(encKey []byte) (uint64, bool) {
 	defer d.mu.RUnlock()
 	id, ok := d.dictIdx[string(encKey)]
 	return id, ok
+}
+
+// Postings implements DeltaColumn.
+func (d *VolatileDelta) Postings(id uint64, fn func(row uint64) bool) {
+	d.mu.RLock()
+	var rows []uint64
+	if id < uint64(len(d.rows)) {
+		rows = d.rows[id]
+	}
+	d.mu.RUnlock()
+	for _, r := range rows {
+		if !fn(r) {
+			return
+		}
+	}
 }
 
 // ScanIDs implements DeltaColumn.
@@ -189,25 +244,26 @@ func (c *keyWords) get(n uint64, key func(id uint64) []byte) []uint64 {
 
 // --- NVM backend -------------------------------------------------------------
 
-// NVM delta column root block layout. The word at ndOffIdxKind is
-// reserved, written 0: heaps of format 4 may carry a 1 there, for an
-// index structure that no longer exists, and such a column is refused
-// (checkIdxKind).
+// NVM delta column root block layout. The heads vector's root is 0 on an
+// unindexed column.
 const (
 	ndOffDictVec = 0
 	ndOffIdx     = 8
 	ndOffAV      = 16
 	ndOffType    = 24
-	ndOffIdxKind = 32
+	ndOffHeads   = 32
 	ndRootSize   = 40
 )
 
 // NVMDelta is the persistent delta column of Hyrise-NV. The dictionary
 // index (a skip list) holds every value's key bytes inside its nodes;
 // the dictionary vector holds blob references to those keys, by value
-// ID; the attribute vector holds a value ID per row. All three live on
-// NVM, so the column is fully usable immediately after Attach — no
-// rebuild.
+// ID; the attribute vector holds a value ID per row. An indexed column
+// also keeps a heads vector beside the dictionary vector: by value ID,
+// the head word of the posting list of the rows carrying it (see
+// pstruct.ListScan), whose nodes are bumped from the skip list's arena.
+// All of it lives on NVM, so the column is fully usable immediately
+// after Attach — no rebuild.
 type NVMDelta struct {
 	h    *nvm.Heap
 	root nvm.PPtr
@@ -218,12 +274,14 @@ type NVMDelta struct {
 	dictVec *pstruct.Vector
 	idx     *pstruct.SkipList
 	av      *pstruct.Vector
+	heads   *pstruct.Vector // nil on an unindexed column
 
 	words keyWords // volatile, learned by scans
 }
 
-// NewNVMDelta allocates an empty persistent delta column.
-func NewNVMDelta(h *nvm.Heap, typ ColType) (*NVMDelta, error) {
+// NewNVMDelta allocates an empty persistent delta column, with posting
+// lists if indexed.
+func NewNVMDelta(h *nvm.Heap, typ ColType, indexed bool) (*NVMDelta, error) {
 	dictVec, err := pstruct.NewVector(h, 8, 8)
 	if err != nil {
 		return nil, err
@@ -236,6 +294,14 @@ func NewNVMDelta(h *nvm.Heap, typ ColType) (*NVMDelta, error) {
 	if err != nil {
 		return nil, err
 	}
+	var heads *pstruct.Vector
+	var headsRoot nvm.PPtr
+	if indexed {
+		if heads, err = pstruct.NewVector(h, 8, 8); err != nil {
+			return nil, err
+		}
+		headsRoot = heads.Root()
+	}
 	root, err := h.Alloc(ndRootSize)
 	if err != nil {
 		return nil, err
@@ -244,15 +310,14 @@ func NewNVMDelta(h *nvm.Heap, typ ColType) (*NVMDelta, error) {
 	h.PutU64(root.Add(ndOffIdx), uint64(idx.Root()))
 	h.PutU64(root.Add(ndOffAV), uint64(av.Root()))
 	h.PutU64(root.Add(ndOffType), uint64(typ))
-	h.PutU64(root.Add(ndOffIdxKind), 0)
+	h.PutU64(root.Add(ndOffHeads), uint64(headsRoot))
 	h.Persist(root, ndRootSize)
-	return &NVMDelta{h: h, root: root, typ: typ, dictVec: dictVec, idx: idx, av: av}, nil
+	return &NVMDelta{h: h, root: root, typ: typ, dictVec: dictVec, idx: idx, av: av, heads: heads}, nil
 }
 
-// AttachNVMDelta re-hydrates a persistent delta column in O(1). The
-// caller has checked the root with checkIdxKind.
+// AttachNVMDelta re-hydrates a persistent delta column in O(1).
 func AttachNVMDelta(h *nvm.Heap, root nvm.PPtr) *NVMDelta {
-	return &NVMDelta{
+	d := &NVMDelta{
 		h:       h,
 		root:    root,
 		typ:     ColType(h.GetU64(root.Add(ndOffType))),
@@ -260,15 +325,10 @@ func AttachNVMDelta(h *nvm.Heap, root nvm.PPtr) *NVMDelta {
 		idx:     pstruct.AttachSkipList(h, nvm.PPtr(h.GetU64(root.Add(ndOffIdx)))),
 		av:      pstruct.AttachVector(h, nvm.PPtr(h.GetU64(root.Add(ndOffAV)))),
 	}
-}
-
-// checkIdxKind refuses a delta column root whose reserved word is set:
-// its index root is not a skip list's and must not be attached as one.
-func checkIdxKind(h *nvm.Heap, root nvm.PPtr) error {
-	if w := h.GetU64(root.Add(ndOffIdxKind)); w != 0 {
-		return fmt.Errorf("delta column %d: dictionary index kind %d (written with the removed hash dictionary index), only the skip list (0) is supported", root, w)
+	if p := nvm.PPtr(h.GetU64(root.Add(ndOffHeads))); !p.IsNil() {
+		d.heads = pstruct.AttachVector(h, p)
 	}
-	return nil
+	return d
 }
 
 var _ DeltaColumn = (*NVMDelta)(nil)
@@ -286,7 +346,11 @@ func (d *NVMDelta) Rows() uint64 { return d.av.Len() }
 // writes v's value ID past the attribute vector's length and, for a value
 // the dictionary has not seen, an index node carrying the key and the
 // next value ID plus the dictionary slot that refers to the node's key.
-// Nothing reachable changes until Publish; the caller fences in between.
+// An indexed column also stages the row's posting: for a new value, a
+// heads slot beside the dictionary slot that holds the row itself; for a
+// value seen before, a posting node in front of the value's list and an
+// overwrite of its head. Nothing reachable changes until Publish; the
+// caller fences in between.
 func (d *NVMDelta) StageAppend(v Value) (uint64, error) {
 	next := d.dictVec.Len()
 	slot, existed, err := d.idx.StageInsert(v.EncodeKey(nil), next)
@@ -299,22 +363,39 @@ func (d *NVMDelta) StageAppend(v Value) (uint64, error) {
 	} else if _, err := d.dictVec.StageAppend(uint64(d.idx.KeyRef(slot))); err != nil {
 		return 0, err
 	}
-	if _, err := d.av.StageAppend(id); err != nil {
+	row, err := d.av.StageAppend(id)
+	if err != nil {
+		return 0, err
+	}
+	switch {
+	case d.heads == nil:
+	case !existed:
+		_, err = d.heads.StageAppend(pstruct.ListEnd(row))
+	default:
+		var node nvm.PPtr
+		if node, err = pstruct.ListStage(d.idx.Arena(), row, d.heads.Get(id)); err == nil {
+			d.heads.StageSet(id, uint64(node))
+		}
+	}
+	if err != nil {
 		return 0, err
 	}
 	return id, nil
 }
 
 // Publish is the publish half of Append, in the order readers need: the
-// dictionary length before the index link that hands out its last ID,
-// and both before the attribute-vector length that lets a row use it.
-// Durability has no such order — a crash between the caller's fences may
-// keep any of the three — so restart reconciles them (repairTornAppend,
-// alignAfterRestart).
+// dictionary and heads lengths before the index link that hands out
+// their last ID, and all three before the attribute-vector length that
+// lets a row use it. Durability has no such order — a crash between the
+// caller's fences may keep any of the publish words — so restart
+// reconciles them (repairTornAppend, alignAfterRestart).
 //
-//nvm:nopersist publish half: the lengths and the link are flushed, not fenced; the caller's second fence covers them
+//nvm:nopersist publish half: the lengths, the head and the link are flushed, not fenced; the caller's second fence covers them
 func (d *NVMDelta) Publish() {
 	d.dictVec.Publish()
+	if d.heads != nil {
+		d.heads.Publish()
+	}
 	d.idx.Publish()
 	d.av.Publish()
 }
@@ -326,6 +407,9 @@ func (d *NVMDelta) Settle() bool { return d.idx.Settle() }
 // Unstage forgets a staged append that will not be published.
 func (d *NVMDelta) Unstage() {
 	d.dictVec.Unstage()
+	if d.heads != nil {
+		d.heads.Unstage()
+	}
 	d.idx.Unstage()
 	d.av.Unstage()
 }
@@ -347,37 +431,58 @@ func (d *NVMDelta) Append(v Value) (uint64, error) {
 }
 
 // repairTornAppend completes the dictionary half of an append a crash
-// cut between its two fences. The dictionary length, the index link and
-// the attribute-vector length are published together, so value ID n may
-// already be handed out — by a durable index link, or by the last
-// attribute-vector entry — while the dictionary length is still n. Either
-// is proof that the first fence completed, which made the slot the stage
-// half wrote at n and the key it refers to durable: the entry is
-// complete, and the length is rolled forward over it. Left alone, the
-// next new value would take ID n while a row or the index still used it
-// for the old one. O(1) lookups, at most one entry: appends do not
-// overlap.
+// cut between its two fences. The dictionary length, the heads length,
+// the index link and the attribute-vector length are published together,
+// so value ID n may already be handed out — by a durable index link, or
+// by the last attribute-vector entry — while the dictionary length is
+// still n. Either is proof that the first fence completed, which made the
+// slot the stage half wrote at n and the key it refers to durable: the
+// entry is complete, and the length is rolled forward over it. Left
+// alone, the next new value would take ID n while a row or the index
+// still used it for the old one. Then the heads length is set to the
+// dictionary's: cut back over a head whose dictionary entry did not
+// survive, or rolled forward over the one the same stage half wrote
+// beside a dictionary entry that did. O(1) lookups, at most one entry
+// each: appends do not overlap.
 func (d *NVMDelta) repairTornAppend() error {
 	n := d.dictVec.Len()
-	ref, ok := d.dictVec.Staged(n)
-	if !ok || ref == 0 {
+	if ref, ok := d.dictVec.Staged(n); ok && ref != 0 && d.handedOut(n, nvm.PPtr(ref)) {
+		if _, err := d.dictVec.Append(ref); err != nil {
+			return err
+		}
+		n++
+	}
+	if d.heads == nil {
 		return nil
 	}
-	handedOut := false
+	switch hl := d.heads.Len(); {
+	case hl > n:
+		d.heads.Truncate(n)
+	case hl < n:
+		head, ok := d.heads.Staged(hl)
+		if !ok || head == 0 {
+			return fmt.Errorf("delta column %d: dictionary entry %d has no posting-list head", d.root, hl)
+		}
+		if _, err := d.heads.Append(head); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// handedOut reports whether value ID n, whose dictionary slot holds the
+// key reference ref past the dictionary's length, is in use.
+func (d *NVMDelta) handedOut(n uint64, ref nvm.PPtr) bool {
 	if rows := d.av.Len(); rows > 0 && d.av.Get(rows-1) == n {
-		handedOut = true
-	} else if p := nvm.PPtr(ref); d.idx.Arena().ContainsBlob(p) == nil {
-		// Without the row's word for it the slot may be a leftover no
-		// fence ever covered; only a key that lies in the arena can be
-		// looked up.
-		id, found := d.idx.Get(pstruct.ReadBlob(d.h, p))
-		handedOut = found && id == n
+		return true
 	}
-	if !handedOut {
-		return nil
+	// Without the row's word for it the slot may be a leftover no fence
+	// ever covered; only a key that lies in the arena can be looked up.
+	if d.idx.Arena().ContainsBlob(ref) != nil {
+		return false
 	}
-	_, err := d.dictVec.Append(ref)
-	return err
+	id, found := d.idx.Get(pstruct.ReadBlob(d.h, ref))
+	return found && id == n
 }
 
 // ValueID implements DeltaColumn.
@@ -410,6 +515,14 @@ func (d *NVMDelta) LookupValueID(encKey []byte) (uint64, bool) {
 	return d.idx.Get(encKey)
 }
 
+// Postings implements DeltaColumn.
+func (d *NVMDelta) Postings(id uint64, fn func(row uint64) bool) {
+	if d.heads == nil || id >= d.heads.Len() {
+		return
+	}
+	pstruct.ListScan(d.h, d.heads.Get(id), fn)
+}
+
 // ScanIDs implements DeltaColumn.
 func (d *NVMDelta) ScanIDs(fn func(row, id uint64) bool) { d.av.Scan(fn) }
 
@@ -417,11 +530,14 @@ func (d *NVMDelta) ScanIDs(fn func(row, id uint64) bool) { d.av.Scan(fn) }
 func (d *NVMDelta) Truncate(n uint64) { d.av.Truncate(n) }
 
 // Blocks yields the heap blocks owned by the delta column: its root, the
-// dictionary vector, the dictionary index (whose arena holds the keys)
-// and the attribute vector.
+// dictionary vector, the dictionary index (whose arena holds the keys and
+// the posting nodes), the attribute vector and the heads vector.
 func (d *NVMDelta) Blocks(yield func(nvm.PPtr)) {
 	yield(d.root)
 	d.dictVec.Blocks(yield)
 	d.idx.Blocks(yield)
 	d.av.Blocks(yield)
+	if d.heads != nil {
+		d.heads.Blocks(yield)
+	}
 }

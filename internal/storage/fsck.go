@@ -8,6 +8,7 @@ import (
 	"hyrisenv/internal/index"
 	"hyrisenv/internal/mvcc"
 	"hyrisenv/internal/nvm"
+	"hyrisenv/internal/pstruct"
 )
 
 // Deep structural fsck of an NVM-resident table: where Check verifies
@@ -58,9 +59,6 @@ func (d *NVMDelta) Check() error {
 	if err := d.h.CheckBlock(d.root, ndRootSize); err != nil {
 		return fmt.Errorf("delta column %d: root: %w", d.root, err)
 	}
-	if err := checkIdxKind(d.h, d.root); err != nil {
-		return err // the index root is not a skip list's: nothing below can be walked
-	}
 	if err := d.av.Check(); err != nil {
 		errs = append(errs, fmt.Errorf("delta column %d: attribute vector: %w", d.root, err))
 	}
@@ -95,6 +93,24 @@ func (d *NVMDelta) Check() error {
 			errs = append(errs, fmt.Errorf("delta column %d: index maps %q to value ID %d, beyond the dictionary's %d", d.root, key, id, d.dictVec.Len()))
 		} else if !bytes.Equal(d.DictKey(id), key) {
 			errs = append(errs, fmt.Errorf("delta column %d: index maps %q to value ID %d, which holds %q", d.root, key, id, d.DictKey(id)))
+		}
+		return true
+	})
+	if d.heads == nil {
+		return errors.Join(errs...)
+	}
+	// An indexed column has a posting-list head per dictionary entry, and
+	// every posting node lies in the index's arena.
+	if err := d.heads.Check(); err != nil {
+		errs = append(errs, fmt.Errorf("delta column %d: heads vector: %w", d.root, err))
+		return errors.Join(errs...)
+	}
+	if hl, dl := d.heads.Len(), d.dictVec.Len(); hl != dl {
+		errs = append(errs, fmt.Errorf("delta column %d: %d posting-list heads for a dictionary of %d", d.root, hl, dl))
+	}
+	d.heads.Scan(func(id, head uint64) bool {
+		if err := pstruct.ListCheck(d.h, head, arena.Contains); err != nil {
+			errs = append(errs, fmt.Errorf("delta column %d: value ID %d: %w", d.root, id, err))
 		}
 		return true
 	})
@@ -161,11 +177,6 @@ func (t *Table) FsckNVM(lastCID uint64) error {
 		}
 		if gk, ok := ps.mainIdx[c].(*index.NVMGroupKey); ok {
 			if err := gk.Check(ps.main[c].Rows(), ps.main[c].DictLen()); err != nil {
-				fail("column %d: %w", c, err)
-			}
-		}
-		if di, ok := ps.deltaIdx[c].(*index.NVMDeltaIndex); ok {
-			if err := di.Check(); err != nil {
 				fail("column %d: %w", c, err)
 			}
 		}

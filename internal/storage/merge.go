@@ -111,18 +111,14 @@ func (t *Table) Merge(snapCID uint64) (MergeStats, error) {
 
 func (t *Table) mergeVolatile(colKeys [][][]byte, begins []uint64, stats *MergeStats) (*partitions, error) {
 	ncols := t.Schema.NumCols()
-	ps := &partitions{
-		mainIdx:  make([]mainIndex, ncols),
-		deltaIdx: make([]deltaIndex, ncols),
-	}
+	ps := &partitions{mainIdx: make([]mainIndex, ncols)}
 	for c := 0; c < ncols; c++ {
 		m := BuildVolatileMain(t.Schema.Cols[c].Type, colKeys[c])
 		ps.main = append(ps.main, m)
-		ps.delta = append(ps.delta, NewVolatileDelta(t.Schema.Cols[c].Type))
+		ps.delta = append(ps.delta, NewVolatileDelta(t.Schema.Cols[c].Type, t.Indexed(c)))
 		stats.DictEntries += m.DictLen()
 		if t.Indexed(c) {
 			ps.mainIdx[c] = index.BuildGroupKey(m.Rows(), m.DictLen(), m.ValueID)
-			ps.deltaIdx[c] = index.NewVolatileDeltaIndex()
 		}
 	}
 	mainMVCC, err := buildVolatileMainMVCC(begins)

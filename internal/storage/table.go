@@ -52,15 +52,12 @@ type partitions struct {
 	main      []MainColumn
 	delta     []DeltaColumn
 	mainIdx   []mainIndex
-	deltaIdx  []deltaIndex
 	mainMVCC  *mvcc.Store
 	deltaMVCC *mvcc.Store
 
-	// The NVM backend's delta structures under their own types, for the
-	// staged row append (an unindexed column's index is nil); both nil on
-	// the DRAM backend.
-	nvmDelta    []*NVMDelta
-	nvmDeltaIdx []*index.NVMDeltaIndex
+	// The NVM backend's delta columns under their own type, for the staged
+	// row append; nil on the DRAM backend.
+	nvmDelta []*NVMDelta
 }
 
 // View is a consistent snapshot of one partition generation. All reads
@@ -89,8 +86,9 @@ const (
 )
 
 // Partition-set block: ncols u64 | mainBegin | mainEnd | deltaBegin |
-// deltaEnd | per column (mainColRoot, deltaColRoot, mainIdxRoot,
-// deltaIdxRoot).
+// deltaEnd | per column (mainColRoot, deltaColRoot, mainIdxRoot). An
+// unindexed column's mainIdxRoot is 0; an indexed column's delta index
+// is its delta column's posting lists.
 const (
 	psOffNCols      = 0
 	psOffMainBegin  = 8
@@ -98,9 +96,10 @@ const (
 	psOffDeltaBegin = 24
 	psOffDeltaEnd   = 32
 	psOffCols       = 40
+	psColSize       = 24
 )
 
-func psSize(ncols int) uint64 { return psOffCols + uint64(ncols)*32 }
+func psSize(ncols int) uint64 { return psOffCols + uint64(ncols)*psColSize }
 
 func (t *Table) psPtr() nvm.PPtr {
 	return nvm.PPtr(t.h.GetU64(t.root.Add(trOffPS)))
@@ -111,16 +110,12 @@ func (t *Table) psPtr() nvm.PPtr {
 func NewVolatileTable(name string, id uint32, schema Schema, indexMask uint64) *Table {
 	t := &Table{Name: name, ID: id, Schema: schema, indexMask: indexMask}
 	ncols := schema.NumCols()
-	ps := &partitions{
-		mainIdx:  make([]mainIndex, ncols),
-		deltaIdx: make([]deltaIndex, ncols),
-	}
+	ps := &partitions{mainIdx: make([]mainIndex, ncols)}
 	for c, col := range schema.Cols {
 		ps.main = append(ps.main, BuildVolatileMain(col.Type, nil))
-		ps.delta = append(ps.delta, NewVolatileDelta(col.Type))
+		ps.delta = append(ps.delta, NewVolatileDelta(col.Type, t.Indexed(c)))
 		if t.Indexed(c) {
 			ps.mainIdx[c] = index.BuildGroupKey(0, 0, nil)
-			ps.deltaIdx[c] = index.NewVolatileDeltaIndex()
 		}
 	}
 	ps.mainMVCC = newVolatileStore()
@@ -185,7 +180,7 @@ func OpenNVMTable(h *nvm.Heap, name string, root nvm.PPtr) (*Table, error) {
 
 // buildNVMPartitionSet allocates a partition set with the given main
 // columns and MVCC begin stamps (nil = empty main), fresh deltas, and
-// freshly built indexes for indexed columns.
+// freshly built group-key indexes for indexed columns.
 func (t *Table) buildNVMPartitionSet(mainCols []*NVMMain, mainBegins []uint64) (nvm.PPtr, error) {
 	h := t.h
 	ncols := t.Schema.NumCols()
@@ -238,28 +233,22 @@ func (t *Table) buildNVMPartitionSet(mainCols []*NVMMain, mainBegins []uint64) (
 	h.PutU64(ps.Add(psOffDeltaBegin), uint64(deltaBegin.Root()))
 	h.PutU64(ps.Add(psOffDeltaEnd), uint64(deltaEnd.Root()))
 	for i := 0; i < ncols; i++ {
-		dc, err := NewNVMDelta(h, t.Schema.Cols[i].Type)
+		dc, err := NewNVMDelta(h, t.Schema.Cols[i].Type, t.Indexed(i))
 		if err != nil {
 			return 0, err
 		}
-		base := ps.Add(psOffCols + uint64(i)*32)
+		base := ps.Add(psOffCols + uint64(i)*psColSize)
 		h.PutU64(base, uint64(mainCols[i].Root()))
 		h.PutU64(base.Add(8), uint64(dc.Root()))
+		var gkRoot nvm.PPtr
 		if t.Indexed(i) {
 			gk, err := index.BuildNVMGroupKey(h, mainCols[i].Rows(), mainCols[i].DictLen(), mainCols[i].ValueID)
 			if err != nil {
 				return 0, err
 			}
-			di, err := index.NewNVMDeltaIndex(h)
-			if err != nil {
-				return 0, err
-			}
-			h.PutU64(base.Add(16), uint64(gk.Root()))
-			h.PutU64(base.Add(24), uint64(di.Root()))
-		} else {
-			h.PutU64(base.Add(16), 0)
-			h.PutU64(base.Add(24), 0)
+			gkRoot = gk.Root()
 		}
+		h.PutU64(base.Add(16), uint64(gkRoot))
 	}
 	h.Persist(ps, psSize(ncols))
 	return ps, nil
@@ -275,26 +264,18 @@ func (t *Table) attachPartitionSet(psPtr nvm.PPtr, afterRestart bool) (*partitio
 	h := t.h
 	ncols := t.Schema.NumCols()
 	ps := &partitions{
-		main:        make([]MainColumn, ncols),
-		delta:       make([]DeltaColumn, ncols),
-		mainIdx:     make([]mainIndex, ncols),
-		deltaIdx:    make([]deltaIndex, ncols),
-		nvmDelta:    make([]*NVMDelta, ncols),
-		nvmDeltaIdx: make([]*index.NVMDeltaIndex, ncols),
+		main:     make([]MainColumn, ncols),
+		delta:    make([]DeltaColumn, ncols),
+		mainIdx:  make([]mainIndex, ncols),
+		nvmDelta: make([]*NVMDelta, ncols),
 	}
 	for i := 0; i < ncols; i++ {
-		base := psPtr.Add(psOffCols + uint64(i)*32)
+		base := psPtr.Add(psOffCols + uint64(i)*psColSize)
 		ps.main[i] = AttachNVMMain(h, nvm.PPtr(h.GetU64(base)))
-		deltaRoot := nvm.PPtr(h.GetU64(base.Add(8)))
-		if err := checkIdxKind(h, deltaRoot); err != nil {
-			return nil, fmt.Errorf("column %d (%s): %w", i, t.Schema.Cols[i].Name, err)
-		}
-		ps.nvmDelta[i] = AttachNVMDelta(h, deltaRoot)
+		ps.nvmDelta[i] = AttachNVMDelta(h, nvm.PPtr(h.GetU64(base.Add(8))))
 		ps.delta[i] = ps.nvmDelta[i]
 		if t.Indexed(i) {
 			ps.mainIdx[i] = index.AttachNVMGroupKey(h, nvm.PPtr(h.GetU64(base.Add(16))))
-			ps.nvmDeltaIdx[i] = index.AttachNVMDeltaIndex(h, nvm.PPtr(h.GetU64(base.Add(24))))
-			ps.deltaIdx[i] = ps.nvmDeltaIdx[i]
 		}
 	}
 	deltaBegin := pstruct.AttachVector(h, nvm.PPtr(h.GetU64(psPtr.Add(psOffDeltaBegin))))
@@ -315,10 +296,11 @@ func (t *Table) attachPartitionSet(psPtr nvm.PPtr, afterRestart bool) (*partitio
 // alignAfterRestart reconciles the delta's structures after a crash cut
 // a row append between its two fences, where any subset of the publish
 // words may have become durable. Each column first completes a
-// dictionary entry whose index link survived without its length
-// (repairTornAppend); then, as the row was never made visible (begin =
-// Inf), the shortest structure governs and the rest are cut back to it.
-// Work is O(columns), not O(rows).
+// dictionary entry whose index link survived without its length and
+// aligns its posting-list heads with its dictionary (repairTornAppend);
+// then, as the row was never made visible (begin = Inf), the shortest
+// structure governs and the rest are cut back to it. Work is
+// O(columns), not O(rows).
 func alignAfterRestart(delta []*NVMDelta, begin, end *pstruct.Vector) error {
 	rows := begin.Len()
 	if el := end.Len(); el < rows {
@@ -470,7 +452,7 @@ type RowLog interface {
 
 // AppendRow appends vals as a new delta row owned by transaction owner.
 // The row starts invisible (begin = Inf); the commit protocol stamps it.
-// Indexed columns get their delta-index entries here. It returns the
+// Indexed columns post the row under its value ID here. It returns the
 // table row ID (relative to the current epoch).
 func (t *Table) AppendRow(vals []Value, owner uint64) (uint64, error) {
 	return t.AppendRowLogged(vals, owner, nil)
@@ -482,11 +464,11 @@ func (t *Table) AppendRow(vals []Value, owner uint64) (uint64, error) {
 // On the NVM backend the append costs two fences whatever the schema.
 // The stage half writes every line the row needs — per column the
 // attribute-vector slot and, for a new value, the dictionary slot and the
-// index node with the key; the delta-index node and posting of indexed
-// columns; the MVCC begin and end slots; the undo record — where nothing
-// reaches them, and flushes them. One fence makes all of it durable. The
-// publish half then stores the words that make it reachable, in the
-// order concurrent readers need (index links and dictionary lengths,
+// index node with the key; the posting of indexed columns; the MVCC begin
+// and end slots; the undo record — where nothing reaches them, and
+// flushes them. One fence makes all of it durable. The publish half then
+// stores the words that make it reachable, in the order concurrent
+// readers need (dictionary and heads lengths, list heads and index links,
 // attribute-vector lengths, MVCC lengths last), and a second fence makes
 // those durable before the row ID is returned, long before commit
 // stamps it. A stage that fails publishes nothing. A crash between the
@@ -499,29 +481,20 @@ func (t *Table) AppendRowLogged(vals []Value, owner uint64, log RowLog) (uint64,
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
 	ps := t.parts.Load()
-	localRow := ps.deltaMVCC.Rows()
-	row := ps.mainMVCC.Rows() + localRow
+	row := ps.mainMVCC.Rows() + ps.deltaMVCC.Rows()
 	if t.h == nil {
-		return row, t.appendRowDRAM(ps, vals, owner, localRow)
+		return row, appendRowDRAM(ps, vals, owner)
 	}
-	return row, t.appendRowNVM(ps, vals, owner, localRow, row, log)
+	return row, t.appendRowNVM(ps, vals, owner, row, log)
 }
 
 // appendRowDRAM appends a row on the DRAM backend, which has no persist
 // order to keep: each structure's halves run back to back. Its appends
 // fail only at a vector's capacity, beyond any table.
-func (t *Table) appendRowDRAM(ps *partitions, vals []Value, owner, localRow uint64) error {
+func appendRowDRAM(ps *partitions, vals []Value, owner uint64) error {
 	for i, v := range vals {
 		if _, err := ps.delta[i].Append(v); err != nil {
 			return err
-		}
-		// deltaIdx[i] is nil on a checkpoint-loaded table until
-		// RebuildIndexes runs (log replay happens in between and the
-		// rebuild re-inserts everything).
-		if t.Indexed(i) && ps.deltaIdx[i] != nil {
-			if err := ps.deltaIdx[i].Insert(v.EncodeKey(nil), localRow); err != nil {
-				return err
-			}
 		}
 	}
 	_, err := ps.deltaMVCC.AppendRow(owner)
@@ -529,15 +502,10 @@ func (t *Table) appendRowDRAM(ps *partitions, vals []Value, owner, localRow uint
 }
 
 // stageRow is the stage half of a row append on the NVM backend.
-func (t *Table) stageRow(ps *partitions, vals []Value, owner, localRow, row uint64, log RowLog) error {
+func (t *Table) stageRow(ps *partitions, vals []Value, owner, row uint64, log RowLog) error {
 	for i, v := range vals {
 		if _, err := ps.nvmDelta[i].StageAppend(v); err != nil {
 			return err
-		}
-		if di := ps.nvmDeltaIdx[i]; di != nil {
-			if err := di.StageInsert(v.EncodeKey(nil), localRow); err != nil {
-				return err
-			}
 		}
 	}
 	if _, err := ps.deltaMVCC.StageRow(owner); err != nil {
@@ -550,15 +518,10 @@ func (t *Table) stageRow(ps *partitions, vals []Value, owner, localRow, row uint
 }
 
 // publishRow is the publish half of a row append on the NVM backend:
-// links and dictionary lengths, then attribute-vector lengths (both per
-// column, in NVMDelta.Publish), then the MVCC lengths that let a reader
-// count the row.
+// lengths, heads and links of the dictionaries, then attribute-vector
+// lengths (both per column, in NVMDelta.Publish), then the MVCC lengths
+// that let a reader count the row.
 func publishRow(ps *partitions, log RowLog) {
-	for _, di := range ps.nvmDeltaIdx {
-		if di != nil {
-			di.Publish()
-		}
-	}
 	for _, d := range ps.nvmDelta {
 		d.Publish()
 	}
@@ -574,11 +537,6 @@ func settleRow(ps *partitions) {
 	for _, d := range ps.nvmDelta {
 		d.Settle()
 	}
-	for _, di := range ps.nvmDeltaIdx {
-		if di != nil {
-			di.Settle()
-		}
-	}
 }
 
 // unstageRow forgets a row whose stage half failed. Nothing of it was
@@ -588,11 +546,6 @@ func settleRow(ps *partitions) {
 func unstageRow(ps *partitions, log RowLog) {
 	for _, d := range ps.nvmDelta {
 		d.Unstage()
-	}
-	for _, di := range ps.nvmDeltaIdx {
-		if di != nil {
-			di.Unstage()
-		}
 	}
 	ps.deltaMVCC.UnstageRow()
 	if log != nil {

@@ -6,8 +6,8 @@ package storage
 // fence, publish, fence. It is a file of its own so that `make
 // crosscheck` can swap in the seeded-bug variant
 // (table_append_seeded.go) by build tag.
-func (t *Table) appendRowNVM(ps *partitions, vals []Value, owner, localRow, row uint64, log RowLog) error {
-	if err := t.stageRow(ps, vals, owner, localRow, row, log); err != nil {
+func (t *Table) appendRowNVM(ps *partitions, vals []Value, owner, row uint64, log RowLog) error {
+	if err := t.stageRow(ps, vals, owner, row, log); err != nil {
 		unstageRow(ps, log)
 		return err
 	}

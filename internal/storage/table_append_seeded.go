@@ -7,8 +7,8 @@ package storage
 // keep a length word and lose the slot under it. publishcheck must flag
 // the publication and the shadow crash sweep must find the damage (see
 // internal/crashtest/seeded_test.go).
-func (t *Table) appendRowNVM(ps *partitions, vals []Value, owner, localRow, row uint64, log RowLog) error {
-	if err := t.stageRow(ps, vals, owner, localRow, row, log); err != nil {
+func (t *Table) appendRowNVM(ps *partitions, vals []Value, owner, row uint64, log RowLog) error {
+	if err := t.stageRow(ps, vals, owner, row, log); err != nil {
 		unstageRow(ps, log)
 		return err
 	}

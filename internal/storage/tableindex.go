@@ -10,11 +10,13 @@ import (
 
 // Secondary indexes. A table may index any subset of its columns
 // (IndexMask bit i = column i). Each indexed column carries a group-key
-// index over the main partition (rebuilt wholesale at merge) and a delta
-// index updated on every insert.
+// index over the main partition (rebuilt wholesale at merge), and its
+// delta column keeps a posting list of rows per dictionary value ID,
+// updated on every insert: the dictionary that finds a key's value ID
+// is the delta index's search structure too.
 //
-// On the NVM backend both index forms are persistent and are part of the
-// table's partition set, so they are valid immediately after restart; the
+// On the NVM backend both are persistent and are part of the table's
+// partition set, so they are valid immediately after restart; the
 // log-based baseline rebuilds them during recovery, which is a dominant
 // component of its restart time.
 
@@ -22,13 +24,6 @@ import (
 type mainIndex interface {
 	Rows(id uint64, fn func(row uint64) bool)
 	RowsInIDRange(lo, hi uint64, fn func(row uint64) bool)
-}
-
-// deltaIndex is satisfied by *index.VolatileDeltaIndex and
-// *index.NVMDeltaIndex.
-type deltaIndex interface {
-	Insert(encKey []byte, row uint64) error
-	Lookup(encKey []byte, fn func(row uint64) bool)
 }
 
 // IndexMask returns the bitmask of indexed columns.
@@ -39,14 +34,14 @@ func (t *Table) Indexed(col int) bool { return t.indexMask&(1<<uint(col)) != 0 }
 
 // LookupRows yields candidate table row IDs whose column col equals
 // encKey, using the group-key index for the main partition and the delta
-// index for the delta partition. Candidates are value-verified and
-// duplicate-suppressed (a crash can leave benign stale delta-index
-// entries, including one that collides with a live posting when its
-// rolled-back slot is reused under the same key) but NOT
-// visibility-checked — the caller applies MVCC. ok is false when col is
-// not indexed.
+// column's posting list of the key's value ID for the delta partition.
+// Candidates are verified to carry that value ID and duplicate-suppressed
+// (a crash can leave benign stale postings, including one that collides
+// with a live posting when its rolled-back slot is reused under the same
+// key) but NOT visibility-checked — the caller applies MVCC. ok is false
+// when col is not indexed.
 func (v View) LookupRows(col int, encKey []byte, fn func(row uint64) bool) (ok bool) {
-	if !v.t.Indexed(col) || v.ps.deltaIdx[col] == nil {
+	if !v.t.Indexed(col) || v.ps.mainIdx[col] == nil {
 		return false
 	}
 	if id, found := v.ps.main[col].LookupValueID(encKey); found {
@@ -65,13 +60,17 @@ func (v View) LookupRows(col int, encKey []byte, fn func(row uint64) bool) (ok b
 	mr := v.ps.mainMVCC.Rows()
 	dRows := v.ps.deltaMVCC.Rows()
 	d := v.ps.delta[col]
+	id, found := d.LookupValueID(encKey)
+	if !found {
+		return true
+	}
 	var seen []uint64
-	v.ps.deltaIdx[col].Lookup(encKey, func(local uint64) bool {
+	d.Postings(id, func(local uint64) bool {
 		if local >= dRows {
-			return true // torn append truncated away; stale entry
+			return true // torn append truncated away; stale posting
 		}
-		if !bytes.Equal(d.DictKey(d.ValueID(local)), encKey) {
-			return true // slot reused after truncation; stale entry
+		if d.ValueID(local) != id {
+			return true // slot reused after truncation; stale posting
 		}
 		// A slot reused with the SAME key after a crash carries both the
 		// stale and the live posting; value verification cannot separate
@@ -98,7 +97,7 @@ func (t *Table) LookupRows(col int, encKey []byte, fn func(row uint64) bool) boo
 // Candidates are not visibility-checked. ok is false when col is not
 // indexed.
 func (v View) LookupRowsInRange(col int, loKey, hiKey []byte, fn func(row uint64) bool) (ok bool) {
-	if !v.t.Indexed(col) || v.ps.deltaIdx[col] == nil {
+	if !v.t.Indexed(col) || v.ps.mainIdx[col] == nil {
 		return false
 	}
 	lo, hi := v.ps.main[col].LookupRange(loKey, hiKey)
@@ -133,68 +132,29 @@ func (t *Table) LookupRowsInRange(col int, loKey, hiKey []byte, fn func(row uint
 	return t.View().LookupRowsInRange(col, loKey, hiKey, fn)
 }
 
-// RebuildIndexes reconstructs all secondary indexes from column data —
-// the log-based recovery path (and a repair tool for the NVM backend).
-// Cost is O(rows) per indexed column. It publishes a new partition
-// generation carrying the fresh indexes (columns and MVCC unchanged, so
-// the epoch does not advance).
-func (t *Table) RebuildIndexes() error {
+// RebuildIndexes builds the secondary indexes of a table read from a
+// checkpoint, from its column data — the log-based recovery path, O(rows)
+// per indexed column: a group-key index over the main partition and the
+// delta column's rows per value ID. It publishes a new partition
+// generation carrying them (columns and MVCC unchanged, so the epoch
+// does not advance). On the NVM backend the indexes are persistent and
+// there is nothing to rebuild.
+func (t *Table) RebuildIndexes() {
+	if t.h != nil {
+		return
+	}
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
-	old := t.parts.Load()
-	ncols := t.Schema.NumCols()
-	ps := &partitions{
-		main:      old.main,
-		delta:     old.delta,
-		nvmDelta:  old.nvmDelta,
-		mainMVCC:  old.mainMVCC,
-		deltaMVCC: old.deltaMVCC,
-		mainIdx:   make([]mainIndex, ncols),
-		deltaIdx:  make([]deltaIndex, ncols),
-	}
-	if t.h != nil {
-		ps.nvmDeltaIdx = make([]*index.NVMDeltaIndex, ncols)
-	}
-	for c := 0; c < ncols; c++ {
-		if !t.Indexed(c) {
-			continue
-		}
-		if t.h != nil {
-			gk, err := index.BuildNVMGroupKey(t.h, ps.main[c].Rows(), ps.main[c].DictLen(), ps.main[c].ValueID)
-			if err != nil {
-				return err
-			}
-			ps.mainIdx[c] = gk
-			di, err := index.NewNVMDeltaIndex(t.h)
-			if err != nil {
-				return err
-			}
-			ps.deltaIdx[c], ps.nvmDeltaIdx[c] = di, di
-			// Publish the rebuilt roots in the persistent partition set.
-			pp := t.psPtr()
-			t.h.SetU64(pp.Add(psOffCols+uint64(c)*32+16), uint64(gk.Root()))
-			t.h.SetU64(pp.Add(psOffCols+uint64(c)*32+24), uint64(di.Root()))
-			t.h.Persist(pp.Add(psOffCols+uint64(c)*32+16), 16)
-		} else {
-			ps.mainIdx[c] = index.BuildGroupKey(ps.main[c].Rows(), ps.main[c].DictLen(), ps.main[c].ValueID)
-			ps.deltaIdx[c] = index.NewVolatileDeltaIndex()
-		}
-		// Re-insert delta rows.
-		d := ps.delta[c]
-		n := ps.deltaMVCC.Rows()
-		for local := uint64(0); local < n; local++ {
-			if err := ps.deltaIdx[c].Insert(d.DictKey(d.ValueID(local)), local); err != nil {
-				return err
-			}
+	ps := *t.parts.Load()
+	ps.mainIdx = make([]mainIndex, t.Schema.NumCols())
+	for c := range ps.mainIdx {
+		if t.Indexed(c) {
+			m := ps.main[c]
+			ps.mainIdx[c] = index.BuildGroupKey(m.Rows(), m.DictLen(), m.ValueID)
+			ps.delta[c].(*VolatileDelta).indexRows()
 		}
 	}
-	t.parts.Store(ps)
-	return nil
-}
-
-// nvmBlocks is implemented by the NVM index forms for scavenging.
-type nvmBlocks interface {
-	Blocks(yield func(nvm.PPtr))
+	t.parts.Store(&ps)
 }
 
 // Blocks yields every heap block reachable from the table (NVM backend
@@ -222,14 +182,9 @@ func (t *Table) Blocks(yield func(nvm.PPtr)) {
 	}
 	for c := 0; c < t.Schema.NumCols(); c++ {
 		ps.main[c].(*NVMMain).Blocks(yield)
-		ps.delta[c].(*NVMDelta).Blocks(yield)
-		if t.Indexed(c) {
-			if b, ok := ps.mainIdx[c].(nvmBlocks); ok {
-				b.Blocks(yield)
-			}
-			if b, ok := ps.deltaIdx[c].(nvmBlocks); ok {
-				b.Blocks(yield)
-			}
+		ps.nvmDelta[c].Blocks(yield)
+		if gk, ok := ps.mainIdx[c].(*index.NVMGroupKey); ok {
+			gk.Blocks(yield)
 		}
 	}
 }

@@ -9,14 +9,14 @@
 // the words that make it reachable, fence — and a row append
 // (Table.AppendRow) runs them over all of the row's structures at once:
 // the delta columns' attribute vectors, dictionaries and dictionary
-// indexes, the delta indexes of indexed columns, the MVCC vectors and
-// the transaction's undo record are staged together, fenced once,
-// published together and fenced once more. The structures are kept
-// consistent with each other not by ordering their persists but at
-// restart: a row is invisible until commit stamps it, so whatever a
-// crash leaves of a half-published row is completed (a dictionary entry
-// already handed out) or cut back to the shortest structure, in
-// O(columns). Keys and index nodes live in per-structure append arenas
+// indexes, the postings of indexed columns, the MVCC vectors and the
+// transaction's undo record are staged together, fenced once, published
+// together and fenced once more. The structures are kept consistent
+// with each other not by ordering their persists but at restart: a row
+// is invisible until commit stamps it, so whatever a crash leaves of a
+// half-published row is completed (a dictionary entry already handed
+// out) or cut back to the shortest structure, in O(columns). Keys, index
+// nodes and posting nodes live in per-structure append arenas
 // (pstruct.Arena), which a merge drops with the delta they belong to.
 package storage
 
