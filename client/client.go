@@ -3,8 +3,10 @@
 // protocol and provides:
 //
 //   - Dial: a pooled client. Connections are created lazily up to the
-//     pool size, health-checked with a ping when they have been idle,
-//     and re-dialed transparently when the server restarts.
+//     pool size, checked before an idle one is reused — a non-blocking
+//     look at the socket for a peer that has closed it, plus a ping
+//     once it has been idle for a while — and re-dialed transparently
+//     when the server restarts.
 //   - Auto-commit reads (Select, Count, ScanAll, Row, SelectRange): each
 //     runs in a fresh read-only snapshot on the server; because they are
 //     idempotent the client retries them once on a fresh connection
@@ -17,6 +19,11 @@
 // context deadline is propagated to the server in the frame header, so
 // an expired request comes back as a structured error
 // (context.DeadlineExceeded), not a hung connection.
+//
+// The client runs no goroutine of its own. Callers sharing a connection
+// read their replies themselves: one of them at a time holds the reader
+// role, reading under its own context's deadline and handing the other
+// callers' replies to them, until its own reply arrives (see wconn).
 package client
 
 import (
@@ -25,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -118,8 +126,7 @@ func errFromResp(e wire.ErrorResp) error {
 type Options struct {
 	// PoolSize caps pooled connections (default 4). Connections are
 	// shared: many requests multiplex over one connection as tagged
-	// in-flight frames (up to the pipeline depth the server advertised
-	// in the handshake), so the pool only needs to grow for throughput,
+	// in-flight frames, so the pool only needs to grow for throughput,
 	// not for concurrency.
 	PoolSize int
 	// DialTimeout bounds establishing one TCP connection + handshake
@@ -232,33 +239,46 @@ func (c *Client) Close() error {
 // Pool internals.
 
 // wconn is one established, handshaken connection, multiplexing many
-// in-flight requests. A single reader goroutine demultiplexes response
-// frames to waiters by request ID; writers serialize on wmu so frames
-// (and ID assignment) stay ordered on the wire.
+// in-flight requests. Writers serialize on wmu so frames (and ID
+// assignment) stay ordered on the wire. Replies are read by the callers
+// themselves, leader/follower style: a caller that has sent its request
+// while no one is reading takes the reader role; it reads frames under
+// its own context's deadline, hands each other caller's reply to that
+// caller, and on its own reply passes the role to one of the callers
+// still waiting. A reader whose context expires mid-frame leaves the
+// partial frame in fr for the next reader to resume, so the stream never
+// desynchronizes.
 type wconn struct {
-	nc          net.Conn
-	br          *bufio.Reader // owned by readLoop after the handshake
-	maxFrame    uint32
-	serverMode  uint8
-	version     uint16 // negotiated protocol version
-	maxInFlight int    // server's advertised pipeline depth (≥1)
+	nc         net.Conn
+	fr         *wire.FrameReader // used only by the caller holding the reader role
+	peer       *peerProbe
+	serverMode uint8
 
 	wmu   sync.Mutex // serializes reqID assignment and frame writes
 	bw    *bufio.Writer
 	reqID uint64
 
 	mu       sync.Mutex
-	pending  map[uint64]chan wire.Frame // reqID → waiter (buffered, cap 1)
-	pins     int                        // live Txs referencing this conn
+	pending  map[uint64]chan reply // reqID → waiting caller (buffered, cap 1: its one message)
+	reading  bool                  // a caller holds the reader role, or it is on its way to one
+	pins     int                   // live Txs referencing this conn
 	broken   bool
 	readErr  error // why the conn broke, for late arrivals
 	lastUsed time.Time
 }
 
+// reply is the one message a waiting caller receives: its reply frame,
+// or the reader role.
+type reply struct {
+	f    wire.Frame
+	lead bool
+}
+
 func (w *wconn) close() { w.fail(net.ErrClosed) }
 
 // fail marks the connection broken exactly once, closes the socket, and
-// wakes every pending waiter with the failure.
+// wakes every waiting caller with the failure. A caller holding the
+// reader role finds out from its read.
 func (w *wconn) fail(err error) {
 	w.mu.Lock()
 	if w.broken {
@@ -282,10 +302,27 @@ func (w *wconn) isBroken() bool {
 	return w.broken
 }
 
+// brokenErr is the error a caller woken by fail reports.
+func (w *wconn) brokenErr() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.readErr == nil {
+		return net.ErrClosed
+	}
+	return w.readErr
+}
+
 // inflight reports how many requests are awaiting responses.
 func (w *wconn) inflight() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.inflightLocked()
+}
+
+func (w *wconn) inflightLocked() int {
+	if w.reading {
+		return len(w.pending) + 1
+	}
 	return len(w.pending)
 }
 
@@ -312,37 +349,14 @@ func (w *wconn) unpin() {
 func (w *wconn) idleUnpinned() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return len(w.pending) == 0 && w.pins == 0
-}
-
-// readLoop is the connection's only reader after the handshake: it
-// routes each response frame to the waiter that sent the matching
-// request. A frame nobody is waiting for belongs to a request whose
-// caller gave up (context expiry) and is dropped. Any read error breaks
-// the connection and wakes all waiters.
-func (w *wconn) readLoop() {
-	for {
-		//nvmcheck:ignore deadlinecheck the pipelined reader blocks between responses by design; liveness comes from per-request context deadlines in roundTrip and the pool's idle health check
-		f, err := wire.ReadFrame(w.br, w.maxFrame)
-		if err != nil {
-			w.fail(err)
-			return
-		}
-		w.mu.Lock()
-		ch := w.pending[f.ReqID]
-		delete(w.pending, f.ReqID)
-		w.lastUsed = time.Now()
-		w.mu.Unlock()
-		if ch != nil {
-			ch <- f // buffered: never blocks the reader
-		}
-	}
+	return w.inflightLocked() == 0 && w.pins == 0
 }
 
 // roundTrip sends one request and waits for its response, applying the
 // context deadline both remotely (frame header timeout) and locally
-// (abandoning the wait; the reader discards the late response). Other
-// requests proceed on the same connection while this one waits.
+// (abandoning the wait; the late response is discarded when it
+// arrives). Other requests proceed on the same connection while this
+// one waits.
 func (w *wconn) roundTrip(ctx context.Context, t wire.Type, payload []byte) (wire.Frame, error) {
 	if err := ctx.Err(); err != nil {
 		return wire.Frame{}, err
@@ -360,7 +374,6 @@ func (w *wconn) roundTrip(ctx context.Context, t wire.Type, payload []byte) (wir
 			f.TimeoutMs = 1
 		}
 	}
-	ch := make(chan wire.Frame, 1)
 
 	w.wmu.Lock()
 	w.mu.Lock()
@@ -375,7 +388,15 @@ func (w *wconn) roundTrip(ctx context.Context, t wire.Type, payload []byte) (wir
 	}
 	w.reqID++
 	f.ReqID = w.reqID
-	w.pending[f.ReqID] = ch
+	// With no one reading, this caller takes the reader role now and
+	// needs no channel: no one else will read its reply.
+	var ch chan reply
+	if !w.reading {
+		w.reading = true
+	} else {
+		ch = make(chan reply, 1)
+		w.pending[f.ReqID] = ch
+	}
 	w.mu.Unlock()
 	if hasDL {
 		w.nc.SetWriteDeadline(dl) //nolint:errcheck
@@ -389,56 +410,147 @@ func (w *wconn) roundTrip(ctx context.Context, t wire.Type, payload []byte) (wir
 	}
 	w.wmu.Unlock()
 	if err != nil {
-		w.forget(f.ReqID)
 		w.fail(err)
 		return wire.Frame{}, err
 	}
+	if ch == nil {
+		return w.lead(ctx, f.ReqID)
+	}
+	return w.await(ctx, f.ReqID, ch)
+}
 
+// await waits for the reply to request id, or for the reader role.
+func (w *wconn) await(ctx context.Context, id uint64, ch chan reply) (wire.Frame, error) {
 	select {
-	case resp, ok := <-ch:
+	case r, ok := <-ch:
 		if !ok {
-			w.mu.Lock()
-			err := w.readErr
-			w.mu.Unlock()
-			if err == nil {
-				err = net.ErrClosed
+			return wire.Frame{}, w.brokenErr()
+		}
+		if r.lead {
+			return w.lead(ctx, id)
+		}
+		return r.f, nil
+	case <-ctx.Done():
+	}
+	w.mu.Lock()
+	_, waiting := w.pending[id]
+	delete(w.pending, id)
+	w.mu.Unlock()
+	if !waiting {
+		// Too late to withdraw: the reply or the reader role is already
+		// on its way (or the connection broke and closed ch).
+		if r, ok := <-ch; ok {
+			if !r.lead {
+				return r.f, nil
 			}
+			w.release()
+		}
+	}
+	return wire.Frame{}, ctx.Err()
+}
+
+// lead reads frames as the connection's reader until the reply to
+// request id arrives, handing every other reply to its waiting caller,
+// and then gives the role up. It reads under ctx's deadline, and a
+// cancellation of ctx wakes the read; either way the partial frame, if
+// any, stays in fr for the next reader.
+func (w *wconn) lead(ctx context.Context, id uint64) (wire.Frame, error) {
+	dl, hasDL := ctx.Deadline()
+	// Arming the cancellation wake-up costs allocations, and most replies
+	// arrive well within wakeAfter; until then, a read deadline at armAt
+	// stands in for it.
+	armAt := time.Now().Add(wakeAfter)
+	var armed bool
+	var stop func() bool
+	defer func() {
+		if stop != nil {
+			stop()
+		}
+	}()
+	for {
+		rdl := dl // the zero dl of a deadline-less ctx clears the deadline
+		if !armed && (!hasDL || armAt.Before(dl)) {
+			rdl = armAt
+		}
+		w.nc.SetReadDeadline(rdl) //nolint:errcheck
+		f, err := w.fr.Next()
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			if cerr := ctx.Err(); cerr != nil {
+				w.release()
+				return wire.Frame{}, cerr
+			}
+			now := time.Now()
+			if hasDL && !now.Before(dl) {
+				w.release()
+				return wire.Frame{}, context.DeadlineExceeded
+			}
+			if !armed && !now.Before(armAt) {
+				armed = true
+				if ctx.Done() != nil {
+					stop = context.AfterFunc(ctx, w.wake)
+				}
+			}
+			continue // armAt, or a wake-up meant for an earlier reader
+		}
+		if err != nil {
+			w.fail(err)
 			return wire.Frame{}, err
 		}
-		return resp, nil
-	case <-ctx.Done():
-		w.forget(f.ReqID)
-		return wire.Frame{}, ctx.Err()
+		if f.ReqID == id {
+			w.release()
+			return f, nil
+		}
+		w.mu.Lock()
+		ch := w.pending[f.ReqID] // nil: its caller gave up; drop the frame
+		delete(w.pending, f.ReqID)
+		w.lastUsed = time.Now()
+		w.mu.Unlock()
+		if ch != nil {
+			ch <- reply{f: f}
+		}
 	}
 }
 
-// forget deregisters an abandoned request so its eventual response is
-// dropped by the reader instead of delivered.
-func (w *wconn) forget(id uint64) {
+// wakeAfter is how long a reader waits before it arms a wake-up on its
+// context's cancellation, and so the longest a cancellation can go
+// unnoticed.
+const wakeAfter = 5 * time.Millisecond
+
+// wake interrupts the reader's blocked read.
+func (w *wconn) wake() { w.nc.SetReadDeadline(time.Now()) } //nolint:errcheck
+
+// release gives up the reader role: to one of the waiting callers, if
+// any.
+func (w *wconn) release() {
 	w.mu.Lock()
-	delete(w.pending, id)
-	w.mu.Unlock()
+	defer w.mu.Unlock()
+	w.lastUsed = time.Now()
+	w.reading = false
+	for id, ch := range w.pending {
+		delete(w.pending, id)
+		w.reading = true
+		ch <- reply{lead: true}
+		return
+	}
 }
 
 // dial establishes and handshakes one connection (no pool accounting).
-// The handshake runs serially on the calling goroutine; the reader
-// goroutine takes over the receive side only once the connection is
-// established.
 func (c *Client) dial(ctx context.Context) (*wconn, error) {
 	d := net.Dialer{}
-	nc, err := d.DialContext(ctx, "tcp", c.addr)
+	raw, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", c.addr, err)
 	}
+	nc := raw
 	if w := c.opts.ConnWrapper; w != nil {
-		nc = w(nc)
+		nc = w(raw)
 	}
 	wc := &wconn{
 		nc:       nc,
-		br:       bufio.NewReader(nc),
+		fr:       wire.NewFrameReader(nc, c.opts.MaxFrame),
+		peer:     newPeerProbe(raw),
 		bw:       bufio.NewWriter(nc),
-		maxFrame: c.opts.MaxFrame,
-		pending:  make(map[uint64]chan wire.Frame),
+		pending:  make(map[uint64]chan reply),
 		lastUsed: time.Now(),
 	}
 	// Handshake deadline: without one, a dial to a black-holed server
@@ -458,7 +570,7 @@ func (c *Client) dial(ctx context.Context) (*wconn, error) {
 		nc.Close()
 		return nil, err
 	}
-	f, err := wire.ReadFrame(wc.br, wc.maxFrame)
+	f, err := wc.fr.Next()
 	if err != nil {
 		nc.Close()
 		return nil, err
@@ -483,14 +595,8 @@ func (c *Client) dial(ctx context.Context) (*wconn, error) {
 		nc.Close()
 		return nil, fmt.Errorf("client: server negotiated unsupported protocol %d", ok.Version)
 	}
-	wc.version = ok.Version
 	wc.serverMode = ok.Mode
-	wc.maxInFlight = int(ok.MaxInFlight)
-	if wc.maxInFlight < 1 {
-		wc.maxInFlight = 1
-	}
 	nc.SetDeadline(time.Time{}) //nolint:errcheck
-	go wc.readLoop()
 	return wc, nil
 }
 
@@ -522,15 +628,25 @@ func (c *Client) conn(ctx context.Context) (*wconn, error) {
 		canDial := len(c.conns)+c.dialing < c.opts.PoolSize
 		if best != nil && (bestLoad == 0 || !canDial) {
 			c.mu.Unlock()
-			if h := c.opts.HealthCheckAfter; h > 0 && best.inflight() == 0 && best.idleFor() > h {
-				// Bound the health check tightly: a dead server must not
-				// eat the whole request deadline before we re-pick.
-				pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-				_, err := best.roundTrip(pctx, wire.TypePing, nil)
-				cancel()
-				if err != nil {
-					best.close() // stale conn (e.g. server restarted); re-pick
+			if best.inflight() == 0 {
+				// Nothing in flight, so no reader would notice a server that
+				// went away while the connection sat idle. Look before
+				// reuse: a write or a Begin sent into a dead connection is
+				// not retried.
+				if best.peer.gone() {
+					best.close() // e.g. the server restarted; re-pick
 					continue
+				}
+				if h := c.opts.HealthCheckAfter; h > 0 && best.idleFor() > h {
+					// Bound the health check tightly: a dead server must
+					// not eat the whole request deadline before we re-pick.
+					pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+					_, err := best.roundTrip(pctx, wire.TypePing, nil)
+					cancel()
+					if err != nil {
+						best.close() // stale conn; re-pick
+						continue
+					}
 				}
 			}
 			return best, nil
@@ -613,7 +729,7 @@ var reconnectBackoff = backoff.Policy{Base: 2 * time.Millisecond, Max: 100 * tim
 
 // purgeStale closes every pooled connection with no in-flight request
 // and no live Tx. Connections that are in use are left alone — if the
-// server really went away their reader notices on its own.
+// server really went away the caller reading on them notices.
 func (c *Client) purgeStale() {
 	c.mu.Lock()
 	var stale []*wconn

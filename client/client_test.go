@@ -18,7 +18,7 @@ import (
 	"hyrisenv/internal/txn"
 )
 
-func startVolatile(t *testing.T) (*shard.Engine, *server.Server) {
+func startVolatile(t testing.TB) (*shard.Engine, *server.Server) {
 	t.Helper()
 	eng, err := shard.Open(shard.Config{Config: core.Config{Mode: txn.ModeNone}})
 	if err != nil {
@@ -85,6 +85,50 @@ func TestRetryOnReconnect(t *testing.T) {
 	// proving the request reached the replacement server.
 	if _, err := c.Count("t"); !errors.Is(err, client.ErrNoSuchTable) {
 		t.Fatalf("count after swap: got %v, want ErrNoSuchTable", err)
+	}
+}
+
+// TestIdleRestartFirstCallSucceeds replaces the server behind the same
+// address while the client sits idle, with retries off: requests that
+// are never retried — Begin, CreateTable — must still succeed on their
+// first call, because the client finds the dead pooled connection
+// before it sends anything into it.
+func TestIdleRestartFirstCallSucceeds(t *testing.T) {
+	_, srv := startVolatile(t)
+	c, err := client.Dial(srv.Addr(), client.Options{ReadRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CreateTable("t", cols); err != nil {
+		t.Fatal(err)
+	}
+
+	addr := srv.Addr()
+	srv.Close()
+	eng2, err := shard.Open(shard.Config{Config: core.Config{Mode: txn.ModeNone}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv2, err := server.Listen(eng2, addr, server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv2.Close()
+		eng2.Close()
+	})
+	time.Sleep(50 * time.Millisecond) // the client sits idle
+
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatalf("begin after an idle restart: %v", err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CreateTable("t", cols); err != nil {
+		t.Fatalf("create table after an idle restart: %v", err)
 	}
 }
 

@@ -10,8 +10,8 @@
 //   - Read/Write/ReadFull calls whose receiver or argument is a
 //     net.Conn (or a type that embeds one, e.g. *bufio.Reader over a
 //     conn is matched via wire.ReadFrame/WriteFrame below);
-//   - wire.ReadFrame / wire.WriteFrame calls — the protocol's only
-//     transport entry points;
+//   - wire.ReadFrame / wire.WriteFrame calls and Next on a
+//     wire.FrameReader — the protocol's only transport entry points;
 //   - Flush on a bufio.Writer — the point where buffered writes hit
 //     the socket.
 //
@@ -103,6 +103,8 @@ func ioSite(pass *analysis.Pass, call *ast.CallExpr) string {
 	switch {
 	case (name == "ReadFrame" || name == "WriteFrame") && pkgName == "wire":
 		return "wire." + name
+	case name == "Next" && recv != nil && analysis.NamedFrom(recv, "wire", "FrameReader"):
+		return "wire.FrameReader.Next"
 	case name == "Read" || name == "Write":
 		if recv != nil && isNetConn(pass, recv) {
 			return "conn." + name

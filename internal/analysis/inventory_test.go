@@ -25,7 +25,7 @@ func TestProductionSuppressionsLoadBearing(t *testing.T) {
 		analyzer *analysis.Analyzer
 		want     int
 	}{
-		{"./internal/server", deadlinecheck.Analyzer, 5},
+		{"./internal/server", deadlinecheck.Analyzer, 1},
 		{"./internal/server", wirecodecheck.Analyzer, 1},
 		{"./internal/pstruct", publishcheck.Analyzer, 0},
 	}

@@ -170,13 +170,15 @@ func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (bool, string) {
 	case pkgName == "io" && name == "ReadFull":
 		return true, "io.ReadFull"
 	}
-	if name == "Wait" {
-		if recv := analysis.ReceiverType(pass.Info, call); recv != nil && analysis.NamedFrom(recv, "sync", "WaitGroup") {
-			return true, "WaitGroup.Wait"
-		}
+	recv := analysis.ReceiverType(pass.Info, call)
+	if name == "Wait" && recv != nil && analysis.NamedFrom(recv, "sync", "WaitGroup") {
+		return true, "WaitGroup.Wait"
+	}
+	if name == "Next" && recv != nil && analysis.NamedFrom(recv, "wire", "FrameReader") {
+		return true, "wire.FrameReader.Next"
 	}
 	if name == "Read" || name == "Write" {
-		if recv := analysis.ReceiverType(pass.Info, call); recv != nil {
+		if recv != nil {
 			for _, t := range netConnTypes {
 				if analysis.NamedFrom(recv, "net", t) {
 					return true, "net conn " + name

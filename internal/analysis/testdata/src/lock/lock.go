@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fix/nvm"
+	"fix/wire"
 )
 
 var errFail = errors.New("fail")
@@ -60,6 +61,13 @@ func (s *store) rlockUnderWrite() {
 func (s *store) sleepUnderLock() {
 	s.mu.Lock()
 	time.Sleep(time.Millisecond) // want `time\.Sleep may block indefinitely while holding s\.mu`
+	s.mu.Unlock()
+}
+
+// frameUnderLock waits on the peer for a whole frame.
+func (s *store) frameUnderLock(fr *wire.FrameReader) {
+	s.mu.Lock()
+	fr.Next() // want `wire\.FrameReader\.Next may block indefinitely while holding s\.mu`
 	s.mu.Unlock()
 }
 

@@ -39,6 +39,22 @@ func frameWithDeadline(c net.Conn) {
 	wire.WriteFrame(c, f)
 }
 
+// frameReaderNoDeadline reads through the buffered frame reader.
+func frameReaderNoDeadline(c net.Conn) {
+	fr := wire.NewFrameReader(c)
+	fr.Next() // want `wire\.FrameReader\.Next without a deadline on every path`
+}
+
+// frameReaderLoop re-arms the deadline before every frame.
+func frameReaderLoop(c net.Conn, fr *wire.FrameReader) {
+	for {
+		c.SetReadDeadline(time.Now().Add(time.Second))
+		if _, err := fr.Next(); err != nil {
+			return
+		}
+	}
+}
+
 // flushNoDeadline hits the socket when the buffer drains.
 func flushNoDeadline(w *bufio.Writer) {
 	w.Flush() // want `bufio Flush without a deadline on every path`

@@ -38,3 +38,12 @@ func ReadFrame(r io.Reader) (Frame, error) { return Frame{}, nil }
 
 // WriteFrame writes f to w.
 func WriteFrame(w io.Writer, f Frame) error { return nil }
+
+// FrameReader reads a stream of frames.
+type FrameReader struct{ r io.Reader }
+
+// NewFrameReader returns a FrameReader over r.
+func NewFrameReader(r io.Reader) *FrameReader { return &FrameReader{r} }
+
+// Next reads the next frame.
+func (fr *FrameReader) Next() (Frame, error) { return Frame{}, nil }

@@ -51,7 +51,7 @@ func TestAdmitOne(t *testing.T) {
 }
 
 // TestAdmitOneTimeout checks the fast-reject path: a waiter that gets no
-// slot within AdmissionWait is rejected rather than queued forever.
+// slot within AdmissionWait is rejected rather than left waiting forever.
 func TestAdmitOneTimeout(t *testing.T) {
 	s := New(nil, Config{MaxConcurrent: 1, AdmissionQueue: 8, AdmissionWait: 5 * time.Millisecond})
 	rel, ok := s.admitOne()

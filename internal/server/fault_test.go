@@ -19,7 +19,7 @@ import (
 // connection mid-frame: it pushes a strict prefix of the bytes onto the
 // wire, closes the socket, and reports a write error — the shape a
 // fault-plane partial write (or a peer reset racing a response burst)
-// presents to the server's worker goroutine.
+// presents to the connection's goroutine.
 type failNthWriteConn struct {
 	net.Conn
 	writes atomic.Int32
@@ -50,8 +50,8 @@ func testFrame(t *testing.T, nc net.Conn, reqID uint64, typ wire.Type, payload [
 
 // TestMidFrameWriteFailureReleasesResources audits the teardown path
 // the fault plane exercises constantly: a response write that dies
-// mid-frame must take down only that connection — its reader and worker
-// goroutines exit, its transaction-scoped admission slot is released,
+// mid-frame must take down only that connection — its goroutine exits,
+// its transaction-scoped admission slot is released,
 // and other connections keep serving. A leak in any of these turns a
 // chaos run into resource exhaustion instead of graceful degradation.
 func TestMidFrameWriteFailureReleasesResources(t *testing.T) {
@@ -137,7 +137,7 @@ func TestMidFrameWriteFailureReleasesResources(t *testing.T) {
 	healthy.Close() //nolint:errcheck
 	waitFor("healthy conn teardown", func() bool { return srv.NumConns() == 0 })
 
-	// No goroutine leak: both connections' reader+worker pairs are gone.
+	// No goroutine leak: both connections' goroutines are gone.
 	// A couple of runtime-internal goroutines of slack absorbs timers etc.
 	waitFor("goroutine count recovery", func() bool {
 		runtime.GC()

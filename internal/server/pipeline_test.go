@@ -136,9 +136,9 @@ func TestPipelinedTxnSequence(t *testing.T) {
 }
 
 // TestDrainCompletesPipeline is the graceful-drain regression test: a
-// connection with several slow requests queued (modelled 40 ms commit
-// syncs) must receive every queued response during Shutdown, and a
-// request sent after the drain began must be answered with
+// connection with several slow commits pipelined (modelled 40 ms commit
+// syncs) must receive every one of their responses during Shutdown, and
+// a new request sent after the drain began must be answered with
 // CodeShuttingDown — not silently dropped.
 func TestDrainCompletesPipeline(t *testing.T) {
 	eng := openEngine(t, txn.ModeLog, disk.Model{SyncLatency: 40 * time.Millisecond})
@@ -178,10 +178,10 @@ func TestDrainCompletesPipeline(t *testing.T) {
 	for i := 0; i < nTxns; i++ {
 		commitIDs = append(commitIDs, rc.writeFrame(wire.TypeCommit, wire.TxnReq{Txn: uint64(i + 1)}.Encode()))
 	}
-	// Let the server decode the burst into its request queue (the first
-	// commit alone takes 40 ms, so the rest are still queued). Frames
-	// not yet decoded when the drain begins get shutting-down replies —
-	// a definite answer, but not what this test is pinning down.
+	// Let the burst reach the server (the first commit alone takes 40 ms,
+	// so the rest are still waiting to be read when the drain begins).
+	// They name transactions open on the connection, so the drain still
+	// executes them.
 	time.Sleep(25 * time.Millisecond)
 
 	shutdownErr := make(chan error, 1)
@@ -195,15 +195,15 @@ func TestDrainCompletesPipeline(t *testing.T) {
 	time.Sleep(5 * time.Millisecond)
 	lateID := rc.writeFrame(wire.TypePing, nil)
 
-	// Every queued commit must complete and be answered, in order.
+	// Every pipelined commit must complete and be answered, in order.
 	for i, want := range commitIDs {
 		f, err := rc.readFrame()
 		if err != nil {
-			t.Fatalf("draining server dropped queued commit %d: %v", i, err)
+			t.Fatalf("draining server dropped pipelined commit %d: %v", i, err)
 		}
 		if f.ReqID != want || f.Type != wire.TypeOK {
 			e, _ := wire.DecodeErrorResp(f.Payload)
-			t.Fatalf("queued commit %d: got %s (%+v) for req %d, want ok for %d", i, f.Type, e, f.ReqID, want)
+			t.Fatalf("pipelined commit %d: got %s (%+v) for req %d, want ok for %d", i, f.Type, e, f.ReqID, want)
 		}
 	}
 	// The late request is either answered shutting-down (it entered the
@@ -244,6 +244,86 @@ func TestDrainCompletesPipeline(t *testing.T) {
 		t.Fatalf("visible rows after drain = %d, want %d", got, nTxns)
 	}
 	etx.Abort()
+}
+
+// TestDrainRefusesNewWork pins the drain rule: once the drain begins, a
+// request addressed to a transaction open on the connection still
+// executes, so an admitted transaction can finish, while new work — a
+// Begin, a one-shot read — is answered CodeShuttingDown.
+func TestDrainRefusesNewWork(t *testing.T) {
+	eng := openEngine(t, txn.ModeLog, disk.Model{SyncLatency: 100 * time.Millisecond})
+	srv, err := server.Listen(eng, "127.0.0.1:0", server.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	defer srv.Close()
+	rc := dialRaw(t, srv.Addr())
+
+	mk := wire.CreateTableReq{Name: "dr",
+		Cols: []wire.ColumnDef{{Name: "id", Type: uint8(storage.TypeInt64)}}}
+	if f := rc.roundTrip(wire.TypeCreateTable, mk.Encode(), 0); f.Type != wire.TypeOK {
+		t.Fatalf("create table: %s", f.Type)
+	}
+	// Transaction 1 stages a row; transaction 2 is open and empty.
+	for i := 0; i < 2; i++ {
+		if f := rc.roundTrip(wire.TypeBegin, wire.BeginReq{}.Encode(), 0); f.Type != wire.TypeBeginOK {
+			t.Fatalf("begin %d: %s", i, f.Type)
+		}
+	}
+	ins := wire.InsertReq{Txn: 1, Table: "dr", Vals: []storage.Value{storage.Int(1)}}
+	if f := rc.roundTrip(wire.TypeInsert, ins.Encode(), 0); f.Type != wire.TypeRowID {
+		t.Fatalf("insert: %s", f.Type)
+	}
+
+	// Transaction 1's commit pays the 100 ms sync; the drain begins while
+	// it runs, so every request behind it is read during the drain.
+	type want struct {
+		id   uint64
+		typ  wire.Type
+		code uint16
+	}
+	wants := []want{{rc.writeFrame(wire.TypeCommit, wire.TxnReq{Txn: 1}.Encode()), wire.TypeOK, 0}}
+	wants = append(wants,
+		want{rc.writeFrame(wire.TypeBegin, wire.BeginReq{}.Encode()), wire.TypeError, wire.CodeShuttingDown},
+		want{rc.writeFrame(wire.TypeSelect, wire.SelectReq{Table: "dr"}.Encode()), wire.TypeError, wire.CodeShuttingDown},
+		want{rc.writeFrame(wire.TypeInsert, wire.InsertReq{Txn: 2, Table: "dr", Vals: []storage.Value{storage.Int(2)}}.Encode()), wire.TypeRowID, 0},
+		want{rc.writeFrame(wire.TypeCommit, wire.TxnReq{Txn: 2}.Encode()), wire.TypeOK, 0},
+	)
+	time.Sleep(10 * time.Millisecond)
+	shutdownErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		shutdownErr <- srv.Shutdown(ctx)
+	}()
+
+	for i, w := range wants {
+		f, err := rc.readFrame()
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		var code uint16
+		if f.Type == wire.TypeError {
+			e, _ := wire.DecodeErrorResp(f.Payload)
+			code = e.Code
+		}
+		if f.ReqID != w.id || f.Type != w.typ || code != w.code {
+			t.Fatalf("reply %d: got %s (code %d) for req %d, want %s (code %d) for %d", i, f.Type, code, f.ReqID, w.typ, w.code, w.id)
+		}
+	}
+	if err := <-shutdownErr; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	etx := eng.Begin()
+	defer etx.Abort()
+	tbl, err := eng.Table("dr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows, err := etx.Select(context.Background(), tbl); err != nil || len(rows) != 2 {
+		t.Fatalf("rows after drain: %d, %v; want both transactions' rows", len(rows), err)
+	}
 }
 
 // TestOverloadFastReject floods a server configured with one execution

@@ -2,11 +2,12 @@
 // TCP server that multiplexes many client connections onto one storage
 // engine using the internal/wire protocol.
 //
-// Each accepted connection runs two goroutines: a reader that decodes
-// ahead into a bounded request queue (wire v2 pipelining) and a worker
-// that executes queued requests in arrival order and writes responses in
-// the same order. Transaction handles are connection-scoped, so a
-// dropped connection aborts everything it left open. Errors are
+// Each accepted connection runs on one goroutine: it reads a request
+// through a read buffer, executes it, writes the reply, and flushes the
+// replies once no further request is buffered. Pipelined requests (wire
+// v2) wait in the read buffer or the kernel socket buffer and are
+// answered in arrival order. Transaction handles are connection-scoped,
+// so a dropped connection aborts everything it left open. Errors are
 // reported per request as structured wire.TypeError frames — a failed
 // request never tears down the connection.
 //
@@ -21,11 +22,13 @@
 // (one-shot reads, DDL) hold a slot just for their own execution, and
 // ping stays exempt so health checks measure liveness, not load.
 //
-// Shutdown drains gracefully: the listener closes, every request already
-// queued on a connection finishes (bounded by the drain context),
-// requests arriving after the drain began get CodeShuttingDown replies,
-// remaining open transactions are aborted, and only then does the
-// caller close the engine.
+// Shutdown drains gracefully: the listener closes, and each connection
+// reads on until its client has been quiet for a short grace (bounded
+// by the drain context). During the drain a request addressed to a
+// transaction open on the connection still executes, so an admitted
+// transaction can commit or abort; every other request gets a
+// CodeShuttingDown reply. Remaining open transactions are then aborted,
+// and only then does the caller close the engine.
 package server
 
 import (
@@ -35,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -65,11 +69,6 @@ type Config struct {
 	// WriteTimeout bounds writing one response frame. Default 30 s;
 	// negative disables.
 	WriteTimeout time.Duration
-	// PipelineDepth bounds how many decoded requests may queue on one
-	// connection ahead of execution (wire v2 pipelining; advertised to
-	// v2 clients as MaxInFlight). Excess frames wait in the kernel
-	// socket buffer. Default 32; negative forces strict request/response.
-	PipelineDepth int
 	// MaxConcurrent caps admitted work across all connections (the
 	// admission semaphore): each open transaction holds one slot from
 	// Begin to commit/abort, and each standalone request (one-shot
@@ -109,12 +108,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.WriteTimeout == 0 {
 		out.WriteTimeout = 30 * time.Second
-	}
-	if out.PipelineDepth == 0 {
-		out.PipelineDepth = 32
-	}
-	if out.PipelineDepth < 0 {
-		out.PipelineDepth = 1
 	}
 	if out.MaxConcurrent == 0 {
 		out.MaxConcurrent = 64 * runtime.GOMAXPROCS(0)
@@ -224,8 +217,8 @@ func (s *Server) Serve(ln net.Listener) error {
 				fmt.Sprintf("server at connection limit (%d)", s.cfg.MaxConns))
 			continue
 		}
-		c := &conn{srv: s, nc: nc, bw: bufio.NewWriterSize(nc, 16<<10),
-			txns: map[uint64]openTxn{}}
+		c := &conn{srv: s, nc: nc, fr: wire.NewFrameReader(nc, s.cfg.MaxFrame),
+			bw: bufio.NewWriterSize(nc, 16<<10), txns: map[uint64]openTxn{}}
 		s.mu.Lock()
 		if s.draining {
 			s.mu.Unlock()
@@ -301,12 +294,12 @@ func (c *conn) admit() (release func(), ok bool) {
 	return release, ok
 }
 
-// Shutdown drains the server: it stops accepting, lets every request
-// already queued on a connection finish until ctx expires, then
-// force-closes stragglers and aborts every transaction still open. The
-// engine is left open — the caller (who owns it) closes it after
-// Shutdown returns, which is what makes "drain, then DB.Close" safe to
-// race with a second signal.
+// Shutdown drains the server: it stops accepting, lets each connection
+// serve its open transactions until its client goes quiet or ctx
+// expires, then force-closes stragglers and aborts every transaction
+// still open. The engine is left open — the caller (who owns it) closes
+// it after Shutdown returns, which is what makes "drain, then DB.Close"
+// safe to race with a second signal.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
@@ -334,7 +327,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			for _, c := range conns {
-				c.close()
+				c.nc.Close()
 			}
 			// Even on the force path, wait for the handler goroutines to
 			// run their deferred transaction aborts: the caller closes
@@ -380,19 +373,15 @@ func (s *Server) dropConn(c *conn) {
 // ---------------------------------------------------------------------------
 // Per-connection handling.
 
-// drainGrace is how long the drain-mode reader waits for residual frames
-// from a client before giving up on the connection. Frames already
-// buffered arrive instantly; the grace only bounds a quiet socket.
+// drainGrace is how long a draining connection waits for the client's
+// next request before it closes. Requests already buffered arrive
+// instantly; the grace only bounds a quiet socket.
 const drainGrace = 20 * time.Millisecond
 
-// queued is one decoded request waiting for the connection's worker.
-type queued struct {
-	f wire.Frame
-	// reject marks a request that arrived after the drain began: the
-	// worker answers it with CodeShuttingDown instead of executing it,
-	// keeping responses strictly in request order.
-	reject bool
-}
+// maxInFlight is the pipeline depth HelloOK advertises. Nothing enforces
+// it: a connection executes its requests one at a time, and the rest
+// wait in its read buffer or the kernel socket buffer.
+const maxInFlight = 32
 
 // openTxn is one registry entry: a transaction and the release of the
 // admission slot Begin charged for it, so a slot can neither outlive nor
@@ -402,63 +391,37 @@ type openTxn struct {
 	release func()
 }
 
+// conn is one served connection. Everything but draining belongs to the
+// connection's goroutine.
 type conn struct {
-	srv     *Server
-	nc      net.Conn
-	version uint16 // negotiated protocol version
-
-	// bw buffers response frames so a pipelined burst costs one write
-	// syscall, not one per response. Only the handshake (before the
-	// worker starts) and then the worker goroutine write to it; the
-	// worker flushes whenever the request queue goes empty.
+	srv *Server
+	nc  net.Conn
+	fr  *wire.FrameReader
+	// bw buffers replies so a pipelined burst costs one write syscall,
+	// not one per reply; serve flushes once no further request is
+	// buffered.
 	bw *bufio.Writer
 
-	// txns is the connection-scoped transaction registry; it is only
-	// touched by the connection's worker goroutine, except at teardown
-	// (after the worker has exited).
+	// txns is the connection-scoped transaction registry.
 	txns    map[uint64]openTxn
 	nextTxn uint64
 
-	mu       sync.Mutex
-	draining bool
-	closed   bool
+	draining atomic.Bool
 }
 
-// beginDrain asks the connection to stop reading new work. Requests
-// already queued still execute; later arrivals get CodeShuttingDown.
+// beginDrain switches the connection to drain mode and wakes a blocked
+// read so an idle connection notices.
 func (c *conn) beginDrain() {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-	// Wake a blocked read so an idle connection notices the drain.
+	c.draining.Store(true)
 	c.nc.SetReadDeadline(time.Now()) //nolint:errcheck
 }
 
-func (c *conn) isDraining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
-}
-
-func (c *conn) close() {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	c.mu.Unlock()
-	c.nc.Close()
-}
-
-// serve runs the connection: handshake, then a reader that decodes
-// ahead into a bounded queue while the worker executes requests FIFO
-// and writes responses in the same order.
+// serve runs the connection: handshake, then read a request, execute
+// it, reply, for as long as the client keeps the connection.
 func (c *conn) serve() {
 	defer func() {
-		c.close()
+		c.nc.Close()
 		// Abort whatever the client left open so row locks are released.
-		// The worker has exited by now, so the registry is quiescent.
 		for id, t := range c.txns {
 			if t.tx.Active() {
 				t.tx.Abort() //nolint:errcheck — already tearing down
@@ -473,115 +436,83 @@ func (c *conn) serve() {
 		c.srv.logf("server: handshake with %s failed: %v", c.nc.RemoteAddr(), err)
 		return
 	}
-
-	reqQ := make(chan queued, c.srv.cfg.PipelineDepth)
-	workerDone := make(chan struct{})
-	go c.worker(reqQ, workerDone)
-	c.readLoop(reqQ)
-	close(reqQ)
-	<-workerDone
-}
-
-// readLoop decodes frames ahead of execution. The bounded queue is the
-// pipeline-depth backpressure: when it is full the send blocks, leaving
-// excess frames in the kernel socket buffer, so a client stalls nothing
-// but itself.
-func (c *conn) readLoop(reqQ chan<- queued) {
 	for {
-		f, err := c.readRequest()
+		f, draining, err := c.next()
 		if err != nil {
-			if c.isDraining() {
-				c.drainReads(reqQ)
-				return
-			}
-			if !isExpectedNetErr(err) {
+			if !draining && !isExpectedNetErr(err) {
 				c.srv.logf("server: read from %s: %v", c.nc.RemoteAddr(), err)
 			}
+			c.flush() //nolint:errcheck — replies to requests already executed; the connection is closing
 			return
 		}
-		if c.isDraining() {
-			reqQ <- queued{f: f, reject: true}
-			c.drainReads(reqQ)
-			return
-		}
-		reqQ <- queued{f: f}
-	}
-}
-
-// drainReads keeps answering frames that arrive after the drain began
-// with shutting-down errors (queued behind real work so responses stay
-// in request order). It stops once the client goes quiet for drainGrace;
-// a client that never goes quiet is bounded by the shutdown deadline's
-// force-close. A read interrupted mid-frame by the drain wake-up leaves
-// the stream desynced — the bad-magic error then ends the loop, the
-// same outcome as a v1 connection dropping mid-request.
-func (c *conn) drainReads(reqQ chan<- queued) {
-	for {
-		c.nc.SetReadDeadline(time.Now().Add(drainGrace)) //nolint:errcheck
-		f, err := wire.ReadFrame(c.nc, c.srv.cfg.MaxFrame)
-		if err != nil {
-			return
-		}
-		reqQ <- queued{f: f, reject: true}
-	}
-}
-
-// worker executes queued requests in arrival order and writes each
-// response before starting the next, so responses leave in request
-// order. On a write failure it closes the socket (waking the reader)
-// and discards the rest of the queue so the reader can never block on a
-// full channel.
-func (c *conn) worker(reqQ <-chan queued, done chan<- struct{}) {
-	defer close(done)
-	for q := range reqQ {
-		var err error
-		if q.reject {
-			err = c.replyErr(q.f.ReqID, wire.CodeShuttingDown, "server is shutting down")
+		if draining && !c.namesOpenTxn(f) {
+			err = c.replyErr(f.ReqID, wire.CodeShuttingDown, "server is shutting down")
 		} else {
-			err = c.handle(q.f)
+			err = c.handle(f)
 		}
-		if err == nil && len(reqQ) == 0 {
-			// No request is waiting: the client is (momentarily) blocked
-			// on our responses, so push them out now. While the queue is
-			// non-empty, responses coalesce in the buffer and a pipelined
-			// burst costs one syscall.
-			//nvmcheck:ignore deadlinecheck every buffered write went through c.reply, which set the conn's write deadline (or deliberately cleared it when WriteTimeout is disabled)
-			err = c.bw.Flush()
+		if err == nil && !c.fr.Ready() {
+			// No further request is buffered: the client is (momentarily)
+			// waiting on our replies, so push them out now. While requests
+			// are buffered, replies coalesce and a pipelined burst costs
+			// one syscall.
+			err = c.flush()
 		}
 		if err != nil {
 			c.srv.logf("server: write to %s: %v", c.nc.RemoteAddr(), err)
-			c.close()
-			for range reqQ { //nolint:revive — discard; the reader owns close(reqQ)
-			}
 			return
 		}
 	}
-	//nvmcheck:ignore deadlinecheck final responses under the write deadline c.reply last set; conn is closing anyway
-	c.bw.Flush() //nolint:errcheck — final responses; conn is closing anyway
 }
 
-func (c *conn) readRequest() (wire.Frame, error) {
-	if t := c.srv.cfg.IdleTimeout; t > 0 {
-		c.nc.SetReadDeadline(time.Now().Add(t)) //nolint:errcheck
-	} else {
-		c.nc.SetReadDeadline(time.Time{}) //nolint:errcheck
+// next reads the next request. Until the drain begins it waits up to
+// IdleTimeout for one; after, only drainGrace, so the drain ends once
+// the client goes quiet. The drain's wake-up may interrupt a read
+// part-way through a frame: the frame reader keeps what has arrived,
+// and the read that follows resumes it.
+func (c *conn) next() (f wire.Frame, draining bool, err error) {
+	for {
+		if t := c.srv.cfg.IdleTimeout; t > 0 {
+			c.nc.SetReadDeadline(time.Now().Add(t)) //nolint:errcheck
+		} else {
+			c.nc.SetReadDeadline(time.Time{}) //nolint:errcheck
+		}
+		// Checked after arming the idle deadline: a drain that begins
+		// from here on sets its wake-up after it, so it cannot be lost.
+		if draining = c.draining.Load(); draining {
+			c.nc.SetReadDeadline(time.Now().Add(drainGrace)) //nolint:errcheck
+		}
+		f, err = c.fr.Next()
+		if err != nil && !draining && c.draining.Load() && errors.Is(err, os.ErrDeadlineExceeded) {
+			continue // the drain's wake-up: read on under the grace
+		}
+		return f, draining, err
 	}
-	return wire.ReadFrame(c.nc, c.srv.cfg.MaxFrame)
+}
+
+// namesOpenTxn reports whether request f is addressed to a transaction
+// open on this connection — the requests a drain still executes.
+func (c *conn) namesOpenTxn(f wire.Frame) bool {
+	_, open := c.txns[wire.RequestTxn(f)]
+	return open
+}
+
+// flush sends the buffered replies.
+func (c *conn) flush() error {
+	//nvmcheck:ignore deadlinecheck every buffered write went through c.reply, which set the conn's write deadline (or deliberately cleared it when WriteTimeout is disabled)
+	return c.bw.Flush()
 }
 
 // handshake negotiates the protocol version: the connection speaks
 // min(client, server) provided the client's version is at least
 // wire.MinVersion; an older client is refused with the supported range.
 func (c *conn) handshake() error {
-	f, err := c.readRequest()
+	f, _, err := c.next()
 	if err != nil {
 		return err
 	}
 	if f.Type != wire.TypeHello {
-		c.reply(f.ReqID, wire.TypeError, wire.ErrorResp{ //nolint:errcheck
-			Code: wire.CodeBadRequest, Msg: "expected hello"}.Encode())
-		//nvmcheck:ignore deadlinecheck c.reply above set the write deadline; conn is being dropped
-		c.bw.Flush() //nolint:errcheck — conn is being dropped
+		c.replyErr(f.ReqID, wire.CodeBadRequest, "expected hello") //nolint:errcheck
+		c.flush()                                                  //nolint:errcheck — conn is being dropped
 		return fmt.Errorf("first frame is %s, not hello", f.Type)
 	}
 	h, err := wire.DecodeHello(f.Payload)
@@ -589,27 +520,21 @@ func (c *conn) handshake() error {
 		return err
 	}
 	if h.Version < wire.MinVersion {
-		c.reply(f.ReqID, wire.TypeError, wire.ErrorResp{ //nolint:errcheck
-			Code: wire.CodeBadRequest,
-			Msg: fmt.Sprintf("protocol version %d not supported (server speaks %d through %d)",
-				h.Version, wire.MinVersion, wire.Version),
-		}.Encode())
-		//nvmcheck:ignore deadlinecheck c.reply above set the write deadline; conn is being dropped
-		c.bw.Flush() //nolint:errcheck — conn is being dropped
+		c.replyErr(f.ReqID, wire.CodeBadRequest, fmt.Sprintf( //nolint:errcheck
+			"protocol version %d not supported (server speaks %d through %d)",
+			h.Version, wire.MinVersion, wire.Version))
+		c.flush() //nolint:errcheck — conn is being dropped
 		return fmt.Errorf("client version %d unsupported", h.Version)
 	}
-	c.version = min(h.Version, wire.Version)
 	if err := c.reply(f.ReqID, wire.TypeHelloOK, wire.HelloOK{
-		Version:     c.version,
+		Version:     min(h.Version, wire.Version),
 		Mode:        uint8(c.srv.eng.Mode()),
 		MaxPayload:  c.srv.cfg.MaxFrame,
-		MaxInFlight: uint32(c.srv.cfg.PipelineDepth),
+		MaxInFlight: maxInFlight,
 	}.Encode()); err != nil {
 		return err
 	}
-	// The worker (the only writer from here on) is not running yet.
-	//nvmcheck:ignore deadlinecheck the HelloOK reply above set the write deadline for this flush
-	return c.bw.Flush()
+	return c.flush()
 }
 
 func (c *conn) reply(reqID uint64, t wire.Type, payload []byte) error {
@@ -627,8 +552,8 @@ func (c *conn) reply(reqID uint64, t wire.Type, payload []byte) error {
 		// the conn so this write does not fail against a stale one.
 		c.nc.SetWriteDeadline(time.Time{}) //nolint:errcheck
 	}
-	// Buffered: the worker flushes when the request queue goes empty, so
-	// the deadline set above governs a flush that is at most one handled
+	// Buffered: serve flushes once no further request is buffered, so the
+	// deadline set above governs a flush that is at most one handled
 	// request away.
 	return wire.WriteFrame(c.bw, wire.Frame{Type: t, ReqID: reqID, Payload: payload})
 }

@@ -104,30 +104,53 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// FuzzReadFrame covers the streaming reader: arbitrary byte streams —
+// FuzzReadFrame covers the streaming readers: arbitrary byte streams —
 // including short reads at every boundary — must never panic, and any
-// frame ReadFrame accepts must agree with the in-place decoder.
+// frame ReadFrame accepts must agree with the in-place decoder. The
+// buffered FrameReader gets the same stream in chunks with a read
+// timeout before each; resuming after every timeout, it must return the
+// frames that decoding the stream in place one after another returns.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, Frame{Type: TypePing, ReqID: 1}), 1)
 	f.Add(AppendFrame(nil, Frame{Type: TypeError, ReqID: 2,
 		Payload: ErrorResp{Code: CodeInternal, Msg: "boom"}.Encode()}), 3)
 	f.Add(bytes.Repeat([]byte{0xff}, HeaderSize*2), 2)
+	f.Add(append(AppendFrame(nil, Frame{Type: TypePong, ReqID: 3}),
+		AppendFrame(nil, Frame{Type: TypeRowIDs, ReqID: 4, Payload: RowIDsResp{Rows: []uint64{5}}.Encode()})...), 5)
 
 	f.Fuzz(func(t *testing.T, data []byte, chunk int) {
 		if chunk < 1 {
 			chunk = 1
 		}
-		frame, err := ReadFrame(iotest(data, chunk), 1<<20)
-		if err != nil {
-			return // rejected without panicking: contract satisfied
+		if frame, err := ReadFrame(iotest(data, chunk), 1<<20); err == nil {
+			ref, _, err := DecodeFrame(data, 1<<20)
+			if err != nil {
+				t.Fatalf("ReadFrame accepted what DecodeFrame rejects: %v", err)
+			}
+			if frame.Type != ref.Type || frame.ReqID != ref.ReqID ||
+				frame.TimeoutMs != ref.TimeoutMs || !bytes.Equal(frame.Payload, ref.Payload) {
+				t.Fatalf("stream/in-place mismatch: %+v vs %+v", frame, ref)
+			}
 		}
-		ref, _, err := DecodeFrame(data, 1<<20)
-		if err != nil {
-			t.Fatalf("ReadFrame accepted what DecodeFrame rejects: %v", err)
-		}
-		if frame.Type != ref.Type || frame.ReqID != ref.ReqID ||
-			frame.TimeoutMs != ref.TimeoutMs || !bytes.Equal(frame.Payload, ref.Payload) {
-			t.Fatalf("stream/in-place mismatch: %+v vs %+v", frame, ref)
+
+		fr := NewFrameReader(&stallReader{data: data, chunk: chunk}, 1<<20)
+		for rest := data; ; {
+			frame, err := nextThroughStalls(t, fr, 2*len(data)+4)
+			ref, n, rerr := DecodeFrame(rest, 1<<20)
+			if rerr != nil {
+				if err == nil {
+					t.Fatalf("FrameReader accepted what DecodeFrame rejects: %v", rerr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("FrameReader rejected what DecodeFrame accepts: %v", err)
+			}
+			if frame.Type != ref.Type || frame.ReqID != ref.ReqID ||
+				frame.TimeoutMs != ref.TimeoutMs || !bytes.Equal(frame.Payload, ref.Payload) {
+				t.Fatalf("buffered/in-place mismatch: %+v vs %+v", frame, ref)
+			}
+			rest = rest[n:]
 		}
 	})
 }

@@ -258,6 +258,24 @@ func DecodeTxnReq(b []byte) (TxnReq, error) {
 	return m, r.done()
 }
 
+// RequestTxn returns the transaction handle request f names, 0 for none.
+// Every request that can name one — commit, abort, the writes and the
+// reads — carries it as its payload's first field.
+func RequestTxn(f Frame) uint64 {
+	switch f.Type {
+	case TypeCommit, TypeAbort, TypeInsert, TypeUpdate, TypeDelete,
+		TypeGetRow, TypeSelect, TypeRange, TypeCount:
+		if len(f.Payload) >= 8 {
+			return binary.LittleEndian.Uint64(f.Payload)
+		}
+	case TypeInvalid, TypeHello, TypeHelloOK, TypePing, TypePong, TypeBegin,
+		TypeBeginOK, TypeOK, TypeRowID, TypeRow, TypeRowIDs, TypeCountOK,
+		TypeCreateTable, TypeTables, TypeTablesOK, TypeStats, TypeStatsOK,
+		TypeError:
+	}
+	return 0
+}
+
 // ---------------------------------------------------------------------------
 // Writes.
 

@@ -6,14 +6,15 @@
 //
 // The protocol is pipelined: a client may have many requests in flight
 // on one connection, each correlated with its response by the echoed
-// request ID. The server decodes ahead into a bounded per-connection
-// queue and answers strictly in request order; a peer that writes one
-// frame and waits is simply the depth-1 special case. All multi-byte
+// request ID. The server executes a connection's requests one at a time
+// and answers strictly in request order; a peer that writes one frame
+// and waits is simply the depth-1 special case. All multi-byte
 // integers are little-endian except the magic, which is the literal
 // bytes "HNV1".
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -138,20 +139,59 @@ type Frame struct {
 
 // AppendFrame appends the encoded frame to dst and returns the result.
 func AppendFrame(dst []byte, f Frame) []byte {
+	return append(appendHeader(dst, f), f.Payload...)
+}
+
+func appendHeader(dst []byte, f Frame) []byte {
 	dst = append(dst, Magic[:]...)
 	dst = append(dst, byte(f.Type), 0)
 	dst = binary.LittleEndian.AppendUint64(dst, f.ReqID)
 	dst = binary.LittleEndian.AppendUint32(dst, f.TimeoutMs)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(f.Payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(f.Payload))
-	return append(dst, f.Payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(f.Payload))
 }
 
-// WriteFrame writes one frame to w.
+// WriteFrame writes one frame to w. A *bufio.Writer takes the header
+// and the payload straight into its buffer; any other writer gets the
+// whole frame in one Write call.
 func WriteFrame(w io.Writer, f Frame) error {
-	buf := AppendFrame(make([]byte, 0, HeaderSize+len(f.Payload)), f)
-	_, err := w.Write(buf)
+	if bw, ok := w.(*bufio.Writer); ok {
+		// The header is built in the writer's free space: no copy and, but
+		// for a nearly full buffer, no allocation.
+		if _, err := bw.Write(appendHeader(bw.AvailableBuffer(), f)); err != nil {
+			return err
+		}
+		_, err := bw.Write(f.Payload)
+		return err
+	}
+	_, err := w.Write(AppendFrame(make([]byte, 0, HeaderSize+len(f.Payload)), f))
 	return err
+}
+
+// parseHeader validates a frame header: magic, then type, then the
+// payload length against maxPayload (0 = default). It returns the frame
+// without its payload, the payload length and the payload checksum.
+func parseHeader(hdr []byte, maxPayload uint32) (f Frame, plen, crc uint32, err error) {
+	if maxPayload == 0 {
+		maxPayload = DefaultMaxPayload
+	}
+	if [4]byte(hdr[:4]) != Magic {
+		return Frame{}, 0, 0, ErrBadMagic
+	}
+	t := Type(hdr[4])
+	if t == TypeInvalid || t >= typeMax {
+		return Frame{}, 0, 0, fmt.Errorf("%w: %d", ErrBadType, hdr[4])
+	}
+	plen = binary.LittleEndian.Uint32(hdr[18:22])
+	if plen > maxPayload {
+		return Frame{}, 0, 0, fmt.Errorf("%w: %d > %d", ErrTooLarge, plen, maxPayload)
+	}
+	f = Frame{
+		Type:      t,
+		ReqID:     binary.LittleEndian.Uint64(hdr[6:14]),
+		TimeoutMs: binary.LittleEndian.Uint32(hdr[14:18]),
+	}
+	return f, plen, binary.LittleEndian.Uint32(hdr[22:26]), nil
 }
 
 // DecodeFrame decodes one frame from the front of b, returning the frame
@@ -159,29 +199,13 @@ func WriteFrame(w io.Writer, f Frame) error {
 // truncated, oversized, mistyped or checksum-failing frames return an
 // error (ErrTruncated when more bytes might complete the frame).
 func DecodeFrame(b []byte, maxPayload uint32) (Frame, int, error) {
-	if maxPayload == 0 {
-		maxPayload = DefaultMaxPayload
-	}
 	if len(b) < HeaderSize {
 		return Frame{}, 0, ErrTruncated
 	}
-	if [4]byte(b[:4]) != Magic {
-		return Frame{}, 0, ErrBadMagic
+	f, plen, crc, err := parseHeader(b[:HeaderSize], maxPayload)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	t := Type(b[4])
-	if t == TypeInvalid || t >= typeMax {
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrBadType, b[4])
-	}
-	f := Frame{
-		Type:      t,
-		ReqID:     binary.LittleEndian.Uint64(b[6:14]),
-		TimeoutMs: binary.LittleEndian.Uint32(b[14:18]),
-	}
-	plen := binary.LittleEndian.Uint32(b[18:22])
-	if plen > maxPayload {
-		return Frame{}, 0, fmt.Errorf("%w: %d > %d", ErrTooLarge, plen, maxPayload)
-	}
-	crc := binary.LittleEndian.Uint32(b[22:26])
 	total := HeaderSize + int(plen)
 	if len(b) < total {
 		return Frame{}, 0, ErrTruncated
@@ -196,32 +220,18 @@ func DecodeFrame(b []byte, maxPayload uint32) (Frame, int, error) {
 
 // ReadFrame reads one frame from r, enforcing maxPayload (0 = default).
 // Header validation happens before the payload is allocated, so a
-// corrupt length field cannot force a large allocation.
+// corrupt length field cannot force a large allocation. It reads no
+// byte past the frame; a connection that carries a stream of frames
+// reads them through a FrameReader instead.
 func ReadFrame(r io.Reader, maxPayload uint32) (Frame, error) {
-	if maxPayload == 0 {
-		maxPayload = DefaultMaxPayload
-	}
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, err
 	}
-	if [4]byte(hdr[:4]) != Magic {
-		return Frame{}, ErrBadMagic
+	f, plen, crc, err := parseHeader(hdr[:], maxPayload)
+	if err != nil {
+		return Frame{}, err
 	}
-	t := Type(hdr[4])
-	if t == TypeInvalid || t >= typeMax {
-		return Frame{}, fmt.Errorf("%w: %d", ErrBadType, hdr[4])
-	}
-	plen := binary.LittleEndian.Uint32(hdr[18:22])
-	if plen > maxPayload {
-		return Frame{}, fmt.Errorf("%w: %d > %d", ErrTooLarge, plen, maxPayload)
-	}
-	f := Frame{
-		Type:      t,
-		ReqID:     binary.LittleEndian.Uint64(hdr[6:14]),
-		TimeoutMs: binary.LittleEndian.Uint32(hdr[14:18]),
-	}
-	crc := binary.LittleEndian.Uint32(hdr[22:26])
 	if plen > 0 {
 		f.Payload = make([]byte, plen)
 		if _, err := io.ReadFull(r, f.Payload); err != nil {
@@ -232,4 +242,83 @@ func ReadFrame(r io.Reader, maxPayload uint32) (Frame, error) {
 		return Frame{}, ErrChecksum
 	}
 	return f, nil
+}
+
+// FrameReader reads a stream of frames through a read buffer, so a
+// burst of small frames costs one read from the stream, not two per
+// frame. A read that fails part-way through a frame — a net.Conn read
+// deadline expiring — keeps what has arrived, and the next call to Next
+// resumes the frame where it stopped: a timeout never desynchronizes
+// the stream. After any other error the stream is unusable.
+type FrameReader struct {
+	br         *bufio.Reader
+	maxPayload uint32
+
+	// The frame whose payload is being read (Type 0 between frames), its
+	// payload checksum and how many payload bytes have arrived.
+	f   Frame
+	crc uint32
+	got int
+}
+
+// NewFrameReader returns a FrameReader over r that enforces maxPayload
+// (0 = default).
+func NewFrameReader(r io.Reader, maxPayload uint32) *FrameReader {
+	return &FrameReader{br: bufio.NewReader(r), maxPayload: maxPayload}
+}
+
+// Next returns the next frame. Header validation happens before the
+// payload is allocated, as in ReadFrame. A clean end of stream between
+// frames is io.EOF; inside a header it is io.ErrUnexpectedEOF, inside a
+// payload ErrTruncated.
+func (r *FrameReader) Next() (Frame, error) {
+	if r.f.Type == TypeInvalid {
+		// The header stays in the buffer until all of it has arrived.
+		hdr, err := r.br.Peek(HeaderSize)
+		if err != nil {
+			if err == io.EOF && len(hdr) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return Frame{}, err
+		}
+		f, plen, crc, err := parseHeader(hdr, r.maxPayload)
+		if err != nil {
+			return Frame{}, err
+		}
+		r.br.Discard(HeaderSize) //nolint:errcheck — the bytes are buffered
+		if plen > 0 {
+			f.Payload = make([]byte, plen)
+		}
+		r.f, r.crc, r.got = f, crc, 0
+	}
+	for r.got < len(r.f.Payload) {
+		n, err := r.br.Read(r.f.Payload[r.got:])
+		r.got += n
+		if err != nil {
+			if err == io.EOF {
+				err = ErrTruncated
+			}
+			return Frame{}, err
+		}
+	}
+	f := r.f
+	r.f = Frame{}
+	if crc32.ChecksumIEEE(f.Payload) != r.crc {
+		return Frame{}, ErrChecksum
+	}
+	return f, nil
+}
+
+// Ready reports whether the buffer already holds the rest of the next
+// frame, so that Next returns without reading from the stream.
+func (r *FrameReader) Ready() bool {
+	n := r.br.Buffered()
+	if r.f.Type != TypeInvalid {
+		return n >= len(r.f.Payload)-r.got
+	}
+	if n < HeaderSize {
+		return false
+	}
+	hdr, _ := r.br.Peek(HeaderSize)
+	return n-HeaderSize >= int(binary.LittleEndian.Uint32(hdr[18:22]))
 }

@@ -1,8 +1,11 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"io"
+	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -33,6 +36,137 @@ func TestFrameRoundTrip(t *testing.T) {
 	if df.ReqID != f.ReqID || !bytes.Equal(df.Payload, f.Payload) {
 		t.Fatalf("DecodeFrame mismatch: %+v", df)
 	}
+}
+
+// TestFrameReaderStream reads a burst of frames written through a
+// bufio.Writer back through one FrameReader, and checks that Ready tells
+// a buffered frame from one that still needs the stream.
+func TestFrameReaderStream(t *testing.T) {
+	frames := []Frame{
+		{Type: TypePing, ReqID: 1},
+		{Type: TypeSelect, ReqID: 2, TimeoutMs: 9, Payload: []byte("select payload")},
+		{Type: TypeError, ReqID: 3, Payload: ErrorResp{Code: CodeConflict, Msg: "x"}.Encode()},
+	}
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	var want []byte
+	for _, f := range frames {
+		if err := WriteFrame(bw, f); err != nil {
+			t.Fatal(err)
+		}
+		want = AppendFrame(want, f)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("WriteFrame through a bufio.Writer differs from AppendFrame")
+	}
+
+	// All but the last byte: every frame but the last is whole.
+	fr := NewFrameReader(bytes.NewReader(want[:len(want)-1]), 0)
+	for i, f := range frames {
+		got, err := fr.Next()
+		if i == len(frames)-1 {
+			if !errors.Is(err, ErrTruncated) {
+				t.Fatalf("last frame cut short: got %v, want ErrTruncated", err)
+			}
+			break
+		}
+		if err != nil || got.Type != f.Type || got.ReqID != f.ReqID || got.TimeoutMs != f.TimeoutMs || !bytes.Equal(got.Payload, f.Payload) {
+			t.Fatalf("frame %d: got %+v, %v; want %+v", i, got, err, f)
+		}
+		if ready := fr.Ready(); ready != (i+1 < len(frames)-1) {
+			t.Fatalf("after frame %d: Ready = %v", i, ready)
+		}
+	}
+	if _, err := NewFrameReader(bytes.NewReader(nil), 0).Next(); err != io.EOF {
+		t.Fatalf("empty stream: got %v, want io.EOF", err)
+	}
+	if _, err := NewFrameReader(bytes.NewReader(want[:5]), 0).Next(); err != io.ErrUnexpectedEOF {
+		t.Fatalf("stream ending inside a header: got %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
+// TestFrameReaderResumes interrupts the stream with a timeout before
+// every byte: each Next that fails keeps its partial frame, and the
+// frames still come out whole and in order.
+func TestFrameReaderResumes(t *testing.T) {
+	a := Frame{Type: TypeRowIDs, ReqID: 7, Payload: RowIDsResp{Rows: []uint64{1, 2, 3}}.Encode()}
+	b := Frame{Type: TypePong, ReqID: 8}
+	fr := NewFrameReader(&stallReader{data: AppendFrame(AppendFrame(nil, a), b), chunk: 1}, 0)
+	for _, want := range []Frame{a, b} {
+		got, err := nextThroughStalls(t, fr, 1000)
+		if err != nil || got.ReqID != want.ReqID || got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("got %+v, %v; want %+v", got, err, want)
+		}
+	}
+}
+
+// TestRequestTxn pins the one layout fact the server's drain relies on:
+// every request that names a transaction carries its handle first.
+func TestRequestTxn(t *testing.T) {
+	for _, f := range []Frame{
+		{Type: TypeCommit, Payload: TxnReq{Txn: 42}.Encode()},
+		{Type: TypeAbort, Payload: TxnReq{Txn: 42}.Encode()},
+		{Type: TypeInsert, Payload: InsertReq{Txn: 42, Table: "t"}.Encode()},
+		{Type: TypeUpdate, Payload: UpdateReq{Txn: 42, Table: "t", Row: 1}.Encode()},
+		{Type: TypeDelete, Payload: DeleteReq{Txn: 42, Table: "t", Row: 1}.Encode()},
+		{Type: TypeGetRow, Payload: RowReq{Txn: 42, Table: "t", Row: 1}.Encode()},
+		{Type: TypeSelect, Payload: SelectReq{Txn: 42, Table: "t"}.Encode()},
+		{Type: TypeCount, Payload: SelectReq{Txn: 42, Table: "t"}.Encode()},
+		{Type: TypeRange, Payload: RangeReq{Txn: 42, Table: "t", Col: "c", Lo: storage.Int(0), Hi: storage.Int(1)}.Encode()},
+	} {
+		if got := RequestTxn(f); got != 42 {
+			t.Errorf("%s: RequestTxn = %d, want 42", f.Type, got)
+		}
+	}
+	for _, f := range []Frame{
+		{Type: TypeBegin, Payload: BeginReq{AtCID: 42}.Encode()},
+		{Type: TypePing},
+		{Type: TypeCreateTable, Payload: CreateTableReq{Name: "t"}.Encode()},
+		{Type: TypeCommit, Payload: []byte{1, 2, 3}},
+	} {
+		if got := RequestTxn(f); got != 0 {
+			t.Errorf("%s: RequestTxn = %d, want 0", f.Type, got)
+		}
+	}
+}
+
+// stallReader delivers data in chunk-sized pieces and fails with a read
+// timeout before each piece, the way a net.Conn does when its read
+// deadline expires between segments.
+type stallReader struct {
+	data    []byte
+	chunk   int
+	stalled bool
+}
+
+func (r *stallReader) Read(p []byte) (int, error) {
+	if r.stalled = !r.stalled; r.stalled {
+		return 0, os.ErrDeadlineExceeded
+	}
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := min(r.chunk, len(r.data), len(p))
+	copy(p, r.data[:n])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// nextThroughStalls calls fr.Next until it returns something other than
+// a timeout, failing the test after limit timeouts.
+func nextThroughStalls(t testing.TB, fr *FrameReader, limit int) (Frame, error) {
+	t.Helper()
+	for i := 0; i < limit; i++ {
+		f, err := fr.Next()
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			return f, err
+		}
+	}
+	t.Fatalf("no progress after %d timeouts", limit)
+	return Frame{}, nil
 }
 
 func TestFrameEmptyPayload(t *testing.T) {

@@ -17,9 +17,6 @@ type ServerConfig struct {
 	IdleTimeout time.Duration
 	// WriteTimeout bounds writing one response frame (default 30 s).
 	WriteTimeout time.Duration
-	// PipelineDepth bounds decoded-ahead requests queued per connection
-	// (advertised to v2 clients as the pipeline depth; default 32).
-	PipelineDepth int
 	// MaxConcurrent caps requests executing concurrently across all
 	// connections (default 4×GOMAXPROCS; negative disables admission
 	// control).
@@ -55,7 +52,6 @@ func (db *DB) Serve(addr string, cfg ServerConfig) (*Server, error) {
 		MaxFrame:       cfg.MaxFrame,
 		IdleTimeout:    cfg.IdleTimeout,
 		WriteTimeout:   cfg.WriteTimeout,
-		PipelineDepth:  cfg.PipelineDepth,
 		MaxConcurrent:  cfg.MaxConcurrent,
 		AdmissionQueue: cfg.AdmissionQueue,
 		AdmissionWait:  cfg.AdmissionWait,
@@ -77,8 +73,9 @@ func (s *Server) NumConns() int { return s.s.NumConns() }
 // with an overloaded error since the server started.
 func (s *Server) Rejected() uint64 { return s.s.Rejected() }
 
-// Shutdown drains the server gracefully: no new connections, in-flight
-// requests finish until ctx expires, open transactions are aborted.
+// Shutdown drains the server gracefully: no new connections; until ctx
+// expires, requests of transactions already open still execute while new
+// work is refused; then open transactions are aborted.
 func (s *Server) Shutdown(ctx context.Context) error { return s.s.Shutdown(ctx) }
 
 // Close stops the server immediately, aborting open transactions.
