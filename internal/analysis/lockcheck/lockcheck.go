@@ -158,8 +158,9 @@ var netConnTypes = []string{"Conn", "TCPConn", "UDPConn", "UnixConn"}
 
 // blockingCall reports whether call can block indefinitely on external
 // progress (network peers, timers, other goroutines). File I/O is
-// deliberately excluded: the WAL flushes to files while holding its
-// mutex by design.
+// deliberately excluded: a log-mode commit group appends to the WAL
+// under the commit mutex, and the WAL writes and syncs its device under
+// its own mutex, by design.
 func blockingCall(pass *analysis.Pass, call *ast.CallExpr) (bool, string) {
 	name, pkgName := analysis.CalleeName(pass.Info, call)
 	switch {

@@ -63,7 +63,7 @@ func A1GroupKeyIndex(workDir string, rows int) (*Report, error) {
 }
 
 // A2GroupCommit measures how group commit amortizes log syncs: with more
-// concurrent committers, flushes per commit must drop well below 1.
+// concurrent committers, syncs per commit must drop well below 1.
 func A2GroupCommit(workDir string, commits int) (*Report, error) {
 	r := &Report{
 		ID:      "A2",
@@ -83,8 +83,8 @@ func A2GroupCommit(workDir string, commits int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := e.Manager().LogWriter()
-		syncsBefore := w.FlushCount()
+		// A log-mode commit group is one append and one sync.
+		groupsBefore, _ := e.Manager().GroupCommitStats()
 		start := time.Now()
 		var wg sync.WaitGroup
 		per := commits / threads
@@ -102,7 +102,8 @@ func A2GroupCommit(workDir string, commits int) (*Report, error) {
 		}
 		wg.Wait()
 		elapsed := time.Since(start)
-		syncs := w.FlushCount() - syncsBefore
+		groups, _ := e.Manager().GroupCommitStats()
+		syncs := groups - groupsBefore
 		total := per * threads
 		e.Close()
 		os.RemoveAll(dir)

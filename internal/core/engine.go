@@ -373,18 +373,17 @@ func (e *Engine) Checkpoint() error {
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
 	var err error
 	e.mgr.BlockCommits(func() {
-		old := e.mgr.LogWriter()
-		if ferr := old.Flush(); ferr != nil {
-			err = ferr
-			return
-		}
 		var w *wal.Writer
 		w, _, err = e.lm.WriteCheckpoint(tables, e.mgr.LastCID(), e.nextTableID)
 		if err != nil {
 			return
 		}
+		// The checkpoint holds every published stamp, so the old log's
+		// closing sync can come after it and its error changes nothing; a
+		// group that appended to the log and has yet to sync it finds it
+		// closed, its records durable.
+		_ = e.mgr.LogWriter().Close()
 		e.mgr.SetLogWriter(w)
-		old.Close()
 	})
 	return err
 }
@@ -422,19 +421,14 @@ func (e *Engine) Merge(name string) (storage.MergeStats, error) {
 func (e *Engine) Close() error {
 	e.closeOnce.Do(func() {
 		// Drain the group-commit batcher before tearing anything down:
-		// in-flight groups finish against a live heap. Must happen
+		// in-flight groups finish against a live heap or log. Must happen
 		// outside e.mu — group leaders may be in commit paths.
 		e.mgr.Close()
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		e.closed.Store(true)
-		if e.cfg.Mode == txn.ModeLog {
-			if w := e.mgr.LogWriter(); w != nil {
-				if err := w.Close(); err != nil {
-					e.closeErr = err
-					// Fall through: still release the heap if present.
-				}
-			}
+		if w := e.mgr.LogWriter(); w != nil {
+			e.closeErr = w.Close()
 		}
 		if e.h != nil {
 			if err := e.h.Close(); err != nil && e.closeErr == nil {

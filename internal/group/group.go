@@ -3,11 +3,11 @@
 // on the first caller's goroutine (the leader) while the rest (followers)
 // block until the group's outcome is broadcast.
 //
-// It is the orchestration half of persist-group commit. The NVM commit
-// protocol costs three fences regardless of how many transactions it
-// stamps (txn.Manager.CommitGroup), so coalescing N concurrent commits
-// into one group divides the fence tax by N. The same shape serves any
-// "many callers, one barrier" resource: WAL syncs, checkpoint tickets.
+// It is the orchestration half of group commit in both durable modes
+// (txn.Manager.CommitGroup). The NVM commit protocol costs three fences
+// regardless of how many transactions it stamps, and a log-based commit
+// costs one log append and one sync, so coalescing N concurrent commits
+// into one group divides that tax by N.
 //
 // Batching is work-conserving: a leader first waits for the commit token
 // (only one group commits at a time), and followers arriving while the

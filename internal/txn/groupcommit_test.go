@@ -5,9 +5,12 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
+	"hyrisenv/internal/disk"
 	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/storage"
+	"hyrisenv/internal/wal"
 )
 
 func nvmEnv(t *testing.T, opts ...nvm.Option) *env {
@@ -265,30 +268,125 @@ func TestGroupCommitBatcherEndToEnd(t *testing.T) {
 // TestCommitAfterCloseIsRefused pins the shutdown contract: once the
 // manager is closed a writing Commit gets ErrClosed and commits nothing
 // — it must not fall through to stamping a heap the engine is about to
-// unmap. Read-only commits, which touch no heap, still succeed.
+// unmap, or appending to a log it is about to close. Read-only commits,
+// which touch neither, still succeed.
 func TestCommitAfterCloseIsRefused(t *testing.T) {
-	e := nvmEnv(t)
-	tx := e.mgr.Begin()
-	row, err := tx.Insert(e.tbl, []storage.Value{storage.Int(1), storage.Str("late")})
+	for name, mk := range map[string]func(*testing.T) *env{
+		"nvm": func(t *testing.T) *env { return nvmEnv(t) },
+		"log": logEnv,
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := mk(t)
+			tx := e.mgr.Begin()
+			row, err := tx.Insert(e.tbl, []storage.Value{storage.Int(1), storage.Str("late")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := e.mgr.LastCID()
+			e.mgr.Close()
+			e.mgr.Close() // idempotent
+			if err := tx.Commit(); !errors.Is(err, ErrClosed) {
+				t.Fatalf("Commit after Close = %v, want ErrClosed", err)
+			}
+			if tx.Status() != StatusActive || e.mgr.LastCID() != last {
+				t.Fatalf("refused commit changed state: status %v, lastCID %d→%d", tx.Status(), last, e.mgr.LastCID())
+			}
+			if e.mgr.Begin().Sees(e.tbl, row) {
+				t.Fatal("refused commit's row is visible")
+			}
+			if err := e.mgr.Begin().Commit(); err != nil {
+				t.Fatalf("read-only commit after Close: %v", err)
+			}
+			if err := tx.Abort(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestLogGroupCommitSharesSyncs: in ModeLog concurrent commits go
+// through the manager's batcher, and each group is one log append and
+// one device sync. With a sync slow enough for committers to pile up,
+// groups are fewer than commits, and every acknowledged commit replays.
+func TestLogGroupCommitSharesSyncs(t *testing.T) {
+	dir := t.TempDir()
+	model := disk.Model{SyncLatency: 200 * time.Microsecond}
+	lm, err := wal.NewManager(dir, model)
 	if err != nil {
 		t.Fatal(err)
 	}
-	last := e.mgr.LastCID()
-	e.mgr.Close()
-	e.mgr.Close() // idempotent
-	if err := tx.Commit(); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Commit after Close = %v, want ErrClosed", err)
-	}
-	if tx.Status() != StatusActive || e.mgr.LastCID() != last {
-		t.Fatalf("refused commit changed state: status %v, lastCID %d→%d", tx.Status(), last, e.mgr.LastCID())
-	}
-	if e.mgr.Begin().Sees(e.tbl, row) {
-		t.Fatal("refused commit's row is visible")
-	}
-	if err := e.mgr.Begin().Commit(); err != nil {
-		t.Fatalf("read-only commit after Close: %v", err)
-	}
-	if err := tx.Abort(); err != nil {
+	tbl := storage.NewVolatileTable("t", 1, testSchema(t), 0)
+	first, _, err := lm.WriteCheckpoint([]*storage.Table{tbl}, 0, 2)
+	if err != nil {
 		t.Fatal(err)
+	}
+	first.Close()
+	// Append to the checkpoint's log segment through a device of the
+	// test's own, whose syncs it can count.
+	dev, err := disk.Open(filepath.Join(dir, "wal-000001.log"), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dev.Close()
+	w := wal.NewWriter(dev, 0)
+	m := NewManager(ModeLog, 0)
+	m.SetLogWriter(w)
+
+	const committers, per = 16, 8
+	var mu sync.Mutex
+	var acked []int64
+	var wg sync.WaitGroup
+	for c := 0; c < committers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				k := int64(c*per + i)
+				tx := m.Begin()
+				if _, err := tx.Insert(tbl, []storage.Value{storage.Int(k), storage.Str("g")}); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				acked = append(acked, k)
+				mu.Unlock()
+			}
+		}(c)
+	}
+	wg.Wait()
+	groups, items := m.GroupCommitStats()
+	if items != committers*per || len(acked) != committers*per {
+		t.Fatalf("batcher committed %d items, %d acknowledged, want %d", items, len(acked), committers*per)
+	}
+	if groups >= items {
+		t.Fatalf("%d groups for %d commits: no sync was shared", groups, items)
+	}
+	if syncs := dev.Stats().Syncs; syncs != groups {
+		t.Fatalf("%d device syncs for %d groups, want one per group", syncs, groups)
+	}
+	t.Logf("%d commits in %d groups", items, groups)
+	m.Close()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	res, err := lm.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Tables[1]
+	seen := map[int64]bool{}
+	got.ScanVisible(res.LastCID, 0, func(row uint64) bool {
+		seen[got.Value(0, row).I] = true
+		return true
+	})
+	for _, k := range acked {
+		if !seen[k] {
+			t.Fatalf("acknowledged commit of key %d lost at recovery", k)
+		}
 	}
 }

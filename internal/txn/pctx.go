@@ -56,10 +56,8 @@ const (
 	// defaultTxnSlots sizes the persistent context directory of a fresh
 	// heap — the cap on concurrent writing transactions. Sized for the
 	// serving path, where 1000+ pipelined connections can all be inside
-	// a writing transaction at once. Heaps written before the directory
-	// became sized (root aux 0) carry legacyTxnSlots.
+	// a writing transaction at once.
 	defaultTxnSlots = 4096
-	legacyTxnSlots  = 256
 
 	// Commit root block: lastCID u64 | slot[numSlots] u64. The slot
 	// count is recorded in the commit root's aux word.
@@ -147,7 +145,8 @@ func OpenNVMManagerDecider(h *nvm.Heap, resolve TableResolver, decide TwoPCDecid
 	m.gc = group.New[*Txn](maxGroup, m.CommitGroup)
 
 	root, aux, ok := h.Root(commitRootName)
-	if !ok {
+	switch {
+	case !ok:
 		m.numSlots = defaultTxnSlots
 		crSize := uint64(8 + m.numSlots*8)
 		var err error
@@ -162,11 +161,11 @@ func OpenNVMManagerDecider(h *nvm.Heap, resolve TableResolver, decide TwoPCDecid
 		if err := h.SetRoot(commitRootName, root, uint64(m.numSlots)); err != nil {
 			return nil, stats, err
 		}
-	} else {
-		m.numSlots = legacyTxnSlots
-		if aux != 0 {
-			m.numSlots = int(aux)
-		}
+	case aux == 0:
+		// Every heap format nvm.Open accepts records the slot count.
+		return nil, stats, fmt.Errorf("txn: commit root %q records no context slot count", commitRootName)
+	default:
+		m.numSlots = int(aux)
 	}
 	m.pRoot = root
 	lastCID := h.U64(root.Add(crOffLastCID))

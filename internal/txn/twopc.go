@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"hyrisenv/internal/nvm"
-	"hyrisenv/internal/wal"
 )
 
 // Two-phase commit for cross-shard transactions (ModeNVM).
@@ -77,6 +76,10 @@ func (t *Txn) Prepare(gtid uint64) error {
 // CID: phase two. The caller (the shard router) has already persisted
 // the {gtid -> cid} decision; this stamps the part's rows, advances the
 // shard's commit horizon to at least cid, and retires the context.
+//
+// In ModeLog the part's records go to this shard's WAL, which has no
+// prepared state: the finish is not crash-atomic across shards (see
+// shard.Tx.Commit).
 func (t *Txn) CommitPrepared(cid uint64) error {
 	if t.status != StatusPrepared {
 		return ErrNotPrepared
@@ -86,38 +89,12 @@ func (t *Txn) CommitPrepared(cid uint64) error {
 		t.m.releasePctx(t)
 		return nil
 	}
-	m := t.m
-	if m.mode == ModeLog {
-		return t.commitPreparedLog(cid)
-	}
-	m.commitMu.Lock()
-	switch m.mode {
-	case ModeNVM:
-		// Stamps must be durable before the context is released below: a
-		// released context can no longer route recovery to the decision
-		// record that would redo them. The prepared marker is left in
-		// place for the same reason — until the release persists, a crash
-		// must find the context still claiming "prepared, ask the
-		// coordinator". The fence keeps the rule every commit obeys —
-		// stamps durable before lastCID may cover them.
-		t.stampLocked(cid)
-		m.h.Fence()
-		if cid > m.lastCID.Load() {
-			m.h.SetU64(m.pRoot.Add(crOffLastCID), cid)
-			m.h.Flush(m.pRoot.Add(crOffLastCID), 8)
-			m.lastCID.Store(cid)
-		}
-		m.h.Drain()
-	default:
-		t.stampLocked(cid)
-		if cid > m.lastCID.Load() {
-			m.lastCID.Store(cid)
-		}
-	}
-	m.commitMu.Unlock()
-	m.releasePctx(t)
-	t.status = StatusCommitted
-	return nil
+	// Stamps must be durable before the context is released: a released
+	// context can no longer route recovery to the decision record that
+	// would redo them. The prepared marker is left in place for the same
+	// reason — until the release persists, a crash must find the context
+	// still claiming "prepared, ask the coordinator".
+	return t.m.commit([]*Txn{t}, cid)
 }
 
 // AbortPrepared rolls back a prepared transaction (the decision was
@@ -127,54 +104,7 @@ func (t *Txn) AbortPrepared() error {
 	if t.status != StatusPrepared {
 		return ErrNotPrepared
 	}
-	for _, op := range t.writes {
-		s, local := op.table.MVCCFor(op.row)
-		s.ReleaseRow(local, t.tid)
-	}
-	t.m.releasePctx(t)
-	t.status = StatusAborted
-	return nil
-}
-
-// commitPreparedLog is the ModeLog finish path: the part's redo records
-// and a commit record carrying the decided cid go to this shard's WAL.
-// Cross-shard commits in ModeLog are visibility-atomic (the shared clock
-// withholds the cid until every part publishes) but not crash-atomic —
-// the log format has no prepared state, so a crash between two shards'
-// WAL syncs splits the transaction. The sharding documentation calls
-// this out; the crash-atomic configuration is ModeNVM.
-func (t *Txn) commitPreparedLog(cid uint64) error {
-	m := t.m
-	w := m.LogWriter()
-	if w == nil {
-		return errors.New("txn: ModeLog manager has no log writer")
-	}
-	var recs []byte
-	for _, op := range t.writes {
-		switch op.kind {
-		case writeInsert:
-			recs = append(recs, wal.EncodeInsert(t.tid, op.table.ID, op.row, op.vals)...)
-		case writeInvalidate:
-			recs = append(recs, wal.EncodeInvalidate(t.tid, op.table.ID, op.row)...)
-		}
-	}
-	recs = append(recs, wal.EncodeCommit(t.tid, cid)...)
-
-	m.commitMu.Lock()
-	lsn, err := w.Append(recs)
-	if err != nil {
-		m.commitMu.Unlock()
-		return err
-	}
-	t.stampLocked(cid)
-	if cid > m.lastCID.Load() {
-		m.lastCID.Store(cid)
-	}
-	m.commitMu.Unlock()
-	if err := w.WaitDurable(lsn); err != nil {
-		return err
-	}
-	t.status = StatusCommitted
+	t.rollback()
 	return nil
 }
 

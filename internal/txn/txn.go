@@ -2,9 +2,10 @@
 // with three durability modes:
 //
 //   - ModeNone: MVCC only, no durability (the DRAM-only reference point).
-//   - ModeLog:  redo-only write-ahead logging with group commit plus
-//     binary checkpoints — the conventional engine whose ~53 s restart
-//     the paper measures.
+//   - ModeLog:  redo-only write-ahead logging plus binary checkpoints —
+//     the conventional engine whose ~53 s restart the paper measures. A
+//     commit group's redo records reach the log in one append and become
+//     durable under one sync.
 //   - ModeNVM:  the Hyrise-NV protocol. All table state already lives on
 //     NVM; a commit becomes durable by (1) having persisted the dirty-row
 //     list in a persistent transaction context during execution,
@@ -85,9 +86,9 @@ type Manager struct {
 	// advance of lastCID, giving commits a total order.
 	commitMu sync.Mutex
 
-	// ModeLog.
-	logMu sync.Mutex
-	logw  *wal.Writer
+	// logw is the WAL writer (ModeLog); a checkpoint swaps it under
+	// commitMu.
+	logw atomic.Pointer[wal.Writer]
 
 	// ModeNVM.
 	h        *nvm.Heap
@@ -96,18 +97,21 @@ type Manager struct {
 	numSlots int // context directory size (concurrent writer cap)
 
 	// gc coalesces the Commit calls of writing transactions into
-	// CommitGroup batches; it lives exactly as long as the manager. See
-	// groupcommit.go.
+	// CommitGroup batches in ModeLog and ModeNVM; it lives exactly as
+	// long as the manager. See groupcommit.go.
 	gc *group.Batcher[*Txn]
 }
 
 // NewManager creates a manager in ModeNone or ModeLog; for ModeNVM use
-// NewNVMManager. In ModeLog the WAL writer may be attached later with
+// OpenNVMManager. In ModeLog the WAL writer may be attached later with
 // SetLogWriter (the engine rotates writers at checkpoints).
 func NewManager(mode Mode, lastCID uint64) *Manager {
 	m := &Manager{mode: mode, clock: NewClock(lastCID)}
 	m.lastCID.Store(lastCID)
 	m.nextTID.Store(1)
+	if mode == ModeLog {
+		m.gc = group.New[*Txn](maxGroup, m.CommitGroup)
+	}
 	return m
 }
 
@@ -128,18 +132,10 @@ func (m *Manager) BlockCommits(fn func()) {
 }
 
 // SetLogWriter attaches or replaces the WAL writer (ModeLog).
-func (m *Manager) SetLogWriter(w *wal.Writer) {
-	m.logMu.Lock()
-	m.logw = w
-	m.logMu.Unlock()
-}
+func (m *Manager) SetLogWriter(w *wal.Writer) { m.logw.Store(w) }
 
 // LogWriter returns the current WAL writer (ModeLog).
-func (m *Manager) LogWriter() *wal.Writer {
-	m.logMu.Lock()
-	defer m.logMu.Unlock()
-	return m.logw
-}
+func (m *Manager) LogWriter() *wal.Writer { return m.logw.Load() }
 
 // LogDDL durably logs a create-table record (ModeLog; no-op otherwise).
 func (m *Manager) LogDDL(tableID uint32, name string, sch storage.Schema, indexMask uint64) error {
@@ -147,14 +143,10 @@ func (m *Manager) LogDDL(tableID uint32, name string, sch storage.Schema, indexM
 		return nil
 	}
 	w := m.LogWriter()
-	if w == nil {
-		return errors.New("txn: ModeLog manager has no log writer")
-	}
-	lsn, err := w.Append(wal.EncodeCreateTable(tableID, name, sch, indexMask))
-	if err != nil {
+	if err := w.Append(wal.EncodeCreateTable(tableID, name, sch, indexMask)); err != nil {
 		return err
 	}
-	return w.WaitDurable(lsn)
+	return w.Sync()
 }
 
 // writeKind discriminates write-set entries.
@@ -378,22 +370,18 @@ func (t *Txn) Commit() error {
 		t.m.releasePctx(t)
 		return nil
 	}
-	switch t.m.mode {
-	case ModeNone:
-		return t.commitVolatile()
-	case ModeLog:
-		return t.commitLog()
-	case ModeNVM:
-		// A lone commit is a group of one: the leader of an uncontended
-		// batcher runs CommitGroup at once on this goroutine.
-		err := t.m.gc.Do(t)
-		if errors.Is(err, group.ErrClosed) {
-			return ErrClosed
-		}
-		return err
-	default:
-		return fmt.Errorf("txn: unknown mode %d", t.m.mode)
+	if t.m.gc == nil {
+		// ModeNone has no barrier to share: commit as a group of one
+		// without the batcher's hand-off.
+		return t.m.commit([]*Txn{t}, 0)
 	}
+	// A lone commit is a group of one: the leader of an uncontended
+	// batcher runs CommitGroup at once on this goroutine.
+	err := t.m.gc.Do(t)
+	if errors.Is(err, group.ErrClosed) {
+		return ErrClosed
+	}
+	return err
 }
 
 // stampLocked writes the begin/end CIDs of the write set and flushes
@@ -418,59 +406,6 @@ func (t *Txn) stampLocked(cid uint64) {
 	}
 }
 
-func (t *Txn) commitVolatile() error {
-	m := t.m
-	m.commitMu.Lock()
-	cid := m.clock.Next()
-	t.stampLocked(cid)
-	m.lastCID.Store(cid)
-	m.commitMu.Unlock()
-	m.clock.Done(cid, 1)
-	t.status = StatusCommitted
-	return nil
-}
-
-func (t *Txn) commitLog() error {
-	m := t.m
-	w := m.LogWriter()
-	if w == nil {
-		return errors.New("txn: ModeLog manager has no log writer")
-	}
-	// Build the redo batch outside the commit lock.
-	var recs []byte
-	for _, op := range t.writes {
-		switch op.kind {
-		case writeInsert:
-			recs = append(recs, wal.EncodeInsert(t.tid, op.table.ID, op.row, op.vals)...)
-		case writeInvalidate:
-			recs = append(recs, wal.EncodeInvalidate(t.tid, op.table.ID, op.row)...)
-		}
-	}
-
-	m.commitMu.Lock()
-	cid := m.clock.Next()
-	recs = append(recs, wal.EncodeCommit(t.tid, cid)...)
-	lsn, err := w.Append(recs)
-	if err != nil {
-		m.commitMu.Unlock()
-		m.clock.Done(cid, 1)
-		return err
-	}
-	t.stampLocked(cid)
-	m.lastCID.Store(cid)
-	m.commitMu.Unlock()
-	m.clock.Done(cid, 1)
-
-	// Group commit: block until the batch containing our records is
-	// synced. Effects are already visible to other transactions (early
-	// lock release); the caller is only told "committed" once durable.
-	if err := w.WaitDurable(lsn); err != nil {
-		return err
-	}
-	t.status = StatusCommitted
-	return nil
-}
-
 // Abort rolls the transaction back: inserted rows stay permanently
 // invisible (begin = Inf), claimed rows are released, and in ModeNVM the
 // persistent context is discarded.
@@ -478,11 +413,16 @@ func (t *Txn) Abort() error {
 	if t.status != StatusActive {
 		return ErrNotActive
 	}
+	t.rollback()
+	return nil
+}
+
+// rollback releases the write set's rows and the persistent context.
+func (t *Txn) rollback() {
 	for _, op := range t.writes {
 		s, local := op.table.MVCCFor(op.row)
 		s.ReleaseRow(local, t.tid)
 	}
 	t.m.releasePctx(t)
 	t.status = StatusAborted
-	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,22 +45,7 @@ func envs(t *testing.T) map[string]*env {
 		tbl:  storage.NewVolatileTable("t", 1, testSchema(t), 0),
 	}
 
-	logMgr, err := wal.NewManager(t.TempDir(), disk.Model{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, _, err := logMgr.WriteCheckpoint(nil, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
-	lm := NewManager(ModeLog, 0)
-	lm.SetLogWriter(w)
-	out["log"] = &env{
-		mode: ModeLog,
-		mgr:  lm,
-		tbl:  storage.NewVolatileTable("t", 1, testSchema(t), 0),
-	}
+	out["log"] = logEnv(t)
 
 	h, err := nvm.Create(filepath.Join(t.TempDir(), "h.nvm"), 256<<20)
 	if err != nil {
@@ -76,6 +62,27 @@ func envs(t *testing.T) map[string]*env {
 	}
 	out["nvm"] = &env{mode: ModeNVM, mgr: nm, tbl: ntbl, h: h}
 	return out
+}
+
+// logEnv builds a ModeLog manager writing to a fresh log segment.
+func logEnv(t *testing.T) *env {
+	t.Helper()
+	logMgr, err := wal.NewManager(t.TempDir(), disk.Model{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, _, err := logMgr.WriteCheckpoint(nil, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	lm := NewManager(ModeLog, 0)
+	lm.SetLogWriter(w)
+	return &env{
+		mode: ModeLog,
+		mgr:  lm,
+		tbl:  storage.NewVolatileTable("t", 1, testSchema(t), 0),
+	}
 }
 
 func TestCommitVisibilityAllModes(t *testing.T) {
@@ -625,6 +632,22 @@ func TestNVMSlotExhaustion(t *testing.T) {
 	again.Abort()
 }
 
+// TestOpenRefusesCommitRootWithoutSlotCount: every heap format nvm.Open
+// accepts records the context directory's size in the commit root's aux
+// word, so a zero there is corruption, not a directory of some default
+// size.
+func TestOpenRefusesCommitRootWithoutSlotCount(t *testing.T) {
+	e := newNVMCrashEnv(t)
+	root, _, _ := e.h.Root(commitRootName)
+	if err := e.h.SetRoot(commitRootName, root, 0); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := OpenNVMManager(e.h, func(uint32) *storage.Table { return e.tbl })
+	if err == nil || !strings.Contains(err.Error(), commitRootName) {
+		t.Fatalf("open with a zero slot count: %v, want an error naming %q", err, commitRootName)
+	}
+}
+
 // --- Log mode durability -------------------------------------------------------
 
 func TestLogModeCommitSurvivesRecovery(t *testing.T) {
@@ -651,7 +674,7 @@ func TestLogModeCommitSurvivesRecovery(t *testing.T) {
 	}
 	fly := m.Begin() // never committed: must vanish at recovery
 	fly.Insert(tbl, []storage.Value{storage.Int(6), storage.Str("fly")})
-	w.Flush()
+	w.Sync()
 	w.Close()
 
 	res, err := lm.Recover()

@@ -263,6 +263,9 @@ func (m *Manager) Recover() (*RecoveryResult, error) {
 	n, valid, err := ReadRecords(lr, func(op Op) error {
 		return replayer.apply(op, res)
 	})
+	if err == nil {
+		err = replayer.finish()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("wal: replay: %w", err)
 	}
@@ -289,13 +292,27 @@ func (m *Manager) OpenLogForAppend(seq uint64, validBytes uint64) (*Writer, erro
 
 // replayer buffers operations per transaction and applies them when the
 // commit record arrives (redo-only logging: uncommitted tails vanish).
+// Commits are logged in CID order but rows are numbered at insert, so a
+// committed insert can lie past the table's end, behind rows whose
+// commits come later or never. It waits in ahead until the rows before
+// it are appended; finish fills the gaps nobody committed with
+// permanently invisible filler rows, so physical row IDs — which
+// invalidation records reference — are reproduced exactly.
 type replayer struct {
 	tables   map[uint32]*storage.Table
 	buffered map[uint64][]Op
+	ahead    map[*storage.Table]map[uint64]*aheadRow
+}
+
+// aheadRow is a row waiting to be appended, with its commit stamps (0:
+// none).
+type aheadRow struct {
+	vals       []storage.Value
+	begin, end uint64
 }
 
 func newReplayer(tables map[uint32]*storage.Table) *replayer {
-	return &replayer{tables: tables, buffered: map[uint64][]Op{}}
+	return &replayer{tables: tables, buffered: map[uint64][]Op{}, ahead: map[*storage.Table]map[uint64]*aheadRow{}}
 }
 
 func (r *replayer) apply(op Op, res *RecoveryResult) error {
@@ -324,10 +341,7 @@ func (r *replayer) apply(op Op, res *RecoveryResult) error {
 	return nil
 }
 
-// applyCommitted redoes one committed operation. Inserts carry their
-// original row ID; gaps from transactions that never committed are
-// re-created as permanently invisible filler rows so that physical row
-// IDs — which invalidation records reference — are reproduced exactly.
+// applyCommitted redoes one committed operation.
 func (r *replayer) applyCommitted(o Op, cid uint64) error {
 	t, ok := r.tables[o.Table]
 	if !ok {
@@ -335,36 +349,67 @@ func (r *replayer) applyCommitted(o Op, cid uint64) error {
 	}
 	switch o.Type {
 	case RecInsert:
-		rows := t.Rows()
-		if o.Row < rows {
+		if o.Row < t.Rows() {
 			// Row body was captured by the checkpoint; only the commit
 			// stamp was lost.
 			t.StampBegin(o.Row, cid)
 			return nil
 		}
-		filler := make([]storage.Value, t.Schema.NumCols())
-		for i, c := range t.Schema.Cols {
-			filler[i] = storage.Zero(c.Type)
+		if r.ahead[t] == nil {
+			r.ahead[t] = map[uint64]*aheadRow{}
 		}
-		for rows < o.Row {
-			if _, err := t.AppendRow(filler, 0); err != nil {
-				return err
-			}
-			rows++
-		}
-		row, err := t.AppendRow(o.Vals, 0)
-		if err != nil {
-			return err
-		}
-		if row != o.Row {
-			return fmt.Errorf("wal: replay row mismatch: got %d want %d", row, o.Row)
-		}
-		t.StampBegin(row, cid)
+		r.ahead[t][o.Row] = &aheadRow{vals: o.Vals, begin: cid}
+		return r.appendAhead(t, false)
 	case RecInvalidate:
-		if o.Row >= t.Rows() {
+		if o.Row < t.Rows() {
+			t.StampEnd(o.Row, cid)
+			return nil
+		}
+		a := r.ahead[t][o.Row]
+		if a == nil {
 			return fmt.Errorf("wal: invalidate of unknown row %d", o.Row)
 		}
-		t.StampEnd(o.Row, cid)
+		a.end = cid
+	}
+	return nil
+}
+
+// appendAhead appends t's waiting rows that are next in row order; with
+// fill it also fills the gaps before them, until none waits.
+func (r *replayer) appendAhead(t *storage.Table, fill bool) error {
+	for ahead := r.ahead[t]; len(ahead) > 0; {
+		row := t.Rows()
+		a := ahead[row]
+		if a == nil {
+			if !fill {
+				return nil
+			}
+			a = &aheadRow{}
+			for _, c := range t.Schema.Cols {
+				a.vals = append(a.vals, storage.Zero(c.Type))
+			}
+		}
+		delete(ahead, row)
+		if _, err := t.AppendRow(a.vals, 0); err != nil {
+			return err
+		}
+		if a.begin != 0 {
+			t.StampBegin(row, a.begin)
+		}
+		if a.end != 0 {
+			t.StampEnd(row, a.end)
+		}
+	}
+	return nil
+}
+
+// finish appends every committed insert still waiting behind rows whose
+// transactions never committed.
+func (r *replayer) finish() error {
+	for t := range r.ahead {
+		if err := r.appendAhead(t, true); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 // Package wal implements the durability substrate of the log-based
-// baseline engine: redo-only write-ahead logging with group commit,
-// CRC-protected records, binary checkpoints and replay-based recovery.
+// baseline engine: redo-only write-ahead logging, CRC-protected records,
+// binary checkpoints and replay-based recovery. Group commit lives one
+// layer up, in the transaction manager's commit batcher.
 // It deliberately reproduces the architecture whose restart the paper
 // measures at ~53 s for a 92.2 GB dataset.
 package wal

@@ -13,114 +13,62 @@ import (
 // ErrWriterClosed is returned by appends after Close.
 var ErrWriterClosed = errors.New("wal: writer closed")
 
-// Writer appends framed records to a log device with group commit:
-// concurrent committers enqueue their records and block until a flush
-// covering them has been synced. While one flush+fsync is in flight, all
-// newly arriving records accumulate and are covered by the next flush —
-// the batching window grows under load, exactly like classic group
-// commit.
+// Writer appends framed records to a log device: one device write per
+// Append, one device sync per Sync. It has no group commit of its own —
+// the transaction manager's batcher hands it one Append and one Sync per
+// commit group, so concurrent committers share both. The first device
+// error is sticky: every later Append or Sync returns it.
 type Writer struct {
 	dev *disk.Device
+	w   *disk.SeqWriter
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	pending     []byte
-	appended    uint64 // LSN (byte offset) after all appended records
-	flushed     uint64 // LSN durable on the device
-	flusherBusy bool
-	closed      bool
-	err         error
-
-	w *disk.SeqWriter
-
-	flushes uint64 // stats: flush+sync cycles
+	mu       sync.Mutex
+	appended uint64 // LSN (byte offset) after all appended records
+	synced   uint64 // LSN durable on the device
+	closed   bool
+	err      error
 }
 
 // NewWriter creates a Writer appending at offset off of dev.
 func NewWriter(dev *disk.Device, off int64) *Writer {
-	w := &Writer{dev: dev, w: dev.SequentialWriter(off), appended: uint64(off), flushed: uint64(off)}
-	w.cond = sync.NewCond(&w.mu)
-	return w
+	return &Writer{dev: dev, w: dev.SequentialWriter(off), appended: uint64(off), synced: uint64(off)}
 }
 
-// Append enqueues rec (already framed) and returns the LSN that must be
-// durable for rec to be durable. It does not block on I/O.
-func (w *Writer) Append(rec []byte) (uint64, error) {
+// Append writes rec (already framed) to the device in one write. rec is
+// durable once a later Sync returns nil.
+func (w *Writer) Append(rec []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
-		return 0, ErrWriterClosed
+		return ErrWriterClosed
 	}
-	w.pending = append(w.pending, rec...)
-	w.appended += uint64(len(rec))
-	return w.appended, nil
-}
-
-// WaitDurable blocks until LSN lsn is synced to the device (driving the
-// flush itself when no other goroutine is doing so) and returns any
-// device error.
-func (w *Writer) WaitDurable(lsn uint64) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for w.flushed < lsn && w.err == nil {
-		if w.flusherBusy {
-			// Someone else is flushing; their sync may cover us.
-			w.cond.Wait()
-			continue
-		}
-		w.flushLocked()
+	if w.err != nil {
+		return w.err
 	}
-	return w.err
-}
-
-// Flush forces all appended records to the device.
-func (w *Writer) Flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.WaitDurableLocked()
-}
-
-// WaitDurableLocked flushes everything appended so far; callers hold mu.
-func (w *Writer) WaitDurableLocked() error {
-	target := w.appended
-	for w.flushed < target && w.err == nil {
-		if w.flusherBusy {
-			w.cond.Wait()
-			continue
-		}
-		w.flushLocked()
-	}
-	return w.err
-}
-
-// flushLocked writes and syncs the current batch. It temporarily drops
-// the lock for the I/O so that new appends can accumulate (the group
-// commit window).
-func (w *Writer) flushLocked() {
-	batch := w.pending
-	w.pending = nil
-	target := w.flushed + uint64(len(batch))
-	w.flusherBusy = true
-	w.mu.Unlock()
-
-	var err error
-	if len(batch) > 0 {
-		_, err = w.w.Write(batch)
-	}
-	if err == nil {
-		err = w.dev.Sync()
-	}
-
-	w.mu.Lock()
-	w.flusherBusy = false
-	w.flushes++
-	if err != nil && w.err == nil {
+	if _, err := w.w.Write(rec); err != nil {
 		w.err = err
+		return err
 	}
-	if err == nil {
-		w.flushed = target
+	w.appended += uint64(len(rec))
+	return nil
+}
+
+// Sync makes every appended record durable. With nothing appended since
+// the last sync it returns at once — also after Close, whose own sync
+// covered everything the writer ever appended.
+func (w *Writer) Sync() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.syncLocked()
+}
+
+func (w *Writer) syncLocked() error {
+	if w.err == nil && w.synced < w.appended {
+		if w.err = w.dev.Sync(); w.err == nil {
+			w.synced = w.appended
+		}
 	}
-	w.cond.Broadcast()
+	return w.err
 }
 
 // LSN returns the append position (bytes appended so far).
@@ -130,25 +78,16 @@ func (w *Writer) LSN() uint64 {
 	return w.appended
 }
 
-// FlushCount returns the number of flush+sync cycles (group commit makes
-// this far smaller than the commit count under concurrency).
-func (w *Writer) FlushCount() uint64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.flushes
-}
-
-// Close flushes outstanding records and marks the writer closed.
+// Close syncs outstanding records and refuses further appends.
+// Idempotent.
 func (w *Writer) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return nil
 	}
-	err := w.WaitDurableLocked()
 	w.closed = true
-	w.cond.Broadcast()
-	return err
+	return w.syncLocked()
 }
 
 // ReadRecords scans framed records from r, calling fn for each decoded
