@@ -13,12 +13,18 @@
 //     after a network failure — which is what makes a server restart
 //     nearly invisible to read traffic.
 //   - Begin/BeginAt: a typed Tx mirroring hyrisenv.Tx, pinned to one
-//     pooled connection for its lifetime.
+//     pooled connection for its lifetime. A read-write Tx sends as few
+//     frames as it can: Begin sends nothing, a Delete waits for the
+//     next frame, and every write is one batch frame, so the errors of
+//     a Begin or a Delete surface at the next call that sends (see Tx).
 //
 // Every request-path method has a context-accepting variant; the
 // context deadline is propagated to the server in the frame header, so
 // an expired request comes back as a structured error
-// (context.DeadlineExceeded), not a hung connection.
+// (context.DeadlineExceeded), not a hung connection. The methods without
+// a context apply Options.RequestTimeout the same way, as a plain
+// deadline: they build no context and arm no timer unless they wait
+// behind another caller's read.
 //
 // The client runs no goroutine of its own. Callers sharing a connection
 // read their replies themselves: one of them at a time holds the reader
@@ -198,9 +204,7 @@ func Dial(addr string, opts Options) (*Client, error) {
 		addr: addr,
 		opts: opts.withDefaults(),
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.opts.DialTimeout)
-	defer cancel()
-	wc, err := c.dial(ctx)
+	wc, err := c.dial(call{ctx: context.Background(), dl: time.Now().Add(c.opts.DialTimeout)})
 	if err != nil {
 		return nil, err
 	}
@@ -272,6 +276,42 @@ type wconn struct {
 type reply struct {
 	f    wire.Frame
 	lead bool
+}
+
+// call is what bounds one request: the caller's context and the deadline
+// it carries or, for the methods without a context, a background
+// context and the plain deadline Options.RequestTimeout sets. A zero dl
+// is no deadline.
+type call struct {
+	ctx context.Context
+	dl  time.Time
+}
+
+// ctxCall bounds a request by ctx.
+func ctxCall(ctx context.Context) call {
+	dl, _ := ctx.Deadline()
+	return call{ctx: ctx, dl: dl}
+}
+
+// plain bounds a request by Options.RequestTimeout from now.
+func (c *Client) plain() call {
+	cl := call{ctx: context.Background()}
+	if c.opts.RequestTimeout > 0 {
+		cl.dl = time.Now().Add(c.opts.RequestTimeout)
+	}
+	return cl
+}
+
+// err reports why the request may no longer run: its context's error,
+// or context.DeadlineExceeded once its deadline has passed.
+func (cl call) err() error {
+	if err := cl.ctx.Err(); err != nil {
+		return err
+	}
+	if !cl.dl.IsZero() && !time.Now().Before(cl.dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 func (w *wconn) close() { w.fail(net.ErrClosed) }
@@ -353,18 +393,17 @@ func (w *wconn) idleUnpinned() bool {
 }
 
 // roundTrip sends one request and waits for its response, applying the
-// context deadline both remotely (frame header timeout) and locally
+// call's deadline both remotely (frame header timeout) and locally
 // (abandoning the wait; the late response is discarded when it
 // arrives). Other requests proceed on the same connection while this
 // one waits.
-func (w *wconn) roundTrip(ctx context.Context, t wire.Type, payload []byte) (wire.Frame, error) {
-	if err := ctx.Err(); err != nil {
+func (w *wconn) roundTrip(cl call, t wire.Type, payload []byte) (wire.Frame, error) {
+	if err := cl.ctx.Err(); err != nil {
 		return wire.Frame{}, err
 	}
 	f := wire.Frame{Type: t, Payload: payload}
-	dl, hasDL := ctx.Deadline()
-	if hasDL {
-		remain := time.Until(dl)
+	if !cl.dl.IsZero() {
+		remain := time.Until(cl.dl)
 		if remain <= 0 {
 			return wire.Frame{}, context.DeadlineExceeded
 		}
@@ -398,12 +437,8 @@ func (w *wconn) roundTrip(ctx context.Context, t wire.Type, payload []byte) (wir
 		w.pending[f.ReqID] = ch
 	}
 	w.mu.Unlock()
-	if hasDL {
-		w.nc.SetWriteDeadline(dl) //nolint:errcheck
-	} else {
-		w.nc.SetWriteDeadline(time.Time{}) //nolint:errcheck
-	}
-	//nvmcheck:ignore lockcheck wmu serializes frame writes on purpose; the write deadline set from ctx above bounds the hold, and a deadline-less caller accepts sharing the connection's fate on a stalled peer
+	w.nc.SetWriteDeadline(cl.dl) //nolint:errcheck — a zero dl clears it
+	//nvmcheck:ignore lockcheck wmu serializes frame writes on purpose; the write deadline set from the call above bounds the hold, and a deadline-less caller accepts sharing the connection's fate on a stalled peer
 	err := wire.WriteFrame(w.bw, f)
 	if err == nil {
 		err = w.bw.Flush()
@@ -414,24 +449,46 @@ func (w *wconn) roundTrip(ctx context.Context, t wire.Type, payload []byte) (wir
 		return wire.Frame{}, err
 	}
 	if ch == nil {
-		return w.lead(ctx, f.ReqID)
+		return w.lead(cl, f.ReqID)
 	}
-	return w.await(ctx, f.ReqID, ch)
+	return w.await(cl, f.ReqID, ch)
 }
 
-// await waits for the reply to request id, or for the reader role.
-func (w *wconn) await(ctx context.Context, id uint64, ch chan reply) (wire.Frame, error) {
+// await waits for the reply to request id, or for the reader role. A
+// deadline the context does not enforce itself needs a timer, armed only
+// if the caller actually has to wait.
+func (w *wconn) await(cl call, id uint64, ch chan reply) (wire.Frame, error) {
+	var r reply
+	var ok bool
 	select {
-	case r, ok := <-ch:
-		if !ok {
-			return wire.Frame{}, w.brokenErr()
+	case r, ok = <-ch:
+	default:
+		var expired <-chan time.Time
+		if ctxDL, has := cl.ctx.Deadline(); !cl.dl.IsZero() && (!has || cl.dl.Before(ctxDL)) {
+			t := time.NewTimer(time.Until(cl.dl))
+			defer t.Stop()
+			expired = t.C
 		}
-		if r.lead {
-			return w.lead(ctx, id)
+		select {
+		case r, ok = <-ch:
+		case <-cl.ctx.Done():
+			return w.withdraw(id, ch, cl.ctx.Err())
+		case <-expired:
+			return w.withdraw(id, ch, context.DeadlineExceeded)
 		}
-		return r.f, nil
-	case <-ctx.Done():
 	}
+	if !ok {
+		return wire.Frame{}, w.brokenErr()
+	}
+	if r.lead {
+		return w.lead(cl, id)
+	}
+	return r.f, nil
+}
+
+// withdraw gives up waiting for the reply to request id with err, unless
+// the reply is already on its way.
+func (w *wconn) withdraw(id uint64, ch chan reply, err error) (wire.Frame, error) {
 	w.mu.Lock()
 	_, waiting := w.pending[id]
 	delete(w.pending, id)
@@ -446,21 +503,23 @@ func (w *wconn) await(ctx context.Context, id uint64, ch chan reply) (wire.Frame
 			w.release()
 		}
 	}
-	return wire.Frame{}, ctx.Err()
+	return wire.Frame{}, err
 }
 
 // lead reads frames as the connection's reader until the reply to
 // request id arrives, handing every other reply to its waiting caller,
-// and then gives the role up. It reads under ctx's deadline, and a
-// cancellation of ctx wakes the read; either way the partial frame, if
-// any, stays in fr for the next reader.
-func (w *wconn) lead(ctx context.Context, id uint64) (wire.Frame, error) {
-	dl, hasDL := ctx.Deadline()
+// and then gives the role up. It reads under the call's deadline, and a
+// cancellation of its context wakes the read; either way the partial
+// frame, if any, stays in fr for the next reader.
+func (w *wconn) lead(cl call, id uint64) (wire.Frame, error) {
 	// Arming the cancellation wake-up costs allocations, and most replies
 	// arrive well within wakeAfter; until then, a read deadline at armAt
-	// stands in for it.
-	armAt := time.Now().Add(wakeAfter)
-	var armed bool
+	// stands in for it. A context that cannot be cancelled needs neither.
+	armed := cl.ctx.Done() == nil
+	var armAt time.Time
+	if !armed {
+		armAt = time.Now().Add(wakeAfter)
+	}
 	var stop func() bool
 	defer func() {
 		if stop != nil {
@@ -468,27 +527,20 @@ func (w *wconn) lead(ctx context.Context, id uint64) (wire.Frame, error) {
 		}
 	}()
 	for {
-		rdl := dl // the zero dl of a deadline-less ctx clears the deadline
-		if !armed && (!hasDL || armAt.Before(dl)) {
+		rdl := cl.dl // a zero dl clears the deadline
+		if !armed && (rdl.IsZero() || armAt.Before(rdl)) {
 			rdl = armAt
 		}
 		w.nc.SetReadDeadline(rdl) //nolint:errcheck
 		f, err := w.fr.Next()
 		if errors.Is(err, os.ErrDeadlineExceeded) {
-			if cerr := ctx.Err(); cerr != nil {
+			if cerr := cl.err(); cerr != nil {
 				w.release()
 				return wire.Frame{}, cerr
 			}
-			now := time.Now()
-			if hasDL && !now.Before(dl) {
-				w.release()
-				return wire.Frame{}, context.DeadlineExceeded
-			}
-			if !armed && !now.Before(armAt) {
+			if !armed && !time.Now().Before(armAt) {
 				armed = true
-				if ctx.Done() != nil {
-					stop = context.AfterFunc(ctx, w.wake)
-				}
+				stop = context.AfterFunc(cl.ctx, w.wake)
 			}
 			continue // armAt, or a wake-up meant for an earlier reader
 		}
@@ -535,9 +587,9 @@ func (w *wconn) release() {
 }
 
 // dial establishes and handshakes one connection (no pool accounting).
-func (c *Client) dial(ctx context.Context) (*wconn, error) {
-	d := net.Dialer{}
-	raw, err := d.DialContext(ctx, "tcp", c.addr)
+func (c *Client) dial(cl call) (*wconn, error) {
+	d := net.Dialer{Deadline: cl.dl}
+	raw, err := d.DialContext(cl.ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", c.addr, err)
 	}
@@ -554,11 +606,11 @@ func (c *Client) dial(ctx context.Context) (*wconn, error) {
 		lastUsed: time.Now(),
 	}
 	// Handshake deadline: without one, a dial to a black-holed server
-	// would hang in the Hello exchange forever. The caller's context can
+	// would hang in the Hello exchange forever. The call's deadline can
 	// only tighten it. Cleared once the connection is established.
 	hsDL := time.Now().Add(10 * time.Second)
-	if dl, ok := ctx.Deadline(); ok && dl.Before(hsDL) {
-		hsDL = dl
+	if !cl.dl.IsZero() && cl.dl.Before(hsDL) {
+		hsDL = cl.dl
 	}
 	nc.SetDeadline(hsDL) //nolint:errcheck
 	wc.reqID = 1
@@ -604,7 +656,7 @@ func (c *Client) dial(ctx context.Context) (*wconn, error) {
 // connection, or a fresh dial when every existing connection is busy
 // and the pool has room. Connections are shared — callers do not hold
 // them exclusively and there is nothing to release.
-func (c *Client) conn(ctx context.Context) (*wconn, error) {
+func (c *Client) conn(cl call) (*wconn, error) {
 	for {
 		c.mu.Lock()
 		if c.closed {
@@ -640,9 +692,11 @@ func (c *Client) conn(ctx context.Context) (*wconn, error) {
 				if h := c.opts.HealthCheckAfter; h > 0 && best.idleFor() > h {
 					// Bound the health check tightly: a dead server must
 					// not eat the whole request deadline before we re-pick.
-					pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-					_, err := best.roundTrip(pctx, wire.TypePing, nil)
-					cancel()
+					ping := call{ctx: cl.ctx, dl: time.Now().Add(2 * time.Second)}
+					if !cl.dl.IsZero() && cl.dl.Before(ping.dl) {
+						ping.dl = cl.dl
+					}
+					_, err := best.roundTrip(ping, wire.TypePing, nil)
 					if err != nil {
 						best.close() // stale conn; re-pick
 						continue
@@ -653,7 +707,7 @@ func (c *Client) conn(ctx context.Context) (*wconn, error) {
 		}
 		c.dialing++
 		c.mu.Unlock()
-		wc, err := c.dial(ctx)
+		wc, err := c.dial(cl)
 		c.mu.Lock()
 		c.dialing--
 		if err != nil {
@@ -682,18 +736,18 @@ func (c *Client) conn(ctx context.Context) (*wconn, error) {
 // after a network failure the client cannot know whether the server
 // applied them, so the definite network error surfaces to the caller
 // instead of a possible double-apply.
-func (c *Client) do(ctx context.Context, t wire.Type, payload []byte, retriable bool) (wire.Frame, error) {
+func (c *Client) do(cl call, t wire.Type, payload []byte, retriable bool) (wire.Frame, error) {
 	var lastErr error
 	attempts := 1
 	if retriable {
 		attempts = 1 + c.opts.ReadRetries
 	}
 	for i := 0; i < attempts; i++ {
-		wc, err := c.conn(ctx)
+		wc, err := c.conn(cl)
 		if err != nil {
 			return wire.Frame{}, err
 		}
-		f, err := wc.roundTrip(ctx, t, payload)
+		f, err := wc.roundTrip(cl, t, payload)
 		if err == nil {
 			if f.Type == wire.TypeError {
 				e, derr := wire.DecodeErrorResp(f.Payload)
@@ -705,7 +759,7 @@ func (c *Client) do(ctx context.Context, t wire.Type, payload []byte, retriable 
 			return f, nil
 		}
 		lastErr = err
-		if ctx.Err() != nil {
+		if cl.err() != nil {
 			return wire.Frame{}, err
 		}
 		// A network failure usually means the server went away; other
@@ -715,7 +769,7 @@ func (c *Client) do(ctx context.Context, t wire.Type, payload []byte, retriable 
 		// clients doesn't hammer a restarting server in lockstep.
 		c.purgeStale()
 		if i+1 < attempts {
-			if serr := backoff.Sleep(ctx, reconnectBackoff, i); serr != nil {
+			if serr := backoff.Sleep(cl.ctx, reconnectBackoff, i); serr != nil {
 				return wire.Frame{}, lastErr
 			}
 		}
@@ -748,45 +802,37 @@ func (c *Client) purgeStale() {
 	}
 }
 
-// reqCtx builds the default context for the non-context methods.
-func (c *Client) reqCtx() (context.Context, context.CancelFunc) {
-	if c.opts.RequestTimeout > 0 {
-		return context.WithTimeout(context.Background(), c.opts.RequestTimeout)
-	}
-	return context.Background(), func() {}
-}
-
 // ---------------------------------------------------------------------------
 // Connection-level API.
 
 // Ping checks server liveness over one pooled connection.
-func (c *Client) Ping() error {
-	ctx, cancel := c.reqCtx()
-	defer cancel()
-	return c.PingContext(ctx)
-}
+func (c *Client) Ping() error { return c.ping(c.plain()) }
 
 // PingContext is Ping with a caller-supplied context.
-func (c *Client) PingContext(ctx context.Context) error {
-	_, err := c.do(ctx, wire.TypePing, nil, true)
+func (c *Client) PingContext(ctx context.Context) error { return c.ping(ctxCall(ctx)) }
+
+func (c *Client) ping(cl call) error {
+	_, err := c.do(cl, wire.TypePing, nil, true)
 	return err
 }
 
 // CreateTable creates a table on the server; indexed names columns to
 // maintain secondary indexes on.
 func (c *Client) CreateTable(name string, cols []hyrisenv.Column, indexed ...string) error {
-	ctx, cancel := c.reqCtx()
-	defer cancel()
-	return c.CreateTableContext(ctx, name, cols, indexed...)
+	return c.createTable(c.plain(), name, cols, indexed)
 }
 
 // CreateTableContext is CreateTable with a caller-supplied context.
 func (c *Client) CreateTableContext(ctx context.Context, name string, cols []hyrisenv.Column, indexed ...string) error {
+	return c.createTable(ctxCall(ctx), name, cols, indexed)
+}
+
+func (c *Client) createTable(cl call, name string, cols []hyrisenv.Column, indexed []string) error {
 	req := wire.CreateTableReq{Name: name, Indexed: indexed}
 	for _, col := range cols {
 		req.Cols = append(req.Cols, wire.ColumnDef{Name: col.Name, Type: uint8(col.Type)})
 	}
-	_, err := c.do(ctx, wire.TypeCreateTable, req.Encode(), false)
+	_, err := c.do(cl, wire.TypeCreateTable, req.Encode(), false)
 	return err
 }
 
@@ -800,15 +846,15 @@ type TableStat struct {
 }
 
 // Tables lists the server catalog.
-func (c *Client) Tables() ([]TableStat, error) {
-	ctx, cancel := c.reqCtx()
-	defer cancel()
-	return c.TablesContext(ctx)
-}
+func (c *Client) Tables() ([]TableStat, error) { return c.tables(c.plain()) }
 
 // TablesContext is Tables with a caller-supplied context.
 func (c *Client) TablesContext(ctx context.Context) ([]TableStat, error) {
-	f, err := c.do(ctx, wire.TypeTables, nil, true)
+	return c.tables(ctxCall(ctx))
+}
+
+func (c *Client) tables(cl call) ([]TableStat, error) {
+	f, err := c.do(cl, wire.TypeTables, nil, true)
 	if err != nil {
 		return nil, err
 	}
@@ -841,15 +887,13 @@ type Stats struct {
 }
 
 // Stats fetches server statistics.
-func (c *Client) Stats() (Stats, error) {
-	ctx, cancel := c.reqCtx()
-	defer cancel()
-	return c.StatsContext(ctx)
-}
+func (c *Client) Stats() (Stats, error) { return c.stats(c.plain()) }
 
 // StatsContext is Stats with a caller-supplied context.
-func (c *Client) StatsContext(ctx context.Context) (Stats, error) {
-	f, err := c.do(ctx, wire.TypeStats, nil, true)
+func (c *Client) StatsContext(ctx context.Context) (Stats, error) { return c.stats(ctxCall(ctx)) }
+
+func (c *Client) stats(cl call) (Stats, error) {
+	f, err := c.do(cl, wire.TypeStats, nil, true)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -888,19 +932,17 @@ func wirePreds(preds []hyrisenv.Pred) []wire.Pred {
 
 // Select returns the row IDs satisfying all predicates.
 func (c *Client) Select(table string, preds ...hyrisenv.Pred) ([]uint64, error) {
-	ctx, cancel := c.reqCtx()
-	defer cancel()
-	return c.SelectContext(ctx, table, preds...)
+	return c.sel(c.plain(), table, preds)
 }
 
 // SelectContext is Select with a caller-supplied context.
 func (c *Client) SelectContext(ctx context.Context, table string, preds ...hyrisenv.Pred) ([]uint64, error) {
-	return c.selectTxn(ctx, 0, table, preds, true)
+	return c.sel(ctxCall(ctx), table, preds)
 }
 
-func (c *Client) selectTxn(ctx context.Context, txid uint64, table string, preds []hyrisenv.Pred, retriable bool) ([]uint64, error) {
-	req := wire.SelectReq{Txn: txid, Table: table, Preds: wirePreds(preds)}
-	f, err := c.do(ctx, wire.TypeSelect, req.Encode(), retriable)
+func (c *Client) sel(cl call, table string, preds []hyrisenv.Pred) ([]uint64, error) {
+	req := wire.SelectReq{Table: table, Preds: wirePreds(preds)}
+	f, err := c.do(cl, wire.TypeSelect, req.Encode(), true)
 	if err != nil {
 		return nil, err
 	}
@@ -923,19 +965,17 @@ func (c *Client) ScanAllContext(ctx context.Context, table string) ([]uint64, er
 
 // Count returns the number of rows satisfying all predicates.
 func (c *Client) Count(table string, preds ...hyrisenv.Pred) (int, error) {
-	ctx, cancel := c.reqCtx()
-	defer cancel()
-	return c.CountContext(ctx, table, preds...)
+	return c.count(c.plain(), table, preds)
 }
 
 // CountContext is Count with a caller-supplied context.
 func (c *Client) CountContext(ctx context.Context, table string, preds ...hyrisenv.Pred) (int, error) {
-	return c.countTxn(ctx, 0, table, preds, true)
+	return c.count(ctxCall(ctx), table, preds)
 }
 
-func (c *Client) countTxn(ctx context.Context, txid uint64, table string, preds []hyrisenv.Pred, retriable bool) (int, error) {
-	req := wire.SelectReq{Txn: txid, Table: table, Preds: wirePreds(preds)}
-	f, err := c.do(ctx, wire.TypeCount, req.Encode(), retriable)
+func (c *Client) count(cl call, table string, preds []hyrisenv.Pred) (int, error) {
+	req := wire.SelectReq{Table: table, Preds: wirePreds(preds)}
+	f, err := c.do(cl, wire.TypeCount, req.Encode(), true)
 	if err != nil {
 		return 0, err
 	}
@@ -948,19 +988,17 @@ func (c *Client) countTxn(ctx context.Context, txid uint64, table string, preds 
 
 // SelectRange returns rows whose named column falls in [lo, hi).
 func (c *Client) SelectRange(table, col string, lo, hi hyrisenv.Value) ([]uint64, error) {
-	ctx, cancel := c.reqCtx()
-	defer cancel()
-	return c.SelectRangeContext(ctx, table, col, lo, hi)
+	return c.selectRange(c.plain(), table, col, lo, hi)
 }
 
 // SelectRangeContext is SelectRange with a caller-supplied context.
 func (c *Client) SelectRangeContext(ctx context.Context, table, col string, lo, hi hyrisenv.Value) ([]uint64, error) {
-	return c.rangeTxn(ctx, 0, table, col, lo, hi, true)
+	return c.selectRange(ctxCall(ctx), table, col, lo, hi)
 }
 
-func (c *Client) rangeTxn(ctx context.Context, txid uint64, table, col string, lo, hi hyrisenv.Value, retriable bool) ([]uint64, error) {
-	req := wire.RangeReq{Txn: txid, Table: table, Col: col, Lo: lo, Hi: hi}
-	f, err := c.do(ctx, wire.TypeRange, req.Encode(), retriable)
+func (c *Client) selectRange(cl call, table, col string, lo, hi hyrisenv.Value) ([]uint64, error) {
+	req := wire.RangeReq{Table: table, Col: col, Lo: lo, Hi: hi}
+	f, err := c.do(cl, wire.TypeRange, req.Encode(), true)
 	if err != nil {
 		return nil, err
 	}
@@ -973,19 +1011,17 @@ func (c *Client) rangeTxn(ctx context.Context, txid uint64, table, col string, l
 
 // Row materializes all columns of a row.
 func (c *Client) Row(table string, row uint64) ([]hyrisenv.Value, error) {
-	ctx, cancel := c.reqCtx()
-	defer cancel()
-	return c.RowContext(ctx, table, row)
+	return c.row(c.plain(), table, row)
 }
 
 // RowContext is Row with a caller-supplied context.
 func (c *Client) RowContext(ctx context.Context, table string, row uint64) ([]hyrisenv.Value, error) {
-	return c.rowTxn(ctx, 0, table, row, true)
+	return c.row(ctxCall(ctx), table, row)
 }
 
-func (c *Client) rowTxn(ctx context.Context, txid uint64, table string, row uint64, retriable bool) ([]hyrisenv.Value, error) {
-	req := wire.RowReq{Txn: txid, Table: table, Row: row}
-	f, err := c.do(ctx, wire.TypeGetRow, req.Encode(), retriable)
+func (c *Client) row(cl call, table string, row uint64) ([]hyrisenv.Value, error) {
+	req := wire.RowReq{Table: table, Row: row}
+	f, err := c.do(cl, wire.TypeGetRow, req.Encode(), true)
 	if err != nil {
 		return nil, err
 	}

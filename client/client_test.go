@@ -372,7 +372,10 @@ func TestClientClose(t *testing.T) {
 // (its transaction died with the connection and was aborted server
 // side), and a commit whose ack was lost is present at most once (never
 // duplicated by a retry). Reads ride ReadRetries and recover; writes
-// are never replayed.
+// are never replayed. Each transaction also deletes the row of its
+// worker's last acked one, a delete that rides the commit frame: an
+// acked commit's delete applied, and an indeterminate commit's delete
+// applied exactly when its insert did — the frame is all or nothing.
 func TestPipelinedResetExactlyOnce(t *testing.T) {
 	eng, err := shard.Open(shard.Config{Config: core.Config{Mode: txn.ModeNone}})
 	if err != nil {
@@ -407,28 +410,40 @@ func TestPipelinedResetExactlyOnce(t *testing.T) {
 		indet         // Commit errored: ack lost in flight, at most once
 	)
 	status := make([]int32, workers*perWorker)
+	deletes := make([]int, workers*perWorker) // key whose row the transaction deleted, -1 for none
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			prev, prevRow := -1, uint64(0) // the last acked key whose row no commit has tried to delete
 			for i := 0; i < perWorker; i++ {
 				key := w*perWorker + i
+				deletes[key] = -1
 				tx, err := c.Begin()
 				if err != nil {
 					status[key] = failed
 					continue
 				}
-				if _, err := tx.Insert("t", hyrisenv.Int(int64(key)), hyrisenv.Str(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+				row, err := tx.Insert("t", hyrisenv.Int(int64(key)), hyrisenv.Str(fmt.Sprintf("w%d-%d", w, i)))
+				if err != nil {
 					tx.Abort() //nolint:errcheck — connection likely dead already
 					status[key] = failed
 					continue
 				}
+				if prev >= 0 {
+					if err := tx.Delete("t", prevRow); err != nil {
+						t.Errorf("key %d: delete sent before the commit: %v", key, err)
+					}
+					deletes[key] = prev
+				}
 				if err := tx.Commit(); err != nil {
 					status[key] = indet
+					prev = -1 // its row may be gone
 					continue
 				}
 				status[key] = acked
+				prev, prevRow = key, row
 			}
 		}(w)
 	}
@@ -476,18 +491,33 @@ func TestPipelinedResetExactlyOnce(t *testing.T) {
 	}
 
 	// Verification pass on the same (recovered) pool, plane quiet.
-	for key, s := range status {
+	visible := make([]int, len(status))
+	for key := range status {
 		n, err := c.Count("t", hyrisenv.Pred{Col: "id", Op: hyrisenv.Eq, Val: hyrisenv.Int(int64(key))})
 		if err != nil {
 			t.Fatalf("verify key %d: %v", key, err)
 		}
+		visible[key] = n
+	}
+	deleted := make([]bool, len(status)) // a commit that may have applied deleted the key's row
+	for key, s := range status {
+		if s != failed && deletes[key] >= 0 {
+			deleted[deletes[key]] = true
+		}
+	}
+	for key, s := range status {
+		n, d := visible[key], deletes[key]
 		switch {
-		case s == acked && n != 1:
+		case s == acked && n > 1, s == acked && n == 0 && !deleted[key]:
 			t.Errorf("key %d: acked but visible %d times — lost or duplicated acked write", key, n)
 		case s == failed && n != 0:
 			t.Errorf("key %d: failed before commit but visible %d times — phantom write", key, n)
 		case s == indet && n > 1:
 			t.Errorf("key %d: indeterminate commit visible %d times — duplicate apply", key, n)
+		case s == acked && d >= 0 && visible[d] != 0:
+			t.Errorf("key %d: acked, but the row of key %d it deleted is visible", key, d)
+		case s == indet && d >= 0 && n+visible[d] != 1:
+			t.Errorf("key %d: indeterminate commit shows its insert %d times and the row it deleted %d times — half a frame applied", key, n, visible[d])
 		}
 	}
 }

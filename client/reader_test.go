@@ -152,6 +152,50 @@ func TestReaderCancel(t *testing.T) {
 	}
 }
 
+// TestFollowerPlainDeadline has a caller of a method without a context
+// wait behind another caller's read, on a server that never answers: the
+// follower's plain deadline (Options.RequestTimeout) must still end its
+// wait, while the reader reads on.
+func TestFollowerPlainDeadline(t *testing.T) {
+	got := make(chan struct{})
+	addr := rawServer(t, func(nc net.Conn) {
+		if _, err := wire.ReadFrame(nc, 0); err != nil {
+			t.Errorf("raw server: %v", err)
+		}
+		close(got)
+		io.Copy(io.Discard, nc) // read requests, answer none
+	})
+	c, err := client.Dial(addr, client.Options{PoolSize: 1, ReadRetries: -1, RequestTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leader := make(chan error, 1)
+	go func() {
+		_, err := c.SelectContext(ctx, "t")
+		leader <- err
+	}()
+	<-got
+	start := time.Now()
+	if _, err := c.Select("t"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("follower: got %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("follower's 50 ms deadline ended its wait after %v", d)
+	}
+	select {
+	case err := <-leader:
+		t.Fatalf("the reader returned with the follower: %v", err)
+	default:
+	}
+	cancel()
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("reader: got %v, want context.Canceled", err)
+	}
+}
+
 // TestReaderHandOffManyCallers has 32 goroutines share one connection,
 // each asking for its own rows: every caller must get its own answer.
 func TestReaderHandOffManyCallers(t *testing.T) {

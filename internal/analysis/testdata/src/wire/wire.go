@@ -14,6 +14,8 @@ const (
 	TypePing
 	TypeBegin
 	TypeError
+	TypeBatch
+	TypeBatchOK
 )
 
 // Version shares the error codes' underlying type but is not part of

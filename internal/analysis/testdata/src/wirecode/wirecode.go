@@ -3,13 +3,14 @@ package wirecode
 
 import "fix/wire"
 
-// dispatchIncomplete misses TypeError; the default clause does not
-// excuse it — new opcodes must not fall through silently.
+// dispatchIncomplete misses TypeBatchOK and TypeError; the default
+// clause does not excuse them — new opcodes must not fall through
+// silently.
 func dispatchIncomplete(t wire.Type) int {
-	switch t { // want `switch over wire\.Type is not exhaustive: missing TypeError`
+	switch t { // want `switch over wire\.Type is not exhaustive: missing TypeBatchOK, TypeError`
 	case wire.TypePing:
 		return 1
-	case wire.TypeBegin:
+	case wire.TypeBegin, wire.TypeBatch:
 		return 2
 	default:
 		return 0
@@ -22,7 +23,7 @@ func dispatchComplete(t wire.Type) int {
 	switch t {
 	case wire.TypePing:
 		return 1
-	case wire.TypeBegin, wire.TypeError:
+	case wire.TypeBegin, wire.TypeBatch, wire.TypeBatchOK, wire.TypeError:
 		return 2
 	}
 	return 0
@@ -51,7 +52,7 @@ func codeComplete(c uint16) int {
 
 // nameTable is the Type.String idiom with a hole.
 func nameTable(t wire.Type) string {
-	names := map[wire.Type]string{ // want `composite literal keyed by wire\.Type is missing TypeError`
+	names := map[wire.Type]string{ // want `composite literal keyed by wire\.Type is missing TypeBatch, TypeBatchOK, TypeError`
 		wire.TypePing:  "ping",
 		wire.TypeBegin: "begin",
 	}
@@ -65,6 +66,8 @@ func nameTableFull(t wire.Type) string {
 		wire.TypePing:    "ping",
 		wire.TypeBegin:   "begin",
 		wire.TypeError:   "error",
+		wire.TypeBatch:   "batch",
+		wire.TypeBatchOK: "batch-ok",
 	}
 	return names[t]
 }

@@ -114,13 +114,14 @@ func BenchmarkServeWriteSharded(b *testing.B) {
 func BenchmarkServeOverload2x(b *testing.B) {
 	srv, stop := startBenchServer(b, 1, server.Config{
 		MaxConns: benchConns + 8,
-		// Admission is transaction-scoped (a Begin holds its slot to
-		// commit), so MaxConcurrent bounds in-flight transactions. 16
-		// slots sustain roughly the engine's CPU-bound capacity at the
-		// ~1.5 ms per-transaction latency of this configuration; at 2×
-		// offered load the slot demand doubles, the short queue fills,
-		// and the surplus fast-rejects at Begin within ~1 ms instead of
-		// queueing invisibly inside the engine. That shedding is what
+		// Admission is transaction-scoped (the frame that begins a
+		// transaction takes the slot it holds to commit), so
+		// MaxConcurrent bounds in-flight transactions. 16 slots sustain
+		// roughly the engine's CPU-bound capacity at the ~1.5 ms
+		// per-transaction latency of this configuration; at 2× offered
+		// load the slot demand doubles, the short queue fills, and the
+		// surplus fast-rejects at its first frame within ~1 ms instead
+		// of queueing invisibly inside the engine. That shedding is what
 		// keeps the client-side p99 — measured from intended start, so
 		// schedule slip counts — flat.
 		MaxConcurrent:  16,

@@ -249,7 +249,8 @@ func TestDrainCompletesPipeline(t *testing.T) {
 // TestDrainRefusesNewWork pins the drain rule: once the drain begins, a
 // request addressed to a transaction open on the connection still
 // executes, so an admitted transaction can finish, while new work — a
-// Begin, a one-shot read — is answered CodeShuttingDown.
+// Begin, a batch that would begin a transaction, a one-shot read — is
+// answered CodeShuttingDown.
 func TestDrainRefusesNewWork(t *testing.T) {
 	eng := openEngine(t, txn.ModeLog, disk.Model{SyncLatency: 100 * time.Millisecond})
 	srv, err := server.Listen(eng, "127.0.0.1:0", server.Config{})
@@ -287,7 +288,11 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	wants = append(wants,
 		want{rc.writeFrame(wire.TypeBegin, wire.BeginReq{}.Encode()), wire.TypeError, wire.CodeShuttingDown},
 		want{rc.writeFrame(wire.TypeSelect, wire.SelectReq{Table: "dr"}.Encode()), wire.TypeError, wire.CodeShuttingDown},
+		want{rc.writeFrame(wire.TypeBatch, wire.BatchReq{Commit: true, Ops: []wire.WriteOp{
+			{Kind: wire.WriteInsert, Table: "dr", Vals: []storage.Value{storage.Int(4)}}}}.Encode()), wire.TypeError, wire.CodeShuttingDown},
 		want{rc.writeFrame(wire.TypeInsert, wire.InsertReq{Txn: 2, Table: "dr", Vals: []storage.Value{storage.Int(2)}}.Encode()), wire.TypeRowID, 0},
+		want{rc.writeFrame(wire.TypeBatch, wire.BatchReq{Txn: 2, Ops: []wire.WriteOp{
+			{Kind: wire.WriteInsert, Table: "dr", Vals: []storage.Value{storage.Int(3)}}}}.Encode()), wire.TypeBatchOK, 0},
 		want{rc.writeFrame(wire.TypeCommit, wire.TxnReq{Txn: 2}.Encode()), wire.TypeOK, 0},
 	)
 	time.Sleep(10 * time.Millisecond)
@@ -321,8 +326,8 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows, err := etx.Select(context.Background(), tbl); err != nil || len(rows) != 2 {
-		t.Fatalf("rows after drain: %d, %v; want both transactions' rows", len(rows), err)
+	if rows, err := etx.Select(context.Background(), tbl); err != nil || len(rows) != 3 {
+		t.Fatalf("rows after drain: %d, %v; want both transactions' three rows", len(rows), err)
 	}
 }
 
@@ -418,10 +423,12 @@ func TestRangeInsideTxnRidesItsSlot(t *testing.T) {
 	if err := c.CreateTable("users", testCols, "id"); err != nil {
 		t.Fatal(err)
 	}
-	tx, err := c.Begin() // holds the only slot until commit
+	tx, err := c.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The first write begins the transaction, which holds the only slot
+	// until commit.
 	row, err := tx.Insert("users", hyrisenv.Int(1), hyrisenv.Str("alice"), hyrisenv.Float(9.5))
 	if err != nil {
 		t.Fatal(err)

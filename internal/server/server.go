@@ -15,10 +15,11 @@
 // front of the execution stage: work that cannot be admitted in time is
 // answered with a CodeOverloaded error frame immediately (the
 // fast-reject path that keeps tail latency bounded past saturation).
-// Admission is transaction-scoped: Begin acquires a slot that the
-// transaction holds until commit or abort, so surplus load is shed at
-// the door while an admitted transaction — including the commit that
-// releases its row locks — can always finish. Standalone requests
+// Admission is transaction-scoped: the request that begins a
+// transaction — a Begin, or a write batch naming none — acquires a slot
+// that the transaction holds until commit or abort, so surplus load is
+// shed at the door while an admitted transaction — including the commit
+// that releases its row locks — can always finish. Standalone requests
 // (one-shot reads, DDL) hold a slot just for their own execution, and
 // ping stays exempt so health checks measure liveness, not load.
 //
@@ -71,17 +72,17 @@ type Config struct {
 	WriteTimeout time.Duration
 	// MaxConcurrent caps admitted work across all connections (the
 	// admission semaphore): each open transaction holds one slot from
-	// Begin to commit/abort, and each standalone request (one-shot
+	// its begin to commit/abort, and each standalone request (one-shot
 	// read, DDL) holds one for its own execution. Default
 	// 64×GOMAXPROCS — sized for in-flight transactions, which span
 	// client round trips, not just CPU bursts; negative disables
 	// admission control entirely.
 	MaxConcurrent int
-	// AdmissionQueue bounds Begins/requests waiting for an admission
+	// AdmissionQueue bounds begins and requests waiting for an admission
 	// slot; arrivals beyond it are fast-rejected with CodeOverloaded.
 	// Default 4×MaxConcurrent.
 	AdmissionQueue int
-	// AdmissionWait bounds how long one Begin/request waits for an
+	// AdmissionWait bounds how long one begin or request waits for an
 	// admission slot before it is rejected with CodeOverloaded. Default
 	// 25 ms; negative rejects immediately when no slot is free.
 	AdmissionWait time.Duration
@@ -384,8 +385,8 @@ const drainGrace = 20 * time.Millisecond
 const maxInFlight = 32
 
 // openTxn is one registry entry: a transaction and the release of the
-// admission slot Begin charged for it, so a slot can neither outlive nor
-// predate its transaction.
+// admission slot its first request charged for it, so a slot can neither
+// outlive nor predate its transaction.
 type openTxn struct {
 	tx      *shard.Tx
 	release func()
@@ -406,6 +407,12 @@ type conn struct {
 	txns    map[uint64]openTxn
 	nextTxn uint64
 
+	// The request deadline's context and the timer that cancels it (see
+	// armDeadline); nil timer until a request carries a deadline.
+	dctx   context.Context
+	cancel context.CancelFunc
+	timer  *time.Timer
+
 	draining atomic.Bool
 }
 
@@ -421,6 +428,10 @@ func (c *conn) beginDrain() {
 func (c *conn) serve() {
 	defer func() {
 		c.nc.Close()
+		if c.timer != nil {
+			c.timer.Stop()
+			c.cancel()
+		}
 		// Abort whatever the client left open so row locks are released.
 		for id, t := range c.txns {
 			if t.tx.Active() {
@@ -568,17 +579,17 @@ func (c *conn) replyErr(reqID uint64, code uint16, msg string) error {
 func (c *conn) handle(f wire.Frame) error {
 	// Admission control guards the execution stage and is
 	// transaction-scoped. Ping stays exempt so health checks measure
-	// liveness, not load. Begin charges a slot its transaction holds until
-	// commit or abort (see dispatch). A request naming a transaction —
-	// every write, the commit that releases its row locks, a read inside
-	// it — rides that slot; a read naming none pays a request-scoped one
-	// (readTxnTable decides, once dispatch has decoded the request).
-	// Everything else (DDL and other standalone work) is gated here for
-	// its own execution.
+	// liveness, not load. A write batch that begins a transaction charges
+	// a slot the transaction holds until commit or abort (see batch). A
+	// request naming a transaction — every write, the commit that releases
+	// its row locks, a read inside it — rides that slot; a read naming
+	// none pays a request-scoped one (readTxnTable decides, once dispatch
+	// has decoded the request). Everything else (DDL and other standalone
+	// work) is gated here for its own execution.
 	//nvmcheck:ignore wirecodecheck the default arm is the point: anything not explicitly exempted — including new request types and response codes arriving as requests — pays admission first and then fails in dispatch
 	switch f.Type {
 	case wire.TypePing, wire.TypeBegin, wire.TypeCommit, wire.TypeAbort,
-		wire.TypeInsert, wire.TypeUpdate, wire.TypeDelete,
+		wire.TypeInsert, wire.TypeUpdate, wire.TypeDelete, wire.TypeBatch,
 		wire.TypeGetRow, wire.TypeSelect, wire.TypeCount, wire.TypeRange:
 	default:
 		release, ok := c.admit()
@@ -593,21 +604,43 @@ func (c *conn) handle(f wire.Frame) error {
 	// structured CodeDeadline reply instead of a hung connection.
 	ctx := context.Background()
 	if f.TimeoutMs > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(f.TimeoutMs)*time.Millisecond)
-		defer cancel()
+		ctx = c.armDeadline(time.Duration(f.TimeoutMs) * time.Millisecond)
+		defer c.disarmDeadline()
 	}
 
 	t, payload, code, msg := c.dispatch(ctx, f)
 	if code != 0 {
 		return c.replyErr(f.ReqID, code, msg)
 	}
-	if err := ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil && t != wire.TypeBatchOK {
 		// The work finished but past its deadline: the client has given
-		// up; report the deadline rather than a result it won't use.
+		// up; report the deadline rather than a result it won't use. A
+		// batch's reply stands: it tells which of the batch's writes ran.
 		return c.replyErr(f.ReqID, wire.CodeDeadline, "request deadline exceeded")
 	}
 	return c.reply(f.ReqID, t, payload)
+}
+
+// armDeadline returns a context cancelled d from now. The connection
+// keeps one such context and the timer that cancels it, and re-arms the
+// timer for each request with a deadline: a request builds no context
+// and no timer of its own. Only disarmDeadline finding that the timer
+// fired makes the next request build them afresh.
+func (c *conn) armDeadline(d time.Duration) context.Context {
+	if c.timer == nil {
+		c.dctx, c.cancel = context.WithCancel(context.Background())
+		c.timer = time.AfterFunc(d, c.cancel)
+	} else {
+		c.timer.Reset(d)
+	}
+	return c.dctx
+}
+
+// disarmDeadline stops the timer armDeadline armed.
+func (c *conn) disarmDeadline() {
+	if !c.timer.Stop() {
+		c.timer = nil // it fired, and c.dctx is cancelled for good
+	}
 }
 
 // dispatch executes the request. A non-zero code means "reply with this
@@ -620,31 +653,30 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 	case wire.TypePing:
 		return wire.TypePong, nil, 0, ""
 
-	case wire.TypeBegin:
-		req, err := wire.DecodeBeginReq(f.Payload)
-		if err != nil {
-			return 0, nil, wire.CodeBadRequest, err.Error()
+	case wire.TypeBatch, wire.TypeBegin, wire.TypeInsert, wire.TypeUpdate,
+		wire.TypeDelete, wire.TypeCommit:
+		req, begin, code, msg := decodeBatch(f)
+		if code != 0 {
+			return 0, nil, code, msg
 		}
-		// The transaction-scoped admission point: the slot acquired here
-		// is held until commit/abort (or connection teardown), so under
-		// overload whole transactions are shed at Begin instead of
-		// letting admitted ones starve mid-flight.
-		release, ok := c.admit()
-		if !ok {
-			return 0, nil, wire.CodeOverloaded, overloadedMsg
+		resp, code, msg := c.batch(ctx, req, begin)
+		if code != 0 {
+			return 0, nil, code, msg
 		}
-		var tx *shard.Tx
-		if req.ReadOnly {
-			tx = c.srv.eng.BeginAt(req.AtCID)
-		} else {
-			tx = c.srv.eng.Begin()
+		// The single-op opcodes answer in their own reply types.
+		switch {
+		case f.Type == wire.TypeBatch:
+			return wire.TypeBatchOK, resp.Encode(), 0, ""
+		case f.Type == wire.TypeBegin:
+			return wire.TypeBeginOK, wire.BeginOK{Txn: resp.Txn, SnapshotCID: resp.SnapshotCID}.Encode(), 0, ""
+		case resp.Code != 0:
+			return 0, nil, resp.Code, resp.Msg
+		case f.Type == wire.TypeInsert || f.Type == wire.TypeUpdate:
+			return wire.TypeRowID, wire.RowIDResp{Row: resp.Rows[0]}.Encode(), 0, ""
 		}
-		c.nextTxn++
-		id := c.nextTxn
-		c.txns[id] = openTxn{tx, release}
-		return wire.TypeBeginOK, wire.BeginOK{Txn: id, SnapshotCID: tx.SnapshotCID()}.Encode(), 0, ""
+		return wire.TypeOK, nil, 0, ""
 
-	case wire.TypeCommit, wire.TypeAbort:
+	case wire.TypeAbort:
 		req, err := wire.DecodeTxnReq(f.Payload)
 		if err != nil {
 			return 0, nil, wire.CodeBadRequest, err.Error()
@@ -653,60 +685,7 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 		if !ok {
 			return 0, nil, wire.CodeNoSuchTxn, fmt.Sprintf("no transaction %d on this connection", req.Txn)
 		}
-		delete(c.txns, req.Txn)
-		if f.Type == wire.TypeCommit {
-			err = open.tx.Commit()
-		} else {
-			err = open.tx.Abort()
-		}
-		// The admission slot covers the commit work itself; release it
-		// only once the transaction is fully over.
-		open.release()
-		if err != nil {
-			return 0, nil, errCode(err), err.Error()
-		}
-		return wire.TypeOK, nil, 0, ""
-
-	case wire.TypeInsert:
-		req, err := wire.DecodeInsertReq(f.Payload)
-		if err != nil {
-			return 0, nil, wire.CodeBadRequest, err.Error()
-		}
-		tx, tbl, code, msg := c.writeTxnTable(req.Txn, req.Table)
-		if code != 0 {
-			return 0, nil, code, msg
-		}
-		row, err := tx.Insert(tbl, req.Vals)
-		if err != nil {
-			return 0, nil, errCode(err), err.Error()
-		}
-		return wire.TypeRowID, wire.RowIDResp{Row: row}.Encode(), 0, ""
-
-	case wire.TypeUpdate:
-		req, err := wire.DecodeUpdateReq(f.Payload)
-		if err != nil {
-			return 0, nil, wire.CodeBadRequest, err.Error()
-		}
-		tx, tbl, code, msg := c.writeTxnTable(req.Txn, req.Table)
-		if code != 0 {
-			return 0, nil, code, msg
-		}
-		row, err := tx.Update(tbl, req.Row, req.Vals)
-		if err != nil {
-			return 0, nil, errCode(err), err.Error()
-		}
-		return wire.TypeRowID, wire.RowIDResp{Row: row}.Encode(), 0, ""
-
-	case wire.TypeDelete:
-		req, err := wire.DecodeDeleteReq(f.Payload)
-		if err != nil {
-			return 0, nil, wire.CodeBadRequest, err.Error()
-		}
-		tx, tbl, code, msg := c.writeTxnTable(req.Txn, req.Table)
-		if code != 0 {
-			return 0, nil, code, msg
-		}
-		if err := tx.Delete(tbl, req.Row); err != nil {
+		if err := c.end(req.Txn, open, false); err != nil {
 			return 0, nil, errCode(err), err.Error()
 		}
 		return wire.TypeOK, nil, 0, ""
@@ -832,7 +811,8 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 
 	case wire.TypeHello, wire.TypeHelloOK, wire.TypePong, wire.TypeBeginOK,
 		wire.TypeOK, wire.TypeRowID, wire.TypeRow, wire.TypeRowIDs,
-		wire.TypeCountOK, wire.TypeTablesOK, wire.TypeStatsOK, wire.TypeError:
+		wire.TypeCountOK, wire.TypeTablesOK, wire.TypeStatsOK, wire.TypeError,
+		wire.TypeBatchOK:
 		// Response-only frames (and a second Hello after the handshake)
 		// are never valid requests. Listing them explicitly keeps this
 		// switch exhaustive over wire.Type, so adding an opcode forces a
@@ -844,29 +824,146 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 	}
 }
 
-// writeTxnTable resolves an explicit transaction handle and table for a
-// write request.
-func (c *conn) writeTxnTable(txid uint64, table string) (*shard.Tx, *shard.Table, uint16, string) {
-	if txid == 0 {
-		return nil, nil, wire.CodeBadRequest, "writes require an explicit transaction (Begin first)"
+// decodeBatch reads any write request as a batch: a Begin is a batch of
+// no ops that begins the transaction its BeginReq describes, an Insert,
+// Update or Delete a batch of that one op, a Commit a batch of no ops
+// that commits. Only a Batch may name no transaction and so begin one
+// for its writes: a single op's reply has no room for the handle.
+func decodeBatch(f wire.Frame) (req wire.BatchReq, begin wire.BeginReq, code uint16, msg string) {
+	var err error
+	switch f.Type {
+	case wire.TypeBatch:
+		req, err = wire.DecodeBatchReq(f.Payload)
+	case wire.TypeBegin:
+		begin, err = wire.DecodeBeginReq(f.Payload)
+	case wire.TypeInsert:
+		var m wire.InsertReq
+		m, err = wire.DecodeInsertReq(f.Payload)
+		req = wire.BatchReq{Txn: m.Txn, Ops: []wire.WriteOp{{Kind: wire.WriteInsert, Table: m.Table, Vals: m.Vals}}}
+	case wire.TypeUpdate:
+		var m wire.UpdateReq
+		m, err = wire.DecodeUpdateReq(f.Payload)
+		req = wire.BatchReq{Txn: m.Txn, Ops: []wire.WriteOp{{Kind: wire.WriteUpdate, Table: m.Table, Row: m.Row, Vals: m.Vals}}}
+	case wire.TypeDelete:
+		var m wire.DeleteReq
+		m, err = wire.DecodeDeleteReq(f.Payload)
+		req = wire.BatchReq{Txn: m.Txn, Ops: []wire.WriteOp{{Kind: wire.WriteDelete, Table: m.Table, Row: m.Row}}}
+	case wire.TypeCommit:
+		var m wire.TxnReq
+		m, err = wire.DecodeTxnReq(f.Payload)
+		req = wire.BatchReq{Txn: m.Txn, Commit: true}
+	case wire.TypeHello, wire.TypeHelloOK, wire.TypePing, wire.TypePong, wire.TypeBeginOK,
+		wire.TypeAbort, wire.TypeOK, wire.TypeRowID, wire.TypeGetRow, wire.TypeRow,
+		wire.TypeSelect, wire.TypeRange, wire.TypeRowIDs, wire.TypeCount, wire.TypeCountOK,
+		wire.TypeCreateTable, wire.TypeTables, wire.TypeTablesOK, wire.TypeStats,
+		wire.TypeStatsOK, wire.TypeError, wire.TypeBatchOK:
+		return req, begin, wire.CodeBadRequest, fmt.Sprintf("frame type %s is not a write", f.Type)
 	}
-	t, ok := c.txns[txid]
-	if !ok {
-		return nil, nil, wire.CodeNoSuchTxn, fmt.Sprintf("no transaction %d on this connection", txid)
+	switch {
+	case err != nil:
+		return req, begin, wire.CodeBadRequest, err.Error()
+	case req.Txn != 0 || f.Type == wire.TypeBatch || f.Type == wire.TypeBegin:
+		return req, begin, 0, ""
+	case req.Commit:
+		return req, begin, wire.CodeNoSuchTxn, "no transaction 0 on this connection"
 	}
-	tbl, err := c.srv.eng.Table(table)
+	return req, begin, wire.CodeBadRequest, "writes require an explicit transaction (Begin first)"
+}
+
+// batch runs a write batch: the one body behind every write opcode. A
+// batch that names no transaction begins one (read-only at begin.AtCID
+// if begin asks, which only a Begin frame does) and charges the
+// admission slot the transaction holds until commit or abort, so that
+// under overload whole transactions are shed at their first frame
+// instead of starving mid-flight. The ops run in order under that one
+// slot until one fails. Then a batch that asks for the commit commits,
+// or aborts if an op failed; one that does not leaves the transaction
+// open either way, since the reply names it. A non-zero code means the
+// batch did not start: no op ran and no transaction was begun.
+func (c *conn) batch(ctx context.Context, req wire.BatchReq, begin wire.BeginReq) (resp wire.BatchResp, code uint16, msg string) {
+	began := req.Txn == 0
+	var open openTxn
+	if began {
+		var ok bool
+		if open.release, ok = c.admit(); !ok {
+			return resp, wire.CodeOverloaded, overloadedMsg
+		}
+		if begin.ReadOnly {
+			open.tx = c.srv.eng.BeginAt(begin.AtCID)
+		} else {
+			open.tx = c.srv.eng.Begin()
+		}
+		c.nextTxn++
+		req.Txn = c.nextTxn
+		c.txns[req.Txn] = open
+	} else {
+		var ok bool
+		if open, ok = c.txns[req.Txn]; !ok {
+			return resp, wire.CodeNoSuchTxn, fmt.Sprintf("no transaction %d on this connection", req.Txn)
+		}
+	}
+
+	resp = wire.BatchResp{Txn: req.Txn, SnapshotCID: open.tx.SnapshotCID(), Rows: make([]uint64, 0, len(req.Ops))}
+	for _, op := range req.Ops {
+		row, err := c.write(ctx, open.tx, op)
+		if err != nil {
+			resp.Code, resp.Msg = errCode(err), err.Error()
+			break
+		}
+		resp.Rows = append(resp.Rows, row)
+	}
+	switch {
+	case req.Commit:
+		// An abort's error is dropped: the reply reports the op that failed.
+		if err := c.end(req.Txn, open, resp.Code == 0); err != nil && resp.Code == 0 {
+			resp.Code, resp.Msg = errCode(err), err.Error()
+		}
+	case began && ctx.Err() != nil:
+		// Finished past its deadline, the batch is answered with a
+		// deadline error, which names no transaction: one the client
+		// cannot name must not outlive the request.
+		c.end(req.Txn, open, false) //nolint:errcheck — the reply is the deadline
+		return wire.BatchResp{}, wire.CodeDeadline, "request deadline exceeded"
+	}
+	return resp, 0, ""
+}
+
+// end commits or aborts transaction id, drops it from the registry and
+// releases its admission slot, which covers the commit work itself.
+func (c *conn) end(id uint64, open openTxn, commit bool) error {
+	delete(c.txns, id)
+	defer open.release()
+	if commit {
+		return open.tx.Commit()
+	}
+	return open.tx.Abort()
+}
+
+// write runs one op of a batch and returns the row ID an insert or
+// update wrote.
+func (c *conn) write(ctx context.Context, tx *shard.Tx, op wire.WriteOp) (uint64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	tbl, err := c.srv.eng.Table(op.Table)
 	if err != nil {
-		return nil, nil, wire.CodeNoSuchTable, err.Error()
+		return 0, err
 	}
-	return t.tx, tbl, 0, ""
+	switch op.Kind {
+	case wire.WriteInsert:
+		return tx.Insert(tbl, op.Vals)
+	case wire.WriteUpdate:
+		return tx.Update(tbl, op.Row, op.Vals)
+	}
+	return 0, tx.Delete(tbl, op.Row) // the decoder admits no other kind
 }
 
 // readTxnTable resolves the transaction for a read and applies the
-// admission rule to it: a read naming a transaction rides the slot Begin
-// charged; Txn 0 gets a fresh read-only snapshot at the current horizon —
-// the auto-commit read path that makes the request idempotent for
-// client-side retries — and pays a request-scoped slot. The caller runs
-// release once the read is done.
+// admission rule to it: a read naming a transaction rides the slot its
+// begin charged; Txn 0 gets a fresh read-only snapshot at the current
+// horizon — the auto-commit read path that makes the request idempotent
+// for client-side retries — and pays a request-scoped slot. The caller
+// runs release once the read is done.
 func (c *conn) readTxnTable(txid uint64, table string) (tx *shard.Tx, tbl *shard.Table, release func(), code uint16, msg string) {
 	release = func() {}
 	if txid != 0 {

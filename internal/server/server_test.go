@@ -194,6 +194,36 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A Delete waits for the transaction's next frame, so its conflict
+	// surfaces there: here at the commit, which aborts the transaction.
+	cur, err = c.Select("users", hyrisenv.Pred{Col: "id", Op: hyrisenv.Eq, Val: hyrisenv.Int(1)})
+	if err != nil || len(cur) != 1 {
+		t.Fatalf("locate row: %v, %v", cur, err)
+	}
+	txC, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	txD, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := txC.Update("users", cur[0], hyrisenv.Int(1), hyrisenv.Str("c"), hyrisenv.Float(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := txD.Delete("users", cur[0]); err != nil {
+		t.Fatalf("delete waiting for the next frame: %v", err)
+	}
+	if err := txD.Commit(); !errors.Is(err, client.ErrConflict) {
+		t.Fatalf("commit carrying a conflicting delete: got %v", err)
+	}
+	if err := txC.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.Count("users"); err != nil || n != 2 {
+		t.Fatalf("count = %d, %v after the failed delete; want 2", n, err)
+	}
+
 	// Unknown transaction handles are rejected per request.
 	if err := c.CreateTable("t2", testCols); err != nil {
 		t.Fatal(err)

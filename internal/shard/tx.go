@@ -106,7 +106,7 @@ func (t *Tx) Delete(tbl *Table, row uint64) error {
 		return txn.ErrNotActive
 	}
 	shard, local := splitRow(row)
-	if shard >= len(t.e.shards) {
+	if shard >= len(t.e.shards) || local >= tbl.parts[shard].Rows() {
 		return txn.ErrRowNotFound
 	}
 	return t.part(shard).Delete(tbl.parts[shard], local)
@@ -122,7 +122,7 @@ func (t *Tx) Update(tbl *Table, row uint64, vals []storage.Value) (uint64, error
 		return 0, txn.ErrNotActive
 	}
 	shard, local := splitRow(row)
-	if shard >= len(t.e.shards) {
+	if shard >= len(t.e.shards) || local >= tbl.parts[shard].Rows() {
 		return 0, txn.ErrRowNotFound
 	}
 	newShard := shard

@@ -31,6 +31,14 @@ func FuzzDecodeFrame(f *testing.F) {
 			Name: "t", Cols: []ColumnDef{{Name: "id", Type: 1}}, Indexed: []string{"id"},
 		}.Encode()}),
 		AppendFrame(nil, Frame{Type: TypeError, ReqID: 6, Payload: ErrorResp{Code: CodeConflict, Msg: "x"}.Encode()}),
+		AppendFrame(nil, Frame{Type: TypeBatch, ReqID: 7, TimeoutMs: 250, Payload: BatchReq{Commit: true, Ops: []WriteOp{
+			{Kind: WriteInsert, Table: "orders", Vals: []storage.Value{storage.Int(1), storage.Str("bob")}},
+			{Kind: WriteUpdate, Table: "orders", Row: 3, Vals: []storage.Value{storage.Float(0.5)}},
+			{Kind: WriteDelete, Table: "orders", Row: 4},
+		}}.Encode()}),
+		AppendFrame(nil, Frame{Type: TypeBatchOK, ReqID: 7, Payload: BatchResp{
+			Txn: 1, SnapshotCID: 9, Rows: []uint64{5, 6}, Code: CodeConflict, Msg: "row 4",
+		}.Encode()}),
 		{0x48, 0x4e, 0x56, 0x31}, // bare magic
 		bytes.Repeat([]byte{0xff}, HeaderSize+4),
 	}
@@ -100,6 +108,10 @@ func FuzzDecodeFrame(f *testing.F) {
 			DecodeStatsResp(p) //nolint:errcheck
 		case TypeError:
 			DecodeErrorResp(p) //nolint:errcheck
+		case TypeBatch:
+			DecodeBatchReq(p) //nolint:errcheck
+		case TypeBatchOK:
+			DecodeBatchResp(p) //nolint:errcheck
 		}
 	})
 }

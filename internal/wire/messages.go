@@ -259,11 +259,11 @@ func DecodeTxnReq(b []byte) (TxnReq, error) {
 }
 
 // RequestTxn returns the transaction handle request f names, 0 for none.
-// Every request that can name one — commit, abort, the writes and the
-// reads — carries it as its payload's first field.
+// Every request that can name one — commit, abort, the writes, the batch
+// and the reads — carries it as its payload's first field.
 func RequestTxn(f Frame) uint64 {
 	switch f.Type {
-	case TypeCommit, TypeAbort, TypeInsert, TypeUpdate, TypeDelete,
+	case TypeCommit, TypeAbort, TypeInsert, TypeUpdate, TypeDelete, TypeBatch,
 		TypeGetRow, TypeSelect, TypeRange, TypeCount:
 		if len(f.Payload) >= 8 {
 			return binary.LittleEndian.Uint64(f.Payload)
@@ -271,7 +271,7 @@ func RequestTxn(f Frame) uint64 {
 	case TypeInvalid, TypeHello, TypeHelloOK, TypePing, TypePong, TypeBegin,
 		TypeBeginOK, TypeOK, TypeRowID, TypeRow, TypeRowIDs, TypeCountOK,
 		TypeCreateTable, TypeTables, TypeTablesOK, TypeStats, TypeStatsOK,
-		TypeError:
+		TypeError, TypeBatchOK:
 	}
 	return 0
 }
@@ -359,6 +359,125 @@ func (m RowIDResp) Encode() []byte {
 func DecodeRowIDResp(b []byte) (RowIDResp, error) {
 	r := &reader{b: b}
 	m := RowIDResp{Row: r.u64()}
+	return m, r.done()
+}
+
+// WriteKind names the write a WriteOp performs.
+type WriteKind uint8
+
+// Write kinds.
+const (
+	WriteInsert WriteKind = 1 // Table, Vals
+	WriteUpdate WriteKind = 2 // Table, Row, Vals
+	WriteDelete WriteKind = 3 // Table, Row
+)
+
+// WriteOp is one write of a batch. Fields its kind does not use are
+// neither encoded nor decoded.
+type WriteOp struct {
+	Kind  WriteKind
+	Table string
+	Row   uint64
+	Vals  []storage.Value
+}
+
+// BatchReq runs writes of one transaction, in order, and then its
+// commit if Commit is set. Txn 0 begins a read-write transaction for the
+// batch; the reply names it.
+type BatchReq struct {
+	Txn    uint64
+	Commit bool
+	Ops    []WriteOp
+}
+
+// Encode serializes the message.
+func (m BatchReq) Encode() []byte {
+	b := binary.LittleEndian.AppendUint64(nil, m.Txn)
+	if m.Commit {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Ops)))
+	for _, op := range m.Ops {
+		b = append(b, byte(op.Kind))
+		b = appendStr(b, op.Table)
+		if op.Kind != WriteInsert {
+			b = binary.LittleEndian.AppendUint64(b, op.Row)
+		}
+		if op.Kind != WriteDelete {
+			b = appendVals(b, op.Vals)
+		}
+	}
+	return b
+}
+
+// DecodeBatchReq parses a BatchReq payload. An unknown write kind is
+// ErrBadPayload.
+func DecodeBatchReq(b []byte) (BatchReq, error) {
+	r := &reader{b: b}
+	m := BatchReq{Txn: r.u64(), Commit: r.u8() != 0}
+	n := r.u32()
+	if r.bad || uint64(n) > uint64(len(r.b)) { // each op is ≥ 1 byte
+		return m, ErrBadPayload
+	}
+	m.Ops = make([]WriteOp, 0, n)
+	for i := uint32(0); i < n && !r.bad; i++ {
+		op := WriteOp{Kind: WriteKind(r.u8()), Table: r.str()}
+		switch op.Kind {
+		case WriteInsert:
+			op.Vals = r.vals()
+		case WriteUpdate:
+			op.Row, op.Vals = r.u64(), r.vals()
+		case WriteDelete:
+			op.Row = r.u64()
+		default:
+			r.fail()
+		}
+		m.Ops = append(m.Ops, op)
+	}
+	return m, r.done()
+}
+
+// BatchResp answers a BatchReq with the transaction's handle and
+// snapshot, and one entry in Rows per op that ran: the row ID an insert
+// or update wrote, 0 for a delete. Code 0 means every op ran, and the
+// commit too if one was asked for. Otherwise the op at index len(Rows)
+// failed with Code and Msg — the commit's index is len(Ops) — and
+// nothing after it ran.
+type BatchResp struct {
+	Txn         uint64
+	SnapshotCID uint64
+	Rows        []uint64
+	Code        uint16
+	Msg         string
+}
+
+// Encode serializes the message.
+func (m BatchResp) Encode() []byte {
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 26+8*len(m.Rows)+len(m.Msg)), m.Txn)
+	b = binary.LittleEndian.AppendUint64(b, m.SnapshotCID)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Rows)))
+	for _, r := range m.Rows {
+		b = binary.LittleEndian.AppendUint64(b, r)
+	}
+	b = binary.LittleEndian.AppendUint16(b, m.Code)
+	return appendStr(b, m.Msg)
+}
+
+// DecodeBatchResp parses a BatchResp payload.
+func DecodeBatchResp(b []byte) (BatchResp, error) {
+	r := &reader{b: b}
+	m := BatchResp{Txn: r.u64(), SnapshotCID: r.u64()}
+	n := r.u32()
+	if r.bad || uint64(n)*8 > uint64(len(r.b)) {
+		return m, ErrBadPayload
+	}
+	m.Rows = make([]uint64, 0, n)
+	for i := uint32(0); i < n; i++ {
+		m.Rows = append(m.Rows, r.u64())
+	}
+	m.Code, m.Msg = r.u16(), r.str()
 	return m, r.done()
 }
 

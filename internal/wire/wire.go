@@ -92,6 +92,10 @@ const (
 	// Error reply (any request can receive one).
 	TypeError // ErrorResp
 
+	// A transaction's writes, and optionally its commit, in one frame.
+	TypeBatch   // BatchReq → TypeBatchOK
+	TypeBatchOK // BatchResp
+
 	typeMax // sentinel; not a valid frame type
 )
 
@@ -107,7 +111,7 @@ func (t Type) String() string {
 		TypeRowIDs: "row-ids", TypeCount: "count", TypeCountOK: "count-ok",
 		TypeCreateTable: "create-table", TypeTables: "tables",
 		TypeTablesOK: "tables-ok", TypeStats: "stats", TypeStatsOK: "stats-ok",
-		TypeError: "error",
+		TypeError: "error", TypeBatch: "batch", TypeBatchOK: "batch-ok",
 	}
 	if int(t) < len(names) && names[t] != "" {
 		return names[t]

@@ -116,6 +116,7 @@ func TestRequestTxn(t *testing.T) {
 		{Type: TypeSelect, Payload: SelectReq{Txn: 42, Table: "t"}.Encode()},
 		{Type: TypeCount, Payload: SelectReq{Txn: 42, Table: "t"}.Encode()},
 		{Type: TypeRange, Payload: RangeReq{Txn: 42, Table: "t", Col: "c", Lo: storage.Int(0), Hi: storage.Int(1)}.Encode()},
+		{Type: TypeBatch, Payload: BatchReq{Txn: 42, Commit: true}.Encode()},
 	} {
 		if got := RequestTxn(f); got != 42 {
 			t.Errorf("%s: RequestTxn = %d, want 42", f.Type, got)
@@ -126,6 +127,7 @@ func TestRequestTxn(t *testing.T) {
 		{Type: TypePing},
 		{Type: TypeCreateTable, Payload: CreateTableReq{Name: "t"}.Encode()},
 		{Type: TypeCommit, Payload: []byte{1, 2, 3}},
+		{Type: TypeBatch, Payload: BatchReq{Ops: []WriteOp{{Kind: WriteDelete, Table: "t", Row: 42}}}.Encode()},
 	} {
 		if got := RequestTxn(f); got != 0 {
 			t.Errorf("%s: RequestTxn = %d, want 0", f.Type, got)
@@ -297,6 +299,16 @@ func TestMessageRoundTrips(t *testing.T) {
 		func(b []byte) (any, error) { return DecodeStatsResp(b) }, st)
 	check("error", ErrorResp{Code: CodeConflict, Msg: "boom"}.Encode(),
 		func(b []byte) (any, error) { return DecodeErrorResp(b) }, ErrorResp{Code: CodeConflict, Msg: "boom"})
+	batch := BatchReq{Txn: 3, Commit: true, Ops: []WriteOp{
+		{Kind: WriteInsert, Table: "orders", Vals: row},
+		{Kind: WriteUpdate, Table: "orders", Row: 9, Vals: row},
+		{Kind: WriteDelete, Table: "orders", Row: 4},
+	}}
+	check("batch", batch.Encode(),
+		func(b []byte) (any, error) { return DecodeBatchReq(b) }, batch)
+	br := BatchResp{Txn: 3, SnapshotCID: 70, Rows: []uint64{11, 12}, Code: CodeConflict, Msg: "row 4"}
+	check("batch-ok", br.Encode(),
+		func(b []byte) (any, error) { return DecodeBatchResp(b) }, br)
 }
 
 func TestMessageDecodersRejectCorruptInput(t *testing.T) {
@@ -311,6 +323,11 @@ func TestMessageDecodersRejectCorruptInput(t *testing.T) {
 		"tables":       TablesResp{Tables: []TableStat{{Name: "t", ID: 1, Rows: 2}}}.Encode(),
 		"stats":        StatsResp{Mode: 1}.Encode(),
 		"row-ids":      RowIDsResp{Rows: []uint64{1, 2, 3}}.Encode(),
+		"batch": BatchReq{Txn: 1, Ops: []WriteOp{
+			{Kind: WriteUpdate, Table: "t", Row: 2, Vals: vals(storage.Int(1))},
+			{Kind: WriteDelete, Table: "t", Row: 3},
+		}}.Encode(),
+		"batch-ok": BatchResp{Txn: 1, Rows: []uint64{5}, Code: CodeConflict, Msg: "x"}.Encode(),
 	}
 	decs := map[string]func([]byte) error{
 		"hello":        func(b []byte) error { _, err := DecodeHello(b); return err },
@@ -320,6 +337,8 @@ func TestMessageDecodersRejectCorruptInput(t *testing.T) {
 		"tables":       func(b []byte) error { _, err := DecodeTablesResp(b); return err },
 		"stats":        func(b []byte) error { _, err := DecodeStatsResp(b); return err },
 		"row-ids":      func(b []byte) error { _, err := DecodeRowIDsResp(b); return err },
+		"batch":        func(b []byte) error { _, err := DecodeBatchReq(b); return err },
+		"batch-ok":     func(b []byte) error { _, err := DecodeBatchResp(b); return err },
 	}
 	for name, enc := range msgs {
 		for i := 0; i < len(enc); i++ {
@@ -337,6 +356,13 @@ func TestMessageDecodersRejectCorruptInput(t *testing.T) {
 	}
 	if _, err := DecodeTablesResp(huge); err == nil {
 		t.Fatal("tables: absurd count accepted")
+	}
+
+	// A write kind the codec does not know is refused, not skipped.
+	b := BatchReq{Txn: 1, Ops: []WriteOp{{Kind: WriteDelete, Table: "t", Row: 1}}}.Encode()
+	b[13] = 9 // the op's kind byte, after txn, commit and the count
+	if _, err := DecodeBatchReq(b); err == nil {
+		t.Fatal("batch: unknown write kind accepted")
 	}
 }
 
