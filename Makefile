@@ -162,7 +162,10 @@ benchserve:
 	$(GO) run ./cmd/benchjson -in BENCH_serve.txt -out BENCH_serve.json
 	rm -f BENCH_serve.txt
 
-# Same smoke CI runs: 30s per fuzzer — the wire codecs, the bit
+# Same smoke CI runs: 30s per fuzzer — the wire codecs, the server's
+# one transaction body under random batches (an input takes milliseconds
+# there, so minimizing a new one is capped by count rather than left its
+# default minute), the bit
 # unpacker GROUP BY and the join decode main-partition blocks through,
 # the packed-word predicate every main-partition scan filters through,
 # the value-ID and key-word predicate every delta scan filters through,
@@ -170,6 +173,7 @@ benchserve:
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 30s
+	$(GO) test ./internal/server -run '^$$' -fuzz 'FuzzServeBatch' -fuzztime 30s -fuzzminimizetime 100x
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzUnpackBits' -fuzztime 30s
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzFilterBits' -fuzztime 30s
 	$(GO) test ./internal/exec -run '^$$' -fuzz 'FuzzDeltaFilter' -fuzztime 30s

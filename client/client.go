@@ -13,10 +13,13 @@
 //     after a network failure — which is what makes a server restart
 //     nearly invisible to read traffic.
 //   - Begin/BeginAt: a typed Tx mirroring hyrisenv.Tx, pinned to one
-//     pooled connection for its lifetime. A read-write Tx sends as few
-//     frames as it can: Begin sends nothing, a Delete waits for the
-//     next frame, and every write is one batch frame, so the errors of
-//     a Begin or a Delete surface at the next call that sends (see Tx).
+//     pooled connection for its lifetime. Every frame that begins,
+//     writes to, commits or aborts a transaction is one wire batch. A
+//     read-write Tx sends as few as it can: Begin sends nothing, a
+//     Delete waits for the next frame, and every write is one batch, so
+//     the errors of a Begin or a Delete surface at the next call that
+//     sends (see Tx). A Tx's reads share one body per verb with the
+//     auto-commit reads, but run in its snapshot and are never retried.
 //
 // Every request-path method has a context-accepting variant; the
 // context deadline is propagated to the server in the frame header, so
@@ -919,8 +922,25 @@ func (c *Client) stats(cl call) (Stats, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Auto-commit reads. Each runs in a fresh read-only snapshot server-side
-// and is retried once on a new connection after a network failure.
+// Reads. One body per verb serves the Client and the Tx. The Client's
+// reads are auto-commit: each names handle 0, runs in a fresh read-only
+// snapshot server-side, and is retried on a fresh connection after a
+// network failure (Options.ReadRetries). A Tx's reads first send the
+// begin and the writes waiting in the Tx, so that they see them, then
+// run in its snapshot over its pinned connection, and are never retried.
+
+// read sends read request t on behalf of tx, or as an auto-commit read
+// when tx is nil. encode builds the payload for the handle the read
+// names.
+func (c *Client) read(cl call, tx *Tx, t wire.Type, encode func(txn uint64) []byte) (wire.Frame, error) {
+	if tx == nil {
+		return c.do(cl, t, encode(0), true)
+	}
+	if err := tx.flush(cl); err != nil {
+		return wire.Frame{}, err
+	}
+	return tx.roundTrip(cl, t, encode(tx.id))
+}
 
 func wirePreds(preds []hyrisenv.Pred) []wire.Pred {
 	out := make([]wire.Pred, len(preds))
@@ -932,17 +952,18 @@ func wirePreds(preds []hyrisenv.Pred) []wire.Pred {
 
 // Select returns the row IDs satisfying all predicates.
 func (c *Client) Select(table string, preds ...hyrisenv.Pred) ([]uint64, error) {
-	return c.sel(c.plain(), table, preds)
+	return c.sel(c.plain(), nil, table, preds)
 }
 
 // SelectContext is Select with a caller-supplied context.
 func (c *Client) SelectContext(ctx context.Context, table string, preds ...hyrisenv.Pred) ([]uint64, error) {
-	return c.sel(ctxCall(ctx), table, preds)
+	return c.sel(ctxCall(ctx), nil, table, preds)
 }
 
-func (c *Client) sel(cl call, table string, preds []hyrisenv.Pred) ([]uint64, error) {
-	req := wire.SelectReq{Table: table, Preds: wirePreds(preds)}
-	f, err := c.do(cl, wire.TypeSelect, req.Encode(), true)
+func (c *Client) sel(cl call, tx *Tx, table string, preds []hyrisenv.Pred) ([]uint64, error) {
+	f, err := c.read(cl, tx, wire.TypeSelect, func(txn uint64) []byte {
+		return wire.SelectReq{Txn: txn, Table: table, Preds: wirePreds(preds)}.Encode()
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -965,17 +986,18 @@ func (c *Client) ScanAllContext(ctx context.Context, table string) ([]uint64, er
 
 // Count returns the number of rows satisfying all predicates.
 func (c *Client) Count(table string, preds ...hyrisenv.Pred) (int, error) {
-	return c.count(c.plain(), table, preds)
+	return c.count(c.plain(), nil, table, preds)
 }
 
 // CountContext is Count with a caller-supplied context.
 func (c *Client) CountContext(ctx context.Context, table string, preds ...hyrisenv.Pred) (int, error) {
-	return c.count(ctxCall(ctx), table, preds)
+	return c.count(ctxCall(ctx), nil, table, preds)
 }
 
-func (c *Client) count(cl call, table string, preds []hyrisenv.Pred) (int, error) {
-	req := wire.SelectReq{Table: table, Preds: wirePreds(preds)}
-	f, err := c.do(cl, wire.TypeCount, req.Encode(), true)
+func (c *Client) count(cl call, tx *Tx, table string, preds []hyrisenv.Pred) (int, error) {
+	f, err := c.read(cl, tx, wire.TypeCount, func(txn uint64) []byte {
+		return wire.SelectReq{Txn: txn, Table: table, Preds: wirePreds(preds)}.Encode()
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -988,17 +1010,18 @@ func (c *Client) count(cl call, table string, preds []hyrisenv.Pred) (int, error
 
 // SelectRange returns rows whose named column falls in [lo, hi).
 func (c *Client) SelectRange(table, col string, lo, hi hyrisenv.Value) ([]uint64, error) {
-	return c.selectRange(c.plain(), table, col, lo, hi)
+	return c.selectRange(c.plain(), nil, table, col, lo, hi)
 }
 
 // SelectRangeContext is SelectRange with a caller-supplied context.
 func (c *Client) SelectRangeContext(ctx context.Context, table, col string, lo, hi hyrisenv.Value) ([]uint64, error) {
-	return c.selectRange(ctxCall(ctx), table, col, lo, hi)
+	return c.selectRange(ctxCall(ctx), nil, table, col, lo, hi)
 }
 
-func (c *Client) selectRange(cl call, table, col string, lo, hi hyrisenv.Value) ([]uint64, error) {
-	req := wire.RangeReq{Table: table, Col: col, Lo: lo, Hi: hi}
-	f, err := c.do(cl, wire.TypeRange, req.Encode(), true)
+func (c *Client) selectRange(cl call, tx *Tx, table, col string, lo, hi hyrisenv.Value) ([]uint64, error) {
+	f, err := c.read(cl, tx, wire.TypeRange, func(txn uint64) []byte {
+		return wire.RangeReq{Txn: txn, Table: table, Col: col, Lo: lo, Hi: hi}.Encode()
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -1011,17 +1034,18 @@ func (c *Client) selectRange(cl call, table, col string, lo, hi hyrisenv.Value) 
 
 // Row materializes all columns of a row.
 func (c *Client) Row(table string, row uint64) ([]hyrisenv.Value, error) {
-	return c.row(c.plain(), table, row)
+	return c.row(c.plain(), nil, table, row)
 }
 
 // RowContext is Row with a caller-supplied context.
 func (c *Client) RowContext(ctx context.Context, table string, row uint64) ([]hyrisenv.Value, error) {
-	return c.row(ctxCall(ctx), table, row)
+	return c.row(ctxCall(ctx), nil, table, row)
 }
 
-func (c *Client) row(cl call, table string, row uint64) ([]hyrisenv.Value, error) {
-	req := wire.RowReq{Table: table, Row: row}
-	f, err := c.do(cl, wire.TypeGetRow, req.Encode(), true)
+func (c *Client) row(cl call, tx *Tx, table string, row uint64) ([]hyrisenv.Value, error) {
+	f, err := c.read(cl, tx, wire.TypeGetRow, func(txn uint64) []byte {
+		return wire.RowReq{Txn: txn, Table: table, Row: row}.Encode()
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ func rawServer(t *testing.T, script func(nc net.Conn)) string {
 			t.Errorf("raw server: hello: %v", err)
 			return
 		}
-		ok := wire.HelloOK{Version: wire.Version, MaxPayload: wire.DefaultMaxPayload, MaxInFlight: 32}
+		ok := wire.HelloOK{Version: wire.Version, MaxPayload: wire.DefaultMaxPayload}
 		if err := wire.WriteFrame(nc, wire.Frame{Type: wire.TypeHelloOK, ReqID: hello.ReqID, Payload: ok.Encode()}); err != nil {
 			t.Errorf("raw server: hello-ok: %v", err)
 			return

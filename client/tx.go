@@ -16,20 +16,22 @@ import (
 // network failure mid-transaction breaks the Tx (the server aborts it
 // when the connection drops).
 //
-// A read-write Tx sends as few frames as its caller allows. Begin sends
-// nothing: the transaction begins on the server with the Tx's first
-// frame. Delete sends nothing either: deletes wait in the Tx, up to 64
-// of them (maxBuffered), and ride the next frame. Every write goes out as
-// one batch frame that carries the deletes waiting before it, and Commit
-// sends those deletes with the commit. A read first sends the begin and
-// the waiting deletes, so that it sees them. So an error that Begin or a
-// Delete would have met — the server overloaded or shutting down, a
-// write-write conflict, a row not found — is returned by the next call
-// that sends a frame: a Delete's error names the delete. Ops of a frame
-// run in order and stop at the first that fails; the deletes that did not
-// run stay waiting. If a commit frame fails, the transaction is aborted.
-// If the connection breaks before a commit frame's reply arrives, the
-// whole frame applied at most once: committed entirely or not at all.
+// Every frame a Tx sends to begin, write to, commit or abort its
+// transaction is one batch, and a read-write Tx sends as few as its
+// caller allows. Begin sends nothing: the transaction begins on the
+// server with the Tx's first frame. Delete sends nothing either: deletes
+// wait in the Tx, up to 64 of them (maxBuffered), and ride the next
+// frame. Every write goes out as one batch frame that carries the
+// deletes waiting before it, and Commit sends those deletes with the
+// commit. A read first sends the begin and the waiting deletes, so that
+// it sees them. So an error that Begin or a Delete would have met — the
+// server overloaded or shutting down, a write-write conflict, a row not
+// found — is returned by the next call that sends a frame: a Delete's
+// error names the delete. Ops of a frame run in order and stop at the
+// first that fails; the deletes that did not run stay waiting. If a
+// commit frame fails, the transaction is aborted. If the connection
+// breaks before a commit frame's reply arrives, the whole frame applied
+// at most once: committed entirely or not at all.
 type Tx struct {
 	c    *Client
 	wc   *wconn
@@ -77,24 +79,15 @@ func (c *Client) beginAt(cl call, cid uint64) (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	f, err := wc.roundTrip(cl, wire.TypeBegin, wire.BeginReq{ReadOnly: true, AtCID: cid}.Encode())
-	if err != nil {
-		return nil, err
-	}
-	if f.Type == wire.TypeError {
-		e, derr := wire.DecodeErrorResp(f.Payload)
-		if derr != nil {
-			return nil, derr
-		}
-		return nil, errFromResp(e)
-	}
-	ok, err := wire.DecodeBeginOK(f.Payload)
-	if err != nil {
-		wc.close() // response stream is unparseable; nothing on it is trustworthy
-		return nil, err
-	}
 	wc.pin()
-	return &Tx{c: c, wc: wc, id: ok.Txn, snap: ok.SnapshotCID}, nil
+	tx := &Tx{c: c, wc: wc}
+	// A batch of no ops that neither commits nor aborts has nothing to
+	// fail once it has started: its reply's code is 0.
+	if _, err := tx.batch(cl, wire.BatchReq{ReadOnly: true, AtCID: cid}); err != nil {
+		tx.finish()
+		return nil, err
+	}
+	return tx, nil
 }
 
 // SnapshotCID returns the commit ID this transaction reads at: 0 until a
@@ -124,6 +117,29 @@ func (tx *Tx) roundTrip(cl call, t wire.Type, payload []byte) (wire.Frame, error
 	return f, nil
 }
 
+// batch sends req on the pinned connection and returns the reply, which
+// names the transaction: the Tx takes its handle and snapshot. An error
+// means the batch did not start, or the connection is gone; a failed op
+// is the reply's Code.
+func (tx *Tx) batch(cl call, req wire.BatchReq) (wire.BatchResp, error) {
+	f, err := tx.roundTrip(cl, wire.TypeBatch, req.Encode())
+	if err != nil {
+		return wire.BatchResp{}, err
+	}
+	resp, err := wire.DecodeBatchResp(f.Payload)
+	ran := len(resp.Rows)
+	if err == nil && (ran > len(req.Ops) || resp.Code == 0 && ran != len(req.Ops)) {
+		err = fmt.Errorf("client: batch reply reports %d of %d ops", ran, len(req.Ops))
+	}
+	if err != nil {
+		tx.wc.close() // response stream is unparseable; nothing on it is trustworthy
+		tx.finish()
+		return wire.BatchResp{}, err
+	}
+	tx.id, tx.snap = resp.Txn, resp.SnapshotCID
+	return resp, nil
+}
+
 // send sends the waiting deletes, then op unless it is nil, then the
 // commit if commit is set, as one batch frame; the first frame also
 // begins the transaction. It returns the row ID op wrote. An error frame
@@ -134,23 +150,13 @@ func (tx *Tx) send(cl call, op *wire.WriteOp, commit bool) (uint64, error) {
 	if op != nil {
 		req.Ops = append(req.Ops, *op)
 	}
-	f, err := tx.roundTrip(cl, wire.TypeBatch, req.Encode())
+	resp, err := tx.batch(cl, req)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := wire.DecodeBatchResp(f.Payload)
-	ran := len(resp.Rows)
-	if err == nil && (ran > len(req.Ops) || resp.Code == 0 && ran != len(req.Ops)) {
-		err = fmt.Errorf("client: batch reply reports %d of %d ops", ran, len(req.Ops))
-	}
-	if err != nil {
-		tx.wc.close() // response stream is unparseable; nothing on it is trustworthy
-		tx.finish()
-		return 0, err
-	}
-	tx.id, tx.snap = resp.Txn, resp.SnapshotCID
 	// The deletes behind the one that failed did not run; they keep
 	// waiting.
+	ran := len(resp.Rows)
 	tx.ops = append(tx.ops[:0], req.Ops[min(ran+1, waiting):waiting]...)
 	if resp.Code != 0 {
 		err = errFromResp(wire.ErrorResp{Code: resp.Code, Msg: resp.Msg})
@@ -218,7 +224,10 @@ func (tx *Tx) abort(cl call) error {
 	}
 	var err error
 	if tx.id != 0 {
-		_, err = tx.roundTrip(cl, wire.TypeAbort, wire.TxnReq{Txn: tx.id}.Encode())
+		var resp wire.BatchResp
+		if resp, err = tx.batch(cl, wire.BatchReq{Txn: tx.id, Abort: true}); err == nil && resp.Code != 0 {
+			err = errFromResp(wire.ErrorResp{Code: resp.Code, Msg: resp.Msg})
+		}
 	}
 	tx.finish()
 	return err
@@ -273,28 +282,12 @@ func (tx *Tx) delete(cl call, table string, row uint64) error {
 // Select returns the row IDs satisfying all predicates, evaluated in
 // this transaction's snapshot.
 func (tx *Tx) Select(table string, preds ...hyrisenv.Pred) ([]uint64, error) {
-	return tx.sel(tx.c.plain(), table, preds)
+	return tx.c.sel(tx.c.plain(), tx, table, preds)
 }
 
 // SelectContext is Select with a caller-supplied context.
 func (tx *Tx) SelectContext(ctx context.Context, table string, preds ...hyrisenv.Pred) ([]uint64, error) {
-	return tx.sel(ctxCall(ctx), table, preds)
-}
-
-func (tx *Tx) sel(cl call, table string, preds []hyrisenv.Pred) ([]uint64, error) {
-	if err := tx.flush(cl); err != nil {
-		return nil, err
-	}
-	req := wire.SelectReq{Txn: tx.id, Table: table, Preds: wirePreds(preds)}
-	f, err := tx.roundTrip(cl, wire.TypeSelect, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeRowIDsResp(f.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Rows, nil
+	return tx.c.sel(ctxCall(ctx), tx, table, preds)
 }
 
 // ScanAll returns every row ID visible to this transaction.
@@ -308,78 +301,30 @@ func (tx *Tx) ScanAllContext(ctx context.Context, table string) ([]uint64, error
 // Count returns the number of rows satisfying all predicates in this
 // transaction's snapshot.
 func (tx *Tx) Count(table string, preds ...hyrisenv.Pred) (int, error) {
-	return tx.count(tx.c.plain(), table, preds)
+	return tx.c.count(tx.c.plain(), tx, table, preds)
 }
 
 // CountContext is Count with a caller-supplied context.
 func (tx *Tx) CountContext(ctx context.Context, table string, preds ...hyrisenv.Pred) (int, error) {
-	return tx.count(ctxCall(ctx), table, preds)
-}
-
-func (tx *Tx) count(cl call, table string, preds []hyrisenv.Pred) (int, error) {
-	if err := tx.flush(cl); err != nil {
-		return 0, err
-	}
-	req := wire.SelectReq{Txn: tx.id, Table: table, Preds: wirePreds(preds)}
-	f, err := tx.roundTrip(cl, wire.TypeCount, req.Encode())
-	if err != nil {
-		return 0, err
-	}
-	resp, err := wire.DecodeCountResp(f.Payload)
-	if err != nil {
-		return 0, err
-	}
-	return int(resp.N), nil
+	return tx.c.count(ctxCall(ctx), tx, table, preds)
 }
 
 // SelectRange returns rows whose named column falls in [lo, hi).
 func (tx *Tx) SelectRange(table, col string, lo, hi hyrisenv.Value) ([]uint64, error) {
-	return tx.selectRange(tx.c.plain(), table, col, lo, hi)
+	return tx.c.selectRange(tx.c.plain(), tx, table, col, lo, hi)
 }
 
 // SelectRangeContext is SelectRange with a caller-supplied context.
 func (tx *Tx) SelectRangeContext(ctx context.Context, table, col string, lo, hi hyrisenv.Value) ([]uint64, error) {
-	return tx.selectRange(ctxCall(ctx), table, col, lo, hi)
-}
-
-func (tx *Tx) selectRange(cl call, table, col string, lo, hi hyrisenv.Value) ([]uint64, error) {
-	if err := tx.flush(cl); err != nil {
-		return nil, err
-	}
-	req := wire.RangeReq{Txn: tx.id, Table: table, Col: col, Lo: lo, Hi: hi}
-	f, err := tx.roundTrip(cl, wire.TypeRange, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeRowIDsResp(f.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Rows, nil
+	return tx.c.selectRange(ctxCall(ctx), tx, table, col, lo, hi)
 }
 
 // Row materializes all columns of a row as seen by this transaction.
 func (tx *Tx) Row(table string, row uint64) ([]hyrisenv.Value, error) {
-	return tx.row(tx.c.plain(), table, row)
+	return tx.c.row(tx.c.plain(), tx, table, row)
 }
 
 // RowContext is Row with a caller-supplied context.
 func (tx *Tx) RowContext(ctx context.Context, table string, row uint64) ([]hyrisenv.Value, error) {
-	return tx.row(ctxCall(ctx), table, row)
-}
-
-func (tx *Tx) row(cl call, table string, row uint64) ([]hyrisenv.Value, error) {
-	if err := tx.flush(cl); err != nil {
-		return nil, err
-	}
-	req := wire.RowReq{Txn: tx.id, Table: table, Row: row}
-	f, err := tx.roundTrip(cl, wire.TypeGetRow, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	resp, err := wire.DecodeRowResp(f.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Vals, nil
+	return tx.c.row(ctxCall(ctx), tx, table, row)
 }

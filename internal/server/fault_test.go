@@ -62,7 +62,7 @@ func TestMidFrameWriteFailureReleasesResources(t *testing.T) {
 	defer eng.Close()
 
 	// The first accepted connection is the victim: its 3rd socket write
-	// (handshake flush, BeginOK flush, then the Ping reply) fails
+	// (handshake flush, the begin batch's reply, then the Ping reply) fails
 	// mid-frame. Later connections are untouched.
 	var accepted atomic.Int32
 	srv, err := Listen(eng, "127.0.0.1:0", Config{
@@ -100,13 +100,13 @@ func TestMidFrameWriteFailureReleasesResources(t *testing.T) {
 	if f, err := testFrame(t, victim, 1, wire.TypeHello, wire.Hello{Version: wire.Version}.Encode()); err != nil || f.Type != wire.TypeHelloOK {
 		t.Fatalf("handshake: type=%v err=%v", f.Type, err)
 	}
-	if f, err := testFrame(t, victim, 2, wire.TypeBegin, wire.BeginReq{}.Encode()); err != nil || f.Type != wire.TypeBeginOK {
+	if f, err := testFrame(t, victim, 2, wire.TypeBatch, wire.BatchReq{}.Encode()); err != nil || f.Type != wire.TypeBatchOK {
 		t.Fatalf("begin: type=%v err=%v", f.Type, err)
 	}
 	// The transaction now holds an admission slot that only teardown can
 	// release (the client will never commit).
 	if got := len(srv.admit); got != 1 {
-		t.Fatalf("admission slots held after Begin = %d, want 1", got)
+		t.Fatalf("admission slots held after the begin batch = %d, want 1", got)
 	}
 
 	// The Ping reply is the victim conn's 3rd write: it dies mid-frame.
@@ -128,7 +128,7 @@ func TestMidFrameWriteFailureReleasesResources(t *testing.T) {
 	if f, err := testFrame(t, healthy, 1, wire.TypeHello, wire.Hello{Version: wire.Version}.Encode()); err != nil || f.Type != wire.TypeHelloOK {
 		t.Fatalf("healthy handshake: type=%v err=%v", f.Type, err)
 	}
-	if f, err := testFrame(t, healthy, 2, wire.TypeBegin, wire.BeginReq{}.Encode()); err != nil || f.Type != wire.TypeBeginOK {
+	if f, err := testFrame(t, healthy, 2, wire.TypeBatch, wire.BatchReq{}.Encode()); err != nil || f.Type != wire.TypeBatchOK {
 		t.Fatalf("healthy begin: type=%v err=%v", f.Type, err)
 	}
 	if f, err := testFrame(t, healthy, 3, wire.TypePing, nil); err != nil || f.Type != wire.TypePong {

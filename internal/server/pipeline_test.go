@@ -91,33 +91,27 @@ func TestPipelinedTxnSequence(t *testing.T) {
 		t.Fatalf("create table: %s", f.Type)
 	}
 
-	// The insert and commit refer to the txn handle begin will return.
-	// Handles are assigned per connection starting at 1, which the wire
-	// README documents as stable — exactly the property a pipelining
+	// The insert and commit refer to the txn handle the begin batch will
+	// return. Handles are assigned per connection starting at 1, which the
+	// wire README documents as stable — exactly the property a pipelining
 	// client needs to script a transaction without waiting.
-	beginID := rc.writeFrame(wire.TypeBegin, wire.BeginReq{}.Encode())
-	insID := rc.writeFrame(wire.TypeInsert,
-		wire.InsertReq{Txn: 1, Table: "seq", Vals: []storage.Value{storage.Int(7)}}.Encode())
-	commitID := rc.writeFrame(wire.TypeCommit, wire.TxnReq{Txn: 1}.Encode())
+	beginID := rc.writeFrame(wire.TypeBatch, wire.BatchReq{}.Encode())
+	insID := rc.writeFrame(wire.TypeBatch, wire.BatchReq{Txn: 1, Ops: []wire.WriteOp{insertOp("seq", 7)}}.Encode())
+	commitID := rc.writeFrame(wire.TypeBatch, wire.BatchReq{Txn: 1, Commit: true}.Encode())
 
-	f, err := rc.readFrame()
-	if err != nil || f.Type != wire.TypeBeginOK || f.ReqID != beginID {
-		t.Fatalf("begin: %s %v", f.Type, err)
-	}
-	ok, err := wire.DecodeBeginOK(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok.Txn != 1 {
-		t.Fatalf("first txn handle = %d, want 1", ok.Txn)
-	}
-	f, err = rc.readFrame()
-	if err != nil || f.Type != wire.TypeRowID || f.ReqID != insID {
-		t.Fatalf("insert: %s %v", f.Type, err)
-	}
-	f, err = rc.readFrame()
-	if err != nil || f.Type != wire.TypeOK || f.ReqID != commitID {
-		t.Fatalf("commit: %s %v", f.Type, err)
+	for _, want := range []struct {
+		step string
+		id   uint64
+		rows int
+	}{{"begin", beginID, 0}, {"insert", insID, 1}, {"commit", commitID, 0}} {
+		f, err := rc.readFrame()
+		if err != nil || f.Type != wire.TypeBatchOK || f.ReqID != want.id {
+			t.Fatalf("%s: %s %v", want.step, f.Type, err)
+		}
+		resp, err := wire.DecodeBatchResp(f.Payload)
+		if err != nil || resp.Txn != 1 || resp.Code != 0 || len(resp.Rows) != want.rows {
+			t.Fatalf("%s: %+v, %v; want transaction 1", want.step, resp, err)
+		}
 	}
 
 	etx := eng.Begin()
@@ -161,22 +155,14 @@ func TestDrainCompletesPipeline(t *testing.T) {
 	// for ~200 ms — ample time for the drain to begin mid-queue.
 	const nTxns = 5
 	for i := 0; i < nTxns; i++ {
-		f := rc.roundTrip(wire.TypeBegin, wire.BeginReq{}.Encode(), 0)
-		if f.Type != wire.TypeBeginOK {
-			t.Fatalf("begin %d: %s", i, f.Type)
-		}
-		ok, err := wire.DecodeBeginOK(f.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ins := wire.InsertReq{Txn: ok.Txn, Table: "dr", Vals: []storage.Value{storage.Int(int64(i))}}
-		if f := rc.roundTrip(wire.TypeInsert, ins.Encode(), 0); f.Type != wire.TypeRowID {
-			t.Fatalf("insert %d: %s", i, f.Type)
+		begun := rc.batch(wire.BatchReq{})
+		if resp := rc.batch(wire.BatchReq{Txn: begun.Txn, Ops: []wire.WriteOp{insertOp("dr", int64(i))}}); resp.Code != 0 {
+			t.Fatalf("insert %d: %+v", i, resp)
 		}
 	}
 	commitIDs := make([]uint64, 0, nTxns)
 	for i := 0; i < nTxns; i++ {
-		commitIDs = append(commitIDs, rc.writeFrame(wire.TypeCommit, wire.TxnReq{Txn: uint64(i + 1)}.Encode()))
+		commitIDs = append(commitIDs, rc.writeFrame(wire.TypeBatch, wire.BatchReq{Txn: uint64(i + 1), Commit: true}.Encode()))
 	}
 	// Let the burst reach the server (the first commit alone takes 40 ms,
 	// so the rest are still waiting to be read when the drain begins).
@@ -201,9 +187,12 @@ func TestDrainCompletesPipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("draining server dropped pipelined commit %d: %v", i, err)
 		}
-		if f.ReqID != want || f.Type != wire.TypeOK {
+		if f.ReqID != want || f.Type != wire.TypeBatchOK {
 			e, _ := wire.DecodeErrorResp(f.Payload)
-			t.Fatalf("pipelined commit %d: got %s (%+v) for req %d, want ok for %d", i, f.Type, e, f.ReqID, want)
+			t.Fatalf("pipelined commit %d: got %s (%+v) for req %d, want batch-ok for %d", i, f.Type, e, f.ReqID, want)
+		}
+		if resp, err := wire.DecodeBatchResp(f.Payload); err != nil || resp.Code != 0 {
+			t.Fatalf("pipelined commit %d: %+v, %v", i, resp, err)
 		}
 	}
 	// The late request is either answered shutting-down (it entered the
@@ -249,8 +238,8 @@ func TestDrainCompletesPipeline(t *testing.T) {
 // TestDrainRefusesNewWork pins the drain rule: once the drain begins, a
 // request addressed to a transaction open on the connection still
 // executes, so an admitted transaction can finish, while new work — a
-// Begin, a batch that would begin a transaction, a one-shot read — is
-// answered CodeShuttingDown.
+// batch that would begin a transaction, read-write or read-only, a
+// one-shot read — is answered CodeShuttingDown.
 func TestDrainRefusesNewWork(t *testing.T) {
 	eng := openEngine(t, txn.ModeLog, disk.Model{SyncLatency: 100 * time.Millisecond})
 	srv, err := server.Listen(eng, "127.0.0.1:0", server.Config{})
@@ -260,22 +249,11 @@ func TestDrainRefusesNewWork(t *testing.T) {
 	defer eng.Close()
 	defer srv.Close()
 	rc := dialRaw(t, srv.Addr())
-
-	mk := wire.CreateTableReq{Name: "dr",
-		Cols: []wire.ColumnDef{{Name: "id", Type: uint8(storage.TypeInt64)}}}
-	if f := rc.roundTrip(wire.TypeCreateTable, mk.Encode(), 0); f.Type != wire.TypeOK {
-		t.Fatalf("create table: %s", f.Type)
-	}
-	// Transaction 1 stages a row; transaction 2 is open and empty.
-	for i := 0; i < 2; i++ {
-		if f := rc.roundTrip(wire.TypeBegin, wire.BeginReq{}.Encode(), 0); f.Type != wire.TypeBeginOK {
-			t.Fatalf("begin %d: %s", i, f.Type)
-		}
-	}
-	ins := wire.InsertReq{Txn: 1, Table: "dr", Vals: []storage.Value{storage.Int(1)}}
-	if f := rc.roundTrip(wire.TypeInsert, ins.Encode(), 0); f.Type != wire.TypeRowID {
-		t.Fatalf("insert: %s", f.Type)
-	}
+	rc.createIntTable("dr")
+	// Transaction 1 stages a row; transactions 2 and 3 are open and empty.
+	rc.batch(wire.BatchReq{Ops: []wire.WriteOp{insertOp("dr", 1)}})
+	rc.batch(wire.BatchReq{})
+	rc.batch(wire.BatchReq{})
 
 	// Transaction 1's commit pays the 100 ms sync; the drain begins while
 	// it runs, so every request behind it is read during the drain.
@@ -284,16 +262,17 @@ func TestDrainRefusesNewWork(t *testing.T) {
 		typ  wire.Type
 		code uint16
 	}
-	wants := []want{{rc.writeFrame(wire.TypeCommit, wire.TxnReq{Txn: 1}.Encode()), wire.TypeOK, 0}}
+	batch := func(req wire.BatchReq) uint64 { return rc.writeFrame(wire.TypeBatch, req.Encode()) }
+	wants := []want{{batch(wire.BatchReq{Txn: 1, Commit: true}), wire.TypeBatchOK, 0}}
 	wants = append(wants,
-		want{rc.writeFrame(wire.TypeBegin, wire.BeginReq{}.Encode()), wire.TypeError, wire.CodeShuttingDown},
+		want{batch(wire.BatchReq{}), wire.TypeError, wire.CodeShuttingDown},
+		want{batch(wire.BatchReq{ReadOnly: true, AtCID: 1}), wire.TypeError, wire.CodeShuttingDown},
 		want{rc.writeFrame(wire.TypeSelect, wire.SelectReq{Table: "dr"}.Encode()), wire.TypeError, wire.CodeShuttingDown},
-		want{rc.writeFrame(wire.TypeBatch, wire.BatchReq{Commit: true, Ops: []wire.WriteOp{
-			{Kind: wire.WriteInsert, Table: "dr", Vals: []storage.Value{storage.Int(4)}}}}.Encode()), wire.TypeError, wire.CodeShuttingDown},
-		want{rc.writeFrame(wire.TypeInsert, wire.InsertReq{Txn: 2, Table: "dr", Vals: []storage.Value{storage.Int(2)}}.Encode()), wire.TypeRowID, 0},
-		want{rc.writeFrame(wire.TypeBatch, wire.BatchReq{Txn: 2, Ops: []wire.WriteOp{
-			{Kind: wire.WriteInsert, Table: "dr", Vals: []storage.Value{storage.Int(3)}}}}.Encode()), wire.TypeBatchOK, 0},
-		want{rc.writeFrame(wire.TypeCommit, wire.TxnReq{Txn: 2}.Encode()), wire.TypeOK, 0},
+		want{batch(wire.BatchReq{Commit: true, Ops: []wire.WriteOp{insertOp("dr", 4)}}), wire.TypeError, wire.CodeShuttingDown},
+		want{batch(wire.BatchReq{Txn: 2, Ops: []wire.WriteOp{insertOp("dr", 2)}}), wire.TypeBatchOK, 0},
+		want{batch(wire.BatchReq{Txn: 2, Ops: []wire.WriteOp{insertOp("dr", 3)}}), wire.TypeBatchOK, 0},
+		want{batch(wire.BatchReq{Txn: 2, Commit: true}), wire.TypeBatchOK, 0},
+		want{batch(wire.BatchReq{Txn: 3, Abort: true}), wire.TypeBatchOK, 0},
 	)
 	time.Sleep(10 * time.Millisecond)
 	shutdownErr := make(chan error, 1)

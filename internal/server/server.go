@@ -4,24 +4,26 @@
 //
 // Each accepted connection runs on one goroutine: it reads a request
 // through a read buffer, executes it, writes the reply, and flushes the
-// replies once no further request is buffered. Pipelined requests (wire
-// v2) wait in the read buffer or the kernel socket buffer and are
-// answered in arrival order. Transaction handles are connection-scoped,
-// so a dropped connection aborts everything it left open. Errors are
-// reported per request as structured wire.TypeError frames — a failed
-// request never tears down the connection.
+// replies once no further request is buffered. Pipelined requests wait
+// in the read buffer or the kernel socket buffer and are answered in
+// arrival order. A transaction is begun, written to, committed and
+// aborted by one request, the wire batch, and one body (conn.batch) runs
+// it. Transaction handles are connection-scoped, so a dropped
+// connection aborts everything it left open. Errors are reported per
+// request as structured wire.TypeError frames — a failed request never
+// tears down the connection.
 //
 // A fixed-size admission semaphore with a bounded wait queue sits in
 // front of the execution stage: work that cannot be admitted in time is
 // answered with a CodeOverloaded error frame immediately (the
 // fast-reject path that keeps tail latency bounded past saturation).
-// Admission is transaction-scoped: the request that begins a
-// transaction — a Begin, or a write batch naming none — acquires a slot
-// that the transaction holds until commit or abort, so surplus load is
-// shed at the door while an admitted transaction — including the commit
-// that releases its row locks — can always finish. Standalone requests
-// (one-shot reads, DDL) hold a slot just for their own execution, and
-// ping stays exempt so health checks measure liveness, not load.
+// Admission is transaction-scoped: the batch that begins a transaction —
+// one naming none — acquires a slot that the transaction holds until a
+// batch commits or aborts it, so surplus load is shed at the door while
+// an admitted transaction — including the commit that releases its row
+// locks — can always finish. Standalone requests (one-shot reads, DDL)
+// hold a slot just for their own execution, and ping stays exempt so
+// health checks measure liveness, not load.
 //
 // Shutdown drains gracefully: the listener closes, and each connection
 // reads on until its client has been quiet for a short grace (bounded
@@ -379,11 +381,6 @@ func (s *Server) dropConn(c *conn) {
 // instantly; the grace only bounds a quiet socket.
 const drainGrace = 20 * time.Millisecond
 
-// maxInFlight is the pipeline depth HelloOK advertises. Nothing enforces
-// it: a connection executes its requests one at a time, and the rest
-// wait in its read buffer or the kernel socket buffer.
-const maxInFlight = 32
-
 // openTxn is one registry entry: a transaction and the release of the
 // admission slot its first request charged for it, so a slot can neither
 // outlive nor predate its transaction.
@@ -538,10 +535,9 @@ func (c *conn) handshake() error {
 		return fmt.Errorf("client version %d unsupported", h.Version)
 	}
 	if err := c.reply(f.ReqID, wire.TypeHelloOK, wire.HelloOK{
-		Version:     min(h.Version, wire.Version),
-		Mode:        uint8(c.srv.eng.Mode()),
-		MaxPayload:  c.srv.cfg.MaxFrame,
-		MaxInFlight: maxInFlight,
+		Version:    min(h.Version, wire.Version),
+		Mode:       uint8(c.srv.eng.Mode()),
+		MaxPayload: c.srv.cfg.MaxFrame,
 	}.Encode()); err != nil {
 		return err
 	}
@@ -579,18 +575,17 @@ func (c *conn) replyErr(reqID uint64, code uint16, msg string) error {
 func (c *conn) handle(f wire.Frame) error {
 	// Admission control guards the execution stage and is
 	// transaction-scoped. Ping stays exempt so health checks measure
-	// liveness, not load. A write batch that begins a transaction charges
-	// a slot the transaction holds until commit or abort (see batch). A
-	// request naming a transaction — every write, the commit that releases
-	// its row locks, a read inside it — rides that slot; a read naming
-	// none pays a request-scoped one (readTxnTable decides, once dispatch
-	// has decoded the request). Everything else (DDL and other standalone
-	// work) is gated here for its own execution.
+	// liveness, not load. A batch that begins a transaction charges a slot
+	// the transaction holds until commit or abort (see batch). A request
+	// naming a transaction — a batch of its writes, the commit that
+	// releases its row locks, a read inside it — rides that slot; a read
+	// naming none pays a request-scoped one (readTxnTable decides, once
+	// dispatch has decoded the request). Everything else (DDL and other
+	// standalone work) is gated here for its own execution.
 	//nvmcheck:ignore wirecodecheck the default arm is the point: anything not explicitly exempted — including new request types and response codes arriving as requests — pays admission first and then fails in dispatch
 	switch f.Type {
-	case wire.TypePing, wire.TypeBegin, wire.TypeCommit, wire.TypeAbort,
-		wire.TypeInsert, wire.TypeUpdate, wire.TypeDelete, wire.TypeBatch,
-		wire.TypeGetRow, wire.TypeSelect, wire.TypeCount, wire.TypeRange:
+	case wire.TypePing, wire.TypeBatch, wire.TypeGetRow, wire.TypeSelect,
+		wire.TypeCount, wire.TypeRange:
 	default:
 		release, ok := c.admit()
 		if !ok {
@@ -653,42 +648,16 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 	case wire.TypePing:
 		return wire.TypePong, nil, 0, ""
 
-	case wire.TypeBatch, wire.TypeBegin, wire.TypeInsert, wire.TypeUpdate,
-		wire.TypeDelete, wire.TypeCommit:
-		req, begin, code, msg := decodeBatch(f)
-		if code != 0 {
-			return 0, nil, code, msg
-		}
-		resp, code, msg := c.batch(ctx, req, begin)
-		if code != 0 {
-			return 0, nil, code, msg
-		}
-		// The single-op opcodes answer in their own reply types.
-		switch {
-		case f.Type == wire.TypeBatch:
-			return wire.TypeBatchOK, resp.Encode(), 0, ""
-		case f.Type == wire.TypeBegin:
-			return wire.TypeBeginOK, wire.BeginOK{Txn: resp.Txn, SnapshotCID: resp.SnapshotCID}.Encode(), 0, ""
-		case resp.Code != 0:
-			return 0, nil, resp.Code, resp.Msg
-		case f.Type == wire.TypeInsert || f.Type == wire.TypeUpdate:
-			return wire.TypeRowID, wire.RowIDResp{Row: resp.Rows[0]}.Encode(), 0, ""
-		}
-		return wire.TypeOK, nil, 0, ""
-
-	case wire.TypeAbort:
-		req, err := wire.DecodeTxnReq(f.Payload)
+	case wire.TypeBatch:
+		req, err := wire.DecodeBatchReq(f.Payload)
 		if err != nil {
 			return 0, nil, wire.CodeBadRequest, err.Error()
 		}
-		open, ok := c.txns[req.Txn]
-		if !ok {
-			return 0, nil, wire.CodeNoSuchTxn, fmt.Sprintf("no transaction %d on this connection", req.Txn)
+		resp, code, msg := c.batch(ctx, req)
+		if code != 0 {
+			return 0, nil, code, msg
 		}
-		if err := c.end(req.Txn, open, false); err != nil {
-			return 0, nil, errCode(err), err.Error()
-		}
-		return wire.TypeOK, nil, 0, ""
+		return wire.TypeBatchOK, resp.Encode(), 0, ""
 
 	case wire.TypeGetRow:
 		req, err := wire.DecodeRowReq(f.Payload)
@@ -809,78 +778,34 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 		}
 		return wire.TypeStatsOK, resp.Encode(), 0, ""
 
-	case wire.TypeHello, wire.TypeHelloOK, wire.TypePong, wire.TypeBeginOK,
-		wire.TypeOK, wire.TypeRowID, wire.TypeRow, wire.TypeRowIDs,
-		wire.TypeCountOK, wire.TypeTablesOK, wire.TypeStatsOK, wire.TypeError,
-		wire.TypeBatchOK:
-		// Response-only frames (and a second Hello after the handshake)
+	case wire.TypeHello, wire.TypeHelloOK, wire.TypePong, wire.TypeOK,
+		wire.TypeInsert, wire.TypeRow, wire.TypeRowIDs, wire.TypeCountOK,
+		wire.TypeTablesOK, wire.TypeStatsOK, wire.TypeError, wire.TypeBatchOK:
+		// Response-only frames, a second Hello after the handshake, and
+		// Insert, which only the benchmark's codec timing still encodes,
 		// are never valid requests. Listing them explicitly keeps this
 		// switch exhaustive over wire.Type, so adding an opcode forces a
 		// decision here instead of silently hitting the generic arm.
 		return 0, nil, wire.CodeBadRequest, fmt.Sprintf("frame type %s is not a request", f.Type)
 
 	default:
+		// A number no frame type has, such as one version 3 retired.
 		return 0, nil, wire.CodeBadRequest, fmt.Sprintf("unexpected frame type %s", f.Type)
 	}
 }
 
-// decodeBatch reads any write request as a batch: a Begin is a batch of
-// no ops that begins the transaction its BeginReq describes, an Insert,
-// Update or Delete a batch of that one op, a Commit a batch of no ops
-// that commits. Only a Batch may name no transaction and so begin one
-// for its writes: a single op's reply has no room for the handle.
-func decodeBatch(f wire.Frame) (req wire.BatchReq, begin wire.BeginReq, code uint16, msg string) {
-	var err error
-	switch f.Type {
-	case wire.TypeBatch:
-		req, err = wire.DecodeBatchReq(f.Payload)
-	case wire.TypeBegin:
-		begin, err = wire.DecodeBeginReq(f.Payload)
-	case wire.TypeInsert:
-		var m wire.InsertReq
-		m, err = wire.DecodeInsertReq(f.Payload)
-		req = wire.BatchReq{Txn: m.Txn, Ops: []wire.WriteOp{{Kind: wire.WriteInsert, Table: m.Table, Vals: m.Vals}}}
-	case wire.TypeUpdate:
-		var m wire.UpdateReq
-		m, err = wire.DecodeUpdateReq(f.Payload)
-		req = wire.BatchReq{Txn: m.Txn, Ops: []wire.WriteOp{{Kind: wire.WriteUpdate, Table: m.Table, Row: m.Row, Vals: m.Vals}}}
-	case wire.TypeDelete:
-		var m wire.DeleteReq
-		m, err = wire.DecodeDeleteReq(f.Payload)
-		req = wire.BatchReq{Txn: m.Txn, Ops: []wire.WriteOp{{Kind: wire.WriteDelete, Table: m.Table, Row: m.Row}}}
-	case wire.TypeCommit:
-		var m wire.TxnReq
-		m, err = wire.DecodeTxnReq(f.Payload)
-		req = wire.BatchReq{Txn: m.Txn, Commit: true}
-	case wire.TypeHello, wire.TypeHelloOK, wire.TypePing, wire.TypePong, wire.TypeBeginOK,
-		wire.TypeAbort, wire.TypeOK, wire.TypeRowID, wire.TypeGetRow, wire.TypeRow,
-		wire.TypeSelect, wire.TypeRange, wire.TypeRowIDs, wire.TypeCount, wire.TypeCountOK,
-		wire.TypeCreateTable, wire.TypeTables, wire.TypeTablesOK, wire.TypeStats,
-		wire.TypeStatsOK, wire.TypeError, wire.TypeBatchOK:
-		return req, begin, wire.CodeBadRequest, fmt.Sprintf("frame type %s is not a write", f.Type)
-	}
-	switch {
-	case err != nil:
-		return req, begin, wire.CodeBadRequest, err.Error()
-	case req.Txn != 0 || f.Type == wire.TypeBatch || f.Type == wire.TypeBegin:
-		return req, begin, 0, ""
-	case req.Commit:
-		return req, begin, wire.CodeNoSuchTxn, "no transaction 0 on this connection"
-	}
-	return req, begin, wire.CodeBadRequest, "writes require an explicit transaction (Begin first)"
-}
-
-// batch runs a write batch: the one body behind every write opcode. A
-// batch that names no transaction begins one (read-only at begin.AtCID
-// if begin asks, which only a Begin frame does) and charges the
-// admission slot the transaction holds until commit or abort, so that
-// under overload whole transactions are shed at their first frame
-// instead of starving mid-flight. The ops run in order under that one
-// slot until one fails. Then a batch that asks for the commit commits,
-// or aborts if an op failed; one that does not leaves the transaction
-// open either way, since the reply names it. A non-zero code means the
-// batch did not start: no op ran and no transaction was begun.
-func (c *conn) batch(ctx context.Context, req wire.BatchReq, begin wire.BeginReq) (resp wire.BatchResp, code uint16, msg string) {
+// batch runs a batch, the one request that begins, writes to, commits or
+// aborts a transaction. A batch that names no transaction begins one —
+// read-only at req.AtCID if req.ReadOnly — and charges the admission
+// slot the transaction holds until commit or abort, so that under
+// overload whole transactions are shed at their first frame instead of
+// starving mid-flight. The ops run in order under that one slot until
+// one fails. Then a batch that asks for the commit commits, or aborts if
+// an op failed, and one that asks for the abort aborts; one that asks
+// for neither leaves the transaction open either way, since the reply
+// names it. A non-zero code means the batch did not start: no op ran and
+// no transaction was begun or ended.
+func (c *conn) batch(ctx context.Context, req wire.BatchReq) (resp wire.BatchResp, code uint16, msg string) {
 	began := req.Txn == 0
 	var open openTxn
 	if began {
@@ -888,8 +813,8 @@ func (c *conn) batch(ctx context.Context, req wire.BatchReq, begin wire.BeginReq
 		if open.release, ok = c.admit(); !ok {
 			return resp, wire.CodeOverloaded, overloadedMsg
 		}
-		if begin.ReadOnly {
-			open.tx = c.srv.eng.BeginAt(begin.AtCID)
+		if req.ReadOnly {
+			open.tx = c.srv.eng.BeginAt(req.AtCID)
 		} else {
 			open.tx = c.srv.eng.Begin()
 		}
@@ -913,9 +838,10 @@ func (c *conn) batch(ctx context.Context, req wire.BatchReq, begin wire.BeginReq
 		resp.Rows = append(resp.Rows, row)
 	}
 	switch {
-	case req.Commit:
-		// An abort's error is dropped: the reply reports the op that failed.
-		if err := c.end(req.Txn, open, resp.Code == 0); err != nil && resp.Code == 0 {
+	case req.Commit || req.Abort:
+		// The error of an abort after a failed op is dropped: the reply
+		// reports the op.
+		if err := c.end(req.Txn, open, req.Commit && resp.Code == 0); err != nil && resp.Code == 0 {
 			resp.Code, resp.Msg = errCode(err), err.Error()
 		}
 	case began && ctx.Err() != nil:

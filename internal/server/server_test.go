@@ -370,42 +370,46 @@ func (rc *rawConn) expectErr(f wire.Frame, code uint16) wire.ErrorResp {
 // TestRequestDeadline checks the satellite requirement: a request whose
 // frame-header deadline expires server-side comes back as a structured
 // CodeDeadline error on a healthy connection — not a hang, not a drop.
-// The commit is made deterministically slow with a modeled 40 ms fsync.
+// A batch that begins a transaction and runs past its deadline is one:
+// its reply cannot name the transaction, so it aborts it and answers
+// deadline. A batch that carries a commit is not: the commit is made
+// deterministically slow with a modeled 40 ms fsync, and finished past
+// its deadline, its reply stands, because it says the commit happened.
 func TestRequestDeadline(t *testing.T) {
 	eng := openEngine(t, txn.ModeLog, disk.Model{SyncLatency: 40 * time.Millisecond})
 	srv := startServer(t, eng, server.Config{})
 	rc := dialRaw(t, srv.Addr())
+	rc.createIntTable("d")
 
-	mkTable := wire.CreateTableReq{
-		Name:    "d",
-		Cols:    []wire.ColumnDef{{Name: "id", Type: uint8(storage.TypeInt64)}},
-		Indexed: nil,
+	// 20000 inserts take well over 1 ms: the batch stops at the op its
+	// deadline overtakes, and aborts what it began.
+	big := wire.BatchReq{Ops: make([]wire.WriteOp, 20000)}
+	for i := range big.Ops {
+		big.Ops[i] = insertOp("d", int64(i))
 	}
-	if f := rc.roundTrip(wire.TypeCreateTable, mkTable.Encode(), 0); f.Type != wire.TypeOK {
-		t.Fatalf("create table: %s", f.Type)
-	}
-	f := rc.roundTrip(wire.TypeBegin, wire.BeginReq{}.Encode(), 0)
-	if f.Type != wire.TypeBeginOK {
-		t.Fatalf("begin: %s", f.Type)
-	}
-	ok, err := wire.DecodeBeginOK(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ins := wire.InsertReq{Txn: ok.Txn, Table: "d", Vals: []storage.Value{storage.Int(1)}}
-	if f := rc.roundTrip(wire.TypeInsert, ins.Encode(), 0); f.Type != wire.TypeRowID {
-		t.Fatalf("insert: %s", f.Type)
-	}
-
-	// Commit with a 1 ms deadline: the 40 ms group-commit sync guarantees
-	// the work finishes past its deadline, so the server must answer with
-	// CodeDeadline.
-	f = rc.roundTrip(wire.TypeCommit, wire.TxnReq{Txn: ok.Txn}.Encode(), 1)
-	rc.expectErr(f, wire.CodeDeadline)
-
-	// The connection survived and still serves requests.
+	rc.expectErr(rc.roundTrip(wire.TypeBatch, big.Encode(), 1), wire.CodeDeadline)
+	// The connection survived and still serves requests, and nothing of
+	// the expired batch is left: no row, no open transaction.
 	if f := rc.roundTrip(wire.TypePing, nil, 0); f.Type != wire.TypePong {
 		t.Fatalf("ping after deadline: %s", f.Type)
+	}
+	if n := rc.count(0, "d"); n != 0 {
+		t.Fatalf("%d rows of the expired batch visible", n)
+	}
+
+	// Commit with a 1 ms deadline: the 40 ms group-commit sync finishes
+	// it past its deadline, and the reply reports the commit.
+	resp := rc.batch(wire.BatchReq{Ops: []wire.WriteOp{insertOp("d", 1)}})
+	f := rc.roundTrip(wire.TypeBatch, wire.BatchReq{Txn: resp.Txn, Commit: true}.Encode(), 1)
+	if f.Type != wire.TypeBatchOK {
+		e, _ := wire.DecodeErrorResp(f.Payload)
+		t.Fatalf("commit past its deadline: got %s %+v, want the batch's reply", f.Type, e)
+	}
+	if resp, err := wire.DecodeBatchResp(f.Payload); err != nil || resp.Code != 0 {
+		t.Fatalf("commit past its deadline: %+v, %v", resp, err)
+	}
+	if n := rc.count(0, "d"); n != 1 {
+		t.Fatalf("%d rows committed, want 1", n)
 	}
 
 	// Client-side mapping: an already-expired context is reported as
@@ -424,9 +428,11 @@ func TestHandshakeRejections(t *testing.T) {
 	eng := openEngine(t, txn.ModeNone, disk.Model{})
 	srv := startServer(t, eng, server.Config{})
 
-	// A version below MinVersion — the retired version 1 included — is
-	// refused with the range the server does speak.
-	for _, v := range []uint16{0, 1} {
+	// A version below MinVersion — the retired versions 1 and 2 included
+	// — is refused with the range the server does speak, in an error frame
+	// at the number version 2 gave it, so that a version-2 client can read
+	// the refusal.
+	for _, v := range []uint16{0, 1, 2} {
 		nc, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -441,11 +447,11 @@ func TestHandshakeRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Type != wire.TypeError {
-			t.Fatalf("version %d: got %s", v, f.Type)
+		if f.Type != wire.TypeError || uint8(f.Type) != 26 {
+			t.Fatalf("version %d: got %s (%d), want error (26)", v, f.Type, uint8(f.Type))
 		}
 		e, _ := wire.DecodeErrorResp(f.Payload)
-		if e.Code != wire.CodeBadRequest || !strings.Contains(e.Msg, "speaks 2 through 2") {
+		if e.Code != wire.CodeBadRequest || !strings.Contains(e.Msg, "speaks 3 through 3") {
 			t.Fatalf("version %d: %+v", v, e)
 		}
 	}
@@ -474,9 +480,6 @@ func TestHandshakeRejections(t *testing.T) {
 	}
 	if ok99.Version != wire.Version {
 		t.Fatalf("version 99 negotiated to %d, want %d", ok99.Version, wire.Version)
-	}
-	if ok99.MaxInFlight == 0 {
-		t.Fatal("negotiated v2 hello-ok is missing MaxInFlight")
 	}
 
 	// First frame is not a hello.
@@ -599,15 +602,10 @@ func TestConnDropAbortsTxns(t *testing.T) {
 
 	// A raw connection takes the row lock, then vanishes without abort.
 	rc := dialRaw(t, srv.Addr())
-	f := rc.roundTrip(wire.TypeBegin, wire.BeginReq{}.Encode(), 0)
-	ok, err := wire.DecodeBeginOK(f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	upd := wire.UpdateReq{Txn: ok.Txn, Table: "locks", Row: row,
+	upd := wire.WriteOp{Kind: wire.WriteUpdate, Table: "locks", Row: row,
 		Vals: []storage.Value{storage.Int(1), storage.Str("locked"), storage.Float(0)}}
-	if f := rc.roundTrip(wire.TypeUpdate, upd.Encode(), 0); f.Type != wire.TypeRowID {
-		t.Fatalf("update: %s", f.Type)
+	if resp := rc.batch(wire.BatchReq{Ops: []wire.WriteOp{upd}}); resp.Code != 0 {
+		t.Fatalf("update: %+v", resp)
 	}
 	rc.nc.Close()
 

@@ -36,6 +36,11 @@ func FuzzDecodeFrame(f *testing.F) {
 			{Kind: WriteUpdate, Table: "orders", Row: 3, Vals: []storage.Value{storage.Float(0.5)}},
 			{Kind: WriteDelete, Table: "orders", Row: 4},
 		}}.Encode()}),
+		AppendFrame(nil, Frame{Type: TypeBatch, ReqID: 8, Payload: BatchReq{Txn: 2, Abort: true}.Encode()}),
+		AppendFrame(nil, Frame{Type: TypeBatch, ReqID: 9, Payload: BatchReq{ReadOnly: true, AtCID: 17, Ops: []WriteOp{
+			{Kind: WriteDelete, Table: "orders", Row: 4},
+		}}.Encode()}),
+		AppendFrame(nil, Frame{Type: TypeBatch, ReqID: 10, Payload: BatchReq{ReadOnly: true, Commit: true}.Encode()}),
 		AppendFrame(nil, Frame{Type: TypeBatchOK, ReqID: 7, Payload: BatchResp{
 			Txn: 1, SnapshotCID: 9, Rows: []uint64{5, 6}, Code: CodeConflict, Msg: "row 4",
 		}.Encode()}),
@@ -74,20 +79,8 @@ func FuzzDecodeFrame(f *testing.F) {
 			DecodeHello(p) //nolint:errcheck
 		case TypeHelloOK:
 			DecodeHelloOK(p) //nolint:errcheck
-		case TypeBegin:
-			DecodeBeginReq(p) //nolint:errcheck
-		case TypeBeginOK:
-			DecodeBeginOK(p) //nolint:errcheck
-		case TypeCommit, TypeAbort:
-			DecodeTxnReq(p) //nolint:errcheck
 		case TypeInsert:
 			DecodeInsertReq(p) //nolint:errcheck
-		case TypeUpdate:
-			DecodeUpdateReq(p) //nolint:errcheck
-		case TypeDelete:
-			DecodeDeleteReq(p) //nolint:errcheck
-		case TypeRowID:
-			DecodeRowIDResp(p) //nolint:errcheck
 		case TypeGetRow:
 			DecodeRowReq(p) //nolint:errcheck
 		case TypeRow:

@@ -170,108 +170,35 @@ type HelloOK struct {
 	Version    uint16
 	Mode       uint8  // durability mode of the serving engine (txn.Mode)
 	MaxPayload uint32 // server's frame payload limit
-
-	// MaxInFlight is the server's per-connection pipeline depth:
-	// the most requests a client should have outstanding on one
-	// connection. 0 means the server did not advertise a depth (treat
-	// as 1: strictly request/response).
-	MaxInFlight uint32
 }
 
 // Encode serializes the message.
 func (m HelloOK) Encode() []byte {
 	b := binary.LittleEndian.AppendUint16(nil, m.Version)
 	b = append(b, m.Mode)
-	b = binary.LittleEndian.AppendUint32(b, m.MaxPayload)
-	return binary.LittleEndian.AppendUint32(b, m.MaxInFlight)
+	return binary.LittleEndian.AppendUint32(b, m.MaxPayload)
 }
 
 // DecodeHelloOK parses a HelloOK payload.
 func DecodeHelloOK(b []byte) (HelloOK, error) {
 	r := &reader{b: b}
-	m := HelloOK{Version: r.u16(), Mode: r.u8(), MaxPayload: r.u32(), MaxInFlight: r.u32()}
-	return m, r.done()
-}
-
-// ---------------------------------------------------------------------------
-// Transactions.
-
-// BeginReq starts a transaction. ReadOnly + AtCID ≠ 0 requests a
-// time-travel snapshot at that commit ID.
-type BeginReq struct {
-	ReadOnly bool
-	AtCID    uint64
-}
-
-// Encode serializes the message.
-func (m BeginReq) Encode() []byte {
-	b := make([]byte, 0, 9)
-	if m.ReadOnly {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	return binary.LittleEndian.AppendUint64(b, m.AtCID)
-}
-
-// DecodeBeginReq parses a BeginReq payload.
-func DecodeBeginReq(b []byte) (BeginReq, error) {
-	r := &reader{b: b}
-	m := BeginReq{ReadOnly: r.u8() != 0, AtCID: r.u64()}
-	return m, r.done()
-}
-
-// BeginOK returns the server-side transaction handle. The handle is
-// scoped to the connection that created it.
-type BeginOK struct {
-	Txn         uint64
-	SnapshotCID uint64
-}
-
-// Encode serializes the message.
-func (m BeginOK) Encode() []byte {
-	b := binary.LittleEndian.AppendUint64(nil, m.Txn)
-	return binary.LittleEndian.AppendUint64(b, m.SnapshotCID)
-}
-
-// DecodeBeginOK parses a BeginOK payload.
-func DecodeBeginOK(b []byte) (BeginOK, error) {
-	r := &reader{b: b}
-	m := BeginOK{Txn: r.u64(), SnapshotCID: r.u64()}
-	return m, r.done()
-}
-
-// TxnReq addresses an open transaction (Commit, Abort).
-type TxnReq struct {
-	Txn uint64
-}
-
-// Encode serializes the message.
-func (m TxnReq) Encode() []byte {
-	return binary.LittleEndian.AppendUint64(nil, m.Txn)
-}
-
-// DecodeTxnReq parses a TxnReq payload.
-func DecodeTxnReq(b []byte) (TxnReq, error) {
-	r := &reader{b: b}
-	m := TxnReq{Txn: r.u64()}
+	m := HelloOK{Version: r.u16(), Mode: r.u8(), MaxPayload: r.u32()}
 	return m, r.done()
 }
 
 // RequestTxn returns the transaction handle request f names, 0 for none.
-// Every request that can name one — commit, abort, the writes, the batch
-// and the reads — carries it as its payload's first field.
+// Every request that can name one — the batch and the reads — carries
+// it as its payload's first field.
 func RequestTxn(f Frame) uint64 {
 	switch f.Type {
-	case TypeCommit, TypeAbort, TypeInsert, TypeUpdate, TypeDelete, TypeBatch,
-		TypeGetRow, TypeSelect, TypeRange, TypeCount:
+	case TypeBatch, TypeGetRow, TypeSelect, TypeRange, TypeCount:
 		if len(f.Payload) >= 8 {
 			return binary.LittleEndian.Uint64(f.Payload)
 		}
-	case TypeInvalid, TypeHello, TypeHelloOK, TypePing, TypePong, TypeBegin,
-		TypeBeginOK, TypeOK, TypeRowID, TypeRow, TypeRowIDs, TypeCountOK,
-		TypeCreateTable, TypeTables, TypeTablesOK, TypeStats, TypeStatsOK,
-		TypeError, TypeBatchOK:
+	case TypeInvalid, TypeHello, TypeHelloOK, TypePing, TypePong, TypeOK,
+		TypeInsert, TypeRow, TypeRowIDs, TypeCountOK, TypeCreateTable,
+		TypeTables, TypeTablesOK, TypeStats, TypeStatsOK, TypeError,
+		TypeBatchOK:
 	}
 	return 0
 }
@@ -279,8 +206,9 @@ func RequestTxn(f Frame) uint64 {
 // ---------------------------------------------------------------------------
 // Writes.
 
-// InsertReq appends a row. Txn 0 is invalid for writes (writes require
-// an explicit transaction).
+// InsertReq is the payload of TypeInsert, which is not a request: it
+// stays only as the payload the benchmark's codec timing encodes
+// (ROADMAP item 7 retires it).
 type InsertReq struct {
 	Txn   uint64
 	Table string
@@ -294,71 +222,11 @@ func (m InsertReq) Encode() []byte {
 	return appendVals(b, m.Vals)
 }
 
-// DecodeInsertReq parses an InsertReq payload.
+// DecodeInsertReq parses an InsertReq payload. Like InsertReq, it stays
+// only for the benchmark's codec timing (ROADMAP item 7 retires it).
 func DecodeInsertReq(b []byte) (InsertReq, error) {
 	r := &reader{b: b}
 	m := InsertReq{Txn: r.u64(), Table: r.str(), Vals: r.vals()}
-	return m, r.done()
-}
-
-// UpdateReq replaces a visible row with new values.
-type UpdateReq struct {
-	Txn   uint64
-	Table string
-	Row   uint64
-	Vals  []storage.Value
-}
-
-// Encode serializes the message.
-func (m UpdateReq) Encode() []byte {
-	b := binary.LittleEndian.AppendUint64(nil, m.Txn)
-	b = appendStr(b, m.Table)
-	b = binary.LittleEndian.AppendUint64(b, m.Row)
-	return appendVals(b, m.Vals)
-}
-
-// DecodeUpdateReq parses an UpdateReq payload.
-func DecodeUpdateReq(b []byte) (UpdateReq, error) {
-	r := &reader{b: b}
-	m := UpdateReq{Txn: r.u64(), Table: r.str(), Row: r.u64(), Vals: r.vals()}
-	return m, r.done()
-}
-
-// DeleteReq invalidates a visible row.
-type DeleteReq struct {
-	Txn   uint64
-	Table string
-	Row   uint64
-}
-
-// Encode serializes the message.
-func (m DeleteReq) Encode() []byte {
-	b := binary.LittleEndian.AppendUint64(nil, m.Txn)
-	b = appendStr(b, m.Table)
-	return binary.LittleEndian.AppendUint64(b, m.Row)
-}
-
-// DecodeDeleteReq parses a DeleteReq payload.
-func DecodeDeleteReq(b []byte) (DeleteReq, error) {
-	r := &reader{b: b}
-	m := DeleteReq{Txn: r.u64(), Table: r.str(), Row: r.u64()}
-	return m, r.done()
-}
-
-// RowIDResp returns the physical row ID of an insert/update.
-type RowIDResp struct {
-	Row uint64
-}
-
-// Encode serializes the message.
-func (m RowIDResp) Encode() []byte {
-	return binary.LittleEndian.AppendUint64(nil, m.Row)
-}
-
-// DecodeRowIDResp parses a RowIDResp payload.
-func DecodeRowIDResp(b []byte) (RowIDResp, error) {
-	r := &reader{b: b}
-	m := RowIDResp{Row: r.u64()}
 	return m, r.done()
 }
 
@@ -381,22 +249,46 @@ type WriteOp struct {
 	Vals  []storage.Value
 }
 
-// BatchReq runs writes of one transaction, in order, and then its
-// commit if Commit is set. Txn 0 begins a read-write transaction for the
-// batch; the reply names it.
+// The flags byte of a BatchReq, after its handle.
+const (
+	batchCommit  = 1 << 0 // commit after the last op
+	batchAbort   = 1 << 1 // abort the named transaction; no ops
+	batchBeginAt = 1 << 2 // begin read-only at the 8-byte CID that follows
+	batchFlags   = batchCommit | batchAbort | batchBeginAt
+)
+
+// BatchReq is the one request that begins, writes to, commits or aborts
+// a transaction. Txn 0 begins a transaction for the batch — read-write,
+// or read-only at AtCID if ReadOnly is set — and the reply names it. The
+// ops then run in order, and then the commit if Commit is set. Abort
+// instead ends the transaction Txn names; it carries no ops. The decoder
+// refuses Commit with Abort, Abort with ops or without a handle, and
+// ReadOnly with a handle.
 type BatchReq struct {
-	Txn    uint64
-	Commit bool
-	Ops    []WriteOp
+	Txn      uint64
+	Commit   bool
+	Abort    bool
+	ReadOnly bool
+	AtCID    uint64 // the read-only snapshot; clamped to the commit horizon
+	Ops      []WriteOp
 }
 
 // Encode serializes the message.
 func (m BatchReq) Encode() []byte {
 	b := binary.LittleEndian.AppendUint64(nil, m.Txn)
+	var flags byte
 	if m.Commit {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
+		flags |= batchCommit
+	}
+	if m.Abort {
+		flags |= batchAbort
+	}
+	if m.ReadOnly {
+		flags |= batchBeginAt
+	}
+	b = append(b, flags)
+	if m.ReadOnly {
+		b = binary.LittleEndian.AppendUint64(b, m.AtCID)
 	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.Ops)))
 	for _, op := range m.Ops {
@@ -412,14 +304,23 @@ func (m BatchReq) Encode() []byte {
 	return b
 }
 
-// DecodeBatchReq parses a BatchReq payload. An unknown write kind is
+// DecodeBatchReq parses a BatchReq payload. An unknown flag or write
+// kind, or flags that contradict each other or the handle, are
 // ErrBadPayload.
 func DecodeBatchReq(b []byte) (BatchReq, error) {
 	r := &reader{b: b}
-	m := BatchReq{Txn: r.u64(), Commit: r.u8() != 0}
+	m := BatchReq{Txn: r.u64()}
+	flags := r.u8()
+	m.Commit, m.Abort, m.ReadOnly = flags&batchCommit != 0, flags&batchAbort != 0, flags&batchBeginAt != 0
+	if m.ReadOnly {
+		m.AtCID = r.u64()
+	}
 	n := r.u32()
 	if r.bad || uint64(n) > uint64(len(r.b)) { // each op is ≥ 1 byte
 		return m, ErrBadPayload
+	}
+	if flags&^batchFlags != 0 || m.Commit && m.Abort || m.Abort && (n != 0 || m.Txn == 0) || m.ReadOnly && m.Txn != 0 {
+		return m, fmt.Errorf("%w: batch flags %#x with handle %d and %d ops", ErrBadPayload, flags, m.Txn, n)
 	}
 	m.Ops = make([]WriteOp, 0, n)
 	for i := uint32(0); i < n && !r.bad; i++ {
@@ -442,9 +343,9 @@ func DecodeBatchReq(b []byte) (BatchReq, error) {
 // BatchResp answers a BatchReq with the transaction's handle and
 // snapshot, and one entry in Rows per op that ran: the row ID an insert
 // or update wrote, 0 for a delete. Code 0 means every op ran, and the
-// commit too if one was asked for. Otherwise the op at index len(Rows)
-// failed with Code and Msg — the commit's index is len(Ops) — and
-// nothing after it ran.
+// commit or abort too if one was asked for. Otherwise the op at index
+// len(Rows) failed with Code and Msg — the commit's or abort's index is
+// len(Ops) — and nothing after it ran.
 type BatchResp struct {
 	Txn         uint64
 	SnapshotCID uint64

@@ -27,12 +27,15 @@ const (
 	// Version is the newest protocol version this package speaks,
 	// carried in Hello/HelloOK. Version 2 added request pipelining
 	// (many tagged requests in flight per connection), the negotiated
-	// handshake, the HelloOK MaxInFlight field, and CodeOverloaded.
-	Version uint16 = 2
+	// handshake and CodeOverloaded. Version 3 made batch the one request
+	// that begins, writes to, commits or aborts a transaction, retired
+	// the per-op transaction opcodes, and dropped HelloOK's advisory
+	// pipeline depth.
+	Version uint16 = 3
 
 	// MinVersion is the oldest version either end still accepts; a
 	// Hello below it is refused with CodeBadRequest.
-	MinVersion uint16 = 2
+	MinVersion uint16 = 3
 
 	// HeaderSize is the fixed frame-header length in bytes.
 	HeaderSize = 26
@@ -50,68 +53,65 @@ var Magic = [4]byte{'H', 'N', 'V', '1'}
 type Type uint8
 
 // Frame types. Requests and responses share one namespace; the header
-// does not distinguish direction.
+// does not distinguish direction. The numbers are stable across
+// versions: a client refused at the handshake must still read the
+// refusal as an error frame. Numbers retired in version 3 (5–8 and
+// 11–13: begin, begin-ok, commit, abort, update, delete, row-id) stay
+// unassigned; a frame carrying one is answered bad-request.
 const (
-	TypeInvalid Type = iota
+	TypeInvalid Type = 0
 
 	// Handshake and liveness.
-	TypeHello   // client → server: Hello payload
-	TypeHelloOK // server → client: HelloOK payload
-	TypePing    // empty payload
-	TypePong    // empty payload
+	TypeHello   Type = 1 // client → server: Hello payload
+	TypeHelloOK Type = 2 // server → client: HelloOK payload
+	TypePing    Type = 3 // empty payload
+	TypePong    Type = 4 // empty payload
 
-	// Transaction control.
-	TypeBegin   // BeginReq
-	TypeBeginOK // BeginOK
-	TypeCommit  // TxnReq
-	TypeAbort   // TxnReq
-	TypeOK      // empty generic success
+	TypeOK Type = 9 // empty generic success
 
-	// Writes.
-	TypeInsert // InsertReq → TypeRowID
-	TypeUpdate // UpdateReq → TypeRowID
-	TypeDelete // DeleteReq → TypeOK
-	TypeRowID  // RowIDResp
+	// TypeInsert is not a request: the server answers it bad-request. It
+	// stays only as the frame the benchmark's codec timing encodes
+	// (ROADMAP item 7 retires it).
+	TypeInsert Type = 10
 
 	// Reads.
-	TypeGetRow // RowReq → TypeRow
-	TypeRow    // RowResp
-	TypeSelect // SelectReq → TypeRowIDs (empty Preds = full scan)
-	TypeRange  // RangeReq → TypeRowIDs
-	TypeRowIDs // RowIDsResp
-	TypeCount  // SelectReq → TypeCountOK
-	TypeCountOK
+	TypeGetRow  Type = 14 // RowReq → TypeRow
+	TypeRow     Type = 15 // RowResp
+	TypeSelect  Type = 16 // SelectReq → TypeRowIDs (empty Preds = full scan)
+	TypeRange   Type = 17 // RangeReq → TypeRowIDs
+	TypeRowIDs  Type = 18 // RowIDsResp
+	TypeCount   Type = 19 // SelectReq → TypeCountOK
+	TypeCountOK Type = 20 // CountResp
 
 	// DDL and introspection.
-	TypeCreateTable // CreateTableReq → TypeOK
-	TypeTables      // empty → TypeTablesOK
-	TypeTablesOK    // TablesResp
-	TypeStats       // empty → TypeStatsOK
-	TypeStatsOK     // StatsResp
+	TypeCreateTable Type = 21 // CreateTableReq → TypeOK
+	TypeTables      Type = 22 // empty → TypeTablesOK
+	TypeTablesOK    Type = 23 // TablesResp
+	TypeStats       Type = 24 // empty → TypeStatsOK
+	TypeStatsOK     Type = 25 // StatsResp
 
 	// Error reply (any request can receive one).
-	TypeError // ErrorResp
+	TypeError Type = 26 // ErrorResp
 
-	// A transaction's writes, and optionally its commit, in one frame.
-	TypeBatch   // BatchReq → TypeBatchOK
-	TypeBatchOK // BatchResp
+	// The one transaction request: it begins, writes to, commits or
+	// aborts a transaction.
+	TypeBatch   Type = 27 // BatchReq → TypeBatchOK
+	TypeBatchOK Type = 28 // BatchResp
 
-	typeMax // sentinel; not a valid frame type
+	typeMax Type = 29 // sentinel; not a valid frame type
 )
 
 // String names the frame type.
 func (t Type) String() string {
 	names := [...]string{
 		TypeInvalid: "invalid", TypeHello: "hello", TypeHelloOK: "hello-ok",
-		TypePing: "ping", TypePong: "pong", TypeBegin: "begin",
-		TypeBeginOK: "begin-ok", TypeCommit: "commit", TypeAbort: "abort",
-		TypeOK: "ok", TypeInsert: "insert", TypeUpdate: "update",
-		TypeDelete: "delete", TypeRowID: "row-id", TypeGetRow: "get-row",
-		TypeRow: "row", TypeSelect: "select", TypeRange: "range",
-		TypeRowIDs: "row-ids", TypeCount: "count", TypeCountOK: "count-ok",
-		TypeCreateTable: "create-table", TypeTables: "tables",
-		TypeTablesOK: "tables-ok", TypeStats: "stats", TypeStatsOK: "stats-ok",
-		TypeError: "error", TypeBatch: "batch", TypeBatchOK: "batch-ok",
+		TypePing: "ping", TypePong: "pong", TypeOK: "ok", TypeInsert: "insert",
+		TypeGetRow: "get-row", TypeRow: "row", TypeSelect: "select",
+		TypeRange: "range", TypeRowIDs: "row-ids", TypeCount: "count",
+		TypeCountOK: "count-ok", TypeCreateTable: "create-table",
+		TypeTables: "tables", TypeTablesOK: "tables-ok", TypeStats: "stats",
+		TypeStatsOK: "stats-ok", TypeError: "error", TypeBatch: "batch",
+		TypeBatchOK: "batch-ok",
 	}
 	if int(t) < len(names) && names[t] != "" {
 		return names[t]

@@ -3,7 +3,9 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"reflect"
@@ -107,30 +109,57 @@ func TestFrameReaderResumes(t *testing.T) {
 // every request that names a transaction carries its handle first.
 func TestRequestTxn(t *testing.T) {
 	for _, f := range []Frame{
-		{Type: TypeCommit, Payload: TxnReq{Txn: 42}.Encode()},
-		{Type: TypeAbort, Payload: TxnReq{Txn: 42}.Encode()},
-		{Type: TypeInsert, Payload: InsertReq{Txn: 42, Table: "t"}.Encode()},
-		{Type: TypeUpdate, Payload: UpdateReq{Txn: 42, Table: "t", Row: 1}.Encode()},
-		{Type: TypeDelete, Payload: DeleteReq{Txn: 42, Table: "t", Row: 1}.Encode()},
 		{Type: TypeGetRow, Payload: RowReq{Txn: 42, Table: "t", Row: 1}.Encode()},
 		{Type: TypeSelect, Payload: SelectReq{Txn: 42, Table: "t"}.Encode()},
 		{Type: TypeCount, Payload: SelectReq{Txn: 42, Table: "t"}.Encode()},
 		{Type: TypeRange, Payload: RangeReq{Txn: 42, Table: "t", Col: "c", Lo: storage.Int(0), Hi: storage.Int(1)}.Encode()},
 		{Type: TypeBatch, Payload: BatchReq{Txn: 42, Commit: true}.Encode()},
+		{Type: TypeBatch, Payload: BatchReq{Txn: 42, Abort: true}.Encode()},
 	} {
 		if got := RequestTxn(f); got != 42 {
 			t.Errorf("%s: RequestTxn = %d, want 42", f.Type, got)
 		}
 	}
 	for _, f := range []Frame{
-		{Type: TypeBegin, Payload: BeginReq{AtCID: 42}.Encode()},
+		{Type: TypeBatch, Payload: BatchReq{ReadOnly: true, AtCID: 42}.Encode()},
 		{Type: TypePing},
 		{Type: TypeCreateTable, Payload: CreateTableReq{Name: "t"}.Encode()},
-		{Type: TypeCommit, Payload: []byte{1, 2, 3}},
+		{Type: TypeInsert, Payload: InsertReq{Txn: 42, Table: "t"}.Encode()},
+		{Type: TypeSelect, Payload: []byte{1, 2, 3}},
 		{Type: TypeBatch, Payload: BatchReq{Ops: []WriteOp{{Kind: WriteDelete, Table: "t", Row: 42}}}.Encode()},
 	} {
 		if got := RequestTxn(f); got != 0 {
 			t.Errorf("%s: RequestTxn = %d, want 0", f.Type, got)
+		}
+	}
+}
+
+// TestTypeNumbersStable pins every frame type to its version-2 number: a
+// version-2 client refused at the handshake must still read the refusal
+// as an error frame. The numbers version 3 retired stay unassigned, and
+// the frame decoder still takes them, so that the server can answer one
+// bad-request instead of dropping the connection.
+func TestTypeNumbersStable(t *testing.T) {
+	want := map[Type]uint8{
+		TypeHello: 1, TypeHelloOK: 2, TypePing: 3, TypePong: 4, TypeOK: 9,
+		TypeInsert: 10, TypeGetRow: 14, TypeRow: 15, TypeSelect: 16,
+		TypeRange: 17, TypeRowIDs: 18, TypeCount: 19, TypeCountOK: 20,
+		TypeCreateTable: 21, TypeTables: 22, TypeTablesOK: 23, TypeStats: 24,
+		TypeStatsOK: 25, TypeError: 26, TypeBatch: 27, TypeBatchOK: 28,
+	}
+	for typ, n := range want {
+		if uint8(typ) != n {
+			t.Errorf("%s is %d, want %d", typ, uint8(typ), n)
+		}
+	}
+	for _, n := range []uint8{5, 6, 7, 8, 11, 12, 13} {
+		typ := Type(n)
+		if _, taken := want[typ]; taken || typ.String() != fmt.Sprintf("Type(%d)", n) {
+			t.Errorf("retired number %d is assigned (%s)", n, typ)
+		}
+		f, _, err := DecodeFrame(AppendFrame(nil, Frame{Type: typ, ReqID: 1}), 0)
+		if err != nil || f.Type != typ {
+			t.Errorf("frame with retired number %d: %v", n, err)
 		}
 	}
 }
@@ -246,22 +275,10 @@ func TestMessageRoundTrips(t *testing.T) {
 
 	check("hello", Hello{Version: 3}.Encode(),
 		func(b []byte) (any, error) { return DecodeHello(b) }, Hello{Version: 3})
-	check("hello-ok", HelloOK{Version: 2, Mode: 2, MaxPayload: 1 << 20, MaxInFlight: 32}.Encode(),
-		func(b []byte) (any, error) { return DecodeHelloOK(b) }, HelloOK{Version: 2, Mode: 2, MaxPayload: 1 << 20, MaxInFlight: 32})
-	check("begin", BeginReq{ReadOnly: true, AtCID: 99}.Encode(),
-		func(b []byte) (any, error) { return DecodeBeginReq(b) }, BeginReq{ReadOnly: true, AtCID: 99})
-	check("begin-ok", BeginOK{Txn: 5, SnapshotCID: 77}.Encode(),
-		func(b []byte) (any, error) { return DecodeBeginOK(b) }, BeginOK{Txn: 5, SnapshotCID: 77})
-	check("txn", TxnReq{Txn: 12}.Encode(),
-		func(b []byte) (any, error) { return DecodeTxnReq(b) }, TxnReq{Txn: 12})
+	check("hello-ok", HelloOK{Version: 3, Mode: 2, MaxPayload: 1 << 20}.Encode(),
+		func(b []byte) (any, error) { return DecodeHelloOK(b) }, HelloOK{Version: 3, Mode: 2, MaxPayload: 1 << 20})
 	check("insert", InsertReq{Txn: 1, Table: "orders", Vals: row}.Encode(),
 		func(b []byte) (any, error) { return DecodeInsertReq(b) }, InsertReq{Txn: 1, Table: "orders", Vals: row})
-	check("update", UpdateReq{Txn: 1, Table: "orders", Row: 9, Vals: row}.Encode(),
-		func(b []byte) (any, error) { return DecodeUpdateReq(b) }, UpdateReq{Txn: 1, Table: "orders", Row: 9, Vals: row})
-	check("delete", DeleteReq{Txn: 1, Table: "orders", Row: 9}.Encode(),
-		func(b []byte) (any, error) { return DecodeDeleteReq(b) }, DeleteReq{Txn: 1, Table: "orders", Row: 9})
-	check("row-id", RowIDResp{Row: 123}.Encode(),
-		func(b []byte) (any, error) { return DecodeRowIDResp(b) }, RowIDResp{Row: 123})
 	check("get-row", RowReq{Txn: 2, Table: "t", Row: 3}.Encode(),
 		func(b []byte) (any, error) { return DecodeRowReq(b) }, RowReq{Txn: 2, Table: "t", Row: 3})
 	check("row", RowResp{Vals: row}.Encode(),
@@ -306,6 +323,11 @@ func TestMessageRoundTrips(t *testing.T) {
 	}}
 	check("batch", batch.Encode(),
 		func(b []byte) (any, error) { return DecodeBatchReq(b) }, batch)
+	check("batch-abort", BatchReq{Txn: 3, Abort: true, Ops: []WriteOp{}}.Encode(),
+		func(b []byte) (any, error) { return DecodeBatchReq(b) }, BatchReq{Txn: 3, Abort: true, Ops: []WriteOp{}})
+	beginAt := BatchReq{ReadOnly: true, AtCID: 99, Ops: []WriteOp{{Kind: WriteDelete, Table: "orders", Row: 4}}}
+	check("batch-begin-at", beginAt.Encode(),
+		func(b []byte) (any, error) { return DecodeBatchReq(b) }, beginAt)
 	br := BatchResp{Txn: 3, SnapshotCID: 70, Rows: []uint64{11, 12}, Code: CodeConflict, Msg: "row 4"}
 	check("batch-ok", br.Encode(),
 		func(b []byte) (any, error) { return DecodeBatchResp(b) }, br)
@@ -327,18 +349,20 @@ func TestMessageDecodersRejectCorruptInput(t *testing.T) {
 			{Kind: WriteUpdate, Table: "t", Row: 2, Vals: vals(storage.Int(1))},
 			{Kind: WriteDelete, Table: "t", Row: 3},
 		}}.Encode(),
-		"batch-ok": BatchResp{Txn: 1, Rows: []uint64{5}, Code: CodeConflict, Msg: "x"}.Encode(),
+		"batch-begin-at": BatchReq{ReadOnly: true, AtCID: 5, Ops: []WriteOp{{Kind: WriteDelete, Table: "t", Row: 3}}}.Encode(),
+		"batch-ok":       BatchResp{Txn: 1, Rows: []uint64{5}, Code: CodeConflict, Msg: "x"}.Encode(),
 	}
 	decs := map[string]func([]byte) error{
-		"hello":        func(b []byte) error { _, err := DecodeHello(b); return err },
-		"insert":       func(b []byte) error { _, err := DecodeInsertReq(b); return err },
-		"select":       func(b []byte) error { _, err := DecodeSelectReq(b); return err },
-		"create-table": func(b []byte) error { _, err := DecodeCreateTableReq(b); return err },
-		"tables":       func(b []byte) error { _, err := DecodeTablesResp(b); return err },
-		"stats":        func(b []byte) error { _, err := DecodeStatsResp(b); return err },
-		"row-ids":      func(b []byte) error { _, err := DecodeRowIDsResp(b); return err },
-		"batch":        func(b []byte) error { _, err := DecodeBatchReq(b); return err },
-		"batch-ok":     func(b []byte) error { _, err := DecodeBatchResp(b); return err },
+		"hello":          func(b []byte) error { _, err := DecodeHello(b); return err },
+		"insert":         func(b []byte) error { _, err := DecodeInsertReq(b); return err },
+		"select":         func(b []byte) error { _, err := DecodeSelectReq(b); return err },
+		"create-table":   func(b []byte) error { _, err := DecodeCreateTableReq(b); return err },
+		"tables":         func(b []byte) error { _, err := DecodeTablesResp(b); return err },
+		"stats":          func(b []byte) error { _, err := DecodeStatsResp(b); return err },
+		"row-ids":        func(b []byte) error { _, err := DecodeRowIDsResp(b); return err },
+		"batch":          func(b []byte) error { _, err := DecodeBatchReq(b); return err },
+		"batch-begin-at": func(b []byte) error { _, err := DecodeBatchReq(b); return err },
+		"batch-ok":       func(b []byte) error { _, err := DecodeBatchResp(b); return err },
 	}
 	for name, enc := range msgs {
 		for i := 0; i < len(enc); i++ {
@@ -366,15 +390,50 @@ func TestMessageDecodersRejectCorruptInput(t *testing.T) {
 	}
 }
 
-// TestHelloOKPayloadSize pins the hello-ok payload to its 11 bytes:
-// every field is present whatever version was negotiated, and the 7-byte
-// form of the retired version 1 no longer decodes.
+// TestHelloOKPayloadSize pins the hello-ok payload to its 7 bytes —
+// version, mode and payload limit — and the version-2 form, which
+// carried a 4-byte advisory pipeline depth after them, no longer decodes.
 func TestHelloOKPayloadSize(t *testing.T) {
-	b := HelloOK{Version: 2, Mode: 1, MaxPayload: 4096, MaxInFlight: 99}.Encode()
-	if len(b) != 11 {
-		t.Fatalf("hello-ok payload is %d bytes, want 11", len(b))
+	b := HelloOK{Version: 3, Mode: 1, MaxPayload: 4096}.Encode()
+	if len(b) != 7 {
+		t.Fatalf("hello-ok payload is %d bytes, want 7", len(b))
 	}
-	if _, err := DecodeHelloOK(b[:7]); err == nil {
-		t.Fatal("7-byte version-1 hello-ok decoded")
+	if _, err := DecodeHelloOK(binary.LittleEndian.AppendUint32(b, 32)); err == nil {
+		t.Fatal("11-byte version-2 hello-ok decoded")
+	}
+}
+
+// TestBatchFlags pins the flags byte: a read-write batch is byte for
+// byte what version 2 sent (handle, a 0 or 1 commit byte, the op
+// count), a read-only begin appends its CID to the flags, and the
+// decoder refuses unknown flags and the combinations that contradict
+// each other or the handle.
+func TestBatchFlags(t *testing.T) {
+	ops := []WriteOp{{Kind: WriteDelete, Table: "t", Row: 1}}
+	for commit, flag := range map[bool]byte{false: 0, true: 1} {
+		b := BatchReq{Txn: 7, Commit: commit, Ops: ops}.Encode()
+		if b[8] != flag || binary.LittleEndian.Uint32(b[9:13]) != 1 {
+			t.Fatalf("commit=%v: flags %#x, count %d", commit, b[8], binary.LittleEndian.Uint32(b[9:13]))
+		}
+	}
+	b := BatchReq{ReadOnly: true, AtCID: 0x0102030405060708}.Encode()
+	if b[8] != 4 || binary.LittleEndian.Uint64(b[9:17]) != 0x0102030405060708 || len(b) != 21 {
+		t.Fatalf("begin-at batch encodes as % x", b)
+	}
+	for name, req := range map[string]BatchReq{
+		"commit with abort":      {Txn: 1, Commit: true, Abort: true},
+		"abort with ops":         {Txn: 1, Abort: true, Ops: ops},
+		"abort without a handle": {Abort: true},
+		"begin-at with a handle": {Txn: 1, ReadOnly: true},
+		"begin-at with an abort": {ReadOnly: true, Abort: true},
+	} {
+		if _, err := DecodeBatchReq(req.Encode()); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("%s: got %v, want ErrBadPayload", name, err)
+		}
+	}
+	b = BatchReq{Txn: 1}.Encode()
+	b[8] = 0x08
+	if _, err := DecodeBatchReq(b); !errors.Is(err, ErrBadPayload) {
+		t.Errorf("unknown flag: got %v, want ErrBadPayload", err)
 	}
 }
