@@ -49,39 +49,23 @@ analyzer-mutants:
 # Cross-validation: static and dynamic analysis must agree on the same
 # injected bug. Five seeded protocol bugs, each gated behind a build tag
 # that swaps one file of the engine for a broken variant, each proven
-# twice per tag (see internal/crashtest/seeded_*.go for the tag ->
-# package -> finding map):
+# twice per tag by TestCrashMatrixSeeded: the analyzers the tag's
+# internal/crashtest/seeded_*.go names must flag the seeded package, and
+# the shadow crash sweep at the shard count it names must corrupt a real
+# database:
 #
-#   - two single-engine persist-protocol bugs — the stage half of
-#     Vector.Append never flushes its element
-#     (pstruct/vector_stage_seeded.go), and Table.AppendRow publishes a
-#     row before its stage fence (storage/table_append_seeded.go):
-#     TestCrashMatrixSeeded asserts that publishcheck flags the seeded
-#     package and that the shadow crash sweep of the standard workload
-#     fails on the corrupted recoveries;
-#   - three 2PC protocol bugs (internal/shard/*_seeded.go):
-#     TestCrashMatrix2PCSeeded asserts that the whole-program analyzers
-#     flag them and that the sharded crash sweep corrupts a real
-#     database.
+#   - two single-heap persist-protocol bugs, swept in a fleet of one and
+#     flagged by publishcheck — the stage half of Vector.Append never
+#     flushes its element (pstruct/vector_stage_seeded.go), and
+#     Table.AppendRow publishes a row before its stage fence
+#     (storage/table_append_seeded.go);
+#   - three 2PC protocol bugs (internal/shard/*_seeded.go), swept in a
+#     fleet of two and flagged by the whole-program analyzers.
 crosscheck:
 	@status=0; \
-	for tag in crosscheck_noelemflush crosscheck_earlypublish; do \
+	for tag in crosscheck_noelemflush crosscheck_earlypublish crosscheck_nodecidepersist crosscheck_swap crosscheck_deadfield; do \
 		echo "crosscheck: seeding $$tag"; \
 		if out="$$($(GO) test -tags $$tag ./internal/crashtest -run 'TestCrashMatrixSeeded' -count=1 -v 2>&1)"; then \
-			echo "$$out" | grep -E 'static:|dynamic:'; \
-		else \
-			echo "$$out" >&2; \
-			echo "crosscheck: $$tag NOT caught both statically and dynamically" >&2; status=1; \
-		fi; \
-	done; \
-	exit $$status
-	$(MAKE) crosscheck-2pc
-
-crosscheck-2pc:
-	@status=0; \
-	for tag in crosscheck_nodecidepersist crosscheck_swap crosscheck_deadfield; do \
-		echo "crosscheck: seeding $$tag"; \
-		if out="$$($(GO) test -tags $$tag ./internal/crashtest -run 'TestCrashMatrix2PCSeeded' -count=1 -v 2>&1)"; then \
 			echo "$$out" | grep -E 'static:|dynamic:'; \
 		else \
 			echo "$$out" >&2; \
@@ -105,24 +89,26 @@ benchmark-module:
 	$(GO) -C benchmark test ./...
 
 # Crash-point enumeration (see internal/crashtest). Pass 1 cuts power at
-# every persist barrier of the standard workload and of eight seeded
-# generative workloads (random inserts, updates, deletes, aborts, group
-# commits, merges, scavenges and heap growth against an in-memory
-# model) under four crash behaviors (pure loss + three tear seeds),
-# fscking and verifying each recovered heap in-process. Pass 2 keeps a
-# bounded sweep's directories on disk and re-checks every surviving
-# heap with the external `hyrise-nv fsck`.
+# every persist barrier of every heap: the standard workload and eight
+# seeded generative workloads (random inserts, updates, deletes, aborts,
+# group commits, merges, scavenges and heap growth against an in-memory
+# model) in a fleet of one, and the cross-shard workload in a fleet of
+# two (both shard heaps and the coordinator's), under four crash
+# behaviors (pure loss + three tear seeds), fscking and verifying each
+# recovered database in-process. Pass 2 keeps the bounded standard and
+# 2-shard sweeps' directories on disk and re-checks every surviving
+# database with the external `hyrise-nv fsck`.
 CRASHMATRIX_DIR ?= $(CURDIR)/.crashmatrix
 crashmatrix:
-	CRASHMATRIX_FULL=1 $(GO) test ./internal/crashtest -run 'TestCrashMatrix(Generative)?$$' -v -timeout 30m
+	CRASHMATRIX_FULL=1 $(GO) test ./internal/crashtest -run 'TestCrashMatrix(Generative|2PC)?$$' -v -timeout 30m
 	rm -rf $(CRASHMATRIX_DIR)
-	CRASHMATRIX_KEEP=$(CRASHMATRIX_DIR) $(GO) test ./internal/crashtest -run 'TestCrashMatrix$$' -v
+	CRASHMATRIX_KEEP=$(CRASHMATRIX_DIR) $(GO) test ./internal/crashtest -run 'TestCrashMatrix(2PC)?$$' -v
 	$(GO) build -o bin/hyrise-nv ./cmd/hyrise-nv
 	@fails=0; \
-	for d in $(CRASHMATRIX_DIR)/b*; do \
+	for d in $(CRASHMATRIX_DIR)/*/*_b*; do \
 		bin/hyrise-nv fsck "$$d" >/dev/null || { echo "external fsck failed: $$d" >&2; fails=1; }; \
 	done; \
-	[ "$$fails" -eq 0 ] && echo "crashmatrix: every surviving heap passes hyrise-nv fsck"
+	[ "$$fails" -eq 0 ] && echo "crashmatrix: every surviving database passes hyrise-nv fsck"
 
 # Acked-durability chaos run (internal/chaos): 10 SIGKILL/restart
 # cycles of a real hyrise-nvd under mixed pipelined load with the fault

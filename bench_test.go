@@ -15,6 +15,7 @@ import (
 	"hyrisenv/internal/disk"
 	"hyrisenv/internal/exec"
 	"hyrisenv/internal/nvm"
+	"hyrisenv/internal/shard"
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
 	"hyrisenv/internal/workload"
@@ -22,12 +23,12 @@ import (
 
 const benchRows = 20000
 
-func loadEngine(b *testing.B, mode txn.Mode, rows int, lat nvm.LatencyModel) (*core.Engine, *storage.Table, string) {
+func loadEngine(b *testing.B, mode txn.Mode, rows int, lat nvm.LatencyModel) (*shard.Engine, *shard.Table, string) {
 	b.Helper()
 	dir := b.TempDir()
-	e, err := core.Open(core.Config{
+	e, err := shard.Open(shard.Config{Config: core.Config{
 		Mode: mode, Dir: dir, NVMHeapSize: 64<<20 + uint64(rows)*2000, NVMLatency: lat,
-	})
+	}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func BenchmarkBarrierCounts(b *testing.B) {
 	defer e.Close()
 	spec := workload.DefaultSpec(1000)
 	rng := rand.New(rand.NewSource(1))
-	h := e.Heap()
+	h := e.Shard(0).Heap()
 	h.ResetStats()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -206,14 +207,14 @@ func benchScan(b *testing.B, mode txn.Mode, merged bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := e.Begin()
-		ids, err := exec.Serial.ScanAll(context.Background(), tx, tbl)
+		ids, err := exec.Serial.ScanAll(context.Background(), tx.Part(0), tbl.Part(0))
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(ids) != benchRows {
 			b.Fatalf("scan returned %d rows", len(ids))
 		}
-		exec.SumFloat(tbl, workload.ColAmount, ids)
+		exec.SumFloat(tbl.Part(0), workload.ColAmount, ids)
 	}
 	b.ReportMetric(float64(benchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
@@ -233,7 +234,7 @@ func benchPointLookup(b *testing.B, mode txn.Mode) {
 	tx := e.Begin()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := exec.Serial.Select(context.Background(), tx, tbl, exec.Pred{
+		rows, err := exec.Serial.Select(context.Background(), tx.Part(0), tbl.Part(0), exec.Pred{
 			Col: workload.ColID, Op: exec.Eq, Val: storage.Int(int64(rng.Intn(benchRows))),
 		})
 		if err != nil {
@@ -261,7 +262,7 @@ func BenchmarkGroupBy(b *testing.B) {
 	tx := e.Begin()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		groups, err := exec.Serial.GroupBy(context.Background(), tx, tbl, workload.ColRegion, workload.ColAmount)
+		groups, err := exec.Serial.GroupBy(context.Background(), tx.Part(0), tbl.Part(0), workload.ColRegion, workload.ColAmount)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -272,7 +273,7 @@ func BenchmarkGroupBy(b *testing.B) {
 }
 
 func BenchmarkHashJoin(b *testing.B) {
-	e, err := core.Open(core.Config{Mode: txn.ModeNone})
+	e, err := shard.Open(shard.Config{Config: core.Config{Mode: txn.ModeNone}})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func BenchmarkHashJoin(b *testing.B) {
 	tx := e.Begin()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs, err := exec.Serial.HashJoin(context.Background(), tx, w.Orders, 0, w.Lines, 0)
+		pairs, err := exec.Serial.HashJoin(context.Background(), tx.Part(0), w.Orders.Part(0), 0, w.Lines.Part(0), 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,6 +13,7 @@ import (
 
 	"hyrisenv/internal/core"
 	"hyrisenv/internal/nvm"
+	"hyrisenv/internal/shard"
 	"hyrisenv/internal/txn"
 	"hyrisenv/internal/workload"
 )
@@ -33,12 +34,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		e, err := core.Open(core.Config{
+		e, err := shard.Open(shard.Config{Config: core.Config{
 			Mode:        txn.ModeNVM,
 			Dir:         dir,
 			NVMHeapSize: 128<<20 + uint64(*rows)*4000,
 			NVMLatency:  nvm.LatencyModel{WriteNS: lat, FenceNS: lat / 3},
-		})
+		}})
 		if err != nil {
 			log.Fatal(err)
 		}

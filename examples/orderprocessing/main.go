@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"hyrisenv/internal/core"
+	"hyrisenv/internal/shard"
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
 	"hyrisenv/internal/workload"
@@ -26,7 +27,8 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	e, err := core.Open(core.Config{Mode: txn.ModeNVM, Dir: dir, NVMHeapSize: 512 << 20})
+	cfg := shard.Config{Config: core.Config{Mode: txn.ModeNVM, Dir: dir, NVMHeapSize: 512 << 20}}
+	e, err := shard.Open(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,15 +63,15 @@ func main() {
 	fmt.Printf("committed %d new orders, %d payments (%d conflicts)\n", newOrders, payments, conflicts)
 
 	// Consistency check before the "power failure".
-	check := func(e *core.Engine, label string) (int, int) {
+	check := func(e *shard.Engine, label string) (int, int) {
 		tx := e.Begin()
 		orders, _ := e.Table("orders")
 		lines, _ := e.Table("orderlines")
-		orderRows, err := e.Exec().ScanAll(context.Background(), tx, orders)
+		orderRows, err := tx.Select(context.Background(), orders)
 		if err != nil {
 			log.Fatal(err)
 		}
-		lineRows, err := e.Exec().ScanAll(context.Background(), tx, lines)
+		lineRows, err := tx.Select(context.Background(), lines)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -101,12 +103,12 @@ func main() {
 	}
 
 	// Restart: cross-table atomicity must hold without any replay.
-	e2, err := core.Open(core.Config{Mode: txn.ModeNVM, Dir: dir, NVMHeapSize: 512 << 20})
+	e2, err := shard.Open(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer e2.Close()
-	rs := e2.RecoveryStats()
+	rs := e2.RecoveryStats().Sum()
 	fmt.Printf("restart took %s (%d tables re-attached, %d in-flight rolled back)\n",
 		rs.Total, rs.TablesOpened, rs.NVM.RolledBack)
 	ordersAfter, linesAfter := check(e2, "after restart")

@@ -30,15 +30,16 @@ func A1GroupKeyIndex(workDir string, rows int) (*Report, error) {
 	}
 	for _, n := range []int{rows / 10, rows} {
 		dir := filepath.Join(workDir, fmt.Sprintf("a1-%d", n))
-		e, err := openNVM(dir, heapFor(n*2), nvm.LatencyModel{})
+		eng, err := openNVM(dir, heapFor(n*2), nvm.LatencyModel{})
 		if err != nil {
 			return nil, err
 		}
 		spec := workload.DefaultSpec(n)
-		tbl, err := workload.Load(e, "orders", spec)
+		stbl, err := workload.Load(eng, "orders", spec)
 		if err != nil {
 			return nil, err
 		}
+		e, tbl := eng.Shard(0), stbl.Part(0)
 		if _, err := e.Merge("orders"); err != nil {
 			return nil, err
 		}
@@ -73,16 +74,17 @@ func A2GroupCommit(workDir string, commits int) (*Report, error) {
 	for _, threads := range []int{1, 4, 16} {
 		dir := filepath.Join(workDir, fmt.Sprintf("a2-%d", threads))
 		// A sync latency makes batching matter, as on real hardware.
-		e, err := core.Open(core.Config{Mode: txn.ModeLog, Dir: dir,
+		eng, err := openFleet(core.Config{Mode: txn.ModeLog, Dir: dir,
 			DiskModel: disk.Model{SyncLatency: 200 * time.Microsecond}})
 		if err != nil {
 			return nil, err
 		}
 		spec := workload.DefaultSpec(1000)
-		tbl, err := workload.Load(e, "orders", spec)
+		stbl, err := workload.Load(eng, "orders", spec)
 		if err != nil {
 			return nil, err
 		}
+		e, tbl := eng.Shard(0), stbl.Part(0)
 		// A log-mode commit group is one append and one sync.
 		groupsBefore, _ := e.Manager().GroupCommitStats()
 		start := time.Now()
@@ -170,19 +172,20 @@ func A4CommitBatching(workDir string) (*Report, error) {
 		Headers: []string{"rows/txn", "flushes/txn", "flushes/row", "fences/row"},
 	}
 	dir := filepath.Join(workDir, "a4")
-	e, err := openNVM(dir, heapFor(200000), nvm.LatencyModel{})
+	eng, err := openNVM(dir, heapFor(200000), nvm.LatencyModel{})
 	if err != nil {
 		return nil, err
 	}
 	defer func() {
-		e.Close()
+		eng.Close()
 		os.RemoveAll(dir)
 	}()
 	spec := workload.DefaultSpec(1000)
-	tbl, err := workload.Load(e, "orders", spec)
+	stbl, err := workload.Load(eng, "orders", spec)
 	if err != nil {
 		return nil, err
 	}
+	e, tbl := eng.Shard(0), stbl.Part(0)
 	h := e.Heap()
 	rng := rand.New(rand.NewSource(4))
 	next := 10000
@@ -225,14 +228,15 @@ func A6CheckpointCompression(workDir string, rows int) (*Report, error) {
 		dir := filepath.Join(workDir, fmt.Sprintf("a6-%v", compress))
 		cfg := core.Config{Mode: txn.ModeLog, Dir: dir,
 			DiskModel: disk.SSD2016, CompressCheckpoints: compress}
-		e, err := core.Open(cfg)
+		eng, err := openFleet(cfg)
 		if err != nil {
 			return nil, err
 		}
 		spec := workload.DefaultSpec(rows)
-		if _, err := workload.Load(e, "orders", spec); err != nil {
+		if _, err := workload.Load(eng, "orders", spec); err != nil {
 			return nil, err
 		}
+		e := eng.Shard(0)
 		if err := e.Checkpoint(); err != nil {
 			return nil, err
 		}

@@ -14,6 +14,7 @@ import (
 	"hyrisenv/internal/mvcc"
 	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/pstruct"
+	"hyrisenv/internal/shard"
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
 	"hyrisenv/internal/vec"
@@ -61,12 +62,18 @@ var FullScale = Scale{
 // dataset (generous, including index and MVCC overheads).
 func heapFor(n int) uint64 { return 64<<20 + uint64(n)*1500 }
 
-func openLog(dir string, model disk.Model) (*core.Engine, error) {
-	return core.Open(core.Config{Mode: txn.ModeLog, Dir: dir, DiskModel: model})
+// openFleet opens a fleet of one, the database the workload package
+// loads; the single-heap measurements read its shard 0.
+func openFleet(cfg core.Config) (*shard.Engine, error) {
+	return shard.Open(shard.Config{Config: cfg})
 }
 
-func openNVM(dir string, heap uint64, lat nvm.LatencyModel) (*core.Engine, error) {
-	return core.Open(core.Config{Mode: txn.ModeNVM, Dir: dir, NVMHeapSize: heap, NVMLatency: lat})
+func openLog(dir string, model disk.Model) (*shard.Engine, error) {
+	return openFleet(core.Config{Mode: txn.ModeLog, Dir: dir, DiskModel: model})
+}
+
+func openNVM(dir string, heap uint64, lat nvm.LatencyModel) (*shard.Engine, error) {
+	return openFleet(core.Config{Mode: txn.ModeNVM, Dir: dir, NVMHeapSize: heap, NVMLatency: lat})
 }
 
 // --- E1: recovery time vs dataset size (the headline experiment) -------------
@@ -107,8 +114,8 @@ func E1Recovery(workDir string, sizes []int, model disk.Model) (*Report, error) 
 		if err != nil {
 			return nil, err
 		}
-		logStats := e.RecoveryStats()
-		if err := verifyCount(e, "orders", -1); err != nil {
+		logStats := e.Shard(0).RecoveryStats()
+		if err := verifyCount(e.Shard(0), "orders", -1); err != nil {
 			return nil, fmt.Errorf("E1 log n=%d: %w", n, err)
 		}
 		e.Close()
@@ -135,8 +142,8 @@ func E1Recovery(workDir string, sizes []int, model disk.Model) (*Report, error) 
 		if err != nil {
 			return nil, err
 		}
-		nvmStats := en.RecoveryStats()
-		if err := verifyCount(en, "orders", -1); err != nil {
+		nvmStats := en.Shard(0).RecoveryStats()
+		if err := verifyCount(en.Shard(0), "orders", -1); err != nil {
 			return nil, fmt.Errorf("E1 nvm n=%d: %w", n, err)
 		}
 		en.Close()
@@ -226,10 +233,10 @@ func E2Throughput(workDir string, s Scale, model disk.Model) (*Report, error) {
 	return r, nil
 }
 
-func openEngineMode(mode txn.Mode, dir string, rows int, model disk.Model, lat nvm.LatencyModel) (*core.Engine, error) {
+func openEngineMode(mode txn.Mode, dir string, rows int, model disk.Model, lat nvm.LatencyModel) (*shard.Engine, error) {
 	switch mode {
 	case txn.ModeNone:
-		return core.Open(core.Config{Mode: txn.ModeNone})
+		return openFleet(core.Config{Mode: txn.ModeNone})
 	case txn.ModeLog:
 		return openLog(dir, model)
 	default:
@@ -332,15 +339,16 @@ func E4InsertBreakdown(workDir string, iters int) (*Report, error) {
 
 		// Full transaction path through an engine.
 		dir := filepath.Join(workDir, "e4-"+backend)
-		var e *core.Engine
+		var eng *shard.Engine
 		if backend == "nvm" {
-			e, err = openNVM(dir, heapFor(iters*4), nvm.LatencyModel{})
+			eng, err = openNVM(dir, heapFor(iters*4), nvm.LatencyModel{})
 		} else {
-			e, err = core.Open(core.Config{Mode: txn.ModeNone})
+			eng, err = openFleet(core.Config{Mode: txn.ModeNone})
 		}
 		if err != nil {
 			return nil, err
 		}
+		e := eng.Shard(0)
 		tbl, err := e.CreateTable("t", workload.Schema(), "id")
 		if err != nil {
 			return nil, err
@@ -418,7 +426,7 @@ func E5LogBreakdown(workDir string, sizes []int, model disk.Model) (*Report, err
 		if err != nil {
 			return nil, err
 		}
-		st := e.RecoveryStats()
+		st := e.Shard(0).RecoveryStats()
 		e.Close()
 		os.RemoveAll(dir)
 		r.AddRow(fmt.Sprintf("%d", n), fmtDur(st.CheckpointLoad), fmtDur(st.LogReplay),
@@ -439,19 +447,20 @@ func E6BarrierCounts(workDir string) (*Report, error) {
 		Headers: []string{"operation", "cache-line flushes", "fences"},
 	}
 	dir := filepath.Join(workDir, "e6")
-	e, err := openNVM(dir, heapFor(50000), nvm.LatencyModel{})
+	eng, err := openNVM(dir, heapFor(50000), nvm.LatencyModel{})
 	if err != nil {
 		return nil, err
 	}
 	defer func() {
-		e.Close()
+		eng.Close()
 		os.RemoveAll(dir)
 	}()
 	spec := workload.DefaultSpec(2000)
-	tbl, err := workload.Load(e, "orders", spec)
+	stbl, err := workload.Load(eng, "orders", spec)
 	if err != nil {
 		return nil, err
 	}
+	e, tbl := eng.Shard(0), stbl.Part(0)
 	h := e.Heap()
 
 	measure := func(name string, iters int, fn func(i int)) {
@@ -518,7 +527,7 @@ func E7Merge(workDir string, sizes []int) (*Report, error) {
 	for _, n := range sizes {
 		spec := workload.DefaultSpec(n)
 		// DRAM backend.
-		e, err := core.Open(core.Config{Mode: txn.ModeNone})
+		e, err := openFleet(core.Config{Mode: txn.ModeNone})
 		if err != nil {
 			return nil, err
 		}
@@ -579,15 +588,16 @@ func E8Scans(workDir string, rows int) (*Report, error) {
 	} {
 		for _, layout := range []string{"main", "delta"} {
 			dir := filepath.Join(workDir, "e8-"+c.name+"-"+layout)
-			e, err := openEngineMode(c.mode, dir, rows, disk.Model{}, c.lat)
+			eng, err := openEngineMode(c.mode, dir, rows, disk.Model{}, c.lat)
 			if err != nil {
 				return nil, err
 			}
 			spec := workload.DefaultSpec(rows)
-			tbl, err := workload.Load(e, "orders", spec)
+			stbl, err := workload.Load(eng, "orders", spec)
 			if err != nil {
 				return nil, err
 			}
+			e, tbl := eng.Shard(0), stbl.Part(0)
 			if layout == "main" {
 				if _, err := e.Merge("orders"); err != nil {
 					return nil, err

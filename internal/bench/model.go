@@ -83,7 +83,7 @@ func M1RecoveryModel(workDir string, sizes []int, model disk.Model) (*Report, er
 		if e, err = openLog(dirL, model); err != nil {
 			return s, err
 		}
-		s.logStats = e.RecoveryStats()
+		s.logStats = e.Shard(0).RecoveryStats()
 		e.Close()
 		os.RemoveAll(dirL)
 
@@ -99,7 +99,7 @@ func M1RecoveryModel(workDir string, sizes []int, model disk.Model) (*Report, er
 		if en, err = openNVM(dirN, heapFor(n*2), nvm.LatencyModel{}); err != nil {
 			return s, err
 		}
-		s.nvmStats = en.RecoveryStats()
+		s.nvmStats = en.Shard(0).RecoveryStats()
 		en.Close()
 		os.RemoveAll(dirN)
 		return s, nil

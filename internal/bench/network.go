@@ -37,7 +37,7 @@ func NetRestart(workDir string, sizes []int, model disk.Model) (*Report, error) 
 			if err != nil {
 				return nil, err
 			}
-			if _, err := workload.Load(eng.Shard(0), "orders", workload.DefaultSpec(n)); err != nil {
+			if _, err := workload.Load(eng, "orders", workload.DefaultSpec(n)); err != nil {
 				return nil, err
 			}
 			srv, err := server.Listen(eng, "127.0.0.1:0", server.Config{})

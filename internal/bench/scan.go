@@ -27,16 +27,17 @@ func E9ScanParallel(workDir string, rows int) (*Report, error) {
 			"group by", "rows/s", "speedup"},
 	}
 
-	e, err := core.Open(core.Config{Mode: txn.ModeNone})
+	eng, err := openFleet(core.Config{Mode: txn.ModeNone})
 	if err != nil {
 		return nil, err
 	}
-	defer e.Close()
+	defer eng.Close()
 	spec := workload.DefaultSpec(rows)
-	tbl, err := workload.Load(e, "orders", spec)
+	stbl, err := workload.Load(eng, "orders", spec)
 	if err != nil {
 		return nil, err
 	}
+	e, tbl := eng.Shard(0), stbl.Part(0)
 	if _, err := e.Merge("orders"); err != nil {
 		return nil, err
 	}

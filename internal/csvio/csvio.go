@@ -15,10 +15,8 @@ import (
 	"strconv"
 	"strings"
 
-	"hyrisenv/internal/core"
-	"hyrisenv/internal/exec"
+	"hyrisenv/internal/shard"
 	"hyrisenv/internal/storage"
-	"hyrisenv/internal/txn"
 )
 
 // typeNames maps header annotations to column types.
@@ -80,7 +78,7 @@ func parseCell(cell string, t storage.ColType) (storage.Value, error) {
 // header row declares the schema; rows load in transactions of batch
 // (default 1000). indexed names columns to index when the table is
 // created. Returns the table and the number of rows imported.
-func Import(e *core.Engine, table string, r io.Reader, batch int, indexed ...string) (*storage.Table, int, error) {
+func Import(e *shard.Engine, table string, r io.Reader, batch int, indexed ...string) (*shard.Table, int, error) {
 	if batch <= 0 {
 		batch = 1000
 	}
@@ -155,7 +153,7 @@ func Import(e *core.Engine, table string, r io.Reader, batch int, indexed ...str
 }
 
 // Export writes the rows visible to tx as CSV with a name:type header.
-func Export(w io.Writer, tx *txn.Txn, tbl *storage.Table) (int, error) {
+func Export(w io.Writer, tx *shard.Tx, tbl *shard.Table) (int, error) {
 	cw := csv.NewWriter(w)
 	header := make([]string, tbl.Schema.NumCols())
 	for i, c := range tbl.Schema.Cols {
@@ -164,15 +162,14 @@ func Export(w io.Writer, tx *txn.Txn, tbl *storage.Table) (int, error) {
 	if err := cw.Write(header); err != nil {
 		return 0, err
 	}
-	rows, err := exec.Serial.ScanAll(context.Background(), tx, tbl)
+	rows, err := tx.Select(context.Background(), tbl)
 	if err != nil {
 		return 0, err
 	}
 	cells := make([]string, tbl.Schema.NumCols())
-	v := tbl.View()
 	for _, r := range rows {
 		for c := range cells {
-			cells[c] = v.Value(c, r).String()
+			cells[c] = tbl.Value(c, r).String()
 		}
 		if err := cw.Write(cells); err != nil {
 			return 0, err

@@ -9,31 +9,32 @@ import (
 
 	"hyrisenv/internal/core"
 	"hyrisenv/internal/exec"
+	"hyrisenv/internal/shard"
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
 )
 
-// selectEq and scanAll wrap the serial executor for these fixed-schema
-// tests, where an executor error is a test bug.
-func selectEq(tx *txn.Txn, tbl *storage.Table, col int, val storage.Value) []uint64 {
-	rows, err := exec.Serial.Select(context.Background(), tx, tbl, exec.Pred{Col: col, Op: exec.Eq, Val: val})
+// selectEq and scanAll wrap the transaction's scan for these
+// fixed-schema tests, where an executor error is a test bug.
+func selectEq(tx *shard.Tx, tbl *shard.Table, col int, val storage.Value) []uint64 {
+	return scanAll(tx, tbl, exec.Pred{Col: col, Op: exec.Eq, Val: val})
+}
+
+func scanAll(tx *shard.Tx, tbl *shard.Table, preds ...exec.Pred) []uint64 {
+	rows, err := tx.Select(context.Background(), tbl, preds...)
 	if err != nil {
 		panic(err)
 	}
 	return rows
 }
 
-func scanAll(tx *txn.Txn, tbl *storage.Table) []uint64 {
-	rows, err := exec.Serial.ScanAll(context.Background(), tx, tbl)
-	if err != nil {
-		panic(err)
-	}
-	return rows
+func openVolatile() (*shard.Engine, error) {
+	return shard.Open(shard.Config{Config: core.Config{Mode: txn.ModeNone}})
 }
 
-func volatileEngine(t *testing.T) *core.Engine {
+func volatileEngine(t *testing.T) *shard.Engine {
 	t.Helper()
-	e, err := core.Open(core.Config{Mode: txn.ModeNone})
+	e, err := openVolatile()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +162,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		if n == 0 {
 			return true
 		}
-		e := func() *core.Engine {
-			e, _ := core.Open(core.Config{Mode: txn.ModeNone})
-			return e
-		}()
+		e, _ := openVolatile()
 		defer e.Close()
 		sch, _ := storage.NewSchema(
 			storage.ColumnDef{Name: "k", Type: storage.TypeInt64},
@@ -191,7 +189,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		if _, err := Export(&buf, e.Begin(), tbl); err != nil {
 			return false
 		}
-		e2, _ := core.Open(core.Config{Mode: txn.ModeNone})
+		e2, _ := openVolatile()
 		defer e2.Close()
 		tbl2, n2, err := Import(e2, "t", bytes.NewReader(buf.Bytes()), 0)
 		if err != nil || n2 != n {

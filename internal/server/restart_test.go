@@ -32,7 +32,7 @@ func measureRestart(t *testing.T, mode txn.Mode, size int) time.Duration {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := workload.Load(eng.Shard(0), "orders", workload.DefaultSpec(size)); err != nil {
+	if _, err := workload.Load(eng, "orders", workload.DefaultSpec(size)); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := server.Listen(eng, "127.0.0.1:0", server.Config{})

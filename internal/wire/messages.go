@@ -208,7 +208,7 @@ func RequestTxn(f Frame) uint64 {
 
 // InsertReq is the payload of TypeInsert, which is not a request: it
 // stays only as the payload the benchmark's codec timing encodes
-// (ROADMAP item 7 retires it).
+// (a ROADMAP item retires it).
 type InsertReq struct {
 	Txn   uint64
 	Table string
@@ -223,7 +223,7 @@ func (m InsertReq) Encode() []byte {
 }
 
 // DecodeInsertReq parses an InsertReq payload. Like InsertReq, it stays
-// only for the benchmark's codec timing (ROADMAP item 7 retires it).
+// only for the benchmark's codec timing (a ROADMAP item retires it).
 func DecodeInsertReq(b []byte) (InsertReq, error) {
 	r := &reader{b: b}
 	m := InsertReq{Txn: r.u64(), Table: r.str(), Vals: r.vals()}

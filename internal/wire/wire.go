@@ -71,7 +71,7 @@ const (
 
 	// TypeInsert is not a request: the server answers it bad-request. It
 	// stays only as the frame the benchmark's codec timing encodes
-	// (ROADMAP item 7 retires it).
+	// (a ROADMAP item retires it).
 	TypeInsert Type = 10
 
 	// Reads.

@@ -4,9 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"hyrisenv/internal/core"
+	"hyrisenv/internal/shard"
 	"hyrisenv/internal/storage"
-	"hyrisenv/internal/txn"
 )
 
 // TPCCLite is a reduced order-processing workload in the spirit of
@@ -14,10 +13,10 @@ import (
 // transaction profiles (NewOrder, Payment) spanning multiple tables —
 // the kind of enterprise workload the paper's engine targets.
 type TPCCLite struct {
-	E         *core.Engine
-	Customers *storage.Table
-	Orders    *storage.Table
-	Lines     *storage.Table
+	E         *shard.Engine
+	Customers *shard.Table
+	Orders    *shard.Table
+	Lines     *shard.Table
 
 	NumCustomers int
 	NumItems     int
@@ -25,7 +24,7 @@ type TPCCLite struct {
 }
 
 // SetupTPCCLite creates the three tables and loads customers.
-func SetupTPCCLite(e *core.Engine, numCustomers, numItems int) (*TPCCLite, error) {
+func SetupTPCCLite(e *shard.Engine, numCustomers, numItems int) (*TPCCLite, error) {
 	custSchema, _ := storage.NewSchema(
 		storage.ColumnDef{Name: "c_id", Type: storage.TypeInt64},
 		storage.ColumnDef{Name: "c_name", Type: storage.TypeString},
@@ -79,7 +78,7 @@ func SetupTPCCLite(e *core.Engine, numCustomers, numItems int) (*TPCCLite, error
 // AttachTPCCLite re-binds the workload to an engine that already holds
 // the tables (e.g. after a restart), resuming order-ID allocation after
 // the highest committed order.
-func AttachTPCCLite(e *core.Engine, numCustomers, numItems int) (*TPCCLite, error) {
+func AttachTPCCLite(e *shard.Engine, numCustomers, numItems int) (*TPCCLite, error) {
 	customers, err := e.Table("customers")
 	if err != nil {
 		return nil, err
@@ -96,13 +95,11 @@ func AttachTPCCLite(e *core.Engine, numCustomers, numItems int) (*TPCCLite, erro
 		E: e, Customers: customers, Orders: orders, Lines: lines,
 		NumCustomers: numCustomers, NumItems: numItems,
 	}
-	tx := e.Begin()
-	orders.ScanVisible(tx.SnapshotCID(), 0, func(r uint64) bool {
+	for _, r := range scan(e.Begin(), orders) {
 		if id := orders.Value(0, r).I; id >= w.nextOrderID {
 			w.nextOrderID = id + 1
 		}
-		return true
-	})
+	}
 	return w, nil
 }
 
@@ -155,7 +152,7 @@ func (w *TPCCLite) Payment(rng *rand.Rand) error {
 }
 
 // debit updates the customer's balance inside tx.
-func (w *TPCCLite) debit(tx *txn.Txn, cid int64, amount float64) error {
+func (w *TPCCLite) debit(tx *shard.Tx, cid int64, amount float64) error {
 	rows := selectEq(tx, w.Customers, 0, storage.Int(cid))
 	if len(rows) == 0 {
 		return fmt.Errorf("workload: customer %d not found", cid)
@@ -205,7 +202,7 @@ func (w *TPCCLite) Delivery(rng *rand.Rand, batch int) (int, error) {
 
 // OrderTotal computes the order's total from its lines (consistency
 // checks in tests and examples).
-func (w *TPCCLite) OrderTotal(tx *txn.Txn, oid int64) float64 {
+func (w *TPCCLite) OrderTotal(tx *shard.Tx, oid int64) float64 {
 	rows := selectEq(tx, w.Lines, 0, storage.Int(oid))
 	var total float64
 	for _, r := range rows {

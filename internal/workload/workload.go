@@ -13,8 +13,8 @@ import (
 	"sync"
 	"time"
 
-	"hyrisenv/internal/core"
 	"hyrisenv/internal/exec"
+	"hyrisenv/internal/shard"
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
 )
@@ -74,7 +74,7 @@ func (s Spec) Row(rng *rand.Rand, i int) []storage.Value {
 }
 
 // Load creates (if needed) and fills the named table.
-func Load(e *core.Engine, table string, s Spec) (*storage.Table, error) {
+func Load(e *shard.Engine, table string, s Spec) (*shard.Table, error) {
 	if s.Batch <= 0 {
 		s.Batch = 1000
 	}
@@ -140,7 +140,7 @@ func (r RunStats) OpsPerSec() float64 {
 // given concurrency. Reads are indexed point lookups on id; updates and
 // deletes pick random loaded ids; inserts append fresh ids. Conflicts
 // abort and count, they are not retried (first-writer-wins).
-func RunMixed(e *core.Engine, tbl *storage.Table, s Spec, mix Mix, ops, threads int) RunStats {
+func RunMixed(e *shard.Engine, tbl *shard.Table, s Spec, mix Mix, ops, threads int) RunStats {
 	if threads <= 0 {
 		threads = 1
 	}
@@ -206,7 +206,7 @@ func RunMixed(e *core.Engine, tbl *storage.Table, s Spec, mix Mix, ops, threads 
 	return total
 }
 
-func finish(tx *txn.Txn, err error, s *RunStats) {
+func finish(tx *shard.Tx, err error, s *RunStats) {
 	switch {
 	case err == nil:
 		if cerr := tx.Commit(); cerr == nil {
@@ -223,27 +223,23 @@ func finish(tx *txn.Txn, err error, s *RunStats) {
 	}
 }
 
-// selectEq returns the rows visible to tx whose column col equals val,
-// through the shared serial executor. The workload schemas are fixed, so
-// an executor error here is a programming bug and panics.
-func selectEq(tx *txn.Txn, tbl *storage.Table, col int, val storage.Value) []uint64 {
-	rows, err := exec.Serial.Select(context.Background(), tx, tbl, exec.Pred{Col: col, Op: exec.Eq, Val: val})
+// selectEq returns the rows visible to tx whose column col equals val.
+// The workload schemas are fixed, so an executor error here is a
+// programming bug and panics.
+func selectEq(tx *shard.Tx, tbl *shard.Table, col int, val storage.Value) []uint64 {
+	return scan(tx, tbl, exec.Pred{Col: col, Op: exec.Eq, Val: val})
+}
+
+// scan returns every row visible to tx that satisfies all predicates.
+func scan(tx *shard.Tx, tbl *shard.Table, preds ...exec.Pred) []uint64 {
+	rows, err := tx.Select(context.Background(), tbl, preds...)
 	if err != nil {
 		panic("workload: " + err.Error())
 	}
 	return rows
 }
 
-// scanAll returns every row visible to tx.
-func scanAll(tx *txn.Txn, tbl *storage.Table) []uint64 {
-	rows, err := exec.Serial.ScanAll(context.Background(), tx, tbl)
-	if err != nil {
-		panic("workload: " + err.Error())
-	}
-	return rows
-}
-
-func rowValues(tbl *storage.Table, row uint64) []storage.Value {
+func rowValues(tbl *shard.Table, row uint64) []storage.Value {
 	n := tbl.Schema.NumCols()
 	vals := make([]storage.Value, n)
 	for c := 0; c < n; c++ {

@@ -7,13 +7,14 @@ import (
 
 	"hyrisenv/internal/core"
 	"hyrisenv/internal/exec"
+	"hyrisenv/internal/shard"
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
 )
 
-func volatileEngine(t *testing.T) *core.Engine {
+func volatileEngine(t *testing.T) *shard.Engine {
 	t.Helper()
-	e, err := core.Open(core.Config{Mode: txn.ModeNone})
+	e, err := shard.Open(shard.Config{Config: core.Config{Mode: txn.ModeNone}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestLoadDeterministicAndComplete(t *testing.T) {
 		t.Fatal(err)
 	}
 	tx := e.Begin()
-	rows := scanAll(tx, tbl)
+	rows := scan(tx, tbl)
 	if len(rows) != 500 {
 		t.Fatalf("loaded %d rows", len(rows))
 	}
@@ -78,7 +79,7 @@ func TestRunMixedModesAndCounts(t *testing.T) {
 	// The table reflects the writes: some inserts visible beyond the
 	// original ids.
 	tx := e.Begin()
-	extra, err := exec.Serial.Select(context.Background(), tx, tbl, exec.Pred{Col: ColID, Op: exec.Ge, Val: storage.Int(300)})
+	extra, err := tx.Select(context.Background(), tbl, exec.Pred{Col: ColID, Op: exec.Ge, Val: storage.Int(300)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestTPCCLite(t *testing.T) {
 		}
 	}
 	tx := e.Begin()
-	gotOrders := scanAll(tx, w.Orders)
+	gotOrders := scan(tx, w.Orders)
 	if len(gotOrders) != orders {
 		t.Fatalf("orders = %d, want %d", len(gotOrders), orders)
 	}
@@ -129,7 +130,7 @@ func TestTPCCLite(t *testing.T) {
 	}
 	// Balance sheet: sum of balances equals sum of all debits/credits —
 	// with single-threaded execution there are no lost updates.
-	all := scanAll(tx, w.Customers)
+	all := scan(tx, w.Customers)
 	if len(all) != 50 {
 		t.Fatalf("customers = %d", len(all))
 	}
@@ -151,11 +152,11 @@ func TestTPCCLiteDeliveryAndStatus(t *testing.T) {
 		}
 	}
 	// OrderStatus is read-only and must not change state.
-	before := len(scanAll(e.Begin(), w.Orders))
+	before := len(scan(e.Begin(), w.Orders))
 	for i := 0; i < 10; i++ {
 		w.OrderStatus(rng)
 	}
-	if after := len(scanAll(e.Begin(), w.Orders)); after != before {
+	if after := len(scan(e.Begin(), w.Orders)); after != before {
 		t.Fatalf("OrderStatus mutated orders: %d -> %d", before, after)
 	}
 
@@ -176,7 +177,7 @@ func TestTPCCLiteDeliveryAndStatus(t *testing.T) {
 	}
 	// All visible orders are marked delivered; count unchanged.
 	tx := e.Begin()
-	rows := scanAll(tx, w.Orders)
+	rows := scan(tx, w.Orders)
 	if len(rows) != placed {
 		t.Fatalf("orders after delivery = %d", len(rows))
 	}

@@ -18,7 +18,7 @@ type ServerConfig struct {
 	// WriteTimeout bounds writing one response frame (default 30 s).
 	WriteTimeout time.Duration
 	// MaxConcurrent caps requests executing concurrently across all
-	// connections (default 4×GOMAXPROCS; negative disables admission
+	// connections (default 64×GOMAXPROCS; negative disables admission
 	// control).
 	MaxConcurrent int
 	// AdmissionQueue bounds requests waiting for an execution slot

@@ -26,7 +26,7 @@ func serveLoaded(b *testing.B, mode hyrisenv.Mode, rows int) (*hyrisenv.DB, *hyr
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := workload.Load(db.Engine(), "orders", workload.DefaultSpec(rows)); err != nil {
+	if _, err := workload.Load(db.Sharded(), "orders", workload.DefaultSpec(rows)); err != nil {
 		b.Fatal(err)
 	}
 	srv, err := db.Serve("127.0.0.1:0", hyrisenv.ServerConfig{})
