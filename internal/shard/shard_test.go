@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
@@ -322,6 +323,57 @@ func TestShardRestartPreservesData(t *testing.T) {
 	}); err == nil {
 		t.Fatal("open with wrong shard count succeeded")
 	}
+}
+
+// TestShardMetaRefused pins the SHARDS file rules: a directory opens
+// only at the count its file records, and a file recording fewer than 2
+// shards (which no fleet writes) is corrupt. Neither refusal may leave
+// a top-level heap behind.
+func TestShardMetaRefused(t *testing.T) {
+	dir := t.TempDir()
+	e := openShards(t, dir, 2, txn.ModeNVM)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	meta := filepath.Join(dir, shardMetaFile)
+	open := func(shards int) error {
+		e, err := Open(Config{
+			Config: core.Config{Mode: txn.ModeNVM, Dir: dir, NVMHeapSize: 8 << 20},
+			Shards: shards,
+		})
+		if err == nil {
+			e.Close()
+		}
+		return err
+	}
+	for _, shards := range []int{1, 3} {
+		if err := open(shards); err == nil {
+			t.Errorf("a 2-shard database opened with %d shards", shards)
+		}
+	}
+	for _, rec := range []string{"0", "1", "-2", "two"} {
+		if err := os.WriteFile(meta, []byte(rec+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := RecordedShards(dir); err == nil {
+			t.Errorf("SHARDS %q: RecordedShards = %d, want an error", rec, n)
+		}
+		for _, shards := range []int{1, 2} {
+			if err := open(shards); err == nil {
+				t.Errorf("SHARDS %q: opened with %d shards", rec, shards)
+			}
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "heap.nvm")); !os.IsNotExist(err) {
+		t.Fatalf("a refused open left a top-level heap.nvm (stat: %v)", err)
+	}
+	if err := os.WriteFile(meta, []byte("2\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := RecordedShards(dir); err != nil || n != 2 {
+		t.Fatalf("RecordedShards = %d, %v; want 2", n, err)
+	}
+	openShards(t, dir, 2, txn.ModeNVM).Close()
 }
 
 // TestInDoubtResolution drives the 2PC window by hand through the txn
