@@ -19,7 +19,7 @@ vet:
 # The repo's own static-analysis suite (see internal/analysis): runs its
 # unit tests first (under -race — the driver runs analyzers on packages
 # concurrently) so a broken analyzer cannot vacuously pass the repo,
-# then the full suite — seven per-package analyzers plus the two
+# then the full suite — six per-package analyzers plus the two
 # whole-program ones (protocheck, recoverycheck) over the module-wide
 # callgraph — diffed against the committed findings baseline (the
 # baseline is empty — the module is clean — so any finding is a new
@@ -37,12 +37,14 @@ nvmcheck:
 nvmcheck-stats:
 	$(GO) run ./cmd/nvmcheck -wholeprogram -stats ./...
 
-# Does each persist analyzer earn its keep? Blanks one standalone persist
-# barrier of the engine at a time (pstruct, storage, txn, index, shard),
-# runs the suite over each mutant and tallies which of persistcheck and
-# publishcheck notices; DESIGN.md row 18 records the last table. Edits
-# sources in place (restored after every mutant) — run on a clean tree.
-# Not part of `make check`.
+# Does each analyzer earn its keep? In a temporary copy of the tree,
+# blanks one standalone persist barrier of the engine at a time (pstruct,
+# storage, txn, index, shard), runs the suite over each mutant and diffs
+# which analyzers notice against internal/analysis/mutants.expected;
+# fails when an analyzer stops catching a site it caught there, or when a
+# barrier site appears that the file does not list. DESIGN.md row 18
+# records the table. CI runs it in the nvmcheck job; it takes a few
+# minutes, so it is not part of `make check`.
 analyzer-mutants:
 	sh internal/analysis/mutants.sh
 

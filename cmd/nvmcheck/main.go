@@ -1,4 +1,4 @@
-// Command nvmcheck runs the repo's static-analysis suite: seven
+// Command nvmcheck runs the repo's static-analysis suite: six
 // per-package analyzers that enforce the NVM crash-consistency
 // discipline, the concurrency discipline around it, and the
 // network-protocol hygiene rules at compile time — plus, with
@@ -20,10 +20,10 @@
 //
 //	//nvmcheck:ignore <analyzer> <reason>
 //
-// persistcheck and publishcheck additionally honor a function-level
+// publishcheck additionally honors a function-level
 // //nvm:nopersist <reason> annotation for functions whose contract is
-// that the caller persists — and persistcheck reports the annotation
-// itself when the flow analysis proves it unnecessary.
+// that the caller persists, and reports the annotation itself when it
+// proves the annotation has no effect.
 //
 // -tags passes build constraints through to the loader, so the
 // crosscheck harness can analyze the deliberately broken protocol
@@ -44,9 +44,9 @@
 //
 // -selfcheck scans every package — including the analysis framework,
 // which the regular run exempts — for suppression comments lacking the
-// mandatory reason, and verifies the points-to layer's
-// dynamic call-site resolution rate against a regression floor; either
-// failure fails the build.
+// mandatory reason or naming no analyzer of the suite, and verifies the
+// points-to layer's dynamic call-site resolution rate against a
+// regression floor; either failure fails the build.
 package main
 
 import (
@@ -61,7 +61,6 @@ import (
 	"hyrisenv/internal/analysis"
 	"hyrisenv/internal/analysis/deadlinecheck"
 	"hyrisenv/internal/analysis/lockcheck"
-	"hyrisenv/internal/analysis/persistcheck"
 	"hyrisenv/internal/analysis/pptrcheck"
 	"hyrisenv/internal/analysis/protocheck"
 	"hyrisenv/internal/analysis/ptr"
@@ -75,7 +74,6 @@ import (
 // most useful to read: durability first, then concurrency, then
 // aliasing, then protocol.
 var Suite = []*analysis.Analyzer{
-	persistcheck.Analyzer,
 	publishcheck.Analyzer,
 	lockcheck.Analyzer,
 	sharecheck.Analyzer,
@@ -127,7 +125,7 @@ func main() {
 	whole := flag.Bool("wholeprogram", false, "additionally run the whole-program analyzers (protocheck, recoverycheck) over the module-wide callgraph")
 	tags := flag.String("tags", "", "comma-separated build tags passed to the package loader")
 	stats := flag.Bool("stats", false, "print per-analyzer finding/suppression/wall-clock counts and points-to resolution metrics")
-	selfcheck := flag.Bool("selfcheck", false, "fail on reasonless //nvmcheck:ignore comments anywhere and on a points-to resolution-rate regression")
+	selfcheck := flag.Bool("selfcheck", false, "fail on //nvmcheck:ignore comments anywhere that lack a reason or name no analyzer of the suite, and on a points-to resolution-rate regression")
 	jsonOut := flag.Bool("json", false, "print findings as JSON (repo-relative paths)")
 	baseline := flag.String("baseline", "", "JSON findings file; only findings not in it are reported and fail the run")
 	budget := flag.Duration("budget", 0, "fail if loading plus analysis exceeds this duration (0 disables)")
@@ -170,12 +168,12 @@ func main() {
 	}
 
 	if *selfcheck {
-		diags := analysis.ReasonlessSuppressions(pkgs)
+		diags := suppressionErrors(pkgs)
 		for _, d := range diags {
 			fmt.Println(d)
 		}
 		if len(diags) > 0 {
-			fmt.Fprintf(os.Stderr, "nvmcheck: %d reasonless suppression(s)\n", len(diags))
+			fmt.Fprintf(os.Stderr, "nvmcheck: %d malformed suppression(s)\n", len(diags))
 			os.Exit(1)
 		}
 		ps := ptrStats(targets)
@@ -284,6 +282,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nvmcheck: %d %s(s)\n", len(findings), noun)
 		os.Exit(1)
 	}
+}
+
+// suppressionErrors lists the //nvmcheck:ignore comments of pkgs that
+// lack a reason or name an analyzer outside Suite and ProgSuite.
+func suppressionErrors(pkgs []*analysis.Package) []analysis.Diagnostic {
+	known := map[string]bool{}
+	for _, a := range Suite {
+		known[a.Name] = true
+	}
+	for _, a := range ProgSuite {
+		known[a.Name] = true
+	}
+	return analysis.SuppressionErrors(pkgs, known)
 }
 
 // ptrStats aggregates the points-to layer's metrics over the target

@@ -19,7 +19,7 @@
 //
 // on the reported line or the line directly above it. The reason is
 // mandatory; a suppression without one is itself reported. The
-// persistcheck analyzer additionally honors a function-level
+// publishcheck analyzer additionally honors a function-level
 // `//nvm:nopersist <reason>` annotation (see its package doc).
 package analysis
 
@@ -174,14 +174,27 @@ func SortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// ReasonlessSuppressions scans every package — including ones excluded
+// SuppressionErrors scans every package — including ones excluded
 // from regular analysis, such as the framework itself — and returns a
-// diagnostic for each //nvmcheck:ignore comment lacking the mandatory
-// reason. The nvmcheck -selfcheck mode fails the build on these.
-func ReasonlessSuppressions(pkgs []*Package) []Diagnostic {
+// diagnostic for each //nvmcheck:ignore comment that lacks the
+// mandatory reason or names an analyzer outside known (other than
+// "all"): a suppression naming a deleted or misspelt analyzer silently
+// suppresses nothing. The nvmcheck -selfcheck mode fails the build on
+// these.
+func SuppressionErrors(pkgs []*Package, known map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, pkg := range pkgs {
-		out = append(out, collectSuppressions(pkg).malformed...)
+		s := collectSuppressions(pkg)
+		out = append(out, s.malformed...)
+		for _, ig := range s.named {
+			if !known[ig.analyzer] && ig.analyzer != "all" {
+				out = append(out, Diagnostic{
+					Analyzer: "nvmcheck",
+					Pos:      ig.pos,
+					Message:  fmt.Sprintf("//nvmcheck:ignore %s names no analyzer of the suite", ig.analyzer),
+				})
+			}
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
@@ -196,12 +209,21 @@ func ReasonlessSuppressions(pkgs []*Package) []Diagnostic {
 // ---------------------------------------------------------------------------
 // Suppression comments.
 
-var ignoreRe = regexp.MustCompile(`//nvmcheck:ignore\s+(\S+)\s*(.*)`)
+// ignoreRe matches a suppression directive: it must open its comment,
+// so prose that mentions the syntax suppresses nothing.
+var ignoreRe = regexp.MustCompile(`^//nvmcheck:ignore\s+(\S+)\s*(.*)`)
 
 type suppressions struct {
 	// byLine maps file:line to the analyzer names suppressed there.
-	byLine    map[string]map[string]bool
+	byLine map[string]map[string]bool
+	// named lists the reasoned suppressions with the analyzer each names.
+	named     []ignore
 	malformed []Diagnostic
+}
+
+type ignore struct {
+	pos      token.Position
+	analyzer string
 }
 
 func collectSuppressions(pkg *Package) *suppressions {
@@ -222,6 +244,7 @@ func collectSuppressions(pkg *Package) *suppressions {
 					})
 					continue
 				}
+				s.named = append(s.named, ignore{pos: pos, analyzer: m[1]})
 				for _, line := range []int{pos.Line, pos.Line + 1} {
 					key := fmt.Sprintf("%s:%d", pos.Filename, line)
 					if s.byLine[key] == nil {

@@ -22,7 +22,7 @@ func TestSuppressionRequiresReason(t *testing.T) {
 	pkg := parsePkg(t, `package p
 
 func f() {
-	//nvmcheck:ignore persistcheck
+	//nvmcheck:ignore publishcheck
 	_ = 1
 }
 `)
@@ -47,13 +47,18 @@ func TestSuppressionFiltering(t *testing.T) {
 	pkg := parsePkg(t, `package p
 
 func f() {
-	//nvmcheck:ignore persistcheck caller persists the batch
+	//nvmcheck:ignore publishcheck caller persists the batch
 	_ = 1
 }
 
 func g() {
 	//nvmcheck:ignore all fixture covers every analyzer
 	_ = 2
+}
+
+func h() {
+	// Prose that quotes //nvmcheck:ignore lockcheck syntax is no directive.
+	_ = 3
 }
 `)
 	s := collectSuppressions(pkg)
@@ -68,16 +73,17 @@ func g() {
 		}
 	}
 	out := s.filter([]Diagnostic{
-		diag("persistcheck", 4),  // on the comment line itself
-		diag("persistcheck", 5),  // on the line below
+		diag("publishcheck", 4),  // on the comment line itself
+		diag("publishcheck", 5),  // on the line below
 		diag("pptrcheck", 5),     // different analyzer: survives
-		diag("persistcheck", 6),  // out of range: survives
+		diag("publishcheck", 6),  // out of range: survives
 		diag("deadlinecheck", 9), // "all" suppresses any analyzer
+		diag("lockcheck", 14),    // quoted in prose: survives
 	})
-	if len(out) != 2 {
-		t.Fatalf("got %d surviving diagnostics, want 2: %v", len(out), out)
+	if len(out) != 3 {
+		t.Fatalf("got %d surviving diagnostics, want 3: %v", len(out), out)
 	}
-	if out[0].Analyzer != "pptrcheck" || out[1].Pos.Line != 6 {
+	if out[0].Analyzer != "pptrcheck" || out[1].Pos.Line != 6 || out[2].Pos.Line != 14 {
 		t.Errorf("wrong survivors: %v", out)
 	}
 }

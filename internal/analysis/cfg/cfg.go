@@ -1,7 +1,7 @@
 // Package cfg builds intraprocedural control-flow graphs over go/ast
 // function bodies, using only the standard library. It is the substrate
-// of the nvmcheck v2 analyzers: instead of approximating execution
-// order by source position, persistcheck, lockcheck, sharecheck,
+// of the nvmcheck analyzers: instead of approximating execution
+// order by source position, publishcheck, lockcheck, sharecheck,
 // pptrcheck and deadlinecheck run dataflow analyses over these graphs,
 // so branchy protocols are judged per path and joined at merge points.
 //

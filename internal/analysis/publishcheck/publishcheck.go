@@ -1,11 +1,11 @@
-// Package publishcheck enforces the publish-before-persist ordering at
-// the level of heap objects: a store that makes an object newly
-// reachable from NVM-resident state (a *publication*) must be
+// Package publishcheck enforces the NVM crash-consistency discipline:
+// every mutation of NVM-resident state must be flushed and fenced
+// before anything makes it reachable. A store that makes an object
+// newly reachable from NVM-resident state (a *publication*) must be
 // dominated, on every path, by flush+fence of that object's dirty
 // fields.
 //
-// Where persistcheck reasons about named variables and call sites,
-// publishcheck reasons about the abstract objects of the points-to
+// The analysis reasons about the abstract objects of the points-to
 // layer (internal/analysis/ptr). The fact lattice maps each abstract
 // object to its durability state
 //
@@ -23,8 +23,9 @@
 //
 //   - Heap.SetRoot: everything reachable from the published pointer
 //     becomes visible to recovery;
-//   - Heap.CasU64 with a pointer-carrying new value: the linked object
-//     (and what it reaches) is published;
+//   - Heap.CasU64: a compare-and-swap of a persistent word is a
+//     linearization point whatever the type of its new value, so it
+//     publishes every object with a pending write;
 //   - a store (Heap.SetU64/PutU64/PutU32) whose target may be an
 //     already-published block and whose value carries heap objects: the
 //     pointee becomes reachable from the persisted root through the
@@ -52,14 +53,27 @@
 //
 // At each publication every reachable object with a pending (dirty or
 // flushed-but-unfenced) write is reported, naming both the publication
-// and the unflushed write. Returning with pending writes on an object
-// that is statically reachable from the persisted root is reported the
-// same way, under persistcheck's waiver rules: a //nvm:nopersist
-// <reason> annotation waives it (deferred-durability contracts), and a
-// package-private function with in-package callers transfers the
-// obligation to those callers through its summary. Fences are global —
-// one Heap.Fence makes every flushed object durable, matching the
-// hardware's sfence semantics.
+// and the unflushed write. A return is reported the same way when it
+// leaves a pending write on an object that is statically reachable
+// from the persisted root, or on a block allocated in the package that
+// it hands back through its results — the constructor shape, whose
+// caller links the block and so publishes it torn. Returns that propagate a
+// non-nil error are exempt: the construction is abandoned and the
+// scavenger reclaims it. Fences are global — one Heap.Fence makes every
+// flushed object durable, matching the hardware's sfence semantics.
+//
+// Two waivers lift the return obligation:
+//
+//   - a //nvm:nopersist <reason> annotation in the function's doc
+//     comment, for deferred-durability contracts such as group-commit
+//     batching. The reason is mandatory, and an annotation the
+//     analysis proves to have no effect is itself reported, so
+//     obsolete annotations cannot accumulate;
+//   - a package-private function (unexported name, or a method on an
+//     unexported type) with at least one in-package caller transfers
+//     the obligation to its callers through its summary. Exported
+//     functions keep it: external callers can only learn the contract
+//     from the doc comment.
 //
 // Package nvm is exempt: it is the trusted base layer defining the
 // barrier primitives.
@@ -71,7 +85,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"sync"
 
 	"hyrisenv/internal/analysis"
 	"hyrisenv/internal/analysis/cfg"
@@ -135,6 +148,85 @@ func halfOf(pass *analysis.Pass, call *ast.CallExpr) (stage, publish bool) {
 		return true, false
 	}
 	return strings.HasPrefix(name, "Stage"), strings.HasPrefix(name, "Publish")
+}
+
+// ---------------------------------------------------------------------------
+// The persist vocabulary and the waivers.
+
+// heapWriteNames are the nvm.Heap methods that store to the mapping.
+var heapWriteNames = map[string]bool{
+	"SetU64": true, "PutU64": true, "PutU32": true,
+}
+
+// flushAtNames are the per-element flush methods (pstruct vectors, MVCC
+// stamp stores). Unlike "Flush" the names are unambiguous, so they are
+// matched on any receiver; plain Flush/FlushBytes require a Heap
+// receiver to avoid classifying bufio.Writer.Flush as an NVM event.
+var flushAtNames = map[string]bool{
+	"FlushAt": true, "FlushBegin": true, "FlushEnd": true,
+}
+
+// sliceMutators are package-level functions known to write through a
+// slice argument (pstruct.PackBits, the writer of the bit-sliced format).
+var sliceMutators = map[string]bool{
+	"PackBits": true,
+}
+
+// nopersist reports whether fn carries a //nvm:nopersist annotation and
+// whether it has the mandatory reason.
+func nopersist(fn *ast.FuncDecl) (annotated, reasoned bool) {
+	if fn.Doc == nil {
+		return false, false
+	}
+	for _, c := range fn.Doc.List {
+		if rest, ok := strings.CutPrefix(c.Text, "//nvm:nopersist"); ok {
+			return true, strings.TrimSpace(rest) != ""
+		}
+	}
+	return false, false
+}
+
+// pkgPrivate reports whether fn is invisible outside its package: an
+// unexported function, or a method whose receiver type is unexported.
+func pkgPrivate(obj *types.Func, fn *ast.FuncDecl) bool {
+	if !fn.Name.IsExported() {
+		return true
+	}
+	sig, ok := obj.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	for {
+		p, ok := t.(*types.Pointer)
+		if !ok {
+			break
+		}
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return !n.Obj().Exported()
+	}
+	return false
+}
+
+var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
+
+// isErrorReturn reports whether ret propagates a (possibly) non-nil
+// error — an abort path on which nothing written becomes reachable.
+// `return nil` / `return x, nil` do not qualify: they are the success
+// path and keep the return-obligation.
+func isErrorReturn(info *types.Info, ret *ast.ReturnStmt) bool {
+	for _, res := range ret.Results {
+		if id, ok := res.(*ast.Ident); ok && id.Name == "nil" {
+			continue
+		}
+		t := info.TypeOf(res)
+		if t != nil && types.Implements(t, errorIface) {
+			return true
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------------------
@@ -249,15 +341,17 @@ const (
 )
 
 // An event is one durability-relevant effect of a call. objs carries
-// the target objects (nil on evWrite/evFlush/evPersist means "address
-// unknown — apply to everything", matching the address-insensitive v2
-// rules so unresolved pointers cannot launder a missed clear).
+// the target objects (nil on evFlush/evPersist means "address unknown —
+// apply to everything", so unresolved pointers cannot launder a missed
+// clear; an evWrite with no objects is not tracked).
 type event struct {
 	kind evKind
 	what string
 	objs []*ptr.Obj
-	sum  *osum // evCall
-	pos  token.Pos
+	// all marks an evPublish of every object with a pending write.
+	all bool
+	sum *osum // evCall
+	pos token.Pos
 }
 
 // osum is the per-object durability summary of one function.
@@ -325,14 +419,11 @@ func eventsOf(pass *analysis.Pass, g *ptr.Graph, call *ast.CallExpr, sums map[*t
 		}
 		return []event{{kind: evPublish, what: "Heap.SetRoot", objs: pub, pos: call.Pos()}}
 	case onHeap && name == "CasU64":
-		evs := []event{}
-		targets := g.PointsTo(arg(0))
-		if pub := minusTargets(g.PublishReach(g.PointsTo(arg(2))), targets); len(pub) > 0 {
-			evs = append(evs, event{kind: evPublish, what: "Heap.CasU64", objs: pub, pos: call.Pos()})
-		}
-		evs = append(evs, event{kind: evWrite, what: "Heap.CasU64", objs: targets, pos: call.Pos()})
-		return evs
-	case onHeap && analysis.HeapWriteNames[name]:
+		// The new value is often a bare uint64 that carries no objects,
+		// so the swap publishes everything pending; like SetRoot's slot,
+		// the swapped word itself is not tracked as a write.
+		return []event{{kind: evPublish, what: "Heap.CasU64", all: true, pos: call.Pos()}}
+	case onHeap && heapWriteNames[name]:
 		evs := []event{}
 		// A store of a pointer-carrying value into an already-published
 		// block is a publication of everything the value reaches — except
@@ -364,7 +455,7 @@ func eventsOf(pass *analysis.Pass, g *ptr.Graph, call *ast.CallExpr, sums map[*t
 		return []event{{kind: evWrite, what: "SetNoPersist", objs: g.PointsTo(recvExpr()), pos: call.Pos()}}
 	case onHeap && (name == "Flush" || name == "FlushBytes"):
 		return []event{{kind: evFlush, what: "Heap." + name, objs: g.PointsTo(arg(0)), pos: call.Pos()}}
-	case analysis.FlushAtNames[name]:
+	case flushAtNames[name]:
 		return []event{{kind: evFlush, what: name, objs: g.PointsTo(recvExpr()), pos: call.Pos()}}
 	case onHeap && (name == "Fence" || name == "Drain"):
 		return []event{{kind: evFence, what: "Heap." + name, pos: call.Pos()}}
@@ -373,7 +464,7 @@ func eventsOf(pass *analysis.Pass, g *ptr.Graph, call *ast.CallExpr, sums map[*t
 			return []event{{kind: evWrite, what: name + " into Heap.Bytes", objs: nvmOnly(g.PointsTo(call.Args[0])), pos: call.Pos()}}
 		}
 		return nil
-	case analysis.SliceMutators[name]:
+	case sliceMutators[name]:
 		for _, a := range call.Args {
 			if g.NVMSlice(a) {
 				return []event{{kind: evWrite, what: name + " into Heap.Bytes", objs: nvmOnly(g.PointsTo(a)), pos: call.Pos()}}
@@ -461,7 +552,7 @@ func apply(g *ptr.Graph, imp map[int]bool, f *ofact, ev event) *ofact {
 	switch ev.kind {
 	case evWrite:
 		if ev.objs == nil {
-			return out // untracked write: persistcheck's variable rules own it
+			return out // untracked write
 		}
 		for _, o := range ev.objs {
 			if _, ok := out.dirty[o.ID]; !ok {
@@ -505,6 +596,10 @@ func apply(g *ptr.Graph, imp map[int]bool, f *ofact, ev event) *ofact {
 		out.flushed = map[int]write{}
 		out.fenced = true
 	case evPublish:
+		if ev.all {
+			out.dirty = map[int]write{}
+			out.flushed = map[int]write{}
+		}
 		for _, o := range ev.objs {
 			delete(out.dirty, o.ID)
 			delete(out.flushed, o.ID)
@@ -567,30 +662,10 @@ type funcInfo struct {
 	imp map[int]bool
 }
 
-// pkgFacts is everything the analysis derives about one package before
-// reporting: the points-to graph, per-function CFGs and import sets,
-// converged object summaries, and alias-aware caller counts. Cached per
-// package so persistcheck's annotation-rot report can consult the same
-// facts without re-running the fixpoint.
-type pkgFacts struct {
-	g       *ptr.Graph
-	infos   map[*types.Func]*funcInfo
-	sums    map[*types.Func]*osum
-	callers map[*types.Func]int
-}
-
-var factsCache sync.Map // *types.Package -> *pkgFacts
-
-func factsOf(pass *analysis.Pass) *pkgFacts {
-	if f, ok := factsCache.Load(pass.Pkg); ok {
-		return f.(*pkgFacts)
+func run(pass *analysis.Pass) error {
+	if pass.Pkg.Name() == "nvm" {
+		return nil
 	}
-	f := computeFacts(pass)
-	factsCache.Store(pass.Pkg, f)
-	return f
-}
-
-func computeFacts(pass *analysis.Pass) *pkgFacts {
 	g := ptr.Of(pass)
 	fns := summary.Functions(pass)
 	infos := map[*types.Func]*funcInfo{}
@@ -610,8 +685,8 @@ func computeFacts(pass *analysis.Pass) *pkgFacts {
 		infos[obj] = info
 	}
 
-	// Bottom-up object summaries to a fixpoint. summary.Compute needs a
-	// comparable S, so the loop is inlined here with set equality.
+	// Bottom-up object summaries over the package callgraph, iterated
+	// to a fixpoint so recursion converges.
 	sums := map[*types.Func]*osum{}
 	const maxRounds = 10
 	for round := 0; round < maxRounds; round++ {
@@ -646,57 +721,11 @@ func computeFacts(pass *analysis.Pass) *pkgFacts {
 			}
 		})
 	}
-	return &pkgFacts{g: g, infos: infos, sums: sums, callers: callers}
-}
 
-func run(pass *analysis.Pass) error {
-	if pass.Pkg.Name() == "nvm" {
-		return nil
-	}
-	fx := factsOf(pass)
-	for obj, info := range fx.infos {
-		checkFunc(pass, fx.g, obj, info, fx.sums, fx.callers[obj])
+	for obj, info := range infos {
+		checkFunc(pass, g, obj, info, sums, callers[obj])
 	}
 	return nil
-}
-
-// AnnotationLoadBearing returns the functions whose //nvm:nopersist
-// annotation discharges a real publish-before-persist obligation: some
-// non-error return leaves a pending write on an object recovery can
-// reach, and the obligation does not transfer to in-package callers.
-// persistcheck consults this before reporting an annotation as
-// provably unnecessary — its v2 flow analysis is blind to writes
-// through interface dispatch and function values, so without the
-// points-to engine's veto the rot report would order load-bearing
-// annotations deleted.
-func AnnotationLoadBearing(pass *analysis.Pass) map[*types.Func]bool {
-	out := map[*types.Func]bool{}
-	if pass.Pkg.Name() == "nvm" {
-		return out
-	}
-	fx := factsOf(pass)
-	for obj, info := range fx.infos {
-		if annotated, _ := analysis.Nopersist(info.decl); !annotated {
-			continue
-		}
-		if analysis.PkgPrivate(obj, info.decl) && fx.callers[obj] > 0 {
-			continue
-		}
-		res := analyze(pass, fx.g, info, fx.sums)
-		needed := false
-		forEachReturn(pass, fx.g, info, fx.sums, res, func(ret *ast.ReturnStmt, f *ofact) {
-			if needed || f == nil || analysis.IsErrorReturn(pass.Info, ret) {
-				return
-			}
-			if _, _, _, ok := firstPublishedPending(fx.g, f); ok {
-				needed = true
-			}
-		})
-		if needed {
-			out[obj] = true
-		}
-	}
-	return out
 }
 
 func analyze(pass *analysis.Pass, g *ptr.Graph, info *funcInfo, sums map[*types.Func]*osum) *dataflow.Result[*ofact] {
@@ -753,7 +782,7 @@ func summarize(pass *analysis.Pass, g *ptr.Graph, info *funcInfo, sums map[*type
 		if f == nil {
 			f = (&ofact{}).clone()
 		}
-		if !analysis.IsErrorReturn(pass.Info, ret) {
+		if !isErrorReturn(pass.Info, ret) {
 			for id := range f.dirty {
 				s.dirty[id] = true
 			}
@@ -807,9 +836,10 @@ func summarize(pass *analysis.Pass, g *ptr.Graph, info *funcInfo, sums map[*type
 
 func checkFunc(pass *analysis.Pass, g *ptr.Graph, obj *types.Func, info *funcInfo, sums map[*types.Func]*osum, nCallers int) {
 	fn := info.decl
-	// The reason check on //nvm:nopersist is persistcheck's; here the
-	// annotation only waives the return obligation.
-	annotated, _ := analysis.Nopersist(fn)
+	annotated, reasoned := nopersist(fn)
+	if annotated && !reasoned {
+		pass.Reportf(fn.Pos(), "//nvm:nopersist on %s must carry a reason", fn.Name.Name)
+	}
 	res := analyze(pass, g, info, sums)
 
 	// Publications: always an error while a reachable object is
@@ -838,26 +868,45 @@ func checkFunc(pass *analysis.Pass, g *ptr.Graph, obj *types.Func, info *funcInf
 		})
 	})
 
-	// Returns: pending writes on objects recovery can already reach.
-	waived := annotated || (analysis.PkgPrivate(obj, fn) && nCallers > 0)
-	reported := false
+	// Returns: the first non-error return that leaves a write pending on
+	// an object recovery can reach once the function is done.
+	var (
+		dirtyRet *ast.ReturnStmt
+		id       int
+		w        write
+		verb     string
+	)
 	forEachReturn(pass, g, info, sums, res, func(ret *ast.ReturnStmt, f *ofact) {
-		if f == nil || analysis.IsErrorReturn(pass.Info, ret) || waived || reported {
+		if dirtyRet != nil || f == nil || isErrorReturn(pass.Info, ret) {
 			return
 		}
-		id, w, verb, ok := firstPublishedPending(g, f)
-		if !ok {
-			return
+		var ok bool
+		if id, w, verb, ok = firstExposedPending(g, ret, f); ok {
+			dirtyRet = ret
 		}
-		reported = true
-		state := "unpersisted"
+	})
+	shifted := pkgPrivate(obj, fn) && nCallers > 0
+	switch {
+	case dirtyRet != nil && !annotated && !shifted:
+		o := objOf(g, id)
+		state, where := "unpersisted", "published"
 		if verb == "flushed but not fenced" {
 			state = "flushed-but-unfenced"
 		}
-		pass.Reportf(ret.Pos(),
-			"function %s returns with %s write to published %s (%s at %s); persist it or annotate the function with //nvm:nopersist <reason>",
-			fn.Name.Name, state, objOf(g, id).Label, w.what, pass.Fset.Position(w.pos))
-	})
+		if !o.Published {
+			where = "returned"
+		}
+		pass.Reportf(dirtyRet.Pos(),
+			"function %s returns with %s write to %s %s (%s at %s); persist it or annotate the function with //nvm:nopersist <reason>",
+			fn.Name.Name, state, where, o.Label, w.what, pass.Fset.Position(w.pos))
+	case annotated && reasoned && (dirtyRet == nil || shifted):
+		// The annotation has no effect: the function is clean at every
+		// publication and non-error return, or its obligation already
+		// falls on in-package callers.
+		pass.Reportf(fn.Pos(),
+			"//nvm:nopersist on %s is unnecessary: every publication and non-error return is clean, or the obligation falls on its in-package callers; delete the annotation",
+			fn.Name.Name)
+	}
 }
 
 func reportPublication(pass *analysis.Pass, g *ptr.Graph, f *ofact, ev event) {
@@ -866,13 +915,21 @@ func reportPublication(pass *analysis.Pass, g *ptr.Graph, f *ofact, ev event) {
 	for _, o := range ev.objs {
 		ids = append(ids, o.ID)
 	}
+	if ev.all && f != nil {
+		for id := range f.dirty {
+			ids = append(ids, id)
+		}
+		for id := range f.flushed {
+			ids = append(ids, id)
+		}
+	}
 	sort.Ints(ids)
 	for _, id := range ids {
 		if w, verb, ok := pendingOf(f, id); ok {
 			pass.Reportf(ev.pos,
 				"%s publishes %s while its %s at %s is %s",
 				ev.what, objOf(g, id).Label, w.what, pass.Fset.Position(w.pos), verb)
-			return // one report per publication, like persistcheck
+			return // one report per publication
 		}
 	}
 }
@@ -890,12 +947,23 @@ func pendingOf(f *ofact, id int) (write, string, bool) {
 	return write{}, "", false
 }
 
-// firstPublishedPending returns the earliest pending write among
-// objects that are statically reachable from the persisted root.
-func firstPublishedPending(g *ptr.Graph, f *ofact) (int, write, string, bool) {
+// firstExposedPending returns the earliest pending write at ret on an
+// object recovery can reach once the function returns: one statically
+// reachable from the persisted root, or a block allocated in the
+// package (by the function or by a callee that handed it up) that ret
+// hands back.
+func firstExposedPending(g *ptr.Graph, ret *ast.ReturnStmt, f *ofact) (int, write, string, bool) {
+	returned := map[int]bool{}
+	for _, r := range ret.Results {
+		for _, o := range g.PublishReach(g.PointsTo(r)) {
+			if o.Kind == ptr.Block {
+				returned[o.ID] = true
+			}
+		}
+	}
 	bestID, bestW, bestVerb, found := 0, write{}, "", false
 	consider := func(id int, w write, verb string) {
-		if !objOf(g, id).Published {
+		if !objOf(g, id).Published && !returned[id] {
 			return
 		}
 		if !found || w.pos < bestW.pos {

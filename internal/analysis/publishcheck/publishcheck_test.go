@@ -1,16 +1,9 @@
-// External test package: importing persistcheck from an in-package
-// test would cycle, now that persistcheck consults publishcheck's
-// AnnotationLoadBearing for its annotation-rot report.
 package publishcheck_test
 
 import (
-	"fmt"
-	"go/ast"
-	"strings"
 	"testing"
 
 	"hyrisenv/internal/analysis"
-	"hyrisenv/internal/analysis/persistcheck"
 	"hyrisenv/internal/analysis/publishcheck"
 )
 
@@ -18,67 +11,13 @@ func TestFixture(t *testing.T) {
 	analysis.Fixture(t, analysis.FixtureDir(), []*analysis.Analyzer{publishcheck.Analyzer}, "./publish")
 }
 
-// TestV2MissesAliasCases proves the motivating blind spots: the v2
-// persistcheck engine, run over the same fixture, reports nothing at
-// the lines publishcheck flags — the dirty writes flow through slice
-// aliases, slice elements, interface dispatch and function values,
-// none of which the variable-level engine can see.
-func TestV2MissesAliasCases(t *testing.T) {
-	pkgs, err := analysis.Load(analysis.FixtureDir(), "./publish")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-
-	v3, err := analysis.Run(pkgs, []*analysis.Analyzer{publishcheck.Analyzer})
-	if err != nil {
-		t.Fatalf("running publishcheck: %v", err)
-	}
-	v2, err := analysis.Run(pkgs, []*analysis.Analyzer{persistcheck.Analyzer})
-	if err != nil {
-		t.Fatalf("running persistcheck: %v", err)
-	}
-	v2lines := map[string]bool{}
-	for _, d := range v2 {
-		v2lines[fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)] = true
-	}
-
-	// The alias-flow cases that motivated the points-to layer: each must
-	// be a publishcheck finding on a line where persistcheck is silent.
-	blindSpots := []string{"aliasDirty", "elemDirty", "ifaceDirty", "leaderForgetsFence"}
-	for _, name := range blindSpots {
-		found := false
-		for _, d := range v3 {
-			if !strings.Contains(d.Message, "publishes") || fnOfDiag(pkgs, d) != name {
-				continue
-			}
-			found = true
-			if v2lines[fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)] {
-				t.Errorf("%s: persistcheck v2 already reports this line — not a blind-spot demonstration", name)
-			}
-		}
-		if !found {
-			t.Errorf("publishcheck missed the seeded %s publication", name)
-		}
-	}
+func TestPersistCheck(t *testing.T) {
+	analysis.Fixture(t, analysis.FixtureDir(), []*analysis.Analyzer{publishcheck.Analyzer}, "./persist")
 }
 
-// fnOfDiag maps a diagnostic back to the enclosing fixture function by
-// positional containment.
-func fnOfDiag(pkgs []*analysis.Package, d analysis.Diagnostic) string {
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Syntax {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				start := pkg.Fset.Position(fd.Pos())
-				end := pkg.Fset.Position(fd.End())
-				if start.Filename == d.Pos.Filename && d.Pos.Line >= start.Line && d.Pos.Line <= end.Line {
-					return fd.Name.Name
-				}
-			}
-		}
-	}
-	return ""
+// TestAliasTaint covers writes through derived slices and through
+// parameters bound to Bytes-backed memory, and volatile buffers that
+// stay exempt.
+func TestAliasTaint(t *testing.T) {
+	analysis.Fixture(t, analysis.FixtureDir(), []*analysis.Analyzer{publishcheck.Analyzer}, "./alias")
 }

@@ -86,7 +86,7 @@ func Graph(prog *analysis.Program) *Global {
 func (g *Global) calleesAt(pg *ptr.Graph, pkg *analysis.Package, call *ast.CallExpr) []*types.Func {
 	fns := pg.Callees(call)
 	if len(fns) == 0 {
-		if fn := StaticCallee(pkg.Info, call); fn != nil {
+		if fn := staticCallee(pkg.Info, call); fn != nil {
 			fns = []*types.Func{fn}
 		}
 	}

@@ -1,16 +1,14 @@
-// Package summary computes per-function summaries bottom-up over the
-// callgraph of one package, so analyzers can model calls to helpers
-// they can see instead of ignoring them.
+// Package summary provides the callgraphs the analyzers compute
+// per-function summaries over, so they can model calls to helpers they
+// can see instead of ignoring them: the functions of one package with
+// their static callees and in-package caller counts, and (Graph) the
+// module-wide resolved callgraph.
 //
-// The callgraph is static and intra-package: a call edge exists where
-// the callee resolves (through go/types) to a function or method
-// declared in the package under analysis. Interface dispatch, function
-// values and cross-package calls have no edge — analyzers fall back to
-// their name-based heuristics for those. Recursion (any cycle) is
-// handled by iterating the whole package to a fixpoint: Compute re-runs
-// the per-function analysis with the latest summary map until no
-// summary changes, so summaries must come from a finite lattice and the
-// analysis must be monotone in them.
+// The per-package callgraph is static: a call edge exists where the
+// callee resolves (through go/types) to a function or method declared
+// in the package under analysis. Interface dispatch, function values
+// and cross-package calls have no edge here; the points-to layer
+// (internal/analysis/ptr) resolves those.
 package summary
 
 import (
@@ -38,10 +36,10 @@ func Functions(pass *analysis.Pass) map[*types.Func]*ast.FuncDecl {
 	return fns
 }
 
-// StaticCallee resolves call to the *types.Func it statically invokes:
+// staticCallee resolves call to the *types.Func it statically invokes:
 // a plain function call or a concrete method call. Calls through
 // interfaces, function-typed variables and built-ins resolve to nil.
-func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
+func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -85,7 +83,7 @@ func Callers(pass *analysis.Pass, fns map[*types.Func]*ast.FuncDecl) map[*types.
 			case *ast.SelectorExpr:
 				inCallPos[fun.Sel] = true
 			}
-			callee := StaticCallee(pass.Info, call)
+			callee := staticCallee(pass.Info, call)
 			if callee != nil && callee != caller {
 				if _, inPkg := fns[callee]; inPkg {
 					count[callee]++
@@ -110,32 +108,4 @@ func Callers(pass *analysis.Pass, fns map[*types.Func]*ast.FuncDecl) map[*types.
 		})
 	}
 	return count
-}
-
-// Compute iterates analyze over every function of fns until the
-// summary map stops changing and returns it. analyze receives the
-// current summaries (possibly still converging) and must be monotone:
-// enlarging an input summary may only enlarge its output. maxRounds
-// bounds runaway lattices; the persist lattice converges in two or
-// three rounds.
-func Compute[S comparable](
-	fns map[*types.Func]*ast.FuncDecl,
-	analyze func(obj *types.Func, fd *ast.FuncDecl, cur map[*types.Func]S) S,
-) map[*types.Func]S {
-	const maxRounds = 10
-	cur := map[*types.Func]S{}
-	for round := 0; round < maxRounds; round++ {
-		changed := false
-		for obj, fd := range fns {
-			s := analyze(obj, fd, cur)
-			if s != cur[obj] {
-				cur[obj] = s
-				changed = true
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	return cur
 }

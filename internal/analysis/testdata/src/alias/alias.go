@@ -1,10 +1,7 @@
-// Package alias exercises persistcheck's alias-aware slice taint: with
-// the points-to graph behind nvmSlices, a write through a *derived*
-// slice — a reslice, a second variable, a parameter bound to
-// Bytes-backed memory at a call site — dirties the fact exactly like a
-// write through the original Heap.Bytes view. The v2 engine tainted
-// only variables assigned directly from Heap.Bytes and proved nothing
-// about these.
+// Package alias exercises publishcheck's alias-aware slice writes: a
+// write through a *derived* slice — a reslice, a second variable, a
+// parameter bound to Bytes-backed memory at a call site — dirties the
+// same object as a write through the original Heap.Bytes view.
 package alias
 
 import "fix/nvm"
@@ -17,7 +14,7 @@ func derivedDirty(h *nvm.Heap, p nvm.PPtr) {
 	c := b[2:10]
 	d := c
 	copy(d, src)
-	h.SetRoot(0, p) // want `Heap\.SetRoot publishes while the copy into Heap\.Bytes at .* is not persisted`
+	h.SetRoot(0, p) // want `Heap\.SetRoot publishes .* while its copy into Heap\.Bytes at .* is not persisted`
 }
 
 // derivedClean persists through the original view what was written
@@ -43,7 +40,7 @@ func fillBuf(buf []byte) {
 func paramDirty(h *nvm.Heap, p nvm.PPtr) {
 	b := h.Bytes(p, 16)
 	fillBuf(b)
-	h.SetRoot(0, p) // want `Heap\.SetRoot publishes while the call of fillBuf at .* is not persisted`
+	h.SetRoot(0, p) // want `Heap\.SetRoot publishes .* while its call of fillBuf at .* is not persisted`
 }
 
 // paramClean persists after the helper's write.

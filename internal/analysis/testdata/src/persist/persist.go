@@ -1,4 +1,7 @@
-// Package persist exercises the persistcheck analyzer.
+// Package persist exercises publishcheck on the persist rule's basic
+// shapes: publications and returns with pending writes, the flush/fence
+// split, the waivers and their annotation, and summaries of in-package
+// helpers.
 package persist
 
 import (
@@ -15,7 +18,7 @@ var src = make([]byte, 16)
 // durably published while the block contents are still in the cache.
 func publishDirty(h *nvm.Heap, p nvm.PPtr) {
 	h.SetU64(p, 1)
-	h.SetRoot(0, p) // want `Heap\.SetRoot publishes while the Heap\.SetU64 at .* is not persisted`
+	h.SetRoot(0, p) // want `Heap\.SetRoot publishes .* while its Heap\.SetU64 at .* is not persisted`
 }
 
 // publishClean is the corrected protocol: persist, then publish.
@@ -28,18 +31,18 @@ func publishClean(h *nvm.Heap, p nvm.PPtr) {
 // casDirty publishes through CAS with an unpersisted write pending.
 func casDirty(h *nvm.Heap, p, q nvm.PPtr) {
 	h.PutU64(q, 7)
-	h.CasU64(p, 0, uint64(q)) // want `Heap\.CasU64 publishes while the Heap\.PutU64 at .* is not persisted`
+	h.CasU64(p, 0, uint64(q)) // want `Heap\.CasU64 publishes .* while its Heap\.PutU64 at .* is not persisted`
 }
 
 // returnDirty leaks an unpersisted write out of the function.
 func returnDirty(h *nvm.Heap, p nvm.PPtr) {
 	h.PutU64(p, 2)
-} // want `function returnDirty returns with unpersisted NVM write`
+} // want `function returnDirty returns with unpersisted write to published`
 
 // returnDirtyExplicit does the same through an explicit return.
 func returnDirtyExplicit(h *nvm.Heap, p nvm.PPtr) uint64 {
 	h.PutU32(p, 3)
-	return 0 // want `function returnDirtyExplicit returns with unpersisted NVM write`
+	return 0 // want `function returnDirtyExplicit returns with unpersisted write to published`
 }
 
 // abortOnError must not be flagged: the error return aborts the
@@ -57,7 +60,7 @@ func abortOnError(h *nvm.Heap, p nvm.PPtr) error {
 func copyDirty(h *nvm.Heap, p nvm.PPtr) {
 	b := h.Bytes(p, 16)
 	copy(b, src)
-} // want `function copyDirty returns with unpersisted NVM write`
+} // want `function copyDirty returns with unpersisted write to published`
 
 // copyClean persists the written alias before returning.
 func copyClean(h *nvm.Heap, p nvm.PPtr) {
@@ -80,7 +83,7 @@ func (v *vec) PersistAt(i uint64) {}
 // stampNoPersist defers the persist without declaring it.
 func stampNoPersist(v *vec) {
 	v.SetNoPersist(0, 1)
-} // want `function stampNoPersist returns with unpersisted NVM write`
+} // want `function stampNoPersist returns with unpersisted write to published`
 
 // stampBatched declares the deferred persist with a reason.
 //
@@ -99,12 +102,12 @@ func stampUnreasoned(v *vec) { // want `//nvm:nopersist on stampUnreasoned must 
 // stampSuppressed shows the generic line suppression with a reason.
 func stampSuppressed(v *vec) {
 	v.SetNoPersist(0, 1)
-	//nvmcheck:ignore persistcheck fixture: caller persists the batch
+	//nvmcheck:ignore publishcheck fixture: caller persists the batch
 }
 
 // ---------------------------------------------------------------------------
-// Flow-sensitive cases: v2 joins facts at merge points instead of
-// scanning events in source order.
+// Flow-sensitive cases: facts join at merge points instead of events
+// being scanned in source order.
 
 // branchyClean persists through a different barrier on each branch;
 // the join at the merge point is clean on both paths.
@@ -120,14 +123,14 @@ func branchyClean(h *nvm.Heap, p nvm.PPtr, wide bool) {
 }
 
 // crossBranchDirty writes on one path and persists only on the other;
-// source-order scanning (v1) saw persist-after-write and missed it.
+// a source-order scan sees persist-after-write and misses it.
 func crossBranchDirty(h *nvm.Heap, p nvm.PPtr, fast bool) {
 	if fast {
 		h.PutU64(p, 1)
 	} else {
 		h.Persist(p, 8)
 	}
-	h.SetRoot(0, p) // want `Heap\.SetRoot publishes while the Heap\.PutU64 at .* is not persisted`
+	h.SetRoot(0, p) // want `Heap\.SetRoot publishes .* while its Heap\.PutU64 at .* is not persisted`
 }
 
 // loopPublishDirty publishes at the top of each iteration after the
@@ -135,14 +138,14 @@ func crossBranchDirty(h *nvm.Heap, p nvm.PPtr, fast bool) {
 // back edge.
 func loopPublishDirty(h *nvm.Heap, p nvm.PPtr, n int) {
 	for i := 0; i < n; i++ {
-		h.SetRoot(0, p) // want `Heap\.SetRoot publishes while the Heap\.PutU64 at .* is not persisted`
+		h.SetRoot(0, p) // want `Heap\.SetRoot publishes .* while its Heap\.PutU64 at .* is not persisted`
 		h.PutU64(p, uint64(i))
 	}
 	h.Persist(p, 8)
 }
 
-// deferPersist flushes through a deferred barrier; v1's source-order
-// scan saw the defer before the write and flagged the return.
+// deferPersist flushes through a deferred barrier, which runs at the
+// return, after the write it follows in source order.
 func deferPersist(h *nvm.Heap, p nvm.PPtr) {
 	defer h.Persist(p, 8)
 	h.PutU64(p, 1)
@@ -157,8 +160,7 @@ func flush(h *nvm.Heap, p nvm.PPtr) {
 	h.Persist(p, 8)
 }
 
-// stampViaHelper persists through the helper; under v1 this needed a
-// //nvm:nopersist annotation because the helper call was opaque.
+// stampViaHelper persists through the helper: no annotation needed.
 func stampViaHelper(h *nvm.Heap, p nvm.PPtr) {
 	h.PutU64(p, 1)
 	flush(h, p)
@@ -182,12 +184,12 @@ func buildClean(h *nvm.Heap, p nvm.PPtr) {
 // carries the helper's dirt to this call site.
 func buildDirty(h *nvm.Heap, p nvm.PPtr) {
 	fill(h, p)
-	h.SetRoot(0, p) // want `Heap\.SetRoot publishes while the call of fill at .* is not persisted`
+	h.SetRoot(0, p) // want `Heap\.SetRoot publishes .* while its call of fill at .* is not persisted`
 }
 
 // SetStamp is exported and returns dirty: external callers can only
-// learn the contract from the doc comment, so the annotation stays
-// mandatory even under v2.
+// learn the contract from the doc comment, so the annotation is
+// mandatory.
 //
 //nvm:nopersist commit batches stamps and persists once per group
 func SetStamp(h *nvm.Heap, p nvm.PPtr, val uint64) {
@@ -195,10 +197,10 @@ func SetStamp(h *nvm.Heap, p nvm.PPtr, val uint64) {
 }
 
 // SetStampUndeclared is the same exported dirty contract without the
-// annotation — v2 must still require it.
+// annotation.
 func SetStampUndeclared(h *nvm.Heap, p nvm.PPtr, val uint64) {
 	h.SetU64(p, val)
-} // want `function SetStampUndeclared returns with unpersisted NVM write`
+} // want `function SetStampUndeclared returns with unpersisted write to published`
 
 // stampOverDeclared carries an annotation the analysis proves inert:
 // every return is clean, so the annotation is rot and is itself
@@ -210,8 +212,8 @@ func stampOverDeclared(h *nvm.Heap, p nvm.PPtr) { // want `//nvm:nopersist on st
 	h.Persist(p, 8)
 }
 
-// poker and heapPoker give the rot report an aliased write this flow
-// analysis cannot see.
+// poker and heapPoker give the rot report a write it sees only through
+// interface dispatch.
 type poker interface{ poke(p nvm.PPtr) }
 
 type heapPoker struct{ h *nvm.Heap }
@@ -228,11 +230,9 @@ func pokeDirect(hp heapPoker, p nvm.PPtr) {
 	hp.h.Persist(p, 8)
 }
 
-// StampDynamic stamps through the interface. The v2 flow analysis sees
-// no NVM event at all (the dynamic callee is opaque to it), so on its
-// own evidence the annotation is rot — but the points-to engine
-// resolves the dispatch, sees the dirty return, and vetoes the
-// deletion order. No diagnostic either way.
+// StampDynamic stamps through the interface. The points-to layer
+// resolves the dispatch and sees the dirty return, so the annotation is
+// load-bearing and not reported as rot.
 //
 //nvm:nopersist callers persist the stamped batch once per group
 func StampDynamic(h *nvm.Heap, p nvm.PPtr) {
@@ -250,7 +250,7 @@ func StampDynamic(h *nvm.Heap, p nvm.PPtr) {
 func flushNoFence(h *nvm.Heap, p nvm.PPtr) {
 	h.SetU64(p, 1)
 	h.Flush(p, 8)
-} // want `function flushNoFence returns with flushed-but-unfenced NVM write`
+} // want `function flushNoFence returns with flushed-but-unfenced write to published`
 
 // flushFenceClean is the explicit split-barrier protocol: flush, then
 // fence — together equivalent to Persist.
@@ -275,7 +275,7 @@ func drainClean(h *nvm.Heap, p nvm.PPtr) {
 func fenceWithoutFlush(h *nvm.Heap, p nvm.PPtr) {
 	h.SetU64(p, 1)
 	h.Fence()
-	h.SetRoot(0, p) // want `Heap\.SetRoot publishes while the Heap\.SetU64 at .* is not persisted`
+	h.SetRoot(0, p) // want `Heap\.SetRoot publishes .* while its Heap\.SetU64 at .* is not persisted`
 }
 
 // flushPublishDirty publishes between the flush and the fence: the
@@ -283,7 +283,7 @@ func fenceWithoutFlush(h *nvm.Heap, p nvm.PPtr) {
 func flushPublishDirty(h *nvm.Heap, p nvm.PPtr) {
 	h.SetU64(p, 1)
 	h.Flush(p, 8)
-	h.SetRoot(0, p) // want `Heap\.SetRoot publishes while the Heap\.SetU64 at .* is flushed but not fenced`
+	h.SetRoot(0, p) // want `Heap\.SetRoot publishes .* while its Heap\.SetU64 at .* is flushed but not fenced`
 	h.Fence()
 }
 
@@ -318,5 +318,74 @@ func leaderForgetsFence(h *nvm.Heap, root nvm.PPtr, ps []nvm.PPtr) {
 	for i, p := range ps {
 		followerFlush(h, p, uint64(i))
 	}
-	h.SetRoot(0, root) // want `Heap\.SetRoot publishes while the call of followerFlush at .* is flushed but not fenced`
+	h.SetRoot(0, root) // want `Heap\.SetRoot publishes .* while its call of followerFlush at .* is flushed but not fenced`
+}
+
+// ---------------------------------------------------------------------------
+// Constructors: a function allocates a block, writes it and hands it
+// back. Nothing reaches the block yet, but the caller will link it, so
+// it must be durable by then.
+
+// Rec is the handle a constructor returns, holding its block.
+type Rec struct {
+	h    *nvm.Heap
+	root nvm.PPtr
+}
+
+// NewRecDirty returns the block unpersisted: the caller links a torn
+// record.
+func NewRecDirty(h *nvm.Heap, v uint64) (*Rec, error) {
+	root, err := h.Alloc(16)
+	if err != nil {
+		return nil, err
+	}
+	h.PutU64(root, v)
+	return &Rec{h: h, root: root}, nil // want `function NewRecDirty returns with unpersisted write to returned block allocated at .* \(Heap\.PutU64 at .*\)`
+}
+
+// NewRec persists the block before it returns it.
+func NewRec(h *nvm.Heap, v uint64) (*Rec, error) {
+	root, err := h.Alloc(16)
+	if err != nil {
+		return nil, err
+	}
+	h.PutU64(root, v)
+	h.Persist(root, 16)
+	return &Rec{h: h, root: root}, nil
+}
+
+// NewRecChecked abandons the block after a partial write: the error
+// return hands back nothing, and the scavenger reclaims the block.
+func NewRecChecked(h *nvm.Heap, v uint64) (*Rec, error) {
+	root, err := h.Alloc(16)
+	if err != nil {
+		return nil, err
+	}
+	h.PutU64(root, v)
+	if v == 0 {
+		return nil, errBoom
+	}
+	h.Persist(root, 16)
+	return &Rec{h: h, root: root}, nil
+}
+
+// newRecLinked leaves the persist to its in-package caller.
+func newRecLinked(h *nvm.Heap, v uint64) (*Rec, error) {
+	root, err := h.Alloc(16)
+	if err != nil {
+		return nil, err
+	}
+	h.PutU64(root, v)
+	return &Rec{h: h, root: root}, nil
+}
+
+// LinkRec persists the record newRecLinked wrote, then publishes it.
+func LinkRec(h *nvm.Heap, v uint64) error {
+	r, err := newRecLinked(h, v)
+	if err != nil {
+		return err
+	}
+	h.Persist(r.root, 16)
+	h.SetRoot(0, r.root)
+	return nil
 }

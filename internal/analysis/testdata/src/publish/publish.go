@@ -1,9 +1,8 @@
 // Package publish exercises the publishcheck analyzer: alias-aware
-// publish-before-persist checking over the points-to heap model. Every
-// dirty case here is invisible to the v2 persistcheck engine — the
-// write flows through a pointer alias, a slice element, an interface
-// method or a stored function value — which is exactly what the
-// publishcheck unit test asserts.
+// publish-before-persist checking over the points-to heap model. The
+// dirty writes flow through a pointer alias, a slice element, an
+// interface method or a stored function value, none of which a checker
+// of named variables and static calls can see.
 package publish
 
 import (
@@ -38,9 +37,8 @@ func linkClean(h *nvm.Heap, parent nvm.PPtr) {
 	h.Persist(parent, 8)
 }
 
-// aliasDirty writes through a *derived* slice (c := b): v2's taint
-// tracking only covers direct Bytes assignments, so it proves nothing
-// here; the points-to graph knows c and b are the same block.
+// aliasDirty writes through a *derived* slice (c := b): the points-to
+// graph knows c and b are the same block.
 func aliasDirty(h *nvm.Heap, parent nvm.PPtr) {
 	child, _ := h.Alloc(64)
 	b := h.Bytes(child, 64)
@@ -97,7 +95,7 @@ func chainDirty(h *nvm.Heap) {
 
 // ---------------------------------------------------------------------------
 // Slice-element publication: the dirty block's pointer rides in a
-// slice element, a location v2 cannot name at all.
+// slice element, a location no variable names.
 
 // elemDirty stashes the dirty block's pointer in a slice, publishes it
 // from the element.
@@ -123,7 +121,7 @@ func elemClean(h *nvm.Heap, parent nvm.PPtr) {
 
 // ---------------------------------------------------------------------------
 // Interface dispatch: the dirty write happens inside a concrete method
-// called through an interface — no static call edge exists for v2.
+// called through an interface — no static call edge exists.
 
 type filler interface {
 	fill(h *nvm.Heap, p nvm.PPtr)
@@ -163,7 +161,7 @@ func ifaceClean(h *nvm.Heap) {
 // ---------------------------------------------------------------------------
 // Group commit through a stored function value: the follower flushes
 // without fencing; the leader owes the fence before publishing. The
-// call goes through a function-typed field, invisible to v2.
+// call goes through a function-typed field.
 
 type committer struct {
 	h *nvm.Heap

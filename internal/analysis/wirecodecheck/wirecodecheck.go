@@ -21,7 +21,7 @@
 // Unlike the rest of the suite, this analyzer is deliberately
 // flow-insensitive: exhaustiveness is a property of one syntactic
 // switch or literal, not of a path, so it does not build a CFG
-// (internal/analysis/cfg) the way persistcheck, lockcheck, sharecheck,
+// (internal/analysis/cfg) the way publishcheck, lockcheck, sharecheck,
 // deadlinecheck and pptrcheck do.
 package wirecodecheck
 

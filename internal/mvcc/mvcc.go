@@ -182,18 +182,15 @@ func (s *Store) ReleaseRow(row, owner uint64) {
 	s.tid.CompareAndSwap(row, owner, 0)
 }
 
-// SetBegin stamps the begin CID of row without persisting (commit batches
-// stamps and persists once).
-//
-//nvm:nopersist commit flushes a group's stamps via FlushBegin/FlushEnd under one fence; recovery persists via PersistBegin/PersistEnd
+// SetBegin stamps the begin CID of row without persisting: commit
+// flushes a group's stamps via FlushBegin/FlushEnd under one fence, and
+// recovery persists them via PersistBegin/PersistEnd.
 func (s *Store) SetBegin(row, cid uint64) { s.begin.SetNoPersist(row, cid) }
 
 // SetEnd stamps the end CID of row without persisting, and then advances
 // the version of the row's block, which makes whatever a scan had learned
 // about the block stale (see VisibleBits): the caller publishes cid as a
-// snapshot only afterwards.
-//
-//nvm:nopersist commit flushes a group's stamps via FlushBegin/FlushEnd under one fence; recovery persists via PersistBegin/PersistEnd
+// snapshot only afterwards. The stamp is made durable like SetBegin's.
 func (s *Store) SetEnd(row, cid uint64) {
 	s.end.SetNoPersist(row, cid)
 	if sum := s.sum.at(row/SummaryRows, false); sum != nil {

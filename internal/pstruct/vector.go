@@ -293,10 +293,9 @@ func (v *Vector) Set(i uint64, val uint64) {
 
 // SetNoPersist overwrites element i without a persist barrier; callers
 // batch a group of stamps and call PersistRange once (group commit).
-// The annotation waives both the persistcheck obligation (unpersisted
-// NVM write at return) and the publishcheck one (the segment is already
-// published, so the dirty element is visible to recovery until the
-// caller's batched persist lands).
+// The annotation waives the publishcheck obligation: the segment is
+// already published, so the dirty element is visible to recovery until
+// the caller's batched persist lands.
 //
 //nvm:nopersist deferred durability is the contract; callers batch and PersistRange once
 func (v *Vector) SetNoPersist(i uint64, val uint64) {
