@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math/bits"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -9,7 +10,9 @@ import (
 	"testing"
 
 	"hyrisenv/internal/core"
+	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/shard"
+	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
 	"hyrisenv/internal/workload"
 )
@@ -130,6 +133,69 @@ func TestFsckNeverCreatesAHeap(t *testing.T) {
 		}
 		if _, err := os.Stat(heap); !os.IsNotExist(err) {
 			t.Errorf("fsck created %s (stat: %v)", heap, err)
+		}
+	}
+}
+
+// TestFsckReportsBrokenDeltaIndex seeds two faults into the dictionary
+// index of a delta column of a closed database — a bucket's finger that
+// names a node of its own bucket, and a node whose split-order key is
+// below its predecessor's — and checks that fsck fails and names both.
+// The faults are written at the offsets of pstruct.HashList's layout: in
+// its root, the head link at 8 and the segment table at 24, whose first
+// word points at bucket 0's finger; in a node, the link at 0 and the
+// split-order key at 8. The index's root is the second word of the
+// storage.NVMDelta root.
+func TestFsckReportsBrokenDeltaIndex(t *testing.T) {
+	dir := t.TempDir()
+	e, err := shard.Open(shard.Config{Config: core.Config{Mode: txn.ModeNVM, Dir: dir, NVMHeapSize: 16 << 20}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := e.CreateTable("orders", workload.Schema(), "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, rng, tx := workload.DefaultSpec(300), rand.New(rand.NewSource(1)), e.Begin()
+	for i := 0; i < 300; i++ {
+		if _, err := tx.Insert(tbl, spec.Row(rng, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	h := e.Heaps()[0]
+	d := tbl.Part(0).DeltaColumnAt(0).(*storage.NVMDelta)
+	idx := nvm.PPtr(h.U64(d.Root().Add(8)))
+	first := nvm.PPtr(h.U64(idx.Add(8)))
+	second := nvm.PPtr(h.U64(first))
+	// Bucket 1 starts at split-order key 1<<63.
+	var past nvm.PPtr
+	for cur := first; !cur.IsNil() && past.IsNil(); cur = nvm.PPtr(h.U64(cur)) {
+		if h.U64(cur.Add(8)) >= bits.Reverse64(1) {
+			past = cur
+		}
+	}
+	if past.IsNil() {
+		t.Fatal("no key in the upper half of the split order")
+	}
+	finger1 := nvm.PPtr(h.U64(idx.Add(24))).Add(8)
+	h.SetU64(finger1, uint64(past))
+	h.Persist(finger1, 8)
+	h.SetU64(second.Add(8), h.U64(first.Add(8))-1)
+	h.Persist(second.Add(8), 8)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := exec.Command(os.Args[0], "fsck", "-dir", dir).CombinedOutput()
+	if err == nil {
+		t.Fatalf("fsck of a broken index succeeded:\n%s", out)
+	}
+	for _, want := range []string{"FSCK FAILED", "finger of bucket 1", "not below the bucket's start", "out of split order"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("fsck output does not say %q:\n%s", want, out)
 		}
 	}
 }

@@ -114,9 +114,8 @@ func TestCommitDrainCost(t *testing.T) {
 // append is two fences whatever the schema, an invalidation record one,
 // retiring the context the slot's previous holder parked one, the commit
 // three, of which one drain. The fence budgets are ROADMAP item 1's; the
-// flush budgets of the two row appends are what they spend, a unique
-// key's posting being one heads slot and length. What the engine spends
-// is logged.
+// flush budgets are what the three spend, a unique key's posting being
+// one heads slot and length. What the engine spends is logged.
 func TestCommitFenceBudget(t *testing.T) {
 	e, tbl := commitCostEngine(t, nvm.LatencyModel{})
 	h := e.Heap()
@@ -152,7 +151,7 @@ func TestCommitFenceBudget(t *testing.T) {
 			_, err := tx.Update(tbl, rows[0], vals(0, "updated"))
 			return err
 		}},
-		{"delete+commit", 6, 10, func(tx *txn.Txn) error {
+		{"delete+commit", 6, 7, func(tx *txn.Txn) error {
 			return tx.Delete(tbl, rows[1])
 		}},
 	}

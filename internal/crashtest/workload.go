@@ -138,7 +138,7 @@ func abortTxn(e *shard.Engine, tbl *shard.Table, rec *Recorder, ids ...int64) er
 // main/delta merge, a scavenge of the merge garbage, an aborted
 // transaction, a mixed insert+delete transaction, and post-merge inserts
 // landing in the fresh delta. It exercises every persistent structure
-// (vectors, blobs, skip lists, hash chains, posting lists, bit-packed
+// (vectors, blobs, hash lists, hash chains, posting lists, bit-packed
 // mains, group-key indexes, MVCC stamp vectors, the allocator and root
 // directory) so that enumerating its barriers enumerates crash points in
 // every protocol. Deterministic: the barrier count is identical on every

@@ -65,7 +65,9 @@ const (
 	// 5 → 6: delta-index skip lists gone; an indexed delta column keeps
 	// its posting-list heads by value ID (storage.NVMDelta), and the
 	// partition set three words per column.
-	formatVersion = 6
+	// 6 → 7: the delta dictionary index a split-ordered hash list
+	// (pstruct.HashList) in place of the skip list.
+	formatVersion = 7
 
 	headerSize  = 4096
 	rootDirOff  = headerSize

@@ -135,9 +135,9 @@ func shadowHeap(t *testing.T, tear int64) (*nvm.Heap, string) {
 
 // TestArenaCursorCoversEveryLink is the arena invariant under the
 // pessimistic crash model: power is cut at every barrier of an insert
-// into the arena-backed skip list, with whole-line loss and with
+// into the arena-backed hash list, with whole-line loss and with
 // tearing, and after reopening, every node the structure reaches must
-// lie below the durable cursor (SkipList.Check walks them with
+// lie below the durable cursor (HashList.Check walks them with
 // Arena.Contains), every earlier entry must still be there, and the
 // interrupted one all there or not at all.
 func TestArenaCursorCoversEveryLink(t *testing.T) {
@@ -145,7 +145,7 @@ func TestArenaCursorCoversEveryLink(t *testing.T) {
 	for _, tear := range []int64{0, 1, 2, 3} {
 		for barrier := int64(1); ; barrier++ {
 			h, path := shadowHeap(t, tear)
-			s, err := NewSkipList(h)
+			s, err := NewHashList(h)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestArenaCursorCoversEveryLink(t *testing.T) {
 				t.Fatal(err)
 			}
 			root, _, _ := h2.Root("s")
-			s2 := AttachSkipList(h2, root)
+			s2 := AttachHashList(h2, root)
 			if err := s2.Check(); err != nil {
 				t.Fatalf("tear %d barrier %d: %v", tear, barrier, err)
 			}
@@ -202,7 +202,7 @@ func TestArenaCursorCoversEveryLink(t *testing.T) {
 
 // TestStagedUnpublishedInvisibleAfterReopen: a stage half followed by a
 // fence and no publish half leaves nothing behind that a reopened
-// structure can reach — for the vector, the skip list and a posting
+// structure can reach — for the vector, the hash list and a posting
 // list whose head is a vector element — and the structure stays sound
 // and takes the same insert afterwards.
 func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
@@ -212,7 +212,7 @@ func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, _ := NewVector(h, 8, 4)
-	s, _ := NewSkipList(h)
+	s, _ := NewHashList(h)
 	heads, _ := NewVector(h, 8, 4)
 	h.SetRoot("v", v.Root(), 0)
 	h.SetRoot("s", s.Root(), 0)
@@ -240,7 +240,7 @@ func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 		t.Fatalf("staged element already counted: Len = %d", v.Len())
 	}
 	if _, ok := s.Get([]byte("staged")); ok {
-		t.Fatal("staged skip-list node already reachable")
+		t.Fatal("staged hash-list node already reachable")
 	}
 	h.Close()
 
@@ -250,15 +250,15 @@ func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 	}
 	defer h2.Close()
 	root := func(name string) nvm.PPtr { r, _, _ := h2.Root(name); return r }
-	v2, s2 := AttachVector(h2, root("v")), AttachSkipList(h2, root("s"))
+	v2, s2 := AttachVector(h2, root("v")), AttachHashList(h2, root("s"))
 	if v2.Len() != 5 {
 		t.Fatalf("vector Len after reopen = %d, want 5", v2.Len())
 	}
 	if _, ok := s2.Get([]byte("staged")); ok {
-		t.Fatal("skip list reaches the staged node after reopen")
+		t.Fatal("hash list reaches the staged node after reopen")
 	}
-	if s2.Len() != 5 {
-		t.Fatalf("skip list holds %d entries after reopen, want 5", s2.Len())
+	if n := hlLen(s2); n != 5 {
+		t.Fatalf("hash list holds %d entries after reopen, want 5", n)
 	}
 	var n int
 	ListScan(h2, AttachVector(h2, root("heads")).Get(0), func(uint64) bool { n++; return true })

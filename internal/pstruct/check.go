@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"hyrisenv/internal/nvm"
 )
@@ -30,16 +31,17 @@ func (v *Vector) Check() error {
 	return v.checkSegs("vector", func(k int) bool { return k <= lastSeg })
 }
 
-// Check verifies the skip list's persistent invariants: a sound arena,
-// the level-0 chain acyclic and strictly sorted, node heights in range,
-// every upper level a sorted subsequence of level 0, and every node,
-// with its key and its next pointers, inside the arena below the cursor.
-func (s *SkipList) Check() error {
+// Check verifies the hash list's persistent invariants: a sound arena
+// and directory; the list acyclic, every node with its key inside the
+// arena below the cursor, its split-order key that of its key, in split
+// order, and its key unique; every finger naming a node on the list
+// below its bucket's start; and a key count no larger than the list.
+func (s *HashList) Check() error {
 	var errs []error
 	fail := func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf("skiplist %d: "+format, append([]any{s.root}, args...)...))
+		errs = append(errs, fmt.Errorf("hash list %d: "+format, append([]any{s.root}, args...)...))
 	}
-	if err := s.h.CheckBlock(s.root, slRootSize); err != nil {
+	if err := s.h.CheckBlock(s.root, hlRootSize); err != nil {
 		fail("root: %w", err)
 		return errors.Join(errs...)
 	}
@@ -47,60 +49,83 @@ func (s *SkipList) Check() error {
 		fail("%w", err)
 		return errors.Join(errs...)
 	}
-	// Level 0: the durable ground truth.
-	level0 := make(map[nvm.PPtr]bool)
-	var prevKey []byte
-	havePrev := false
-	for cur := s.next(s.head, 0); !cur.IsNil(); cur = s.next(cur, 0) {
-		if level0[cur] {
-			fail("level 0 contains a cycle at node %d", cur)
-			return errors.Join(errs...)
-		}
-		level0[cur] = true
-		if err := s.arena.Contains(cur, slOffBytes); err != nil {
-			fail("node %d: %w", cur, err)
-			return errors.Join(errs...) // cannot trust its next pointers
-		}
-		hgt := s.height(cur)
-		if hgt < 1 || hgt > slMaxHeight {
-			fail("node %d: height %d outside [1, %d]", cur, hgt, slMaxHeight)
-			return errors.Join(errs...)
-		}
-		if err := s.arena.Contains(cur, slNodeSize(BlobLen(s.h, cur.Add(slOffKey)), hgt)); err != nil {
-			fail("node %d of height %d: %w", cur, hgt, err)
-			return errors.Join(errs...)
-		}
-		key := s.key(cur)
-		if havePrev && bytes.Compare(prevKey, key) >= 0 {
-			fail("level 0 not strictly sorted at node %d (%q after %q)", cur, key, prevKey)
-		}
-		prevKey, havePrev = key, true
+	// The directory: segment 0 in the root, then a run of linked
+	// segments, each a piece of the arena, that makes the bucket count.
+	if seg := nvm.PPtr(s.h.U64(s.root.Add(hlRootOffSegs))); seg != s.root.Add(hlRootOffSeg0) {
+		fail("directory segment 0 at %d, not in the root", seg)
+		return errors.Join(errs...)
 	}
-	// Upper levels: accelerators, each a sorted subsequence of level 0.
-	for level := 1; level < slMaxHeight; level++ {
-		seen := make(map[nvm.PPtr]bool)
-		var prev []byte
-		have := false
-		for cur := s.next(s.head, level); !cur.IsNil(); cur = s.next(cur, level) {
-			if seen[cur] {
-				fail("level %d contains a cycle at node %d", level, cur)
-				break
+	sizeLog := uint64(hlBaseLog)
+	for j := 1; j < hlMaxSegs; j++ {
+		seg := nvm.PPtr(s.h.U64(s.root.Add(hlRootOffSegs + 8*uint64(j))))
+		switch {
+		case seg.IsNil():
+		case uint64(j) != sizeLog-hlBaseLog+1:
+			fail("directory segment %d is linked after a gap", j)
+		default:
+			if err := s.arena.Contains(seg, 8*hlSegLen(j)); err != nil {
+				fail("directory segment %d: %w", j, err)
 			}
-			seen[cur] = true
-			if !level0[cur] {
-				fail("level %d links node %d that is not on level 0", level, cur)
-				break
+			sizeLog++
+		}
+	}
+	if len(errs) > 0 {
+		return errors.Join(errs...)
+	}
+
+	// The list: the durable ground truth. Keys with one split-order key
+	// (equal hashes) are a run; a key is unique if it is unique in its run.
+	so := make(map[nvm.PPtr]uint64)
+	var prev uint64
+	var run [][]byte
+	for cur := s.next(s.head); !cur.IsNil(); cur = s.next(cur) {
+		if _, ok := so[cur]; ok {
+			fail("the list contains a cycle at node %d", cur)
+			return errors.Join(errs...)
+		}
+		if err := s.arena.Contains(cur, hlNodeHdr); err != nil {
+			fail("node %d: %w", cur, err)
+			return errors.Join(errs...) // cannot trust its link
+		}
+		if err := s.arena.Contains(cur, hlNodeSize(int(BlobLen(s.h, cur.Add(hlOffKey))))); err != nil {
+			fail("node %d: %w", cur, err)
+			return errors.Join(errs...)
+		}
+		key := ReadBlob(s.h, cur.Add(hlOffKey))
+		k := s.h.GetU64(cur.Add(hlOffSO))
+		so[cur] = k
+		if want := bits.Reverse64(hashKey(key)); k != want {
+			fail("node %d holds split-order key %#x, its key %q has %#x", cur, k, key, want)
+		}
+		if len(so) > 1 && k < prev {
+			fail("node %d out of split order: %#x after %#x", cur, k, prev)
+		}
+		if len(so) == 1 || k != prev {
+			run = run[:0]
+		}
+		for _, other := range run {
+			if bytes.Equal(other, key) {
+				fail("node %d repeats key %q", cur, key)
 			}
-			if hgt := s.height(cur); hgt <= level {
-				fail("level %d links node %d of height %d", level, cur, hgt)
-				break
-			}
-			key := s.key(cur)
-			if have && bytes.Compare(prev, key) >= 0 {
-				fail("level %d not strictly sorted at node %d", level, cur)
-				break
-			}
-			prev, have = key, true
+		}
+		run = append(run, key)
+		prev = k
+	}
+	if n := s.h.U64(s.root.Add(hlRootOffCount)); n > uint64(len(so)) {
+		fail("key count %d exceeds the %d keys on the list", n, len(so))
+	}
+	// The fingers: accelerators, each naming the head or a node on the
+	// list before its bucket's run.
+	for b := uint64(1); b < 1<<sizeLog; b++ {
+		f := nvm.PPtr(s.h.U64(s.fingerSlot(b)))
+		if f.IsNil() || f == s.head {
+			continue
+		}
+		k, ok := so[f]
+		if !ok {
+			fail("finger of bucket %d names %d, which is not on the list", b, f)
+		} else if start := bits.Reverse64(b); k >= start {
+			fail("finger of bucket %d names node %d at split-order key %#x, not below the bucket's start %#x", b, f, k, start)
 		}
 	}
 	return errors.Join(errs...)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hyrisenv/internal/nvm"
@@ -218,6 +220,62 @@ func TestNVMDeltaSurvivesReopen(t *testing.T) {
 	}
 	if id != id0 {
 		t.Fatalf("post-restart append of existing value: id %d, want %d", id, id0)
+	}
+}
+
+// TestNVMDeltaLookupUnderGrowingWriter: readers look values up in an
+// NVM delta column while one writer appends enough new values to double
+// the dictionary index's directory several times (run it with -race).
+// Every value the writer has appended is found with its ID, and no value
+// it has not appended is found.
+func TestNVMDeltaLookupUnderGrowingWriter(t *testing.T) {
+	const n = 3000
+	h, _ := testNVMHeap(t)
+	d, err := NewNVMDelta(h, TypeInt64, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var appended atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := int64(r); ; i = (i*7 + 1) % n {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				have := appended.Load()
+				id, ok := d.LookupValueID(Int(i).EncodeKey(nil))
+				switch {
+				case i < have && (!ok || id != uint64(i)):
+					t.Errorf("value %d, appended as ID %d, looks up as %d, %v", i, i, id, ok)
+					return
+				case ok && id != uint64(i):
+					t.Errorf("value %d looks up as ID %d", i, id)
+					return
+				}
+				if _, ok := d.LookupValueID(Int(n + i).EncodeKey(nil)); ok {
+					t.Errorf("value %d, never appended, is found", n+i)
+					return
+				}
+			}
+		}(r)
+	}
+	for i := int64(0); i < n; i++ {
+		if id, err := d.Append(Int(i)); err != nil || id != uint64(i) {
+			t.Errorf("Append(%d) = %d, %v", i, id, err)
+			break
+		}
+		appended.Store(i + 1)
+	}
+	close(done)
+	wg.Wait()
+	if err := d.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

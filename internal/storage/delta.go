@@ -13,7 +13,7 @@ import (
 // DeltaColumn is the write-optimized column format: an append-only
 // attribute vector of value IDs over an unsorted, append-only dictionary.
 // New values get the next dictionary ID; the dictionary is indexed for
-// value→ID lookups (a hash map on the DRAM backend, a persistent skip
+// value→ID lookups (a hash map on the DRAM backend, a persistent hash
 // list on NVM so it is valid immediately after restart). A scan resolves
 // an equality to the one value ID the index returns, and compares ranges
 // on KeyWords, a volatile word per dictionary ID that it builds on
@@ -256,12 +256,12 @@ const (
 )
 
 // NVMDelta is the persistent delta column of Hyrise-NV. The dictionary
-// index (a skip list) holds every value's key bytes inside its nodes;
+// index (a hash list) holds every value's key bytes inside its nodes;
 // the dictionary vector holds blob references to those keys, by value
 // ID; the attribute vector holds a value ID per row. An indexed column
 // also keeps a heads vector beside the dictionary vector: by value ID,
 // the head word of the posting list of the rows carrying it (see
-// pstruct.ListScan), whose nodes are bumped from the skip list's arena.
+// pstruct.ListScan), whose nodes are bumped from the hash list's arena.
 // All of it lives on NVM, so the column is fully usable immediately
 // after Attach — no rebuild.
 type NVMDelta struct {
@@ -272,7 +272,7 @@ type NVMDelta struct {
 	// One writer at a time (the table's write lock): the structures hold
 	// staged state between the halves of an append. Readers are lock-free.
 	dictVec *pstruct.Vector
-	idx     *pstruct.SkipList
+	idx     *pstruct.HashList
 	av      *pstruct.Vector
 	heads   *pstruct.Vector // nil on an unindexed column
 
@@ -286,7 +286,7 @@ func NewNVMDelta(h *nvm.Heap, typ ColType, indexed bool) (*NVMDelta, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := pstruct.NewSkipList(h)
+	idx, err := pstruct.NewHashList(h)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +322,7 @@ func AttachNVMDelta(h *nvm.Heap, root nvm.PPtr) *NVMDelta {
 		root:    root,
 		typ:     ColType(h.GetU64(root.Add(ndOffType))),
 		dictVec: pstruct.AttachVector(h, nvm.PPtr(h.GetU64(root.Add(ndOffDictVec)))),
-		idx:     pstruct.AttachSkipList(h, nvm.PPtr(h.GetU64(root.Add(ndOffIdx)))),
+		idx:     pstruct.AttachHashList(h, nvm.PPtr(h.GetU64(root.Add(ndOffIdx)))),
 		av:      pstruct.AttachVector(h, nvm.PPtr(h.GetU64(root.Add(ndOffAV)))),
 	}
 	if p := nvm.PPtr(h.GetU64(root.Add(ndOffHeads))); !p.IsNil() {
@@ -353,14 +353,14 @@ func (d *NVMDelta) Rows() uint64 { return d.av.Len() }
 // caller fences in between.
 func (d *NVMDelta) StageAppend(v Value) (uint64, error) {
 	next := d.dictVec.Len()
-	slot, existed, err := d.idx.StageInsert(v.EncodeKey(nil), next)
+	node, existed, err := d.idx.StageInsert(v.EncodeKey(nil), next)
 	if err != nil {
 		return 0, err
 	}
 	id := next
 	if existed {
-		id = d.h.U64(slot)
-	} else if _, err := d.dictVec.StageAppend(uint64(d.idx.KeyRef(slot))); err != nil {
+		id = d.idx.Value(node)
+	} else if _, err := d.dictVec.StageAppend(uint64(d.idx.KeyRef(node))); err != nil {
 		return 0, err
 	}
 	row, err := d.av.StageAppend(id)
@@ -401,7 +401,7 @@ func (d *NVMDelta) Publish() {
 }
 
 // Settle finishes a published append after the caller's second fence
-// (see pstruct.SkipList.Settle).
+// (see pstruct.HashList.Settle).
 func (d *NVMDelta) Settle() bool { return d.idx.Settle() }
 
 // Unstage forgets a staged append that will not be published.

@@ -532,7 +532,7 @@ func publishRow(ps *partitions, log RowLog) {
 }
 
 // settleRow finishes a published row after the second fence (see
-// pstruct.SkipList.Settle); what it flushes rides the next fence.
+// pstruct.HashList.Settle); what it flushes rides the next fence.
 func settleRow(ps *partitions) {
 	for _, d := range ps.nvmDelta {
 		d.Settle()
