@@ -43,20 +43,60 @@ func hlCheckModel(t *testing.T, s *HashList, model map[string]uint64) {
 	}
 }
 
-// TestHashListAgainstMap drives a hash list with random inserts and
-// lookups against a Go map across four directory doublings, reopening the
-// heap after each: an insert reports a present key as present and keeps
-// its value, a lookup agrees with the map, and the reopened list holds
-// exactly the map.
-func TestHashListAgainstMap(t *testing.T) {
-	h, path := testHeap(t)
+// TestHashListInsertGet inserts fresh keys, then the same keys again with
+// other values: a fresh key is reported absent, a present one present, and
+// every key keeps its first value.
+func TestHashListInsertGet(t *testing.T) {
+	h, _ := testHeap(t)
 	s, err := NewHashList(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.SetRoot("hl", s.Root(), 0)
 	if _, ok := s.Get([]byte("missing")); ok {
 		t.Fatal("empty list returned a value")
+	}
+	const n = 500
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%05d", i)) }
+	for i := 0; i < n; i++ {
+		existed, err := s.Insert(key(i), uint64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if existed {
+			t.Fatalf("fresh key %q reported as existing", key(i))
+		}
+	}
+	for i := 0; i < n; i++ {
+		existed, err := s.Insert(key(i), uint64(n+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !existed {
+			t.Fatalf("present key %q reported as fresh", key(i))
+		}
+	}
+	if got := hlLen(s); got != n {
+		t.Fatalf("list holds %d keys, want %d", got, n)
+	}
+	for i := 0; i < n; i++ {
+		if v, ok := s.Get(key(i)); !ok || v != uint64(i) {
+			t.Fatalf("Get(%q) = %d, %v, want %d", key(i), v, ok, i)
+		}
+	}
+	if _, err := s.Insert([]byte("wide"), 1<<32); err == nil {
+		t.Fatal("a value beyond 32 bits was accepted")
+	}
+}
+
+// TestHashListAgainstMap drives a hash list with random inserts and
+// lookups against a Go map across four directory doublings: an insert
+// reports a present key as present and keeps its value, a lookup agrees
+// with the map, and after each doubling the list holds exactly the map.
+func TestHashListAgainstMap(t *testing.T) {
+	h, _ := testHeap(t)
+	s, err := NewHashList(h)
+	if err != nil {
+		t.Fatal(err)
 	}
 	model := make(map[string]uint64)
 	rnd := rand.New(rand.NewSource(42))
@@ -82,6 +122,34 @@ func TestHashListAgainstMap(t *testing.T) {
 				model[k] = next
 			}
 		}
+		if got, want := s.sizeLog.Load(), uint64(hlBaseLog+doubling); got != want {
+			t.Fatalf("after doubling %d: 2^%d buckets, want 2^%d", doubling, got, want)
+		}
+		hlCheckModel(t, s, model)
+	}
+}
+
+// TestHashListSurvivesReopen inserts keys until the directory doubles,
+// reopens the heap and goes on inserting into the attached list, four
+// times over: each reopened list has the doubled directory, a count
+// within one flush interval of the keys inserted, and exactly those keys.
+func TestHashListSurvivesReopen(t *testing.T) {
+	h, path := testHeap(t)
+	s, err := NewHashList(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.SetRoot("hl", s.Root(), 0)
+	model := make(map[string]uint64)
+	for doubling := 1; doubling <= 4; doubling++ {
+		for log := s.sizeLog.Load(); s.sizeLog.Load() == log; {
+			i := len(model)
+			k := fmt.Sprintf("k%05d", i)
+			if _, err := s.Insert([]byte(k), uint64(i*10)); err != nil {
+				t.Fatal(err)
+			}
+			model[k] = uint64(i * 10)
+		}
 		h = reopen(t, h, path)
 		root, _, _ := h.Root("hl")
 		s = AttachHashList(h, root)
@@ -93,9 +161,6 @@ func TestHashListAgainstMap(t *testing.T) {
 			t.Fatalf("after doubling %d: count %d, model %d", doubling, s.count, n)
 		}
 		hlCheckModel(t, s, model)
-	}
-	if _, err := s.Insert([]byte("wide"), 1<<32); err == nil {
-		t.Fatal("a value beyond 32 bits was accepted")
 	}
 }
 
