@@ -4,7 +4,9 @@
 // systems" (ICDE 2016).
 //
 // The engine is a dictionary-compressed main/delta column store with
-// insert-only MVCC transactions and three durability modes:
+// insert-only MVCC transactions and three durability modes, all three
+// running the same table, MVCC and index structures — on NVM, or on a
+// DRAM heap that does not persist:
 //
 //   - Volatile — no durability; the DRAM reference point.
 //   - LogBased — write-ahead logging + binary checkpoints on a modelled
@@ -355,9 +357,9 @@ func (db *DB) Maintain() error { return db.eng.Maintain() }
 // agreement) and returns an error describing the first violation found.
 func (db *DB) Check() error { return db.eng.Check() }
 
-// Scavenge reclaims unreachable NVM blocks (superseded merge partitions,
-// allocations orphaned by crashes) on every shard. NVM mode only; the
-// caller must ensure no transactions are active.
+// Scavenge reclaims unreachable heap blocks (superseded merge
+// partitions, allocations orphaned by crashes) on every shard, in every
+// mode; the caller must ensure no transactions are active.
 func (db *DB) Scavenge() (reclaimed int, err error) { return db.eng.Scavenge() }
 
 // Engine exposes the internal core engine — shard 0 when partitioned —

@@ -617,11 +617,28 @@ func (g *Graph) genCall(fc *fctx, call *ast.CallExpr) int {
 		} else {
 			g.genExtern(call, static, recv, args, res)
 		}
+		g.atomicCopy(fc, fun, static, recv, args, res)
 	}
 	if len(res) == 0 {
 		return -1
 	}
 	return res[0]
+}
+
+// atomicCopy models the Load and Store methods of the sync/atomic types
+// as the copies they are: x.Store(v) assigns v to x, and x.Load() reads
+// x, so a pointer kept in an atomic word keeps its provenance.
+func (g *Graph) atomicCopy(fc *fctx, fun ast.Expr, fn *types.Func, recv int, args, res []int) {
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok || recv < 0 || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+		return
+	}
+	switch {
+	case fn.Name() == "Load" && len(res) == 1:
+		g.addCopy(recv, res[0])
+	case fn.Name() == "Store" && len(args) == 1 && args[0] >= 0:
+		g.assignTo(fc, sel.X, args[0])
+	}
 }
 
 // resNodesOf allocates (once) the per-call result nodes.

@@ -217,6 +217,29 @@ func TestConversionKeepsProvenance(t *testing.T) {
 	}
 }
 
+// TestAtomicKeepsProvenance: an atomic word's Store and Load are copy
+// edges, so a PPtr loaded from one points to the block stored into it.
+func TestAtomicKeepsProvenance(t *testing.T) {
+	g, pkg := loadGraph(t)
+	var ret ast.Expr
+	ast.Inspect(fnDecl(t, pkg, "atomicRoundtrip").Body, func(n ast.Node) bool {
+		if r, ok := n.(*ast.ReturnStmt); ok && len(r.Results) == 1 {
+			ret = r.Results[0]
+		}
+		return true
+	})
+	if ret == nil {
+		t.Fatal("return not found")
+	}
+	objs := g.PointsTo(ret)
+	for _, o := range objs {
+		if o.NVM && strings.Contains(o.Label, "block allocated") {
+			return
+		}
+	}
+	t.Errorf("a PPtr loaded from an atomic word lost the block stored into it: %v", objs)
+}
+
 func TestEscapeFacts(t *testing.T) {
 	g, pkg := loadGraph(t)
 	for _, o := range g.PointsToObj(localVar(t, pkg, "escape", "shared")) {

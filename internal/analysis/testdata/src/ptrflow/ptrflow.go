@@ -3,7 +3,11 @@
 // graph of this package.
 package ptrflow
 
-import "fix/nvm"
+import (
+	"sync/atomic"
+
+	"fix/nvm"
+)
 
 // alias derives a second slice view of the same block: c and b must
 // alias the same abstract object, and both must be NVM.
@@ -75,6 +79,19 @@ func boundCall(h *nvm.Heap, p nvm.PPtr) {
 func convRoundtrip(h *nvm.Heap, slot, q nvm.PPtr) nvm.PPtr {
 	h.SetU64(slot, uint64(q))
 	return nvm.PPtr(h.U64(slot))
+}
+
+// atomicSegs keeps PPtrs in atomic words, as a segment directory does.
+type atomicSegs struct {
+	segs [4]atomic.Uint64
+}
+
+// atomicRoundtrip stores an allocated block's PPtr into an atomic word
+// and loads it back: provenance must survive.
+func atomicRoundtrip(h *nvm.Heap, d *atomicSegs) nvm.PPtr {
+	p, _ := h.Alloc(64)
+	d.segs[1].Store(uint64(p))
+	return nvm.PPtr(d.segs[1].Load())
 }
 
 // escape ships one buffer to a goroutine and keeps the other local.

@@ -17,7 +17,6 @@ import (
 	"hyrisenv/internal/shard"
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
-	"hyrisenv/internal/vec"
 	"hyrisenv/internal/workload"
 )
 
@@ -299,39 +298,51 @@ func E4InsertBreakdown(workDir string, iters int) (*Report, error) {
 	if err := os.MkdirAll(heapPath, 0o755); err != nil {
 		return nil, err
 	}
-	h, err := nvm.Create(filepath.Join(heapPath, "h.nvm"), heapFor(iters*4))
+	nh, err := nvm.Create(filepath.Join(heapPath, "h.nvm"), heapFor(iters*4))
 	if err != nil {
 		return nil, err
 	}
 	defer func() {
-		h.Close()
+		nh.Close()
 		os.RemoveAll(heapPath)
 	}()
+	dh, err := nvm.CreateVolatile()
+	if err != nil {
+		return nil, err
+	}
+	defer dh.Close()
 
 	for _, backend := range []string{"dram", "nvm"} {
-		var plain, indexed storage.DeltaColumn
-		var st *mvcc.Store
+		h := dh
 		if backend == "nvm" {
-			if plain, err = storage.NewNVMDelta(h, storage.TypeInt64, false); err != nil {
-				return nil, err
-			}
-			if indexed, err = storage.NewNVMDelta(h, storage.TypeInt64, true); err != nil {
-				return nil, err
-			}
-			b, _ := newNVMVec(h)
-			e2, _ := newNVMVec(h)
-			st = mvcc.NewStore(b, e2)
-		} else {
-			plain = storage.NewVolatileDelta(storage.TypeInt64, false)
-			indexed = storage.NewVolatileDelta(storage.TypeInt64, true)
-			st = mvcc.NewStore(vec.NewVolatile(10), vec.NewVolatile(10))
+			h = nh
 		}
+		plain, err := storage.NewNVMDelta(h, storage.TypeInt64, false)
+		if err != nil {
+			return nil, err
+		}
+		indexed, err := storage.NewNVMDelta(h, storage.TypeInt64, true)
+		if err != nil {
+			return nil, err
+		}
+		begin, err := pstruct.NewVector(h, 8, 10)
+		if err != nil {
+			return nil, err
+		}
+		end, err := pstruct.NewVector(h, 8, 10)
+		if err != nil {
+			return nil, err
+		}
+		st := mvcc.NewStore(begin, end)
 
 		colT := timeIt(iters, func(i int) {
 			plain.Append(storage.Int(int64(i % 1024)))
 		})
 		mvccT := timeIt(iters, func(i int) {
-			st.AppendRow(1)
+			st.StageRow(1)
+			h.Fence()
+			st.PublishRow()
+			h.Fence()
 		})
 		idxT := timeIt(iters, func(i int) {
 			indexed.Append(storage.Int(int64(i % 1024)))
@@ -377,12 +388,6 @@ func E4InsertBreakdown(workDir string, iters int) (*Report, error) {
 	r.AddNote("expected shape: nvm adds persist-barrier time to every component; " +
 		"commit part covers stamping + lastCID persist (nvm) vs volatile stamp (dram)")
 	return r, nil
-}
-
-func newNVMVec(h *nvm.Heap) (vec.Vec, vec.Vec) {
-	b, _ := pstruct.NewVector(h, 8, 10)
-	e, _ := pstruct.NewVector(h, 8, 10)
-	return b, e
 }
 
 func timeIt(iters int, fn func(i int)) time.Duration {

@@ -1,18 +1,22 @@
 // Package core implements the Hyrise-NV storage engine: a catalog of
 // main/delta column-store tables with MVCC transactions and one of three
-// durability modes.
+// durability modes. Every mode runs the same structures — columns,
+// dictionaries, MVCC vectors and indexes — on a heap; the modes differ
+// in the medium under the heap and in what makes commits durable.
 //
-//   - ModeNone — volatile only; the DRAM reference point for overhead
-//     measurements.
+//   - ModeNone — volatile only: the heap does not persist (an unlinked
+//     file on tmpfs, see nvm.CreateVolatile); the DRAM reference point
+//     for overhead measurements.
 //   - ModeLog — the conventional architecture the paper compares
-//     against: DRAM tables + write-ahead log + binary checkpoints;
-//     restart re-reads the checkpoint, replays the log and rebuilds all
-//     secondary index structures, taking time proportional to data size.
-//   - ModeNVM — the paper's contribution: tables, MVCC vectors and index
-//     structures live in (simulated) non-volatile memory and are updated
-//     transactionally consistently, so restart re-attaches the heap and
-//     fixes up only in-flight transactions: constant time, independent
-//     of data size.
+//     against: tables on a heap that does not persist, a write-ahead log
+//     and binary checkpoints; restart re-reads the checkpoint onto a
+//     fresh heap, replays the log and rebuilds all secondary index
+//     structures, taking time proportional to data size.
+//   - ModeNVM — the paper's contribution: the heap is (simulated)
+//     non-volatile memory, and tables, MVCC vectors and index structures
+//     are updated transactionally consistently, so restart re-attaches
+//     the heap and fixes up only in-flight transactions: constant time,
+//     independent of data size.
 package core
 
 import (
@@ -104,7 +108,7 @@ type Engine struct {
 	mgr *txn.Manager
 	ex  *exec.Executor
 
-	h  *nvm.Heap    // ModeNVM
+	h  *nvm.Heap    // NVM in ModeNVM, a heap that does not persist otherwise
 	lm *wal.Manager // ModeLog
 
 	mu          sync.RWMutex
@@ -147,6 +151,7 @@ func Open(cfg Config) (*Engine, error) {
 	switch cfg.Mode {
 	case txn.ModeNone:
 		e.mgr = txn.NewManager(txn.ModeNone, 0)
+		e.h, err = nvm.CreateVolatile()
 	case txn.ModeLog:
 		err = e.openLog()
 	case txn.ModeNVM:
@@ -163,17 +168,26 @@ func Open(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-func (e *Engine) openLog() error {
+func (e *Engine) openLog() (err error) {
 	if e.cfg.Dir == "" {
 		return errors.New("core: ModeLog requires Config.Dir")
 	}
+	// The tables are rebuilt onto a heap that does not persist.
+	if e.h, err = nvm.CreateVolatile(); err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			e.h.Close()
+		}
+	}()
 	lm, err := wal.NewManager(e.cfg.Dir, e.cfg.DiskModel)
 	if err != nil {
 		return err
 	}
 	lm.SetCompression(e.cfg.CompressCheckpoints)
 	e.lm = lm
-	res, err := lm.Recover()
+	res, err := lm.Recover(e.h)
 	if err != nil {
 		return err
 	}
@@ -183,11 +197,13 @@ func (e *Engine) openLog() error {
 	e.recovery.CheckpointBytes = res.Stats.CheckpointBytes
 	e.nextTableID = res.NextTableID
 
-	// Rebuild all volatile index structures — with the replay, the
+	// Rebuild all index structures — with the replay, the
 	// data-size-proportional part of a conventional restart.
 	idxStart := time.Now()
 	for id, t := range res.Tables {
-		t.RebuildIndexes()
+		if err := t.RebuildIndexes(); err != nil {
+			return err
+		}
 		e.byID[id] = t
 		e.tables[t.Name] = t
 	}
@@ -272,7 +288,8 @@ func (e *Engine) Mode() txn.Mode { return e.cfg.Mode }
 // RecoveryStats returns what the last Open had to do.
 func (e *Engine) RecoveryStats() RecoveryStats { return e.recovery }
 
-// Heap exposes the NVM heap (ModeNVM; nil otherwise) for statistics.
+// Heap exposes the engine's heap for statistics: NVM in ModeNVM, a heap
+// that does not persist otherwise.
 func (e *Engine) Heap() *nvm.Heap { return e.h }
 
 // Manager exposes the transaction manager.
@@ -309,21 +326,17 @@ func (e *Engine) CreateTable(name string, schema storage.Schema, indexedCols ...
 		return nil, fmt.Errorf("%w: %q", ErrTableExists, name)
 	}
 	id := e.nextTableID
-	var t *storage.Table
-	var err error
+	t, err := storage.CreateNVMTable(e.h, name, id, schema, mask)
+	if err != nil {
+		return nil, err
+	}
 	if e.cfg.Mode == txn.ModeNVM {
-		t, err = storage.CreateNVMTable(e.h, name, id, schema, mask)
-		if err != nil {
-			return nil, err
-		}
-		if err := e.h.SetRoot("tbl:"+name, t.Root(), 0); err != nil {
-			return nil, err
-		}
+		err = e.h.SetRoot("tbl:"+name, t.Root(), 0)
 	} else {
-		t = storage.NewVolatileTable(name, id, schema, mask)
-		if err := e.mgr.LogDDL(id, name, schema, mask); err != nil {
-			return nil, err
-		}
+		err = e.mgr.LogDDL(id, name, schema, mask)
+	}
+	if err != nil {
+		return nil, err
 	}
 	e.nextTableID = id + 1
 	e.tables[name] = t
@@ -430,10 +443,8 @@ func (e *Engine) Close() error {
 		if w := e.mgr.LogWriter(); w != nil {
 			e.closeErr = w.Close()
 		}
-		if e.h != nil {
-			if err := e.h.Close(); err != nil && e.closeErr == nil {
-				e.closeErr = err
-			}
+		if err := e.h.Close(); err != nil && e.closeErr == nil {
+			e.closeErr = err
 		}
 	})
 	return e.closeErr
@@ -442,15 +453,12 @@ func (e *Engine) Close() error {
 // Closed reports whether Close has begun.
 func (e *Engine) Closed() bool { return e.closed.Load() }
 
-// Scavenge reclaims NVM blocks that are no longer reachable from any
-// table or transaction context: storage superseded by merges and blocks
-// reserved by transactions that crashed between allocation and linking.
-// It is an offline maintenance operation (O(heap size)); the caller must
-// ensure no transactions are active. ModeNVM only.
+// Scavenge reclaims heap blocks that are no longer reachable from any
+// table or transaction context: storage superseded by merges and, on
+// NVM, blocks reserved by transactions that crashed between allocation
+// and linking. It is an offline maintenance operation (O(heap size)); the
+// caller must ensure no transactions are active.
 func (e *Engine) Scavenge() (reclaimed int, err error) {
-	if e.cfg.Mode != txn.ModeNVM {
-		return 0, ErrWrongMode
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.mgr.BlockCommits(func() {

@@ -109,7 +109,7 @@ func TestBankTransferInvariant(t *testing.T) {
 		writers            = 6
 		transfersPerWriter = 300
 	)
-	for _, mode := range []txn.Mode{txn.ModeNone, txn.ModeNVM} {
+	for _, mode := range []txn.Mode{txn.ModeNone, txn.ModeLog, txn.ModeNVM} {
 		t.Run(mode.String(), func(t *testing.T) {
 			e := openEngine(t, mode, t.TempDir())
 			tbl := setupAccounts(t, e, accounts, initial)

@@ -234,9 +234,9 @@ type diffFixture struct {
 
 func openDiffEngine(t testing.TB, mode txn.Mode) (*core.Engine, *storage.Table) {
 	t.Helper()
-	cfg := core.Config{Mode: mode}
-	if mode == txn.ModeNVM {
-		cfg.Dir, cfg.NVMHeapSize = t.TempDir(), 256<<20
+	cfg := core.Config{Mode: mode, NVMHeapSize: 256 << 20}
+	if mode != txn.ModeNone {
+		cfg.Dir = t.TempDir()
 	}
 	e, err := core.Open(cfg)
 	if err != nil {
@@ -568,15 +568,8 @@ func TestKernelMatchesOracle(t *testing.T) {
 // view it read (ScanOn): under snapshot isolation neither a later commit
 // nor a later generation may change what that view shows the reader.
 func TestKernelMatchesOracleUnderWrites(t *testing.T) {
-	for _, mode := range []txn.Mode{txn.ModeNone, txn.ModeNVM} {
+	for _, mode := range []txn.Mode{txn.ModeNone, txn.ModeLog, txn.ModeNVM} {
 		t.Run(mode.String(), func(t *testing.T) {
-			if mode == txn.ModeNVM && raceDetector {
-				// A reader of an NVM vector is ordered after its writer by
-				// the length word, which lives in the mapping; the detector
-				// tracks only the Go heap, sees no edge, and reports the
-				// vector's segment table. The DRAM twin runs under it.
-				t.Skip("the race detector does not follow synchronisation through mapped memory")
-			}
 			e, tbl := openDiffEngine(t, mode)
 			ctx := context.Background()
 			var nextU int64

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/storage"
 )
 
@@ -15,8 +16,8 @@ var deltaTypes = []storage.ColType{storage.TypeInt64, storage.TypeFloat64, stora
 // cut from data: 8 bytes each for Int64 and Float64, and for String a
 // length byte (mod 12) and that many bytes, zeros and shared prefixes
 // included.
-func fuzzDelta(t *testing.T, typ storage.ColType, data []byte) *storage.VolatileDelta {
-	d := storage.NewVolatileDelta(typ, false)
+func fuzzDelta(t *testing.T, typ storage.ColType, data []byte) *storage.NVMDelta {
+	d := newDelta(t, typ)
 	for len(data) > 0 {
 		var key []byte
 		if typ == storage.TypeString {
@@ -30,6 +31,21 @@ func fuzzDelta(t *testing.T, typ storage.ColType, data []byte) *storage.Volatile
 		if _, err := d.Append(storage.DecodeValue(typ, key)); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return d
+}
+
+// newDelta returns an empty, unindexed delta column on a heap of its own
+// that does not persist.
+func newDelta(t testing.TB, typ storage.ColType) *storage.NVMDelta {
+	h, err := nvm.CreateVolatile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	d, err := storage.NewNVMDelta(h, typ, false)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return d
 }
@@ -109,7 +125,7 @@ func BenchmarkDeltaFilter(b *testing.B) {
 	for _, typ := range deltaTypes {
 		for _, dict := range []int{4 << 10, 100 << 10} {
 			rng := rand.New(rand.NewSource(int64(dict)))
-			d := storage.NewVolatileDelta(typ, false)
+			d := newDelta(b, typ)
 			for d.DictLen() < uint64(dict) {
 				x := rng.Int63()
 				v := storage.Int(x)

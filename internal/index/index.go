@@ -1,11 +1,11 @@
 // Package index provides the group-key index of the Hyrise architecture
 // over the read-optimized main partition: a CSR (offsets + positions)
 // layout mapping each dictionary value ID to the sorted list of rows
-// carrying it. It is built wholesale at merge time and immutable
-// afterwards, in a volatile flavor (the log-based baseline rebuilds it
-// during recovery — a dominant component of its restart time) and an
-// NVM-resident flavor (valid immediately after restart, the Hyrise-NV
-// design).
+// carrying it, in two vectors on the table's heap. It is built wholesale
+// at merge time and immutable afterwards. On NVM it is valid
+// immediately after restart (the Hyrise-NV design); the log-based
+// baseline, whose heap does not persist, rebuilds it during recovery —
+// a dominant component of its restart time.
 //
 // The delta partition's index is no structure of its own: a delta
 // column of an indexed column keeps a posting list of rows per
@@ -18,63 +18,25 @@ import (
 	"hyrisenv/internal/pstruct"
 )
 
-// --- Group-key (main partition) ------------------------------------------------
-
-// GroupKey is the volatile group-key index: positions[offsets[id] :
-// offsets[id+1]] are the main rows whose value ID is id, ascending.
-type GroupKey struct {
-	offsets   []uint64 // len = dictLen+1
-	positions []uint64 // len = rows
-}
-
-// BuildGroupKey constructs a group-key index by counting sort over the
-// attribute vector (O(rows + dict)).
-func BuildGroupKey(rows, dictLen uint64, idAt func(row uint64) uint64) *GroupKey {
-	offsets := make([]uint64, dictLen+1)
+// groupKey is the CSR layout by counting sort over the attribute vector
+// (O(rows + dict)): positions[offsets[id] : offsets[id+1]] are the rows
+// whose value ID is id, ascending.
+func groupKey(rows, dictLen uint64, idAt func(row uint64) uint64) (offsets, positions []uint64) {
+	offsets = make([]uint64, dictLen+1)
 	for r := uint64(0); r < rows; r++ {
 		offsets[idAt(r)+1]++
 	}
 	for i := 1; i <= int(dictLen); i++ {
 		offsets[i] += offsets[i-1]
 	}
-	positions := make([]uint64, rows)
+	positions = make([]uint64, rows)
 	cursor := make([]uint64, dictLen)
 	for r := uint64(0); r < rows; r++ {
 		id := idAt(r)
 		positions[offsets[id]+cursor[id]] = r
 		cursor[id]++
 	}
-	return &GroupKey{offsets: offsets, positions: positions}
-}
-
-// Rows yields the main rows with the given value ID in ascending order.
-func (g *GroupKey) Rows(id uint64, fn func(row uint64) bool) {
-	if id+1 >= uint64(len(g.offsets)) {
-		return
-	}
-	for _, r := range g.positions[g.offsets[id]:g.offsets[id+1]] {
-		if !fn(r) {
-			return
-		}
-	}
-}
-
-// RowsInIDRange yields rows whose value ID falls in [lo, hi) — a range
-// predicate resolved through the sorted dictionary.
-func (g *GroupKey) RowsInIDRange(lo, hi uint64, fn func(row uint64) bool) {
-	for id := lo; id < hi; id++ {
-		done := false
-		g.Rows(id, func(r uint64) bool {
-			if !fn(r) {
-				done = true
-				return false
-			}
-			return true
-		})
-		if done {
-			return
-		}
-	}
+	return offsets, positions
 }
 
 // --- NVM group-key ----------------------------------------------------------------
@@ -82,8 +44,8 @@ func (g *GroupKey) RowsInIDRange(lo, hi uint64, fn func(row uint64) bool) {
 // NVM group-key root: offsetsVec u64 | positionsVec u64.
 const ngkRootSize = 16
 
-// NVMGroupKey is the persistent group-key index: the same CSR layout in
-// two NVM vectors. Attach is O(1).
+// NVMGroupKey is the group-key index: the CSR layout in two vectors.
+// Attach is O(1).
 type NVMGroupKey struct {
 	h         *nvm.Heap
 	root      nvm.PPtr
@@ -93,19 +55,19 @@ type NVMGroupKey struct {
 
 // BuildNVMGroupKey constructs and persists a group-key index.
 func BuildNVMGroupKey(h *nvm.Heap, rows, dictLen uint64, idAt func(row uint64) uint64) (*NVMGroupKey, error) {
-	g := BuildGroupKey(rows, dictLen, idAt)
+	offsets, positions := groupKey(rows, dictLen, idAt)
 	off, err := pstruct.NewVector(h, 8, 10)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := off.AppendN(g.offsets); err != nil {
+	if _, err := off.AppendN(offsets); err != nil {
 		return nil, err
 	}
 	pos, err := pstruct.NewVector(h, 8, 10)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := pos.AppendN(g.positions); err != nil {
+	if _, err := pos.AppendN(positions); err != nil {
 		return nil, err
 	}
 	root, err := h.Alloc(ngkRootSize)

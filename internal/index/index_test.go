@@ -23,25 +23,33 @@ var testIDs = []uint64{2, 0, 1, 2, 2, 0}
 
 func idAt(r uint64) uint64 { return testIDs[r] }
 
-type gk interface {
-	Rows(id uint64, fn func(row uint64) bool)
-	RowsInIDRange(lo, hi uint64, fn func(row uint64) bool)
-}
-
-func groupKeys(t *testing.T) map[string]gk {
+// dramHeap returns a heap that does not persist.
+func dramHeap(t *testing.T) *nvm.Heap {
 	t.Helper()
-	h, _ := testHeap(t)
-	ng, err := BuildNVMGroupKey(h, uint64(len(testIDs)), 3, idAt)
+	h, err := nvm.CreateVolatile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]gk{
-		"dram": BuildGroupKey(uint64(len(testIDs)), 3, idAt),
-		"nvm":  ng,
-	}
+	t.Cleanup(func() { h.Close() })
+	return h
 }
 
-func collect(g gk, id uint64) []uint64 {
+// groupKeys builds the test index on each medium.
+func groupKeys(t *testing.T) map[string]*NVMGroupKey {
+	t.Helper()
+	h, _ := testHeap(t)
+	out := map[string]*NVMGroupKey{}
+	for name, h := range map[string]*nvm.Heap{"dram": dramHeap(t), "nvm": h} {
+		g, err := BuildNVMGroupKey(h, uint64(len(testIDs)), 3, idAt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = g
+	}
+	return out
+}
+
+func collect(g *NVMGroupKey, id uint64) []uint64 {
 	var out []uint64
 	g.Rows(id, func(r uint64) bool { out = append(out, r); return true })
 	return out
@@ -104,7 +112,10 @@ func TestGroupKeyRange(t *testing.T) {
 }
 
 func TestGroupKeyEmpty(t *testing.T) {
-	g := BuildGroupKey(0, 0, nil)
+	g, err := BuildNVMGroupKey(dramHeap(t), 0, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rows := collect(g, 0); rows != nil {
 		t.Fatalf("empty group key returned %v", rows)
 	}

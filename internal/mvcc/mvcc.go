@@ -7,12 +7,14 @@
 // and stamp the old row's end; both stamps are written at commit time with
 // the committing transaction's CID.
 //
-// On the NVM backend the begin/end vectors live in non-volatile memory and
-// are the *only* durable truth about transaction outcomes: a transaction
-// is durably committed exactly when its row stamps are persisted and the
-// global last-committed CID has been advanced past its CID (see package
-// txn for the commit protocol). The TID vector is always volatile — after
-// a restart no transaction owns any row, which is precisely correct.
+// The begin/end vectors are persistent vectors on the table's heap. On
+// NVM they are the *only* durable truth about transaction outcomes: a
+// transaction is durably committed exactly when its row stamps are
+// persisted and the global last-committed CID has been advanced past its
+// CID (see package txn for the commit protocol). The log-based and
+// volatile engines run the same vectors on a heap that does not persist.
+// The TID vector always lives in DRAM — after a restart no transaction
+// owns any row, which is precisely correct.
 //
 // Visibility is asked in two shapes. Visible answers for one row: index
 // lookups, row fetches and the write path. VisibleBits answers for a
@@ -34,7 +36,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 
-	"hyrisenv/internal/vec"
+	"hyrisenv/internal/pstruct"
 )
 
 // Inf is the CID meaning "never": rows with begin = Inf are uncommitted
@@ -44,17 +46,17 @@ const Inf = ^uint64(0)
 // Store holds the MVCC vectors for one row region (main or delta
 // partition of a table).
 type Store struct {
-	begin vec.Vec       // persistent on NVM backend
-	end   vec.Vec       // persistent on NVM backend
-	tid   *vec.Volatile // always volatile (row write locks)
-	sum   summaries     // always volatile (what scans learned, see VisibleBits)
+	begin *pstruct.Vector
+	end   *pstruct.Vector
+	tid   owners    // volatile (row write locks)
+	sum   summaries // volatile (what scans learned, see VisibleBits)
 }
 
-// NewStore wraps begin/end vectors (backend-specific) into a Store.
-// Both vectors must have equal lengths. Every row starts unowned: the
-// owner vector is zero-extended segment by segment, not row by row.
-func NewStore(begin, end vec.Vec) *Store {
-	s := &Store{begin: begin, end: end, tid: vec.NewVolatile(10)}
+// NewStore wraps begin/end vectors into a Store. Both vectors must have
+// equal lengths. Every row starts unowned: the owner vector is
+// zero-extended segment by segment, not row by row.
+func NewStore(begin, end *pstruct.Vector) *Store {
+	s := &Store{begin: begin, end: end}
 	if err := s.tid.Extend(begin.Len()); err != nil {
 		panic(fmt.Sprintf("mvcc: %d rows: %v", begin.Len(), err)) // beyond any vector's capacity
 	}
@@ -71,42 +73,14 @@ func (s *Store) Rows() uint64 {
 	return b
 }
 
-// BeginVec exposes the underlying begin-CID vector (recovery fixups).
-func (s *Store) BeginVec() vec.Vec { return s.begin }
-
-// EndVec exposes the underlying end-CID vector (recovery fixups).
-func (s *Store) EndVec() vec.Vec { return s.end }
-
-// AppendRow adds MVCC state for a freshly inserted row: begin = Inf
-// (invisible), end = Inf, tid = owner. It returns the row index.
-//
-// Concurrent readers bound their row range by Rows() and Visible reads
-// the owner of any row below it, so tid is published before begin/end
-// make the row countable. A failed append is unwound, keeping the three
-// vectors the same length for the next one.
-func (s *Store) AppendRow(owner uint64) (uint64, error) {
-	row, err := s.tid.Append(owner)
-	if err != nil {
-		return 0, err
-	}
-	if _, err := s.begin.Append(Inf); err != nil {
-		s.tid.Truncate(row)
-		return 0, err
-	}
-	if _, err := s.end.Append(Inf); err != nil {
-		s.begin.Truncate(row)
-		s.tid.Truncate(row)
-		return 0, err
-	}
-	return row, nil
-}
-
-// StageRow is the stage half of AppendRow for a caller that appends a
-// row across several structures under two fences of its own (see
-// storage.Table.AppendRow): it writes begin = end = Inf past the
-// vectors' published lengths and records the owner. The row does not
-// count until PublishRow. tid runs ahead of begin and end, which is the
-// order readers need.
+// StageRow is the stage half of a row append, for a caller that appends
+// a row across several structures under two fences of its own (see
+// storage.Table.AppendRow): it writes begin = end = Inf (invisible) past
+// the vectors' published lengths and records the owner, and returns the
+// row index. The row does not count until PublishRow. Concurrent readers
+// bound their row range by Rows() and Visible reads the owner of any row
+// below it, so tid runs ahead of begin and end. A failed stage is
+// unwound, keeping the three vectors the same length for the next one.
 func (s *Store) StageRow(owner uint64) (uint64, error) {
 	row, err := s.tid.Append(owner)
 	if err != nil {
@@ -123,8 +97,8 @@ func (s *Store) StageRow(owner uint64) (uint64, error) {
 	return row, nil
 }
 
-// PublishRow is the publish half of AppendRow: the begin and end lengths
-// advance over the staged row.
+// PublishRow is the publish half of a row append: the begin and end
+// lengths advance over the staged row.
 //
 //nvm:nopersist publish half: the lengths are flushed, not fenced; the caller's second fence covers them
 func (s *Store) PublishRow() {
@@ -137,29 +111,6 @@ func (s *Store) UnstageRow() {
 	s.begin.Unstage()
 	s.end.Unstage()
 	s.tid.Truncate(s.Rows())
-}
-
-// AppendCommittedRows bulk-adds n rows that are visible from beginCID on —
-// the bulk-load / merge path.
-func (s *Store) AppendCommittedRows(n uint64, beginCID uint64) error {
-	buf := make([]uint64, n)
-	for i := range buf {
-		buf[i] = beginCID
-	}
-	if _, err := s.begin.AppendN(buf); err != nil {
-		return err
-	}
-	for i := range buf {
-		buf[i] = Inf
-	}
-	if _, err := s.end.AppendN(buf); err != nil {
-		return err
-	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	_, err := s.tid.AppendN(buf)
-	return err
 }
 
 // Begin returns the begin CID of row.
@@ -185,18 +136,34 @@ func (s *Store) ReleaseRow(row, owner uint64) {
 // SetBegin stamps the begin CID of row without persisting: commit
 // flushes a group's stamps via FlushBegin/FlushEnd under one fence, and
 // recovery persists them via PersistBegin/PersistEnd.
+//
+//nvm:nopersist the stamp is made durable by the caller's FlushBegin and fence, or PersistBegin
 func (s *Store) SetBegin(row, cid uint64) { s.begin.SetNoPersist(row, cid) }
 
 // SetEnd stamps the end CID of row without persisting, and then advances
 // the version of the row's block, which makes whatever a scan had learned
 // about the block stale (see VisibleBits): the caller publishes cid as a
 // snapshot only afterwards. The stamp is made durable like SetBegin's.
+//
+//nvm:nopersist the stamp is made durable by the caller's FlushEnd and fence, or PersistEnd
 func (s *Store) SetEnd(row, cid uint64) {
-	s.end.SetNoPersist(row, cid)
+	s.storeEnd(row, cid)
 	if sum := s.sum.at(row/SummaryRows, false); sum != nil {
 		sum.version.Add(1)
 	}
 }
+
+// storeEnd stores the end stamp of row.
+func (s *Store) storeEnd(row, cid uint64) {
+	if testHookBeforeEndStamp != nil {
+		testHookBeforeEndStamp()
+	}
+	s.end.SetNoPersist(row, cid)
+}
+
+// testHookBeforeEndStamp, set by tests only, runs just before an end
+// stamp is stored.
+var testHookBeforeEndStamp func()
 
 // PersistBegin persists the begin stamp of row.
 func (s *Store) PersistBegin(row uint64) { s.begin.PersistAt(row) }
@@ -410,26 +377,20 @@ func (s *summaries) at(block uint64, alloc bool) *blockSummary {
 
 // Check verifies the durable MVCC invariants that must hold at every
 // crash point once recovery has run: the begin/end vectors are
-// structurally sound (NVM backend), and every stamp is either Inf or a
+// structurally sound, and every stamp is either Inf or a
 // real commit ID in [1, lastCID]. A committed invalidation of a row
 // whose insert never committed (begin = Inf, end < Inf) is impossible,
 // as is end < begin — recovery undoes in-flight stamps before anything
 // else runs.
 func (s *Store) Check(lastCID uint64) error {
+	// A vector that fails its check may be unsafe to read elements from.
+	if err := s.begin.Check(); err != nil {
+		return fmt.Errorf("begin vector: %w", err)
+	}
+	if err := s.end.Check(); err != nil {
+		return fmt.Errorf("end vector: %w", err)
+	}
 	var errs []error
-	type structural interface{ Check() error }
-	if c, ok := s.begin.(structural); ok {
-		if err := c.Check(); err != nil {
-			errs = append(errs, fmt.Errorf("begin vector: %w", err))
-			return errors.Join(errs...) // element reads may be unsafe
-		}
-	}
-	if c, ok := s.end.(structural); ok {
-		if err := c.Check(); err != nil {
-			errs = append(errs, fmt.Errorf("end vector: %w", err))
-			return errors.Join(errs...)
-		}
-	}
 	rows := s.Rows()
 	for r := uint64(0); r < rows; r++ {
 		b, e := s.begin.Get(r), s.end.Get(r)

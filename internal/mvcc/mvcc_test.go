@@ -1,22 +1,80 @@
 package mvcc
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
-	"hyrisenv/internal/vec"
+	"hyrisenv/internal/nvm"
+	"hyrisenv/internal/pstruct"
 )
 
-func volatileStore() *Store {
-	return NewStore(vec.NewVolatile(4), vec.NewVolatile(4))
+// testHeap returns a heap that does not persist.
+func testHeap(t testing.TB) *nvm.Heap {
+	t.Helper()
+	h, err := nvm.CreateVolatile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	return h
+}
+
+// stampVectors returns empty begin and end vectors on h whose first
+// segments hold 1<<beginLog and 1<<endLog stamps.
+func stampVectors(t testing.TB, h *nvm.Heap, beginLog, endLog uint64) (begin, end *pstruct.Vector) {
+	t.Helper()
+	begin, err := pstruct.NewVector(h, 8, beginLog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end, err = pstruct.NewVector(h, 8, endLog); err != nil {
+		t.Fatal(err)
+	}
+	return begin, end
+}
+
+// newStore returns an empty store whose vectors' first segments hold 16
+// rows, so that ranges cross segments.
+func newStore(t testing.TB) *Store {
+	return NewStore(stampVectors(t, testHeap(t), 4, 4))
+}
+
+// appendRow appends a row owned by owner the way a table append does:
+// StageRow, then PublishRow. The fences between them order durability
+// only, and the heap here does not persist.
+func appendRow(s *Store, owner uint64) (uint64, error) {
+	row, err := s.StageRow(owner)
+	if err == nil {
+		s.PublishRow()
+	}
+	return row, err
+}
+
+// appendCommitted appends n unowned rows visible from beginCID on, as a
+// merge builds a main partition.
+func appendCommitted(s *Store, n uint64, beginCID uint64) error {
+	buf := make([]uint64, n)
+	for i := range buf {
+		buf[i] = beginCID
+	}
+	if _, err := s.begin.AppendN(buf); err != nil {
+		return err
+	}
+	for i := range buf {
+		buf[i] = Inf
+	}
+	if _, err := s.end.AppendN(buf); err != nil {
+		return err
+	}
+	return s.tid.Extend(s.Rows())
 }
 
 func TestAppendRowInvisible(t *testing.T) {
-	s := volatileStore()
-	row, err := s.AppendRow(7)
+	s := newStore(t)
+	row, err := appendRow(s, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,8 +96,8 @@ func TestAppendRowInvisible(t *testing.T) {
 }
 
 func TestCommitVisibility(t *testing.T) {
-	s := volatileStore()
-	row, _ := s.AppendRow(7)
+	s := newStore(t)
+	row, _ := appendRow(s, 7)
 	s.SetBegin(row, 10)
 	s.PersistBegin(row)
 	s.ReleaseRow(row, 7)
@@ -63,8 +121,8 @@ func TestCommitVisibility(t *testing.T) {
 }
 
 func TestClaimRelease(t *testing.T) {
-	s := volatileStore()
-	row, _ := s.AppendRow(0)
+	s := newStore(t)
+	row, _ := appendRow(s, 0)
 	if !s.ClaimRow(row, 5) {
 		t.Fatal("claim on unowned row failed")
 	}
@@ -82,8 +140,8 @@ func TestClaimRelease(t *testing.T) {
 }
 
 func TestAppendCommittedRows(t *testing.T) {
-	s := volatileStore()
-	if err := s.AppendCommittedRows(100, 3); err != nil {
+	s := newStore(t)
+	if err := appendCommitted(s, 100, 3); err != nil {
 		t.Fatal(err)
 	}
 	if s.Rows() != 100 {
@@ -101,7 +159,7 @@ func TestAppendCommittedRows(t *testing.T) {
 		}
 	}
 	// Mixed: bulk rows followed by a fresh insert keep indices aligned.
-	row, _ := s.AppendRow(9)
+	row, _ := appendRow(s, 9)
 	if row != 100 {
 		t.Fatalf("append after bulk = %d", row)
 	}
@@ -115,7 +173,7 @@ func TestAppendCommittedRows(t *testing.T) {
 // writer appends: an uncommitted row (begin = Inf) sends Visible to the
 // tid vector, which must already hold the row. Run under -race.
 func TestVisibleDuringAppend(t *testing.T) {
-	s := volatileStore()
+	s := newStore(t)
 	const rows = 50000
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -142,7 +200,7 @@ func TestVisibleDuringAppend(t *testing.T) {
 		}()
 	}
 	for i := 0; i < rows; i++ {
-		if _, err := s.AppendRow(7); err != nil {
+		if _, err := appendRow(s, 7); err != nil {
 			t.Error(err)
 			break
 		}
@@ -151,46 +209,51 @@ func TestVisibleDuringAppend(t *testing.T) {
 	wg.Wait()
 }
 
-// failingVec fails its next Append once armed.
-type failingVec struct {
-	vec.Vec
-	fail bool
-}
+// allocFault fails the next heap allocation once armed.
+type allocFault struct{ armed atomic.Bool }
 
-func (v *failingVec) Append(x uint64) (uint64, error) {
-	if v.fail {
-		v.fail = false
-		return 0, errors.New("out of space")
+func (f *allocFault) AllocFault(uint64) error {
+	if f.armed.Swap(false) {
+		return nvm.ErrOutOfMemory
 	}
-	return v.Vec.Append(x)
+	return nil
 }
+func (f *allocFault) BarrierDelay() time.Duration { return 0 }
+func (f *allocFault) DrainDelay() time.Duration   { return 0 }
 
 // TestAppendRowFailureKeepsAlignment fails the begin and then the end
-// append of a row: the next AppendRow must land all three vectors on the
-// same index.
+// stage of a row append, each where its vector needs a new segment: the
+// next row append must land all three vectors on the same index.
 func TestAppendRowFailureKeepsAlignment(t *testing.T) {
-	begin := &failingVec{Vec: vec.NewVolatile(4)}
-	end := &failingVec{Vec: vec.NewVolatile(4)}
-	s := NewStore(begin, end)
-	if _, err := s.AppendRow(1); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []*failingVec{begin, end} {
-		v.fail = true
-		if _, err := s.AppendRow(2); err == nil {
-			t.Fatal("AppendRow succeeded over a failing vector")
+	h := testHeap(t)
+	// Begin segments hold rows 0-1, 2-5, ...; end segments 0-3, 4-11, ...
+	s := NewStore(stampVectors(t, h, 1, 2))
+	fault := &allocFault{}
+	h.SetFaultInjector(fault)
+	for _, c := range []struct {
+		rows uint64 // appended first
+		what string
+	}{{2, "begin"}, {4, "end"}} {
+		for s.Rows() < c.rows {
+			if _, err := appendRow(s, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if b, e := begin.Len(), end.Len(); b != 1 || e != 1 {
-			t.Fatalf("after failed append: begin has %d rows, end %d, want 1 and 1", b, e)
+		fault.armed.Store(true)
+		if _, err := appendRow(s, 2); err == nil {
+			t.Fatalf("a row append succeeded over a failing %s vector", c.what)
+		}
+		if b, e := s.begin.Len(), s.end.Len(); b != c.rows || e != c.rows || s.tid.Len() != c.rows {
+			t.Fatalf("after failed %s append: begin has %d rows, end %d, owners %d, want %d", c.what, b, e, s.tid.Len(), c.rows)
 		}
 	}
-	row, err := s.AppendRow(3)
+	row, err := appendRow(s, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row != 1 || s.Rows() != 2 || s.TID(row) != 3 || s.TID(0) != 1 {
-		t.Fatalf("row %d of %d owned by %d (row 0 by %d), want row 1 of 2 owned by 3 (row 0 by 1)",
-			row, s.Rows(), s.TID(row), s.TID(0))
+	if row != 4 || s.Rows() != 5 || s.TID(row) != 3 || s.TID(3) != 1 {
+		t.Fatalf("row %d of %d owned by %d (row 3 by %d), want row 4 of 5 owned by 3 (row 3 by 1)",
+			row, s.Rows(), s.TID(row), s.TID(3))
 	}
 }
 
@@ -198,9 +261,9 @@ func TestAppendRowFailureKeepsAlignment(t *testing.T) {
 // index: committed at CID 1..9, invalidated at a later CID or not,
 // uncommitted inserts owned by transaction 7, by 8, or by nobody.
 func mixedStore(t testing.TB, rows uint64) *Store {
-	s := volatileStore() // 16-element first segment: ranges cross segments
+	s := newStore(t)
 	for r := uint64(0); r < rows; r++ {
-		if _, err := s.AppendRow(0); err != nil {
+		if _, err := appendRow(s, 0); err != nil {
 			t.Fatal(err)
 		}
 		switch r % 7 {
@@ -255,7 +318,7 @@ func TestVisibleBitsMatchesVisible(t *testing.T) {
 // row unowned, and the owner vector accepts the next row.
 func TestNewStoreOwnsNothing(t *testing.T) {
 	const rows = 5000 // several owner-vector segments
-	begin, end := vec.NewVolatile(4), vec.NewVolatile(4)
+	begin, end := stampVectors(t, testHeap(t), 4, 4)
 	for i := 0; i < rows; i++ {
 		begin.Append(3)
 		end.Append(Inf)
@@ -266,8 +329,8 @@ func TestNewStoreOwnsNothing(t *testing.T) {
 			t.Fatalf("row %d owned by %d after NewStore", r, s.TID(r))
 		}
 	}
-	if row, err := s.AppendRow(9); err != nil || row != rows || s.TID(row) != 9 || !s.ClaimRow(17, 4) {
-		t.Fatalf("AppendRow after NewStore: row %d, err %v", row, err)
+	if row, err := appendRow(s, 9); err != nil || row != rows || s.TID(row) != 9 || !s.ClaimRow(17, 4) {
+		t.Fatalf("row append after NewStore: row %d, err %v", row, err)
 	}
 }
 
@@ -324,9 +387,9 @@ func checkBitsMatchVisible(t *testing.T, s *Store, maxSnap uint64) {
 // stamps it summarises.
 func TestVisibleBitsSummaries(t *testing.T) {
 	const blocks = 4
-	s := volatileStore()
+	s := newStore(t)
 	for r := uint64(0); r < blocks*SummaryRows+100; r++ { // a ragged tail no record covers
-		if _, err := s.AppendRow(0); err != nil {
+		if _, err := appendRow(s, 0); err != nil {
 			t.Fatal(err)
 		}
 		s.SetBegin(r, 1+r%9)
@@ -391,8 +454,9 @@ func TestVisibleBitsSummaries(t *testing.T) {
 // store over existing rows — what a restart builds — starts with none,
 // and building it costs the same however many rows it covers.
 func TestNewStoreHasNoSummaries(t *testing.T) {
-	build := func(rows int) (begin, end *vec.Volatile) {
-		begin, end = vec.NewVolatile(10), vec.NewVolatile(10)
+	h := testHeap(t)
+	build := func(rows int) (begin, end *pstruct.Vector) {
+		begin, end = stampVectors(t, h, 10, 10)
 		stamps := make([]uint64, rows)
 		for i := range stamps {
 			stamps[i] = 3
@@ -432,19 +496,6 @@ func TestNewStoreHasNoSummaries(t *testing.T) {
 	}
 }
 
-// stampHookVec runs a hook just before an end stamp is stored.
-type stampHookVec struct {
-	*vec.Volatile
-	beforeSet func()
-}
-
-func (v *stampHookVec) SetNoPersist(i, x uint64) {
-	if v.beforeSet != nil {
-		v.beforeSet()
-	}
-	v.Volatile.SetNoPersist(i, x)
-}
-
 // TestSetEndStampsBeforeItUnsettles pins the order inside SetEnd that
 // the stress test is too coarse to hit: the stamp is stored before the
 // block's version moves. A scan that runs in between the two — here,
@@ -452,9 +503,8 @@ func (v *stampHookVec) SetNoPersist(i, x uint64) {
 // over the stamp: were the version moved first, the scan would learn at
 // the new version with the old stamps in hand.
 func TestSetEndStampsBeforeItUnsettles(t *testing.T) {
-	end := &stampHookVec{Volatile: vec.NewVolatile(10)}
-	s := NewStore(vec.NewVolatile(10), end)
-	if err := s.AppendCommittedRows(SummaryRows, 1); err != nil {
+	s := NewStore(stampVectors(t, testHeap(t), 10, 10))
+	if err := appendCommitted(s, SummaryRows, 1); err != nil {
 		t.Fatal(err)
 	}
 	var bm [SummaryRows / 64]uint64
@@ -463,11 +513,12 @@ func TestSetEndStampsBeforeItUnsettles(t *testing.T) {
 	if s.learned(0) == nil {
 		t.Fatal("a scan of a frozen block learned nothing")
 	}
-	end.beforeSet = func() {
+	testHookBeforeEndStamp = func() {
 		s.sum.at(0, false).rec.Store(nil) // so that the scan learns
 		scan()
 	}
 	s.SetEnd(17, 3)
+	testHookBeforeEndStamp = nil
 	if rec := s.learned(0); rec != nil {
 		t.Fatalf("a scan inside SetEnd left a current record over the new stamp (maxStamp %d, row 17 live %v)", rec.maxStamp, rec.live[0]>>17&1 == 1)
 	}
@@ -525,8 +576,8 @@ func TestSummariesUnderCommits(t *testing.T) {
 		return born <= snap && (death[row] == 0 || death[row] > snap)
 	}
 
-	s := NewStore(vec.NewVolatile(10), vec.NewVolatile(10))
-	if err := s.AppendCommittedRows(initial, 1); err != nil {
+	s := NewStore(stampVectors(t, testHeap(t), 10, 10))
+	if err := appendCommitted(s, initial, 1); err != nil {
 		t.Fatal(err)
 	}
 	var lastCID, passes atomic.Uint64
@@ -577,7 +628,7 @@ func TestSummariesUnderCommits(t *testing.T) {
 	for k := uint64(firstCID); k < firstCID+commits && !t.Failed(); k++ {
 		var inserted [perCommit]uint64
 		for i := range inserted {
-			row, err := s.AppendRow(writerTID)
+			row, err := appendRow(s, writerTID)
 			if err != nil {
 				t.Error(err)
 				break
@@ -623,8 +674,8 @@ func BenchmarkVisibleBits(b *testing.B) {
 		snap  uint64
 	}{{"settled", 0, 5}, {"dead", 50, 7}, {"unsettled", 50, 5}} {
 		b.Run(shape.name, func(b *testing.B) {
-			s := volatileStore()
-			if err := s.AppendCommittedRows(rows, 3); err != nil {
+			s := newStore(b)
+			if err := appendCommitted(s, rows, 3); err != nil {
 				b.Fatal(err)
 			}
 			for r := uint64(0); shape.every > 0 && r < rows; r += shape.every {

@@ -311,6 +311,34 @@ func Create(path string, size uint64, opts ...Option) (*Heap, error) {
 	return h, nil
 }
 
+// Sizes of a heap made by CreateVolatile: it starts small and grows
+// through the growth remap.
+const (
+	volatileSize      = 16 << 20
+	volatileGrowLimit = 1 << 40
+)
+
+// CreateVolatile creates a heap that does not persist, for the engines
+// whose durability lies elsewhere (a log) or nowhere: the same
+// structures on a medium without durability. Its file lies on tmpfs
+// (/dev/shm, or os.TempDir where that is missing) and is unlinked at
+// once, so its memory is released with the last mapping at Close. It has
+// no latency model, so a flush, fence or drain costs an atomic add.
+func CreateVolatile() (*Heap, error) {
+	dir := "/dev/shm"
+	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+		dir = os.TempDir()
+	}
+	f, err := os.CreateTemp(dir, "hyrisenv-heap-*")
+	if err != nil {
+		return nil, fmt.Errorf("nvm: volatile heap: %w", err)
+	}
+	path := f.Name()
+	f.Close()
+	defer os.Remove(path)
+	return Create(path, volatileSize, WithGrowLimit(volatileGrowLimit))
+}
+
 // Open maps an existing heap file. Opening performs O(1) work regardless
 // of heap size: only the header page is touched.
 func Open(path string, opts ...Option) (*Heap, error) {

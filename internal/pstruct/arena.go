@@ -37,18 +37,19 @@ type Arena struct {
 // NewArena allocates an empty arena. Its Root must be linked into a
 // reachable structure by the caller.
 func NewArena(h *nvm.Heap) (*Arena, error) {
-	d, err := newSegDir(h, 1, arenaBaseLog)
+	root, err := newSegRoot(h, 1, arenaBaseLog)
 	if err != nil {
 		return nil, err
 	}
-	return &Arena{segDir: d}, nil
+	return &Arena{segDir: segDir{h: h, root: root, elemSize: 1, baseLog: arenaBaseLog}}, nil
 }
 
 // AttachArena re-hydrates an arena from its root in O(#segments). Bytes
 // a crash left beyond the durable cursor are overwritten by later
 // allocations.
 func AttachArena(h *nvm.Heap, root nvm.PPtr) *Arena {
-	a := &Arena{segDir: attachSegDir(h, root)}
+	a := &Arena{segDir: segDir{h: h, root: root}}
+	a.attach()
 	a.cursor = h.U64(a.lenPtr())
 	return a
 }
@@ -81,7 +82,7 @@ func (a *Arena) Alloc(n uint64) (nvm.PPtr, error) {
 	a.cursor = a.segStart(k) + off + n
 	a.h.SetU64(a.lenPtr(), a.cursor)
 	a.h.Flush(a.lenPtr(), 8)
-	return a.segs[k].Add(off), nil
+	return a.seg(k).Add(off), nil
 }
 
 // Contains reports whether [p, p+n) lies inside one segment of the arena
@@ -92,7 +93,7 @@ func (a *Arena) Contains(p nvm.PPtr, n uint64) error {
 		return fmt.Errorf("nil arena pointer")
 	}
 	for k := 0; k < vecMaxSegs; k++ {
-		seg := a.segs[k]
+		seg := a.seg(k)
 		if seg.IsNil() || p < seg || uint64(p-seg) >= a.segCap(k) {
 			continue
 		}

@@ -145,8 +145,7 @@ func (b *BitPacked) Blocks(yield func(nvm.PPtr)) {
 	}
 }
 
-// The packed format, shared with the volatile main-partition twin, is
-// bit-sliced (BitWeaving/V): the values are cut into segments of 64, and
+// The packed format is bit-sliced (BitWeaving/V): the values are cut into segments of 64, and
 // a segment is `width` 64-bit words of which word j holds, at bit i, bit
 // width-1-j of the segment's value i — the most significant plane first.
 // The last segment is padded with zero values. A value is a dictionary
@@ -167,8 +166,8 @@ const maxPackedLen = 1 << 48
 
 // PackedWords returns the length in words of n packed values of the
 // given width: one segment of `width` words per 64 values, and at least
-// one. It is the one place the data block is sized — by build, by attach,
-// by the volatile twin and by the checkers — and reports false for a
+// one. It is the one place the data block is sized — by build, by attach
+// and by the checkers — and reports false for a
 // width or a count the format does not hold.
 func PackedWords(n, width uint64) (uint64, bool) {
 	if width == 0 || width > maxBits || n > maxPackedLen {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync/atomic"
 
 	"hyrisenv/internal/nvm"
 )
@@ -38,18 +39,23 @@ type segDir struct {
 	// NVM on every access; it is re-hydrated on attach. The writer links
 	// a segment before it publishes a length that reaches into it, and
 	// readers index only below a length they have loaded, so the length
-	// word orders the two. (The race detector does not follow
-	// synchronisation through mapped memory and reports them as a race.)
-	segs [vecMaxSegs]nvm.PPtr
+	// word orders the two. That word lives in the mapping, where the race
+	// detector does not follow synchronisation, so the mirror is atomic.
+	segs [vecMaxSegs]atomic.Uint64
 }
 
-func newSegDir(h *nvm.Heap, elemSize, baseLog uint64) (segDir, error) {
+// newSegRoot allocates and persists the root of an empty directory. The
+// caller builds the directory by composite literal over it: stored
+// through a receiver instead, the root would be a fresh, unpublished
+// block to publishcheck, which then misses a publish that outruns its
+// stage fence in Vector.Append and AppendN (make analyzer-mutants).
+func newSegRoot(h *nvm.Heap, elemSize, baseLog uint64) (nvm.PPtr, error) {
 	if baseLog == 0 || baseLog > 30 {
-		return segDir{}, fmt.Errorf("pstruct: bad baseLog %d", baseLog)
+		return 0, fmt.Errorf("pstruct: bad baseLog %d", baseLog)
 	}
 	root, err := h.Alloc(vecRootSize)
 	if err != nil {
-		return segDir{}, err
+		return 0, err
 	}
 	h.PutU64(root.Add(vecOffElemSize), elemSize)
 	h.PutU64(root.Add(vecOffLength), 0)
@@ -58,21 +64,17 @@ func newSegDir(h *nvm.Heap, elemSize, baseLog uint64) (segDir, error) {
 		h.PutU64(root.Add(vecOffSegs+uint64(i)*8), 0)
 	}
 	h.Persist(root, vecRootSize)
-	return segDir{h: h, root: root, elemSize: elemSize, baseLog: baseLog}, nil
+	return root, nil
 }
 
-// attachSegDir re-hydrates a directory from its root in O(#segments).
-func attachSegDir(h *nvm.Heap, root nvm.PPtr) segDir {
-	d := segDir{
-		h:        h,
-		root:     root,
-		elemSize: h.GetU64(root.Add(vecOffElemSize)),
-		baseLog:  h.GetU64(root.Add(vecOffBaseLog)),
+// attach re-hydrates the directory whose heap and root are set, in
+// O(#segments).
+func (d *segDir) attach() {
+	d.elemSize = d.h.GetU64(d.root.Add(vecOffElemSize))
+	d.baseLog = d.h.GetU64(d.root.Add(vecOffBaseLog))
+	for i := range d.segs {
+		d.segs[i].Store(d.h.GetU64(d.root.Add(vecOffSegs + uint64(i)*8)))
 	}
-	for i := 0; i < vecMaxSegs; i++ {
-		d.segs[i] = nvm.PPtr(h.GetU64(root.Add(vecOffSegs + uint64(i)*8)))
-	}
-	return d
 }
 
 // Root returns the persistent root pointer.
@@ -100,7 +102,7 @@ func (d *segDir) ensureSeg(k int) error {
 	if k >= vecMaxSegs {
 		return fmt.Errorf("pstruct: segment directory exceeds max capacity")
 	}
-	if d.segs[k] != 0 {
+	if d.seg(k) != 0 {
 		return nil
 	}
 	seg, err := d.h.Alloc(d.segCap(k) * d.elemSize)
@@ -110,13 +112,16 @@ func (d *segDir) ensureSeg(k int) error {
 	slot := d.root.Add(vecOffSegs + uint64(k)*8)
 	d.h.SetU64(slot, uint64(seg))
 	d.h.Persist(slot, 8)
-	d.segs[k] = seg
+	d.segs[k].Store(uint64(seg))
 	return nil
 }
 
+// seg returns the pointer of segment k, nil if it is not linked.
+func (d *segDir) seg(k int) nvm.PPtr { return nvm.PPtr(d.segs[k].Load()) }
+
 func (d *segDir) elemPtr(i uint64) nvm.PPtr {
 	k, off := d.locate(i)
-	return d.segs[k].Add(off * d.elemSize)
+	return d.seg(k).Add(off * d.elemSize)
 }
 
 // Blocks yields the heap blocks the directory owns (its root and every

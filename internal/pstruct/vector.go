@@ -77,17 +77,18 @@ func NewVector(h *nvm.Heap, elemSize uint64, baseLog uint64) (*Vector, error) {
 	if elemSize != 4 && elemSize != 8 {
 		return nil, fmt.Errorf("pstruct: unsupported element size %d", elemSize)
 	}
-	d, err := newSegDir(h, elemSize, baseLog)
+	root, err := newSegRoot(h, elemSize, baseLog)
 	if err != nil {
 		return nil, err
 	}
-	return &Vector{segDir: d}, nil
+	return &Vector{segDir: segDir{h: h, root: root, elemSize: elemSize, baseLog: baseLog}}, nil
 }
 
 // AttachVector re-hydrates a Vector from its persistent root after a
 // restart. It performs O(#segments) = O(log capacity) work.
 func AttachVector(h *nvm.Heap, root nvm.PPtr) *Vector {
-	v := &Vector{segDir: attachSegDir(h, root)}
+	v := &Vector{segDir: segDir{h: h, root: root}}
+	v.attach()
 	v.staged = v.Len()
 	return v
 }
@@ -107,7 +108,7 @@ func (v *Vector) StageAppend(val uint64) (uint64, error) {
 	if err := v.ensureSeg(k); err != nil {
 		return 0, err
 	}
-	v.putElems(v.segs[k].Add(off*v.elemSize), val)
+	v.putElems(v.seg(k).Add(off*v.elemSize), val)
 	v.staged = i + 1
 	return i, nil
 }
@@ -189,7 +190,7 @@ func (v *Vector) AppendN(vals []uint64) (first uint64, err error) {
 	for i := first; len(vals) > 0; {
 		k, off := v.locate(i)
 		n := min(v.segCap(k)-off, uint64(len(vals)))
-		v.putElems(v.segs[k].Add(off*v.elemSize), vals[:n]...)
+		v.putElems(v.seg(k).Add(off*v.elemSize), vals[:n]...)
 		vals = vals[n:]
 		i += n
 		v.staged = i
@@ -221,7 +222,7 @@ func (v *Vector) Get(i uint64) uint64 {
 // publish half, for recovery to inspect. ok is false when i's segment was
 // never linked; a slot never written reads zero.
 func (v *Vector) Staged(i uint64) (val uint64, ok bool) {
-	if k, _ := v.locate(i); k >= vecMaxSegs || v.segs[k].IsNil() {
+	if k, _ := v.locate(i); k >= vecMaxSegs || v.seg(k).IsNil() {
 		return 0, false
 	}
 	return v.getNoCheck(i), true
@@ -247,7 +248,7 @@ func (v *Vector) run(lo, hi uint64) (start nvm.PPtr, n uint64) {
 	if v.h.ReadLatencyEnabled() {
 		v.h.ChargeRead(n * v.elemSize)
 	}
-	return v.segs[k].Add(off * v.elemSize), n
+	return v.seg(k).Add(off * v.elemSize), n
 }
 
 // Span returns the elements from lo up to hi or the end of lo's
@@ -278,17 +279,6 @@ func (v *Vector) Load(lo uint64, dst []uint64) {
 		dst = dst[n:]
 		lo += n
 	}
-}
-
-// Set overwrites element i in place and persists it. Used by MVCC commit
-// stamping, where an 8-byte store is the atomic unit of update.
-func (v *Vector) Set(i uint64, val uint64) {
-	if i >= v.Len() {
-		panic(fmt.Sprintf("pstruct: vector index %d out of range %d", i, v.Len()))
-	}
-	p := v.elemPtr(i)
-	v.writeElem(p, val)
-	v.h.Persist(p, v.elemSize)
 }
 
 // SetNoPersist overwrites element i without a persist barrier; callers
@@ -337,7 +327,7 @@ func (v *Vector) Scan(fn func(i uint64, val uint64) bool) {
 		if segN > n-i {
 			segN = n - i
 		}
-		base := v.segs[k].Add(off * v.elemSize)
+		base := v.seg(k).Add(off * v.elemSize)
 		if v.h.ReadLatencyEnabled() {
 			v.h.ChargeRead(segN * v.elemSize)
 		}

@@ -143,7 +143,8 @@ func TestVectorSetAndScan(t *testing.T) {
 	for i := uint64(0); i < 50; i++ {
 		v.Append(0)
 	}
-	v.Set(17, 99)
+	v.SetNoPersist(17, 99)
+	v.PersistAt(17)
 	v.SetNoPersist(18, 100)
 	v.PersistAt(18)
 	var sum uint64
@@ -165,7 +166,6 @@ func TestVectorOutOfRangePanics(t *testing.T) {
 	v.Append(1)
 	for _, fn := range []func(){
 		func() { v.Get(1) },
-		func() { v.Set(1, 0) },
 		func() { v.SetNoPersist(1, 0) },
 	} {
 		func() {

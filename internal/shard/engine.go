@@ -492,7 +492,7 @@ func (e *Engine) Fsck() error {
 	return errors.Join(errs...)
 }
 
-// Scavenge reclaims unreachable NVM blocks on every shard.
+// Scavenge reclaims unreachable heap blocks on every shard.
 func (e *Engine) Scavenge() (reclaimed int, err error) {
 	for _, s := range e.shards {
 		n, serr := s.Scavenge()
@@ -509,8 +509,8 @@ func (e *Engine) Scavenge() (reclaimed int, err error) {
 func (e *Engine) Heaps() []*nvm.Heap {
 	var out []*nvm.Heap
 	for _, s := range e.shards {
-		if h := s.Heap(); h != nil {
-			out = append(out, h)
+		if s.Mode() == txn.ModeNVM {
+			out = append(out, s.Heap())
 		}
 	}
 	return out

@@ -5,16 +5,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
+	"hyrisenv/internal/index"
 	"hyrisenv/internal/mvcc"
-	"hyrisenv/internal/vec"
+	"hyrisenv/internal/nvm"
+	"hyrisenv/internal/pstruct"
 )
 
 // Binary checkpoints are the physical table dumps of the log-based
 // baseline: the full main and delta partitions including MVCC stamps.
 // They deliberately reproduce the conventional recovery architecture the
 // paper compares against — restart cost is dominated by reading these
-// dumps back and re-building volatile search structures.
+// dumps back and re-building the structures and their search indexes on
+// a heap that does not persist.
 //
 // A checkpoint must be taken with row appends paused on the table (the
 // engine holds the commit lock and the table's write lock); uncommitted
@@ -72,37 +76,38 @@ func (t *Table) WriteCheckpoint(w io.Writer) error {
 		}
 	}
 
-	dumpVec := func(v vec.Vec, n uint64) {
-		for i := uint64(0); i < n; i++ {
-			u64(v.Get(i))
+	for _, s := range []*mvcc.Store{ps.mainMVCC, ps.deltaMVCC} {
+		for _, stamp := range []func(row uint64) uint64{s.Begin, s.End} {
+			for r := range s.Rows() {
+				u64(stamp(r))
+			}
 		}
 	}
-	dumpVec(ps.mainMVCC.BeginVec(), mr)
-	dumpVec(ps.mainMVCC.EndVec(), mr)
-	dumpVec(ps.deltaMVCC.BeginVec(), dr)
-	dumpVec(ps.deltaMVCC.EndVec(), dr)
 
 	return bw.Flush()
 }
 
-// ReadCheckpoint reconstructs a volatile table from a checkpoint stream.
-// This is the expensive part of log-based recovery: all column data is
-// read, decoded and re-materialized, and the delta dictionary index (a
-// hash map) is rebuilt from scratch.
+// ReadCheckpoint reconstructs a table from a checkpoint stream onto the
+// heap h. This is the expensive part of log-based recovery: all column
+// data is read, decoded and re-materialized, the main columns rebuilt and
+// the delta dictionary index rebuilt from scratch. The secondary indexes
+// are left for RebuildIndexes.
 //
 // ReadCheckpoint consumes exactly one table's bytes from r — it must NOT
 // buffer beyond them, because multiple tables are stored back to back in
-// one checkpoint file. Callers provide their own buffered reader.
-func ReadCheckpoint(br io.Reader) (*Table, error) {
+// one checkpoint file. Callers provide their own buffered reader. No
+// count in the stream sizes an allocation: a count larger than what the
+// stream holds ends in an error when the stream does.
+func ReadCheckpoint(h *nvm.Heap, r io.Reader) (*Table, error) {
 	var scratch [8]byte
 	u32 := func() (uint32, error) {
-		if _, err := io.ReadFull(br, scratch[:4]); err != nil {
+		if _, err := io.ReadFull(r, scratch[:4]); err != nil {
 			return 0, err
 		}
 		return binary.LittleEndian.Uint32(scratch[:4]), nil
 	}
 	u64 := func() (uint64, error) {
-		if _, err := io.ReadFull(br, scratch[:8]); err != nil {
+		if _, err := io.ReadFull(r, scratch[:8]); err != nil {
 			return 0, err
 		}
 		return binary.LittleEndian.Uint64(scratch[:8]), nil
@@ -112,11 +117,58 @@ func ReadCheckpoint(br io.Reader) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
+		return readN(r, uint64(n))
+	}
+	// dict reads a dictionary of keys; ids reads n value IDs, each of
+	// which must name one of keys.
+	dict := func() ([][]byte, error) {
+		n, err := u64()
+		if err != nil {
 			return nil, err
 		}
-		return b, nil
+		var keys [][]byte
+		for i := uint64(0); i < n; i++ {
+			k, err := blob()
+			if err != nil {
+				return nil, err
+			}
+			keys = append(keys, k)
+		}
+		return keys, nil
+	}
+	ids := func(n uint64, keys [][]byte) ([]uint64, error) {
+		var out []uint64
+		for i := uint64(0); i < n; i++ {
+			id, err := u32()
+			if err != nil {
+				return nil, err
+			}
+			if int(id) >= len(keys) {
+				return nil, fmt.Errorf("storage: checkpoint row %d has value ID %d beyond its dictionary of %d", i, id, len(keys))
+			}
+			out = append(out, uint64(id))
+		}
+		return out, nil
+	}
+	stamps := func(n uint64) (*pstruct.Vector, error) {
+		v, err := pstruct.NewVector(h, 8, 10)
+		if err != nil {
+			return nil, err
+		}
+		buf := make([]uint64, 0, 4096)
+		for i := uint64(0); i < n; i++ {
+			x, err := u64()
+			if err != nil {
+				return nil, err
+			}
+			if buf = append(buf, x); len(buf) == cap(buf) || i == n-1 {
+				if _, err := v.AppendN(buf); err != nil {
+					return nil, err
+				}
+				buf = buf[:0]
+			}
+		}
+		return v, nil
 	}
 
 	if m, err := u32(); err != nil || m != ckptMagic {
@@ -154,108 +206,71 @@ func ReadCheckpoint(br io.Reader) (*Table, error) {
 		return nil, err
 	}
 
-	t := &Table{Name: string(nameB), ID: id, Schema: schema, indexMask: mask}
+	t := &Table{Name: string(nameB), ID: id, Schema: schema, indexMask: mask, h: h}
 	ncols := schema.NumCols()
-	ps := &partitions{mainIdx: make([]mainIndex, ncols)}
-	for c := 0; c < ncols; c++ {
-		// Main partition.
-		dictN, err := u64()
+	main := make([]*NVMMain, ncols)
+	delta := make([]*NVMDelta, ncols)
+	for c, col := range schema.Cols {
+		keys, err := dict()
 		if err != nil {
 			return nil, err
 		}
-		dict := make([]string, dictN)
-		for i := range dict {
-			k, err := blob()
-			if err != nil {
-				return nil, err
-			}
-			dict[i] = string(k)
-		}
-		ids := make([]uint64, mr)
-		for i := range ids {
-			v, err := u32()
-			if err != nil {
-				return nil, err
-			}
-			ids[i] = uint64(v)
-		}
-		m, err := volatileMainFromParts(schema.Cols[c].Type, dict, ids)
+		rowIDs, err := ids(mr, keys)
 		if err != nil {
 			return nil, fmt.Errorf("storage: checkpoint main column %d: %w", c, err)
 		}
-		ps.main = append(ps.main, m)
+		sorted := make([]string, len(keys))
+		for i, k := range keys {
+			sorted[i] = string(k)
+		}
+		if main[c], err = nvmMainFromParts(h, col.Type, sorted, rowIDs); err != nil {
+			return nil, fmt.Errorf("storage: checkpoint main column %d: %w", c, err)
+		}
 
-		// Delta partition: rebuild the hash index while loading; the rows
-		// of each value ID wait for RebuildIndexes.
-		dDictN, err := u64()
-		if err != nil {
+		// The delta's dictionary index is rebuilt as its keys load; its
+		// posting lists wait for RebuildIndexes.
+		if keys, err = dict(); err != nil {
 			return nil, err
 		}
-		d := NewVolatileDelta(schema.Cols[c].Type, false)
-		for i := uint64(0); i < dDictN; i++ {
-			k, err := blob()
-			if err != nil {
-				return nil, err
-			}
-			if id := d.dictID(k); id != i {
-				return nil, fmt.Errorf("storage: checkpoint delta dictionary of column %d repeats key %q (IDs %d and %d)", c, k, id, i)
-			}
+		if rowIDs, err = ids(dr, keys); err != nil {
+			return nil, fmt.Errorf("storage: checkpoint delta column %d: %w", c, err)
 		}
-		for r := uint64(0); r < dr; r++ {
-			v, err := u32()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := d.av.Append(uint64(v)); err != nil {
-				return nil, err
-			}
-		}
-		ps.delta = append(ps.delta, d)
-	}
-
-	loadVec := func(n uint64) (*vec.Volatile, error) {
-		v := vec.NewVolatile(10)
-		buf := make([]uint64, 0, 4096)
-		for i := uint64(0); i < n; i++ {
-			x, err := u64()
-			if err != nil {
-				return nil, err
-			}
-			buf = append(buf, x)
-			if len(buf) == cap(buf) {
-				if _, err := v.AppendN(buf); err != nil {
-					return nil, err
-				}
-				buf = buf[:0]
-			}
-		}
-		if _, err := v.AppendN(buf); err != nil {
+		if delta[c], err = NewNVMDelta(h, col.Type, false); err != nil {
 			return nil, err
 		}
-		return v, nil
+		if err := delta[c].load(keys, rowIDs); err != nil {
+			return nil, fmt.Errorf("storage: checkpoint delta column %d: %w", c, err)
+		}
 	}
-	mb, err := loadVec(mr)
+
+	var vecs [4]*pstruct.Vector
+	for i, n := range []uint64{mr, mr, dr, dr} {
+		if vecs[i], err = stamps(n); err != nil {
+			return nil, err
+		}
+	}
+	ps, err := t.writePartitionSet(main, delta, make([]*index.NVMGroupKey, ncols), vecs)
 	if err != nil {
 		return nil, err
 	}
-	me, err := loadVec(mr)
-	if err != nil {
+	if err := t.writeRoot(ps); err != nil {
 		return nil, err
 	}
-	db, err := loadVec(dr)
-	if err != nil {
-		return nil, err
-	}
-	de, err := loadVec(dr)
-	if err != nil {
-		return nil, err
-	}
-	ps.mainMVCC = newStoreFrom(mb, me)
-	ps.deltaMVCC = newStoreFrom(db, de)
-	t.parts.Store(ps)
 	return t, nil
 }
 
-func newStoreFrom(begin, end *vec.Volatile) *mvcc.Store {
-	return mvcc.NewStore(begin, end)
+// readN reads exactly n bytes from r into a buffer that grows with what
+// arrives, so that a count beyond the stream's end costs an error, not
+// its allocation.
+func readN(r io.Reader, n uint64) ([]byte, error) {
+	var b []byte
+	for uint64(len(b)) < n {
+		step := int(min(n-uint64(len(b)), max(uint64(len(b)), 4096)))
+		b = slices.Grow(b, step)
+		if _, err := io.ReadFull(r, b[len(b):len(b)+step]); err != nil {
+			return nil, err
+		}
+		b = b[:len(b)+step]
+	}
+	return b, nil
 }

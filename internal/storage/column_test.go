@@ -22,6 +22,28 @@ func testNVMHeap(t *testing.T) (*nvm.Heap, string) {
 	return h, path
 }
 
+// testDRAMHeap returns a heap that does not persist: the medium of the
+// log-based and volatile engines, and of every "dram" variant here.
+func testDRAMHeap(t testing.TB) *nvm.Heap {
+	t.Helper()
+	h, err := nvm.CreateVolatile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	return h
+}
+
+// dramTable creates a table on a heap of its own that does not persist.
+func dramTable(t testing.TB, schema Schema, indexMask uint64) *Table {
+	t.Helper()
+	tbl, err := CreateNVMTable(testDRAMHeap(t), "orders", 1, schema, indexMask)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
 func reopenHeap(t *testing.T, h *nvm.Heap, path string) *nvm.Heap {
 	t.Helper()
 	if err := h.Close(); err != nil {
@@ -35,18 +57,19 @@ func reopenHeap(t *testing.T, h *nvm.Heap, path string) *nvm.Heap {
 	return h2
 }
 
-// deltaColumns builds one column per backend so every test runs on both.
+// deltaColumns builds one column per medium so every test runs on both.
 func deltaColumns(t *testing.T, typ ColType, indexed bool) map[string]DeltaColumn {
 	t.Helper()
 	h, _ := testNVMHeap(t)
-	nd, err := NewNVMDelta(h, typ, indexed)
-	if err != nil {
-		t.Fatal(err)
+	out := map[string]DeltaColumn{}
+	for name, h := range map[string]*nvm.Heap{"dram": testDRAMHeap(t), "nvm": h} {
+		d, err := NewNVMDelta(h, typ, indexed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = d
 	}
-	return map[string]DeltaColumn{
-		"dram": NewVolatileDelta(typ, indexed),
-		"nvm":  nd,
-	}
+	return out
 }
 
 func TestDeltaColumnAppendLookup(t *testing.T) {
@@ -313,14 +336,15 @@ func TestNVMDeltaPostingsSurviveReopen(t *testing.T) {
 func mainColumns(t *testing.T, typ ColType, rowKeys [][]byte) map[string]MainColumn {
 	t.Helper()
 	h, _ := testNVMHeap(t)
-	nm, err := BuildNVMMain(h, typ, rowKeys)
-	if err != nil {
-		t.Fatal(err)
+	out := map[string]MainColumn{}
+	for name, h := range map[string]*nvm.Heap{"dram": testDRAMHeap(t), "nvm": h} {
+		m, err := BuildNVMMain(h, typ, rowKeys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = m
 	}
-	return map[string]MainColumn{
-		"dram": BuildVolatileMain(typ, rowKeys),
-		"nvm":  nm,
-	}
+	return out
 }
 
 func encodeInts(vals ...int64) [][]byte {

@@ -7,14 +7,13 @@ import (
 
 	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/pstruct"
-	"hyrisenv/internal/vec"
 )
 
 // DeltaColumn is the write-optimized column format: an append-only
 // attribute vector of value IDs over an unsorted, append-only dictionary.
 // New values get the next dictionary ID; the dictionary is indexed for
-// value→ID lookups (a hash map on the DRAM backend, a persistent hash
-// list on NVM so it is valid immediately after restart). A scan resolves
+// value→ID lookups by a hash list on the table's heap, so on NVM it is
+// valid immediately after restart. A scan resolves
 // an equality to the one value ID the index returns, and compares ranges
 // on KeyWords, a volatile word per dictionary ID that it builds on
 // demand, so that it reads a key only for a String row whose word ties
@@ -63,157 +62,11 @@ type DeltaColumn interface {
 	Truncate(n uint64)
 }
 
-// --- DRAM backend -----------------------------------------------------------
-
-// VolatileDelta is the DRAM delta column used by the log-based baseline.
-type VolatileDelta struct {
-	typ ColType
-
-	// dictKeys is the dictionary, index = value ID, republished by the
-	// writer after every new key. Readers load it without a lock: an
-	// entry never changes once published, so whatever slice a reader
-	// loads holds every ID below a DictLen it read earlier, and DictKey
-	// hands out the dictionary's own read-only copy of the key.
-	dictKeys atomic.Pointer[[][]byte]
-
-	mu      sync.RWMutex // guards dictIdx and rows, and orders the writers of dictKeys
-	dictIdx map[string]uint64
-	// rows holds the rows of each value ID in append order; nil while the
-	// column is unindexed.
-	rows [][]uint64
-
-	av    *vec.Volatile
-	words keyWords
-}
-
-// NewVolatileDelta returns an empty DRAM delta column, which keeps the
-// rows of each value ID if indexed.
-func NewVolatileDelta(typ ColType, indexed bool) *VolatileDelta {
-	d := &VolatileDelta{
-		typ:     typ,
-		dictIdx: make(map[string]uint64),
-		av:      vec.NewVolatile(10),
-	}
-	if indexed {
-		d.rows = [][]uint64{}
-	}
-	d.dictKeys.Store(new([][]byte))
-	return d
-}
-
-var _ DeltaColumn = (*VolatileDelta)(nil)
-
-// Type returns the column type.
-func (d *VolatileDelta) Type() ColType { return d.typ }
-
-// Rows returns the attribute-vector length.
-func (d *VolatileDelta) Rows() uint64 { return d.av.Len() }
-
-// Append implements DeltaColumn.
-func (d *VolatileDelta) Append(v Value) (uint64, error) {
-	id := d.dictID(v.EncodeKey(nil))
-	row, err := d.av.Append(id)
-	if err != nil {
-		return 0, err
-	}
-	if d.rows != nil {
-		d.mu.Lock()
-		d.rows[id] = append(d.rows[id], row)
-		d.mu.Unlock()
-	}
-	return id, nil
-}
-
-// dictID returns the value ID of key, adding it to the dictionary when it
-// is new. The key is kept, not copied.
-func (d *VolatileDelta) dictID(key []byte) uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	id, ok := d.dictIdx[string(key)]
-	if !ok {
-		// The append may write into the old slice's spare capacity, which
-		// lies beyond the length of every slice a reader holds.
-		keys := append(*d.dictKeys.Load(), key)
-		id = uint64(len(keys) - 1)
-		d.dictIdx[string(key)] = id
-		d.dictKeys.Store(&keys)
-		if d.rows != nil {
-			d.rows = append(d.rows, nil)
-		}
-	}
-	return id
-}
-
-// indexRows builds the rows of every value ID from the attribute vector
-// and makes the column indexed — the log-based baseline's delta-index
-// rebuild, O(rows). The caller holds off appends.
-func (d *VolatileDelta) indexRows() {
-	rows := make([][]uint64, d.DictLen())
-	d.av.Scan(func(row, id uint64) bool {
-		rows[id] = append(rows[id], row)
-		return true
-	})
-	d.mu.Lock()
-	d.rows = rows
-	d.mu.Unlock()
-}
-
-// ValueID implements DeltaColumn.
-func (d *VolatileDelta) ValueID(row uint64) uint64 { return d.av.Get(row) }
-
-// LoadIDs implements DeltaColumn.
-func (d *VolatileDelta) LoadIDs(lo uint64, dst []uint64) { d.av.Load(lo, dst) }
-
-// Value implements DeltaColumn.
-func (d *VolatileDelta) Value(row uint64) Value { return d.DictValue(d.av.Get(row)) }
-
-// DictLen implements DeltaColumn.
-func (d *VolatileDelta) DictLen() uint64 { return uint64(len(*d.dictKeys.Load())) }
-
-// DictKey implements DeltaColumn.
-func (d *VolatileDelta) DictKey(id uint64) []byte { return (*d.dictKeys.Load())[id] }
-
-// KeyWords implements DeltaColumn.
-func (d *VolatileDelta) KeyWords(n uint64) []uint64 { return d.words.get(n, d.DictKey) }
-
-// DictValue implements DeltaColumn.
-func (d *VolatileDelta) DictValue(id uint64) Value { return DecodeValue(d.typ, d.DictKey(id)) }
-
-// LookupValueID implements DeltaColumn.
-func (d *VolatileDelta) LookupValueID(encKey []byte) (uint64, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	id, ok := d.dictIdx[string(encKey)]
-	return id, ok
-}
-
-// Postings implements DeltaColumn.
-func (d *VolatileDelta) Postings(id uint64, fn func(row uint64) bool) {
-	d.mu.RLock()
-	var rows []uint64
-	if id < uint64(len(d.rows)) {
-		rows = d.rows[id]
-	}
-	d.mu.RUnlock()
-	for _, r := range rows {
-		if !fn(r) {
-			return
-		}
-	}
-}
-
-// ScanIDs implements DeltaColumn.
-func (d *VolatileDelta) ScanIDs(fn func(row, id uint64) bool) { d.av.Scan(fn) }
-
-// Truncate implements DeltaColumn.
-func (d *VolatileDelta) Truncate(n uint64) { d.av.Truncate(n) }
-
 // keyWords is a delta column's cache of KeyWords, extended by the
-// readers that ask for more of it under mu and published, like
-// VolatileDelta.dictKeys, through an atomic pointer: a dictionary ID's
-// key never changes once the ID is handed out, so neither does its word,
-// and whatever slice a reader loads holds every ID below the length it
-// asked for.
+// readers that ask for more of it under mu and published through an
+// atomic pointer: a dictionary ID's key never changes once the ID is
+// handed out, so neither does its word, and whatever slice a reader
+// loads holds every ID below the length it asked for.
 type keyWords struct {
 	mu    sync.Mutex
 	words atomic.Pointer[[]uint64]
@@ -232,8 +85,8 @@ func (c *keyWords) get(n uint64, key func(id uint64) []byte) []uint64 {
 		w = *p
 	}
 	if uint64(len(w)) < n {
-		// As in dictID, the append may write into spare capacity beyond
-		// the length of every slice a reader holds.
+		// The append may write into spare capacity beyond the length of
+		// every slice a reader holds.
 		for id := uint64(len(w)); id < n; id++ {
 			w = append(w, KeyWord(key(id)))
 		}
@@ -241,8 +94,6 @@ func (c *keyWords) get(n uint64, key func(id uint64) []byte) []uint64 {
 	}
 	return w[:n]
 }
-
-// --- NVM backend -------------------------------------------------------------
 
 // NVM delta column root block layout. The heads vector's root is 0 on an
 // unindexed column.
@@ -255,15 +106,15 @@ const (
 	ndRootSize   = 40
 )
 
-// NVMDelta is the persistent delta column of Hyrise-NV. The dictionary
+// NVMDelta is the delta column of Hyrise-NV. The dictionary
 // index (a hash list) holds every value's key bytes inside its nodes;
 // the dictionary vector holds blob references to those keys, by value
 // ID; the attribute vector holds a value ID per row. An indexed column
 // also keeps a heads vector beside the dictionary vector: by value ID,
 // the head word of the posting list of the rows carrying it (see
 // pstruct.ListScan), whose nodes are bumped from the hash list's arena.
-// All of it lives on NVM, so the column is fully usable immediately
-// after Attach — no rebuild.
+// All of it lives on the table's heap, so on NVM the column is fully
+// usable immediately after Attach — no rebuild.
 type NVMDelta struct {
 	h    *nvm.Heap
 	root nvm.PPtr
@@ -428,6 +279,68 @@ func (d *NVMDelta) Append(v Value) (uint64, error) {
 		d.h.Fence()
 	}
 	return id, nil
+}
+
+// load fills an empty column without posting lists from a checkpoint:
+// keys is its dictionary in value-ID order, each key added once (stage,
+// fence, publish, fence), and ids the value ID of each row, appended in
+// bulk. A key repeated in keys is refused.
+func (d *NVMDelta) load(keys [][]byte, ids []uint64) error {
+	for i, k := range keys {
+		node, existed, err := d.idx.StageInsert(k, uint64(i))
+		if err == nil && existed {
+			err = fmt.Errorf("delta column %d: checkpoint dictionary repeats key %q", d.root, k)
+		}
+		if err == nil {
+			_, err = d.dictVec.StageAppend(uint64(d.idx.KeyRef(node)))
+		}
+		if err != nil {
+			d.Unstage()
+			return err
+		}
+		d.h.Fence()
+		d.dictVec.Publish()
+		d.idx.Publish()
+		d.h.Fence()
+		if d.idx.Settle() {
+			d.h.Fence()
+		}
+	}
+	_, err := d.av.AppendN(ids)
+	return err
+}
+
+// indexRows gives an unindexed column its posting lists, built from the
+// attribute vector — the log-based baseline's delta-index rebuild,
+// O(rows). The caller holds off appends and readers.
+func (d *NVMDelta) indexRows() error {
+	heads := make([]uint64, d.DictLen())
+	var err error
+	d.av.Scan(func(row, id uint64) bool {
+		if heads[id] == 0 {
+			heads[id] = pstruct.ListEnd(row)
+			return true
+		}
+		var node nvm.PPtr
+		node, err = pstruct.ListStage(d.idx.Arena(), row, heads[id])
+		heads[id] = uint64(node)
+		return err == nil
+	})
+	if err != nil {
+		return err
+	}
+	hv, err := pstruct.NewVector(d.h, 8, 8)
+	if err != nil {
+		return err
+	}
+	if _, err := hv.AppendN(heads); err != nil {
+		return err
+	}
+	slot := d.root.Add(ndOffHeads)
+	d.h.SetU64(slot, uint64(hv.Root()))
+	d.h.Persist(slot, 8)
+	d.heads = hv
+	return nil
 }
 
 // repairTornAppend completes the dictionary half of an append a crash

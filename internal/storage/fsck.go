@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"hyrisenv/internal/index"
 	"hyrisenv/internal/mvcc"
 	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/pstruct"
@@ -117,14 +116,9 @@ func (d *NVMDelta) Check() error {
 	return errors.Join(errs...)
 }
 
-// FsckNVM walks the table's persistent representation. lastCID bounds
+// FsckNVM walks the table's representation on its heap. lastCID bounds
 // the MVCC stamp checks (the manager's recovered last-committed CID).
-// Volatile tables have no persistent representation; the walk is a
-// no-op for them.
 func (t *Table) FsckNVM(lastCID uint64) error {
-	if t.h == nil {
-		return nil
-	}
 	h := t.h
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -162,20 +156,13 @@ func (t *Table) FsckNVM(lastCID uint64) error {
 	}
 
 	for c := 0; c < ncols; c++ {
-		if m, ok := ps.main[c].(*NVMMain); ok {
-			if err := m.Check(); err != nil {
-				fail("column %d: %w", c, err)
-			}
+		if err := ps.main[c].Check(); err != nil {
+			fail("column %d: %w", c, err)
 		}
-		if d, ok := ps.delta[c].(*NVMDelta); ok {
-			if err := d.Check(); err != nil {
-				fail("column %d: %w", c, err)
-			}
+		if err := ps.delta[c].Check(); err != nil {
+			fail("column %d: %w", c, err)
 		}
-		if !t.Indexed(c) {
-			continue
-		}
-		if gk, ok := ps.mainIdx[c].(*index.NVMGroupKey); ok {
+		if gk := ps.mainIdx[c]; gk != nil {
 			if err := gk.Check(ps.main[c].Rows(), ps.main[c].DictLen()); err != nil {
 				fail("column %d: %w", c, err)
 			}

@@ -2,8 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"fmt"
-	"slices"
 	"sort"
 
 	"hyrisenv/internal/nvm"
@@ -43,115 +41,6 @@ type MainColumn interface {
 	CheckIDs() error
 }
 
-// --- DRAM backend -----------------------------------------------------------
-
-// VolatileMain is the DRAM main column of the log-based baseline.
-type VolatileMain struct {
-	typ      ColType
-	dictKeys [][]byte // sorted encoded keys, handed out as they are: read-only
-	packed   []uint64
-	bits     uint64
-	rows     uint64
-}
-
-// BuildVolatileMain constructs a main column from per-row encoded keys.
-func BuildVolatileMain(typ ColType, rowKeys [][]byte) *VolatileMain {
-	dict, ids := buildDict(rowKeys)
-	m, err := volatileMainFromParts(typ, dict, ids)
-	if err != nil {
-		panic(err) // buildDict numbers the keys it returns: every ID fits
-	}
-	return m
-}
-
-// volatileMainFromParts builds a VolatileMain directly from a sorted
-// dictionary and row IDs (checkpoint load path — no re-deduplication). It
-// fails on an ID the dictionary's width does not hold.
-func volatileMainFromParts(typ ColType, dict []string, ids []uint64) (*VolatileMain, error) {
-	keys := make([][]byte, len(dict))
-	for i, k := range dict {
-		keys[i] = []byte(k)
-	}
-	bits := pstruct.BitsFor(maxID(dict))
-	words, ok := pstruct.PackedWords(uint64(len(ids)), bits)
-	if !ok {
-		return nil, fmt.Errorf("storage: a main column cannot hold %d rows of %d-bit value IDs", len(ids), bits)
-	}
-	packed := make([]uint64, words)
-	if err := pstruct.PackBits(packed, bits, ids); err != nil {
-		return nil, err
-	}
-	return &VolatileMain{typ: typ, dictKeys: keys, packed: packed, bits: bits, rows: uint64(len(ids))}, nil
-}
-
-var _ MainColumn = (*VolatileMain)(nil)
-
-// Type returns the column type.
-func (m *VolatileMain) Type() ColType { return m.typ }
-
-// Rows returns the row count.
-func (m *VolatileMain) Rows() uint64 { return m.rows }
-
-// ValueID implements MainColumn.
-func (m *VolatileMain) ValueID(row uint64) uint64 {
-	return pstruct.GetBits(m.packed, m.bits, row)
-}
-
-// UnpackIDs implements MainColumn.
-func (m *VolatileMain) UnpackIDs(lo, hi uint64, dst []uint32) {
-	if lo > hi || hi > m.rows {
-		panic(fmt.Sprintf("storage: main column rows [%d, %d) out of range %d", lo, hi, m.rows))
-	}
-	pstruct.UnpackBits(m.packed, m.bits, lo, hi, dst)
-}
-
-// FilterIDs implements MainColumn.
-func (m *VolatileMain) FilterIDs(lo, hi uint64, idLo, span uint32, neg bool, bm []uint64) {
-	if lo > hi || hi > m.rows {
-		panic(fmt.Sprintf("storage: main column rows [%d, %d) out of range %d", lo, hi, m.rows))
-	}
-	pstruct.FilterBits(m.packed, m.bits, lo, int(hi-lo), idLo, span, neg, bm)
-}
-
-// Value implements MainColumn.
-func (m *VolatileMain) Value(row uint64) Value { return m.DictValue(m.ValueID(row)) }
-
-// DictLen implements MainColumn.
-func (m *VolatileMain) DictLen() uint64 { return uint64(len(m.dictKeys)) }
-
-// DictKey implements MainColumn. The key is the dictionary's own copy.
-func (m *VolatileMain) DictKey(id uint64) []byte { return m.dictKeys[id] }
-
-// DictValue implements MainColumn.
-func (m *VolatileMain) DictValue(id uint64) Value { return DecodeValue(m.typ, m.dictKeys[id]) }
-
-// LookupValueID implements MainColumn.
-func (m *VolatileMain) LookupValueID(encKey []byte) (uint64, bool) {
-	if i, found := slices.BinarySearchFunc(m.dictKeys, encKey, bytes.Compare); found {
-		return uint64(i), true
-	}
-	return 0, false
-}
-
-// LookupRange implements MainColumn.
-func (m *VolatileMain) LookupRange(loKey, hiKey []byte) (uint64, uint64) {
-	lo, _ := slices.BinarySearchFunc(m.dictKeys, loKey, bytes.Compare)
-	hi, _ := slices.BinarySearchFunc(m.dictKeys, hiKey, bytes.Compare)
-	return uint64(lo), uint64(hi)
-}
-
-// ScanIDs implements MainColumn.
-func (m *VolatileMain) ScanIDs(fn func(row, id uint64) bool) {
-	pstruct.ScanBits(m.packed, m.bits, m.rows, fn)
-}
-
-// CheckIDs implements MainColumn.
-func (m *VolatileMain) CheckIDs() error {
-	return pstruct.CheckBits(m.packed, m.bits, m.rows, m.DictLen())
-}
-
-// --- NVM backend -------------------------------------------------------------
-
 // NVM main column root block layout.
 const (
 	nmOffDictVec = 0
@@ -160,9 +49,10 @@ const (
 	nmRootSize   = 24
 )
 
-// NVMMain is the persistent main column of Hyrise-NV: a vector of sorted
+// NVMMain is the main column of Hyrise-NV: a vector of sorted
 // dictionary blob pointers plus a bit-sliced attribute vector, both on
-// NVM. Attach is O(1), so restarting does not touch column data.
+// the table's heap. Attach is O(1), so restarting on NVM does not touch
+// column data.
 type NVMMain struct {
 	h       *nvm.Heap
 	root    nvm.PPtr
@@ -175,6 +65,12 @@ type NVMMain struct {
 // keys, returning an attachable column.
 func BuildNVMMain(h *nvm.Heap, typ ColType, rowKeys [][]byte) (*NVMMain, error) {
 	dict, ids := buildDict(rowKeys)
+	return nvmMainFromParts(h, typ, dict, ids)
+}
+
+// nvmMainFromParts builds a main column from a sorted dictionary and the
+// value ID of each row.
+func nvmMainFromParts(h *nvm.Heap, typ ColType, dict []string, ids []uint64) (*NVMMain, error) {
 	dictVec, err := pstruct.NewVector(h, 8, 8)
 	if err != nil {
 		return nil, err

@@ -2,10 +2,6 @@ package storage
 
 import (
 	"errors"
-
-	"hyrisenv/internal/index"
-	"hyrisenv/internal/mvcc"
-	"hyrisenv/internal/vec"
 )
 
 // ErrMergeBusy is returned when a merge is attempted while transactions
@@ -31,11 +27,11 @@ type MergeStats struct {
 // must not be used for writes afterwards (the transaction layer enforces
 // this via the epoch guard).
 //
-// On the NVM backend the new partition set is built and persisted
-// completely before the table root's single partition-set pointer is
-// swapped, so a crash at any point leaves either the old or the new
-// partition set — never a mix. Superseded structures are leaked and can
-// be reclaimed offline (nvm.Heap.Scavenge).
+// The new partition set is built and persisted completely before the
+// table root's single partition-set pointer is swapped, so a crash at any
+// point leaves either the old or the new partition set — never a mix.
+// Superseded structures are leaked and can be reclaimed offline
+// (nvm.Heap.Scavenge).
 func (t *Table) Merge(snapCID uint64) (MergeStats, error) {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
@@ -94,40 +90,13 @@ func (t *Table) Merge(snapCID uint64) (MergeStats, error) {
 		colKeys[c] = keys
 	}
 
-	var newPS *partitions
-	var err error
-	if t.h != nil {
-		newPS, err = t.mergeNVM(colKeys, begins, &stats)
-	} else {
-		newPS, err = t.mergeVolatile(colKeys, begins, &stats)
-	}
+	newPS, err := t.mergeNVM(colKeys, begins, &stats)
 	if err != nil {
 		return stats, err
 	}
 	t.parts.Store(newPS)
 	t.epoch.Add(1)
 	return stats, nil
-}
-
-func (t *Table) mergeVolatile(colKeys [][][]byte, begins []uint64, stats *MergeStats) (*partitions, error) {
-	ncols := t.Schema.NumCols()
-	ps := &partitions{mainIdx: make([]mainIndex, ncols)}
-	for c := 0; c < ncols; c++ {
-		m := BuildVolatileMain(t.Schema.Cols[c].Type, colKeys[c])
-		ps.main = append(ps.main, m)
-		ps.delta = append(ps.delta, NewVolatileDelta(t.Schema.Cols[c].Type, t.Indexed(c)))
-		stats.DictEntries += m.DictLen()
-		if t.Indexed(c) {
-			ps.mainIdx[c] = index.BuildGroupKey(m.Rows(), m.DictLen(), m.ValueID)
-		}
-	}
-	mainMVCC, err := buildVolatileMainMVCC(begins)
-	if err != nil {
-		return nil, err
-	}
-	ps.mainMVCC = mainMVCC
-	ps.deltaMVCC = newVolatileStore()
-	return ps, nil
 }
 
 func (t *Table) mergeNVM(colKeys [][][]byte, begins []uint64, stats *MergeStats) (*partitions, error) {
@@ -151,23 +120,4 @@ func (t *Table) mergeNVM(colKeys [][][]byte, begins []uint64, stats *MergeStats)
 	h.SetU64(slot, uint64(psPtr))
 	h.Persist(slot, 8)
 	return t.attachPartitionSet(psPtr, false)
-}
-
-func newVolatileStore() *mvcc.Store {
-	return mvcc.NewStore(vec.NewVolatile(10), vec.NewVolatile(10))
-}
-
-func buildVolatileMainMVCC(begins []uint64) (*mvcc.Store, error) {
-	b, e := vec.NewVolatile(10), vec.NewVolatile(10)
-	if _, err := b.AppendN(begins); err != nil {
-		return nil, err
-	}
-	ends := make([]uint64, len(begins))
-	for i := range ends {
-		ends[i] = mvcc.Inf
-	}
-	if _, err := e.AppendN(ends); err != nil {
-		return nil, err
-	}
-	return mvcc.NewStore(b, e), nil
 }

@@ -55,7 +55,7 @@ func TestMergePreservesVisibleContentProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		return []deckCard{
-			{NewVolatileTable("orders", 1, ordersSchema(t), 0b001), "dram"},
+			{dramTable(t, ordersSchema(t), 0b001), "dram"},
 			{nt, "nvm"},
 		}
 	}
@@ -130,7 +130,7 @@ func TestMergePreservesVisibleContentProperty(t *testing.T) {
 }
 
 func TestCheckDetectsCorruption(t *testing.T) {
-	tbl := NewVolatileTable("orders", 1, ordersSchema(t), 0)
+	tbl := dramTable(t, ordersSchema(t), 0)
 	row, _ := tbl.AppendRow([]Value{Int(1), Str("a"), Float(1)}, 1)
 	commitRow(tbl, row, 2)
 	if _, err := tbl.Check(); err != nil {
@@ -162,7 +162,7 @@ func TestCheckReportsBadAttributeVector(t *testing.T) {
 	if _, err := tbl.Merge(3); err != nil {
 		t.Fatal(err)
 	}
-	bpRoot := tbl.parts.Load().main[0].(*NVMMain).bp.Root()
+	bpRoot := tbl.parts.Load().main[0].bp.Root()
 	data := nvm.PPtr(h.GetU64(bpRoot.Add(16)))
 	reopened := func() *Table {
 		t.Helper()
@@ -200,13 +200,15 @@ func TestCheckReportsBadAttributeVector(t *testing.T) {
 	}
 }
 
-// TestVolatileMainRejectsWideID: the checkpoint load path refuses a value
-// ID its dictionary's width does not hold.
-func TestVolatileMainRejectsWideID(t *testing.T) {
-	if _, err := volatileMainFromParts(TypeString, []string{"a", "b"}, []uint64{0, 1, 1}); err != nil {
+// TestMainFromPartsRejectsWideID: building a main column from a
+// dictionary and row IDs — the checkpoint load path — refuses a value ID
+// its dictionary's width does not hold.
+func TestMainFromPartsRejectsWideID(t *testing.T) {
+	h := testDRAMHeap(t)
+	if _, err := nvmMainFromParts(h, TypeString, []string{"a", "b"}, []uint64{0, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := volatileMainFromParts(TypeString, []string{"a", "b"}, []uint64{0, 2, 1}); err == nil {
+	if _, err := nvmMainFromParts(h, TypeString, []string{"a", "b"}, []uint64{0, 2, 1}); err == nil {
 		t.Fatal("ID 2 accepted at width 1")
 	}
 }

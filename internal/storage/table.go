@@ -24,10 +24,12 @@ import (
 // are only meaningful relative to a generation; the Epoch counter lets
 // the transaction layer detect stale row IDs across a merge.
 //
-// On the NVM backend the table is anchored at a persistent root block
-// holding the schema and a single pointer to the current partition set;
-// the merge persists the complete new set before swapping that one
-// pointer, which makes it crash-atomic.
+// The table lives on a heap: the NVM heap of the Hyrise-NV engine, or a
+// heap that does not persist for the log-based and volatile engines —
+// the same structures either way. It is anchored at a root block holding
+// the schema and a single pointer to the current partition set; the
+// merge persists the complete new set before swapping that one pointer,
+// which makes it crash-atomic on NVM.
 type Table struct {
 	Name   string
 	ID     uint32
@@ -35,7 +37,7 @@ type Table struct {
 
 	indexMask uint64
 
-	h    *nvm.Heap // nil on the DRAM backend
+	h    *nvm.Heap
 	root nvm.PPtr
 
 	parts atomic.Pointer[partitions]
@@ -49,15 +51,14 @@ type Table struct {
 
 // partitions is one immutable generation of the table's storage.
 type partitions struct {
-	main      []MainColumn
-	delta     []DeltaColumn
-	mainIdx   []mainIndex
+	main  []*NVMMain
+	delta []*NVMDelta
+	// mainIdx holds the group-key index of each indexed column's main
+	// partition; nil for an unindexed column, and for an indexed one
+	// whose indexes a checkpoint load has yet to rebuild.
+	mainIdx   []*index.NVMGroupKey
 	mainMVCC  *mvcc.Store
 	deltaMVCC *mvcc.Store
-
-	// The NVM backend's delta columns under their own type, for the staged
-	// row append; nil on the DRAM backend.
-	nvmDelta []*NVMDelta
 }
 
 // View is a consistent snapshot of one partition generation. All reads
@@ -105,53 +106,44 @@ func (t *Table) psPtr() nvm.PPtr {
 	return nvm.PPtr(t.h.GetU64(t.root.Add(trOffPS)))
 }
 
-// NewVolatileTable creates a DRAM-backed table (log-based baseline) with
-// the given indexed-column bitmask.
-func NewVolatileTable(name string, id uint32, schema Schema, indexMask uint64) *Table {
-	t := &Table{Name: name, ID: id, Schema: schema, indexMask: indexMask}
-	ncols := schema.NumCols()
-	ps := &partitions{mainIdx: make([]mainIndex, ncols)}
-	for c, col := range schema.Cols {
-		ps.main = append(ps.main, BuildVolatileMain(col.Type, nil))
-		ps.delta = append(ps.delta, NewVolatileDelta(col.Type, t.Indexed(c)))
-		if t.Indexed(c) {
-			ps.mainIdx[c] = index.BuildGroupKey(0, 0, nil)
-		}
-	}
-	ps.mainMVCC = newVolatileStore()
-	ps.deltaMVCC = newVolatileStore()
-	t.parts.Store(ps)
-	return t
-}
-
-// CreateNVMTable allocates a persistent table. The caller must link
-// t.Root() into the catalog to make the table durable.
+// CreateNVMTable allocates an empty table on h. On NVM the caller must
+// link t.Root() into the catalog to make the table durable.
 func CreateNVMTable(h *nvm.Heap, name string, id uint32, schema Schema, indexMask uint64) (*Table, error) {
 	t := &Table{Name: name, ID: id, Schema: schema, indexMask: indexMask, h: h}
-	schemaBlob, err := pstruct.WriteBlob(h, schema.Marshal())
-	if err != nil {
-		return nil, err
-	}
 	ps, err := t.buildNVMPartitionSet(nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	if err := t.writeRoot(ps); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// writeRoot allocates and persists the table's root block over the
+// partition set ps, and attaches ps.
+func (t *Table) writeRoot(ps nvm.PPtr) error {
+	h := t.h
+	schemaBlob, err := pstruct.WriteBlob(h, t.Schema.Marshal())
+	if err != nil {
+		return err
+	}
 	root, err := h.Alloc(trRootSize)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	h.PutU64(root.Add(trOffSchema), uint64(schemaBlob))
 	h.PutU64(root.Add(trOffPS), uint64(ps))
-	h.PutU64(root.Add(trOffID), uint64(id))
-	h.PutU64(root.Add(trOffIndexMask), indexMask)
+	h.PutU64(root.Add(trOffID), uint64(t.ID))
+	h.PutU64(root.Add(trOffIndexMask), t.indexMask)
 	h.Persist(root, trRootSize)
 	t.root = root
 	parts, err := t.attachPartitionSet(ps, false)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	t.parts.Store(parts)
-	return t, nil
+	return nil
 }
 
 // OpenNVMTable re-hydrates a persistent table from its root. The work is
@@ -194,59 +186,61 @@ func (t *Table) buildNVMPartitionSet(mainCols []*NVMMain, mainBegins []uint64) (
 			mainCols[i] = mc
 		}
 	}
-	mainBegin, err := pstruct.NewVector(h, 8, 10)
-	if err != nil {
-		return 0, err
+	ends := make([]uint64, len(mainBegins))
+	for i := range ends {
+		ends[i] = mvcc.Inf
 	}
-	mainEnd, err := pstruct.NewVector(h, 8, 10)
-	if err != nil {
-		return 0, err
-	}
-	if len(mainBegins) > 0 {
-		if _, err := mainBegin.AppendN(mainBegins); err != nil {
+	var stamps [4]*pstruct.Vector
+	for i, vals := range [][]uint64{mainBegins, ends, nil, nil} {
+		v, err := pstruct.NewVector(h, 8, 10)
+		if err != nil {
 			return 0, err
 		}
-		ends := make([]uint64, len(mainBegins))
-		for i := range ends {
-			ends[i] = mvcc.Inf
-		}
-		if _, err := mainEnd.AppendN(ends); err != nil {
+		if _, err := v.AppendN(vals); err != nil {
 			return 0, err
 		}
+		stamps[i] = v
 	}
-	deltaBegin, err := pstruct.NewVector(h, 8, 10)
-	if err != nil {
-		return 0, err
+	deltas := make([]*NVMDelta, ncols)
+	gks := make([]*index.NVMGroupKey, ncols)
+	for i := range deltas {
+		dc, err := NewNVMDelta(h, t.Schema.Cols[i].Type, t.Indexed(i))
+		if err != nil {
+			return 0, err
+		}
+		deltas[i] = dc
+		if t.Indexed(i) {
+			m := mainCols[i]
+			if gks[i], err = index.BuildNVMGroupKey(h, m.Rows(), m.DictLen(), m.ValueID); err != nil {
+				return 0, err
+			}
+		}
 	}
-	deltaEnd, err := pstruct.NewVector(h, 8, 10)
-	if err != nil {
-		return 0, err
-	}
+	return t.writePartitionSet(mainCols, deltas, gks, stamps)
+}
 
+// writePartitionSet allocates and persists a partition-set block naming
+// the given columns, main indexes (nil: none) and MVCC vectors (main
+// begin, main end, delta begin, delta end).
+func (t *Table) writePartitionSet(main []*NVMMain, delta []*NVMDelta, gks []*index.NVMGroupKey, stamps [4]*pstruct.Vector) (nvm.PPtr, error) {
+	h := t.h
+	ncols := len(main)
 	ps, err := h.Alloc(psSize(ncols))
 	if err != nil {
 		return 0, err
 	}
 	h.PutU64(ps.Add(psOffNCols), uint64(ncols))
-	h.PutU64(ps.Add(psOffMainBegin), uint64(mainBegin.Root()))
-	h.PutU64(ps.Add(psOffMainEnd), uint64(mainEnd.Root()))
-	h.PutU64(ps.Add(psOffDeltaBegin), uint64(deltaBegin.Root()))
-	h.PutU64(ps.Add(psOffDeltaEnd), uint64(deltaEnd.Root()))
+	h.PutU64(ps.Add(psOffMainBegin), uint64(stamps[0].Root()))
+	h.PutU64(ps.Add(psOffMainEnd), uint64(stamps[1].Root()))
+	h.PutU64(ps.Add(psOffDeltaBegin), uint64(stamps[2].Root()))
+	h.PutU64(ps.Add(psOffDeltaEnd), uint64(stamps[3].Root()))
 	for i := 0; i < ncols; i++ {
-		dc, err := NewNVMDelta(h, t.Schema.Cols[i].Type, t.Indexed(i))
-		if err != nil {
-			return 0, err
-		}
 		base := ps.Add(psOffCols + uint64(i)*psColSize)
-		h.PutU64(base, uint64(mainCols[i].Root()))
-		h.PutU64(base.Add(8), uint64(dc.Root()))
+		h.PutU64(base, uint64(main[i].Root()))
+		h.PutU64(base.Add(8), uint64(delta[i].Root()))
 		var gkRoot nvm.PPtr
-		if t.Indexed(i) {
-			gk, err := index.BuildNVMGroupKey(h, mainCols[i].Rows(), mainCols[i].DictLen(), mainCols[i].ValueID)
-			if err != nil {
-				return 0, err
-			}
-			gkRoot = gk.Root()
+		if gks[i] != nil {
+			gkRoot = gks[i].Root()
 		}
 		h.PutU64(base.Add(16), uint64(gkRoot))
 	}
@@ -264,24 +258,22 @@ func (t *Table) attachPartitionSet(psPtr nvm.PPtr, afterRestart bool) (*partitio
 	h := t.h
 	ncols := t.Schema.NumCols()
 	ps := &partitions{
-		main:     make([]MainColumn, ncols),
-		delta:    make([]DeltaColumn, ncols),
-		mainIdx:  make([]mainIndex, ncols),
-		nvmDelta: make([]*NVMDelta, ncols),
+		main:    make([]*NVMMain, ncols),
+		delta:   make([]*NVMDelta, ncols),
+		mainIdx: make([]*index.NVMGroupKey, ncols),
 	}
 	for i := 0; i < ncols; i++ {
 		base := psPtr.Add(psOffCols + uint64(i)*psColSize)
 		ps.main[i] = AttachNVMMain(h, nvm.PPtr(h.GetU64(base)))
-		ps.nvmDelta[i] = AttachNVMDelta(h, nvm.PPtr(h.GetU64(base.Add(8))))
-		ps.delta[i] = ps.nvmDelta[i]
-		if t.Indexed(i) {
-			ps.mainIdx[i] = index.AttachNVMGroupKey(h, nvm.PPtr(h.GetU64(base.Add(16))))
+		ps.delta[i] = AttachNVMDelta(h, nvm.PPtr(h.GetU64(base.Add(8))))
+		if gk := nvm.PPtr(h.GetU64(base.Add(16))); !gk.IsNil() {
+			ps.mainIdx[i] = index.AttachNVMGroupKey(h, gk)
 		}
 	}
 	deltaBegin := pstruct.AttachVector(h, nvm.PPtr(h.GetU64(psPtr.Add(psOffDeltaBegin))))
 	deltaEnd := pstruct.AttachVector(h, nvm.PPtr(h.GetU64(psPtr.Add(psOffDeltaEnd))))
 	if afterRestart {
-		if err := alignAfterRestart(ps.nvmDelta, deltaBegin, deltaEnd); err != nil {
+		if err := alignAfterRestart(ps.delta, deltaBegin, deltaEnd); err != nil {
 			return nil, err
 		}
 	}
@@ -328,11 +320,8 @@ func alignAfterRestart(delta []*NVMDelta, begin, end *pstruct.Vector) error {
 	return nil
 }
 
-// Root returns the table's persistent root pointer (NVM backend only).
+// Root returns the table's root pointer.
 func (t *Table) Root() nvm.PPtr { return t.root }
-
-// IsNVM reports whether the table uses the persistent backend.
-func (t *Table) IsNVM() bool { return t.h != nil }
 
 // --- View accessors -----------------------------------------------------------
 
@@ -461,7 +450,7 @@ func (t *Table) AppendRow(vals []Value, owner uint64) (uint64, error) {
 // AppendRowLogged is AppendRow with the caller's undo record for the row
 // (nil for none) riding the append.
 //
-// On the NVM backend the append costs two fences whatever the schema.
+// The append costs two fences whatever the schema.
 // The stage half writes every line the row needs — per column the
 // attribute-vector slot and, for a new value, the dictionary slot and the
 // index node with the key; the posting of indexed columns; the MVCC begin
@@ -482,29 +471,13 @@ func (t *Table) AppendRowLogged(vals []Value, owner uint64, log RowLog) (uint64,
 	defer t.writeMu.Unlock()
 	ps := t.parts.Load()
 	row := ps.mainMVCC.Rows() + ps.deltaMVCC.Rows()
-	if t.h == nil {
-		return row, appendRowDRAM(ps, vals, owner)
-	}
 	return row, t.appendRowNVM(ps, vals, owner, row, log)
 }
 
-// appendRowDRAM appends a row on the DRAM backend, which has no persist
-// order to keep: each structure's halves run back to back. Its appends
-// fail only at a vector's capacity, beyond any table.
-func appendRowDRAM(ps *partitions, vals []Value, owner uint64) error {
-	for i, v := range vals {
-		if _, err := ps.delta[i].Append(v); err != nil {
-			return err
-		}
-	}
-	_, err := ps.deltaMVCC.AppendRow(owner)
-	return err
-}
-
-// stageRow is the stage half of a row append on the NVM backend.
+// stageRow is the stage half of a row append.
 func (t *Table) stageRow(ps *partitions, vals []Value, owner, row uint64, log RowLog) error {
 	for i, v := range vals {
-		if _, err := ps.nvmDelta[i].StageAppend(v); err != nil {
+		if _, err := ps.delta[i].StageAppend(v); err != nil {
 			return err
 		}
 	}
@@ -517,12 +490,12 @@ func (t *Table) stageRow(ps *partitions, vals []Value, owner, row uint64, log Ro
 	return nil
 }
 
-// publishRow is the publish half of a row append on the NVM backend:
+// publishRow is the publish half of a row append:
 // lengths, heads and links of the dictionaries, then attribute-vector
 // lengths (both per column, in NVMDelta.Publish), then the MVCC lengths
 // that let a reader count the row.
 func publishRow(ps *partitions, log RowLog) {
-	for _, d := range ps.nvmDelta {
+	for _, d := range ps.delta {
 		d.Publish()
 	}
 	ps.deltaMVCC.PublishRow()
@@ -534,7 +507,7 @@ func publishRow(ps *partitions, log RowLog) {
 // settleRow finishes a published row after the second fence (see
 // pstruct.HashList.Settle); what it flushes rides the next fence.
 func settleRow(ps *partitions) {
-	for _, d := range ps.nvmDelta {
+	for _, d := range ps.delta {
 		d.Settle()
 	}
 }
@@ -544,7 +517,7 @@ func settleRow(ps *partitions) {
 // overwritten by the next row or stays behind as arena bytes nothing
 // names.
 func unstageRow(ps *partitions, log RowLog) {
-	for _, d := range ps.nvmDelta {
+	for _, d := range ps.delta {
 		d.Unstage()
 	}
 	ps.deltaMVCC.UnstageRow()

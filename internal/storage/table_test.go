@@ -22,7 +22,7 @@ func ordersSchema(t *testing.T) Schema {
 	return s
 }
 
-// tables builds a table per backend.
+// tables builds a table per medium.
 func tables(t *testing.T) map[string]*Table {
 	t.Helper()
 	h, _ := testNVMHeap(t)
@@ -31,7 +31,7 @@ func tables(t *testing.T) map[string]*Table {
 		t.Fatal(err)
 	}
 	return map[string]*Table{
-		"dram": NewVolatileTable("orders", 1, ordersSchema(t), 0),
+		"dram": dramTable(t, ordersSchema(t), 0),
 		"nvm":  nt,
 	}
 }
@@ -319,7 +319,7 @@ func TestNVMTableTornRowAppendRepaired(t *testing.T) {
 			t.Fatal(err)
 		}
 		h.Fence()
-		publish(ps.nvmDelta[0])
+		publish(ps.delta[0])
 		h.Fence()
 		h = reopenHeap(t, h, path)
 		root, _, _ := h.Root("tbl:orders")
@@ -444,7 +444,7 @@ func TestNVMTableMergeCrashSafety(t *testing.T) {
 }
 
 func TestMVCCForAddressing(t *testing.T) {
-	tbl := NewVolatileTable("t", 1, ordersSchema(t), 0)
+	tbl := dramTable(t, ordersSchema(t), 0)
 	r, _ := tbl.AppendRow([]Value{Int(1), Str("a"), Float(1)}, 1)
 	commitRow(tbl, r, 1)
 	tbl.Merge(2)

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"slices"
 
 	"hyrisenv/internal/index"
 	"hyrisenv/internal/nvm"
@@ -15,16 +16,10 @@ import (
 // updated on every insert: the dictionary that finds a key's value ID
 // is the delta index's search structure too.
 //
-// On the NVM backend both are persistent and are part of the table's
-// partition set, so they are valid immediately after restart; the
-// log-based baseline rebuilds them during recovery, which is a dominant
-// component of its restart time.
-
-// mainIndex is satisfied by *index.GroupKey and *index.NVMGroupKey.
-type mainIndex interface {
-	Rows(id uint64, fn func(row uint64) bool)
-	RowsInIDRange(lo, hi uint64, fn func(row uint64) bool)
-}
+// Both live on the table's heap and are part of its partition set, so
+// on NVM they are valid immediately after restart; the log-based
+// baseline, whose heap does not persist, rebuilds them during recovery,
+// which is a dominant component of its restart time.
 
 // IndexMask returns the bitmask of indexed columns.
 func (t *Table) IndexMask() uint64 { return t.indexMask }
@@ -132,38 +127,45 @@ func (t *Table) LookupRowsInRange(col int, loKey, hiKey []byte, fn func(row uint
 	return t.View().LookupRowsInRange(col, loKey, hiKey, fn)
 }
 
-// RebuildIndexes builds the secondary indexes of a table read from a
-// checkpoint, from its column data — the log-based recovery path, O(rows)
-// per indexed column: a group-key index over the main partition and the
-// delta column's rows per value ID. It publishes a new partition
-// generation carrying them (columns and MVCC unchanged, so the epoch
-// does not advance). On the NVM backend the indexes are persistent and
-// there is nothing to rebuild.
-func (t *Table) RebuildIndexes() {
-	if t.h != nil {
-		return
-	}
+// RebuildIndexes builds the secondary indexes a checkpoint load leaves
+// out (ReadCheckpoint), from the column data — the log-based recovery
+// path, O(rows) per indexed column: a group-key index over the main
+// partition and the delta column's posting lists. It publishes a new
+// partition generation carrying them (columns and MVCC unchanged, so the
+// epoch does not advance). A table whose indexes exist has nothing to
+// rebuild. The caller holds off readers.
+func (t *Table) RebuildIndexes() error {
 	t.writeMu.Lock()
 	defer t.writeMu.Unlock()
+	h := t.h
 	ps := *t.parts.Load()
-	ps.mainIdx = make([]mainIndex, t.Schema.NumCols())
-	for c := range ps.mainIdx {
-		if t.Indexed(c) {
-			m := ps.main[c]
-			ps.mainIdx[c] = index.BuildGroupKey(m.Rows(), m.DictLen(), m.ValueID)
-			ps.delta[c].(*VolatileDelta).indexRows()
+	ps.mainIdx = slices.Clone(ps.mainIdx)
+	pp := t.psPtr()
+	for c, gk := range ps.mainIdx {
+		if !t.Indexed(c) || gk != nil {
+			continue
 		}
+		m := ps.main[c]
+		gk, err := index.BuildNVMGroupKey(h, m.Rows(), m.DictLen(), m.ValueID)
+		if err != nil {
+			return err
+		}
+		if err := ps.delta[c].indexRows(); err != nil {
+			return err
+		}
+		slot := pp.Add(psOffCols + uint64(c)*psColSize + 16)
+		h.SetU64(slot, uint64(gk.Root()))
+		h.Persist(slot, 8)
+		ps.mainIdx[c] = gk
 	}
 	t.parts.Store(&ps)
+	return nil
 }
 
-// Blocks yields every heap block reachable from the table (NVM backend
-// only) — the reachability input of nvm.Heap.Scavenge. The table must be
-// quiescent while enumerating.
+// Blocks yields every heap block reachable from the table — the
+// reachability input of nvm.Heap.Scavenge. The table must be quiescent
+// while enumerating.
 func (t *Table) Blocks(yield func(nvm.PPtr)) {
-	if t.h == nil {
-		return
-	}
 	h := t.h
 	ps := t.parts.Load()
 	yield(t.root)
@@ -181,9 +183,9 @@ func (t *Table) Blocks(yield func(nvm.PPtr)) {
 		pstruct.AttachVector(h, mv).Blocks(yield)
 	}
 	for c := 0; c < t.Schema.NumCols(); c++ {
-		ps.main[c].(*NVMMain).Blocks(yield)
-		ps.nvmDelta[c].Blocks(yield)
-		if gk, ok := ps.mainIdx[c].(*index.NVMGroupKey); ok {
+		ps.main[c].Blocks(yield)
+		ps.delta[c].Blocks(yield)
+		if gk := ps.mainIdx[c]; gk != nil {
 			gk.Blocks(yield)
 		}
 	}

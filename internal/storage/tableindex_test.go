@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
 
+	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/pstruct"
 )
 
@@ -17,7 +19,7 @@ func indexedTables(t *testing.T) map[string]*Table {
 		t.Fatal(err)
 	}
 	return map[string]*Table{
-		"dram": NewVolatileTable("orders", 1, ordersSchema(t), 0b011),
+		"dram": dramTable(t, ordersSchema(t), 0b011),
 		"nvm":  nt,
 	}
 }
@@ -187,7 +189,13 @@ func TestTableStaleIndexEntryFiltered(t *testing.T) {
 	}
 }
 
+// TestRebuildIndexes: a table read back from a checkpoint has no
+// secondary indexes until RebuildIndexes builds them from its main and
+// delta rows; then lookups and the structural checks agree with the
+// table it was written from.
 func TestRebuildIndexes(t *testing.T) {
+	nh, _ := testNVMHeap(t)
+	heaps := map[string]*nvm.Heap{"dram": testDRAMHeap(t), "nvm": nh}
 	for name, tbl := range indexedTables(t) {
 		t.Run(name, func(t *testing.T) {
 			for i := int64(0); i < 10; i++ {
@@ -195,12 +203,46 @@ func TestRebuildIndexes(t *testing.T) {
 				commitRow(tbl, row, 2)
 			}
 			tbl.Merge(3)
-			row, _ := tbl.AppendRow([]Value{Int(1), Str("x"), Float(0)}, 1)
-			commitRow(tbl, row, 4)
-			tbl.RebuildIndexes()
-			rows := lookupVisible(tbl, 0, Int(1), 10)
-			if len(rows) != 6 {
-				t.Fatalf("post-rebuild lookup: %v", rows)
+			for _, id := range []int64{1, 1, 0} {
+				row, _ := tbl.AppendRow([]Value{Int(id), Str("x"), Float(0)}, 1)
+				commitRow(tbl, row, 4)
+			}
+			var buf bytes.Buffer
+			if err := tbl.WriteCheckpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := ReadCheckpoint(heaps[name], &buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.LookupRows(0, Int(1).EncodeKey(nil), func(uint64) bool { return true }) {
+				t.Fatal("a table read from a checkpoint answers from an index before the rebuild")
+			}
+			if err := loaded.RebuildIndexes(); err != nil {
+				t.Fatal(err)
+			}
+			if rows := lookupVisible(loaded, 0, Int(1), 10); len(rows) != 7 {
+				t.Fatalf("post-rebuild lookup(1): %v", rows)
+			}
+			if rows := lookupVisible(loaded, 0, Int(0), 10); len(rows) != 6 {
+				t.Fatalf("post-rebuild lookup(0): %v", rows)
+			}
+			rep, err := loaded.Check()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.IndexedCols != 2 || rep.VisibleRows != 13 {
+				t.Fatalf("Check after rebuild: %+v", rep)
+			}
+			if err := loaded.FsckNVM(10); err != nil {
+				t.Fatal(err)
+			}
+			// A table whose indexes exist has nothing to rebuild.
+			if err := loaded.RebuildIndexes(); err != nil {
+				t.Fatal(err)
+			}
+			if rows := lookupVisible(loaded, 0, Int(1), 10); len(rows) != 7 {
+				t.Fatalf("second rebuild: lookup(1) = %v", rows)
 			}
 		})
 	}
@@ -226,7 +268,7 @@ func TestLookupRowsDuplicateStaleEntry(t *testing.T) {
 	commitRow(tbl, row, 2)
 	// Fabricate the crash-stale duplicate: a second posting for the same
 	// (value ID, slot) pair, pushed onto the list the way an append does.
-	d := tbl.parts.Load().nvmDelta[0]
+	d := tbl.parts.Load().delta[0]
 	id := d.ValueID(row)
 	node, err := pstruct.ListStage(d.idx.Arena(), row, d.heads.Get(id))
 	if err != nil {
@@ -298,7 +340,7 @@ func TestFsckReportsBadPostingLists(t *testing.T) {
 	if err := tbl.FsckNVM(10); err != nil {
 		t.Fatal(err)
 	}
-	d := tbl.parts.Load().nvmDelta[0]
+	d := tbl.parts.Load().delta[0]
 	last := d.heads.Get(3)
 	d.heads.Truncate(3)
 	if err := tbl.FsckNVM(10); err == nil || !strings.Contains(err.Error(), "3 posting-list heads for a dictionary of 4") {
@@ -314,7 +356,8 @@ func TestFsckReportsBadPostingLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.heads.Set(2, uint64(outside))
+	d.heads.SetNoPersist(2, uint64(outside))
+	d.heads.PersistAt(2)
 	if err := tbl.FsckNVM(10); err == nil || !strings.Contains(err.Error(), "value ID 2") ||
 		!strings.Contains(err.Error(), "in no segment") {
 		t.Fatalf("posting node outside the arena: FsckNVM = %v", err)
@@ -322,12 +365,12 @@ func TestFsckReportsBadPostingLists(t *testing.T) {
 }
 
 // TestLookupRowsUnderAppends: readers look keys up while a writer
-// appends rows of them to the DRAM backend's posting lists (run it with
-// -race). Every row a lookup yields carries the key, and once the writer
-// is done every row is found.
+// appends rows of them to the posting lists (run it with -race). Every
+// row a lookup yields carries the key, and once the writer is done every
+// row is found.
 func TestLookupRowsUnderAppends(t *testing.T) {
 	const rows, keys = 2000, 7
-	tbl := NewVolatileTable("orders", 1, ordersSchema(t), 0b001)
+	tbl := dramTable(t, ordersSchema(t), 0b001)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {

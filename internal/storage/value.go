@@ -1,10 +1,12 @@
 // Package storage implements the Hyrise column-store layout: a
 // read-optimized, dictionary-compressed *main* partition and a
-// write-optimized, append-only *delta* partition per table, with both a
-// volatile (DRAM) backend used by the log-based baseline and a persistent
-// (NVM) backend used by Hyrise-NV.
+// write-optimized, append-only *delta* partition per table. One set of
+// structures runs on two media: the NVM heap of Hyrise-NV, and a heap
+// that does not persist (nvm.CreateVolatile) under the log-based
+// baseline and the volatile engine, whose checkpoint loader rebuilds
+// them onto it.
 //
-// On the NVM backend every write goes through the two halves of package
+// Every write goes through the two halves of package
 // pstruct — stage what is new where nothing reaches it, fence, publish
 // the words that make it reachable, fence — and a row append
 // (Table.AppendRow) runs them over all of the row's structures at once:

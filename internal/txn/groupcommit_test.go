@@ -315,7 +315,7 @@ func TestLogGroupCommitSharesSyncs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := storage.NewVolatileTable("t", 1, testSchema(t), 0)
+	tbl := dramTable(t, "t", 1)
 	first, _, err := lm.WriteCheckpoint([]*storage.Table{tbl}, 0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +374,7 @@ func TestLogGroupCommitSharesSyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := lm.Recover()
+	res, err := lm.Recover(dramHeap(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -386,8 +386,8 @@ func (t *Txn) Commit() error {
 
 // stampLocked writes the begin/end CIDs of the write set and flushes
 // their lines without fencing — the caller issues the one fence that
-// orders all of them (on volatile vectors the flush is a no-op) — then
-// releases the row locks.
+// orders all of them (on a heap that does not persist, a flush costs an
+// atomic add) — then releases the row locks.
 func (t *Txn) stampLocked(cid uint64) {
 	for _, op := range t.writes {
 		s, local := op.table.MVCCFor(op.row)

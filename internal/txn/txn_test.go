@@ -42,7 +42,7 @@ func envs(t *testing.T) map[string]*env {
 	out["none"] = &env{
 		mode: ModeNone,
 		mgr:  NewManager(ModeNone, 0),
-		tbl:  storage.NewVolatileTable("t", 1, testSchema(t), 0),
+		tbl:  dramTable(t, "t", 1),
 	}
 
 	out["log"] = logEnv(t)
@@ -64,6 +64,28 @@ func envs(t *testing.T) map[string]*env {
 	return out
 }
 
+// dramHeap returns a heap that does not persist, the medium of the
+// volatile and log-based engines.
+func dramHeap(t *testing.T) *nvm.Heap {
+	t.Helper()
+	h, err := nvm.CreateVolatile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	return h
+}
+
+// dramTable creates a table on a heap of its own that does not persist.
+func dramTable(t *testing.T, name string, id uint32) *storage.Table {
+	t.Helper()
+	tbl, err := storage.CreateNVMTable(dramHeap(t), name, id, testSchema(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
 // logEnv builds a ModeLog manager writing to a fresh log segment.
 func logEnv(t *testing.T) *env {
 	t.Helper()
@@ -81,7 +103,7 @@ func logEnv(t *testing.T) *env {
 	return &env{
 		mode: ModeLog,
 		mgr:  lm,
-		tbl:  storage.NewVolatileTable("t", 1, testSchema(t), 0),
+		tbl:  dramTable(t, "t", 1),
 	}
 }
 
@@ -172,7 +194,7 @@ func TestDeleteAndUpdateAllModes(t *testing.T) {
 // table in row order, and only those.
 func TestInvalidatedIn(t *testing.T) {
 	e := envs(t)["none"]
-	other := storage.NewVolatileTable("other", 2, testSchema(t), 0)
+	other := dramTable(t, "other", 2)
 	load := e.mgr.Begin()
 	var rows []uint64
 	for i := 0; i < 6; i++ {
@@ -656,7 +678,7 @@ func TestLogModeCommitSurvivesRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := storage.NewVolatileTable("t", 1, testSchema(t), 0)
+	tbl := dramTable(t, "t", 1)
 	w, _, err := lm.WriteCheckpoint([]*storage.Table{tbl}, 0, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -677,7 +699,7 @@ func TestLogModeCommitSurvivesRecovery(t *testing.T) {
 	w.Sync()
 	w.Close()
 
-	res, err := lm.Recover()
+	res, err := lm.Recover(dramHeap(t))
 	if err != nil {
 		t.Fatal(err)
 	}

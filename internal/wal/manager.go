@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"hyrisenv/internal/disk"
+	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/storage"
 )
 
@@ -195,9 +196,10 @@ type RecoveryResult struct {
 }
 
 // Recover loads the live checkpoint (if any) and replays the matching
-// log segment, reconstructing all tables in DRAM. Cost is proportional
-// to data size — the behaviour the paper contrasts with NVM restarts.
-func (m *Manager) Recover() (*RecoveryResult, error) {
+// log segment, reconstructing all tables on the heap h, which does not
+// persist. Cost is proportional to data size — the behaviour the paper
+// contrasts with NVM restarts.
+func (m *Manager) Recover(h *nvm.Heap) (*RecoveryResult, error) {
 	res := &RecoveryResult{Tables: map[uint32]*storage.Table{}, NextTableID: 1}
 	seq, has, err := m.currentSeq()
 	if err != nil {
@@ -238,7 +240,7 @@ func (m *Manager) Recover() (*RecoveryResult, error) {
 	res.NextTableID = binary.LittleEndian.Uint32(hdr[16:])
 	nTables := binary.LittleEndian.Uint32(hdr[20:])
 	for i := uint32(0); i < nTables; i++ {
-		t, err := storage.ReadCheckpoint(body)
+		t, err := storage.ReadCheckpoint(h, body)
 		if err != nil {
 			ckDev.Close()
 			return nil, fmt.Errorf("wal: checkpoint table %d: %w", i, err)
@@ -259,7 +261,7 @@ func (m *Manager) Recover() (*RecoveryResult, error) {
 	}
 	defer logDev.Close()
 	lr := logDev.SequentialReader(0)
-	replayer := newReplayer(res.Tables)
+	replayer := newReplayer(h, res.Tables)
 	n, valid, err := ReadRecords(lr, func(op Op) error {
 		return replayer.apply(op, res)
 	})
@@ -299,6 +301,7 @@ func (m *Manager) OpenLogForAppend(seq uint64, validBytes uint64) (*Writer, erro
 // permanently invisible filler rows, so physical row IDs — which
 // invalidation records reference — are reproduced exactly.
 type replayer struct {
+	h        *nvm.Heap
 	tables   map[uint32]*storage.Table
 	buffered map[uint64][]Op
 	ahead    map[*storage.Table]map[uint64]*aheadRow
@@ -311,15 +314,19 @@ type aheadRow struct {
 	begin, end uint64
 }
 
-func newReplayer(tables map[uint32]*storage.Table) *replayer {
-	return &replayer{tables: tables, buffered: map[uint64][]Op{}, ahead: map[*storage.Table]map[uint64]*aheadRow{}}
+func newReplayer(h *nvm.Heap, tables map[uint32]*storage.Table) *replayer {
+	return &replayer{h: h, tables: tables, buffered: map[uint64][]Op{}, ahead: map[*storage.Table]map[uint64]*aheadRow{}}
 }
 
 func (r *replayer) apply(op Op, res *RecoveryResult) error {
 	switch op.Type {
 	case RecCreateTable:
 		if _, exists := r.tables[op.Table]; !exists {
-			r.tables[op.Table] = storage.NewVolatileTable(op.Name, op.Table, op.Sch, op.IndexMask)
+			t, err := storage.CreateNVMTable(r.h, op.Name, op.Table, op.Sch, op.IndexMask)
+			if err != nil {
+				return err
+			}
+			r.tables[op.Table] = t
 		}
 		if op.Table >= res.NextTableID {
 			res.NextTableID = op.Table + 1

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"hyrisenv/internal/disk"
+	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/storage"
 )
 
@@ -172,10 +173,31 @@ func TestWriterSyncAfterClose(t *testing.T) {
 	}
 }
 
+// dramHeap returns a heap that does not persist, the log-based engine's.
+func dramHeap(t *testing.T) *nvm.Heap {
+	t.Helper()
+	h, err := nvm.CreateVolatile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { h.Close() })
+	return h
+}
+
+// dramTable creates an empty orders table on a heap of its own.
+func dramTable(t *testing.T, id uint32) *storage.Table {
+	t.Helper()
+	tbl, err := storage.CreateNVMTable(dramHeap(t), "orders", id, testSchema(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
 // buildTable commits n rows through the storage layer directly.
 func buildTable(t *testing.T, id uint32, n int) *storage.Table {
 	t.Helper()
-	tbl := storage.NewVolatileTable("orders", id, testSchema(t), 0)
+	tbl := dramTable(t, id)
 	for i := 0; i < n; i++ {
 		row, err := tbl.AppendRow([]storage.Value{storage.Int(int64(i)), storage.Str("c")}, 1)
 		if err != nil {
@@ -203,7 +225,7 @@ func TestCheckpointRecoverRoundTrip(t *testing.T) {
 	}
 	w.Close()
 
-	res, err := m.Recover()
+	res, err := m.Recover(dramHeap(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +276,7 @@ func TestRecoverReplaysCommittedOnly(t *testing.T) {
 	}
 	w.Close()
 
-	res, err := m.Recover()
+	res, err := m.Recover(dramHeap(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +329,7 @@ func TestRecoverCommitsOutOfRowOrder(t *testing.T) {
 	w.Append(EncodeCommit(20, 3))
 	w.Close()
 
-	res, err := m.Recover()
+	res, err := m.Recover(dramHeap(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +354,7 @@ func TestRecoverStampsCheckpointedUncommittedRows(t *testing.T) {
 	// record is in the log must become visible after recovery.
 	dir := t.TempDir()
 	m, _ := NewManager(dir, disk.Model{})
-	tbl := storage.NewVolatileTable("orders", 1, testSchema(t), 0)
+	tbl := dramTable(t, 1)
 	row, _ := tbl.AppendRow([]storage.Value{storage.Int(42), storage.Str("late")}, 9)
 	w, _, err := m.WriteCheckpoint([]*storage.Table{tbl}, 3, 2)
 	if err != nil {
@@ -343,7 +365,7 @@ func TestRecoverStampsCheckpointedUncommittedRows(t *testing.T) {
 	w.Sync()
 	w.Close()
 
-	res, err := m.Recover()
+	res, err := m.Recover(dramHeap(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +380,7 @@ func TestRecoverStampsCheckpointedUncommittedRows(t *testing.T) {
 
 func TestRecoverFreshDatabase(t *testing.T) {
 	m, _ := NewManager(t.TempDir(), disk.Model{})
-	res, err := m.Recover()
+	res, err := m.Recover(dramHeap(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +409,7 @@ func TestCheckpointRotationRemovesOldFiles(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "ckpt-000001")); !os.IsNotExist(err) {
 		t.Fatal("old checkpoint not removed")
 	}
-	res, err := m.Recover()
+	res, err := m.Recover(dramHeap(t))
 	if err != nil || res.LastCID != 2 {
 		t.Fatalf("recover after rotation: cid=%d err=%v", res.LastCID, err)
 	}
@@ -409,7 +431,7 @@ func TestOpenLogForAppendTruncatesTornTail(t *testing.T) {
 	f.Write([]byte{1, 2, 3})
 	f.Close()
 
-	res, err := m.Recover()
+	res, err := m.Recover(dramHeap(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +443,7 @@ func TestOpenLogForAppendTruncatesTornTail(t *testing.T) {
 	w2.Sync()
 	w2.Close()
 
-	res2, err := m.Recover()
+	res2, err := m.Recover(dramHeap(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +482,7 @@ func TestOpenLogForAppendTruncatesMidLengthPrefixTear(t *testing.T) {
 		f.Write(next[:cut])
 		f.Close()
 
-		res, err := m.Recover()
+		res, err := m.Recover(dramHeap(t))
 		if err != nil {
 			t.Fatalf("cut=%d: recover: %v", cut, err)
 		}
@@ -479,7 +501,7 @@ func TestOpenLogForAppendTruncatesMidLengthPrefixTear(t *testing.T) {
 		w2.Sync()
 		w2.Close()
 
-		res2, err := m.Recover()
+		res2, err := m.Recover(dramHeap(t))
 		if err != nil {
 			t.Fatalf("cut=%d: recover after repair: %v", cut, err)
 		}
@@ -499,7 +521,7 @@ func TestReplayRowMismatchDetected(t *testing.T) {
 	w.Append(EncodeCommit(5, 1))
 	w.Sync()
 	w.Close()
-	if _, err := m.Recover(); err == nil {
+	if _, err := m.Recover(dramHeap(t)); err == nil {
 		t.Fatal("replay of invalid row accepted")
 	}
 }
@@ -594,7 +616,7 @@ func TestMultiTableCheckpointRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			w.Close()
-			res, err := m.Recover()
+			res, err := m.Recover(dramHeap(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -650,11 +672,11 @@ func TestCompressedCheckpointSmaller(t *testing.T) {
 		t.Fatalf("compressed %d >= plain %d", cs, ps)
 	}
 	// Both recover identically.
-	r1, err := plain.Recover()
+	r1, err := plain.Recover(dramHeap(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := comp.Recover()
+	r2, err := comp.Recover(dramHeap(t))
 	if err != nil {
 		t.Fatal(err)
 	}
