@@ -157,7 +157,8 @@ benchserve:
 # unpacker GROUP BY and the join decode main-partition blocks through,
 # the packed-word predicate every main-partition scan filters through,
 # the value-ID and key-word predicate every delta scan filters through,
-# and the append arena under random sizes and reopen points.
+# the append arena under random sizes and reopen points, and the
+# merge's dictionary translation against its map-based oracle.
 fuzz-smoke:
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 30s
@@ -166,3 +167,4 @@ fuzz-smoke:
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzFilterBits' -fuzztime 30s
 	$(GO) test ./internal/exec -run '^$$' -fuzz 'FuzzDeltaFilter' -fuzztime 30s
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzArena' -fuzztime 30s
+	$(GO) test ./internal/storage -run '^$$' -fuzz 'FuzzMergeDict' -fuzztime 30s

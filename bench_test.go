@@ -177,10 +177,22 @@ func BenchmarkBarrierCounts(b *testing.B) {
 
 // --- E7: merge ------------------------------------------------------------------------
 
-func benchMerge(b *testing.B, mode txn.Mode) {
+// benchMerge times a first merge of 5000 loaded rows into an empty main
+// or, if second, a second merge of 500 more into those merged rows, half
+// of them updates of main rows (workload.Churn).
+func benchMerge(b *testing.B, mode txn.Mode, second bool) {
+	const rows = 5000
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e, _, _ := loadEngine(b, mode, 5000, nvm.LatencyModel{})
+		e, tbl, _ := loadEngine(b, mode, rows, nvm.LatencyModel{})
+		if second {
+			if _, err := e.Merge("orders"); err != nil {
+				b.Fatal(err)
+			}
+			if err := workload.Churn(e, tbl, workload.DefaultSpec(rows), rows/10); err != nil {
+				b.Fatal(err)
+			}
+		}
 		b.StartTimer()
 		if _, err := e.Merge("orders"); err != nil {
 			b.Fatal(err)
@@ -191,8 +203,10 @@ func benchMerge(b *testing.B, mode txn.Mode) {
 	}
 }
 
-func BenchmarkMergeDRAM(b *testing.B) { benchMerge(b, txn.ModeNone) }
-func BenchmarkMergeNVM(b *testing.B)  { benchMerge(b, txn.ModeNVM) }
+func BenchmarkMergeDRAM(b *testing.B)       { benchMerge(b, txn.ModeNone, false) }
+func BenchmarkMergeNVM(b *testing.B)        { benchMerge(b, txn.ModeNVM, false) }
+func BenchmarkSecondMergeDRAM(b *testing.B) { benchMerge(b, txn.ModeNone, true) }
+func BenchmarkSecondMergeNVM(b *testing.B)  { benchMerge(b, txn.ModeNVM, true) }
 
 // --- E8: scans and lookups ---------------------------------------------------------------
 

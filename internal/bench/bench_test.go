@@ -195,7 +195,7 @@ func TestE7Runs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 2 {
+	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
 }

@@ -520,55 +520,63 @@ func E6BarrierCounts(workDir string) (*Report, error) {
 
 // --- E7: delta→main merge -------------------------------------------------------
 
-// E7Merge times the merge as a function of delta size on both backends.
-// Expected shape: linear in delta rows; NVM slower by a constant factor
-// (persist barriers while building the new partition set).
+// E7Merge times the merge on both backends in two shapes: a first merge
+// of n loaded rows into an empty main, and a second merge of n/10 delta
+// rows into that merged main, half of them updates of its rows
+// (workload.Churn).
 func E7Merge(workDir string, sizes []int) (*Report, error) {
 	r := &Report{
 		ID:      "E7",
 		Title:   "delta→main merge duration vs delta size",
-		Headers: []string{"delta rows", "dram merge", "nvm merge", "nvm/dram"},
+		Headers: []string{"main rows", "delta rows", "dram merge", "nvm merge", "nvm/dram"},
 	}
 	for _, n := range sizes {
-		spec := workload.DefaultSpec(n)
-		// DRAM backend.
-		e, err := openFleet(core.Config{Mode: txn.ModeNone})
-		if err != nil {
-			return nil, err
+		for _, second := range []bool{false, true} {
+			var took [2]time.Duration
+			for i, mode := range []txn.Mode{txn.ModeNone, txn.ModeNVM} {
+				dir := filepath.Join(workDir, fmt.Sprintf("e7-%d", n))
+				e, err := openEngineMode(mode, dir, n, disk.Model{}, nvm.LatencyModel{})
+				if err != nil {
+					return nil, err
+				}
+				took[i], err = timeMerge(e, workload.DefaultSpec(n), second)
+				e.Close()
+				os.RemoveAll(dir)
+				if err != nil {
+					return nil, err
+				}
+			}
+			mainRows, deltaRows := 0, n
+			if second {
+				mainRows, deltaRows = n, n/10
+			}
+			r.AddRow(fmt.Sprintf("%d", mainRows), fmt.Sprintf("%d", deltaRows), fmtDur(took[0]), fmtDur(took[1]),
+				fmt.Sprintf("%.2fx", float64(took[1])/float64(took[0])))
 		}
-		if _, err := workload.Load(e, "orders", spec); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, err := e.Merge("orders"); err != nil {
-			return nil, err
-		}
-		dramT := time.Since(start)
-		e.Close()
-
-		// NVM backend.
-		dir := filepath.Join(workDir, fmt.Sprintf("e7-%d", n))
-		en, err := openNVM(dir, heapFor(n*4), nvm.LatencyModel{})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := workload.Load(en, "orders", spec); err != nil {
-			return nil, err
-		}
-		start = time.Now()
-		if _, err := en.Merge("orders"); err != nil {
-			return nil, err
-		}
-		nvmT := time.Since(start)
-		en.Close()
-		os.RemoveAll(dir)
-
-		r.AddRow(fmt.Sprintf("%d", n), fmtDur(dramT), fmtDur(nvmT),
-			fmt.Sprintf("%.2fx", float64(nvmT)/float64(dramT)))
 	}
-	r.AddNote("expected shape: both linear in delta rows; nvm pays a persist surcharge " +
-		"most visible at small deltas (dictionary sorting dominates at scale)")
+	r.AddNote("expected shape: linear in the rows merged; dram and nvm run the same " +
+		"structures and differ only by nvm's persist barriers")
 	return r, nil
+}
+
+// timeMerge loads spec into e and times its merge; for a second merge it
+// first merges and churns a tenth of the rows.
+func timeMerge(e *shard.Engine, spec workload.Spec, second bool) (time.Duration, error) {
+	tbl, err := workload.Load(e, "orders", spec)
+	if err != nil {
+		return 0, err
+	}
+	if second {
+		if _, err := e.Merge("orders"); err != nil {
+			return 0, err
+		}
+		if err := workload.Churn(e, tbl, spec, spec.Rows/10); err != nil {
+			return 0, err
+		}
+	}
+	start := time.Now()
+	_, err = e.Merge("orders")
+	return time.Since(start), err
 }
 
 // --- E8: scan and lookup performance ---------------------------------------------

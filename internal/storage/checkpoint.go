@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -119,9 +120,9 @@ func ReadCheckpoint(h *nvm.Heap, r io.Reader) (*Table, error) {
 		}
 		return readN(r, uint64(n))
 	}
-	// dict reads a dictionary of keys; ids reads n value IDs, each of
-	// which must name one of keys.
-	dict := func() ([][]byte, error) {
+	// dict reads a dictionary of keys, each above the one before it if
+	// sorted; ids reads n value IDs, each of which must name one of keys.
+	dict := func(sorted bool) ([][]byte, error) {
 		n, err := u64()
 		if err != nil {
 			return nil, err
@@ -131,6 +132,9 @@ func ReadCheckpoint(h *nvm.Heap, r io.Reader) (*Table, error) {
 			k, err := blob()
 			if err != nil {
 				return nil, err
+			}
+			if sorted && i > 0 && bytes.Compare(keys[i-1], k) >= 0 {
+				return nil, fmt.Errorf("storage: checkpoint dictionary key %d is not above key %d", i, i-1)
 			}
 			keys = append(keys, k)
 		}
@@ -211,25 +215,21 @@ func ReadCheckpoint(h *nvm.Heap, r io.Reader) (*Table, error) {
 	main := make([]*NVMMain, ncols)
 	delta := make([]*NVMDelta, ncols)
 	for c, col := range schema.Cols {
-		keys, err := dict()
+		keys, err := dict(true)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("storage: checkpoint main column %d: %w", c, err)
 		}
 		rowIDs, err := ids(mr, keys)
 		if err != nil {
 			return nil, fmt.Errorf("storage: checkpoint main column %d: %w", c, err)
 		}
-		sorted := make([]string, len(keys))
-		for i, k := range keys {
-			sorted[i] = string(k)
-		}
-		if main[c], err = nvmMainFromParts(h, col.Type, sorted, rowIDs); err != nil {
+		if main[c], err = nvmMainFromParts(h, col.Type, keys, rowIDs); err != nil {
 			return nil, fmt.Errorf("storage: checkpoint main column %d: %w", c, err)
 		}
 
 		// The delta's dictionary index is rebuilt as its keys load; its
 		// posting lists wait for RebuildIndexes.
-		if keys, err = dict(); err != nil {
+		if keys, err = dict(false); err != nil {
 			return nil, err
 		}
 		if rowIDs, err = ids(dr, keys); err != nil {

@@ -12,7 +12,8 @@ import (
 // TestReadCheckpointRejectsCorruptCounts: a checkpoint whose main row
 // count, delta row count, dictionary size or key length claims more than
 // the stream holds is refused with an error — not a panic, and not an
-// allocation of what the count claims.
+// allocation of what the count claims. So is one whose main dictionary
+// is out of order, which lookups would binary-search wrongly.
 func TestReadCheckpointRejectsCorruptCounts(t *testing.T) {
 	tbl := dramTable(t, ordersSchema(t), 0b001)
 	for i := int64(0); i < 20; i++ {
@@ -55,6 +56,13 @@ func TestReadCheckpointRejectsCorruptCounts(t *testing.T) {
 		{"delta rows", func(b []byte) { le.PutUint64(b[offDR:], 1<<62) }},
 		{"dictionary size", func(b []byte) { le.PutUint64(b[offDictN:], 1<<62) }},
 		{"key length", func(b []byte) { le.PutUint32(b[offKeyLen:], math.MaxUint32) }},
+		{"main dictionary order", func(b []byte) {
+			first, second := b[offKeyLen+4:offKeyLen+12], b[offKeyLen+16:offKeyLen+24]
+			var tmp [8]byte
+			copy(tmp[:], first)
+			copy(first, second)
+			copy(second, tmp[:])
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			bad := slices.Clone(good)
@@ -64,7 +72,7 @@ func TestReadCheckpointRejectsCorruptCounts(t *testing.T) {
 			_, err := ReadCheckpoint(h, bytes.NewReader(bad))
 			runtime.ReadMemStats(&after)
 			if err == nil {
-				t.Fatal("a corrupt count was accepted")
+				t.Fatal("the corrupt checkpoint was accepted")
 			}
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
 				t.Fatalf("refusing it allocated %d bytes", grew)

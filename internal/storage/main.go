@@ -2,6 +2,8 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
+	"slices"
 	"sort"
 
 	"hyrisenv/internal/nvm"
@@ -62,22 +64,32 @@ type NVMMain struct {
 }
 
 // BuildNVMMain constructs and persists a main column from per-row encoded
-// keys, returning an attachable column.
+// keys, returning an attachable column. The keys are sorted once and the
+// rows' value IDs read off the sorted run.
 func BuildNVMMain(h *nvm.Heap, typ ColType, rowKeys [][]byte) (*NVMMain, error) {
-	dict, ids := buildDict(rowKeys)
+	var dict [][]byte
+	ids := make([]uint64, len(rowKeys))
+	var last keyRef
+	for i, e := range sortKeys(rowKeys) {
+		if i == 0 || e.word != last.word || !bytes.Equal(rowKeys[e.i], rowKeys[last.i]) {
+			dict = append(dict, rowKeys[e.i])
+		}
+		ids[e.i] = uint64(len(dict) - 1)
+		last = e
+	}
 	return nvmMainFromParts(h, typ, dict, ids)
 }
 
 // nvmMainFromParts builds a main column from a sorted dictionary and the
 // value ID of each row.
-func nvmMainFromParts(h *nvm.Heap, typ ColType, dict []string, ids []uint64) (*NVMMain, error) {
+func nvmMainFromParts(h *nvm.Heap, typ ColType, dict [][]byte, ids []uint64) (*NVMMain, error) {
 	dictVec, err := pstruct.NewVector(h, 8, 8)
 	if err != nil {
 		return nil, err
 	}
 	ptrs := make([]uint64, len(dict))
 	for i, k := range dict {
-		blob, err := pstruct.WriteBlob(h, []byte(k))
+		blob, err := pstruct.WriteBlob(h, k)
 		if err != nil {
 			return nil, err
 		}
@@ -86,7 +98,7 @@ func nvmMainFromParts(h *nvm.Heap, typ ColType, dict []string, ids []uint64) (*N
 	if _, err := dictVec.AppendN(ptrs); err != nil {
 		return nil, err
 	}
-	bp, err := pstruct.BuildBitPacked(h, ids, pstruct.BitsFor(maxID(dict)))
+	bp, err := pstruct.BuildBitPacked(h, ids, pstruct.BitsFor(uint64(max(len(dict), 1)-1)))
 	if err != nil {
 		return nil, err
 	}
@@ -182,34 +194,32 @@ func (m *NVMMain) CheckIDs() error { return m.bp.CheckValues(m.DictLen()) }
 
 // --- shared helpers -----------------------------------------------------------
 
-// buildDict deduplicates and sorts rowKeys, returning the sorted dictionary
-// and the per-row dictionary IDs.
-func buildDict(rowKeys [][]byte) (dict []string, ids []uint64) {
-	set := make(map[string]struct{}, len(rowKeys))
-	for _, k := range rowKeys {
-		set[string(k)] = struct{}{}
-	}
-	dict = make([]string, 0, len(set))
-	for k := range set {
-		dict = append(dict, k)
-	}
-	sort.Strings(dict)
-	idx := make(map[string]uint64, len(dict))
-	for i, k := range dict {
-		idx[k] = uint64(i)
-	}
-	ids = make([]uint64, len(rowKeys))
-	for i, k := range rowKeys {
-		ids[i] = idx[string(k)]
-	}
-	return dict, ids
+// keyRef is a key's place in a slice of keys, beside its KeyWord.
+type keyRef struct {
+	word uint64
+	i    uint64
 }
 
-func maxID(dict []string) uint64 {
-	if len(dict) == 0 {
-		return 0
+// sortKeys returns a keyRef for each of keys, in the keys' order.
+func sortKeys(keys [][]byte) []keyRef {
+	refs := make([]keyRef, len(keys))
+	for i, k := range keys {
+		refs[i] = keyRef{KeyWord(k), uint64(i)}
 	}
-	return uint64(len(dict) - 1)
+	slices.SortFunc(refs, func(a, b keyRef) int {
+		return compareKeys(a.word, keys[a.i], b.word, keys[b.i])
+	})
+	return refs
+}
+
+// compareKeys orders keys a and b, whose KeyWords are aw and bw. Words
+// decide wherever they differ — always, for the 8-byte Int64 and Float64
+// keys, whose word is the key — and the bytes only when they tie.
+func compareKeys(aw uint64, a []byte, bw uint64, b []byte) int {
+	if aw != bw {
+		return cmp.Compare(aw, bw)
+	}
+	return bytes.Compare(a, b)
 }
 
 // Blocks yields the heap blocks owned by the main column.

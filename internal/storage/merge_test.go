@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -205,10 +208,286 @@ func TestCheckReportsBadAttributeVector(t *testing.T) {
 // its dictionary's width does not hold.
 func TestMainFromPartsRejectsWideID(t *testing.T) {
 	h := testDRAMHeap(t)
-	if _, err := nvmMainFromParts(h, TypeString, []string{"a", "b"}, []uint64{0, 1, 1}); err != nil {
+	dict := [][]byte{[]byte("a"), []byte("b")}
+	if _, err := nvmMainFromParts(h, TypeString, dict, []uint64{0, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nvmMainFromParts(h, TypeString, []string{"a", "b"}, []uint64{0, 2, 1}); err == nil {
+	if _, err := nvmMainFromParts(h, TypeString, dict, []uint64{0, 2, 1}); err == nil {
 		t.Fatal("ID 2 accepted at width 1")
 	}
+}
+
+// buildDict is the oracle of the merge: it deduplicates rowKeys through a
+// map and sorts them, returning the sorted dictionary and the per-row
+// dictionary IDs. It keeps the keys in the order they come, not the
+// map's, so that a fuzzer sees the same coverage for the same input.
+func buildDict(rowKeys [][]byte) (dict [][]byte, ids []uint64) {
+	set := make(map[string]struct{}, len(rowKeys))
+	var sorted []string
+	for _, k := range rowKeys {
+		if _, ok := set[string(k)]; !ok {
+			set[string(k)] = struct{}{}
+			sorted = append(sorted, string(k))
+		}
+	}
+	sort.Strings(sorted)
+	idx := make(map[string]uint64, len(sorted))
+	for i, k := range sorted {
+		idx[k] = uint64(i)
+		dict = append(dict, []byte(k))
+	}
+	ids = make([]uint64, len(rowKeys))
+	for i, k := range rowKeys {
+		ids[i] = idx[string(k)]
+	}
+	return dict, ids
+}
+
+// oracleMerge merges tbl as Merge does, but builds each column's
+// dictionary with buildDict from a copy of every visible row's key.
+func oracleMerge(t *testing.T, tbl *Table, snap uint64) {
+	t.Helper()
+	v := tbl.View()
+	ncols := tbl.Schema.NumCols()
+	keys := make([][][]byte, ncols)
+	var begins []uint64
+	v.ScanVisible(snap, 0, func(row uint64) bool {
+		s, local := v.MVCCFor(row)
+		begins = append(begins, s.Begin(local))
+		for c := range keys {
+			var k []byte
+			if row < v.MainRows() {
+				m := v.MainColumnAt(c)
+				k = m.DictKey(m.ValueID(local))
+			} else {
+				d := v.DeltaColumnAt(c)
+				k = d.DictKey(d.ValueID(local))
+			}
+			keys[c] = append(keys[c], k)
+		}
+		return true
+	})
+	mains := make([]*NVMMain, ncols)
+	for c := range mains {
+		dict, ids := buildDict(keys[c])
+		var err error
+		if mains[c], err = nvmMainFromParts(tbl.h, tbl.Schema.Cols[c].Type, dict, ids); err != nil {
+			t.Fatal(err)
+		}
+	}
+	newPS, err := tbl.mergeNVM(mains, begins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl.parts.Store(newPS)
+	tbl.epoch.Add(1)
+}
+
+// mergeKeys are values whose keys the merge must order and dedupe:
+// negative numbers, -0.0 beside 0.0, infinities, and strings that share
+// their first 8 bytes or differ from each other only by trailing zero
+// bytes, which give them the same KeyWord.
+var mergeKeys = struct {
+	ints   []int64
+	floats []float64
+	strs   []string
+}{
+	ints:   []int64{math.MinInt64, -1 << 40, -7, -1, 0, 1, 7, 1 << 40, math.MaxInt64},
+	floats: []float64{math.Inf(-1), -1e300, -2.5, -1, math.Copysign(0, -1), 0, 1e-300, 2.5, math.Inf(1)},
+	strs: []string{"", "\x00", "a", "a\x00", "abc", "abc\x00", "abcdefgh", "abcdefgh\x00",
+		"abcdefghi", "abcdefghij", "abcdefgz", "abcdefg", "prefix__0", "prefix__1", "prefix__10", "\xff\xff"},
+}
+
+// TestMergeMatchesOracle drives two tables through the same random
+// inserts, updates, deletes and aborts and four merges — into an empty
+// main, into a main with updated and deleted rows, with an empty delta,
+// and with every row dead — and merges one with Merge, the other with
+// oracleMerge. Every new main column must have the oracle's dictionary
+// and value IDs, the heaps must have allocated the same bytes, and Check
+// must pass.
+func TestMergeMatchesOracle(t *testing.T) {
+	schema, err := NewSchema(
+		ColumnDef{"i", TypeInt64},
+		ColumnDef{"f", TypeFloat64},
+		ColumnDef{"s", TypeString},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 8; seed++ {
+		got, want := dramTable(t, schema, 0b101), dramTable(t, schema, 0b101)
+		cid := uint64(1)
+		for round, ops := range []int{300, 200, 0, -1} {
+			opSeed, wantCID := seed<<8|int64(round), cid
+			mutateForMerge(t, got, rand.New(rand.NewSource(opSeed)), &cid, ops)
+			mutateForMerge(t, want, rand.New(rand.NewSource(opSeed)), &wantCID, ops)
+			snap := cid + 1
+			if _, err := got.Merge(snap); err != nil {
+				t.Fatalf("seed %d round %d: merge: %v", seed, round, err)
+			}
+			oracleMerge(t, want, snap)
+			gps, wps := got.parts.Load(), want.parts.Load()
+			for c := range schema.Cols {
+				g, w := gps.main[c], wps.main[c]
+				if g.DictLen() != w.DictLen() || g.Rows() != w.Rows() {
+					t.Fatalf("seed %d round %d column %d: dictionary %d keys over %d rows, oracle %d over %d",
+						seed, round, c, g.DictLen(), g.Rows(), w.DictLen(), w.Rows())
+				}
+				for id := range g.DictLen() {
+					if !bytes.Equal(g.DictKey(id), w.DictKey(id)) {
+						t.Fatalf("seed %d round %d column %d: key %d is %q, oracle %q",
+							seed, round, c, id, g.DictKey(id), w.DictKey(id))
+					}
+				}
+				for r := range g.Rows() {
+					if g.ValueID(r) != w.ValueID(r) {
+						t.Fatalf("seed %d round %d column %d: row %d has ID %d, oracle %d",
+							seed, round, c, r, g.ValueID(r), w.ValueID(r))
+					}
+				}
+			}
+			if g, w := got.h.Stats().BytesUsed, want.h.Stats().BytesUsed; g != w {
+				t.Fatalf("seed %d round %d: heap holds %d bytes, oracle's %d", seed, round, g, w)
+			}
+			if _, err := got.Check(); err != nil {
+				t.Fatalf("seed %d round %d: %v", seed, round, err)
+			}
+		}
+		if got.MainRows() != 0 {
+			t.Fatalf("seed %d: %d rows survive deleting all", seed, got.MainRows())
+		}
+	}
+}
+
+// mutateForMerge commits ops random inserts, updates and deletes to tbl,
+// with aborted inserts and short-lived rows among them whose keys only
+// dead rows use; ops < 0 deletes every visible row instead. *cid is the
+// last commit ID, advanced past each commit.
+func mutateForMerge(t *testing.T, tbl *Table, rng *rand.Rand, cid *uint64, ops int) {
+	t.Helper()
+	var live []uint64
+	tbl.ScanVisible(*cid+1, 0, func(row uint64) bool {
+		live = append(live, row)
+		return true
+	})
+	if ops < 0 {
+		*cid++
+		for _, r := range live {
+			tbl.StampEnd(r, *cid)
+		}
+		return
+	}
+	k := mergeKeys
+	randRow := func() []Value {
+		return []Value{
+			Int(k.ints[rng.Intn(len(k.ints))] + int64(rng.Intn(3))),
+			Float(k.floats[rng.Intn(len(k.floats))]),
+			Str(k.strs[rng.Intn(len(k.strs))]),
+		}
+	}
+	insert := func(vals []Value) uint64 {
+		row, err := tbl.AppendRow(vals, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*cid++
+		commitRow(tbl, row, *cid)
+		return row
+	}
+	for range ops {
+		switch n := rng.Intn(10); {
+		case n < 5 || len(live) == 0:
+			live = append(live, insert(randRow()))
+		case n < 7: // update one column of a live row
+			i := rng.Intn(len(live))
+			vals := make([]Value, tbl.Schema.NumCols())
+			for c := range vals {
+				vals[c] = tbl.Value(c, live[i])
+			}
+			c := rng.Intn(len(vals))
+			vals[c] = randRow()[c]
+			*cid++
+			tbl.StampEnd(live[i], *cid)
+			live[i] = insert(vals)
+		case n < 8: // delete
+			i := rng.Intn(len(live))
+			*cid++
+			tbl.StampEnd(live[i], *cid)
+			live = append(live[:i], live[i+1:]...)
+		case n < 9: // a row that lives and dies before the merge
+			row := insert([]Value{Int(int64(rng.Intn(1000)) + 1000), Float(rng.Float64() + 10), Str(fmt.Sprintf("gone%d", rng.Intn(1000)))})
+			*cid++
+			tbl.StampEnd(row, *cid)
+		default: // aborted insert
+			row, err := tbl.AppendRow([]Value{Int(-1000), Float(-1000), Str("ghost")}, 9999)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl.ReleaseOwner(row, 9999)
+		}
+	}
+}
+
+// FuzzMergeDict merges fuzzed dictionaries: a sorted main dictionary and
+// a delta dictionary in arrival order, each read from a byte string as
+// length-prefixed keys, and random rows over both. The result must be
+// buildDict's over the rows' keys.
+func FuzzMergeDict(f *testing.F) {
+	lp := func(keys ...string) []byte {
+		var b []byte
+		for _, k := range keys {
+			b = append(append(b, byte(len(k))), k...)
+		}
+		return b
+	}
+	f.Add(lp("a", "abcdefgh", "abcdefghi", "b"), lp("abcdefghi", "abcdefgh\x00", "a\x00", "", "c"), int64(1))
+	f.Add(lp(), lp("x", "y"), int64(2))
+	f.Add(lp("x", "y"), lp(), int64(3))
+	f.Add(lp(string(Int(-1).EncodeKey(nil)), string(Int(5).EncodeKey(nil))),
+		lp(string(Int(5).EncodeKey(nil)), string(Int(math.MinInt64).EncodeKey(nil))), int64(4))
+	f.Add(lp(string(Float(-2.5).EncodeKey(nil)), string(Float(0).EncodeKey(nil))),
+		lp(string(Float(math.Copysign(0, -1)).EncodeKey(nil)), string(Float(0).EncodeKey(nil))), int64(5))
+	f.Fuzz(func(t *testing.T, mainSrc, deltaSrc []byte, seed int64) {
+		parse := func(b []byte) [][]byte {
+			var keys [][]byte
+			seen := map[string]bool{}
+			for len(b) > 0 {
+				n := min(int(b[0])%16, len(b)-1)
+				k := b[1 : 1+n]
+				b = b[1+n:]
+				if !seen[string(k)] {
+					seen[string(k)] = true
+					keys = append(keys, k)
+				}
+			}
+			return keys
+		}
+		mainDict, deltaDict := parse(mainSrc), parse(deltaSrc)
+		slices.SortFunc(mainDict, bytes.Compare)
+		rng := rand.New(rand.NewSource(seed))
+		var ids []uint64
+		var rowKeys [][]byte
+		pick := func(dict [][]byte) {
+			for range rng.Intn(2*len(dict) + 1) {
+				id := rng.Intn(len(dict))
+				ids = append(ids, uint64(id))
+				rowKeys = append(rowKeys, dict[id])
+			}
+		}
+		pick(mainDict)
+		nMain := len(ids)
+		pick(deltaDict)
+
+		key := func(dict [][]byte) func(uint64) []byte {
+			return func(id uint64) []byte { return dict[id] }
+		}
+		dict := mergeDict(ids, nMain, uint64(len(mainDict)), uint64(len(deltaDict)), key(mainDict), key(deltaDict))
+		wantDict, wantIDs := buildDict(rowKeys)
+		if !slices.EqualFunc(dict, wantDict, bytes.Equal) {
+			t.Fatalf("dictionary %q, oracle %q", dict, wantDict)
+		}
+		if !slices.Equal(ids, wantIDs) {
+			t.Fatalf("IDs %v, oracle %v", ids, wantIDs)
+		}
+	})
 }
