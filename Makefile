@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet nvmcheck nvmcheck-stats analyzer-mutants crosscheck test race benchmark-module fuzz-smoke crashmatrix chaos benchscan benchserve
+.PHONY: check fmt vet nvmcheck nvmcheck-stats analyzer-mutants crosscheck test race benchmark-module fuzz-smoke fuzz-check crashmatrix chaos benchscan benchserve
 
 check: fmt vet nvmcheck race benchmark-module
 
@@ -150,16 +150,17 @@ benchserve:
 	$(GO) run ./cmd/benchjson -in BENCH_serve.txt -out BENCH_serve.json
 	rm -f BENCH_serve.txt
 
-# Same smoke CI runs: 30s per fuzzer — the wire codecs, the server's
-# one transaction body under random batches (an input takes milliseconds
-# there, so minimizing a new one is capped by count rather than left its
-# default minute), the bit
+# The smoke CI runs (its fuzz-smoke job is `make fuzz-smoke`): 30s per
+# fuzzer — the wire codecs, the server's one transaction body under
+# random batches (an input takes milliseconds there, so minimizing a new
+# one is capped by count rather than left its default minute), the bit
 # unpacker GROUP BY and the join decode main-partition blocks through,
 # the packed-word predicate every main-partition scan filters through,
 # the value-ID and key-word predicate every delta scan filters through,
-# the append arena under random sizes and reopen points, and the
-# merge's dictionary translation against its map-based oracle.
-fuzz-smoke:
+# the append arena under random sizes and reopen points, the merge's
+# dictionary translation against its map-based oracle, and the
+# analyzers' control-flow graph builder. fuzz-check runs first.
+fuzz-smoke: fuzz-check
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 30s
 	$(GO) test ./internal/server -run '^$$' -fuzz 'FuzzServeBatch' -fuzztime 30s -fuzzminimizetime 100x
@@ -168,3 +169,18 @@ fuzz-smoke:
 	$(GO) test ./internal/exec -run '^$$' -fuzz 'FuzzDeltaFilter' -fuzztime 30s
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzArena' -fuzztime 30s
 	$(GO) test ./internal/storage -run '^$$' -fuzz 'FuzzMergeDict' -fuzztime 30s
+	$(GO) test ./internal/analysis/cfg -run '^$$' -fuzz 'FuzzCFG' -fuzztime 30s
+
+# Fails when a fuzzer of the module is missing from fuzz-smoke: every
+# `func Fuzz*` in a test file needs a line above that fuzzes it in its
+# own package, so a new fuzzer cannot be left out of the smoke.
+fuzz-check:
+	@status=0; \
+	for f in $$(grep -rlE --include='*_test.go' --exclude-dir=testdata --exclude-dir=benchmark '^func Fuzz' .); do \
+		pkg=$$(dirname $$f); \
+		for fn in $$(sed -nE 's/^func (Fuzz[A-Za-z0-9_]*)\(.*/\1/p' $$f); do \
+			grep -F "test $$pkg -run " Makefile | grep -qF -e "-fuzz '$$fn' " || \
+				{ echo "fuzz-check: $$fn in $$pkg is not in fuzz-smoke" >&2; status=1; }; \
+		done; \
+	done; \
+	exit $$status

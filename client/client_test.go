@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -519,5 +520,148 @@ func TestPipelinedResetExactlyOnce(t *testing.T) {
 		case s == indet && d >= 0 && n+visible[d] != 1:
 			t.Errorf("key %d: indeterminate commit shows its insert %d times and the row it deleted %d times — half a frame applied", key, n, visible[d])
 		}
+	}
+}
+
+// TestContextVariants runs the Context variants no other test calls.
+// With a context cancelled before the call each returns context.Canceled
+// and leaves the pooled connection serving the next call; with a live
+// context each returns what its plain variant returns.
+func TestContextVariants(t *testing.T) {
+	_, srv := startVolatile(t)
+	c, err := client.Dial(srv.Addr(), client.Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CreateTable("t", cols); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 70 // more than a Tx holds back, so a delete sends a frame
+	for i := 0; i < rows; i++ {
+		if _, err := tx.Insert("t", hyrisenv.Int(int64(i)), hyrisenv.Str("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ids, err := c.ScanAll("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A snapshot that sees the rows, for BeginAt to travel back to once
+	// some are deleted.
+	ro, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ro.Count("t"); err != nil {
+		t.Fatal(err)
+	}
+	cid := ro.SnapshotCID()
+	if err := ro.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	del, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := del.Delete("t", ids[rows-1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := del.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ids = ids[:rows-1]
+
+	// deleteMany holds back 64 deletes and sends them with the 65th,
+	// through del, then reports the rows the transaction still sees.
+	deleteMany := func(del func(tx *client.Tx, row uint64) error) (any, error) {
+		tx, err := c.Begin()
+		if err != nil {
+			return nil, err
+		}
+		defer tx.Abort() //nolint:errcheck — a cancelled send has finished it
+		for _, row := range ids[:64] {
+			if err := tx.Delete("t", row); err != nil {
+				return nil, err
+			}
+		}
+		if err := del(tx, ids[64]); err != nil {
+			return nil, err
+		}
+		return tx.Count("t")
+	}
+	// Uptime moves between two calls; the rest of a Stats reply does not.
+	stats := func(s client.Stats, err error) (any, error) {
+		s.Uptime = 0
+		return s, err
+	}
+	cases := []struct {
+		name  string
+		ctx   func(ctx context.Context) (any, error)
+		plain func() (any, error)
+	}{
+		{"BeginAtContext",
+			func(ctx context.Context) (any, error) {
+				tx, err := c.BeginAtContext(ctx, cid)
+				if err != nil {
+					return nil, err
+				}
+				defer tx.Abort() //nolint:errcheck
+				return tx.Count("t")
+			},
+			func() (any, error) {
+				tx, err := c.BeginAt(cid)
+				if err != nil {
+					return nil, err
+				}
+				defer tx.Abort() //nolint:errcheck
+				return tx.Count("t")
+			}},
+		{"Tx.DeleteContext",
+			func(ctx context.Context) (any, error) {
+				return deleteMany(func(tx *client.Tx, row uint64) error { return tx.DeleteContext(ctx, "t", row) })
+			},
+			func() (any, error) {
+				return deleteMany(func(tx *client.Tx, row uint64) error { return tx.Delete("t", row) })
+			}},
+		{"ScanAllContext",
+			func(ctx context.Context) (any, error) { return c.ScanAllContext(ctx, "t") },
+			func() (any, error) { return c.ScanAll("t") }},
+		{"StatsContext",
+			func(ctx context.Context) (any, error) { return stats(c.StatsContext(ctx)) },
+			func() (any, error) { return stats(c.Stats()) }},
+		{"TablesContext",
+			func(ctx context.Context) (any, error) { return c.TablesContext(ctx) },
+			func() (any, error) { return c.Tables() }},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := tc.ctx(cancelled); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled: got %v, want context.Canceled", err)
+			}
+			want, err := tc.plain()
+			if err != nil {
+				t.Fatalf("plain call after a cancelled one: %v", err)
+			}
+			got, err := tc.ctx(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("got %v, want %v as the plain variant returns", got, want)
+			}
+			if n := srv.NumConns(); n != 1 {
+				t.Fatalf("server sees %d conns, want the one pooled conn", n)
+			}
+		})
 	}
 }

@@ -163,16 +163,16 @@ func main() {
 		}
 		n := len(ids)
 		firstQuery := time.Since(start)
-		rs := e.RecoveryStats().Sum()
+		rs := e.RecoveryStats()
 		fmt.Printf("time to first query: %s (%d visible rows)\n", firstQuery.Round(time.Microsecond), n)
 		switch mode {
 		case txn.ModeLog:
 			fmt.Printf("  checkpoint load: %s (%d bytes)\n", rs.CheckpointLoad.Round(time.Microsecond), rs.CheckpointBytes)
-			fmt.Printf("  log replay:      %s (%d records)\n", rs.LogReplay.Round(time.Microsecond), rs.ReplayRecords)
+			fmt.Printf("  log replay:      %s (%d records, %d bytes)\n", rs.LogReplay.Round(time.Microsecond), rs.ReplayRecords, rs.ReplayBytes)
 			fmt.Printf("  index rebuild:   %s\n", rs.IndexRebuild.Round(time.Microsecond))
 		case txn.ModeNVM:
 			fmt.Printf("  in-flight contexts: %d (rolled back %d, stamps undone %d)\n",
-				rs.NVM.LiveContexts, rs.NVM.RolledBack, rs.NVM.EntriesUndone)
+				rs.LiveContexts, rs.InFlightRolledBack, rs.EntriesUndone)
 		}
 		e.Close()
 

@@ -28,8 +28,10 @@ import (
 	"os"
 	"time"
 
+	"hyrisenv/internal/core"
 	"hyrisenv/internal/disk"
 	"hyrisenv/internal/server"
+	"hyrisenv/internal/shard"
 	"hyrisenv/internal/txn"
 )
 
@@ -73,12 +75,11 @@ func main() {
 	}
 
 	err := server.RunDaemon(server.DaemonConfig{
-		Addr:        *addr,
-		Dir:         *dir,
-		Mode:        mode,
-		NVMHeapSize: *heap,
-		Shards:      *shards,
-		DiskModel:   model,
+		Addr: *addr,
+		Engine: shard.Config{
+			Config: core.Config{Mode: mode, Dir: *dir, NVMHeapSize: *heap, DiskModel: model},
+			Shards: *shards,
+		},
 		Server: server.Config{
 			MaxConns:    *maxConns,
 			MaxFrame:    uint32(*maxFrame),

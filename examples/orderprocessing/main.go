@@ -108,9 +108,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer e2.Close()
-	rs := e2.RecoveryStats().Sum()
+	rs := e2.RecoveryStats()
 	fmt.Printf("restart took %s (%d tables re-attached, %d in-flight rolled back)\n",
-		rs.Total, rs.TablesOpened, rs.NVM.RolledBack)
+		rs.Total, rs.TablesOpened, rs.InFlightRolledBack)
 	ordersAfter, linesAfter := check(e2, "after restart")
 	if ordersAfter != ordersBefore || linesAfter != linesBefore {
 		log.Fatal("restart lost committed transactions!")

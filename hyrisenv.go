@@ -42,9 +42,6 @@
 package hyrisenv
 
 import (
-	"fmt"
-	"time"
-
 	"hyrisenv/internal/core"
 	"hyrisenv/internal/disk"
 	"hyrisenv/internal/nvm"
@@ -54,44 +51,19 @@ import (
 )
 
 // Mode selects the durability architecture.
-type Mode int
+type Mode = txn.Mode
 
 // Durability modes.
 const (
 	// Volatile keeps everything in DRAM with no durability.
-	Volatile Mode = iota
+	Volatile = txn.ModeNone
 	// LogBased uses write-ahead logging and binary checkpoints — the
 	// conventional recovery architecture.
-	LogBased
+	LogBased = txn.ModeLog
 	// NVM keeps all data structures on simulated non-volatile memory —
 	// the Hyrise-NV architecture with instant restarts.
-	NVM
+	NVM = txn.ModeNVM
 )
-
-// String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case Volatile:
-		return "volatile"
-	case LogBased:
-		return "log-based"
-	case NVM:
-		return "nvm"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-func (m Mode) txnMode() txn.Mode {
-	switch m {
-	case LogBased:
-		return txn.ModeLog
-	case NVM:
-		return txn.ModeNVM
-	default:
-		return txn.ModeNone
-	}
-}
 
 // Type is a column type.
 type Type = storage.ColType
@@ -175,7 +147,7 @@ type Config struct {
 func (cfg Config) shardConfig() shard.Config {
 	return shard.Config{
 		Config: core.Config{
-			Mode:                cfg.Mode.txnMode(),
+			Mode:                cfg.Mode,
 			Dir:                 cfg.Dir,
 			NVMHeapSize:         cfg.NVMHeapSize,
 			NVMHeapMaxSize:      cfg.NVMHeapMaxSize,
@@ -192,29 +164,15 @@ func (cfg Config) shardConfig() shard.Config {
 
 // RecoveryStats describes what the last Open had to do to reach a
 // queryable state — the quantity the paper's headline experiment
-// compares across architectures.
-type RecoveryStats struct {
-	Mode           Mode
-	Total          time.Duration
-	Shards         int
-	TablesOpened   int
-	CheckpointLoad time.Duration // LogBased: reading the binary checkpoint
-	LogReplay      time.Duration // LogBased: redoing committed transactions
-	IndexRebuild   time.Duration // LogBased: reconstructing index structures
-	ReplayRecords  int
-	// NVM mode: the in-flight transaction fixup (the only data-dependent
-	// restart work).
-	InFlightRolledBack int
-	EntriesUndone      int
-	// Decisions2PC counts cross-shard commit decisions that survived in
-	// the coordinator and resolved in-doubt transactions at restart.
-	Decisions2PC int
-}
+// compares across architectures. LogBased fills the checkpoint, replay
+// and index-rebuild fields; NVM the in-flight fixup counters
+// (InFlightRolledBack, EntriesUndone, ...) and, in a fleet of shards,
+// the 2PC ones.
+type RecoveryStats = txn.RecoveryStats
 
 // DB is an open database.
 type DB struct {
-	eng  *shard.Engine
-	mode Mode
+	eng *shard.Engine
 }
 
 // Table is a handle to a table. When the database is partitioned the
@@ -255,7 +213,7 @@ func Open(cfg Config) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DB{eng: eng, mode: cfg.Mode}, nil
+	return &DB{eng: eng}, nil
 }
 
 // Close releases resources. Committed data is already durable in every
@@ -263,7 +221,7 @@ func Open(cfg Config) (*DB, error) {
 func (db *DB) Close() error { return db.eng.Close() }
 
 // Mode returns the durability mode.
-func (db *DB) Mode() Mode { return db.mode }
+func (db *DB) Mode() Mode { return db.eng.Mode() }
 
 // Shards returns the partition count.
 func (db *DB) Shards() int { return db.eng.Shards() }
@@ -317,25 +275,10 @@ func (db *DB) Merge(name string) error {
 // mode; a no-op under NVM where data is always durable).
 func (db *DB) Checkpoint() error { return db.eng.Checkpoint() }
 
-// RecoveryStats reports the cost of the last Open. Per-shard restart
-// work ran in parallel; Total is wall clock for the whole fleet.
-func (db *DB) RecoveryStats() RecoveryStats {
-	rs := db.eng.RecoveryStats()
-	sum := rs.Sum()
-	return RecoveryStats{
-		Mode:               db.mode,
-		Total:              rs.Total,
-		Shards:             db.eng.Shards(),
-		TablesOpened:       sum.TablesOpened,
-		CheckpointLoad:     sum.CheckpointLoad,
-		LogReplay:          sum.LogReplay,
-		IndexRebuild:       sum.IndexRebuild,
-		ReplayRecords:      sum.ReplayRecords,
-		InFlightRolledBack: sum.NVM.RolledBack,
-		EntriesUndone:      sum.NVM.EntriesUndone,
-		Decisions2PC:       rs.Decisions2PC,
-	}
-}
+// RecoveryStats reports the cost of the last Open, summed over the
+// shards. Per-shard restart work ran in parallel; Total is wall clock
+// for the whole fleet, and TablesOpened counts each table once.
+func (db *DB) RecoveryStats() RecoveryStats { return db.eng.RecoveryStats() }
 
 // NVMStats reports persistence-primitive counters of the simulated NVM
 // device — summed across shards (NVM mode; zero value otherwise).

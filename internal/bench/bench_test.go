@@ -8,8 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"hyrisenv/internal/core"
 	"hyrisenv/internal/disk"
+	"hyrisenv/internal/txn"
 )
 
 // tinyScale keeps the harness smoke tests fast.
@@ -211,14 +211,14 @@ func TestE8Runs(t *testing.T) {
 }
 
 func TestRecoveryModelMath(t *testing.T) {
-	logStats := core.RecoveryStats{
+	logStats := txn.RecoveryStats{
 		CheckpointLoad:  100 * time.Millisecond,
 		CheckpointBytes: 1000,
 		LogReplay:       50 * time.Millisecond,
 		ReplayRecords:   500,
 		IndexRebuild:    20 * time.Millisecond,
 	}
-	nvmStats := core.RecoveryStats{Total: 2 * time.Millisecond}
+	nvmStats := txn.RecoveryStats{Total: 2 * time.Millisecond}
 	m := CalibrateRecoveryModel(logStats, nvmStats, 200)
 	if m.NVMConstant != 2*time.Millisecond {
 		t.Fatal("nvm constant")

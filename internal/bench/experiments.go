@@ -113,7 +113,7 @@ func E1Recovery(workDir string, sizes []int, model disk.Model) (*Report, error) 
 		if err != nil {
 			return nil, err
 		}
-		logStats := e.Shard(0).RecoveryStats()
+		logStats := e.RecoveryStats()
 		if err := verifyCount(e.Shard(0), "orders", -1); err != nil {
 			return nil, fmt.Errorf("E1 log n=%d: %w", n, err)
 		}
@@ -141,7 +141,7 @@ func E1Recovery(workDir string, sizes []int, model disk.Model) (*Report, error) 
 		if err != nil {
 			return nil, err
 		}
-		nvmStats := en.Shard(0).RecoveryStats()
+		nvmStats := en.RecoveryStats()
 		if err := verifyCount(en.Shard(0), "orders", -1); err != nil {
 			return nil, fmt.Errorf("E1 nvm n=%d: %w", n, err)
 		}
@@ -431,7 +431,7 @@ func E5LogBreakdown(workDir string, sizes []int, model disk.Model) (*Report, err
 		if err != nil {
 			return nil, err
 		}
-		st := e.Shard(0).RecoveryStats()
+		st := e.RecoveryStats()
 		e.Close()
 		os.RemoveAll(dir)
 		r.AddRow(fmt.Sprintf("%d", n), fmtDur(st.CheckpointLoad), fmtDur(st.LogReplay),

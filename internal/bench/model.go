@@ -6,9 +6,9 @@ import (
 	"path/filepath"
 	"time"
 
-	"hyrisenv/internal/core"
 	"hyrisenv/internal/disk"
 	"hyrisenv/internal/nvm"
+	"hyrisenv/internal/txn"
 	"hyrisenv/internal/workload"
 )
 
@@ -26,7 +26,7 @@ type RecoveryModel struct {
 }
 
 // CalibrateRecoveryModel fits the model from one measured recovery.
-func CalibrateRecoveryModel(logStats core.RecoveryStats, nvmStats core.RecoveryStats, rows int) RecoveryModel {
+func CalibrateRecoveryModel(logStats txn.RecoveryStats, nvmStats txn.RecoveryStats, rows int) RecoveryModel {
 	m := RecoveryModel{NVMConstant: nvmStats.Total}
 	if logStats.CheckpointBytes > 0 {
 		m.PerCkptByte = logStats.CheckpointLoad.Seconds() / float64(logStats.CheckpointBytes)
@@ -60,8 +60,8 @@ func M1RecoveryModel(workDir string, sizes []int, model disk.Model) (*Report, er
 	}
 	type sample struct {
 		rows     int
-		logStats core.RecoveryStats
-		nvmStats core.RecoveryStats
+		logStats txn.RecoveryStats
+		nvmStats txn.RecoveryStats
 	}
 	run := func(n int) (sample, error) {
 		s := sample{rows: n}
@@ -83,7 +83,7 @@ func M1RecoveryModel(workDir string, sizes []int, model disk.Model) (*Report, er
 		if e, err = openLog(dirL, model); err != nil {
 			return s, err
 		}
-		s.logStats = e.Shard(0).RecoveryStats()
+		s.logStats = e.RecoveryStats()
 		e.Close()
 		os.RemoveAll(dirL)
 
@@ -99,7 +99,7 @@ func M1RecoveryModel(workDir string, sizes []int, model disk.Model) (*Report, er
 		if en, err = openNVM(dirN, heapFor(n*2), nvm.LatencyModel{}); err != nil {
 			return s, err
 		}
-		s.nvmStats = en.Shard(0).RecoveryStats()
+		s.nvmStats = en.RecoveryStats()
 		en.Close()
 		os.RemoveAll(dirN)
 		return s, nil

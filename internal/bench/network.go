@@ -87,9 +87,8 @@ func NetRestart(workDir string, sizes []int, model disk.Model) (*Report, error) 
 			downtime := time.Since(crash)
 
 			rs := eng2.RecoveryStats()
-			sum := rs.Sum()
 			r.AddRow(fmt.Sprintf("%d", n), mode.String(), fmtDur(downtime), fmtDur(rs.Total),
-				fmt.Sprintf("%d", sum.ReplayRecords), fmt.Sprintf("%d", sum.NVM.RolledBack))
+				fmt.Sprintf("%d", rs.ReplayRecords), fmt.Sprintf("%d", rs.InFlightRolledBack))
 
 			c.Close()
 			srv2.Close()

@@ -92,10 +92,8 @@ func E12Sharding(workDir string, rows int) (*Report, error) {
 			return nil, fmt.Errorf("E12 shards=%d: %d rows after restart, want %d", shards, n, rows)
 		}
 		var slowest time.Duration
-		for _, ps := range rs.PerShard {
-			if ps.Total > slowest {
-				slowest = ps.Total
-			}
+		for i := range shards {
+			slowest = max(slowest, eng.Shard(i).RecoveryStats().Total)
 		}
 		if shards == 1 {
 			base = rs.Total

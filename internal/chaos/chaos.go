@@ -477,7 +477,7 @@ func offlineFsck(cfg Config, logf func(string, ...any)) error {
 	defer eng.Close() //nolint:errcheck — read-only visit
 	rs := eng.RecoveryStats()
 	logf("offline: opened in %v, rolled back %d in-flight, %d 2pc decisions",
-		rs.Total.Round(time.Microsecond), rs.Sum().NVM.RolledBack, rs.Decisions2PC)
+		rs.Total.Round(time.Microsecond), rs.InFlightRolledBack, rs.Decisions2PC)
 	if err := eng.Fsck(); err != nil {
 		return fmt.Errorf("fsck: %w", err)
 	}

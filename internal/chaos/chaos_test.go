@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"hyrisenv/internal/core"
 	"hyrisenv/internal/fault"
 	"hyrisenv/internal/server"
+	"hyrisenv/internal/shard"
 	"hyrisenv/internal/txn"
 )
 
@@ -32,13 +34,13 @@ func TestMain(m *testing.M) {
 func runDaemonChild() {
 	shards, _ := strconv.Atoi(os.Getenv("HYRISENV_CHAOS_SHARDS"))
 	err := server.RunDaemon(server.DaemonConfig{
-		Addr:        os.Getenv("HYRISENV_CHAOS_ADDR"),
-		Dir:         os.Getenv("HYRISENV_CHAOS_DIR"),
-		Mode:        txn.ModeNVM,
-		NVMHeapSize: childHeapSize,
-		Shards:      shards,
-		FaultSpec:   os.Getenv("HYRISENV_CHAOS_FAULT"),
-		Ready:       os.Stdout,
+		Addr: os.Getenv("HYRISENV_CHAOS_ADDR"),
+		Engine: shard.Config{
+			Config: core.Config{Mode: txn.ModeNVM, Dir: os.Getenv("HYRISENV_CHAOS_DIR"), NVMHeapSize: childHeapSize},
+			Shards: shards,
+		},
+		FaultSpec: os.Getenv("HYRISENV_CHAOS_FAULT"),
+		Ready:     os.Stdout,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

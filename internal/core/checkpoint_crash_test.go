@@ -59,7 +59,7 @@ func TestCrashDuringCheckpointFallsBack(t *testing.T) {
 // with merges: every read must observe the full, unchanged dataset.
 func TestReadersConsistentDuringMerge(t *testing.T) {
 	for _, mode := range []txn.Mode{txn.ModeNone, txn.ModeNVM} {
-		t.Run(mode.String(), func(t *testing.T) {
+		t.Run(subtest(mode), func(t *testing.T) {
 			e := openEngine(t, mode, t.TempDir())
 			tbl, _ := e.CreateTable("orders", ordersSchema(t), "id")
 			const rows = 400

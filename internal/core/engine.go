@@ -83,25 +83,6 @@ type Config struct {
 	Decide2PC txn.TwoPCDecider
 }
 
-// RecoveryStats records what (re)opening the engine had to do — the
-// quantity the paper's headline experiment compares across
-// architectures.
-type RecoveryStats struct {
-	Mode         txn.Mode
-	Total        time.Duration
-	TablesOpened int
-
-	// ModeLog components.
-	CheckpointLoad  time.Duration
-	LogReplay       time.Duration
-	IndexRebuild    time.Duration
-	ReplayRecords   int
-	CheckpointBytes uint64
-
-	// ModeNVM component: the in-flight transaction fixup.
-	NVM txn.NVMRecoveryStats
-}
-
 // Engine is an open database instance.
 type Engine struct {
 	cfg Config
@@ -116,7 +97,7 @@ type Engine struct {
 	byID        map[uint32]*storage.Table
 	nextTableID uint32
 
-	recovery RecoveryStats
+	recovery txn.RecoveryStats
 
 	closed    atomic.Bool
 	closeOnce sync.Once
@@ -163,6 +144,7 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.recovery.Mode = cfg.Mode
+	e.recovery.Shards = 1
 	e.recovery.Total = time.Since(start)
 	e.recovery.TablesOpened = len(e.tables)
 	return e, nil
@@ -191,10 +173,11 @@ func (e *Engine) openLog() (err error) {
 	if err != nil {
 		return err
 	}
-	e.recovery.CheckpointLoad = res.Stats.CheckpointTime
-	e.recovery.LogReplay = res.Stats.ReplayTime
-	e.recovery.ReplayRecords = res.Stats.ReplayRecords
-	e.recovery.CheckpointBytes = res.Stats.CheckpointBytes
+	e.recovery.CheckpointLoad = res.CheckpointTime
+	e.recovery.CheckpointBytes = res.CheckpointBytes
+	e.recovery.LogReplay = res.ReplayTime
+	e.recovery.ReplayRecords = res.ReplayRecords
+	e.recovery.ReplayBytes = res.ValidLogBytes
 	e.nextTableID = res.NextTableID
 
 	// Rebuild all index structures — with the replay, the
@@ -268,7 +251,7 @@ func (e *Engine) openNVM() error {
 	// In-flight transaction fixup — O(in-flight writes). Prepared 2PC
 	// contexts resolve against the shard coordinator's decision records
 	// when this engine is a shard (presumed abort otherwise).
-	mgr, stats, err := txn.OpenNVMManagerDecider(h, func(id uint32) *storage.Table {
+	mgr, fixup, err := txn.OpenNVMManagerDecider(h, func(id uint32) *storage.Table {
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 		return e.byID[id]
@@ -278,7 +261,7 @@ func (e *Engine) openNVM() error {
 		return err
 	}
 	e.mgr = mgr
-	e.recovery.NVM = stats
+	e.recovery = fixup
 	return nil
 }
 
@@ -286,7 +269,7 @@ func (e *Engine) openNVM() error {
 func (e *Engine) Mode() txn.Mode { return e.cfg.Mode }
 
 // RecoveryStats returns what the last Open had to do.
-func (e *Engine) RecoveryStats() RecoveryStats { return e.recovery }
+func (e *Engine) RecoveryStats() txn.RecoveryStats { return e.recovery }
 
 // Heap exposes the engine's heap for statistics: NVM in ModeNVM, a heap
 // that does not persist otherwise.

@@ -43,6 +43,10 @@ func ordersSchema(t *testing.T) storage.Schema {
 	return s
 }
 
+// subtest names a mode's subtest by the short name these tests have
+// always used (none, log, nvm), not by the mode's public name.
+func subtest(m txn.Mode) string { return [...]string{"none", "log", "nvm"}[m] }
+
 func openEngine(t *testing.T, mode txn.Mode, dir string) *Engine {
 	t.Helper()
 	e, err := Open(Config{Mode: mode, Dir: dir, NVMHeapSize: 256 << 20})
@@ -172,7 +176,7 @@ func restartEngine(t *testing.T, e *Engine, mode txn.Mode, dir string) *Engine {
 
 func TestEngineRestartDurability(t *testing.T) {
 	for _, mode := range []txn.Mode{txn.ModeLog, txn.ModeNVM} {
-		t.Run(mode.String(), func(t *testing.T) {
+		t.Run(subtest(mode), func(t *testing.T) {
 			dir := t.TempDir()
 			e := openEngine(t, mode, dir)
 			tbl, err := e.CreateTable("orders", ordersSchema(t), "id")
@@ -233,7 +237,7 @@ func TestEngineRestartDurability(t *testing.T) {
 
 func TestEngineRestartAfterMerge(t *testing.T) {
 	for _, mode := range []txn.Mode{txn.ModeLog, txn.ModeNVM} {
-		t.Run(mode.String(), func(t *testing.T) {
+		t.Run(subtest(mode), func(t *testing.T) {
 			dir := t.TempDir()
 			e := openEngine(t, mode, dir)
 			tbl, _ := e.CreateTable("orders", ordersSchema(t), "id")
@@ -330,11 +334,11 @@ func testEngineNVMCrashMidCommit(t *testing.T, shadow bool) {
 		t.Fatalf("crash mid-commit: visible = %d, want 10 or 12 (atomic)", got)
 	}
 	rs := e2.RecoveryStats()
-	if got == 10 && rs.NVM.RolledBack+rs.NVM.CommittedDone == 0 {
+	if got == 10 && rs.InFlightRolledBack+rs.CommittedDone == 0 {
 		// If nothing was rolled back, the context must have been cleaned
 		// before the crash (crash inside pctx bookkeeping) — fine; but if
 		// the txn was cut mid-commit there must be evidence.
-		t.Logf("recovery stats: %+v (crash before context registration)", rs.NVM)
+		t.Logf("recovery stats: %+v (crash before context registration)", rs)
 	}
 }
 
@@ -346,8 +350,8 @@ func TestEngineNVMRecoveryIsConstantWork(t *testing.T) {
 	insertOrders(t, e, tbl, 500)
 	e2 := restartEngine(t, e, txn.ModeNVM, dir)
 	rs := e2.RecoveryStats()
-	if rs.NVM.LiveContexts != 0 || rs.NVM.EntriesUndone != 0 {
-		t.Fatalf("clean restart did fixup work: %+v", rs.NVM)
+	if rs.LiveContexts != 0 || rs.EntriesUndone != 0 {
+		t.Fatalf("clean restart did fixup work: %+v", rs)
 	}
 	if rs.TablesOpened != 1 {
 		t.Fatalf("TablesOpened = %d", rs.TablesOpened)
@@ -356,7 +360,7 @@ func TestEngineNVMRecoveryIsConstantWork(t *testing.T) {
 
 func TestEngineMultipleTables(t *testing.T) {
 	for _, mode := range []txn.Mode{txn.ModeLog, txn.ModeNVM} {
-		t.Run(mode.String(), func(t *testing.T) {
+		t.Run(subtest(mode), func(t *testing.T) {
 			dir := t.TempDir()
 			e := openEngine(t, mode, dir)
 			a, _ := e.CreateTable("alpha", ordersSchema(t))
@@ -394,7 +398,7 @@ var _ = nvm.PPtr(0)
 
 func TestEpochGuardRejectsStaleRowIDs(t *testing.T) {
 	for _, mode := range []txn.Mode{txn.ModeNone, txn.ModeNVM} {
-		t.Run(mode.String(), func(t *testing.T) {
+		t.Run(subtest(mode), func(t *testing.T) {
 			e := openEngine(t, mode, t.TempDir())
 			tbl, _ := e.CreateTable("orders", ordersSchema(t), "id")
 			insertOrders(t, e, tbl, 10)

@@ -48,7 +48,7 @@ func TestCrashStaleIndexEntryNoDuplicate(t *testing.T) {
 	}
 	defer e2.Close()
 	rs := e2.RecoveryStats()
-	if rs.NVM.RolledBack == 0 {
+	if rs.InFlightRolledBack == 0 {
 		t.Fatal("recovery rolled nothing back; the in-flight insert survived?")
 	}
 	tbl2, err := e2.Table("orders")

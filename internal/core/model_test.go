@@ -65,7 +65,7 @@ func findRow(e *Engine, tbl *storage.Table, tx *txn.Txn, k int64) (uint64, bool)
 
 func TestEngineMatchesModel(t *testing.T) {
 	for _, mode := range []txn.Mode{txn.ModeLog, txn.ModeNVM} {
-		t.Run(mode.String(), func(t *testing.T) {
+		t.Run(subtest(mode), func(t *testing.T) {
 			dir := t.TempDir()
 			e := openEngine(t, mode, dir)
 			tbl, err := e.CreateTable("kv", kvSchema(t), "k")

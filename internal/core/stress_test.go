@@ -110,7 +110,7 @@ func TestBankTransferInvariant(t *testing.T) {
 		transfersPerWriter = 300
 	)
 	for _, mode := range []txn.Mode{txn.ModeNone, txn.ModeLog, txn.ModeNVM} {
-		t.Run(mode.String(), func(t *testing.T) {
+		t.Run(subtest(mode), func(t *testing.T) {
 			e := openEngine(t, mode, t.TempDir())
 			tbl := setupAccounts(t, e, accounts, initial)
 

@@ -232,6 +232,10 @@ type diffFixture struct {
 	readers []reader
 }
 
+// subtest names a mode's subtest by the short name these tests have
+// always used (none, log, nvm), not by the mode's public name.
+func subtest(m txn.Mode) string { return [...]string{"none", "log", "nvm"}[m] }
+
 func openDiffEngine(t testing.TB, mode txn.Mode) (*core.Engine, *storage.Table) {
 	t.Helper()
 	cfg := core.Config{Mode: mode, NVMHeapSize: 256 << 20}
@@ -552,7 +556,7 @@ func TestKernelMatchesOracle(t *testing.T) {
 			modes = append(modes, txn.ModeNVM)
 		}
 		for _, mode := range modes {
-			t.Run(fmt.Sprintf("%s/main=%d/delta=%d%s", mode, sh.main, sh.delta, sh.churn.suffix()), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/main=%d/delta=%d%s", subtest(mode), sh.main, sh.delta, sh.churn.suffix()), func(t *testing.T) {
 				f := buildDiffFixture(t, mode, sh.main, sh.delta, sh.churn, int64(1000+i))
 				for _, par := range []int{1, 3} {
 					f.check(t, exec.New(par))
@@ -569,7 +573,7 @@ func TestKernelMatchesOracle(t *testing.T) {
 // nor a later generation may change what that view shows the reader.
 func TestKernelMatchesOracleUnderWrites(t *testing.T) {
 	for _, mode := range []txn.Mode{txn.ModeNone, txn.ModeLog, txn.ModeNVM} {
-		t.Run(mode.String(), func(t *testing.T) {
+		t.Run(subtest(mode), func(t *testing.T) {
 			e, tbl := openDiffEngine(t, mode)
 			ctx := context.Background()
 			var nextU int64

@@ -47,7 +47,7 @@ func TestGrowGeometric(t *testing.T) {
 	}
 	old := h.Bytes(p0, 64)
 	copy(old, "survives the remap")
-	h.PersistBytes(old)
+	h.Persist(p0, 64)
 	if err := h.SetRoot("grow:a", p0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,6 @@ func TestGrowGeometric(t *testing.T) {
 		t.Fatalf("pre-growth slice corrupted: %q", old[:18])
 	}
 	copy(old[18:], "!")
-	h.PersistBytes(old) // offsetOf must resolve via the old mapping
 	if got := h.Bytes(p0, 64); string(got[:19]) != "survives the remap!" {
 		t.Fatalf("write through old mapping not visible in new: %q", got[:19])
 	}
@@ -129,7 +128,7 @@ func TestGrowSurvivesReopen(t *testing.T) {
 	last := ptrs[len(ptrs)-1]
 	b := h.Bytes(last, 32<<10)
 	copy(b, "beyond the original arena")
-	h.PersistBytes(b)
+	h.Persist(last, 32<<10)
 	if err := h.SetRoot("grow:last", last, uint64(len(ptrs))); err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +204,7 @@ func TestGrowShadowImage(t *testing.T) {
 	// A persisted write in the grown region survives the crash...
 	kept := h.Bytes(last, 64)
 	copy(kept, "persisted in grown region")
-	h.PersistBytes(kept)
+	h.Persist(last, 64)
 	// ...an unpersisted one does not.
 	lost := h.Bytes(last.Add(64), 64)
 	copy(lost, "never fenced")

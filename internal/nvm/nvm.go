@@ -202,8 +202,9 @@ type Heap struct {
 	f *os.File
 
 	// cur is the active mapping; maps lists every live mapping (current
-	// first) so offsetOf can resolve slices minted before a growth remap.
-	// Both are swapped atomically by growLocked under allocMu.
+	// first), so slices minted before a growth remap stay valid until
+	// Close unmaps them all. Both are swapped atomically by growLocked
+	// under allocMu.
 	cur  atomic.Pointer[mapping]
 	maps atomic.Pointer[[][]byte]
 
@@ -499,11 +500,6 @@ func (h *Heap) SetU64(p PPtr, v uint64) {
 	atomic.StoreUint64(h.u64ptr(p), v)
 }
 
-// CasU64 performs an atomic compare-and-swap on the uint64 at p.
-func (h *Heap) CasU64(p PPtr, old, new uint64) bool {
-	return atomic.CompareAndSwapUint64(h.u64ptr(p), old, new)
-}
-
 func (h *Heap) u64ptr(p PPtr) *uint64 {
 	if p%8 != 0 {
 		panic(fmt.Sprintf("nvm: unaligned atomic access at %d", p))
@@ -534,16 +530,6 @@ func (h *Heap) Persist(p PPtr, n uint64) {
 	h.Fence()
 }
 
-// PersistBytes persists a slice previously obtained from Bytes.
-func (h *Heap) PersistBytes(b []byte) {
-	if len(b) == 0 {
-		h.Fence()
-		return
-	}
-	off := h.offsetOf(&b[0])
-	h.Persist(off, uint64(len(b)))
-}
-
 // Flush flushes the cache lines covering [p, p+n) WITHOUT fencing — the
 // clflushopt/clwb analog. Flushed stores are not durable until a
 // subsequent Fence (or Persist) completes: in pessimistic shadow mode the
@@ -565,16 +551,6 @@ func (h *Heap) Flush(p PPtr, n uint64) {
 	if h.shadow != nil {
 		h.addPending(first, last+CacheLineSize)
 	}
-}
-
-// FlushBytes flushes (without fencing) a slice previously obtained from
-// Bytes. The no-op on an empty slice mirrors Flush, not PersistBytes: a
-// flush of nothing orders nothing.
-func (h *Heap) FlushBytes(b []byte) {
-	if len(b) == 0 {
-		return
-	}
-	h.Flush(h.offsetOf(&b[0]), uint64(len(b)))
 }
 
 // Fence issues a store fence (sfence analog): it orders prior flushes
@@ -707,20 +683,6 @@ func (h *Heap) injector() FaultInjector {
 		return *p
 	}
 	return nil
-}
-
-func (h *Heap) offsetOf(b *byte) PPtr {
-	// A slice may have been minted from a mapping that growth has since
-	// superseded; every live mapping views the same file, so the offset
-	// within whichever mapping contains the pointer is the heap offset.
-	addr := uintptr(unsafe.Pointer(b))
-	for _, mem := range *h.maps.Load() {
-		base := uintptr(unsafe.Pointer(&mem[0]))
-		if addr >= base && addr < base+uintptr(len(mem)) {
-			return PPtr(addr - base)
-		}
-	}
-	panic("nvm: pointer does not alias any heap mapping")
 }
 
 // Stats returns persistence counters.

@@ -25,7 +25,7 @@ func TestCreateOpenRoundTrip(t *testing.T) {
 		t.Fatalf("Alloc: %v", err)
 	}
 	copy(h.Bytes(p, 5), "hello")
-	h.PersistBytes(h.Bytes(p, 5))
+	h.Persist(p, 5)
 	if err := h.SetRoot("greeting", p, 5); err != nil {
 		t.Fatalf("SetRoot: %v", err)
 	}
@@ -239,15 +239,6 @@ func TestAtomicU64(t *testing.T) {
 	if got := h.U64(p); got != 42 {
 		t.Fatalf("U64 = %d", got)
 	}
-	if !h.CasU64(p, 42, 43) {
-		t.Fatal("CAS failed")
-	}
-	if h.CasU64(p, 42, 44) {
-		t.Fatal("CAS with stale old value succeeded")
-	}
-	if got := h.U64(p); got != 43 {
-		t.Fatalf("after CAS U64 = %d", got)
-	}
 }
 
 func TestPersistCountsLines(t *testing.T) {
@@ -385,7 +376,7 @@ func TestPersistenceProperty(t *testing.T) {
 			return true // heap full: vacuous
 		}
 		copy(h.Bytes(p, uint64(len(data))), data)
-		h.PersistBytes(h.Bytes(p, uint64(len(data))))
+		h.Persist(p, uint64(len(data)))
 		if err := h.SetRoot("prop", p, uint64(len(data))); err != nil {
 			return true
 		}

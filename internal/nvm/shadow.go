@@ -28,9 +28,6 @@ func WithShadow() Option {
 	return func(h *Heap) { h.shadowOn = true }
 }
 
-// ShadowEnabled reports whether the pessimistic crash model is active.
-func (h *Heap) ShadowEnabled() bool { return h.shadow != nil }
-
 // SetTearSeed selects the crash behavior for dirty cache lines. Seed 0
 // (the default) reverts whole lines — the pure-loss model. A non-zero
 // seed seeds a deterministic RNG that tears dirty lines at aligned

@@ -9,24 +9,17 @@ import (
 	"syscall"
 	"time"
 
-	"hyrisenv/internal/core"
-	"hyrisenv/internal/disk"
 	"hyrisenv/internal/fault"
 	"hyrisenv/internal/shard"
-	"hyrisenv/internal/txn"
 )
 
 // DaemonConfig configures RunDaemon — the shared body of the
 // hyrise-nvd command, also driven directly by the integration tests
 // (which re-exec the test binary as a daemon child).
 type DaemonConfig struct {
-	Addr        string   // listen address, e.g. "127.0.0.1:0"
-	Dir         string   // data directory
-	Mode        txn.Mode // durability mode
-	NVMHeapSize uint64   // simulated NVM device size (ModeNVM, per shard)
-	Shards      int      // hash partitions (0 or 1 = unpartitioned)
-	DiskModel   disk.Model
-	Server      Config
+	Addr   string       // listen address, e.g. "127.0.0.1:0"
+	Engine shard.Config // the engine served: mode, directory, shards, devices
+	Server Config
 
 	// DrainTimeout bounds the graceful drain on SIGTERM/SIGINT before
 	// stragglers are force-closed. Default 5 s.
@@ -70,23 +63,14 @@ func RunDaemon(cfg DaemonConfig) error {
 	}
 
 	start := time.Now()
-	eng, err := shard.Open(shard.Config{
-		Config: core.Config{
-			Mode:        cfg.Mode,
-			Dir:         cfg.Dir,
-			NVMHeapSize: cfg.NVMHeapSize,
-			DiskModel:   cfg.DiskModel,
-		},
-		Shards: cfg.Shards,
-	})
+	eng, err := shard.Open(cfg.Engine)
 	if err != nil {
 		return fmt.Errorf("open engine: %w", err)
 	}
 	rs := eng.RecoveryStats()
-	sum := rs.Sum()
 	logf("engine open in %s (mode=%s, shards=%d, %d tables, replay=%d records, rolled back=%d in-flight, 2pc decisions=%d)",
-		time.Since(start).Round(time.Microsecond), cfg.Mode, eng.Shards(), sum.TablesOpened,
-		sum.ReplayRecords, sum.NVM.RolledBack, rs.Decisions2PC)
+		time.Since(start).Round(time.Microsecond), rs.Mode, rs.Shards, rs.TablesOpened,
+		rs.ReplayRecords, rs.InFlightRolledBack, rs.Decisions2PC)
 
 	if cfg.FaultSpec != "" {
 		fcfg, err := fault.ParseSpec(cfg.FaultSpec)

@@ -19,8 +19,10 @@ import (
 	"hyrisenv"
 	"hyrisenv/client"
 	"hyrisenv/internal/backoff"
+	"hyrisenv/internal/core"
 	"hyrisenv/internal/disk"
 	"hyrisenv/internal/server"
+	"hyrisenv/internal/shard"
 	"hyrisenv/internal/txn"
 	"hyrisenv/internal/workload"
 )
@@ -56,11 +58,13 @@ func runDaemonChild() {
 		addr = "127.0.0.1:0"
 	}
 	err := server.RunDaemon(server.DaemonConfig{
-		Addr:         addr,
-		Dir:          os.Getenv("HYRISENV_DAEMON_DIR"),
-		Mode:         mode,
-		NVMHeapSize:  256 << 20,
-		DiskModel:    model,
+		Addr: addr,
+		Engine: shard.Config{Config: core.Config{
+			Mode:        mode,
+			Dir:         os.Getenv("HYRISENV_DAEMON_DIR"),
+			NVMHeapSize: 256 << 20,
+			DiskModel:   model,
+		}},
 		DrainTimeout: 2 * time.Second,
 		Ready:        os.Stdout,
 	})

@@ -759,20 +759,19 @@ func (c *conn) dispatch(ctx context.Context, f wire.Frame) (t wire.Type, payload
 
 	case wire.TypeStats:
 		rs := c.srv.eng.RecoveryStats()
-		sum := rs.Sum()
 		resp := wire.StatsResp{
-			Mode:           uint8(c.srv.eng.Mode()),
+			Mode:           uint8(rs.Mode),
 			Uptime:         time.Since(c.srv.start),
 			Recovery:       rs.Total,
-			TablesOpened:   uint32(sum.TablesOpened),
-			CheckpointLoad: sum.CheckpointLoad,
-			LogReplay:      sum.LogReplay,
-			IndexRebuild:   sum.IndexRebuild,
-			ReplayRecords:  uint32(sum.ReplayRecords),
-			RolledBack:     uint32(sum.NVM.RolledBack),
-			EntriesUndone:  uint32(sum.NVM.EntriesUndone),
+			TablesOpened:   uint32(rs.TablesOpened),
+			CheckpointLoad: rs.CheckpointLoad,
+			LogReplay:      rs.LogReplay,
+			IndexRebuild:   rs.IndexRebuild,
+			ReplayRecords:  uint32(rs.ReplayRecords),
+			RolledBack:     uint32(rs.InFlightRolledBack),
+			EntriesUndone:  uint32(rs.EntriesUndone),
 		}
-		if c.srv.eng.Mode() == txn.ModeNVM {
+		if rs.Mode == txn.ModeNVM {
 			hs := c.srv.eng.NVMStats()
 			resp.NVMFlushes, resp.NVMFences, resp.NVMBytesUsed = hs.Flushes, hs.Fences, hs.BytesUsed
 		}

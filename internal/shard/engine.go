@@ -54,52 +54,13 @@ func splitRow(row uint64) (int, uint64) {
 	return int(row >> localRowBits), row & localRowMask
 }
 
-// RecoveryStats aggregates what Open had to do. Shard recoveries run
-// concurrently, so Total tracks the slowest shard plus the (constant)
-// coordinator scan — not the sum — which is what keeps restart-to-serve
-// flat as shards are added.
-type RecoveryStats struct {
-	Total    time.Duration
-	PerShard []core.RecoveryStats
-	// Decisions2PC counts durable cross-shard commit decisions found at
-	// the coordinator (transactions that crashed between their commit
-	// point and their finish, redone during shard recovery).
-	Decisions2PC int
-}
-
-// Sum adds the per-shard recoveries field by field, the nested NVM fixup
-// counters included, so a consumer cannot read a subset by accident. Its
-// Total is shard time — recoveries overlap, so the fleet's wall clock is
-// s.Total — and Mode, which cannot add, is the fleet's.
-func (s RecoveryStats) Sum() core.RecoveryStats {
-	var sum core.RecoveryStats
-	for _, ps := range s.PerShard {
-		sum.Mode = ps.Mode
-		sum.Total += ps.Total
-		sum.TablesOpened += ps.TablesOpened
-		sum.CheckpointLoad += ps.CheckpointLoad
-		sum.LogReplay += ps.LogReplay
-		sum.IndexRebuild += ps.IndexRebuild
-		sum.ReplayRecords += ps.ReplayRecords
-		sum.CheckpointBytes += ps.CheckpointBytes
-		sum.NVM.LiveContexts += ps.NVM.LiveContexts
-		sum.NVM.CommittedDone += ps.NVM.CommittedDone
-		sum.NVM.RolledBack += ps.NVM.RolledBack
-		sum.NVM.EntriesUndone += ps.NVM.EntriesUndone
-		sum.NVM.Committed2PC += ps.NVM.Committed2PC
-		sum.NVM.Aborted2PC += ps.NVM.Aborted2PC
-		sum.NVM.EntriesRedone += ps.NVM.EntriesRedone
-	}
-	return sum
-}
-
 // Engine is a sharded database: a router over N core engines.
 type Engine struct {
 	cfg      Config
 	shards   []*core.Engine
-	clock    *txn.Clock   // shared by every shard's Manager
-	coord    *Coordinator // ModeNVM multi-shard only
-	recovery RecoveryStats
+	clock    *txn.Clock        // shared by every shard's Manager
+	coord    *Coordinator      // ModeNVM multi-shard only
+	recovery txn.RecoveryStats // the fleet's: see Open
 
 	mu     sync.RWMutex
 	tables map[string]*Table
@@ -221,7 +182,7 @@ func Open(cfg Config) (*Engine, error) {
 	// stamped (including cross-shard commits redone just now).
 	var seed uint64
 	for _, s := range e.shards {
-		e.recovery.PerShard = append(e.recovery.PerShard, s.RecoveryStats())
+		e.recovery.Add(s.RecoveryStats())
 		if cid := s.Manager().LastCID(); cid > seed {
 			seed = cid
 		}
@@ -247,7 +208,13 @@ func Open(cfg Config) (*Engine, error) {
 		e.Close() //nolint:errcheck — already failing
 		return nil, err
 	}
+	// Shards recover concurrently, so the fleet's Total is its wall
+	// clock — the slowest shard plus the (constant) coordinator scan,
+	// not the sum — which keeps restart-to-serve flat as shards are
+	// added. A table spans every shard and counts once.
+	e.recovery.Mode = cfg.Mode
 	e.recovery.Total = time.Since(start)
+	e.recovery.TablesOpened = len(e.tables)
 	return e, nil
 }
 
@@ -345,8 +312,9 @@ func (e *Engine) Clock() *txn.Clock { return e.clock }
 // Mode returns the durability mode.
 func (e *Engine) Mode() txn.Mode { return e.cfg.Mode }
 
-// RecoveryStats reports what the last Open had to do.
-func (e *Engine) RecoveryStats() RecoveryStats { return e.recovery }
+// RecoveryStats reports what the last Open had to do, summed over the
+// shards; Shard(i).RecoveryStats() is one shard's own.
+func (e *Engine) RecoveryStats() txn.RecoveryStats { return e.recovery }
 
 // Exec returns the executor queries of shard.Tx fan out through (the
 // shards share one parallelism configuration).

@@ -116,30 +116,20 @@ func (p *slotPool) put(s int) {
 // TableResolver maps persistent table IDs to open tables during restart.
 type TableResolver func(tableID uint32) *storage.Table
 
-// NVMRecoveryStats reports the (tiny) amount of restart work performed.
-type NVMRecoveryStats struct {
-	LiveContexts  int // contexts of transactions the crash cut: undone, or decided by 2PC
-	CommittedDone int // contexts a committed transaction left for its slot's next holder to retire
-	RolledBack    int // in-flight transactions undone
-	EntriesUndone int // row stamps reset
-	Committed2PC  int // prepared contexts redone from a commit decision
-	Aborted2PC    int // prepared contexts undone by presumed abort
-	EntriesRedone int // row stamps re-applied from decided contexts
-}
-
 // OpenNVMManager creates or re-attaches the ModeNVM transaction manager
 // on heap h. On re-attach it runs the in-flight transaction fixup —
 // the *only* data-dependent work of a Hyrise-NV restart. Prepared 2PC
 // contexts are presumed aborted; a sharded engine passes its
-// coordinator's decider via OpenNVMManagerDecider instead.
-func OpenNVMManager(h *nvm.Heap, resolve TableResolver) (*Manager, NVMRecoveryStats, error) {
+// coordinator's decider via OpenNVMManagerDecider instead. The returned
+// stats hold the fixup's counters only.
+func OpenNVMManager(h *nvm.Heap, resolve TableResolver) (*Manager, RecoveryStats, error) {
 	return OpenNVMManagerDecider(h, resolve, nil)
 }
 
 // OpenNVMManagerDecider is OpenNVMManager with a 2PC decider consulted
 // for prepared contexts (see TwoPCDecider; nil presumes abort).
-func OpenNVMManagerDecider(h *nvm.Heap, resolve TableResolver, decide TwoPCDecider) (*Manager, NVMRecoveryStats, error) {
-	var stats NVMRecoveryStats
+func OpenNVMManagerDecider(h *nvm.Heap, resolve TableResolver, decide TwoPCDecider) (*Manager, RecoveryStats, error) {
+	var stats RecoveryStats
 	m := &Manager{mode: ModeNVM, h: h}
 	m.nextTID.Store(1)
 	m.gc = group.New[*Txn](maxGroup, m.CommitGroup)
@@ -207,7 +197,7 @@ func OpenNVMManagerDecider(h *nvm.Heap, resolve TableResolver, decide TwoPCDecid
 					}
 				} else {
 					stats.Aborted2PC++
-					stats.RolledBack++
+					stats.InFlightRolledBack++
 					n, err := m.undoContext(head, resolve)
 					if err != nil {
 						return nil, stats, err
@@ -218,7 +208,7 @@ func OpenNVMManagerDecider(h *nvm.Heap, resolve TableResolver, decide TwoPCDecid
 				stats.CommittedDone++
 			default:
 				stats.LiveContexts++
-				stats.RolledBack++
+				stats.InFlightRolledBack++
 				n, err := m.undoContext(head, resolve)
 				if err != nil {
 					return nil, stats, err

@@ -22,6 +22,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"hyrisenv/internal/group"
 	"hyrisenv/internal/mvcc"
@@ -40,18 +41,78 @@ const (
 	ModeNVM
 )
 
-// String names the mode.
+// String names the mode as the public API, the daemon and the CLI
+// print it.
 func (m Mode) String() string {
 	switch m {
 	case ModeNone:
-		return "none"
+		return "volatile"
 	case ModeLog:
-		return "log"
+		return "log-based"
 	case ModeNVM:
 		return "nvm"
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+}
+
+// RecoveryStats records what (re)opening a database had to do to reach
+// a queryable state — the quantity the paper's headline experiment
+// compares across architectures. Each layer fills its own fields: the
+// NVM fixup its counters, the log engine its phases, a fleet the sum
+// over its shards.
+type RecoveryStats struct {
+	Mode         Mode
+	Shards       int
+	Total        time.Duration // wall clock of the whole open
+	TablesOpened int
+
+	// ModeLog: load the checkpoint, redo the log, rebuild the indexes.
+	CheckpointLoad  time.Duration
+	CheckpointBytes uint64
+	LogReplay       time.Duration
+	ReplayRecords   int
+	ReplayBytes     uint64
+	IndexRebuild    time.Duration
+
+	// ModeNVM: the in-flight transaction fixup, the only data-dependent
+	// restart work.
+	LiveContexts       int // contexts of transactions the crash cut: undone, or decided by 2PC
+	CommittedDone      int // contexts a committed transaction left for its slot's next holder to retire
+	InFlightRolledBack int // in-flight transactions undone
+	EntriesUndone      int // row stamps reset
+	Committed2PC       int // prepared contexts redone from a commit decision
+	Aborted2PC         int // prepared contexts undone by presumed abort
+	EntriesRedone      int // row stamps re-applied from decided contexts
+
+	// Decisions2PC counts durable cross-shard commit decisions found at
+	// the coordinator (transactions that crashed between their commit
+	// point and their finish, redone during shard recovery).
+	Decisions2PC int
+}
+
+// Add adds every field of o but Mode, a label, to s. A fleet sums its
+// shards' reports with it and then sets what does not add: Total is
+// the fleet's wall clock, since shards recover concurrently, and a
+// table spans every shard.
+func (s *RecoveryStats) Add(o RecoveryStats) {
+	s.Shards += o.Shards
+	s.Total += o.Total
+	s.TablesOpened += o.TablesOpened
+	s.CheckpointLoad += o.CheckpointLoad
+	s.CheckpointBytes += o.CheckpointBytes
+	s.LogReplay += o.LogReplay
+	s.ReplayRecords += o.ReplayRecords
+	s.ReplayBytes += o.ReplayBytes
+	s.IndexRebuild += o.IndexRebuild
+	s.LiveContexts += o.LiveContexts
+	s.CommittedDone += o.CommittedDone
+	s.InFlightRolledBack += o.InFlightRolledBack
+	s.EntriesUndone += o.EntriesUndone
+	s.Committed2PC += o.Committed2PC
+	s.Aborted2PC += o.Aborted2PC
+	s.EntriesRedone += o.EntriesRedone
+	s.Decisions2PC += o.Decisions2PC
 }
 
 // Errors returned by the transaction layer.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -412,7 +413,7 @@ func (e *nvmCrashEnv) openMgr(t *testing.T) {
 }
 
 // restart simulates a power failure + restart.
-func (e *nvmCrashEnv) restart(t *testing.T) NVMRecoveryStats {
+func (e *nvmCrashEnv) restart(t *testing.T) RecoveryStats {
 	t.Helper()
 	if err := e.h.Close(); err != nil {
 		t.Fatal(err)
@@ -496,7 +497,7 @@ func TestNVMUncommittedInvisibleAfterRestart(t *testing.T) {
 	fly.Insert(e.tbl, []storage.Value{storage.Int(2), storage.Str("fly")})
 
 	stats := e.restart(t)
-	if stats.LiveContexts != 1 || stats.RolledBack != 1 {
+	if stats.LiveContexts != 1 || stats.InFlightRolledBack != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	if got := e.countVisible(); got != 1 {
@@ -620,7 +621,7 @@ func TestNVMPctxChaining(t *testing.T) {
 		fly.Insert(e.tbl, []storage.Value{storage.Int(int64(i)), storage.Str("fly")})
 	}
 	stats := e.restart(t)
-	if stats.RolledBack != 1 {
+	if stats.InFlightRolledBack != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	if got := e.countVisible(); got != n {
@@ -817,5 +818,36 @@ func TestStandaloneManagerOwnsItsClock(t *testing.T) {
 	}
 	if m := NewManager(ModeNone, 41); m.Begin().SnapshotCID() != 41 {
 		t.Fatalf("NewManager(…, 41) begins at %d", m.Begin().SnapshotCID())
+	}
+}
+
+// TestRecoveryStatsAddEveryField pins that Add sums every counter: a
+// field missing from it reads zero in a fleet's report, and so to the
+// daemon, the wire Stats reply and the public API.
+func TestRecoveryStatsAddEveryField(t *testing.T) {
+	// fill sets every field but Mode, a label, to k times its 1-based
+	// position.
+	fill := func(s *RecoveryStats, k int64) {
+		v := reflect.ValueOf(s).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); {
+			case f.Type() == reflect.TypeOf(Mode(0)):
+			case f.Kind() == reflect.Int || f.Kind() == reflect.Int64:
+				f.SetInt(k * int64(i+1))
+			case f.Kind() == reflect.Uint64:
+				f.SetUint(uint64(k * int64(i+1)))
+			default:
+				t.Fatalf("RecoveryStats has a %s field; teach Add and this test about it", f.Kind())
+			}
+		}
+	}
+	var a, b, want RecoveryStats
+	fill(&a, 1)
+	fill(&b, 10)
+	fill(&want, 11)
+	a.Mode, b.Mode, want.Mode = ModeNVM, ModeLog, ModeNVM
+	a.Add(b)
+	if a != want {
+		t.Fatalf("Add = %+v\nwant the per-field sum %+v", a, want)
 	}
 }

@@ -172,22 +172,17 @@ func (m *Manager) WriteCheckpoint(tables []*storage.Table, lastCID uint64, nextT
 	return NewWriter(logDev, 0), seq, nil
 }
 
-// RecoveryStats reports where log-based restart time went — the
-// breakdown the paper's recovery figure decomposes.
-type RecoveryStats struct {
-	CheckpointBytes uint64
-	CheckpointTime  time.Duration
-	ReplayRecords   int
-	ReplayBytes     uint64
-	ReplayTime      time.Duration
-}
-
 // RecoveryResult is the rebuilt database state.
 type RecoveryResult struct {
 	Tables      map[uint32]*storage.Table
 	LastCID     uint64
 	NextTableID uint32
-	Stats       RecoveryStats
+	// Where the restart time went — the breakdown the paper's recovery
+	// figure decomposes. The bytes replayed are ValidLogBytes.
+	CheckpointBytes uint64
+	CheckpointTime  time.Duration
+	ReplayRecords   int
+	ReplayTime      time.Duration
 	// LogSeq and ValidLogBytes tell the engine where to resume logging:
 	// the segment must be truncated to the valid prefix.
 	LogSeq        uint64
@@ -248,10 +243,10 @@ func (m *Manager) Recover(h *nvm.Heap) (*RecoveryResult, error) {
 		res.Tables[t.ID] = t
 	}
 	if sz, err := ckDev.Size(); err == nil {
-		res.Stats.CheckpointBytes = uint64(sz)
+		res.CheckpointBytes = uint64(sz)
 	}
 	ckDev.Close()
-	res.Stats.CheckpointTime = time.Since(start)
+	res.CheckpointTime = time.Since(start)
 
 	// Phase 2: log replay.
 	start = time.Now()
@@ -271,10 +266,9 @@ func (m *Manager) Recover(h *nvm.Heap) (*RecoveryResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: replay: %w", err)
 	}
-	res.Stats.ReplayRecords = n
-	res.Stats.ReplayBytes = valid
+	res.ReplayRecords = n
 	res.ValidLogBytes = valid
-	res.Stats.ReplayTime = time.Since(start)
+	res.ReplayTime = time.Since(start)
 	return res, nil
 }
 
