@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet nvmcheck nvmcheck-stats analyzer-mutants crosscheck test race benchmark-module fuzz-smoke fuzz-check crashmatrix chaos benchscan benchserve
+.PHONY: check fmt vet nvmcheck nvmcheck-stats analyzer-mutants crosscheck test race benchmark-module fuzz-smoke fuzz-check crashmatrix chaos benchscan benchserve benchkernel-smoke
 
 check: fmt vet nvmcheck race benchmark-module
 
@@ -149,6 +149,15 @@ benchserve:
 		-benchtime 20000x -timeout 30m | tee -a BENCH_serve.txt
 	$(GO) run ./cmd/benchjson -in BENCH_serve.txt -out BENCH_serve.json
 	rm -f BENCH_serve.txt
+
+# The scan kernel's benchmarks — the plane walk of the packed words, the
+# block decode, the visibility bitmap and the morsel-parallel predicate
+# count — compiled and run for one op each, as CI does: they are the
+# instruments behind every kernel figure in EXPERIMENTS.md E9, and a
+# benchmark that no longer builds or runs measures nothing.
+benchkernel-smoke:
+	$(GO) test ./internal/pstruct ./internal/mvcc ./internal/exec -run '^$$' \
+		-bench 'FilterBits|UnpackBits|VisibleBits|ScanPredicate' -benchtime 1x
 
 # The smoke CI runs (its fuzz-smoke job is `make fuzz-smoke`): 30s per
 # fuzzer — the wire codecs, the server's one transaction body under

@@ -401,6 +401,17 @@ func (w *wconn) idleUnpinned() bool {
 // arrives). Other requests proceed on the same connection while this
 // one waits.
 func (w *wconn) roundTrip(cl call, t wire.Type, payload []byte) (wire.Frame, error) {
+	f, err := cl.frame(t, payload)
+	if err != nil {
+		return wire.Frame{}, err
+	}
+	return w.send(cl, f)
+}
+
+// frame returns the request frame of type t, its header timeout the time
+// the call has left, or the error that stops the call before anything is
+// sent: its context's, or context.DeadlineExceeded.
+func (cl call) frame(t wire.Type, payload []byte) (wire.Frame, error) {
 	if err := cl.ctx.Err(); err != nil {
 		return wire.Frame{}, err
 	}
@@ -416,7 +427,11 @@ func (w *wconn) roundTrip(cl call, t wire.Type, payload []byte) (wire.Frame, err
 			f.TimeoutMs = 1
 		}
 	}
+	return f, nil
+}
 
+// send is roundTrip for a frame that cl.frame made.
+func (w *wconn) send(cl call, f wire.Frame) (wire.Frame, error) {
 	w.wmu.Lock()
 	w.mu.Lock()
 	if w.broken {

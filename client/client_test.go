@@ -523,6 +523,43 @@ func TestPipelinedResetExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestTxCancelledCallKeepsTx: a Tx call whose context is done before it
+// sends anything returns the context's error and leaves the transaction
+// open — its writes before and after it commit, and the connection it
+// is pinned to keeps serving it.
+func TestTxCancelledCallKeepsTx(t *testing.T) {
+	_, srv := startVolatile(t)
+	c, err := client.Dial(srv.Addr(), client.Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CreateTable("t", cols); err != nil {
+		t.Fatal(err)
+	}
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Insert("t", hyrisenv.Int(1), hyrisenv.Str("a")); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := tx.SelectContext(ctx, "t"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("SelectContext with a cancelled context: %v, want context.Canceled", err)
+	}
+	if _, err := tx.Insert("t", hyrisenv.Int(2), hyrisenv.Str("b")); err != nil {
+		t.Fatalf("Insert after the cancelled call: %v", err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatalf("Commit after the cancelled call: %v", err)
+	}
+	if n, err := c.Count("t"); err != nil || n != 2 {
+		t.Fatalf("Count = %d, %v; want both rows", n, err)
+	}
+}
+
 // TestContextVariants runs the Context variants no other test calls.
 // With a context cancelled before the call each returns context.Canceled
 // and leaves the pooled connection serving the next call; with a live
@@ -586,7 +623,7 @@ func TestContextVariants(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		defer tx.Abort() //nolint:errcheck — a cancelled send has finished it
+		defer tx.Abort() //nolint:errcheck
 		for _, row := range ids[:64] {
 			if err := tx.Delete("t", row); err != nil {
 				return nil, err

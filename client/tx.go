@@ -95,13 +95,19 @@ func (c *Client) beginAt(cl call, cid uint64) (*Tx, error) {
 func (tx *Tx) SnapshotCID() uint64 { return tx.snap }
 
 // roundTrip runs one request on the pinned connection and decodes error
-// frames. A network failure finishes the Tx and releases the (broken)
-// connection.
+// frames. A call whose context is done or whose deadline has passed
+// before the request is sent returns that error and leaves the Tx as it
+// was. A failure once it is sent finishes the Tx and releases the
+// (broken) connection.
 func (tx *Tx) roundTrip(cl call, t wire.Type, payload []byte) (wire.Frame, error) {
 	if tx.done {
 		return wire.Frame{}, ErrTxDone
 	}
-	f, err := tx.wc.roundTrip(cl, t, payload)
+	f, err := cl.frame(t, payload)
+	if err != nil {
+		return wire.Frame{}, err
+	}
+	f, err = tx.wc.send(cl, f)
 	if err != nil {
 		tx.finish()
 		return wire.Frame{}, err

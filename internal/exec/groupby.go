@@ -119,13 +119,13 @@ func (e *Executor) GroupBy(ctx context.Context, tx *txn.Txn, tbl *storage.Table,
 				forEachRow(bm, func(i int) { st.mainAccs[w.ids[i]].add(st.agg[i]) })
 			} else {
 				if aggCol >= 0 {
-					deltaAggCol.LoadIDs(first-s.mainRows, w.wide[:n])
-					for i, id := range w.wide[:n] {
+					deltaAggCol.LoadIDs(first-s.mainRows, w.ids[:n])
+					for i, id := range w.ids[:n] {
 						st.agg[i] = deltaInputs[id]
 					}
 				}
-				deltaCol.LoadIDs(first-s.mainRows, w.wide[:n])
-				forEachRow(bm, func(i int) { st.deltaAccs[w.wide[i]].add(st.agg[i]) })
+				deltaCol.LoadIDs(first-s.mainRows, w.ids[:n])
+				forEachRow(bm, func(i int) { st.deltaAccs[w.ids[i]].add(st.agg[i]) })
 			}
 		})
 		return nil

@@ -57,8 +57,8 @@ func (e *Executor) HashJoin(ctx context.Context, tx *txn.Txn, left *storage.Tabl
 				lmain.UnpackIDs(first, first+uint64(n), w.ids[:])
 				forEachRow(bm, func(i int) { add(lmain.DictKey(uint64(w.ids[i])), first+uint64(i)) })
 			} else {
-				ldelta.LoadIDs(first-ls.mainRows, w.wide[:n])
-				forEachRow(bm, func(i int) { add(ldelta.DictKey(w.wide[i]), first+uint64(i)) })
+				ldelta.LoadIDs(first-ls.mainRows, w.ids[:n])
+				forEachRow(bm, func(i int) { add(ldelta.DictKey(uint64(w.ids[i])), first+uint64(i)) })
 			}
 		})
 		parts[slot] = part
@@ -98,8 +98,8 @@ func (e *Executor) HashJoin(ctx context.Context, tx *txn.Txn, left *storage.Tabl
 				rmain.UnpackIDs(first, first+uint64(n), w.ids[:])
 				forEachRow(bm, func(i int) { emit(i, mainHits.get(uint64(w.ids[i]), mainLefts)) })
 			} else {
-				rdelta.LoadIDs(first-rs.mainRows, w.wide[:n])
-				forEachRow(bm, func(i int) { emit(i, deltaHits.get(w.wide[i], deltaLefts)) })
+				rdelta.LoadIDs(first-rs.mainRows, w.ids[:n])
+				forEachRow(bm, func(i int) { emit(i, deltaHits.get(uint64(w.ids[i]), deltaLefts)) })
 			}
 		})
 	}

@@ -138,13 +138,12 @@ func (p *colPred) bindDelta() {
 
 // scanWorker is the scratch one worker filters the blocks of one
 // tableScan in. After forEachBlock hands a block to its caller, bits is
-// the block's result; ids is the caller's, for the value IDs of a main
-// block it decodes, and wide, which filtered a delta block's predicates,
-// is free for the value IDs of a delta block.
+// the block's result, and ids, which held the value IDs a delta block's
+// predicates tested, is the caller's, for the value IDs of the block it
+// reads.
 type scanWorker struct {
 	bits [blockWords]uint64 // bit i: row first+i is visible and passes every predicate
 	ids  [blockRows]uint32
-	wide [blockRows]uint64
 }
 
 // bitmap returns the words of bits that cover a block of n rows.
@@ -210,8 +209,8 @@ func (s *tableScan) filterBlock(w *scanWorker, first uint64, n int) bool {
 		if inMain {
 			p.main.FilterIDs(first, first+uint64(n), p.lo, p.span, p.neg, bm)
 		} else {
-			p.delta.LoadIDs(first-s.mainRows, w.wide[:n])
-			p.filterDelta(w.wide[:n], bm)
+			p.delta.LoadIDs(first-s.mainRows, w.ids[:n])
+			p.filterDelta(w.ids[:n], bm)
 		}
 	}
 	return !allZero(bm)
@@ -225,11 +224,22 @@ func allZero(bm []uint64) bool {
 	return or == 0
 }
 
+// ones returns the number of set bits of bm. The sum is a local of its
+// own, not the caller's captured counter, which would be added to in
+// memory once per word.
+func ones(bm []uint64) int {
+	n := 0
+	for _, w := range bm {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // filterDelta ANDs the predicate into bm for the delta rows whose value
 // IDs are ids: 64 interval tests without a branch for every word of bm
 // that still holds a row, then a whole-key comparison for each String
 // row left in it whose word ties with the key's.
-func (p *colPred) filterDelta(ids []uint64, bm []uint64) {
+func (p *colPred) filterDelta(ids []uint32, bm []uint64) {
 	lo, span, kw := p.dlo, p.dspan, p.keyWord
 	var flip uint64
 	if p.dneg {
@@ -244,7 +254,7 @@ func (p *colPred) filterDelta(ids []uint64, bm []uint64) {
 		switch {
 		case p.words == nil:
 			for i, x := range blk {
-				_, b := bits.Sub64(x-lo, span, 0) // b = 1 when x-lo < span
+				_, b := bits.Sub64(uint64(x)-lo, span, 0) // b = 1 when x-lo < span
 				in |= b << i
 			}
 		case !p.ties:
@@ -265,7 +275,7 @@ func (p *colPred) filterDelta(ids []uint64, bm []uint64) {
 		for t := tie & live; t != 0; t &= t - 1 {
 			i := bits.TrailingZeros64(t)
 			keep &^= 1 << i
-			if p.op.matches(bytes.Compare(p.delta.DictKey(blk[i]), p.key)) {
+			if p.op.matches(bytes.Compare(p.delta.DictKey(uint64(blk[i])), p.key)) {
 				keep |= 1 << i
 			}
 		}

@@ -91,9 +91,9 @@ func FuzzDeltaFilter(f *testing.F) {
 			n = int(n16) % (blockRows + 1)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		ids := make([]uint64, n)
+		ids := make([]uint32, n)
 		for i := range ids {
-			ids[i] = uint64(rng.Int63n(int64(dict)))
+			ids[i] = uint32(rng.Int63n(int64(dict)))
 		}
 		bm := make([]uint64, (n+63)/64)
 		for i := range bm {
@@ -106,9 +106,9 @@ func FuzzDeltaFilter(f *testing.F) {
 		p.filterDelta(ids, bm)
 		for i, id := range ids {
 			set := was[i/64]>>(i%64)&1 == 1
-			want := set && p.op.matches(bytes.Compare(d.DictKey(id), bound))
+			want := set && p.op.matches(bytes.Compare(d.DictKey(uint64(id)), bound))
 			if got := bm[i/64]>>(i%64)&1 == 1; got != want {
-				t.Fatalf("%s op %d bound %q: row %d (id %d, key %q, set %v) bit %v, want %v", d.Type(), p.op, bound, i, id, d.DictKey(id), set, got, want)
+				t.Fatalf("%s op %d bound %q: row %d (id %d, key %q, set %v) bit %v, want %v", d.Type(), p.op, bound, i, id, d.DictKey(uint64(id)), set, got, want)
 			}
 		}
 	})
@@ -139,9 +139,9 @@ func BenchmarkDeltaFilter(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			ids := make([]uint64, rows)
+			ids := make([]uint32, rows)
 			for i := range ids {
-				ids[i] = uint64(rng.Intn(dict))
+				ids[i] = uint32(rng.Intn(dict))
 			}
 			for _, op := range []Op{Eq, Ne, Lt} {
 				b.Run(fmt.Sprintf("%s/dict=%dk/%s", typ, dict>>10, [...]string{"eq", "ne", "lt"}[op]), func(b *testing.B) {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"context"
-	"math/bits"
 
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
@@ -144,11 +143,7 @@ func (e *Executor) countScan(ctx context.Context, s *tableScan) (int, error) {
 	err := e.forEachMorsel(ctx, s.rows, func(worker, slot int, lo, hi uint64) error {
 		w := workers.get(worker)
 		n := 0
-		s.forEachBlock(w, lo, hi, func(_ uint64, rows int) {
-			for _, word := range w.bitmap(rows) {
-				n += bits.OnesCount64(word)
-			}
-		})
+		s.forEachBlock(w, lo, hi, func(_ uint64, rows int) { n += ones(w.bitmap(rows)) })
 		counts[slot] = n
 		return nil
 	})

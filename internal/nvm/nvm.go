@@ -34,6 +34,7 @@
 package nvm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -403,7 +404,10 @@ func mapHeap(f *os.File, size uint64, opts []Option) (*Heap, error) {
 		o(h)
 	}
 	if h.shadowOn {
-		h.shadow = make([]byte, size)
+		if h.shadow, err = mapShadow(size); err != nil {
+			syscall.Munmap(mem) //nolint:errcheck — the mmap error is the one to report
+			return nil, err
+		}
 		// The file contents at map time ARE the durable image. Only the
 		// used prefix needs copying: bytes at or beyond arenaNext have
 		// never been written (the file is created zero-filled and the
@@ -419,6 +423,31 @@ func mapHeap(f *os.File, size uint64, opts []Option) (*Heap, error) {
 	return h, nil
 }
 
+// mapShadow maps a zeroed durable image of size bytes for shadow mode.
+// The mapping is anonymous and private: a page costs memory only once a
+// persist barrier writes it, so a heap that uses a few pages of a large
+// arena does not zero the whole of it. Close unmaps it.
+func mapShadow(size uint64) ([]byte, error) {
+	img, err := syscall.Mmap(-1, 0, int(size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANONYMOUS)
+	if err != nil {
+		return nil, fmt.Errorf("nvm: shadow mmap: %w", err)
+	}
+	return img, nil
+}
+
+// copyWritten copies src into dst, which is zeroed and at least as long,
+// a page at a time, skipping the pages of src that hold only zeros: they
+// stay untouched in dst.
+func copyWritten(dst, src []byte) {
+	var zero [4096]byte
+	for off := 0; off < len(src); off += len(zero) {
+		page := src[off:min(off+len(zero), len(src))]
+		if !bytes.Equal(page, zero[:len(page)]) {
+			copy(dst[off:], page)
+		}
+	}
+}
+
 // m returns the current mapping.
 func (h *Heap) m() *mapping { return h.cur.Load() }
 
@@ -428,6 +457,14 @@ func (h *Heap) Close() error {
 	var firstErr error
 	if all := h.maps.Load(); all != nil {
 		h.restoreCrashImage()
+		h.shadowMu.Lock()
+		if h.shadow != nil {
+			if err := syscall.Munmap(h.shadow); err != nil {
+				firstErr = fmt.Errorf("nvm: munmap shadow: %w", err)
+			}
+			h.shadow = nil
+		}
+		h.shadowMu.Unlock()
 		for _, mem := range *all {
 			if err := syscall.Munmap(mem); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("nvm: munmap: %w", err)
@@ -869,8 +906,14 @@ func (h *Heap) growLocked(need uint64) error {
 	// shadow must never be shorter than the mapping about to be installed.
 	h.shadowMu.Lock()
 	if h.shadow != nil {
-		grown := make([]byte, newSize)
-		copy(grown, h.shadow)
+		grown, err := mapShadow(newSize)
+		if err != nil {
+			h.shadowMu.Unlock()
+			syscall.Munmap(mem) //nolint:errcheck — the mmap error is the one to report
+			return err
+		}
+		copyWritten(grown, h.shadow)
+		syscall.Munmap(h.shadow) //nolint:errcheck — nothing refers to the old image
 		h.shadow = grown
 	}
 	h.shadowMu.Unlock()

@@ -336,13 +336,18 @@ func CheckBits(buf []uint64, width, n, limit uint64) error {
 
 // idFilter is a value-ID range predicate compiled for a width: how the
 // rows inside the interval are found, whether they or the others are
-// kept, and the interval's bounds a plane at a time — lo[j] and hi[j] are
-// all ones when bit width-1-j of the bound is set, zero otherwise.
+// kept, and the interval's bounds shifted to the top of a word. A walk
+// takes the bound's bit for the plane it is at from the top bit and
+// shifts the word left by one per plane (next).
 type idFilter struct {
 	kind   filterKind
 	invert bool
-	lo, hi [maxBits]uint64
+	lo, hi uint64
 }
+
+// next returns the mask of a bound's top bit — all ones when it is set —
+// and the bound shifted to the bit of the next plane.
+func next(b uint64) (mask, rest uint64) { return uint64(int64(b) >> 63), b << 1 }
 
 type filterKind uint8
 
@@ -369,10 +374,9 @@ func (f *idFilter) init(width uint64, idLo, span uint32, neg bool) {
 	default:
 		f.kind = filterRange
 	}
-	for j := uint64(0); j < width; j++ {
-		f.lo[j] = -(lo >> (width - 1 - j) & 1)
-		f.hi[j] = -(hi >> (width - 1 - j) & 1)
-	}
+	// A bound at or past top is only ever that of a kind that does not
+	// read it.
+	f.lo, f.hi = lo<<(64-width), hi<<(64-width)
 }
 
 // segment returns the rows of live that the filter keeps in one segment.
@@ -383,35 +387,39 @@ func (f *idFilter) init(width uint64, idLo, span uint32, neg bool) {
 // plane that leaves no live row undecided.
 func (f *idFilter) segment(seg []uint64, live uint64) uint64 {
 	var in uint64
-	los := f.lo[:len(seg)]
+	bLo, bHi := f.lo, f.hi
 	switch f.kind {
 	case filterEq:
 		in = live
-		for j, x := range seg {
+		for _, x := range seg {
 			if in == 0 {
 				break
 			}
-			in &^= x ^ los[j]
+			var k uint64
+			k, bLo = next(bLo)
+			in &^= x ^ k
 		}
 	case filterLess:
 		eq := live
-		for j, x := range seg {
+		for _, x := range seg {
 			if eq == 0 {
 				break
 			}
-			k := los[j]
+			var k uint64
+			k, bLo = next(bLo)
 			in |= eq &^ x & k
 			eq &^= x ^ k
 		}
 	case filterRange:
 		var below uint64
 		eqLo, eqHi := live, live
-		his := f.hi[:len(seg)]
-		for j, x := range seg {
+		for _, x := range seg {
 			if eqLo|eqHi == 0 {
 				break
 			}
-			lo, hi := los[j], his[j]
+			var lo, hi uint64
+			lo, bLo = next(bLo)
+			hi, bHi = next(bHi)
 			below |= eqLo &^ x & lo
 			eqLo &^= x ^ lo
 			in |= eqHi &^ x & hi
@@ -433,7 +441,11 @@ func (f *idFilter) segment(seg []uint64, live uint64) uint64 {
 // When lo is a multiple of 64 — every block of a scan but, at most, its
 // first — a word of bm is a segment, and the word itself seeds the
 // comparison: a zero word is skipped, and a sparse one is decided in few
-// planes. Any other lo is answered a value at a time.
+// planes. An equality or a one-sided interval, the predicates a scan
+// binds, walks the planes of four segments per step (eqGroups,
+// lessGroups); the segments past the last whole group, and the other
+// kinds, are decided one at a time. Any other lo is answered a value at
+// a time.
 func FilterBits(buf []uint64, width, lo uint64, n int, idLo, span uint32, neg bool, bm []uint64) {
 	if lo%64 != 0 {
 		for i := 0; i < n; i++ {
@@ -446,7 +458,16 @@ func FilterBits(buf []uint64, width, lo uint64, n int, idLo, span uint32, neg bo
 	var f idFilter
 	f.init(width, idLo, span, neg)
 	buf = buf[lo/64*width:]
-	for w := 0; w*64 < n; w++ {
+	groups := n / 256 * 4 // the words decided four at a time
+	switch f.kind {
+	case filterEq:
+		f.eqGroups(buf, width, bm[:groups])
+	case filterLess:
+		f.lessGroups(buf, width, bm[:groups])
+	default:
+		groups = 0
+	}
+	for w := groups; w*64 < n; w++ {
 		rows := ^uint64(0)
 		if n-w*64 < 64 {
 			rows = 1<<(n-w*64) - 1
@@ -455,4 +476,102 @@ func FilterBits(buf []uint64, width, lo uint64, n int, idLo, span uint32, neg bo
 			bm[w] = bm[w]&^rows | f.segment(buf[uint64(w)*width:][:width], live)
 		}
 	}
+}
+
+// flip returns the mask that turns the rows a filter finds inside into
+// the rows it keeps: live &^ in is in ^ live&flip, since in ⊆ live.
+func (f *idFilter) flip() uint64 {
+	if f.invert {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+// eqGroups decides an equality filter on the words of bm, whole segments
+// whose count is a multiple of four, the four segments of a group in one
+// walk of the planes: four independent chains of the rows still equal to
+// the bound, and one exit once none of them holds a row. A plane of the
+// bound is all zeros or all ones, so each plane takes one of two bodies
+// — the same branch at the same plane of every group — and needs no
+// mask of its own.
+func (f *idFilter) eqGroups(buf []uint64, width uint64, bm []uint64) {
+	bound, flip := f.lo, f.flip()
+	for ; len(bm) >= 4; bm, buf = bm[4:], buf[4*width:] {
+		l0, l1, l2, l3 := bm[0], bm[1], bm[2], bm[3]
+		if l0|l1|l2|l3 == 0 {
+			continue
+		}
+		s0, s1, s2, s3 := group(buf, width)
+		in0, in1, in2, in3 := l0, l1, l2, l3
+		b := bound
+		for j, x0 := range s0 {
+			if in0|in1|in2|in3 == 0 {
+				break
+			}
+			x1, x2, x3 := s1[j], s2[j], s3[j]
+			set := int64(b) < 0 // the bound's bit at this plane
+			b <<= 1
+			if !set {
+				in0 &^= x0
+				in1 &^= x1
+				in2 &^= x2
+				in3 &^= x3
+				continue
+			}
+			in0 &= x0
+			in1 &= x1
+			in2 &= x2
+			in3 &= x3
+		}
+		bm[0], bm[1], bm[2], bm[3] = in0^l0&flip, in1^l1&flip, in2^l2&flip, in3^l3&flip
+	}
+}
+
+// lessGroups is eqGroups for a one-sided filter, id < bound: each of the
+// four chains carries the rows still equal to the bound and gathers the
+// rows that fall below it, as segment does. Only a plane where the bound
+// has a one gathers, so the gathered rows wait in memory and the
+// registers hold what every plane touches.
+func (f *idFilter) lessGroups(buf []uint64, width uint64, bm []uint64) {
+	bound, flip := f.lo, f.flip()
+	for ; len(bm) >= 4; bm, buf = bm[4:], buf[4*width:] {
+		l0, l1, l2, l3 := bm[0], bm[1], bm[2], bm[3]
+		if l0|l1|l2|l3 == 0 {
+			continue
+		}
+		s0, s1, s2, s3 := group(buf, width)
+		eq0, eq1, eq2, eq3 := l0, l1, l2, l3
+		var in [4]uint64
+		b := bound
+		for j, x0 := range s0 {
+			if eq0|eq1|eq2|eq3 == 0 {
+				break
+			}
+			x1, x2, x3 := s1[j], s2[j], s3[j]
+			set := int64(b) < 0 // the bound's bit at this plane
+			b <<= 1
+			if !set {
+				eq0 &^= x0
+				eq1 &^= x1
+				eq2 &^= x2
+				eq3 &^= x3
+				continue
+			}
+			in[0] |= eq0 &^ x0
+			in[1] |= eq1 &^ x1
+			in[2] |= eq2 &^ x2
+			in[3] |= eq3 &^ x3
+			eq0 &= x0
+			eq1 &= x1
+			eq2 &= x2
+			eq3 &= x3
+		}
+		bm[0], bm[1], bm[2], bm[3] = in[0]^l0&flip, in[1]^l1&flip, in[2]^l2&flip, in[3]^l3&flip
+	}
+}
+
+// group returns the planes of the four segments buf begins with.
+func group(buf []uint64, width uint64) (s0, s1, s2, s3 []uint64) {
+	s0 = buf[:width]
+	return s0, buf[width:][:len(s0)], buf[2*width:][:len(s0)], buf[3*width:][:len(s0)]
 }

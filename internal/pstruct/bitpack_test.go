@@ -404,25 +404,43 @@ func filterIntervals(eq uint32, width uint64) []idInterval {
 	return out
 }
 
+// filterFills are the input bitmaps of the FilterBits tests, a word
+// pattern repeated over the bitmap: full, half-live, sparse and empty
+// words, and groups of four segments in which one word is zero and
+// another sparse, next to full ones.
+var filterFills = [][]uint64{
+	{^uint64(0)}, {0xFFFFFFFF}, {0xF0F0_0000_FFFF_0001}, {0},
+	{0, ^uint64(0), 1<<40 | 1<<3, ^uint64(0)},
+	{^uint64(0), 1 << 63, ^uint64(0), 0},
+}
+
+// fillWords returns a bitmap of n words, filterFills pattern fill
+// repeated.
+func fillWords(n int, fill []uint64) []uint64 {
+	bm := make([]uint64, n)
+	for i := range bm {
+		bm[i] = fill[i%len(fill)]
+	}
+	return bm
+}
+
 // TestFilterBitsMatchesGetBits holds the predicate on the planes to its
 // definition on the plain values: every width, every shape of interval, a
 // start on and off the 64-row grid, lengths from one row to a block with
-// ragged last words, and full, half-live, sparse and empty input bitmaps
-// whose bits past n must come back as they went in.
+// ragged last words — around the groups of four segments the aligned
+// path walks together, too — and the input bitmaps of filterFills, whose
+// bits past n must come back as they went in.
 func TestFilterBitsMatchesGetBits(t *testing.T) {
 	for width := uint64(1); width <= maxBits; width++ {
 		for _, lo := range []uint64{0, 64, 128, 8, 3, 61} {
-			for _, n := range []int{1, 7, 63, 64, 65, 128, 200, 1000, 1024} {
+			for _, n := range []int{1, 7, 63, 64, 65, 128, 200, 255, 256, 257, 320, 1000, 1024} {
 				vals := randomVals(int(lo)+n, width, width*0x9E3779B97F4A7C15+lo)
 				buf := pack(t, vals, width)
 				eq := uint32(vals[int(lo)+n/2])
 				for _, iv := range filterIntervals(eq, width) {
-					for _, fill := range []uint64{^uint64(0), 0xFFFFFFFF, 0xF0F0_0000_FFFF_0001, 0} {
-						bm := make([]uint64, (n+63)/64+1)
-						for i := range bm {
-							bm[i] = fill
-						}
-						if len(bm) > 2 {
+					for _, fill := range filterFills {
+						bm := fillWords((n+63)/64+1, fill)
+						if len(bm) > 2 && len(fill) == 1 {
 							bm[1] = 0 // a zero word between live ones
 						}
 						want := filterSlow(vals[lo:], n, iv.lo, iv.span, iv.neg, bm)
@@ -441,24 +459,41 @@ func TestFilterBitsMatchesGetBits(t *testing.T) {
 // live row undecided. A column of one repeated value keeps every row
 // undecided against that value to the last plane; the same column with
 // one row in 64 live, or compared against a value that differs in the top
-// bit, is decided early. All give the words the definition gives.
+// bit, is decided early. The mixed columns put such segments side by side
+// in the groups of four the aligned path walks together: one segment
+// decided at the top plane next to one undecided to the last and random
+// ones, in every order. All give the words the definition gives.
 func TestFilterBitsEarlyExit(t *testing.T) {
 	for width := uint64(1); width <= maxBits; width++ {
-		const n = 256
+		const n = 512
 		same := uint64(0x5555555555555555) & (1<<width - 1)
-		vals := make([]uint64, n)
-		for i := range vals {
-			vals[i] = same
+		top := same ^ 1<<(width-1) // differs from same in the top bit
+		random := randomVals(n, width, width)
+		segs := func(kinds ...int) []uint64 {
+			vals := make([]uint64, n)
+			for i := range vals {
+				switch kinds[i/64%len(kinds)] {
+				case 0:
+					vals[i] = same
+				case 1:
+					vals[i] = top
+				default:
+					vals[i] = random[i]
+				}
+			}
+			return vals
 		}
-		buf := pack(t, vals, width)
-		for _, id := range []uint32{uint32(same), uint32(same) ^ 1<<(width-1), uint32(same) ^ 1} {
-			for _, iv := range filterIntervals(id, width) {
-				for _, fill := range []uint64{^uint64(0), 1 << 17} {
-					bm := []uint64{fill, fill, fill, fill}
-					want := filterSlow(vals, n, iv.lo, iv.span, iv.neg, bm)
-					FilterBits(buf, width, 0, n, iv.lo, iv.span, iv.neg, bm)
-					if !slices.Equal(bm, want) {
-						t.Fatalf("width %d id %#x interval %+v fill %#x:\n got %#x\nwant %#x", width, id, iv, fill, bm, want)
+		for _, vals := range [][]uint64{segs(0), segs(1, 0, 2, 2), segs(0, 1, 2, 0), segs(2, 2, 1, 0), segs(1, 2, 0, 2, 0, 1, 1, 2)} {
+			buf := pack(t, vals, width)
+			for _, id := range []uint32{uint32(same), uint32(top), uint32(same) ^ 1} {
+				for _, iv := range filterIntervals(id, width) {
+					for _, fill := range []uint64{^uint64(0), 1 << 17} {
+						bm := fillWords(n/64, []uint64{fill})
+						want := filterSlow(vals, n, iv.lo, iv.span, iv.neg, bm)
+						FilterBits(buf, width, 0, n, iv.lo, iv.span, iv.neg, bm)
+						if !slices.Equal(bm, want) {
+							t.Fatalf("width %d id %#x interval %+v fill %#x:\n got %#x\nwant %#x", width, id, iv, fill, bm, want)
+						}
 					}
 				}
 			}
@@ -508,6 +543,24 @@ func FuzzFilterBits(f *testing.F) {
 	f.Add([]byte{0xFF, 0x01, 0x80, 0x7F, 0xAA, 0x55, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, uint8(4), uint16(0), uint16(30), uint32(3), uint32(5), false, uint64(1)<<63|1)
 	f.Add(make([]byte, 17*8*3), uint8(16), uint16(64), uint16(100), uint32(0), uint32(1), true, ^uint64(0))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(31), uint16(5), uint16(1), uint32(1), uint32(0), false, ^uint64(0))
+	// Four segments and more, which the aligned path walks as a group: an
+	// equality, a one-sided interval and its complement, at widths 4 and 17.
+	// The first segment of each holds the widest ID alone, which leaves
+	// the bound at the top plane while its neighbours stay undecided.
+	grouped := func(width, segs int) []byte {
+		data := make([]byte, segs*width*8)
+		for i := range data {
+			data[i] = byte(i*0x9D + i>>3)
+		}
+		for i := range data[:width*8] {
+			data[i] = 0xFF
+		}
+		return data
+	}
+	f.Add(grouped(4, 4), uint8(3), uint16(0), uint16(256), uint32(5), uint32(1), false, ^uint64(0))
+	f.Add(grouped(4, 5), uint8(3), uint16(0), uint16(300), uint32(5), uint32(1), true, uint64(0xF0F0_0000_FFFF_0001))
+	f.Add(grouped(17, 4), uint8(16), uint16(0), uint16(256), uint32(0), uint32(40_000), false, ^uint64(0))
+	f.Add(grouped(17, 9), uint8(16), uint16(64), uint16(512), uint32(0), uint32(21_617), true, ^uint64(0))
 	f.Fuzz(func(t *testing.T, data []byte, w uint8, lo16, n16 uint16, idLo, span uint32, neg bool, fill uint64) {
 		width := uint64(w%maxBits) + 1
 		buf, count := segments(data, width)
@@ -531,11 +584,45 @@ func FuzzFilterBits(f *testing.F) {
 
 var benchWidths = []uint64{1, 4, 8, 15, 17, 24, 32}
 
+// servedShapes are the predicates the `scan` workload of benchmark/
+// serves on its 200k-row table, as its columns bind them: IDs uniform
+// over a dictionary of `dict` values — 16 regions, 20,001 customers and
+// the about 86.5k distinct amounts that 200k draws from 100k cents give
+// — and the ID interval of the operator and constant.
+var servedShapes = []struct {
+	name string
+	dict uint64
+	idInterval
+}{
+	{"region=", 16, idInterval{lo: 5, span: 1}},
+	{"region!=", 16, idInterval{lo: 5, span: 1, neg: true}},
+	{"amount<1.00", 86_466, idInterval{lo: 0, span: 86}},
+	{"amount<250.00", 86_466, idInterval{lo: 0, span: 21_617}},
+	{"customer>=quartile", 20_001, idInterval{lo: 0, span: 5_000, neg: true}},
+}
+
 // BenchmarkFilterBits is a value-ID predicate over a packed column a
 // block at a time, as the scan kernel runs it: every shape of interval,
-// over a bitmap with every row live and with one in ten.
+// over a bitmap with every row live and with one in ten, for IDs drawn
+// over all of [0, 2^width); then, under served/, the shapes of
+// servedShapes with every row live, at the widths 4, 15 and 17 their
+// dictionaries pack to.
 func BenchmarkFilterBits(b *testing.B) {
 	const rows, block = 1 << 18, 1024
+	run := func(name string, buf []uint64, width uint64, iv idInterval, live [block / 64]uint64) {
+		b.Run(name, func(b *testing.B) {
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				for lo := uint64(0); lo < rows; lo += block {
+					bm := live
+					FilterBits(buf, width, lo, block, iv.lo, iv.span, iv.neg, bm[:])
+					sink += bm[0]
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
+			_ = sink
+		})
+	}
 	for _, width := range benchWidths {
 		buf := pack(b, randomVals(rows, width, 42), width)
 		mid := uint32(1) << (width - 1)
@@ -552,20 +639,17 @@ func BenchmarkFilterBits(b *testing.B) {
 				name string
 				bm   [block / 64]uint64
 			}{{"all", liveWords(1)}, {"tenth", liveWords(10)}} {
-				b.Run(fmt.Sprintf("width=%d/%s/live=%s", width, iv.name, live.name), func(b *testing.B) {
-					var sink uint64
-					for i := 0; i < b.N; i++ {
-						for lo := uint64(0); lo < rows; lo += block {
-							bm := live.bm
-							FilterBits(buf, width, lo, block, iv.lo, iv.span, iv.neg, bm[:])
-							sink += bm[0]
-						}
-					}
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/rows, "ns/row")
-					_ = sink
-				})
+				run(fmt.Sprintf("width=%d/%s/live=%s", width, iv.name, live.name), buf, width, iv.idInterval, live.bm)
 			}
 		}
+	}
+	for _, sh := range servedShapes {
+		width := BitsFor(sh.dict - 1)
+		vals := randomVals(rows, 64, 42)
+		for i := range vals {
+			vals[i] %= sh.dict
+		}
+		run(fmt.Sprintf("served/width=%d/%s", width, sh.name), pack(b, vals, width), width, sh.idInterval, liveWords(1))
 	}
 }
 

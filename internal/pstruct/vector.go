@@ -40,9 +40,9 @@
 package pstruct
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"hyrisenv/internal/nvm"
 )
@@ -261,21 +261,18 @@ func (v *Vector) Span(lo, hi uint64) []uint64 {
 	return v.h.Words(v.run(lo, hi))
 }
 
-// Load copies elements [lo, lo+len(dst)) into dst, a run per segment.
-func (v *Vector) Load(lo uint64, dst []uint64) {
+// Load copies elements [lo, lo+len(dst)) into dst, a run per segment —
+// the bulk form of Get for 4-byte elements, as Span is for 8-byte ones.
+func (v *Vector) Load(lo uint64, dst []uint32) {
+	if v.elemSize != 4 {
+		panic(fmt.Sprintf("pstruct: load of a vector of %d-byte elements", v.elemSize))
+	}
 	for len(dst) > 0 {
 		start, n := v.run(lo, lo+uint64(len(dst)))
-		if v.elemSize == 8 {
-			words := v.h.Words(start, n)
-			for i := range words {
-				dst[i] = atomic.LoadUint64(&words[i])
-			}
-		} else {
-			b := v.h.Bytes(start, n*4)
-			for i := range dst[:n] {
-				dst[i] = uint64(binary.LittleEndian.Uint32(b[i*4:]))
-			}
-		}
+		// The run is 4-byte aligned and its elements little-endian, the
+		// byte order Heap.Words already takes for 8-byte ones, so it is
+		// copied as it lies.
+		copy(dst[:n], unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(v.h.Bytes(start, n*4)))), n))
 		dst = dst[n:]
 		lo += n
 	}

@@ -226,8 +226,8 @@ func TestVectorLocateProperty(t *testing.T) {
 }
 
 // TestVectorSpanLoad: the bulk reads agree with Get across segment
-// boundaries (segments of 4, 8, 16, ... elements), for both element
-// sizes; Span is for 8-byte elements only.
+// boundaries (segments of 4, 8, 16, ... elements): Span for 8-byte
+// elements, Load for 4-byte ones, and each refuses the other size.
 func TestVectorSpanLoad(t *testing.T) {
 	h, _ := testHeap(t)
 	const n = 200
@@ -243,14 +243,14 @@ func TestVectorSpanLoad(t *testing.T) {
 		}
 		for _, r := range [][2]uint64{{0, 0}, {0, 1}, {0, 4}, {3, 5}, {4, 12}, {11, 13}, {0, n}, {59, 61}, {n, n}} {
 			lo, hi := r[0], r[1]
-			dst := make([]uint64, hi-lo)
-			v.Load(lo, dst)
-			for i := range dst {
-				if want := v.Get(lo + uint64(i)); dst[i] != want {
-					t.Fatalf("size %d [%d,%d): Load element %d = %d, want %d", elemSize, lo, hi, lo+uint64(i), dst[i], want)
+			if elemSize == 4 {
+				dst := make([]uint32, hi-lo)
+				v.Load(lo, dst)
+				for i := range dst {
+					if want := v.Get(lo + uint64(i)); uint64(dst[i]) != want {
+						t.Fatalf("[%d,%d): Load element %d = %d, want %d", lo, hi, lo+uint64(i), dst[i], want)
+					}
 				}
-			}
-			if elemSize != 8 {
 				continue
 			}
 			at := lo
@@ -267,13 +267,19 @@ func TestVectorSpanLoad(t *testing.T) {
 				at += uint64(len(run))
 			}
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("size %d: Load past Len did not panic", elemSize)
-				}
+		for what, read := range map[string]func(){
+			"Load past Len":  func() { v.Load(n-1, make([]uint32, 2)) },
+			"Span past Len":  func() { v.Span(n-1, n+1) },
+			"the other size": func() { v.Load(0, make([]uint32, 1)); v.Span(0, 1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("size %d: %s did not panic", elemSize, what)
+					}
+				}()
+				read()
 			}()
-			v.Load(n-1, make([]uint64, 2))
-		}()
+		}
 	}
 }

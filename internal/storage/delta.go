@@ -33,7 +33,7 @@ type DeltaColumn interface {
 	ValueID(row uint64) uint64
 	// LoadIDs copies the dictionary IDs of rows [lo, lo+len(dst)) into
 	// dst — ValueID for a block of rows.
-	LoadIDs(lo uint64, dst []uint64)
+	LoadIDs(lo uint64, dst []uint32)
 	// Value returns the decoded value at row.
 	Value(row uint64) Value
 	// DictLen returns the dictionary size.
@@ -402,7 +402,7 @@ func (d *NVMDelta) handedOut(n uint64, ref nvm.PPtr) bool {
 func (d *NVMDelta) ValueID(row uint64) uint64 { return d.av.Get(row) }
 
 // LoadIDs implements DeltaColumn.
-func (d *NVMDelta) LoadIDs(lo uint64, dst []uint64) { d.av.Load(lo, dst) }
+func (d *NVMDelta) LoadIDs(lo uint64, dst []uint32) { d.av.Load(lo, dst) }
 
 // Value implements DeltaColumn.
 func (d *NVMDelta) Value(row uint64) Value { return d.DictValue(d.av.Get(row)) }

@@ -74,7 +74,7 @@ func (t *Table) Merge(snapCID uint64) (MergeStats, error) {
 	ncols := t.Schema.NumCols()
 	newMain := make([]*NVMMain, ncols)
 	mainIDs := make([]uint32, mr)
-	deltaIDs := make([]uint64, dr)
+	deltaIDs := make([]uint32, dr)
 	ids := make([]uint64, 0, len(begins))
 	for c := 0; c < ncols; c++ {
 		// The old value ID of every visible row, main rows first.
@@ -86,7 +86,7 @@ func (t *Table) Merge(snapCID uint64) (MergeStats, error) {
 			ids = append(ids, uint64(mainIDs[r]))
 		}
 		for _, r := range deltaRows {
-			ids = append(ids, deltaIDs[r])
+			ids = append(ids, uint64(deltaIDs[r]))
 		}
 		dict := mergeDict(ids, len(mainRows), m.DictLen(), d.DictLen(), m.DictKey, d.DictKey)
 		var err error
