@@ -151,13 +151,15 @@ benchserve:
 	rm -f BENCH_serve.txt
 
 # The scan kernel's benchmarks — the plane walk of the packed words, the
-# block decode, the visibility bitmap and the morsel-parallel predicate
-# count — compiled and run for one op each, as CI does: they are the
-# instruments behind every kernel figure in EXPERIMENTS.md E9, and a
-# benchmark that no longer builds or runs measures nothing.
+# block decode, the visibility bitmap, the delta's interval test and the
+# morsel-parallel predicate count — and the main dictionary's lookups,
+# compiled and run for one op each, as CI does: they are the instruments
+# behind the kernel figures in EXPERIMENTS.md E9 and the dictionary
+# figures in E16, and a benchmark that no longer builds or runs
+# measures nothing.
 benchkernel-smoke:
-	$(GO) test ./internal/pstruct ./internal/mvcc ./internal/exec -run '^$$' \
-		-bench 'FilterBits|UnpackBits|VisibleBits|ScanPredicate' -benchtime 1x
+	$(GO) test ./internal/pstruct ./internal/mvcc ./internal/exec ./internal/storage -run '^$$' \
+		-bench 'FilterBits|UnpackBits|VisibleBits|DeltaFilter|ScanPredicate|MainDict' -benchtime 1x
 
 # The smoke CI runs (its fuzz-smoke job is `make fuzz-smoke`): 30s per
 # fuzzer — the wire codecs, the server's one transaction body under
@@ -167,8 +169,10 @@ benchkernel-smoke:
 # the packed-word predicate every main-partition scan filters through,
 # the value-ID and key-word predicate every delta scan filters through,
 # the append arena under random sizes and reopen points, the merge's
-# dictionary translation against its map-based oracle, and the
-# analyzers' control-flow graph builder. fuzz-check runs first.
+# dictionary translation against its map-based oracle, the main
+# dictionary's block under fuzzed bytes (attach, lookups and Check answer
+# or report, never panic), and the analyzers' control-flow graph
+# builder. fuzz-check runs first.
 fuzz-smoke: fuzz-check
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzDecodeFrame' -fuzztime 30s
 	$(GO) test ./internal/wire -run '^$$' -fuzz 'FuzzReadFrame' -fuzztime 30s
@@ -178,6 +182,7 @@ fuzz-smoke: fuzz-check
 	$(GO) test ./internal/exec -run '^$$' -fuzz 'FuzzDeltaFilter' -fuzztime 30s
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzArena' -fuzztime 30s
 	$(GO) test ./internal/storage -run '^$$' -fuzz 'FuzzMergeDict' -fuzztime 30s
+	$(GO) test ./internal/storage -run '^$$' -fuzz 'FuzzMainDict' -fuzztime 30s
 	$(GO) test ./internal/analysis/cfg -run '^$$' -fuzz 'FuzzCFG' -fuzztime 30s
 
 # Fails when a fuzzer of the module is missing from fuzz-smoke: every

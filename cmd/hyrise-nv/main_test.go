@@ -199,3 +199,70 @@ func TestFsckReportsBrokenDeltaIndex(t *testing.T) {
 		}
 	}
 }
+
+// TestFsckReportsBrokenMainDict seeds one fault into a main column's
+// sorted dictionary of a closed, merged database — two keys swapped in
+// the Int64 id column, or an offset of the String payload column pushed
+// past the end of its bytes area — and checks that fsck fails, names the
+// column and says what is broken.
+func TestFsckReportsBrokenMainDict(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		col   int
+		seed  func(h *nvm.Heap, dict nvm.PPtr)
+		wants []string
+	}{
+		{"swapped keys", 0, func(h *nvm.Heap, dict nvm.PPtr) {
+			k0, k1 := h.GetU64(dict.Add(16)), h.GetU64(dict.Add(24))
+			h.PutU64(dict.Add(16), k1)
+			h.PutU64(dict.Add(24), k0)
+			h.Persist(dict.Add(16), 16)
+		}, []string{"column 0:", "key 1 is not above key 0"}},
+		{"offset past the end", 4, func(h *nvm.Heap, dict nvm.PPtr) {
+			n := h.GetU64(dict)
+			end := h.GetU32(dict.Add(16 + 4*n))
+			h.PutU32(dict.Add(16+4), end+1)
+			h.Persist(dict.Add(16+4), 4)
+		}, []string{"column 4:", "offset 1", "lies past the end of the"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			e, err := shard.Open(shard.Config{Config: core.Config{Mode: txn.ModeNVM, Dir: dir, NVMHeapSize: 16 << 20}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := e.CreateTable("orders", workload.Schema(), "id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, rng, tx := workload.DefaultSpec(300), rand.New(rand.NewSource(1)), e.Begin()
+			for i := 0; i < 300; i++ {
+				if _, err := tx.Insert(tbl, spec.Row(rng, i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Merge("orders"); err != nil {
+				t.Fatal(err)
+			}
+			h := e.Heaps()[0]
+			m := tbl.Part(0).MainColumnAt(tc.col).(*storage.NVMMain)
+			tc.seed(h, nvm.PPtr(h.U64(m.Root())))
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			out, err := exec.Command(os.Args[0], "fsck", "-dir", dir).CombinedOutput()
+			if err == nil {
+				t.Fatalf("fsck of a broken main dictionary succeeded:\n%s", out)
+			}
+			for _, want := range append([]string{"FSCK FAILED"}, tc.wants...) {
+				if !strings.Contains(string(out), want) {
+					t.Errorf("fsck output does not say %q:\n%s", want, out)
+				}
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"hyrisenv/internal/mvcc"
+	"hyrisenv/internal/pstruct"
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
 )
@@ -42,7 +43,7 @@ type tableScan struct {
 // the column runs on its bit planes. The delta dictionary is unsorted.
 // There Eq and Ne take x to be the value ID and the interval to be the
 // one ID the dictionary index returns for the key, or none; the order
-// operators take x to be the value ID's word (storage.KeyWord, from the
+// operators take x to be the value ID's word (pstruct.KeyWord, from the
 // column's KeyWords) and the interval to be the words below, or up to,
 // the key's. For Int64 and Float64 a word is the key. For String a row
 // whose word ties with the key's compares its whole key instead. The
@@ -122,7 +123,7 @@ func (p *colPred) bindDelta() {
 		p.dneg = p.op == Ne
 	case Lt, Le, Gt, Ge:
 		p.words = p.delta.KeyWords(p.delta.DictLen())
-		p.keyWord = storage.KeyWord(p.key)
+		p.keyWord = pstruct.KeyWord(p.key)
 		p.ties = p.delta.Type() == storage.TypeString
 		// Lt and Ge test the words below the key's, Le and Gt the words
 		// up to it.
@@ -238,12 +239,20 @@ func ones(bm []uint64) int {
 // filterDelta ANDs the predicate into bm for the delta rows whose value
 // IDs are ids: 64 interval tests without a branch for every word of bm
 // that still holds a row, then a whole-key comparison for each String
-// row left in it whose word ties with the key's.
+// row left in it whose word ties with the key's. An interval that holds
+// no value, with no String row to tie, keeps every row or none, and
+// tests none.
 func (p *colPred) filterDelta(ids []uint32, bm []uint64) {
 	lo, span, kw := p.dlo, p.dspan, p.keyWord
 	var flip uint64
 	if p.dneg {
 		flip = ^uint64(0)
+	}
+	if span == 0 && !p.ties {
+		for w := range bm {
+			bm[w] &= flip
+		}
+		return
 	}
 	for w, live := range bm {
 		if live == 0 {

@@ -68,7 +68,10 @@ const (
 	// partition set three words per column.
 	// 6 → 7: the delta dictionary index a split-ordered hash list
 	// (pstruct.HashList) in place of the skip list.
-	formatVersion = 7
+	// 7 → 8: a main column's dictionary one block of sorted keys
+	// (pstruct.SortedDict) in place of a vector of blob pointers; a
+	// transaction context's 16-byte records on 16-byte boundaries.
+	formatVersion = 8
 
 	headerSize  = 4096
 	rootDirOff  = headerSize

@@ -70,7 +70,7 @@ func TestOpenRejectsGarbage(t *testing.T) {
 // partition set of three words per column; and format 6, whose delta
 // dictionaries are skip lists where this version reads hash lists.
 func TestOpenRejectsBadVersion(t *testing.T) {
-	for _, version := range []uint64{formatVersion + 100, 4, 5, 6} {
+	for _, version := range []uint64{formatVersion + 100, 4, 5, 6, 7} {
 		path := filepath.Join(t.TempDir(), "ver") // a TempDir per call
 		h, err := Create(path, 1<<20)
 		if err != nil {

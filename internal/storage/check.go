@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 
 	"hyrisenv/internal/mvcc"
@@ -48,13 +47,8 @@ func (t *Table) Check() (CheckReport, error) {
 			return rep, fmt.Errorf("storage: column %d delta has %d rows, MVCC has %d", c, d.Rows(), dr)
 		}
 		// Main dictionary strictly sorted; IDs in range.
-		var prev []byte
-		for id := uint64(0); id < m.DictLen(); id++ {
-			k := m.DictKey(id)
-			if id > 0 && bytes.Compare(prev, k) >= 0 {
-				return rep, fmt.Errorf("storage: column %d main dictionary unsorted at %d", c, id)
-			}
-			prev = append(prev[:0], k...)
+		if err := m.CheckDict(); err != nil {
+			return rep, fmt.Errorf("storage: column %d main dictionary: %w", c, err)
 		}
 		rep.DictEntries += m.DictLen() + d.DictLen()
 		if err := m.CheckIDs(); err != nil {

@@ -40,9 +40,9 @@ type DeltaColumn interface {
 	DictLen() uint64
 	// DictKey returns the order-preserving encoded key of dictionary id.
 	DictKey(id uint64) []byte
-	// KeyWords returns KeyWord(DictKey(id)) for every id below n, which
-	// must not exceed DictLen, indexed by id: what a scan compares
-	// instead of the keys. The words are a volatile cache of the column,
+	// KeyWords returns pstruct.KeyWord(DictKey(id)) for every id below
+	// n, which must not exceed DictLen, indexed by id: what a scan
+	// compares instead of the keys. The words are a volatile cache of the column,
 	// built by the first readers that ask, never at attach, and never
 	// persisted. The slice is shared and must not be written.
 	KeyWords(n uint64) []uint64
@@ -88,7 +88,7 @@ func (c *keyWords) get(n uint64, key func(id uint64) []byte) []uint64 {
 		// The append may write into spare capacity beyond the length of
 		// every slice a reader holds.
 		for id := uint64(len(w)); id < n; id++ {
-			w = append(w, KeyWord(key(id)))
+			w = append(w, pstruct.KeyWord(key(id)))
 		}
 		c.words.Store(&w)
 	}

@@ -35,16 +35,8 @@ func (m *NVMMain) Check() error {
 	if err := m.h.CheckBlock(m.root, nmRootSize); err != nil {
 		return fmt.Errorf("main column %d: root: %w", m.root, err)
 	}
-	if err := m.dictVec.Check(); err != nil {
-		errs = append(errs, fmt.Errorf("main column %d: dictionary vector: %w", m.root, err))
-	} else {
-		m.dictVec.Scan(func(id, blob uint64) bool {
-			if err := checkBlobPtr(m.h, nvm.PPtr(blob)); err != nil {
-				errs = append(errs, fmt.Errorf("main column %d: dictionary blob %d: %w", m.root, id, err))
-				return false
-			}
-			return true
-		})
+	if err := m.CheckDict(); err != nil {
+		errs = append(errs, fmt.Errorf("main column %d: dictionary: %w", m.root, err))
 	}
 	if err := m.bp.Check(); err != nil {
 		errs = append(errs, fmt.Errorf("main column %d: attribute vector: %w", m.root, err))

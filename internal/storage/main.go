@@ -2,9 +2,7 @@ package storage
 
 import (
 	"bytes"
-	"cmp"
 	"slices"
-	"sort"
 
 	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/pstruct"
@@ -41,26 +39,29 @@ type MainColumn interface {
 	// implies, every value ID is below DictLen, and the padding rows of
 	// its last segment are zero (pstruct.CheckBits).
 	CheckIDs() error
+	// CheckDict verifies the dictionary: its keys strictly increase
+	// (pstruct.SortedDict.Check).
+	CheckDict() error
 }
 
 // NVM main column root block layout.
 const (
-	nmOffDictVec = 0
-	nmOffBP      = 8
-	nmOffType    = 16
-	nmRootSize   = 24
+	nmOffDict  = 0
+	nmOffBP    = 8
+	nmOffType  = 16
+	nmRootSize = 24
 )
 
-// NVMMain is the main column of Hyrise-NV: a vector of sorted
-// dictionary blob pointers plus a bit-sliced attribute vector, both on
+// NVMMain is the main column of Hyrise-NV: a sorted dictionary in one
+// block (pstruct.SortedDict) plus a bit-sliced attribute vector, both on
 // the table's heap. Attach is O(1), so restarting on NVM does not touch
 // column data.
 type NVMMain struct {
-	h       *nvm.Heap
-	root    nvm.PPtr
-	typ     ColType
-	dictVec *pstruct.Vector
-	bp      *pstruct.BitPacked
+	h    *nvm.Heap
+	root nvm.PPtr
+	typ  ColType
+	dict *pstruct.SortedDict
+	bp   *pstruct.BitPacked
 }
 
 // BuildNVMMain constructs and persists a main column from per-row encoded
@@ -83,19 +84,8 @@ func BuildNVMMain(h *nvm.Heap, typ ColType, rowKeys [][]byte) (*NVMMain, error) 
 // nvmMainFromParts builds a main column from a sorted dictionary and the
 // value ID of each row.
 func nvmMainFromParts(h *nvm.Heap, typ ColType, dict [][]byte, ids []uint64) (*NVMMain, error) {
-	dictVec, err := pstruct.NewVector(h, 8, 8)
+	sd, err := pstruct.BuildSortedDict(h, dict, wordKeys(typ))
 	if err != nil {
-		return nil, err
-	}
-	ptrs := make([]uint64, len(dict))
-	for i, k := range dict {
-		blob, err := pstruct.WriteBlob(h, k)
-		if err != nil {
-			return nil, err
-		}
-		ptrs[i] = uint64(blob)
-	}
-	if _, err := dictVec.AppendN(ptrs); err != nil {
 		return nil, err
 	}
 	bp, err := pstruct.BuildBitPacked(h, ids, pstruct.BitsFor(uint64(max(len(dict), 1)-1)))
@@ -106,21 +96,26 @@ func nvmMainFromParts(h *nvm.Heap, typ ColType, dict [][]byte, ids []uint64) (*N
 	if err != nil {
 		return nil, err
 	}
-	h.PutU64(root.Add(nmOffDictVec), uint64(dictVec.Root()))
+	h.PutU64(root.Add(nmOffDict), uint64(sd.Root()))
 	h.PutU64(root.Add(nmOffBP), uint64(bp.Root()))
 	h.PutU64(root.Add(nmOffType), uint64(typ))
 	h.Persist(root, nmRootSize)
-	return &NVMMain{h: h, root: root, typ: typ, dictVec: dictVec, bp: bp}, nil
+	return &NVMMain{h: h, root: root, typ: typ, dict: sd, bp: bp}, nil
 }
+
+// wordKeys reports whether typ's keys are 8-byte words, which its
+// dictionary stores in the word layout.
+func wordKeys(typ ColType) bool { return typ != TypeString }
 
 // AttachNVMMain re-hydrates a persistent main column in O(1).
 func AttachNVMMain(h *nvm.Heap, root nvm.PPtr) *NVMMain {
+	typ := ColType(h.GetU64(root.Add(nmOffType)))
 	return &NVMMain{
-		h:       h,
-		root:    root,
-		typ:     ColType(h.GetU64(root.Add(nmOffType))),
-		dictVec: pstruct.AttachVector(h, nvm.PPtr(h.GetU64(root.Add(nmOffDictVec)))),
-		bp:      pstruct.AttachBitPacked(h, nvm.PPtr(h.GetU64(root.Add(nmOffBP)))),
+		h:    h,
+		root: root,
+		typ:  typ,
+		dict: pstruct.AttachSortedDict(h, nvm.PPtr(h.GetU64(root.Add(nmOffDict))), wordKeys(typ)),
+		bp:   pstruct.AttachBitPacked(h, nvm.PPtr(h.GetU64(root.Add(nmOffBP)))),
 	}
 }
 
@@ -150,12 +145,10 @@ func (m *NVMMain) FilterIDs(lo, hi uint64, idLo, span uint32, neg bool, bm []uin
 func (m *NVMMain) Value(row uint64) Value { return m.DictValue(m.ValueID(row)) }
 
 // DictLen implements MainColumn.
-func (m *NVMMain) DictLen() uint64 { return m.dictVec.Len() }
+func (m *NVMMain) DictLen() uint64 { return m.dict.Len() }
 
 // DictKey implements MainColumn.
-func (m *NVMMain) DictKey(id uint64) []byte {
-	return pstruct.ReadBlob(m.h, nvm.PPtr(m.dictVec.Get(id)))
-}
+func (m *NVMMain) DictKey(id uint64) []byte { return m.dict.Key(id) }
 
 // DictValue implements MainColumn.
 func (m *NVMMain) DictValue(id uint64) Value {
@@ -164,26 +157,17 @@ func (m *NVMMain) DictValue(id uint64) Value {
 
 // LookupValueID implements MainColumn.
 func (m *NVMMain) LookupValueID(encKey []byte) (uint64, bool) {
-	n := m.dictVec.Len()
-	i := uint64(sort.Search(int(n), func(i int) bool {
-		return bytes.Compare(m.DictKey(uint64(i)), encKey) >= 0
-	}))
-	if i < n && bytes.Equal(m.DictKey(i), encKey) {
-		return i, true
+	if id, ok := m.dict.Search(encKey); ok {
+		return id, true
 	}
 	return 0, false
 }
 
 // LookupRange implements MainColumn.
 func (m *NVMMain) LookupRange(loKey, hiKey []byte) (uint64, uint64) {
-	n := int(m.dictVec.Len())
-	lo := sort.Search(n, func(i int) bool {
-		return bytes.Compare(m.DictKey(uint64(i)), loKey) >= 0
-	})
-	hi := sort.Search(n, func(i int) bool {
-		return bytes.Compare(m.DictKey(uint64(i)), hiKey) >= 0
-	})
-	return uint64(lo), uint64(hi)
+	lo, _ := m.dict.Search(loKey)
+	hi, _ := m.dict.Search(hiKey)
+	return lo, hi
 }
 
 // ScanIDs implements MainColumn.
@@ -191,6 +175,9 @@ func (m *NVMMain) ScanIDs(fn func(row, id uint64) bool) { m.bp.Scan(fn) }
 
 // CheckIDs implements MainColumn.
 func (m *NVMMain) CheckIDs() error { return m.bp.CheckValues(m.DictLen()) }
+
+// CheckDict implements MainColumn.
+func (m *NVMMain) CheckDict() error { return m.dict.Check() }
 
 // --- shared helpers -----------------------------------------------------------
 
@@ -204,33 +191,17 @@ type keyRef struct {
 func sortKeys(keys [][]byte) []keyRef {
 	refs := make([]keyRef, len(keys))
 	for i, k := range keys {
-		refs[i] = keyRef{KeyWord(k), uint64(i)}
+		refs[i] = keyRef{pstruct.KeyWord(k), uint64(i)}
 	}
 	slices.SortFunc(refs, func(a, b keyRef) int {
-		return compareKeys(a.word, keys[a.i], b.word, keys[b.i])
+		return pstruct.CompareKeys(a.word, keys[a.i], b.word, keys[b.i])
 	})
 	return refs
-}
-
-// compareKeys orders keys a and b, whose KeyWords are aw and bw. Words
-// decide wherever they differ — always, for the 8-byte Int64 and Float64
-// keys, whose word is the key — and the bytes only when they tie.
-func compareKeys(aw uint64, a []byte, bw uint64, b []byte) int {
-	if aw != bw {
-		return cmp.Compare(aw, bw)
-	}
-	return bytes.Compare(a, b)
 }
 
 // Blocks yields the heap blocks owned by the main column.
 func (m *NVMMain) Blocks(yield func(nvm.PPtr)) {
 	yield(m.root)
-	m.dictVec.Blocks(yield)
-	m.dictVec.Scan(func(_, blob uint64) bool {
-		if blob != 0 {
-			yield(nvm.PPtr(blob))
-		}
-		return true
-	})
+	m.dict.Blocks(yield)
 	m.bp.Blocks(yield)
 }

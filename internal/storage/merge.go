@@ -3,6 +3,8 @@ package storage
 import (
 	"bytes"
 	"errors"
+
+	"hyrisenv/internal/pstruct"
 )
 
 // ErrMergeBusy is returned when a merge is attempted while transactions
@@ -147,8 +149,8 @@ func mergeDict(ids []uint64, nMain int, mainLen, deltaLen uint64, mainKey, delta
 			continue
 		}
 		k := mainKey(id)
-		w := KeyWord(k)
-		for ; i < len(delta) && compareKeys(delta[i].word, keys[delta[i].i], w, k) < 0; i++ {
+		w := pstruct.KeyWord(k)
+		for ; i < len(delta) && pstruct.CompareKeys(delta[i].word, keys[delta[i].i], w, k) < 0; i++ {
 			place(delta[i])
 		}
 		if i < len(delta) && delta[i].word == w && bytes.Equal(keys[delta[i].i], k) {

@@ -126,20 +126,6 @@ func (v Value) EncodeKey(dst []byte) []byte {
 	}
 }
 
-// KeyWord returns the first 8 bytes of an encoded key as a big-endian
-// word, zero-padded. Words order like their keys wherever they differ:
-// KeyWord(a) < KeyWord(b) implies a < b. An Int64 or Float64 key is
-// exactly 8 bytes, so for those the word is the key; two String keys
-// with equal words must be compared whole.
-func KeyWord(key []byte) uint64 {
-	if len(key) >= 8 {
-		return binary.BigEndian.Uint64(key)
-	}
-	var b [8]byte
-	copy(b[:], key)
-	return binary.BigEndian.Uint64(b[:])
-}
-
 // AppendBinary appends a self-describing binary encoding of v to dst
 // (type u8 | payload). Log records and checkpoints use this format; it is
 // compact but not order-preserving — use EncodeKey for dictionary keys.

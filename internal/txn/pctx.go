@@ -64,11 +64,14 @@ const (
 	crOffLastCID = 0
 	crOffSlots   = 8
 
-	// Context block: cid u64 | count u64 | next u64 | entries.
-	pcOffCID     = 0
-	pcOffCount   = 8
-	pcOffNext    = 16
-	pcOffEntries = 24
+	// Context block: count u64 | next u64 | cid u64 | pad u64 | entries.
+	// The 16-byte records — count with next, and each entry — lie on
+	// 16-byte boundaries, so none straddles a cache line and costs a
+	// second flushed line.
+	pcOffCount   = 0
+	pcOffNext    = 8
+	pcOffCID     = 16
+	pcOffEntries = 32
 	pcBlockSize  = 512
 	pcEntriesMax = (pcBlockSize - pcOffEntries) / 16
 
