@@ -152,14 +152,14 @@ benchserve:
 
 # The scan kernel's benchmarks — the plane walk of the packed words, the
 # block decode, the visibility bitmap, the delta's interval test and the
-# morsel-parallel predicate count — and the main dictionary's lookups,
-# compiled and run for one op each, as CI does: they are the instruments
-# behind the kernel figures in EXPERIMENTS.md E9 and the dictionary
-# figures in E16, and a benchmark that no longer builds or runs
-# measures nothing.
+# morsel-parallel predicate count — and the main and delta dictionaries'
+# lookups, compiled and run for one op each, as CI does: they are the
+# instruments behind the kernel figures in EXPERIMENTS.md E9 and the
+# dictionary figures in E16 and E17, and a benchmark that no longer
+# builds or runs measures nothing.
 benchkernel-smoke:
 	$(GO) test ./internal/pstruct ./internal/mvcc ./internal/exec ./internal/storage -run '^$$' \
-		-bench 'FilterBits|UnpackBits|VisibleBits|DeltaFilter|ScanPredicate|MainDict' -benchtime 1x
+		-bench 'FilterBits|UnpackBits|VisibleBits|DeltaFilter|ScanPredicate|MainDict|DeltaDictSearch' -benchtime 1x
 
 # The smoke CI runs (its fuzz-smoke job is `make fuzz-smoke`): 30s per
 # fuzzer — the wire codecs, the server's one transaction body under
@@ -168,7 +168,9 @@ benchkernel-smoke:
 # unpacker GROUP BY and the join decode main-partition blocks through,
 # the packed-word predicate every main-partition scan filters through,
 # the value-ID and key-word predicate every delta scan filters through,
-# the append arena under random sizes and reopen points, the merge's
+# the append arena under random sizes and reopen points, the delta
+# dictionary under random inserts, gets and reopens (an input takes
+# milliseconds, so its minimizing is capped by count too), the merge's
 # dictionary translation against its map-based oracle, the main
 # dictionary's block under fuzzed bytes (attach, lookups and Check answer
 # or report, never panic), and the analyzers' control-flow graph
@@ -181,6 +183,7 @@ fuzz-smoke: fuzz-check
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzFilterBits' -fuzztime 30s
 	$(GO) test ./internal/exec -run '^$$' -fuzz 'FuzzDeltaFilter' -fuzztime 30s
 	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzArena' -fuzztime 30s
+	$(GO) test ./internal/pstruct -run '^$$' -fuzz 'FuzzDeltaDict' -fuzztime 30s -fuzzminimizetime 100x
 	$(GO) test ./internal/storage -run '^$$' -fuzz 'FuzzMergeDict' -fuzztime 30s
 	$(GO) test ./internal/storage -run '^$$' -fuzz 'FuzzMainDict' -fuzztime 30s
 	$(GO) test ./internal/analysis/cfg -run '^$$' -fuzz 'FuzzCFG' -fuzztime 30s

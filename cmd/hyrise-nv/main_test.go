@@ -1,7 +1,6 @@
 package main
 
 import (
-	"math/bits"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -138,14 +137,14 @@ func TestFsckNeverCreatesAHeap(t *testing.T) {
 }
 
 // TestFsckReportsBrokenDeltaIndex seeds two faults into the dictionary
-// index of a delta column of a closed database — a bucket's finger that
-// names a node of its own bucket, and a node whose split-order key is
-// below its predecessor's — and checks that fsck fails and names both.
-// The faults are written at the offsets of pstruct.HashList's layout: in
-// its root, the head link at 8 and the segment table at 24, whose first
-// word points at bucket 0's finger; in a node, the link at 0 and the
-// split-order key at 8. The index's root is the second word of the
-// storage.NVMDelta root.
+// index of a delta column of a closed database — a slot whose hash is
+// not its key's, and a directory entry that names no bucket — and checks
+// that fsck fails and names both. The faults are written at the offsets
+// of pstruct.HashDict's layout: in its root, the arena root at 0 and the
+// directory word (depth << 56 | address) at 8; the arena's first
+// segment, whose pointer is word 64 of the arena root, starts with the
+// first bucket, a depth hint and then slots of hash << 32 | record. The
+// index's root is the second word of the storage.NVMDelta root.
 func TestFsckReportsBrokenDeltaIndex(t *testing.T) {
 	dir := t.TempDir()
 	e, err := shard.Open(shard.Config{Config: core.Config{Mode: txn.ModeNVM, Dir: dir, NVMHeapSize: 16 << 20}})
@@ -168,23 +167,21 @@ func TestFsckReportsBrokenDeltaIndex(t *testing.T) {
 	h := e.Heaps()[0]
 	d := tbl.Part(0).DeltaColumnAt(0).(*storage.NVMDelta)
 	idx := nvm.PPtr(h.U64(d.Root().Add(8)))
-	first := nvm.PPtr(h.U64(idx.Add(8)))
-	second := nvm.PPtr(h.U64(first))
-	// Bucket 1 starts at split-order key 1<<63.
-	var past nvm.PPtr
-	for cur := first; !cur.IsNil() && past.IsNil(); cur = nvm.PPtr(h.U64(cur)) {
-		if h.U64(cur.Add(8)) >= bits.Reverse64(1) {
-			past = cur
+	slot := nvm.PPtr(h.U64(nvm.PPtr(h.U64(idx)).Add(64))).Add(8)
+	h.SetU64(slot, h.U64(slot)^1<<32)
+	h.Persist(slot, 8)
+	dw := h.U64(idx.Add(8))
+	directory, seeded := nvm.PPtr(dw&(1<<56-1)), false
+	for j := uint64(0); j < 1<<(dw>>56) && !seeded; j++ {
+		if p := directory.Add(4 * j); h.U32(p) != 0 {
+			h.SetU32(p, 0xfffffff0)
+			h.Persist(p, 4)
+			seeded = true
 		}
 	}
-	if past.IsNil() {
-		t.Fatal("no key in the upper half of the split order")
+	if !seeded {
+		t.Fatal("the directory names one bucket only")
 	}
-	finger1 := nvm.PPtr(h.U64(idx.Add(24))).Add(8)
-	h.SetU64(finger1, uint64(past))
-	h.Persist(finger1, 8)
-	h.SetU64(second.Add(8), h.U64(first.Add(8))-1)
-	h.Persist(second.Add(8), 8)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +190,7 @@ func TestFsckReportsBrokenDeltaIndex(t *testing.T) {
 	if err == nil {
 		t.Fatalf("fsck of a broken index succeeded:\n%s", out)
 	}
-	for _, want := range []string{"FSCK FAILED", "finger of bucket 1", "not below the bucket's start", "out of split order"} {
+	for _, want := range []string{"FSCK FAILED", "slot 1 holds hash", "directory entry", "beyond the cursor"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("fsck output does not say %q:\n%s", want, out)
 		}

@@ -839,11 +839,11 @@ func (g *Graph) heapIntrinsic(call *ast.CallExpr, name string, recv int, args, r
 		if len(res) > 0 {
 			g.addCopy(arg(0), res[0])
 		}
-	case "U64", "GetU64", "GetU32":
+	case "U64", "GetU64", "GetU32", "U32":
 		if len(res) > 0 && arg(0) >= 0 {
 			g.loads = append(g.loads, loadc{dst: res[0], src: arg(0), field: "*", typ: g.info.TypeOf(call)})
 		}
-	case "SetU64", "PutU64", "PutU32":
+	case "SetU64", "PutU64", "PutU32", "SetU32":
 		if arg(0) >= 0 && arg(1) >= 0 {
 			g.stores = append(g.stores, storec{dst: arg(0), field: "*", src: arg(1)})
 		}

@@ -26,7 +26,7 @@
 //   - Heap.CasU64: a compare-and-swap of a persistent word is a
 //     linearization point whatever the type of its new value, so it
 //     publishes every object with a pending write;
-//   - a store (Heap.SetU64/PutU64/PutU32) whose target may be an
+//   - a store (Heap.SetU64/SetU32/PutU64/PutU32) whose target may be an
 //     already-published block and whose value carries heap objects: the
 //     pointee becomes reachable from the persisted root through the
 //     target;
@@ -155,7 +155,7 @@ func halfOf(pass *analysis.Pass, call *ast.CallExpr) (stage, publish bool) {
 
 // heapWriteNames are the nvm.Heap methods that store to the mapping.
 var heapWriteNames = map[string]bool{
-	"SetU64": true, "PutU64": true, "PutU32": true,
+	"SetU64": true, "PutU64": true, "PutU32": true, "SetU32": true,
 }
 
 // flushAtNames are the per-element flush methods (pstruct vectors, MVCC
@@ -759,13 +759,24 @@ func applyDefers(pass *analysis.Pass, g *ptr.Graph, info *funcInfo, sums map[*ty
 	return f
 }
 
+// forEachReturn visits every return with the fact it returns under: the
+// fact before it, then the calls in its results — `return build(h)`
+// hands back what build left pending — then the deferred calls.
 func forEachReturn(pass *analysis.Pass, g *ptr.Graph, info *funcInfo, sums map[*types.Func]*osum, res *dataflow.Result[*ofact], visit func(*ast.ReturnStmt, *ofact)) {
 	res.NodeFacts(info.graph, func(n ast.Node, before *ofact) {
 		ret, ok := n.(*ast.ReturnStmt)
 		if !ok {
 			return
 		}
-		visit(ret, applyDefers(pass, g, info, sums, before))
+		f := before
+		if f != nil {
+			analysis.ForEachCall(ret, func(call *ast.CallExpr) {
+				for _, ev := range eventsOf(pass, g, call, sums) {
+					f = apply(g, info.imp, f, ev)
+				}
+			})
+		}
+		visit(ret, applyDefers(pass, g, info, sums, f))
 	})
 }
 

@@ -227,7 +227,7 @@ func PersistPrimitive(fn *types.Func) uint64 {
 		return 0
 	}
 	switch fn.Name() {
-	case "SetU64", "PutU64", "PutU32", "CasU64", "SetRoot":
+	case "SetU64", "PutU64", "PutU32", "SetU32", "CasU64", "SetRoot":
 		return EffStore
 	case "Flush", "FlushBytes":
 		return EffFlush

@@ -389,3 +389,34 @@ func LinkRec(h *nvm.Heap, v uint64) error {
 	h.SetRoot(0, r.root)
 	return nil
 }
+
+// BuildRecDirty is a constructor split in two: it hands back the block
+// its unexported builder wrote and never persisted, so the builder's
+// obligation falls on it.
+func BuildRecDirty(h *nvm.Heap, v uint64) (*Rec, error) {
+	return buildRecDirty(h, v) // want `function BuildRecDirty returns with unpersisted write to returned block allocated at .* \(call of buildRecDirty at .*\)`
+}
+
+func buildRecDirty(h *nvm.Heap, v uint64) (*Rec, error) {
+	root, err := h.Alloc(16)
+	if err != nil {
+		return nil, err
+	}
+	h.PutU64(root, v)
+	return &Rec{h: h, root: root}, nil
+}
+
+// BuildRec is the same split with a builder that persists.
+func BuildRec(h *nvm.Heap, v uint64) (*Rec, error) {
+	return buildRec(h, v)
+}
+
+func buildRec(h *nvm.Heap, v uint64) (*Rec, error) {
+	root, err := h.Alloc(16)
+	if err != nil {
+		return nil, err
+	}
+	h.PutU64(root, v)
+	h.Persist(root, 16)
+	return &Rec{h: h, root: root}, nil
+}

@@ -487,7 +487,7 @@ type FsckReport struct {
 // Fsck runs the full consistency suite over the NVM database: the heap
 // allocator walk (with reachability from every table and transaction
 // context), the deep structural walk of every table's persistent
-// representation (vectors, blobs, hash lists, posting lists, MVCC
+// representation (vectors, blobs, hash dictionaries, posting lists, MVCC
 // stamps), and the logical Table.Check. It is the everything-must-hold
 // predicate the crash matrix asserts after every enumerated crash
 // point. ModeNVM only; offline (no concurrent transactions).

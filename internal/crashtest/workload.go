@@ -138,11 +138,11 @@ func abortTxn(e *shard.Engine, tbl *shard.Table, rec *Recorder, ids ...int64) er
 // main/delta merge, a scavenge of the merge garbage, an aborted
 // transaction, a mixed insert+delete transaction, and post-merge inserts
 // landing in the fresh delta. It exercises every persistent structure
-// (vectors, blobs, hash lists, hash chains, posting lists, bit-packed
-// mains, group-key indexes, MVCC stamp vectors, the allocator and root
-// directory) so that enumerating its barriers enumerates crash points in
-// every protocol. Deterministic: the barrier count is identical on every
-// run with the same engine configuration.
+// (vectors, blobs, hash dictionaries and a bucket split, posting lists,
+// bit-packed mains, group-key indexes, MVCC stamp vectors, the allocator
+// and root directory) so that enumerating its barriers enumerates crash
+// points in every protocol. Deterministic: the barrier count is
+// identical on every run with the same engine configuration.
 func Workload(e *shard.Engine, rec *Recorder) error {
 	sch, err := ordersSchema()
 	if err != nil {
@@ -156,6 +156,16 @@ func Workload(e *shard.Engine, rec *Recorder) error {
 		if err := insertTxn(e, tbl, rec, batch*3, batch*3+1, batch*3+2); err != nil {
 			return err
 		}
+	}
+	// Forty more rows in one transaction: the id and amount columns'
+	// delta dictionaries pass a bucket's 31 keys, so the sweep cuts the
+	// first bucket split and the directory doubling it brings.
+	bulk := make([]int64, 40)
+	for i := range bulk {
+		bulk[i] = 20 + int64(i)
+	}
+	if err := insertTxn(e, tbl, rec, bulk...); err != nil {
+		return err
 	}
 	if err := mutateTxn(e, tbl, rec, nil, []int64{2, 7}); err != nil {
 		return err

@@ -147,6 +147,7 @@ func BenchmarkDeltaFilter(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/dict=%dk/%s", typ, dict>>10, [...]string{"eq", "ne", "lt"}[op]), func(b *testing.B) {
 					p := colPred{delta: d, op: op, key: d.DictKey(uint64(dict / 2))}
 					p.bindDelta()
+					b.ResetTimer()
 					var sink uint64
 					for i := 0; i < b.N; i++ {
 						for lo := 0; lo < rows; lo += blockRows {

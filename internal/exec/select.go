@@ -61,19 +61,19 @@ func checkPreds(tbl *storage.Table, preds []Pred) error {
 // lookupEq answers a single equality predicate on an indexed column from
 // the index — already sub-linear, so it stays serial. ok is false when
 // preds is anything else, or the index cannot answer.
-func lookupEq(tx *txn.Txn, tbl *storage.Table, preds []Pred) (rows []uint64, ok bool) {
+func lookupEq(tx *txn.Txn, tbl *storage.Table, preds []Pred) (rows []uint64, ok bool, err error) {
 	if len(preds) != 1 || preds[0].Op != Eq || !tbl.Indexed(preds[0].Col) {
-		return nil, false
+		return nil, false, nil
 	}
 	tx.PinEpoch(tbl)
 	v := tbl.View()
-	ok = v.LookupRows(preds[0].Col, preds[0].Val.EncodeKey(nil), func(row uint64) bool {
+	ok, err = v.LookupRows(preds[0].Col, preds[0].Val.EncodeKey(nil), func(row uint64) bool {
 		if tx.SeesIn(v, tbl, row) {
 			rows = append(rows, row)
 		}
 		return true
 	})
-	return rows, ok
+	return rows, ok, err
 }
 
 // Select returns the row IDs visible to tx that satisfy all preds, in
@@ -86,8 +86,8 @@ func (e *Executor) Select(ctx context.Context, tx *txn.Txn, tbl *storage.Table, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if rows, ok := lookupEq(tx, tbl, preds); ok {
-		return rows, nil
+	if rows, ok, err := lookupEq(tx, tbl, preds); ok || err != nil {
+		return rows, err
 	}
 	return e.selectScan(ctx, newTableScan(tx, tbl, preds))
 }
@@ -130,8 +130,8 @@ func (e *Executor) Count(ctx context.Context, tx *txn.Txn, tbl *storage.Table, p
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if rows, ok := lookupEq(tx, tbl, preds); ok {
-		return len(rows), nil
+	if rows, ok, err := lookupEq(tx, tbl, preds); ok || err != nil {
+		return len(rows), err
 	}
 	return e.countScan(ctx, newTableScan(tx, tbl, preds))
 }

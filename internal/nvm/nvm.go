@@ -71,7 +71,9 @@ const (
 	// 7 → 8: a main column's dictionary one block of sorted keys
 	// (pstruct.SortedDict) in place of a vector of blob pointers; a
 	// transaction context's 16-byte records on 16-byte boundaries.
-	formatVersion = 8
+	// 8 → 9: the delta dictionary index an extendible hash of 256-byte
+	// buckets (pstruct.HashDict) in place of the split-ordered list.
+	formatVersion = 9
 
 	headerSize  = 4096
 	rootDirOff  = headerSize
@@ -138,6 +140,9 @@ var (
 	// ErrSimulatedCrash is the panic value raised by the fail-point
 	// mechanism; tests recover it to simulate a power failure.
 	ErrSimulatedCrash = errors.New("nvm: simulated crash")
+	// ErrCorrupt is returned when a walk of a persistent structure
+	// exceeds the steps its size allows: a damaged word made a cycle.
+	ErrCorrupt = errors.New("nvm: heap corrupt")
 )
 
 // LatencyModel configures the emulated NVM latencies, mirroring the
@@ -188,6 +193,7 @@ type Stats struct {
 	Frees     uint64
 	Grows     uint64 // online growth remaps performed
 	BytesUsed uint64 // high-water bump offset (excludes freed blocks)
+	ReadLines uint64 // lines charged by the read model (ChargeRead)
 }
 
 // mapping is one mmap of the heap file. The heap always reads and writes
@@ -228,6 +234,7 @@ type Heap struct {
 	drains  atomic.Uint64
 	allocs  atomic.Uint64
 	frees   atomic.Uint64
+	reads   atomic.Uint64
 
 	// Drain-cycle coalescing (see Drain). A cycle started while a
 	// requester was already waiting covers that requester; requesters
@@ -540,6 +547,23 @@ func (h *Heap) SetU64(p PPtr, v uint64) {
 	atomic.StoreUint64(h.u64ptr(p), v)
 }
 
+// U32 atomically loads the uint32 at p (which must be 4-byte aligned).
+func (h *Heap) U32(p PPtr) uint32 {
+	if p%4 != 0 {
+		panic(fmt.Sprintf("nvm: unaligned atomic access at %d", p))
+	}
+	return atomic.LoadUint32((*uint32)(unsafe.Pointer(&h.m().mem[p])))
+}
+
+// SetU32 atomically stores v at p (which must be 4-byte aligned). The
+// store is not durable until a Persist covering p completes.
+func (h *Heap) SetU32(p PPtr, v uint32) {
+	if p%4 != 0 {
+		panic(fmt.Sprintf("nvm: unaligned atomic access at %d", p))
+	}
+	atomic.StoreUint32((*uint32)(unsafe.Pointer(&h.m().mem[p])), v)
+}
+
 func (h *Heap) u64ptr(p PPtr) *uint64 {
 	if p%8 != 0 {
 		panic(fmt.Sprintf("nvm: unaligned atomic access at %d", p))
@@ -694,6 +718,7 @@ func (h *Heap) awaitDrainCycle(d time.Duration) {
 func (h *Heap) ChargeRead(n uint64) {
 	if h.lat.ReadNS > 0 && n > 0 {
 		lines := (n + CacheLineSize - 1) / CacheLineSize
+		h.reads.Add(lines)
 		spin(h.lat.ReadNS * int64(lines))
 	}
 }
@@ -735,6 +760,7 @@ func (h *Heap) Stats() Stats {
 		Frees:     h.frees.Load(),
 		Grows:     h.grows.Load(),
 		BytesUsed: h.u64(hdrArenaNext),
+		ReadLines: h.reads.Load(),
 	}
 }
 
@@ -746,6 +772,7 @@ func (h *Heap) ResetStats() {
 	h.drains.Store(0)
 	h.allocs.Store(0)
 	h.frees.Store(0)
+	h.reads.Store(0)
 }
 
 // --- Allocation ------------------------------------------------------------
@@ -801,19 +828,24 @@ func (h *Heap) Alloc(n uint64) (PPtr, error) {
 		return h.bump(sizeClasses[c], uint64(c))
 	}
 	want := alignUp(n, blockAlign)
-	if p, ok := h.allocLargeLocked(want); ok {
-		return p, nil
+	if p, err := h.allocLargeLocked(want); err != nil || !p.IsNil() {
+		return p, err
 	}
 	return h.bump(want, uint64(numClasses)+want)
 }
 
 // allocLargeLocked takes a block from the large free list whose payload
-// is at least want bytes but not wastefully bigger (first fit within 2x).
-// Caller holds allocMu.
-func (h *Heap) allocLargeLocked(want uint64) (PPtr, bool) {
+// is at least want bytes but not wastefully bigger (first fit within 2x),
+// or returns nil when none fits. The list cannot hold more blocks than
+// fit in the heap, so a longer walk is a cycle a damaged link made:
+// ErrCorrupt. Caller holds allocMu.
+func (h *Heap) allocLargeLocked(want uint64) (PPtr, error) {
 	prevSlot := PPtr(hdrLargeFree)
 	cur := PPtr(h.U64(prevSlot))
-	for !cur.IsNil() {
+	for steps := h.m().size / (blockHeaderSize + sizeClasses[numClasses-1]); !cur.IsNil(); steps-- {
+		if steps == 0 {
+			return 0, fmt.Errorf("%w: the large free list is longer than the heap holds", ErrCorrupt)
+		}
 		payload := cur + blockHeaderSize
 		size := h.U64(cur) - uint64(numClasses)
 		next := PPtr(h.U64(payload))
@@ -826,12 +858,12 @@ func (h *Heap) allocLargeLocked(want uint64) (PPtr, bool) {
 			// crash strands it off-list in Free state.
 			h.Persist(cur+8, 8)
 			clear(h.Bytes(payload, size))
-			return payload, true
+			return payload, nil
 		}
 		prevSlot = payload
 		cur = next
 	}
-	return 0, false
+	return 0, nil
 }
 
 // bump carves a block from the arena, growing the heap online first when

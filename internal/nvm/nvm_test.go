@@ -67,10 +67,12 @@ func TestOpenRejectsGarbage(t *testing.T) {
 // — a later one; format 4, whose main attribute vectors are packed value
 // by value where this version reads bit planes; format 5, whose
 // indexed columns keep a second skip list where this version reads a
-// partition set of three words per column; and format 6, whose delta
-// dictionaries are skip lists where this version reads hash lists.
+// partition set of three words per column; format 6, whose delta
+// dictionaries are skip lists; and formats 7 and 8, whose delta
+// dictionaries are split-ordered lists where this version reads
+// extendible hashes of buckets.
 func TestOpenRejectsBadVersion(t *testing.T) {
-	for _, version := range []uint64{formatVersion + 100, 4, 5, 6, 7} {
+	for _, version := range []uint64{formatVersion + 100, 4, 5, 6, 7, 8} {
 		path := filepath.Join(t.TempDir(), "ver") // a TempDir per call
 		h, err := Create(path, 1<<20)
 		if err != nil {
@@ -489,6 +491,19 @@ func TestLargeFreeListSurvivesReopen(t *testing.T) {
 	}
 	if again != big {
 		t.Fatalf("large free list lost across reopen: got %d want %d", again, big)
+	}
+}
+
+// TestLargeFreeListCycleIsAnError: a free large block whose next word
+// names itself makes the large free list a cycle; an allocation that no
+// block on it fits fails with ErrCorrupt instead of walking it forever.
+func TestLargeFreeListCycleIsAnError(t *testing.T) {
+	h, _ := testHeap(t, 8<<20)
+	big, _ := h.Alloc(100000)
+	h.Free(big)
+	h.SetU64(big, uint64(big-blockHeaderSize))
+	if _, err := h.Alloc(1 << 20); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Alloc over a cyclic free list: %v, want ErrCorrupt", err)
 	}
 }
 

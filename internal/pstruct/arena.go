@@ -85,6 +85,17 @@ func (a *Arena) Alloc(n uint64) (nvm.PPtr, error) {
 	return a.seg(k).Add(off), nil
 }
 
+// checkedAt returns the address of [off, off+n) of the arena for an
+// offset read from the medium, after checking that it lies below the
+// cursor and inside one linked segment.
+func (a *Arena) checkedAt(off, n uint64) (nvm.PPtr, error) {
+	if off >= a.cursor {
+		return 0, fmt.Errorf("arena %d: offset %d lies beyond the cursor %d", a.root, off, a.cursor)
+	}
+	p := a.elemPtr(off)
+	return p, a.Contains(p, n)
+}
+
 // Contains reports whether [p, p+n) lies inside one segment of the arena
 // and below the cursor — the bounds check structural walkers apply to
 // every pointer into an arena, in place of Heap.CheckBlock.

@@ -135,17 +135,17 @@ func shadowHeap(t *testing.T, tear int64) (*nvm.Heap, string) {
 
 // TestArenaCursorCoversEveryLink is the arena invariant under the
 // pessimistic crash model: power is cut at every barrier of an insert
-// into the arena-backed hash list, with whole-line loss and with
-// tearing, and after reopening, every node the structure reaches must
-// lie below the durable cursor (HashList.Check walks them with
-// Arena.Contains), every earlier entry must still be there, and the
+// into the arena-backed hash dictionary, with whole-line loss and with
+// tearing, and after reopening, every bucket and record the structure
+// reaches must lie below the durable cursor (HashDict.Check reads them
+// through the arena's checked offsets), every earlier entry must still be there, and the
 // interrupted one all there or not at all.
 func TestArenaCursorCoversEveryLink(t *testing.T) {
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%03d-%s", i, bytes.Repeat([]byte{'x'}, i%90))) }
 	for _, tear := range []int64{0, 1, 2, 3} {
 		for barrier := int64(1); ; barrier++ {
 			h, path := shadowHeap(t, tear)
-			s, err := NewHashList(h)
+			s, err := NewHashDict(h)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +172,7 @@ func TestArenaCursorCoversEveryLink(t *testing.T) {
 				t.Fatal(err)
 			}
 			root, _, _ := h2.Root("s")
-			s2 := AttachHashList(h2, root)
+			s2 := AttachHashDict(h2, root)
 			if err := s2.Check(); err != nil {
 				t.Fatalf("tear %d barrier %d: %v", tear, barrier, err)
 			}
@@ -202,7 +202,7 @@ func TestArenaCursorCoversEveryLink(t *testing.T) {
 
 // TestStagedUnpublishedInvisibleAfterReopen: a stage half followed by a
 // fence and no publish half leaves nothing behind that a reopened
-// structure can reach — for the vector, the hash list and a posting
+// structure can reach — for the vector, the hash dictionary and a posting
 // list whose head is a vector element — and the structure stays sound
 // and takes the same insert afterwards.
 func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
@@ -212,7 +212,7 @@ func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, _ := NewVector(h, 8, 4)
-	s, _ := NewHashList(h)
+	s, _ := NewHashDict(h)
 	heads, _ := NewVector(h, 8, 4)
 	h.SetRoot("v", v.Root(), 0)
 	h.SetRoot("s", s.Root(), 0)
@@ -240,7 +240,7 @@ func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 		t.Fatalf("staged element already counted: Len = %d", v.Len())
 	}
 	if _, ok := s.Get([]byte("staged")); ok {
-		t.Fatal("staged hash-list node already reachable")
+		t.Fatal("staged hash-dictionary record already reachable")
 	}
 	h.Close()
 
@@ -250,18 +250,18 @@ func TestStagedUnpublishedInvisibleAfterReopen(t *testing.T) {
 	}
 	defer h2.Close()
 	root := func(name string) nvm.PPtr { r, _, _ := h2.Root(name); return r }
-	v2, s2 := AttachVector(h2, root("v")), AttachHashList(h2, root("s"))
+	v2, s2 := AttachVector(h2, root("v")), AttachHashDict(h2, root("s"))
 	if v2.Len() != 5 {
 		t.Fatalf("vector Len after reopen = %d, want 5", v2.Len())
 	}
 	if _, ok := s2.Get([]byte("staged")); ok {
-		t.Fatal("hash list reaches the staged node after reopen")
+		t.Fatal("hash dictionary reaches the staged record after reopen")
 	}
-	if n := hlLen(s2); n != 5 {
-		t.Fatalf("hash list holds %d entries after reopen, want 5", n)
+	if n := hdLen(s2); n != 5 {
+		t.Fatalf("hash dictionary holds %d entries after reopen, want 5", n)
 	}
 	var n int
-	ListScan(h2, AttachVector(h2, root("heads")).Get(0), func(uint64) bool { n++; return true })
+	ListScan(s2.Arena(), AttachVector(h2, root("heads")).Get(0), func(uint64) bool { n++; return true })
 	if n != 1 {
 		t.Fatalf("posting list holds %d entries after reopen, want 1", n)
 	}

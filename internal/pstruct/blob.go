@@ -8,8 +8,8 @@ import (
 // values. A blob is written and persisted in full before its pointer is
 // published, so a reachable blob is always complete. A blob is either a
 // heap block of its own (WriteBlob: schemas, main dictionaries) or lies
-// inside an index node in an arena (HashList.KeyRef: delta
-// dictionaries); readers cannot tell and need not.
+// inside a record in an arena (HashDict.KeyRef: delta dictionaries);
+// readers cannot tell and need not.
 //
 // Layout: length uint32 | bytes.
 
@@ -24,13 +24,6 @@ func WriteBlob(h *nvm.Heap, b []byte) (nvm.PPtr, error) {
 	copy(h.Bytes(p.Add(4), uint64(len(b))), b)
 	h.Persist(p, 4+uint64(len(b)))
 	return p, nil
-}
-
-// putBlob writes b as a blob at p without a barrier; the caller flushes
-// it with whatever it is part of.
-func putBlob(h *nvm.Heap, p nvm.PPtr, b []byte) {
-	h.PutU32(p, uint32(len(b)))
-	copy(h.Bytes(p.Add(4), uint64(len(b))), b)
 }
 
 // ReadBlob returns the bytes of the blob at p, aliasing NVM (do not

@@ -1,10 +1,8 @@
 package pstruct
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"hyrisenv/internal/nvm"
 )
@@ -31,17 +29,20 @@ func (v *Vector) Check() error {
 	return v.checkSegs("vector", func(k int) bool { return k <= lastSeg })
 }
 
-// Check verifies the hash list's persistent invariants: a sound arena
-// and directory; the list acyclic, every node with its key inside the
-// arena below the cursor, its split-order key that of its key, in split
-// order, and its key unique; every finger naming a node on the list
-// below its bucket's start; and a key count no larger than the list.
-func (s *HashList) Check() error {
+// Check verifies the hash dictionary's persistent invariants: a sound
+// arena; a directory inside it whose entries each name a bucket inside
+// it; in every bucket a depth hint no deeper than a hash, empty slots
+// only after the last full one, and in every full slot a record inside
+// the arena whose key has the slot's hash; and no key in two live slots
+// of one bucket. The slots of different buckets are live for different
+// hashes, so no key is live twice. Nothing is walked that a damaged word
+// could make circular.
+func (s *HashDict) Check() error {
 	var errs []error
 	fail := func(format string, args ...any) {
-		errs = append(errs, fmt.Errorf("hash list %d: "+format, append([]any{s.root}, args...)...))
+		errs = append(errs, fmt.Errorf("hash dictionary %d: "+format, append([]any{s.root}, args...)...))
 	}
-	if err := s.h.CheckBlock(s.root, hlRootSize); err != nil {
+	if err := s.h.CheckBlock(s.root, hdRootSize); err != nil {
 		fail("root: %w", err)
 		return errors.Join(errs...)
 	}
@@ -49,83 +50,72 @@ func (s *HashList) Check() error {
 		fail("%w", err)
 		return errors.Join(errs...)
 	}
-	// The directory: segment 0 in the root, then a run of linked
-	// segments, each a piece of the arena, that makes the bucket count.
-	if seg := nvm.PPtr(s.h.U64(s.root.Add(hlRootOffSegs))); seg != s.root.Add(hlRootOffSeg0) {
-		fail("directory segment 0 at %d, not in the root", seg)
+	dw := s.dirWord()
+	if dw == 0 {
+		return nil
+	}
+	g, dir := dirOf(dw)
+	if g > hdMaxDirDepth {
+		fail("directory depth %d exceeds %d", g, hdMaxDirDepth)
 		return errors.Join(errs...)
 	}
-	sizeLog := uint64(hlBaseLog)
-	for j := 1; j < hlMaxSegs; j++ {
-		seg := nvm.PPtr(s.h.U64(s.root.Add(hlRootOffSegs + 8*uint64(j))))
-		switch {
-		case seg.IsNil():
-		case uint64(j) != sizeLog-hlBaseLog+1:
-			fail("directory segment %d is linked after a gap", j)
-		default:
-			if err := s.arena.Contains(seg, 8*hlSegLen(j)); err != nil {
-				fail("directory segment %d: %w", j, err)
-			}
-			sizeLog++
-		}
-	}
-	if len(errs) > 0 {
+	if dir%8 != 0 {
+		fail("directory at %d is not word-aligned", dir)
 		return errors.Join(errs...)
 	}
-
-	// The list: the durable ground truth. Keys with one split-order key
-	// (equal hashes) are a run; a key is unique if it is unique in its run.
-	so := make(map[nvm.PPtr]uint64)
-	var prev uint64
-	var run [][]byte
-	for cur := s.next(s.head); !cur.IsNil(); cur = s.next(cur) {
-		if _, ok := so[cur]; ok {
-			fail("the list contains a cycle at node %d", cur)
-			return errors.Join(errs...)
-		}
-		if err := s.arena.Contains(cur, hlNodeHdr); err != nil {
-			fail("node %d: %w", cur, err)
-			return errors.Join(errs...) // cannot trust its link
-		}
-		if err := s.arena.Contains(cur, hlNodeSize(int(BlobLen(s.h, cur.Add(hlOffKey))))); err != nil {
-			fail("node %d: %w", cur, err)
-			return errors.Join(errs...)
-		}
-		key := ReadBlob(s.h, cur.Add(hlOffKey))
-		k := s.h.GetU64(cur.Add(hlOffSO))
-		so[cur] = k
-		if want := bits.Reverse64(hashKey(key)); k != want {
-			fail("node %d holds split-order key %#x, its key %q has %#x", cur, k, key, want)
-		}
-		if len(so) > 1 && k < prev {
-			fail("node %d out of split order: %#x after %#x", cur, k, prev)
-		}
-		if len(so) == 1 || k != prev {
-			run = run[:0]
-		}
-		for _, other := range run {
-			if bytes.Equal(other, key) {
-				fail("node %d repeats key %q", cur, key)
-			}
-		}
-		run = append(run, key)
-		prev = k
+	if err := s.arena.Contains(dir, 4<<g); err != nil {
+		fail("directory: %w", err)
+		return errors.Join(errs...)
 	}
-	if n := s.h.U64(s.root.Add(hlRootOffCount)); n > uint64(len(so)) {
-		fail("key count %d exceeds the %d keys on the list", n, len(so))
-	}
-	// The fingers: accelerators, each naming the head or a node on the
-	// list before its bucket's run.
-	for b := uint64(1); b < 1<<sizeLog; b++ {
-		f := nvm.PPtr(s.h.U64(s.fingerSlot(b)))
-		if f.IsNil() || f == s.head {
+	checked := make(map[uint32]bool)
+	for j := uint64(0); j < 1<<g; j++ {
+		e := s.h.U32(dir.Add(4 * j))
+		if checked[e] {
 			continue
 		}
-		k, ok := so[f]
-		if !ok {
-			fail("finger of bucket %d names %d, which is not on the list", b, f)
-		} else if start := bits.Reverse64(b); k >= start {
-			fail("finger of bucket %d names node %d at split-order key %#x, not below the bucket's start %#x", b, f, k, start)
+		checked[e] = true
+		b, err := s.arena.checkedAt(uint64(e)<<3, hdBucketSize)
+		if err != nil {
+			fail("directory entry %d: bucket: %w", j, err)
+			continue
+		}
+		if d := s.h.U64(b); d > 32 {
+			fail("bucket %d: depth hint %d", b, d)
+		}
+		var live [][]byte
+		empty := false
+		for i := uint64(1); i < hdWords; i++ {
+			w := s.h.U64(b.Add(8 * i))
+			if w == 0 {
+				empty = true
+				continue
+			}
+			if empty {
+				fail("bucket %d: slot %d is full after an empty one", b, i)
+			}
+			rec, err := s.arena.checkedAt(uint64(uint32(w))<<3, hdRecHdr)
+			if err == nil {
+				rec, err = s.arena.checkedAt(uint64(uint32(w))<<3, hdRecSize(int(BlobLen(s.h, rec.Add(4)))))
+			}
+			if err != nil {
+				fail("bucket %d: slot %d: record: %w", b, i, err)
+				continue
+			}
+			key := ReadBlob(s.h, rec.Add(4))
+			x := hashKey(key)
+			if x != uint32(w>>32) {
+				fail("bucket %d: slot %d holds hash %#x, its key %q has %#x", b, i, w>>32, key, x)
+				continue
+			}
+			if s.h.U32(entry(dw, x)) != e {
+				continue // dead: a split moved it
+			}
+			for _, other := range live {
+				if string(other) == string(key) {
+					fail("bucket %d: key %q is in two live slots", b, key)
+				}
+			}
+			live = append(live, key)
 		}
 	}
 	return errors.Join(errs...)

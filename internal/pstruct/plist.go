@@ -1,6 +1,8 @@
 package pstruct
 
 import (
+	"fmt"
+
 	"hyrisenv/internal/nvm"
 )
 
@@ -46,21 +48,31 @@ func ListStage(a *Arena, val, head uint64) (nvm.PPtr, error) {
 	return node, nil
 }
 
-// ListScan calls fn for every value in the list whose head word is head,
-// most recently pushed first. fn returning false stops the scan.
-func ListScan(h *nvm.Heap, head uint64, fn func(val uint64) bool) {
-	for w := head; w != 0; {
+// ListScan calls fn for every value in the list whose head word is
+// head and whose nodes were bumped from the arena a, most recently pushed
+// first. fn returning false stops the scan. A list cannot have more
+// nodes than the arena holds, so a longer walk is a cycle a damaged link
+// made, and ends in an error wrapping nvm.ErrCorrupt.
+func ListScan(a *Arena, head uint64, fn func(val uint64) bool) error {
+	// The cursor word, not the writer's copy of it: readers run beside
+	// the writer.
+	h := a.h
+	for w, steps := head, h.U64(a.lenPtr())/plNodeLen; w != 0; steps-- {
 		if w&1 != 0 {
 			fn(w >> 1)
-			return
+			return nil
+		}
+		if steps == 0 {
+			return fmt.Errorf("posting list %d is longer than its arena holds: %w", head, nvm.ErrCorrupt)
 		}
 		if h.ReadLatencyEnabled() {
 			h.ChargeRead(plNodeLen)
 		}
 		node := nvm.PPtr(w)
 		if !fn(h.U64(node.Add(plOffVal))) {
-			return
+			return nil
 		}
 		w = h.U64(node.Add(plOffNext))
 	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package pstruct
 
 import (
+	"errors"
 	"slices"
 	"strings"
 	"testing"
@@ -25,7 +26,9 @@ func TestPostingList(t *testing.T) {
 	}
 	scan := func() []uint64 {
 		var rows []uint64
-		ListScan(h, heads.Get(0), func(v uint64) bool { rows = append(rows, v); return true })
+		if err := ListScan(a, heads.Get(0), func(v uint64) bool { rows = append(rows, v); return true }); err != nil {
+			t.Fatal(err)
+		}
 		return rows
 	}
 	if got := scan(); !slices.Equal(got, []uint64{5}) {
@@ -45,11 +48,11 @@ func TestPostingList(t *testing.T) {
 		t.Fatalf("rows = %v, want [13 9 5]", got)
 	}
 	var seen int
-	ListScan(h, heads.Get(0), func(uint64) bool { seen++; return false })
+	ListScan(a, heads.Get(0), func(uint64) bool { seen++; return false })
 	if seen != 1 {
 		t.Fatalf("scan did not stop: %d", seen)
 	}
-	ListScan(h, 0, func(uint64) bool { t.Fatal("the empty list yielded a value"); return true })
+	ListScan(a, 0, func(uint64) bool { t.Fatal("the empty list yielded a value"); return true })
 	if err := ListCheck(h, heads.Get(0), a.Contains); err != nil {
 		t.Fatal(err)
 	}
@@ -63,5 +66,11 @@ func TestPostingList(t *testing.T) {
 	h.SetU64(nvm.PPtr(head).Add(plOffNext), head)
 	if err := ListCheck(h, head, a.Contains); err == nil || !strings.Contains(err.Error(), "cycle") {
 		t.Fatalf("cyclic list: %v", err)
+	}
+	// The scan of the cyclic list stops at the arena's bound.
+	seen = 0
+	err := ListScan(a, head, func(uint64) bool { seen++; return true })
+	if !errors.Is(err, nvm.ErrCorrupt) || uint64(seen) != a.Used()/plNodeLen {
+		t.Fatalf("scan of a cyclic list: %d values, %v", seen, err)
 	}
 }

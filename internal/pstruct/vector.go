@@ -1,8 +1,9 @@
 // Package pstruct provides the persistent (NVM-resident) container types
 // the Hyrise-NV storage engine is built from: a segmented append-only
 // vector, an append arena over the same segment directory, length-prefixed
-// blobs, a bit-packed read-optimized vector, a split-ordered hash list
-// and persistent posting lists.
+// blobs, a bit-packed read-optimized vector, a one-block sorted
+// dictionary, an extendible hash of 256-byte buckets and persistent
+// posting lists.
 //
 // Every mutation is split in two halves, and neither half fences:
 //
@@ -10,15 +11,16 @@
 //     past a vector's published length, in arena space past every link —
 //     and flushes their lines;
 //   - the publish half is the one 8-byte store that makes them reachable
-//     (a vector's length word, a hash list's link, a posting-list
-//     head in a vector element) plus the flush of that word.
+//     (a vector's length word, a hash bucket's slot, a posting-list
+//     head in a vector element) plus the flush of that word; a bucket
+//     split publishes a run of directory entries instead.
 //
 // The caller fences between the two, so that what a publish word names is
 // durable before the word can be, and once after, so that the publication
 // is durable when it returns. A caller that stages several structures —
 // a table row spans columns, dictionaries, posting lists and MVCC vectors
 // — pays those two fences once for all of them (storage.Table.AppendRow).
-// The standalone Vector.Append and HashList.Insert are that same
+// The standalone Vector.Append and HashDict.Insert are that same
 // composition over one structure: stage, fence, publish, fence.
 //
 // A crash before the first fence leaves staged bytes that nothing names; a
@@ -133,8 +135,15 @@ func (v *Vector) Publish() {
 		v.h.Flush(v.lenPtr(), 8)
 	}
 	if v.set.ok {
+		// The store is written out here, not through writeElem, whose
+		// pointer also takes what putElems is handed: the analyzers
+		// would see this flush miss part of what the store wrote.
 		p := v.elemPtr(v.set.i)
-		v.writeElem(p, v.set.val)
+		if v.elemSize == 8 {
+			v.h.SetU64(p, v.set.val)
+		} else {
+			v.h.PutU32(p, uint32(v.set.val))
+		}
 		v.h.Flush(p, v.elemSize)
 		v.set.ok = false
 	}

@@ -496,6 +496,7 @@ func (e *Engine) NVMStats() nvm.Stats {
 		total.Frees += s.Frees
 		total.Grows += s.Grows
 		total.BytesUsed += s.BytesUsed
+		total.ReadLines += s.ReadLines
 	}
 	return total
 }

@@ -749,9 +749,9 @@ func TestFleetOfOne(t *testing.T) {
 // (Allocs, Frees and Drains once were) reads zero to every consumer.
 func TestNVMStatsSumsEveryField(t *testing.T) {
 	// Heaps that start too small for one table, so that every shard
-	// also grows.
+	// also grows, and a read latency, so that reads are charged.
 	e, err := Open(Config{
-		Config: core.Config{Mode: txn.ModeNVM, Dir: t.TempDir(), NVMHeapSize: 16 << 10, NVMHeapMaxSize: 8 << 20},
+		Config: core.Config{Mode: txn.ModeNVM, Dir: t.TempDir(), NVMHeapSize: 16 << 10, NVMHeapMaxSize: 8 << 20, NVMLatency: nvm.LatencyModel{ReadNS: 1}},
 		Shards: 2,
 	})
 	if err != nil {

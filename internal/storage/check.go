@@ -109,7 +109,7 @@ func (t *Table) Check() (CheckReport, error) {
 				key = v.ps.delta[c].DictKey(v.ps.delta[c].ValueID(row - mr))
 			}
 			found := false
-			v.LookupRows(c, key, func(r uint64) bool {
+			_, err := v.LookupRows(c, key, func(r uint64) bool {
 				rep.IndexEntries++
 				if r == row {
 					found = true
@@ -117,7 +117,9 @@ func (t *Table) Check() (CheckReport, error) {
 				}
 				return true
 			})
-			if !found {
+			if err != nil {
+				checkErr = fmt.Errorf("storage: column %d: %w", c, err)
+			} else if !found {
 				checkErr = fmt.Errorf("storage: column %d index misses visible row %d", c, row)
 			}
 		}

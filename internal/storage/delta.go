@@ -12,7 +12,7 @@ import (
 // DeltaColumn is the write-optimized column format: an append-only
 // attribute vector of value IDs over an unsorted, append-only dictionary.
 // New values get the next dictionary ID; the dictionary is indexed for
-// value→ID lookups by a hash list on the table's heap, so on NVM it is
+// value→ID lookups by a hash dictionary on the table's heap, so on NVM it is
 // valid immediately after restart. A scan resolves
 // an equality to the one value ID the index returns, and compares ranges
 // on KeyWords, a volatile word per dictionary ID that it builds on
@@ -53,8 +53,10 @@ type DeltaColumn interface {
 	// Postings calls fn for the rows of dictionary id, on an indexed
 	// column (on an unindexed one, for none). After a crash it may also
 	// name rows at or beyond Rows, rows that carry another ID since, and
-	// a row twice: callers filter them (View.LookupRows).
-	Postings(id uint64, fn func(row uint64) bool)
+	// a row twice: callers filter them (View.LookupRows). A list longer
+	// than its arena can hold is a cycle a damaged link made: the error
+	// wraps nvm.ErrCorrupt.
+	Postings(id uint64, fn func(row uint64) bool) error
 	// ScanIDs iterates (row, valueID) pairs.
 	ScanIDs(fn func(row, id uint64) bool)
 	// Truncate discards attribute-vector entries at index >= n. Used by
@@ -107,12 +109,12 @@ const (
 )
 
 // NVMDelta is the delta column of Hyrise-NV. The dictionary
-// index (a hash list) holds every value's key bytes inside its nodes;
+// index (a hash dictionary) holds every value's key bytes in its records;
 // the dictionary vector holds blob references to those keys, by value
 // ID; the attribute vector holds a value ID per row. An indexed column
 // also keeps a heads vector beside the dictionary vector: by value ID,
 // the head word of the posting list of the rows carrying it (see
-// pstruct.ListScan), whose nodes are bumped from the hash list's arena.
+// pstruct.ListScan), whose nodes are bumped from the dictionary's arena.
 // All of it lives on the table's heap, so on NVM the column is fully
 // usable immediately after Attach — no rebuild.
 type NVMDelta struct {
@@ -123,7 +125,7 @@ type NVMDelta struct {
 	// One writer at a time (the table's write lock): the structures hold
 	// staged state between the halves of an append. Readers are lock-free.
 	dictVec *pstruct.Vector
-	idx     *pstruct.HashList
+	idx     *pstruct.HashDict
 	av      *pstruct.Vector
 	heads   *pstruct.Vector // nil on an unindexed column
 
@@ -137,7 +139,7 @@ func NewNVMDelta(h *nvm.Heap, typ ColType, indexed bool) (*NVMDelta, error) {
 	if err != nil {
 		return nil, err
 	}
-	idx, err := pstruct.NewHashList(h)
+	idx, err := pstruct.NewHashDict(h)
 	if err != nil {
 		return nil, err
 	}
@@ -173,7 +175,7 @@ func AttachNVMDelta(h *nvm.Heap, root nvm.PPtr) *NVMDelta {
 		root:    root,
 		typ:     ColType(h.GetU64(root.Add(ndOffType))),
 		dictVec: pstruct.AttachVector(h, nvm.PPtr(h.GetU64(root.Add(ndOffDictVec)))),
-		idx:     pstruct.AttachHashList(h, nvm.PPtr(h.GetU64(root.Add(ndOffIdx)))),
+		idx:     pstruct.AttachHashDict(h, nvm.PPtr(h.GetU64(root.Add(ndOffIdx)))),
 		av:      pstruct.AttachVector(h, nvm.PPtr(h.GetU64(root.Add(ndOffAV)))),
 	}
 	if p := nvm.PPtr(h.GetU64(root.Add(ndOffHeads))); !p.IsNil() {
@@ -195,8 +197,8 @@ func (d *NVMDelta) Rows() uint64 { return d.av.Len() }
 
 // StageAppend is the stage half of Append (see package pstruct): it
 // writes v's value ID past the attribute vector's length and, for a value
-// the dictionary has not seen, an index node carrying the key and the
-// next value ID plus the dictionary slot that refers to the node's key.
+// the dictionary has not seen, an index record carrying the key and the
+// next value ID plus the dictionary slot that refers to the record's key.
 // An indexed column also stages the row's posting: for a new value, a
 // heads slot beside the dictionary slot that holds the row itself; for a
 // value seen before, a posting node in front of the value's list and an
@@ -204,14 +206,14 @@ func (d *NVMDelta) Rows() uint64 { return d.av.Len() }
 // caller fences in between.
 func (d *NVMDelta) StageAppend(v Value) (uint64, error) {
 	next := d.dictVec.Len()
-	node, existed, err := d.idx.StageInsert(v.EncodeKey(nil), next)
+	rec, existed, err := d.idx.StageInsert(v.EncodeKey(nil), next)
 	if err != nil {
 		return 0, err
 	}
 	id := next
 	if existed {
-		id = d.idx.Value(node)
-	} else if _, err := d.dictVec.StageAppend(uint64(d.idx.KeyRef(node))); err != nil {
+		id = d.idx.Value(rec)
+	} else if _, err := d.dictVec.StageAppend(uint64(d.idx.KeyRef(rec))); err != nil {
 		return 0, err
 	}
 	row, err := d.av.StageAppend(id)
@@ -235,13 +237,13 @@ func (d *NVMDelta) StageAppend(v Value) (uint64, error) {
 }
 
 // Publish is the publish half of Append, in the order readers need: the
-// dictionary and heads lengths before the index link that hands out
+// dictionary and heads lengths before the index slot that hands out
 // their last ID, and all three before the attribute-vector length that
 // lets a row use it. Durability has no such order — a crash between the
 // caller's fences may keep any of the publish words — so restart
 // reconciles them (repairTornAppend, alignAfterRestart).
 //
-//nvm:nopersist publish half: the lengths, the head and the link are flushed, not fenced; the caller's second fence covers them
+//nvm:nopersist publish half: the lengths, the head and the slot are flushed, not fenced; the caller's second fence covers them
 func (d *NVMDelta) Publish() {
 	d.dictVec.Publish()
 	if d.heads != nil {
@@ -250,10 +252,6 @@ func (d *NVMDelta) Publish() {
 	d.idx.Publish()
 	d.av.Publish()
 }
-
-// Settle finishes a published append after the caller's second fence
-// (see pstruct.HashList.Settle).
-func (d *NVMDelta) Settle() bool { return d.idx.Settle() }
 
 // Unstage forgets a staged append that will not be published.
 func (d *NVMDelta) Unstage() {
@@ -275,9 +273,6 @@ func (d *NVMDelta) Append(v Value) (uint64, error) {
 	d.h.Fence()
 	d.Publish()
 	d.h.Fence()
-	if d.Settle() {
-		d.h.Fence()
-	}
 	return id, nil
 }
 
@@ -287,12 +282,12 @@ func (d *NVMDelta) Append(v Value) (uint64, error) {
 // bulk. A key repeated in keys is refused.
 func (d *NVMDelta) load(keys [][]byte, ids []uint64) error {
 	for i, k := range keys {
-		node, existed, err := d.idx.StageInsert(k, uint64(i))
+		rec, existed, err := d.idx.StageInsert(k, uint64(i))
 		if err == nil && existed {
 			err = fmt.Errorf("delta column %d: checkpoint dictionary repeats key %q", d.root, k)
 		}
 		if err == nil {
-			_, err = d.dictVec.StageAppend(uint64(d.idx.KeyRef(node)))
+			_, err = d.dictVec.StageAppend(uint64(d.idx.KeyRef(rec)))
 		}
 		if err != nil {
 			d.Unstage()
@@ -302,9 +297,6 @@ func (d *NVMDelta) load(keys [][]byte, ids []uint64) error {
 		d.dictVec.Publish()
 		d.idx.Publish()
 		d.h.Fence()
-		if d.idx.Settle() {
-			d.h.Fence()
-		}
 	}
 	_, err := d.av.AppendN(ids)
 	return err
@@ -345,8 +337,8 @@ func (d *NVMDelta) indexRows() error {
 
 // repairTornAppend completes the dictionary half of an append a crash
 // cut between its two fences. The dictionary length, the heads length,
-// the index link and the attribute-vector length are published together,
-// so value ID n may already be handed out — by a durable index link, or
+// the index slot and the attribute-vector length are published together,
+// so value ID n may already be handed out — by a durable index slot, or
 // by the last attribute-vector entry — while the dictionary length is
 // still n. Either is proof that the first fence completed, which made the
 // slot the stage half wrote at n and the key it refers to durable: the
@@ -429,11 +421,14 @@ func (d *NVMDelta) LookupValueID(encKey []byte) (uint64, bool) {
 }
 
 // Postings implements DeltaColumn.
-func (d *NVMDelta) Postings(id uint64, fn func(row uint64) bool) {
+func (d *NVMDelta) Postings(id uint64, fn func(row uint64) bool) error {
 	if d.heads == nil || id >= d.heads.Len() {
-		return
+		return nil
 	}
-	pstruct.ListScan(d.h, d.heads.Get(id), fn)
+	if err := pstruct.ListScan(d.idx.Arena(), d.heads.Get(id), fn); err != nil {
+		return fmt.Errorf("delta column %d: value ID %d: %w", d.root, id, err)
+	}
+	return nil
 }
 
 // ScanIDs implements DeltaColumn.

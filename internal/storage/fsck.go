@@ -14,7 +14,7 @@ import (
 // logical consistency (row counts, dictionary order, stamp sanity,
 // visibility census, index agreement) through the normal read paths,
 // FsckNVM walks the *persistent representation* — root blocks, partition
-// set, every vector segment, dictionary blob, hash-list node, posting
+// set, every vector segment, dictionary blob, hash-dictionary bucket and record, posting
 // list and bit-packed payload — and verifies that each pointer lands on
 // a Reserved heap block of sufficient size and that each structure's
 // own invariants hold. Together with nvm.Heap.Fsck and

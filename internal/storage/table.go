@@ -504,14 +504,6 @@ func publishRow(ps *partitions, log RowLog) {
 	}
 }
 
-// settleRow finishes a published row after the second fence (see
-// pstruct.HashList.Settle); what it flushes rides the next fence.
-func settleRow(ps *partitions) {
-	for _, d := range ps.delta {
-		d.Settle()
-	}
-}
-
 // unstageRow forgets a row whose stage half failed. Nothing of it was
 // published, so there is nothing to cut back; what it wrote is
 // overwritten by the next row or stays behind as arena bytes nothing

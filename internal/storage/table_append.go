@@ -14,6 +14,5 @@ func (t *Table) appendRowNVM(ps *partitions, vals []Value, owner, row uint64, lo
 	t.h.Fence()
 	publishRow(ps, log)
 	t.h.Fence()
-	settleRow(ps)
 	return nil
 }

@@ -15,6 +15,5 @@ func (t *Table) appendRowNVM(ps *partitions, vals []Value, owner, row uint64, lo
 	publishRow(ps, log)
 	t.h.Fence()
 	t.h.Fence()
-	settleRow(ps)
 	return nil
 }

@@ -34,10 +34,10 @@ func (t *Table) Indexed(col int) bool { return t.indexMask&(1<<uint(col)) != 0 }
 // (a crash can leave benign stale postings, including one that collides
 // with a live posting when its rolled-back slot is reused under the same
 // key) but NOT visibility-checked — the caller applies MVCC. ok is false
-// when col is not indexed.
-func (v View) LookupRows(col int, encKey []byte, fn func(row uint64) bool) (ok bool) {
+// when col is not indexed; err reports a damaged posting list.
+func (v View) LookupRows(col int, encKey []byte, fn func(row uint64) bool) (ok bool, err error) {
 	if !v.t.Indexed(col) || v.ps.mainIdx[col] == nil {
-		return false
+		return false, nil
 	}
 	if id, found := v.ps.main[col].LookupValueID(encKey); found {
 		stop := false
@@ -49,7 +49,7 @@ func (v View) LookupRows(col int, encKey []byte, fn func(row uint64) bool) (ok b
 			return true
 		})
 		if stop {
-			return true
+			return true, nil
 		}
 	}
 	mr := v.ps.mainMVCC.Rows()
@@ -57,10 +57,10 @@ func (v View) LookupRows(col int, encKey []byte, fn func(row uint64) bool) (ok b
 	d := v.ps.delta[col]
 	id, found := d.LookupValueID(encKey)
 	if !found {
-		return true
+		return true, nil
 	}
 	var seen []uint64
-	d.Postings(id, func(local uint64) bool {
+	err = d.Postings(id, func(local uint64) bool {
 		if local >= dRows {
 			return true // torn append truncated away; stale posting
 		}
@@ -78,11 +78,11 @@ func (v View) LookupRows(col int, encKey []byte, fn func(row uint64) bool) (ok b
 		seen = append(seen, local)
 		return fn(mr + local)
 	})
-	return true
+	return true, err
 }
 
 // LookupRows is the single-call convenience over the current generation.
-func (t *Table) LookupRows(col int, encKey []byte, fn func(row uint64) bool) bool {
+func (t *Table) LookupRows(col int, encKey []byte, fn func(row uint64) bool) (bool, error) {
 	return t.View().LookupRows(col, encKey, fn)
 }
 

@@ -2,9 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/pstruct"
@@ -58,7 +60,7 @@ func TestTableLookupRowsDeltaOnly(t *testing.T) {
 				t.Fatalf("lookup of absent value: %v", got)
 			}
 			// Unindexed column reports !ok.
-			if ok := tbl.LookupRows(2, Float(0).EncodeKey(nil), func(uint64) bool { return true }); ok {
+			if ok, _ := tbl.LookupRows(2, Float(0).EncodeKey(nil), func(uint64) bool { return true }); ok {
 				t.Fatal("unindexed column lookup returned ok")
 			}
 		})
@@ -215,7 +217,7 @@ func TestRebuildIndexes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if loaded.LookupRows(0, Int(1).EncodeKey(nil), func(uint64) bool { return true }) {
+			if ok, _ := loaded.LookupRows(0, Int(1).EncodeKey(nil), func(uint64) bool { return true }); ok {
 				t.Fatal("a table read from a checkpoint answers from an index before the rebuild")
 			}
 			if err := loaded.RebuildIndexes(); err != nil {
@@ -407,5 +409,46 @@ func TestLookupRowsUnderAppends(t *testing.T) {
 		if got, want := len(lookupVisible(tbl, 0, Int(k), 2)), (rows+keys-1-int(k))/keys; got != want {
 			t.Fatalf("lookup(%d) found %d rows, want %d", k, got, want)
 		}
+	}
+}
+
+// TestPostingCycleIsAnError flips the next word of a posting node of an
+// indexed delta column so that the list runs in a cycle: a point read
+// through it ends, within its deadline, with an error that wraps
+// nvm.ErrCorrupt, instead of walking the cycle forever.
+func TestPostingCycleIsAnError(t *testing.T) {
+	h, _ := testNVMHeap(t)
+	tbl, err := CreateNVMTable(h, "orders", 1, ordersSchema(t), 0b001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := tbl.AppendRow([]Value{Int(7), Str("c"), Float(0)}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := Int(7).EncodeKey(nil)
+	d := tbl.parts.Load().delta[0]
+	id, ok := d.LookupValueID(key)
+	if !ok {
+		t.Fatal("key 7 is not in the dictionary")
+	}
+	head := nvm.PPtr(d.heads.Get(id))
+	if head%2 != 0 {
+		t.Fatalf("the posting list of 5 rows has no node: head word %#x", uint64(head))
+	}
+	h.SetU64(head.Add(8), uint64(head)) // the node's next: itself
+	done := make(chan error, 1)
+	go func() {
+		_, err := tbl.LookupRows(0, key, func(uint64) bool { return true })
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, nvm.ErrCorrupt) {
+			t.Fatalf("point read through a cyclic posting list: %v, want nvm.ErrCorrupt", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("point read through a cyclic posting list did not return")
 	}
 }
