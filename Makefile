@@ -93,7 +93,7 @@ benchmark-module:
 # Crash-point enumeration (see internal/crashtest). Pass 1 cuts power at
 # every persist barrier of every heap: the standard workload and eight
 # seeded generative workloads (random inserts, updates, deletes, aborts,
-# group commits, merges, scavenges and heap growth against an in-memory
+# group commits, merges and scavenges against an in-memory
 # model) in a fleet of one, and the cross-shard workload in a fleet of
 # two (both shard heaps and the coordinator's), under four crash
 # behaviors (pure loss + three tear seeds), fscking and verifying each

@@ -116,12 +116,10 @@ type Config struct {
 	// count is fixed at creation and recorded in the data directory.
 	Shards int
 	// NVMHeapSize sizes the simulated NVM device on first creation —
-	// per shard, when partitioned (NVM mode; default 1 GiB).
+	// per shard, when partitioned (NVM mode; default 1 GiB). A heap
+	// keeps its size for life; its file is sparse, so it costs disk and
+	// memory only for the pages written.
 	NVMHeapSize uint64
-	// NVMHeapMaxSize, when non-zero, lets each heap grow online past
-	// NVMHeapSize up to this bound, doubling geometrically per remap
-	// (NVM mode). Zero keeps heaps fixed-size.
-	NVMHeapMaxSize uint64
 	// NVMLatency injects emulated NVM write/fence/read latencies.
 	NVMLatency NVMLatency
 	// DiskModel shapes the log device; disk.SSD2016 approximates the
@@ -150,7 +148,6 @@ func (cfg Config) shardConfig() shard.Config {
 			Mode:                cfg.Mode,
 			Dir:                 cfg.Dir,
 			NVMHeapSize:         cfg.NVMHeapSize,
-			NVMHeapMaxSize:      cfg.NVMHeapMaxSize,
 			NVMLatency:          cfg.NVMLatency,
 			DiskModel:           cfg.DiskModel,
 			MergeThresholdRows:  cfg.MergeThresholdRows,

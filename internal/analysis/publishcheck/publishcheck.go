@@ -349,9 +349,10 @@ type event struct {
 	what string
 	objs []*ptr.Obj
 	// all marks an evPublish of every object with a pending write.
-	all bool
-	sum *osum // evCall
-	pos token.Pos
+	all   bool
+	sum   *osum        // evCall
+	bound map[int]bool // evCall: the externs its arguments and receiver point to
+	pos   token.Pos
 }
 
 // osum is the per-object durability summary of one function.
@@ -361,6 +362,7 @@ type osum struct {
 	persists  map[int]bool // persisted on every path
 	fences    bool         // fences on every path
 	publishes map[int]bool // objects (transitively) published by the function
+	seeds     map[int]bool // externs its parameters and receiver are seeded with
 }
 
 func newOsum() *osum {
@@ -479,7 +481,7 @@ func eventsOf(pass *analysis.Pass, g *ptr.Graph, call *ast.CallExpr, sums map[*t
 	var evs []event
 	for _, callee := range g.Callees(call) {
 		if s, ok := sums[callee]; ok {
-			evs = append(evs, event{kind: evCall, what: "call of " + callee.Name(), sum: s, pos: call.Pos()})
+			evs = append(evs, event{kind: evCall, what: "call of " + callee.Name(), sum: s, bound: boundExterns(g, call, recvExpr()), pos: call.Pos()})
 		}
 	}
 	if len(evs) > 0 {
@@ -502,6 +504,20 @@ func eventsOf(pass *analysis.Pass, g *ptr.Graph, call *ast.CallExpr, sums map[*t
 		}
 	}
 	return nil
+}
+
+// boundExterns returns the externs a call's arguments and receiver
+// point to.
+func boundExterns(g *ptr.Graph, call *ast.CallExpr, recv ast.Expr) map[int]bool {
+	bound := map[int]bool{}
+	for _, e := range append([]ast.Expr{recv}, call.Args...) {
+		for _, o := range g.PointsTo(e) {
+			if o.Kind == ptr.Extern {
+				bound[o.ID] = true
+			}
+		}
+	}
+	return bound
 }
 
 func anyPublished(objs []*ptr.Obj) bool {
@@ -545,8 +561,9 @@ func nvmOnly(objs []*ptr.Obj) []*ptr.Obj {
 // apply folds one event into the fact. Publications only mutate state
 // here; reporting happens in the dedicated pass that re-walks the facts.
 // imp is the calling function's importable-extern set: pending writes a
-// callee summary carries on extern objects outside it are dropped (see
-// funcInfo.imp).
+// callee summary carries on extern objects outside it are dropped, and
+// so are those on the callee's parameter seeds that the call site's
+// arguments do not point to (see funcInfo.imp).
 func apply(g *ptr.Graph, imp map[int]bool, f *ofact, ev event) *ofact {
 	out := f.clone()
 	switch ev.kind {
@@ -621,7 +638,7 @@ func apply(g *ptr.Graph, imp map[int]bool, f *ofact, ev event) *ofact {
 		}
 		importable := func(id int) bool {
 			o := objOf(g, id)
-			return o == nil || o.Kind != ptr.Extern || imp[id]
+			return o == nil || o.Kind != ptr.Extern || imp[id] && (!s.seeds[id] || ev.bound[id])
 		}
 		for id := range s.dirty {
 			if !importable(id) {
@@ -659,7 +676,16 @@ type funcInfo struct {
 	// residue it could never discharge — importing it only manufactures
 	// false positives at the caller's returns. Site-specific objects
 	// (blocks, composites) always import.
-	imp map[int]bool
+	//
+	// An extern the callee's own parameters are seeded with imports only
+	// where the call site's arguments or receiver point to it. Externs
+	// are shared per type, so the nvm.PPtr extern seeds every PPtr
+	// parameter and is reachable from nearly every receiver: without
+	// this rule a helper that writes through a PPtr parameter charges
+	// every caller with that extern, although the caller wrote through,
+	// and flushed, an address of its own.
+	imp   map[int]bool
+	seeds map[int]bool // osum.seeds
 }
 
 func run(pass *analysis.Pass) error {
@@ -670,7 +696,7 @@ func run(pass *analysis.Pass) error {
 	fns := summary.Functions(pass)
 	infos := map[*types.Func]*funcInfo{}
 	for obj, fd := range fns {
-		info := &funcInfo{decl: fd, graph: cfg.New(fd.Body), imp: map[int]bool{}}
+		info := &funcInfo{decl: fd, graph: cfg.New(fd.Body), imp: map[int]bool{}, seeds: map[int]bool{}}
 		sig := obj.Type().(*types.Signature)
 		var seeds []*ptr.Obj
 		if r := sig.Recv(); r != nil {
@@ -678,6 +704,11 @@ func run(pass *analysis.Pass) error {
 		}
 		for i := 0; i < sig.Params().Len(); i++ {
 			seeds = append(seeds, g.PointsToObj(sig.Params().At(i))...)
+		}
+		for _, o := range seeds {
+			if o.Kind == ptr.Extern {
+				info.seeds[o.ID] = true
+			}
 		}
 		for _, o := range g.Reachable(seeds) {
 			info.imp[o.ID] = true
@@ -785,6 +816,7 @@ func forEachReturn(pass *analysis.Pass, g *ptr.Graph, info *funcInfo, sums map[*
 func summarize(pass *analysis.Pass, g *ptr.Graph, info *funcInfo, sums map[*types.Func]*osum) *osum {
 	res := analyze(pass, g, info, sums)
 	s := newOsum()
+	s.seeds = info.seeds
 	s.fences = true
 	first := true
 	returns := 0

@@ -6,6 +6,7 @@ package persist
 
 import (
 	"errors"
+	"sync/atomic"
 
 	"fix/nvm"
 )
@@ -420,3 +421,48 @@ func buildRec(h *nvm.Heap, v uint64) (*Rec, error) {
 	h.Persist(root, 16)
 	return &Rec{h: h, root: root}, nil
 }
+
+// elems stores every element through writeElem, which writes through a
+// PPtr parameter. putElem hands it its own parameter, so writeElem's
+// summary also carries the type-shared PPtr extern that parameter is
+// seeded with; SetElem hands it an element address and persists that,
+// so it must not be charged with the extern.
+type elems struct {
+	h   *nvm.Heap
+	len nvm.PPtr
+	seg atomic.Uint64
+}
+
+func (e *elems) Grow() error {
+	p, err := e.h.Alloc(64)
+	if err != nil {
+		return err
+	}
+	e.h.Persist(p, 64)
+	e.seg.Store(uint64(p))
+	return nil
+}
+
+func (e *elems) elem(i uint64) nvm.PPtr { return nvm.PPtr(e.seg.Load()).Add(8 * i) }
+
+func (e *elems) writeElem(p nvm.PPtr, val uint64) { e.h.SetU64(p, val) }
+
+func (e *elems) putElem(p nvm.PPtr, val uint64) {
+	e.writeElem(p, val)
+	e.h.Persist(p, 8)
+}
+
+func (e *elems) Append(val uint64) { e.putElem(e.elem(0), val) }
+
+func (e *elems) SetElem(i, val uint64) {
+	p := e.elem(i)
+	e.writeElem(p, val)
+	e.h.Persist(p, 8)
+}
+
+// SetElemMissed persists the length word, not the element the helper
+// wrote.
+func (e *elems) SetElemMissed(i, val uint64) {
+	e.writeElem(e.elem(i), val)
+	e.h.Persist(e.len, 8)
+} // want `function SetElemMissed returns with unpersisted write to .* \(call of writeElem at .*\)`

@@ -47,13 +47,10 @@ type Config struct {
 	// Unused in ModeNone.
 	Dir string
 	// NVMHeapSize is the size of the simulated NVM device created on
-	// first open (ModeNVM). Default 1 GiB.
+	// first open (ModeNVM). Default 1 GiB. The heap keeps it for life:
+	// exhaustion surfaces as out-of-space. The file is sparse, so the
+	// heap costs disk and memory only for the pages written.
 	NVMHeapSize uint64
-	// NVMHeapMaxSize, when non-zero, lets the heap grow online past
-	// NVMHeapSize up to this bound, doubling geometrically per remap
-	// (ModeNVM). Zero keeps the heap fixed-size: exhaustion surfaces as
-	// out-of-space instead of growth.
-	NVMHeapMaxSize uint64
 	// NVMLatency injects emulated NVM latencies (ModeNVM).
 	NVMLatency nvm.LatencyModel
 	// NVMShadow enables the pessimistic crash model on the heap
@@ -217,9 +214,6 @@ func (e *Engine) openNVM() error {
 	opts := []nvm.Option{nvm.WithLatency(e.cfg.NVMLatency)}
 	if e.cfg.NVMShadow {
 		opts = append(opts, nvm.WithShadow())
-	}
-	if e.cfg.NVMHeapMaxSize > e.cfg.NVMHeapSize {
-		opts = append(opts, nvm.WithGrowLimit(e.cfg.NVMHeapMaxSize))
 	}
 	h, err := nvm.Open(path, opts...)
 	if errors.Is(err, fs.ErrNotExist) {

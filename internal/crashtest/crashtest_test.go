@@ -11,28 +11,20 @@ import (
 )
 
 // sweepConfig builds the matrix configuration for a fleet of the given
-// size: bounded per heap by default so `go test ./...` stays fast,
-// exhaustive (every barrier, four tear behaviors) with
-// CRASHMATRIX_FULL=1, and keeping the per-point directories under a
-// subdirectory named after the test when CRASHMATRIX_KEEP names a
-// parent directory.
-func sweepConfig(t *testing.T, shards, maxBarriers int) Config {
+// size: every barrier under four tear behaviors. When CRASHMATRIX_KEEP
+// names a parent directory, it keeps the per-point databases under a
+// subdirectory named after the test instead, for an external fsck, and
+// bounds the sweep to keepBarriers per heap under two behaviors, so
+// that it leaves dozens of databases on disk rather than thousands.
+func sweepConfig(t *testing.T, shards, keepBarriers int) Config {
 	t.Helper()
-	cfg := Config{Shards: shards, Shadow: true}
-	if os.Getenv("CRASHMATRIX_FULL") != "" {
-		cfg.TearSeeds = []int64{0, 1, 2, 3}
-	} else {
-		cfg.MaxBarriers = maxBarriers
-		cfg.TearSeeds = []int64{0, 0x5eed}
-	}
+	cfg := Config{Shards: shards, Shadow: true, TearSeeds: []int64{0, 1, 2, 3}}
 	if keep := os.Getenv("CRASHMATRIX_KEEP"); keep != "" {
 		cfg.Dir = filepath.Join(keep, t.Name())
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
-		cfg.Keep = true
-	} else {
-		cfg.Dir = t.TempDir()
+		cfg.Keep, cfg.MaxBarriers, cfg.TearSeeds = true, keepBarriers, []int64{0, 0x5eed}
 	}
 	return cfg
 }
@@ -47,11 +39,10 @@ func reportFailures(t *testing.T, res *Result) {
 }
 
 // TestCrashMatrix is the headline robustness test: the standard workload
-// is crashed at (a sample of, or with CRASHMATRIX_FULL=1 every one of)
-// its persist barriers under the pessimistic shadow model, with pure-loss
-// and tearing crash behaviors, and every resulting heap must recover,
-// pass the full fsck and agree with the application's crash-time
-// knowledge.
+// is crashed at every one of its persist barriers under the pessimistic
+// shadow model, with pure-loss and three tearing crash behaviors, and
+// every resulting heap must recover, pass the full fsck and agree with
+// the application's crash-time knowledge.
 func TestCrashMatrix(t *testing.T) {
 	res, err := Run(sweepConfig(t, 1, 24))
 	if err != nil {
@@ -61,23 +52,21 @@ func TestCrashMatrix(t *testing.T) {
 }
 
 // TestCrashMatrixGenerative sweeps seeded random workloads (see
-// Generative) the way TestCrashMatrix sweeps the fixed one: a few seeds
-// at sampled barriers by default, more seeds at every barrier under four
-// tear behaviors with CRASHMATRIX_FULL=1. The heap starts at 128 KiB,
-// less than the tables take, so every run also grows it online — while
-// creating them, and the longer ones again in the middle of their
-// transactions.
+// Generative) the way TestCrashMatrix sweeps the fixed one: three seeds
+// at 48 sampled barriers under pure loss and one tear by default, eight
+// longer seeds at every barrier under four tear behaviors with
+// CRASHMATRIX_FULL=1.
 func TestCrashMatrixGenerative(t *testing.T) {
 	seeds, steps := []int64{1, 2, 3}, 60
-	if os.Getenv("CRASHMATRIX_FULL") != "" {
+	full := os.Getenv("CRASHMATRIX_FULL") != ""
+	if full {
 		seeds, steps = []int64{1, 2, 3, 4, 5, 6, 7, 8}, 90
 	}
 	for _, seed := range seeds {
-		cfg := sweepConfig(t, 1, 48)
-		cfg.Dir = t.TempDir()
-		cfg.Keep = false
-		cfg.HeapSize, cfg.HeapMaxSize = 128<<10, 64<<20
-		cfg.Workload = Generative(seed, steps)
+		cfg := Config{Shadow: true, TearSeeds: []int64{0, 1, 2, 3}, Workload: Generative(seed, steps)}
+		if !full {
+			cfg.MaxBarriers, cfg.TearSeeds = 48, []int64{0, 0x5eed}
+		}
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -87,7 +76,7 @@ func TestCrashMatrixGenerative(t *testing.T) {
 	}
 }
 
-// TestCrashMatrix2PC sweeps the persist barriers of every heap of a
+// TestCrashMatrix2PC sweeps every persist barrier of every heap of a
 // 2-shard database — both shards and the coordinator — through the
 // cross-shard workload: each point cuts power machine-wide at one
 // barrier of one heap, and after recovery every acknowledged cross-shard
@@ -108,7 +97,7 @@ func TestGroupCommitNeedsFleetOfOne(t *testing.T) {
 	for name, w := range map[string]func(*shard.Engine, *Recorder) error{
 		"standard": Workload, "generative": Generative(1, 60),
 	} {
-		if _, err := Run(Config{Dir: t.TempDir(), Shards: 2, Workload: w}); err == nil || !strings.Contains(err.Error(), "fleet of one") {
+		if _, err := Run(Config{Shards: 2, Workload: w}); err == nil || !strings.Contains(err.Error(), "fleet of one") {
 			t.Errorf("%s workload in a fleet of two: err = %v, want a refused group commit", name, err)
 		}
 	}
@@ -145,7 +134,6 @@ func TestBrokenProtocolCaughtOnlyByShadow(t *testing.T) {
 	defer pstruct.SetBrokenSkipElemPersist(false)
 
 	optimistic, err := Run(Config{
-		Dir:      t.TempDir(),
 		Shadow:   false,
 		Workload: smallWorkload,
 	})
@@ -158,7 +146,6 @@ func TestBrokenProtocolCaughtOnlyByShadow(t *testing.T) {
 	}
 
 	shadow, err := Run(Config{
-		Dir:      t.TempDir(),
 		Shadow:   true,
 		Workload: smallWorkload,
 	})

@@ -19,12 +19,12 @@ import (
 // draws a sequence of operations from a seed — inserts of fresh and
 // repeated values in every column type, updates, deletes, aborts,
 // transactions that span tables, two transactions open at once, group
-// commits, merges and scavenges, on a heap small enough that it also
-// grows online — and keeps a model of what the database must hold: a
-// plain map per table, copied at Begin for snapshot isolation. While it
-// runs, reads are checked against the model; after a power cut the
-// recovered database must equal the model as of the last acknowledged
-// commit, or that plus the whole of the commit that was in flight.
+// commits, merges and scavenges — and keeps a model of what the
+// database must hold: a plain map per table, copied at Begin for
+// snapshot isolation. While it runs, reads are checked against the
+// model; after a power cut the recovered database must equal the model
+// as of the last acknowledged commit, or that plus the whole of the
+// commit that was in flight.
 
 // version is one row version of the model. Column 0 of every table is
 // its key; ver tells two versions of one key apart.

@@ -20,8 +20,11 @@ import (
 // sweeping the shard heaps covers every single-heap protocol plus
 // prepare and commit-prepared.
 type Config struct {
-	// Dir is the parent directory; every crash point gets its own
-	// subdirectory (and database) under it.
+	// Dir is the parent directory of the kept points (Keep): every crash
+	// point gets its own subdirectory (and database) under it. Without
+	// Keep the sweep runs in a directory of its own on tmpfs
+	// (nvm.VolatileDir), where creating, mapping and removing a heap per
+	// point costs no disk I/O, and removes it when done.
 	Dir string
 	// Shards is the partition count of every point's database
 	// (default 1).
@@ -29,10 +32,6 @@ type Config struct {
 	// HeapSize is the NVM heap size per shard (default 64 MiB for a
 	// fleet of one, 16 MiB per shard for a fleet of more).
 	HeapSize uint64
-	// HeapMaxSize, when non-zero, lets each shard's heap grow online from
-	// HeapSize up to this bound, so that a workload that outgrows a small
-	// HeapSize sweeps the growth barriers too.
-	HeapMaxSize uint64
 	// Shadow selects the pessimistic crash model. With it off the sweep
 	// runs under the optimistic model — useful only as a baseline to
 	// demonstrate what optimism cannot catch.
@@ -47,8 +46,8 @@ type Config struct {
 	// included — at 8-byte granularity deterministically. Default {0}.
 	TearSeeds []int64
 	// Keep leaves each point's directory (with its post-crash, recovered
-	// database) on disk instead of deleting it, so external tools — e.g.
-	// `hyrise-nv fsck` — can be pointed at the survivors.
+	// database) under Dir instead of deleting it, so external tools —
+	// e.g. `hyrise-nv fsck` — can be pointed at the survivors.
 	Keep bool
 	// FailFast stops the sweep at the first failing point.
 	FailFast bool
@@ -98,11 +97,10 @@ func (r *Result) failf(format string, args ...any) {
 func (c Config) open(dir string, shadow bool) (*shard.Engine, error) {
 	return shard.Open(shard.Config{
 		Config: core.Config{
-			Mode:           txn.ModeNVM,
-			Dir:            dir,
-			NVMHeapSize:    c.HeapSize,
-			NVMHeapMaxSize: c.HeapMaxSize,
-			NVMShadow:      shadow,
+			Mode:        txn.ModeNVM,
+			Dir:         dir,
+			NVMHeapSize: c.HeapSize,
+			NVMShadow:   shadow,
 		},
 		Shards: c.Shards,
 	})
@@ -156,15 +154,23 @@ func (c Config) countBarriers(dir string) ([]int64, error) {
 // run; protocol violations are reported in Result.Failures.
 func Run(cfg Config) (*Result, error) {
 	cfg.defaults()
-	if cfg.Dir == "" {
-		return nil, errors.New("crashtest: Config.Dir is required")
+	root := cfg.Dir
+	if !cfg.Keep {
+		tmp, err := os.MkdirTemp(nvm.VolatileDir(), "crashtest-*")
+		if err != nil {
+			return nil, fmt.Errorf("crashtest: %w", err)
+		}
+		defer os.RemoveAll(tmp)
+		root = tmp
+	} else if root == "" {
+		return nil, errors.New("crashtest: Config.Keep requires Config.Dir")
 	}
-	counts, err := cfg.countBarriers(filepath.Join(cfg.Dir, "count"))
+	counts, err := cfg.countBarriers(filepath.Join(root, "count"))
 	if err != nil {
 		return nil, fmt.Errorf("crashtest: counting pass: %w", err)
 	}
 	if !cfg.Keep {
-		os.RemoveAll(filepath.Join(cfg.Dir, "count"))
+		os.RemoveAll(filepath.Join(root, "count"))
 	}
 	res := &Result{}
 	for _, n := range counts {
@@ -186,7 +192,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		for _, b := range barriers {
 			for _, seed := range cfg.TearSeeds {
-				dir := filepath.Join(cfg.Dir, fmt.Sprintf("%s_b%05d_s%d", name, b, seed))
+				dir := filepath.Join(root, fmt.Sprintf("%s_b%05d_s%d", name, b, seed))
 				fail := runPoint(cfg, dir, hi, b, seed)
 				res.Points++
 				if fail != "" {

@@ -58,7 +58,7 @@ func TestCrashMatrixSeeded(t *testing.T) {
 	if seededPkg == "./internal/shard" {
 		shards = 2
 	}
-	dyn, err := Run(Config{Dir: t.TempDir(), Shards: shards, Shadow: true, MaxBarriers: 200, TearSeeds: []int64{0, 1, 2, 3}})
+	dyn, err := Run(Config{Shards: shards, Shadow: true, MaxBarriers: 200, TearSeeds: []int64{0, 1, 2, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,8 @@ func (r *FsckReport) issuef(format string, args ...any) {
 // Fsck walks the whole heap and verifies every allocator invariant the
 // persistence protocol promises to preserve across any crash point:
 //
-//   - header sanity: magic, version, recorded size, arena watermark in
-//     bounds, epoch monotonicity;
+//   - header sanity: the checks Open makes (checkHeader) and a non-zero
+//     epoch;
 //   - root directory: every named root points into the allocated arena;
 //   - arena walk: back-to-back blocks with valid size tags and states,
 //     none overrunning the watermark (the same walk Scavenge performs);
@@ -57,25 +57,14 @@ func (r *FsckReport) issuef(format string, args ...any) {
 func (h *Heap) Fsck(reachable func(yield func(PPtr))) *FsckReport {
 	r := &FsckReport{StrandedReserved: -1}
 
-	if got := h.u64(hdrMagic); got != magic {
-		r.issuef("header: bad magic %#x", got)
-		return r // nothing else is trustworthy
-	}
-	if got := h.u64(hdrVersion); got != formatVersion {
-		r.issuef("header: format version %d, want %d", got, formatVersion)
-		return r
-	}
-	if got := h.u64(hdrSize); got != h.Size() {
-		r.issuef("header: recorded size %d != mapped size %d", got, h.Size())
+	if err := h.checkHeader(); err != nil {
+		r.issuef("header: %v", err)
+		return r // the arena walk would be unbounded
 	}
 	if h.u64(hdrEpoch) == 0 {
 		r.issuef("header: restart epoch is zero")
 	}
 	next := h.u64(hdrArenaNext)
-	if next < arenaStart || next > h.Size() {
-		r.issuef("header: arena watermark %d outside [%d, %d]", next, arenaStart, h.Size())
-		return r // the arena walk would be unbounded
-	}
 	r.ArenaBytes = next - arenaStart
 
 	// Arena walk: every byte in [arenaStart, next) belongs to exactly one
@@ -210,6 +199,41 @@ func (h *Heap) Fsck(reachable func(yield func(PPtr))) *FsckReport {
 		}
 	}
 	return r
+}
+
+// checkHeader verifies the words Open and every later walk trust: magic
+// and version, the recorded size against the file's, the watermark in
+// [arenaStart, size], and each free-list head and root-slot pointer nil
+// or block-aligned in [arenaStart, watermark). It reads the first two
+// pages alone. A damaged word is an error wrapping ErrCorrupt.
+func (h *Heap) checkHeader() error {
+	if h.u64(hdrMagic) != magic {
+		return ErrBadMagic
+	}
+	if h.u64(hdrVersion) != formatVersion {
+		return ErrBadVersion
+	}
+	size := h.Size()
+	if got := h.u64(hdrSize); got != size {
+		return fmt.Errorf("%w: recorded size %d != file size %d", ErrCorrupt, got, size)
+	}
+	next := h.u64(hdrArenaNext)
+	if next < arenaStart || next > size {
+		return fmt.Errorf("%w: arena watermark %d outside [%d, %d]", ErrCorrupt, next, arenaStart, size)
+	}
+	ptrs := []uint64{hdrLargeFree}
+	for c := 0; c < numClasses; c++ {
+		ptrs = append(ptrs, hdrFreeLists+uint64(c)*8)
+	}
+	for i := 0; i < rootSlots; i++ {
+		ptrs = append(ptrs, uint64(h.rootSlot(i).Add(rootNameLen)))
+	}
+	for _, off := range ptrs {
+		if p := h.u64(off); p != 0 && (p%blockAlign != 0 || p < arenaStart || p >= next) {
+			return fmt.Errorf("%w: word %d holds %d, not a block payload or header in [%d, %d)", ErrCorrupt, off, p, arenaStart, next)
+		}
+	}
+	return nil
 }
 
 // CheckBlock verifies that p is the payload pointer of a Reserved block

@@ -5,9 +5,12 @@
 // the mapping is backed by the file, writes survive process restarts and
 // pages are faulted in lazily, so the cost of re-opening a heap is
 // independent of its size — exactly the property the paper exploits for
-// instant restarts. The paper's evaluation platform emulated NVM by adding
-// latency to DRAM writes; we reproduce that with a configurable latency
-// model applied at persist barriers (the clflush+sfence analog).
+// instant restarts. Like a device, a heap has a fixed capacity: it is
+// created at its size and mapped once, whole, for its life; the file is
+// sparse, so it costs only the pages written. The paper's evaluation
+// platform emulated NVM by adding latency to DRAM writes; we reproduce
+// that with a configurable latency model applied at persist barriers
+// (the clflush+sfence analog).
 //
 // Persistent data structures refer to each other with PPtr values — byte
 // offsets from the beginning of the mapping — so the heap can be mapped at
@@ -34,7 +37,6 @@
 package nvm
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -94,12 +96,6 @@ const (
 
 	// CacheLineSize is the granularity of persist barriers.
 	CacheLineSize = 64
-
-	// maxGrowStep bounds one online-growth remap: below it the arena
-	// doubles (amortizing remaps geometrically), above it growth proceeds
-	// in maxGrowStep increments so a huge heap never doubles in one jump —
-	// the same policy bbolt applies to its mmap.
-	maxGrowStep = 1 << 30
 )
 
 // Header field offsets (all uint64 unless noted).
@@ -191,39 +187,18 @@ type Stats struct {
 	Drains    uint64 // durability drains issued (each also counts one fence)
 	Allocs    uint64
 	Frees     uint64
-	Grows     uint64 // online growth remaps performed
 	BytesUsed uint64 // high-water bump offset (excludes freed blocks)
 	ReadLines uint64 // lines charged by the read model (ChargeRead)
-}
-
-// mapping is one mmap of the heap file. The heap always reads and writes
-// through the current mapping; superseded mappings from before a growth
-// remap stay mapped (and, being MAP_SHARED views of the same file, stay
-// coherent) until Close, so slices handed out by Bytes never dangle.
-type mapping struct {
-	mem  []byte
-	size uint64
 }
 
 // Heap is a simulated NVM heap backed by a memory-mapped file.
 //
 // All exported methods are safe for concurrent use unless noted.
 type Heap struct {
-	f *os.File
-
-	// cur is the active mapping; maps lists every live mapping (current
-	// first), so slices minted before a growth remap stay valid until
-	// Close unmaps them all. Both are swapped atomically by growLocked
-	// under allocMu.
-	cur  atomic.Pointer[mapping]
-	maps atomic.Pointer[[][]byte]
-
-	// growLimit caps online growth: 0 keeps the heap at its created size
-	// (every bump past the end is ErrOutOfMemory, the historical
-	// behavior); otherwise the arena doubles geometrically up to
-	// maxGrowStep per remap until the limit is reached.
-	growLimit uint64
-	grows     atomic.Uint64
+	// mem is the one mapping of the whole file, set at map time and
+	// unmapped by Close; a heap never changes size. The mapping holds the
+	// file, so its descriptor is closed once it is mapped.
+	mem []byte
 
 	lat LatencyModel
 
@@ -279,19 +254,10 @@ func WithLatency(m LatencyModel) Option {
 	return func(h *Heap) { h.lat = m }
 }
 
-// WithGrowLimit enables online heap growth up to max bytes: when a bump
-// allocation does not fit, the backing file is extended geometrically
-// (doubling, capped at maxGrowStep per remap) and a new mapping replaces
-// the old one. Superseded mappings stay mapped until Close, so slices
-// previously returned by Bytes remain valid. With the limit at 0 (the
-// default) the heap stays fixed-size and exhaustion is ErrOutOfMemory.
-func WithGrowLimit(max uint64) Option {
-	return func(h *Heap) { h.growLimit = max }
-}
-
 // Create initializes a new heap file of the given size and maps it.
 // The file must not already exist with conflicting content; an existing
-// file is truncated.
+// file is truncated. The file is sparse: a heap costs only the pages
+// written, however large its size.
 func Create(path string, size uint64, opts ...Option) (*Heap, error) {
 	if size < arenaStart+4096 {
 		return nil, ErrTooSmall
@@ -301,13 +267,12 @@ func Create(path string, size uint64, opts ...Option) (*Heap, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nvm: create %s: %w", path, err)
 	}
+	defer f.Close()
 	if err := f.Truncate(int64(size)); err != nil {
-		f.Close()
 		return nil, fmt.Errorf("nvm: truncate: %w", err)
 	}
 	h, err := mapHeap(f, size, opts)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	h.putU64(hdrMagic, magic)
@@ -323,23 +288,27 @@ func Create(path string, size uint64, opts ...Option) (*Heap, error) {
 	return h, nil
 }
 
-// Sizes of a heap made by CreateVolatile: it starts small and grows
-// through the growth remap.
-const (
-	volatileSize      = 16 << 20
-	volatileGrowLimit = 1 << 40
-)
+// VolatileDir is the directory on tmpfs that CreateVolatile puts its
+// files in: /dev/shm where that is a directory, os.TempDir otherwise.
+func VolatileDir() string {
+	if st, err := os.Stat("/dev/shm"); err == nil && st.IsDir() {
+		return "/dev/shm"
+	}
+	return os.TempDir()
+}
 
 // CreateVolatile creates a heap that does not persist, for the engines
 // whose durability lies elsewhere (a log) or nowhere: the same
-// structures on a medium without durability. Its file lies on tmpfs
-// (/dev/shm, or os.TempDir where that is missing) and is unlinked at
-// once, so its memory is released with the last mapping at Close. It has
-// no latency model, so a flush, fence or drain costs an atomic add.
+// structures on a medium without durability. Its file lies in
+// VolatileDir and is unlinked at once, so its memory is released with
+// the mapping at Close. Its size is the capacity of that filesystem, the
+// most the file could ever hold. It has no latency model, so a flush,
+// fence or drain costs an atomic add.
 func CreateVolatile() (*Heap, error) {
-	dir := "/dev/shm"
-	if st, err := os.Stat(dir); err != nil || !st.IsDir() {
-		dir = os.TempDir()
+	dir := VolatileDir()
+	var fs syscall.Statfs_t
+	if err := syscall.Statfs(dir, &fs); err != nil {
+		return nil, fmt.Errorf("nvm: volatile heap: statfs %s: %w", dir, err)
 	}
 	f, err := os.CreateTemp(dir, "hyrisenv-heap-*")
 	if err != nil {
@@ -348,49 +317,32 @@ func CreateVolatile() (*Heap, error) {
 	path := f.Name()
 	f.Close()
 	defer os.Remove(path)
-	return Create(path, volatileSize, WithGrowLimit(volatileGrowLimit))
+	return Create(path, fs.Blocks*uint64(fs.Bsize))
 }
 
-// Open maps an existing heap file. Opening performs O(1) work regardless
-// of heap size: only the header page is touched.
+// Open maps an existing heap file and checks its header (checkHeader).
+// Opening performs O(1) work regardless of heap size: only the header
+// and root directory pages are touched.
 func Open(path string, opts ...Option) (*Heap, error) {
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, fmt.Errorf("nvm: open %s: %w", path, err)
 	}
+	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		f.Close()
 		return nil, fmt.Errorf("nvm: stat: %w", err)
 	}
 	if st.Size() < arenaStart {
-		f.Close()
 		return nil, ErrTooSmall
 	}
 	h, err := mapHeap(f, uint64(st.Size()), opts)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if h.u64(hdrMagic) != magic {
+	if err := h.checkHeader(); err != nil {
 		h.Close()
-		return nil, ErrBadMagic
-	}
-	if h.u64(hdrVersion) != formatVersion {
-		h.Close()
-		return nil, ErrBadVersion
-	}
-	switch hdr := h.u64(hdrSize); {
-	case hdr > uint64(st.Size()):
-		h.Close()
-		return nil, fmt.Errorf("nvm: header size %d > file size %d", hdr, st.Size())
-	case hdr < uint64(st.Size()):
-		// A crash between a growth remap's file extension and its header
-		// persist leaves the file longer than the header says. The tail is
-		// untouched zeros beyond the arena watermark, so adopting the
-		// larger size (re-persisting the header) is always safe.
-		h.putU64(hdrSize, uint64(st.Size()))
-		h.Persist(hdrSize, 8)
+		return nil, err
 	}
 	// Bump the restart epoch so structures can detect they crossed a
 	// restart (used e.g. to invalidate transient caches).
@@ -405,25 +357,26 @@ func mapHeap(f *os.File, size uint64, opts []Option) (*Heap, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nvm: mmap: %w", err)
 	}
-	h := &Heap{f: f}
-	h.cur.Store(&mapping{mem: mem, size: size})
-	all := [][]byte{mem}
-	h.maps.Store(&all)
+	h := &Heap{mem: mem}
 	h.drainCond = sync.NewCond(&h.drainMu)
 	for _, o := range opts {
 		o(h)
 	}
 	if h.shadowOn {
-		if h.shadow, err = mapShadow(size); err != nil {
+		// The durable image is anonymous and private: a page costs memory
+		// only once a persist barrier writes it, so a heap that uses a few
+		// pages of a large arena does not zero the whole of it.
+		h.shadow, err = syscall.Mmap(-1, 0, int(size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANONYMOUS)
+		if err != nil {
 			syscall.Munmap(mem) //nolint:errcheck — the mmap error is the one to report
-			return nil, err
+			return nil, fmt.Errorf("nvm: shadow mmap: %w", err)
 		}
 		// The file contents at map time ARE the durable image. Only the
 		// used prefix needs copying: bytes at or beyond arenaNext have
 		// never been written (the file is created zero-filled and the
-		// arena grows before any store lands), so mem and shadow already
-		// agree there. On Create the header is still zero, so nothing is
-		// copied and the header persist publishes it.
+		// watermark advances before any store lands), so mem and shadow
+		// already agree there. On Create the header is still zero, so
+		// nothing is copied and the header persist publishes it.
 		used := binary.LittleEndian.Uint64(mem[hdrArenaNext:])
 		if used = alignUp(used, 4096); used > size {
 			used = size
@@ -433,39 +386,11 @@ func mapHeap(f *os.File, size uint64, opts []Option) (*Heap, error) {
 	return h, nil
 }
 
-// mapShadow maps a zeroed durable image of size bytes for shadow mode.
-// The mapping is anonymous and private: a page costs memory only once a
-// persist barrier writes it, so a heap that uses a few pages of a large
-// arena does not zero the whole of it. Close unmaps it.
-func mapShadow(size uint64) ([]byte, error) {
-	img, err := syscall.Mmap(-1, 0, int(size), syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANONYMOUS)
-	if err != nil {
-		return nil, fmt.Errorf("nvm: shadow mmap: %w", err)
-	}
-	return img, nil
-}
-
-// copyWritten copies src into dst, which is zeroed and at least as long,
-// a page at a time, skipping the pages of src that hold only zeros: they
-// stay untouched in dst.
-func copyWritten(dst, src []byte) {
-	var zero [4096]byte
-	for off := 0; off < len(src); off += len(zero) {
-		page := src[off:min(off+len(zero), len(src))]
-		if !bytes.Equal(page, zero[:len(page)]) {
-			copy(dst[off:], page)
-		}
-	}
-}
-
-// m returns the current mapping.
-func (h *Heap) m() *mapping { return h.cur.Load() }
-
-// Close unmaps the heap (every mapping, including those superseded by
-// growth). Data durability does not depend on a clean close.
+// Close unmaps the heap. Data durability does not depend on a clean
+// close.
 func (h *Heap) Close() error {
 	var firstErr error
-	if all := h.maps.Load(); all != nil {
+	if h.mem != nil {
 		h.restoreCrashImage()
 		h.shadowMu.Lock()
 		if h.shadow != nil {
@@ -475,20 +400,10 @@ func (h *Heap) Close() error {
 			h.shadow = nil
 		}
 		h.shadowMu.Unlock()
-		for _, mem := range *all {
-			if err := syscall.Munmap(mem); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("nvm: munmap: %w", err)
-			}
+		if err := syscall.Munmap(h.mem); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("nvm: munmap: %w", err)
 		}
-		h.maps.Store(nil)
-		h.cur.Store(nil)
-	}
-	if h.f != nil {
-		err := h.f.Close()
-		h.f = nil
-		if firstErr == nil {
-			firstErr = err
-		}
+		h.mem = nil
 	}
 	return firstErr
 }
@@ -497,9 +412,8 @@ func (h *Heap) Close() error {
 // required for the simulation (the page cache survives process exit) but
 // is exposed for durability against OS crashes.
 func (h *Heap) Sync() error {
-	m := h.m()
 	_, _, errno := syscall.Syscall(syscall.SYS_MSYNC,
-		uintptr(unsafe.Pointer(&m.mem[0])), uintptr(len(m.mem)), uintptr(syscall.MS_SYNC))
+		uintptr(unsafe.Pointer(&h.mem[0])), uintptr(len(h.mem)), uintptr(syscall.MS_SYNC))
 	if errno != 0 {
 		return fmt.Errorf("nvm: msync: %w", errno)
 	}
@@ -507,7 +421,7 @@ func (h *Heap) Sync() error {
 }
 
 // Size returns the total heap size in bytes.
-func (h *Heap) Size() uint64 { return h.m().size }
+func (h *Heap) Size() uint64 { return uint64(len(h.mem)) }
 
 // Epoch returns the restart epoch: 1 on a fresh heap, incremented on every
 // Open. Persistent structures compare a stored epoch against this to know
@@ -516,10 +430,9 @@ func (h *Heap) Epoch() uint64 { return h.u64(hdrEpoch) }
 
 // Bytes returns the n bytes at p as a slice aliasing the mapping.
 // The caller must ensure p..p+n lies inside the heap. The slice stays
-// valid across growth remaps: superseded mappings remain mapped (and
-// coherent, being MAP_SHARED views of one file) until Close.
+// valid until Close.
 func (h *Heap) Bytes(p PPtr, n uint64) []byte {
-	return h.m().mem[p : uint64(p)+n : uint64(p)+n]
+	return h.mem[p : uint64(p)+n : uint64(p)+n]
 }
 
 // Words returns the n uint64 words at p (which must be 8-byte aligned)
@@ -552,7 +465,7 @@ func (h *Heap) U32(p PPtr) uint32 {
 	if p%4 != 0 {
 		panic(fmt.Sprintf("nvm: unaligned atomic access at %d", p))
 	}
-	return atomic.LoadUint32((*uint32)(unsafe.Pointer(&h.m().mem[p])))
+	return atomic.LoadUint32((*uint32)(unsafe.Pointer(&h.mem[p])))
 }
 
 // SetU32 atomically stores v at p (which must be 4-byte aligned). The
@@ -561,14 +474,14 @@ func (h *Heap) SetU32(p PPtr, v uint32) {
 	if p%4 != 0 {
 		panic(fmt.Sprintf("nvm: unaligned atomic access at %d", p))
 	}
-	atomic.StoreUint32((*uint32)(unsafe.Pointer(&h.m().mem[p])), v)
+	atomic.StoreUint32((*uint32)(unsafe.Pointer(&h.mem[p])), v)
 }
 
 func (h *Heap) u64ptr(p PPtr) *uint64 {
 	if p%8 != 0 {
 		panic(fmt.Sprintf("nvm: unaligned atomic access at %d", p))
 	}
-	return (*uint64)(unsafe.Pointer(&h.m().mem[p]))
+	return (*uint64)(unsafe.Pointer(&h.mem[p]))
 }
 
 func (h *Heap) u64(off uint64) uint64       { return h.U64(PPtr(off)) }
@@ -750,6 +663,29 @@ func (h *Heap) injector() FaultInjector {
 	return nil
 }
 
+// ResidentPages counts the pages of [0, watermark) that this process has
+// touched since it mapped the heap, by bit 63 (page present) of
+// /proc/self/pagemap; it changes nothing. The kernel maps a few
+// neighbours of a page read in, so the count bounds the pages read.
+func (h *Heap) ResidentPages() (uint64, error) {
+	f, err := os.Open("/proc/self/pagemap")
+	if err != nil {
+		return 0, fmt.Errorf("nvm: resident pages: %w", err)
+	}
+	defer f.Close()
+	page := uint64(os.Getpagesize())
+	first := uint64(uintptr(unsafe.Pointer(&h.mem[0]))) / page
+	buf := make([]byte, 8*(alignUp(h.u64(hdrArenaNext), page)/page))
+	if _, err := f.ReadAt(buf, int64(8*first)); err != nil {
+		return 0, fmt.Errorf("nvm: resident pages: %w", err)
+	}
+	var resident uint64
+	for i := 0; i < len(buf); i += 8 {
+		resident += binary.LittleEndian.Uint64(buf[i:]) >> 63
+	}
+	return resident, nil
+}
+
 // Stats returns persistence counters.
 func (h *Heap) Stats() Stats {
 	return Stats{
@@ -758,7 +694,6 @@ func (h *Heap) Stats() Stats {
 		Drains:    h.drains.Load(),
 		Allocs:    h.allocs.Load(),
 		Frees:     h.frees.Load(),
-		Grows:     h.grows.Load(),
 		BytesUsed: h.u64(hdrArenaNext),
 		ReadLines: h.reads.Load(),
 	}
@@ -800,7 +735,7 @@ func (h *Heap) Alloc(n uint64) (PPtr, error) {
 		// Injected exhaustion fails before any heap state changes, so a
 		// faulted Alloc is indistinguishable from a genuinely full arena.
 		if err := fi.AllocFault(n); err != nil {
-			return nil1(), err
+			return 0, err
 		}
 	}
 	h.allocs.Add(1)
@@ -842,7 +777,7 @@ func (h *Heap) Alloc(n uint64) (PPtr, error) {
 func (h *Heap) allocLargeLocked(want uint64) (PPtr, error) {
 	prevSlot := PPtr(hdrLargeFree)
 	cur := PPtr(h.U64(prevSlot))
-	for steps := h.m().size / (blockHeaderSize + sizeClasses[numClasses-1]); !cur.IsNil(); steps-- {
+	for steps := h.Size() / (blockHeaderSize + sizeClasses[numClasses-1]); !cur.IsNil(); steps-- {
 		if steps == 0 {
 			return 0, fmt.Errorf("%w: the large free list is longer than the heap holds", ErrCorrupt)
 		}
@@ -866,16 +801,13 @@ func (h *Heap) allocLargeLocked(want uint64) (PPtr, error) {
 	return 0, nil
 }
 
-// bump carves a block from the arena, growing the heap online first when
-// a grow limit permits. classTag encodes either a size-class index
-// (< numClasses) or numClasses+size for large blocks.
+// bump carves a block from the arena. classTag encodes either a
+// size-class index (< numClasses) or numClasses+size for large blocks.
 func (h *Heap) bump(payload uint64, classTag uint64) (PPtr, error) {
 	next := h.u64(hdrArenaNext)
 	total := blockHeaderSize + payload
-	if next+total > h.m().size {
-		if err := h.growLocked(next + total); err != nil {
-			return nil1(), err
-		}
+	if next+total > h.Size() {
+		return 0, ErrOutOfMemory
 	}
 	// Initialize the header before advancing the watermark: a crash
 	// between the two barriers then leaves the header bytes harmlessly
@@ -889,86 +821,6 @@ func (h *Heap) bump(payload uint64, classTag uint64) (PPtr, error) {
 	h.putU64(hdrArenaNext, next+total)
 	h.Persist(hdrArenaNext, 8)
 	return p + blockHeaderSize, nil
-}
-
-func nil1() PPtr { return 0 }
-
-// growLocked extends the heap online so that at least need bytes of arena
-// exist, by the bbolt policy: double the current size until it fits,
-// stepping by at most maxGrowStep per remap, clamped to the grow limit.
-// Caller holds allocMu.
-//
-// The sequence is crash-safe: the file is extended first, then the new
-// mapping installed, then the on-NVM size header persisted. A crash
-// before the header persist leaves a longer file whose tail is untouched
-// zeros; Open adopts it (see the size check there). The shadow durable
-// image is regrown before the mapping swap so a fail-point crash during
-// the header persist still finds shadow and mapping the same length, and
-// the armed fault injector — attached to the Heap, not to any mapping —
-// is re-verified after the swap so injected faults keep firing on the
-// grown heap.
-func (h *Heap) growLocked(need uint64) error {
-	old := h.m()
-	if h.growLimit == 0 || old.size >= h.growLimit {
-		return ErrOutOfMemory
-	}
-	newSize := old.size
-	for newSize < need {
-		if newSize < maxGrowStep {
-			newSize *= 2
-		} else {
-			newSize += maxGrowStep
-		}
-	}
-	if newSize > h.growLimit {
-		newSize = h.growLimit
-	}
-	newSize = alignUp(newSize, 4096)
-	if newSize < need {
-		return ErrOutOfMemory
-	}
-	if err := h.f.Truncate(int64(newSize)); err != nil {
-		return fmt.Errorf("nvm: grow truncate to %d: %w", newSize, err)
-	}
-	mem, err := syscall.Mmap(int(h.f.Fd()), 0, int(newSize),
-		syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_SHARED)
-	if err != nil {
-		return fmt.Errorf("nvm: grow mmap: %w", err)
-	}
-
-	// Regrow the durable image first: applyCrash and publishPending index
-	// shadow with offsets bounded by the *current* mapping's size, so the
-	// shadow must never be shorter than the mapping about to be installed.
-	h.shadowMu.Lock()
-	if h.shadow != nil {
-		grown, err := mapShadow(newSize)
-		if err != nil {
-			h.shadowMu.Unlock()
-			syscall.Munmap(mem) //nolint:errcheck — the mmap error is the one to report
-			return err
-		}
-		copyWritten(grown, h.shadow)
-		syscall.Munmap(h.shadow) //nolint:errcheck — nothing refers to the old image
-		h.shadow = grown
-	}
-	h.shadowMu.Unlock()
-
-	all := append([][]byte{mem}, *h.maps.Load()...)
-	h.cur.Store(&mapping{mem: mem, size: newSize})
-	h.maps.Store(&all)
-	h.grows.Add(1)
-
-	armed := h.injector()
-	h.putU64(hdrSize, newSize)
-	h.Persist(hdrSize, 8)
-	if h.injector() != armed {
-		// The injector lives on the Heap behind an atomic pointer, so the
-		// remap cannot detach it; this guards the invariant against
-		// regressions (an injector captured per-mapping would go dark
-		// here, silently disarming every fault plane after first growth).
-		panic("nvm: fault injector detached across growth remap")
-	}
-	return nil
 }
 
 // Free returns a block previously obtained from Alloc to the free list
@@ -1104,20 +956,20 @@ func (h *Heap) rootName(s PPtr) string {
 
 // PutU64 stores v little-endian at p without atomicity (bulk writes).
 func (h *Heap) PutU64(p PPtr, v uint64) {
-	binary.LittleEndian.PutUint64(h.m().mem[p:], v)
+	binary.LittleEndian.PutUint64(h.mem[p:], v)
 }
 
 // GetU64 loads a little-endian uint64 at p without atomicity.
 func (h *Heap) GetU64(p PPtr) uint64 {
-	return binary.LittleEndian.Uint64(h.m().mem[p:])
+	return binary.LittleEndian.Uint64(h.mem[p:])
 }
 
 // PutU32 stores v little-endian at p.
 func (h *Heap) PutU32(p PPtr, v uint32) {
-	binary.LittleEndian.PutUint32(h.m().mem[p:], v)
+	binary.LittleEndian.PutUint32(h.mem[p:], v)
 }
 
 // GetU32 loads a little-endian uint32 at p.
 func (h *Heap) GetU32(p PPtr) uint32 {
-	return binary.LittleEndian.Uint32(h.m().mem[p:])
+	return binary.LittleEndian.Uint32(h.mem[p:])
 }

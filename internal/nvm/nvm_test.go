@@ -1,7 +1,10 @@
 package nvm
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -83,6 +86,136 @@ func TestOpenRejectsBadVersion(t *testing.T) {
 		if _, err := Open(path); !errors.Is(err, ErrBadVersion) {
 			t.Fatalf("version %d: err = %v, want ErrBadVersion", version, err)
 		}
+	}
+}
+
+// TestOpenRejectsDamagedHeader overwrites, one at a time, each word
+// Open trusts in a closed heap — the header's magic, version, size,
+// arena watermark and free-list heads, and every root slot's pointer —
+// with wild values, and lengthens the file past its recorded size. Open
+// must refuse each with an error, ErrCorrupt for all but the magic and
+// version words, and never panic, with and without the shadow model.
+func TestOpenRejectsDamagedHeader(t *testing.T) {
+	h, path := testHeap(t, 1<<20)
+	p, err := h.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := h.Alloc(64 << 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, err := h.Alloc(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Free(p)
+	h.Free(big)
+	if err := h.SetRoot("r", keep, 0); err != nil {
+		t.Fatal(err)
+	}
+	h.Close()
+
+	type word struct {
+		name string
+		off  int64
+		want error
+	}
+	words := []word{
+		{"magic", hdrMagic, ErrBadMagic},
+		{"version", hdrVersion, ErrBadVersion},
+		{"size", hdrSize, ErrCorrupt},
+		{"arena watermark", hdrArenaNext, ErrCorrupt},
+		{"large free head", hdrLargeFree, ErrCorrupt},
+	}
+	for c := 0; c < numClasses; c++ {
+		words = append(words, word{fmt.Sprintf("free list %d head", c), hdrFreeLists + int64(c)*8, ErrCorrupt})
+	}
+	for i := 0; i < rootSlots; i++ {
+		words = append(words, word{fmt.Sprintf("root slot %d pointer", i), rootDirOff + int64(i)*rootSlotLen + rootNameLen, ErrCorrupt})
+	}
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	open := func(what string, want error, opts ...Option) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("%s: Open panicked: %v", what, r)
+			}
+		}()
+		h, err := Open(path, opts...)
+		if err == nil {
+			h.Close()
+			t.Errorf("%s: Open accepted it", what)
+		} else if !errors.Is(err, want) {
+			t.Errorf("%s: err = %v, want %v", what, err, want)
+		}
+	}
+	for _, w := range words {
+		var saved [8]byte
+		if _, err := f.ReadAt(saved[:], w.off); err != nil {
+			t.Fatal(err)
+		}
+		for _, wild := range []uint64{^uint64(0), 1 << 40, 3} {
+			var b [8]byte
+			binary.LittleEndian.PutUint64(b[:], wild)
+			if _, err := f.WriteAt(b[:], w.off); err != nil {
+				t.Fatal(err)
+			}
+			what := fmt.Sprintf("%s = %#x", w.name, wild)
+			open(what, w.want)
+			open(what+" (shadow)", w.want, WithShadow())
+		}
+		if _, err := f.WriteAt(saved[:], w.off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h2, err := Open(path)
+	if err != nil {
+		t.Fatalf("the restored heap does not open: %v", err)
+	}
+	h2.Close()
+	if err := f.Truncate(2 << 20); err != nil {
+		t.Fatal(err)
+	}
+	open("file longer than its recorded size", ErrCorrupt)
+}
+
+// TestResidentPages: a heap opened afresh holds only the pages Open
+// read, and reading a block's page adds it.
+func TestResidentPages(t *testing.T) {
+	h, path := testHeap(t, 4<<20)
+	var ps []PPtr
+	for i := 0; i < 64; i++ {
+		p, err := h.Alloc(32 << 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	h.Close()
+	h2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Close()
+	before, err := h2.ResidentPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before == 0 || before > 2+16 {
+		t.Fatalf("%d pages present after Open, want the header and root directory (and at most the kernel's fault-around)", before)
+	}
+	_ = h2.U64(ps[len(ps)-1])
+	after, err := h2.ResidentPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after <= before {
+		t.Fatalf("reading a block left %d pages present, as before it", after)
 	}
 }
 
@@ -168,6 +301,72 @@ func TestOutOfMemory(t *testing.T) {
 	}
 	if !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
+	}
+	if got := h.Size(); got != arenaStart+8192 {
+		t.Fatalf("a full heap is %d bytes, want the %d it was created at", got, arenaStart+8192)
+	}
+}
+
+// A heap never grows: its created size is the limit that large allocations
+// exhaust, and neither the mapping nor the file gets longer on the way.
+func TestGrowLimitExhaustion(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "heap.nvm")
+	h, err := Create(path, 2<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	var lastErr error
+	for i := 0; i < 1<<12; i++ {
+		if _, lastErr = h.Alloc(64 << 10); lastErr != nil {
+			break
+		}
+	}
+	if !errors.Is(lastErr, ErrOutOfMemory) {
+		t.Fatalf("want ErrOutOfMemory at the created size, got %v", lastErr)
+	}
+	if h.Size() != 2<<20 {
+		t.Fatalf("heap stopped at %d, want its 2 MiB created size", h.Size())
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uint64(st.Size()) != h.Size() {
+		t.Fatalf("file size %d != heap size %d", st.Size(), h.Size())
+	}
+}
+
+// A full heap keeps its size across a reopen: exhaustion leaves nothing
+// that Open could mistake for a longer heap.
+func TestGrowDisabledKeepsFixedSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "heap.nvm")
+	h, err := Create(path, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lastErr error
+	for i := 0; i < 64; i++ {
+		if _, lastErr = h.Alloc(64 << 10); lastErr != nil {
+			break
+		}
+	}
+	if !errors.Is(lastErr, ErrOutOfMemory) {
+		t.Fatalf("fixed-size heap should exhaust, got %v", lastErr)
+	}
+	if h.Size() != 1<<20 {
+		t.Fatalf("fixed-size heap grew to %d", h.Size())
+	}
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Close()
+	if h2.Size() != 1<<20 {
+		t.Fatalf("reopened full heap is %d bytes, want 1 MiB", h2.Size())
 	}
 }
 

@@ -87,7 +87,7 @@ func (h *Heap) DirtyLines() uint64 {
 	h.shadowMu.Lock()
 	defer h.shadowMu.Unlock()
 	var n uint64
-	mem := h.m().mem
+	mem := h.mem
 	bound := h.scanBound()
 	for off := uint64(0); off < bound; off += CacheLineSize {
 		if !bytes.Equal(mem[off:off+CacheLineSize], h.shadow[off:off+CacheLineSize]) {
@@ -104,9 +104,6 @@ type flushRange struct{ first, end uint64 }
 // addPending queues the flushed line range [first, end) for publication
 // at the next fence. Called from Flush; the range is NOT durable yet.
 func (h *Heap) addPending(first, end uint64) {
-	if size := h.m().size; end > size {
-		end = size
-	}
 	h.shadowMu.Lock()
 	if !h.crashed {
 		h.pending = append(h.pending, flushRange{first, end})
@@ -121,11 +118,8 @@ func (h *Heap) addPending(first, end uint64) {
 func (h *Heap) publishPending() {
 	h.shadowMu.Lock()
 	if !h.crashed {
-		// The current mapping sees every store regardless of which mapping
-		// it went through: all mappings are MAP_SHARED views of one file.
-		mem := h.m().mem
 		for _, r := range h.pending {
-			copy(h.shadow[r.first:r.end], mem[r.first:r.end])
+			copy(h.shadow[r.first:r.end], h.mem[r.first:r.end])
 		}
 	}
 	h.pending = h.pending[:0]
@@ -158,7 +152,7 @@ func (h *Heap) applyCrash() {
 		}
 	}
 	h.pending = nil
-	mem := h.m().mem
+	mem := h.mem
 	bound := h.scanBound()
 	for off := uint64(0); off < bound; off += CacheLineSize {
 		m := mem[off : off+CacheLineSize]
@@ -198,7 +192,7 @@ func (h *Heap) restoreCrashImage() {
 		return
 	}
 	bound := h.scanBound()
-	copy(h.m().mem[:bound], h.shadow[:bound])
+	copy(h.mem[:bound], h.shadow[:bound])
 }
 
 // scanBound returns the exclusive upper bound of bytes any store can
@@ -213,7 +207,7 @@ func (h *Heap) scanBound() uint64 {
 	if bound < arenaStart {
 		bound = arenaStart
 	}
-	if size := h.m().size; bound > size {
+	if size := h.Size(); bound > size {
 		bound = size
 	}
 	return alignUp(bound, CacheLineSize)

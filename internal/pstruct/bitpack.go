@@ -22,9 +22,9 @@ type BitPacked struct {
 	n    uint64
 	data nvm.PPtr
 	// buf is the packed data, aliasing the mapping. It is sliced once
-	// at build/attach and stays valid for the life of the heap:
-	// superseded mappings remain mapped until Close. It is nil when the
-	// root describes no vector that fits the heap, which Check reports.
+	// at build/attach and stays valid until the heap's Close. It is nil
+	// when the root describes no vector that fits the heap, which Check
+	// reports.
 	buf []uint64
 }
 

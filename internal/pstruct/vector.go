@@ -135,15 +135,8 @@ func (v *Vector) Publish() {
 		v.h.Flush(v.lenPtr(), 8)
 	}
 	if v.set.ok {
-		// The store is written out here, not through writeElem, whose
-		// pointer also takes what putElems is handed: the analyzers
-		// would see this flush miss part of what the store wrote.
 		p := v.elemPtr(v.set.i)
-		if v.elemSize == 8 {
-			v.h.SetU64(p, v.set.val)
-		} else {
-			v.h.PutU32(p, uint32(v.set.val))
-		}
+		v.writeElem(p, v.set.val)
 		v.h.Flush(p, v.elemSize)
 		v.set.ok = false
 	}

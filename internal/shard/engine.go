@@ -494,7 +494,6 @@ func (e *Engine) NVMStats() nvm.Stats {
 		total.Drains += s.Drains
 		total.Allocs += s.Allocs
 		total.Frees += s.Frees
-		total.Grows += s.Grows
 		total.BytesUsed += s.BytesUsed
 		total.ReadLines += s.ReadLines
 	}

@@ -748,10 +748,9 @@ func TestFleetOfOne(t *testing.T) {
 // field-by-field sum over the shard heaps: a field missing from the sum
 // (Allocs, Frees and Drains once were) reads zero to every consumer.
 func TestNVMStatsSumsEveryField(t *testing.T) {
-	// Heaps that start too small for one table, so that every shard
-	// also grows, and a read latency, so that reads are charged.
+	// A read latency, so that reads are charged.
 	e, err := Open(Config{
-		Config: core.Config{Mode: txn.ModeNVM, Dir: t.TempDir(), NVMHeapSize: 16 << 10, NVMHeapMaxSize: 8 << 20, NVMLatency: nvm.LatencyModel{ReadNS: 1}},
+		Config: core.Config{Mode: txn.ModeNVM, Dir: t.TempDir(), NVMHeapSize: 8 << 20, NVMLatency: nvm.LatencyModel{ReadNS: 1}},
 		Shards: 2,
 	})
 	if err != nil {
