@@ -63,6 +63,12 @@ analyzer-mutants:
 #     (storage/table_append_seeded.go);
 #   - three 2PC protocol bugs (internal/shard/*_seeded.go), swept in a
 #     fleet of two and flagged by the whole-program analyzers.
+#
+# A sixth bug is an isolation bug, caught only dynamically: the horizon
+# reorder (crosscheck_horizon, internal/shard/tx_2pc_horizon_seeded.go)
+# retires a cross-shard commit's CID before its parts are stamped. No
+# barrier moves, so neither a crash sweep nor an analyzer can see it; the
+# sharded bank invariant must fail on a reader that sums half a transfer.
 crosscheck:
 	@status=0; \
 	for tag in crosscheck_noelemflush crosscheck_earlypublish crosscheck_nodecidepersist crosscheck_swap crosscheck_deadfield; do \
@@ -74,6 +80,12 @@ crosscheck:
 			echo "crosscheck: $$tag NOT caught both statically and dynamically" >&2; status=1; \
 		fi; \
 	done; \
+	echo "crosscheck: seeding crosscheck_horizon"; \
+	out="$$($(GO) test -tags crosscheck_horizon ./internal/shard -run 'TestBankTransferInvariantSharded' -count=1 2>&1)"; \
+	if echo "$$out" | grep -E 'snapshots summed to other than'; then :; else \
+		echo "$$out" >&2; \
+		echo "crosscheck: crosscheck_horizon NOT caught dynamically" >&2; status=1; \
+	fi; \
 	exit $$status
 
 test:
@@ -152,14 +164,15 @@ benchserve:
 
 # The scan kernel's benchmarks — the plane walk of the packed words, the
 # block decode, the visibility bitmap, the delta's interval test and the
-# morsel-parallel predicate count — and the main and delta dictionaries'
-# lookups, compiled and run for one op each, as CI does: they are the
-# instruments behind the kernel figures in EXPERIMENTS.md E9 and the
-# dictionary figures in E16 and E17, and a benchmark that no longer
-# builds or runs measures nothing.
+# morsel-parallel predicate count — the main and delta dictionaries'
+# lookups and the main group-key lookup, compiled and run for one op
+# each, as CI does: they are the instruments behind the kernel figures in
+# EXPERIMENTS.md E9, the dictionary figures in E16 and E17 and the
+# group-key figure in E18, and a benchmark that no longer builds or runs
+# measures nothing.
 benchkernel-smoke:
-	$(GO) test ./internal/pstruct ./internal/mvcc ./internal/exec ./internal/storage -run '^$$' \
-		-bench 'FilterBits|UnpackBits|VisibleBits|DeltaFilter|ScanPredicate|MainDict|DeltaDictSearch' -benchtime 1x
+	$(GO) test ./internal/pstruct ./internal/mvcc ./internal/exec ./internal/storage ./internal/index -run '^$$' \
+		-bench 'FilterBits|UnpackBits|VisibleBits|DeltaFilter|ScanPredicate|MainDict|DeltaDictSearch|GroupKeyRows' -benchtime 1x
 
 # The smoke CI runs (its fuzz-smoke job is `make fuzz-smoke`): 30s per
 # fuzzer — the wire codecs, the server's one transaction body under

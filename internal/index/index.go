@@ -1,8 +1,8 @@
 // Package index provides the group-key index of the Hyrise architecture
 // over the read-optimized main partition: a CSR (offsets + positions)
 // layout mapping each dictionary value ID to the sorted list of rows
-// carrying it, in two vectors on the table's heap. It is built wholesale
-// at merge time and immutable afterwards. On NVM it is valid
+// carrying it, in two bit-packed vectors on the table's heap. It is
+// built wholesale at merge time and immutable afterwards. On NVM it is valid
 // immediately after restart (the Hyrise-NV design); the log-based
 // baseline, whose heap does not persist, rebuilds it during recovery —
 // a dominant component of its restart time.
@@ -41,33 +41,29 @@ func groupKey(rows, dictLen uint64, idAt func(row uint64) uint64) (offsets, posi
 
 // --- NVM group-key ----------------------------------------------------------------
 
-// NVM group-key root: offsetsVec u64 | positionsVec u64.
+// NVM group-key root: offsets u64 | positions u64, each the root of a
+// pstruct.BitPacked of BitsFor(rows) bits.
 const ngkRootSize = 16
 
-// NVMGroupKey is the group-key index: the CSR layout in two vectors.
-// Attach is O(1).
+// NVMGroupKey is the group-key index: the CSR layout in two bit-packed
+// vectors, offsets and positions both at most rows. Attach is O(1).
 type NVMGroupKey struct {
 	h         *nvm.Heap
 	root      nvm.PPtr
-	offsets   *pstruct.Vector
-	positions *pstruct.Vector
+	offsets   *pstruct.BitPacked
+	positions *pstruct.BitPacked
 }
 
 // BuildNVMGroupKey constructs and persists a group-key index.
 func BuildNVMGroupKey(h *nvm.Heap, rows, dictLen uint64, idAt func(row uint64) uint64) (*NVMGroupKey, error) {
 	offsets, positions := groupKey(rows, dictLen, idAt)
-	off, err := pstruct.NewVector(h, 8, 10)
+	width := pstruct.BitsFor(rows)
+	off, err := pstruct.BuildBitPacked(h, offsets, width)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := off.AppendN(offsets); err != nil {
-		return nil, err
-	}
-	pos, err := pstruct.NewVector(h, 8, 10)
+	pos, err := pstruct.BuildBitPacked(h, positions, width)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := pos.AppendN(positions); err != nil {
 		return nil, err
 	}
 	root, err := h.Alloc(ngkRootSize)
@@ -85,8 +81,8 @@ func AttachNVMGroupKey(h *nvm.Heap, root nvm.PPtr) *NVMGroupKey {
 	return &NVMGroupKey{
 		h:         h,
 		root:      root,
-		offsets:   pstruct.AttachVector(h, nvm.PPtr(h.GetU64(root))),
-		positions: pstruct.AttachVector(h, nvm.PPtr(h.GetU64(root.Add(8)))),
+		offsets:   pstruct.AttachBitPacked(h, nvm.PPtr(h.GetU64(root))),
+		positions: pstruct.AttachBitPacked(h, nvm.PPtr(h.GetU64(root.Add(8)))),
 	}
 }
 

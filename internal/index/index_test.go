@@ -1,6 +1,7 @@
 package index
 
 import (
+	"math/rand"
 	"path/filepath"
 	"testing"
 
@@ -138,5 +139,30 @@ func TestNVMGroupKeySurvivesReopen(t *testing.T) {
 	g2 := AttachNVMGroupKey(h2, root)
 	if got := collect(g2, 2); len(got) != 3 || got[0] != 0 {
 		t.Fatalf("after reopen Rows(2) = %v", got)
+	}
+}
+
+// BenchmarkGroupKeyRows is one group-key lookup — the offsets of a value
+// ID, then its rows — over a main column of 200k unique ids, the shape
+// of the benchmark's indexed id column, at random IDs (index.lookup_ns).
+func BenchmarkGroupKeyRows(b *testing.B) {
+	const rows = 200_000
+	h, err := nvm.Create(filepath.Join(b.TempDir(), "h.nvm"), 64<<20)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer h.Close()
+	perm := rand.New(rand.NewSource(1)).Perm(rows)
+	g, err := BuildNVMGroupKey(h, rows, rows, func(r uint64) uint64 { return uint64(perm[r]) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sink uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Rows(uint64(perm[i%rows]), func(r uint64) bool { sink += r; return true })
+	}
+	if sink == 0 && b.N > 1 {
+		b.Fatal("no rows found")
 	}
 }

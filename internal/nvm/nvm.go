@@ -75,7 +75,9 @@ const (
 	// transaction context's 16-byte records on 16-byte boundaries.
 	// 8 → 9: the delta dictionary index an extendible hash of 256-byte
 	// buckets (pstruct.HashDict) in place of the split-ordered list.
-	formatVersion = 9
+	// 9 → 10: four segments to a doubling in pstruct's segment directory;
+	// the group-key index two pstruct.BitPacked in place of two vectors.
+	formatVersion = 10
 
 	headerSize  = 4096
 	rootDirOff  = headerSize

@@ -73,9 +73,11 @@ func TestOpenRejectsGarbage(t *testing.T) {
 // partition set of three words per column; format 6, whose delta
 // dictionaries are skip lists; and formats 7 and 8, whose delta
 // dictionaries are split-ordered lists where this version reads
-// extendible hashes of buckets.
+// extendible hashes of buckets; and format 9, whose segment directories
+// double segment by segment where this version grows four segments per
+// doubling, and whose group-key indexes are vectors of words.
 func TestOpenRejectsBadVersion(t *testing.T) {
-	for _, version := range []uint64{formatVersion + 100, 4, 5, 6, 7, 8} {
+	for _, version := range []uint64{formatVersion + 100, 4, 5, 6, 7, 8, 9} {
 		path := filepath.Join(t.TempDir(), "ver") // a TempDir per call
 		h, err := Create(path, 1<<20)
 		if err != nil {

@@ -6,14 +6,14 @@ import (
 	"hyrisenv/internal/nvm"
 )
 
-// arenaBaseLog sizes an arena's first segment (4 KiB); later segments
-// double, so an arena that stays small costs one small block and a large
-// one is a handful of large blocks that a merge drops wholesale.
+// arenaBaseLog sizes an arena's first segments (4 KiB); each level of four
+// doubles the size, so an arena that stays small costs one small block
+// and a large one is a few dozen large blocks that a merge drops wholesale.
 const arenaBaseLog = 12
 
 // Arena is a persistent bump allocator for the variable-size pieces of
 // one owning structure — keys, index nodes, posting nodes — over the
-// same doubling segment directory as Vector, with bytes for elements and
+// same segment directory as Vector, with bytes for elements and
 // the bump cursor for the length word. It replaces a Heap.Alloc per
 // piece: no block header, no size-class rounding, and neighbouring
 // pieces share cache lines.

@@ -57,8 +57,9 @@ func checkPieces(t testing.TB, h *nvm.Heap, a *Arena, pieces []piece) {
 }
 
 // TestArenaAcrossSegments: pieces that do not fit the rest of a segment
-// move to the next one, a piece larger than a whole segment skips it, and
-// everything survives a reopen with the cursor where it was.
+// move to the next one — of the same size, or the first of the next
+// level — a piece larger than a whole segment skips it, and everything
+// survives a reopen with the cursor where it was.
 func TestArenaAcrossSegments(t *testing.T) {
 	h, path := testHeap(t)
 	a, err := NewArena(h)
@@ -67,12 +68,19 @@ func TestArenaAcrossSegments(t *testing.T) {
 	}
 	h.SetRoot("arena", a.Root(), 0)
 	var pieces []piece
-	// 4 KiB first segment: 3000 + 3000 crosses into the second; 20000
-	// fits neither the second (8 KiB) nor the third (16 KiB).
-	for i, n := range []uint64{1, 7, 8, 3000, 3000, 13, 20000, 64, 1 << 20, 9} {
+	// Level 0 is four 4 KiB segments, level 1 four of 8 KiB, level 2 four
+	// of 16 KiB. The second 3000 moves into segment 1, the 4000s into
+	// segments 2, 3 and then 4, the first of level 1; 20000 fits no
+	// segment of levels 1 and 2, and 1 MiB only one of level 8.
+	sizes := []uint64{1, 7, 8, 3000, 3000, 13, 4000, 4000, 4000, 20000, 64, 1 << 20, 9}
+	starts := map[int]int{4: 1, 6: 2, 7: 3, 8: 4, 9: 12, 11: 32}
+	for i, n := range sizes {
 		pc, err := fillPiece(h, a, n, byte(i+1))
 		if err != nil {
 			t.Fatal(err)
+		}
+		if k, ok := starts[i]; ok && pc.p != a.seg(k) {
+			t.Fatalf("piece %d (%d bytes) at %d, not at the start of segment %d (%d)", i, n, pc.p, k, a.seg(k))
 		}
 		pieces = append(pieces, pc)
 	}
@@ -195,6 +203,126 @@ func TestArenaCursorCoversEveryLink(t *testing.T) {
 			if err := s2.Check(); err != nil {
 				t.Fatalf("tear %d barrier %d, after re-insert: %v", tear, barrier, err)
 			}
+			h2.Close()
+		}
+	}
+}
+
+// TestCrashAcrossLevelBoundary cuts power at every barrier of growth
+// across the boundary between two levels of the segment directory, at a
+// base of two elements for a vector and eight bytes for an arena, under
+// whole-line loss and tearing, and reopens after each cut.
+//
+//   - Vector.AppendN of six elements onto six crosses into the last
+//     segment of level 0 and then the first of level 1. The reopened
+//     vector is sound and holds six elements or all twelve, and takes
+//     the batch again.
+//   - Arena.Alloc of pieces that land in the last segment of level 0, the
+//     first two of level 1, and — too large for level 1 — the first of
+//     level 2; each piece is written, persisted and then linked by an
+//     append to a vector. Every linked piece lies below the reopened
+//     cursor and reads back, and the arena allocates past all of them.
+func TestCrashAcrossLevelBoundary(t *testing.T) {
+	batch := []uint64{106, 107, 108, 109, 110, 111}
+	sizes := []uint64{8, 16, 8, 24}
+	for _, tear := range []int64{0, 1, 2, 3} {
+		for _, elemSize := range []uint64{4, 8} {
+			for barrier := int64(1); ; barrier++ {
+				h, path := shadowHeap(t, tear)
+				v, err := NewVector(h, elemSize, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.SetRoot("v", v.Root(), 0)
+				for i := uint64(0); i < 6; i++ {
+					v.Append(100 + i)
+				}
+				crashed := crashAt(h, barrier, func() { v.AppendN(batch) })
+				h.Close()
+				if !crashed {
+					break
+				}
+				h2, err := nvm.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				root, _, _ := h2.Root("v")
+				v2 := AttachVector(h2, root)
+				if err := v2.Check(); err != nil {
+					t.Fatalf("tear %d, %d-byte vector, barrier %d: %v", tear, elemSize, barrier, err)
+				}
+				if n := v2.Len(); n != 6 && n != 12 {
+					t.Fatalf("tear %d, %d-byte vector, barrier %d: length %d, want 6 or 12", tear, elemSize, barrier, n)
+				}
+				v2.Truncate(6)
+				if _, err := v2.AppendN(batch); err != nil {
+					t.Fatal(err)
+				}
+				for i := uint64(0); i < 12; i++ {
+					if got := v2.Get(i); got != 100+i {
+						t.Fatalf("tear %d, %d-byte vector, barrier %d: element %d = %d", tear, elemSize, barrier, i, got)
+					}
+				}
+				h2.Close()
+			}
+		}
+		for barrier := int64(1); ; barrier++ {
+			h, path := shadowHeap(t, tear)
+			root, err := newSegRoot(h, 1, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := &Arena{segDir: segDir{h: h, root: root, elemSize: 1, baseLog: 3}}
+			links, _ := NewVector(h, 8, 4)
+			h.SetRoot("arena", a.Root(), 0)
+			h.SetRoot("links", links.Root(), 0)
+			link := func(n uint64, tag byte) {
+				pc, err := fillPiece(h, a, n, tag)
+				if err != nil {
+					t.Fatal(err)
+				}
+				links.Append(uint64(pc.p))
+			}
+			for i := 0; i < 3; i++ {
+				link(8, byte(i+1))
+			}
+			crashed := crashAt(h, barrier, func() {
+				for i, n := range sizes {
+					link(n, byte(i+4))
+				}
+			})
+			h.Close()
+			if !crashed {
+				if a.seg(8).IsNil() {
+					t.Fatal("the pieces never reached level 2")
+				}
+				break
+			}
+			h2, err := nvm.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, _, _ := h2.Root("arena")
+			a2 := AttachArena(h2, r)
+			r, _, _ = h2.Root("links")
+			links2 := AttachVector(h2, r)
+			var pieces []piece
+			for i := uint64(0); i < links2.Len(); i++ {
+				n, tag := uint64(8), byte(i+1)
+				if i >= 3 {
+					n = sizes[i-3]
+				}
+				pieces = append(pieces, piece{nvm.PPtr(links2.Get(i)), bytes.Repeat([]byte{tag}, int(n))})
+			}
+			if len(pieces) < 3 {
+				t.Fatalf("tear %d, arena, barrier %d: %d links survive of the 3 before the cut", tear, barrier, len(pieces))
+			}
+			checkPieces(t, h2, a2, pieces)
+			pc, err := fillPiece(h2, a2, 16, 0xEE)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPieces(t, h2, a2, append(pieces, pc))
 			h2.Close()
 		}
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 const (
-	vecMaxSegs = 56
+	vecMaxSegs = 112 // 28 levels of four: any 32-bit index at baseLog 3
 	// vecRootSize: elemSize, length, baseLog, reserved + seg pointers.
 	vecRootSize = 8 * (8 + vecMaxSegs)
 
@@ -22,9 +22,10 @@ const (
 
 // segDir is the persistent segment directory under Vector and Arena: a
 // root block holding an element size, a length word and the pointers of
-// segments that double in size, so that growing never moves what is
-// already stored and attaching costs O(log capacity). Segment k holds
-// base<<k elements; the capacity before it is base*(2^k - 1).
+// segments that grow geometrically, so that growing never moves what is
+// already stored and attaching costs O(log capacity). Level k is segments
+// 4k to 4k+3, of base<<k elements each; the capacity before it is
+// 4*base*(2^k - 1), so a segment adds a seventh to a quarter of it.
 //
 // The length word is the only thing a reader or recovery trusts: nothing
 // at or beyond it is reachable. A segment is allocated and durably
@@ -84,18 +85,15 @@ func (d *segDir) lenPtr() nvm.PPtr { return d.root.Add(vecOffLength) }
 
 // locate maps a logical index to (segment, offset-within-segment).
 func (d *segDir) locate(i uint64) (seg int, off uint64) {
-	base := uint64(1) << d.baseLog
-	k := bits.Len64(i/base+1) - 1
-	before := base * ((uint64(1) << k) - 1)
-	return k, i - before
+	k := bits.Len64(i>>(d.baseLog+2)+1) - 1
+	rest := i - d.segStart(4*k)
+	return 4*k + int(rest>>(d.baseLog+uint64(k))), rest & (d.segCap(4*k) - 1)
 }
 
-func (d *segDir) segCap(k int) uint64 { return (uint64(1) << d.baseLog) << k }
+func (d *segDir) segCap(s int) uint64 { return uint64(1) << (d.baseLog + uint64(s/4)) }
 
-// segStart is the logical index of the first element of segment k.
-func (d *segDir) segStart(k int) uint64 {
-	return (uint64(1) << d.baseLog) * ((uint64(1) << k) - 1)
-}
+// segStart is the logical index of the first element of segment s.
+func (d *segDir) segStart(s int) uint64 { return d.segCap(s)*uint64(4+s%4) - 4<<d.baseLog }
 
 // ensureSeg makes segment k exist, allocating and durably linking it.
 func (d *segDir) ensureSeg(k int) error {

@@ -50,8 +50,8 @@ import (
 )
 
 // Vector is a persistent, append-only vector of fixed-size elements
-// (element sizes 4 and 8 are supported). Storage is segmented with
-// doubling segment sizes, so a growing vector never relocates existing
+// (element sizes 4 and 8 are supported). Storage is segmented, four
+// segments to a doubling, so a growing vector never relocates existing
 // elements — essential both for lock-free readers and for crash safety.
 //
 // Appends are single-writer; reads may run concurrently with the writer.

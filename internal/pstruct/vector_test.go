@@ -207,6 +207,10 @@ func TestVectorCrashDuringAppendInvisible(t *testing.T) {
 	}
 }
 
+// TestVectorLocateProperty: over every 32-bit index at baseLog 3,
+// locate agrees with the geometry derived here on its own: level k is
+// four segments of 8<<k elements, and the levels before it hold
+// 32*(2^k - 1).
 func TestVectorLocateProperty(t *testing.T) {
 	h, _ := testHeap(t)
 	v, _ := NewVector(h, 8, 3)
@@ -215,19 +219,27 @@ func TestVectorLocateProperty(t *testing.T) {
 		if seg < 0 || seg >= vecMaxSegs {
 			return false
 		}
-		// Reconstruct the logical index from (seg, off).
-		base := uint64(8)
-		before := base * ((uint64(1) << seg) - 1)
-		return before+off == uint64(i) && off < base<<seg
+		level, within := uint64(seg/4), uint64(seg%4)
+		size := uint64(8) << level
+		start := 4*8*((uint64(1)<<level)-1) + within*size
+		return start+off == uint64(i) && off < size
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+	for _, i := range []uint32{0, 7, 8, 31, 32, 47, 48, 95, 96, 1<<32 - 1} {
+		if !f(i) {
+			seg, off := v.locate(uint64(i))
+			t.Fatalf("locate(%d) = segment %d, offset %d", i, seg, off)
+		}
+	}
 }
 
 // TestVectorSpanLoad: the bulk reads agree with Get across segment
-// boundaries (segments of 4, 8, 16, ... elements): Span for 8-byte
-// elements, Load for 4-byte ones, and each refuses the other size.
+// boundaries — into the next segment of the same size and into the first
+// segment of the next level (four segments of 4 elements, then four of 8,
+// of 16, ...): Span for 8-byte elements, Load for 4-byte ones, and each
+// refuses the other size.
 func TestVectorSpanLoad(t *testing.T) {
 	h, _ := testHeap(t)
 	const n = 200
@@ -241,7 +253,7 @@ func TestVectorSpanLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		for _, r := range [][2]uint64{{0, 0}, {0, 1}, {0, 4}, {3, 5}, {4, 12}, {11, 13}, {0, n}, {59, 61}, {n, n}} {
+		for _, r := range [][2]uint64{{0, 0}, {0, 1}, {0, 4}, {3, 5}, {4, 12}, {11, 13}, {15, 17}, {10, 30}, {47, 49}, {0, n}, {111, 113}, {n, n}} {
 			lo, hi := r[0], r[1]
 			if elemSize == 4 {
 				dst := make([]uint32, hi-lo)

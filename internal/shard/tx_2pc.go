@@ -1,4 +1,4 @@
-//go:build !crosscheck_swap
+//go:build !crosscheck_swap && !crosscheck_horizon
 
 package shard
 
@@ -17,7 +17,10 @@ import (
 // The seeded crosscheck_swap variant of this file records the decision
 // before any participant prepared; `make crosscheck` proves protocheck
 // flags the reordering statically and the 2PC crash sweep observes the
-// resulting partial commits.
+// resulting partial commits. The seeded crosscheck_horizon variant
+// retires the CID before the parts are finished; `make crosscheck`
+// proves the sharded bank invariant observes a reader seeing half a
+// transfer.
 func (t *Tx) commitCross(writers []*txn.Txn, writerShards []int) error {
 	// Phase one: durably prepare every writing part. A failure here
 	// aborts the whole transaction (no decision was recorded, so even a

@@ -74,58 +74,3 @@ func BenchmarkMainDict(b *testing.B) {
 		}
 	}
 }
-
-// TestMainColumnSpace builds the five main columns of 200k rows shaped
-// like the benchmark's table — unique Int64 ids, 20k customers, 16
-// regions, amounts in whole cents out of 100k, unique 32-byte hex
-// payloads — and logs each column's heap bytes a row: its blocks'
-// payloads and 16-byte headers. The main partition stays at or below
-// 70 bytes a row.
-func TestMainColumnSpace(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds 1M keys")
-	}
-	const rows = 200_000
-	mix := func(x uint64) uint64 {
-		x += 0x9E3779B97F4A7C15
-		x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-		x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-		return x ^ (x >> 31)
-	}
-	cols := []struct {
-		name string
-		typ  ColType
-		gen  func(i, h uint64) Value
-	}{
-		{"id", TypeInt64, func(i, _ uint64) Value { return Int(int64(i)) }},
-		{"customer", TypeInt64, func(_, h uint64) Value { return Int(int64(h % (rows/10 + 1))) }},
-		{"region", TypeString, func(_, h uint64) Value { return Str(fmt.Sprintf("region-%02d", (h>>32)%16)) }},
-		{"amount", TypeFloat64, func(_, h uint64) Value { return Float(float64((h>>36)%100_000) / 100) }},
-		{"payload", TypeString, func(_, h uint64) Value { return Str(fmt.Sprintf("%016x%016x", h, mix(h))) }},
-	}
-	h, err := nvm.Create(filepath.Join(t.TempDir(), "heap.nvm"), 256<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	var total float64
-	for _, c := range cols {
-		keys := make([][]byte, rows)
-		for i := range keys {
-			keys[i] = c.gen(uint64(i), mix(mix(1)^uint64(i))).EncodeKey(nil)
-		}
-		m, err := BuildNVMMain(h, c.typ, keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var used uint64
-		m.Blocks(func(p nvm.PPtr) { used += 16 + h.BlockSize(p) })
-		perRow := float64(used) / rows
-		total += perRow
-		t.Logf("%-8s %8d distinct %6.1f B/row", c.name, m.DictLen(), perRow)
-	}
-	t.Logf("main columns: %.1f B/row", total)
-	if total > 70 {
-		t.Errorf("main columns take %.1f B/row, more than 70", total)
-	}
-}

@@ -366,6 +366,47 @@ func TestFsckReportsBadPostingLists(t *testing.T) {
 	}
 }
 
+// TestFsckReportsDamagedGroupKey: one packed word of the main group-key
+// index's offsets, and then one of its positions, is overwritten with
+// its complement — a bit plane of 64 values inverted, padding included —
+// and FsckNVM reports each damage without panicking.
+func TestFsckReportsDamagedGroupKey(t *testing.T) {
+	h, _ := testNVMHeap(t)
+	tbl, err := CreateNVMTable(h, "orders", 1, ordersSchema(t), 0b001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i < 100; i++ {
+		row, _ := tbl.AppendRow([]Value{Int(i % 40), Str("c"), Float(0)}, 1)
+		commitRow(tbl, row, 2)
+	}
+	if _, err := tbl.Merge(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.FsckNVM(10); err != nil {
+		t.Fatal(err)
+	}
+	// The index's blocks: its root, then the offsets' root and data, then
+	// the positions' root and data.
+	var blocks []nvm.PPtr
+	tbl.parts.Load().mainIdx[0].Blocks(func(p nvm.PPtr) { blocks = append(blocks, p) })
+	for _, c := range []struct {
+		what string
+		data nvm.PPtr
+	}{{"offsets", blocks[2]}, {"positions", blocks[4]}} {
+		word := h.GetU64(c.data)
+		h.PutU64(c.data, ^word)
+		err := tbl.FsckNVM(10)
+		if err == nil || !strings.Contains(err.Error(), "groupkey") || !strings.Contains(err.Error(), c.what) {
+			t.Fatalf("damaged %s word: FsckNVM = %v", c.what, err)
+		}
+		h.PutU64(c.data, word)
+		if err := tbl.FsckNVM(10); err != nil {
+			t.Fatalf("restored %s word flagged: %v", c.what, err)
+		}
+	}
+}
+
 // TestLookupRowsUnderAppends: readers look keys up while a writer
 // appends rows of them to the posting lists (run it with -race). Every
 // row a lookup yields carries the key, and once the writer is done every
