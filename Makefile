@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet nvmcheck nvmcheck-stats analyzer-mutants crosscheck test race benchmark-module fuzz-smoke fuzz-check crashmatrix chaos benchscan benchserve benchkernel-smoke
+.PHONY: check fmt vet nvmcheck nvmcheck-stats analyzer-mutants crosscheck test race benchmark-module fuzz-smoke fuzz-check crashmatrix chaos benchkernel-smoke
 
 check: fmt vet nvmcheck race benchmark-module
 
@@ -136,40 +136,16 @@ chaos:
 	$(GO) build -o bin/hyrise-nv ./cmd/hyrise-nv
 	bin/hyrise-nv connect chaos -daemon bin/hyrise-nvd -cycles 10
 
-# Morsel-parallel scan benchmarks (internal/exec) at Parallelism
-# 1/2/4/8 over the 1M-row table, plus the sharded scan sweep
-# (internal/shard) at shard counts 1/2/4/8 over fixed total rows, all
-# recorded to BENCH_scan.json for the perf trajectory. The rows/s
-# metric is in each benchmark's Extra map.
-benchscan:
-	$(GO) test ./internal/exec -run '^$$' -bench 'ScanPredicate|ScanSelect|GroupByParallel' \
-		-benchtime 3x -timeout 30m | tee BENCH_scan.txt
-	$(GO) test ./internal/shard -run '^$$' -bench 'ScanSharded' \
-		-benchtime 3x -timeout 30m | tee -a BENCH_scan.txt
-	$(GO) run ./cmd/benchjson -in BENCH_scan.txt -out BENCH_scan.json
-	rm -f BENCH_scan.txt
-
-# Serving benchmarks: 1024-connection write workload under
-# persist-group commit (the ServeWrite pattern also matches the
-# per-shard-count sweep at Shards=1/4), plus the 2x-saturation overload
-# run with admission control. Fixed op counts keep the runs comparable
-# across machines; the op budget is the bench's b.N.
-benchserve:
-	$(GO) test ./internal/load -run '^$$' -bench 'ServeWrite' \
-		-benchtime 2000x -timeout 30m | tee BENCH_serve.txt
-	$(GO) test ./internal/load -run '^$$' -bench 'ServeOverload' \
-		-benchtime 20000x -timeout 30m | tee -a BENCH_serve.txt
-	$(GO) run ./cmd/benchjson -in BENCH_serve.txt -out BENCH_serve.json
-	rm -f BENCH_serve.txt
-
 # The scan kernel's benchmarks — the plane walk of the packed words, the
 # block decode, the visibility bitmap, the delta's interval test and the
 # morsel-parallel predicate count — the main and delta dictionaries'
 # lookups and the main group-key lookup, compiled and run for one op
-# each, as CI does: they are the instruments behind the kernel figures in
-# EXPERIMENTS.md E9, the dictionary figures in E16 and E17 and the
-# group-key figure in E18, and a benchmark that no longer builds or runs
-# measures nothing.
+# each, as CI does. They are the instruments behind the kernel and
+# parallel-scan figures in EXPERIMENTS.md E9, the dictionary figures in
+# E16 and E17 and the group-key figure in E18, and a benchmark that no
+# longer builds or runs measures nothing. No file records their numbers:
+# to re-measure a figure, run the same `go test` line with the
+# -benchtime and -count its section names.
 benchkernel-smoke:
 	$(GO) test ./internal/pstruct ./internal/mvcc ./internal/exec ./internal/storage ./internal/index -run '^$$' \
 		-bench 'FilterBits|UnpackBits|VisibleBits|DeltaFilter|ScanPredicate|MainDict|DeltaDictSearch|GroupKeyRows' -benchtime 1x

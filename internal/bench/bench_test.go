@@ -15,10 +15,50 @@ import (
 // tinyScale keeps the harness smoke tests fast.
 var tinyScale = Scale{
 	E1Sizes: []int{500, 1500},
-	E2Rows:  500, E2Ops: 600, Threads: 2,
-	E3Rows: 300, E3Ops: 300,
-	E7Sizes: []int{500, 1500},
-	E8Rows:  1500,
+	E3Rows:  300, E3Ops: 300, Threads: 2,
+}
+
+// TestExperimentsRun runs every experiment of the suite at tinyScale, the
+// list cmd/experiments prints, and checks that each fills its table.
+func TestExperimentsRun(t *testing.T) {
+	env := &Env{Dir: t.TempDir(), Scale: tinyScale}
+	for _, ex := range Experiments {
+		t.Run(ex.ID, func(t *testing.T) {
+			r, err := ex.Run(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.Rows) == 0 {
+				t.Fatalf("%s printed no rows", r.ID)
+			}
+			for _, row := range r.Rows {
+				if len(row) != len(r.Headers) {
+					t.Fatalf("%s row %v has %d cells for %d headers", r.ID, row, len(row), len(r.Headers))
+				}
+			}
+		})
+	}
+}
+
+// TestSelect pins the id list cmd/experiments accepts: suite order
+// whatever the order asked, and an error naming the valid ids for one
+// the suite does not have, a retired one among them.
+func TestSelect(t *testing.T) {
+	got, err := Select("M1, e1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0].ID != "e1" || got[1].ID != "m1" {
+		t.Fatalf("Select(M1, e1) = %v", got)
+	}
+	if all, err := Select("all"); err != nil || len(all) != len(Experiments) {
+		t.Fatalf("Select(all) = %d experiments, %v", len(all), err)
+	}
+	for _, ids := range []string{"e2", "e1,typo", ""} {
+		if _, err := Select(ids); err == nil || !strings.Contains(err.Error(), "e1, e3, m1, a6") {
+			t.Errorf("Select(%q) = %v, want an error naming the valid ids", ids, err)
+		}
+	}
 }
 
 func TestReportPrint(t *testing.T) {
@@ -54,71 +94,40 @@ func TestFormatHelpers(t *testing.T) {
 	}
 }
 
-// parse a duration cell back for shape assertions.
-func parseDur(t *testing.T, cell string) time.Duration {
-	t.Helper()
-	d, err := time.ParseDuration(strings.ReplaceAll(cell, "µs", "us"))
-	if err != nil {
-		t.Fatalf("parse %q: %v", cell, err)
-	}
-	return d
-}
-
-// TestE1ShapeHolds asserts the headline shape on what cannot flake. That
-// the log-based restart grows with the data is read off the work it does
-// — log records replayed — which is a count. That the NVM restart beats
-// it is a comparison of timings, each a millisecond or less at this scale
-// and so at the mercy of one preemption: it is made on the best of up to
-// five runs per size.
+// TestE1ShapeHolds asserts the headline shape on counts, which do not
+// flake: the log-based restart's work grows with the data — it replays
+// more records and reads a larger checkpoint — while the NVM restart
+// reads about as many heap pages at three times the rows. The pages slack
+// is one fault-around window of 16 pages: the kernel maps the cached
+// neighbours of a page read, and the structures a restart touches share
+// fewer windows as the heap grows.
 func TestE1ShapeHolds(t *testing.T) {
-	const colLog, colNVM, colReplayed = 2, 6, 8
-	sizes := tinyScale.E1Sizes
-	bestLog, bestNVM := make([]time.Duration, len(sizes)), make([]time.Duration, len(sizes))
-	for i := range sizes {
-		bestLog[i], bestNVM[i] = math.MaxInt64, math.MaxInt64
-	}
-	beats := func() bool {
-		for i := range sizes {
-			if bestNVM[i] >= bestLog[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for run := 0; run < 5 && !beats(); run++ {
-		r, err := E1Recovery(t.TempDir(), sizes, disk.Model{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(r.Rows) != len(sizes) {
-			t.Fatalf("rows = %d", len(r.Rows))
-		}
-		var prev uint64
-		for i, row := range r.Rows {
-			replayed, err := strconv.ParseUint(row[colReplayed], 10, 64)
-			if err != nil {
-				t.Fatalf("row %v: %v", row, err)
-			}
-			if replayed <= prev {
-				t.Fatalf("log restart did not grow with size: %d records replayed after %d (row %v)", replayed, prev, row)
-			}
-			prev = replayed
-			bestLog[i] = min(bestLog[i], parseDur(t, row[colLog]))
-			bestNVM[i] = min(bestNVM[i], parseDur(t, row[colNVM]))
-		}
-	}
-	if !beats() {
-		t.Fatalf("shape violated: best NVM restarts %v do not beat best log restarts %v", bestNVM, bestLog)
-	}
-}
-
-func TestE2Runs(t *testing.T) {
-	r, err := E2Throughput(t.TempDir(), tinyScale, disk.Model{})
+	const pagesSlack = 16
+	sweep, err := restartSweep(t.TempDir(), tinyScale.E1Sizes, disk.Model{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Rows) != 9 { // 3 modes x 3 mixes
-		t.Fatalf("rows = %d", len(r.Rows))
+	first := sweep[0]
+	for i, s := range sweep {
+		t.Logf("%d rows: %d records replayed, %d checkpoint bytes, %d NVM restart pages",
+			s.Rows, s.Log.ReplayRecords, s.Log.CheckpointBytes, s.NVMPages)
+		if s.NVMPages == 0 {
+			t.Fatalf("%d rows: the NVM restart read no heap pages", s.Rows)
+		}
+		if limit := first.NVMPages + first.NVMPages/10 + pagesSlack; s.NVMPages > limit {
+			t.Errorf("%d rows: the NVM restart read %d heap pages, over %d (%d at %d rows, +10%% +%d)",
+				s.Rows, s.NVMPages, limit, first.NVMPages, first.Rows, pagesSlack)
+		}
+		if i == 0 {
+			continue
+		}
+		prev := sweep[i-1]
+		if s.Log.ReplayRecords <= prev.Log.ReplayRecords {
+			t.Errorf("log restart replayed %d records at %d rows, %d at %d", s.Log.ReplayRecords, s.Rows, prev.Log.ReplayRecords, prev.Rows)
+		}
+		if s.Log.CheckpointBytes <= prev.Log.CheckpointBytes {
+			t.Errorf("log checkpoint is %d bytes at %d rows, %d at %d", s.Log.CheckpointBytes, s.Rows, prev.Log.CheckpointBytes, prev.Rows)
+		}
 	}
 }
 
@@ -135,7 +144,7 @@ func TestE3MonotoneShape(t *testing.T) {
 	}
 	best := math.Inf(1)
 	for i := 0; i < sweeps && best >= 0.9; i++ {
-		r, err := E3LatencySweep(t.TempDir(), tinyScale)
+		r, err := E3LatencySweep(&Env{Dir: t.TempDir(), Scale: tinyScale})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,62 +160,6 @@ func TestE3MonotoneShape(t *testing.T) {
 	}
 	if best >= 0.9 {
 		t.Fatalf("latency sweep shape: best last=%.2f of %d sweeps", best, sweeps)
-	}
-}
-
-func TestE4Runs(t *testing.T) {
-	r, err := E4InsertBreakdown(t.TempDir(), 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-}
-
-func TestE5Runs(t *testing.T) {
-	r, err := E5LogBreakdown(t.TempDir(), tinyScale.E1Sizes, disk.Model{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-}
-
-func TestE6ReadsAreFree(t *testing.T) {
-	r, err := E6BarrierCounts(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range r.Rows {
-		if row[0] == "read txn" {
-			if row[1] != "0.0" || row[2] != "0.0" {
-				t.Fatalf("read txn pays barriers: %v", row)
-			}
-			return
-		}
-	}
-	t.Fatal("read txn row missing")
-}
-
-func TestE7Runs(t *testing.T) {
-	r, err := E7Merge(t.TempDir(), tinyScale.E7Sizes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 4 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-}
-
-func TestE8Runs(t *testing.T) {
-	r, err := E8Scans(t.TempDir(), tinyScale.E8Rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 6 { // 3 configs x 2 layouts
-		t.Fatalf("rows = %d", len(r.Rows))
 	}
 }
 

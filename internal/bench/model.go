@@ -2,14 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"time"
 
-	"hyrisenv/internal/disk"
-	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/txn"
-	"hyrisenv/internal/workload"
 )
 
 // RecoveryModel is the analytical restart-cost model: log-based restart
@@ -48,81 +43,34 @@ func (m RecoveryModel) PredictLog(ckptBytes uint64, replayRecords, rows int) tim
 	return time.Duration(s * float64(time.Second))
 }
 
-// M1RecoveryModel calibrates the analytical model at the smallest size
-// and validates its predictions against measurements at larger sizes —
-// the methodological counterpart of extrapolating the paper's headline
-// number to arbitrary dataset sizes.
-func M1RecoveryModel(workDir string, sizes []int, model disk.Model) (*Report, error) {
+// M1RecoveryModel calibrates the analytical model on the restart
+// sweep's smallest size and validates its predictions against the
+// larger ones — the methodological counterpart of extrapolating the
+// paper's headline number to arbitrary dataset sizes.
+func M1RecoveryModel(env *Env) (*Report, error) {
+	sweep, err := env.restarts()
+	if err != nil {
+		return nil, err
+	}
 	r := &Report{
 		ID:      "M1",
 		Title:   "analytical recovery model: predicted vs measured (calibrated at smallest size)",
 		Headers: []string{"rows", "measured log", "predicted log", "pred/meas", "measured nvm"},
 	}
-	type sample struct {
-		rows     int
-		logStats txn.RecoveryStats
-		nvmStats txn.RecoveryStats
-	}
-	run := func(n int) (sample, error) {
-		s := sample{rows: n}
-		spec := workload.DefaultSpec(n)
-		dirL := filepath.Join(workDir, fmt.Sprintf("m1-log-%d", n))
-		e, err := openLog(dirL, model)
-		if err != nil {
-			return s, err
-		}
-		tbl, err := workload.Load(e, "orders", spec)
-		if err != nil {
-			return s, err
-		}
-		if err := e.Checkpoint(); err != nil {
-			return s, err
-		}
-		workload.RunMixed(e, tbl, spec, workload.Mix{InsertPct: 100}, n/5, 1)
-		e.Close()
-		if e, err = openLog(dirL, model); err != nil {
-			return s, err
-		}
-		s.logStats = e.RecoveryStats()
-		e.Close()
-		os.RemoveAll(dirL)
-
-		dirN := filepath.Join(workDir, fmt.Sprintf("m1-nvm-%d", n))
-		en, err := openNVM(dirN, heapFor(n*2), nvm.LatencyModel{})
-		if err != nil {
-			return s, err
-		}
-		if _, err := workload.Load(en, "orders", spec); err != nil {
-			return s, err
-		}
-		en.Close()
-		if en, err = openNVM(dirN, heapFor(n*2), nvm.LatencyModel{}); err != nil {
-			return s, err
-		}
-		s.nvmStats = en.RecoveryStats()
-		en.Close()
-		os.RemoveAll(dirN)
-		return s, nil
-	}
-
 	var cal RecoveryModel
-	for i, n := range sizes {
-		s, err := run(n)
-		if err != nil {
-			return nil, err
-		}
+	for i, s := range sweep {
+		rows := s.Rows + s.Rows/10
 		if i == 0 {
-			cal = CalibrateRecoveryModel(s.logStats, s.nvmStats, n+n/5)
-			r.AddRow(fmt.Sprintf("%d (cal)", n), fmtDur(s.logStats.Total), "—", "—",
-				fmtDur(s.nvmStats.Total))
+			cal = CalibrateRecoveryModel(s.Log, s.NVM, rows)
+			r.AddRow(fmt.Sprintf("%d (cal)", s.Rows), fmtDur(s.Log.Total), "—", "—", fmtDur(s.NVM.Total))
 			continue
 		}
-		pred := cal.PredictLog(s.logStats.CheckpointBytes, s.logStats.ReplayRecords, n+n/5)
-		ratio := float64(pred) / float64(s.logStats.Total)
-		r.AddRow(fmt.Sprintf("%d", n), fmtDur(s.logStats.Total), fmtDur(pred),
-			fmt.Sprintf("%.2f", ratio), fmtDur(s.nvmStats.Total))
+		pred := cal.PredictLog(s.Log.CheckpointBytes, s.Log.ReplayRecords, rows)
+		r.AddRow(fmt.Sprintf("%d", s.Rows), fmtDur(s.Log.Total), fmtDur(pred),
+			fmt.Sprintf("%.2f", float64(pred)/float64(s.Log.Total)), fmtDur(s.NVM.Total))
 	}
 	r.AddNote("expected shape: pred/meas near 1 (linear cost model holds); " +
 		"nvm stays ~constant, unexplainable by any per-byte model")
+	r.AddNote("the samples are E1's restart sweep")
 	return r, nil
 }

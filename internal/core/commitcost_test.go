@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"testing"
 
+	"hyrisenv/internal/exec"
 	"hyrisenv/internal/nvm"
 	"hyrisenv/internal/storage"
 	"hyrisenv/internal/txn"
@@ -108,24 +111,18 @@ func TestCommitDrainCost(t *testing.T) {
 	}
 }
 
-// TestCommitFenceBudget pins the persist barriers of the three write
-// transactions a client can issue, end to end and in steady state (the
-// table's segments and the transaction's context block exist). A row
-// append is two fences whatever the schema, an invalidation record one,
-// retiring the context the slot's previous holder parked one, the commit
-// three, of which one drain. The fence budgets are ROADMAP item 1's; the
-// flush budgets are what the three spend, a unique key's posting being
-// one heads slot and length. What the engine spends is logged.
+// TestCommitFenceBudget pins the persist barriers of the transactions a
+// client can issue, end to end and in steady state (the table's segments
+// and the transaction's context block exist). A row append is two fences
+// whatever the schema, an invalidation record one, retiring the context
+// the slot's previous holder parked one, the commit three, of which one
+// drain; a unique key's posting is one heads slot and length. The counts
+// are exact, so a barrier that moves either way shows; a read-only
+// transaction persists nothing at all.
 func TestCommitFenceBudget(t *testing.T) {
 	e, tbl := commitCostEngine(t, nvm.LatencyModel{})
 	h := e.Heap()
 	vals := func(k int64, v string) []storage.Value { return []storage.Value{storage.Int(k), storage.Str(v)} }
-	commit := func(tx *txn.Txn) {
-		t.Helper()
-		if err := tx.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	rows := make([]uint64, 4)
 	for i := range rows {
 		tx := e.Manager().Begin()
@@ -133,51 +130,52 @@ func TestCommitFenceBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		commit(tx)
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
 		rows[i] = row
 	}
 
-	budgets := []struct {
-		name    string
-		fences  uint64
-		flushes uint64
-		run     func(tx *txn.Txn) error
+	for _, c := range []struct {
+		name                            string
+		fences, flushes, drains, allocs uint64
+		run                             func(tx *txn.Txn) error
 	}{
-		{"insert+commit", 10, 29, func(tx *txn.Txn) error {
+		{"insert+commit", 6, 28, 1, 0, func(tx *txn.Txn) error {
 			_, err := tx.Insert(tbl, vals(100, "fresh"))
 			return err
 		}},
-		{"update+commit", 12, 27, func(tx *txn.Txn) error {
+		{"update+commit", 7, 26, 1, 0, func(tx *txn.Txn) error {
 			_, err := tx.Update(tbl, rows[0], vals(0, "updated"))
 			return err
 		}},
-		{"delete+commit", 6, 7, func(tx *txn.Txn) error {
+		{"delete+commit", 5, 7, 1, 0, func(tx *txn.Txn) error {
 			return tx.Delete(tbl, rows[1])
 		}},
-	}
-	for _, b := range budgets {
-		s0 := h.Stats()
-		tx := e.Manager().Begin()
-		if err := b.run(tx); err != nil {
-			t.Fatal(err)
-		}
-		commit(tx)
-		s1 := h.Stats()
-		fences, flushes := s1.Fences-s0.Fences, s1.Flushes-s0.Flushes
-		t.Logf("%s: %d fences (budget %d), %d flushed lines (budget %d), %d drains, %d allocs",
-			b.name, fences, b.fences, flushes, b.flushes, s1.Drains-s0.Drains, s1.Allocs-s0.Allocs)
-		if fences > b.fences {
-			t.Errorf("%s issued %d fences, budget %d", b.name, fences, b.fences)
-		}
-		if flushes > b.flushes {
-			t.Errorf("%s flushed %d lines, budget %d", b.name, flushes, b.flushes)
-		}
-		if got := s1.Drains - s0.Drains; got != 1 {
-			t.Errorf("%s issued %d drains, want 1", b.name, got)
-		}
-		if got := s1.Allocs - s0.Allocs; got != 0 {
-			t.Errorf("%s made %d heap allocations, want 0 in steady state", b.name, got)
-		}
+		{"read-only", 0, 0, 0, 0, func(tx *txn.Txn) error {
+			got, err := e.Exec().Select(context.Background(), tx, tbl, exec.Pred{Col: 0, Op: exec.Eq, Val: storage.Int(2)})
+			if err == nil && len(got) != 1 {
+				err = fmt.Errorf("Select(k=2) = %v, want one row", got)
+			}
+			return err
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s0 := h.Stats()
+			tx := e.Manager().Begin()
+			if err := c.run(tx); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			s1 := h.Stats()
+			got := [4]uint64{s1.Fences - s0.Fences, s1.Flushes - s0.Flushes, s1.Drains - s0.Drains, s1.Allocs - s0.Allocs}
+			if want := [4]uint64{c.fences, c.flushes, c.drains, c.allocs}; got != want {
+				t.Errorf("%s: %d fences, %d flushed lines, %d drains, %d heap allocations; want %d, %d, %d, %d",
+					c.name, got[0], got[1], got[2], got[3], want[0], want[1], want[2], want[3])
+			}
+		})
 	}
 }
 

@@ -87,8 +87,8 @@ func benchTable(b *testing.B) (*core.Engine, *storage.Table) {
 
 // parDegrees are the Parallelism settings the scaling benchmarks sweep.
 // On a machine with ≥ 4 cores the par=4 scan should run ≥ 2× the
-// throughput of par=1 (see EXPERIMENTS.md E9); rows/s is reported so
-// `make benchscan` can track the trajectory.
+// throughput of par=1 (see EXPERIMENTS.md E9); rows/s is reported in
+// each result's extra metrics.
 var parDegrees = []int{1, 2, 4, 8}
 
 // BenchmarkScanPredicate is the headline number: a full-table

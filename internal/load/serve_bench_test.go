@@ -94,8 +94,8 @@ func runWriteBench(b *testing.B, shards int) {
 func BenchmarkServeWriteGrouped(b *testing.B) { runWriteBench(b, 1) }
 
 // BenchmarkServeWriteSharded runs the same write workload against a
-// sharded daemon — the per-shard-count entries in BENCH_serve.json
-// (shards=1 is ServeWriteGrouped's configuration exactly). The
+// sharded daemon, one result per shard count (shards=1 is
+// ServeWriteGrouped's configuration exactly). The
 // load driver's single-key transactions take the single-shard fast
 // path, so sharding mostly spreads the per-shard group-commit batchers
 // and drain queues; throughput should hold or improve with shard count.

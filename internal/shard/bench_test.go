@@ -14,7 +14,7 @@ import (
 
 // benchRows is the fixed total row count the shard-count sweep scans —
 // the data volume stays constant while the partitioning varies, so the
-// per-shard-count entries in BENCH_scan.json are directly comparable.
+// per-shard-count results are directly comparable.
 const benchRows = 200_000
 
 // BenchmarkScanSharded is the sharded counterpart of the exec scan
@@ -22,7 +22,7 @@ const benchRows = 200_000
 // partitioned across 1/2/4/8 shards. Shards are scanned in sequence
 // (each shard's scan is itself morsel-parallel), so the entries track
 // the per-shard fan-out overhead at fixed data volume; rows/s is
-// recorded to BENCH_scan.json by `make benchscan`.
+// reported in each result's extra metrics.
 func BenchmarkScanSharded(b *testing.B) {
 	schema, err := storage.NewSchema(
 		storage.ColumnDef{Name: "id", Type: storage.TypeInt64},

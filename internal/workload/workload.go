@@ -106,45 +106,6 @@ func Load(e *shard.Engine, table string, s Spec) (*shard.Table, error) {
 	return tbl, nil
 }
 
-// Churn readies tbl, loaded with s and merged, for a second merge: it
-// commits n changes in transactions of s.Batch. The first n/2 give as
-// many distinct loaded rows a new amount, so that their other keys are
-// shared with the main and an old amount dies unless another row still
-// holds it; the rest insert rows numbered on from s.Rows.
-func Churn(e *shard.Engine, tbl *shard.Table, s Spec, n int) error {
-	if s.Batch <= 0 {
-		s.Batch = 1000
-	}
-	rng := rand.New(rand.NewSource(s.Seed + 1))
-	updates := rng.Perm(s.Rows)[:min(n/2, s.Rows)]
-	for done := 0; done < n; {
-		tx := e.Begin()
-		for end := min(done+s.Batch, n); done < end; done++ {
-			var err error
-			if done < len(updates) {
-				rows := selectEq(tx, tbl, ColID, storage.Int(int64(updates[done])))
-				if len(rows) != 1 {
-					tx.Abort()
-					return fmt.Errorf("workload: id %d has %d rows", updates[done], len(rows))
-				}
-				vals := rowValues(tbl, rows[0])
-				vals[ColAmount] = storage.Float(float64(rng.Intn(100000)) / 100)
-				_, err = tx.Update(tbl, rows[0], vals)
-			} else {
-				_, err = tx.Insert(tbl, s.Row(rng, s.Rows+done))
-			}
-			if err != nil {
-				tx.Abort()
-				return err
-			}
-		}
-		if err := tx.Commit(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Mix is an operation mix in percent; the remainder up to 100 is reads.
 type Mix struct {
 	InsertPct int
